@@ -1,4 +1,4 @@
-"""Small shared helpers: seeding, quadrature weights, worker pools."""
+"""Small shared helpers: seeding and worker pools."""
 
 from __future__ import annotations
 
@@ -18,17 +18,6 @@ def child_seed(master_seed: int, purpose: int, index: int = 0) -> int:
     """Deterministic sub-seed for a named purpose under a master seed."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(purpose, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
-
-
-def exp_weights(gamma: float, times: np.ndarray) -> np.ndarray:
-    """Per-step weights w_i = integral of e^{gamma*s} over [t_i, t_{i+1}].
-
-    Exact in gamma so that time-constant integrands integrate exactly.
-    """
-    t0, t1 = times[:-1], times[1:]
-    if abs(gamma) < 1e-300:
-        return t1 - t0
-    return (np.exp(gamma * t1) - np.exp(gamma * t0)) / gamma
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

@@ -24,9 +24,8 @@ import scipy.linalg as sla
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths
-from .pde import pick_epsilon
+from .picard import PicardReport, contraction_constants, iterate, weighted_quadrature
 from .scenario import ScenarioSet, sigma_bar
-from ._util import exp_weights
 
 MIN_SAMPLES_PER_FEATURE = 10
 DEGENERATE_STD = 1e-12
@@ -155,7 +154,8 @@ class RegressionContext:
         t = np.asarray(targets, dtype=float)
         rhs = t @ self.phi                       # (..., n_features)
         flat = rhs.reshape(-1, self.n_features)
-        coefs = sla.cho_solve(self._chol, flat.T).T
+        # Non-finite targets pass through; the Picard loop stops on them.
+        coefs = sla.cho_solve(self._chol, flat.T, check_finite=False).T
         return coefs.reshape(t.shape[:-1] + (self.n_features,))
 
     def predict_in_sample(self, coefs: np.ndarray) -> np.ndarray:
@@ -255,20 +255,6 @@ def extract_z(next_values, dm, a_values=None, positions=None,
 
 
 @dataclass(frozen=True)
-class BdsdePicardReport:
-    converged: bool
-    iterations: int
-    increments: tuple
-    ratios: tuple
-    kappa: float
-    eps: float
-    beta: float
-    delta: float
-    tol_rel: float
-    final_norm: float
-
-
-@dataclass(frozen=True)
 class BdsdeSolution:
     """Y, Z over (noise path, time, diffusion path) for one scenario."""
 
@@ -280,7 +266,7 @@ class BdsdeSolution:
     hunt_fingerprint: tuple = ()
     gbm_fingerprint: tuple = ()
     terminal_z_copied: bool = True
-    picard_report: Optional[BdsdePicardReport] = None
+    picard_report: Optional[PicardReport] = None
 
 
 def _broadcast_driver(values, n_b: int, n_slots: int, n_w: int, trailing=()):
@@ -341,30 +327,23 @@ def delta_norm(solutions, beta: float, delta: float) -> float:
     """sup over solutions of sqrt(delta E int e^{beta s}|Y|^2 + E int e^{beta s}|Z|^2).
 
     The expectation is the importance-weighted mean over diffusion paths and
-    the plain mean over noise paths; left-endpoint slots with exact
-    exponential step weights.
+    the plain mean over noise paths.
     """
     if isinstance(solutions, BdsdeSolution):
         solutions = [solutions]
     if len(solutions) == 0:
         raise UsageError("need at least one solution")
-    best = 0.0
-    for sol in solutions:
-        best = max(best, _delta_norm_arrays(sol.y, sol.z, sol.time_grid, beta, delta,
-                                            sol.weights))
+    best = max(weighted_quadrature(_delta_density(sol.y, sol.z, delta, sol.weights), beta,
+                                   sol.time_grid.times) for sol in solutions)
     return float(np.sqrt(best))
 
 
-def _delta_norm_arrays(y, z, tg: TimeGrid, beta: float, delta: float,
-                       weights=None) -> float:
-    w_t = exp_weights(beta, tg.times)
-    yy = np.asarray(y)[:, :-1, :]
-    zz = np.asarray(z)[:, :-1, :, :]
-    dens = delta * yy**2 + np.sum(zz**2, axis=-1)
-    if weights is not None:
-        # Importance weights for Lebesgue initial mass enter unnormalized.
-        dens = dens * np.asarray(weights)[None, None, :]
-    return float(np.mean(np.sum(np.mean(dens, axis=-1) * w_t[None, :], axis=-1)))
+def _delta_density(y, z, delta: float, weights) -> np.ndarray:
+    """delta |Y|^2 + |Z|^2 per (noise path, left-endpoint time slot),
+    averaged over the diffusion paths with their importance weights, which
+    enter unnormalized for Lebesgue initial mass."""
+    dens = delta * np.asarray(y)[:, :-1]**2 + np.sum(np.asarray(z)[:, :-1]**2, axis=-1)
+    return np.mean(dens * np.asarray(weights), axis=-1)
 
 
 @dataclass
@@ -386,12 +365,10 @@ class BdsdeProblem:
     time_grid: TimeGrid
 
     def __post_init__(self):
-        sb2 = sigma_bar(self.scenarios) ** 2
-        margin = 2.0 * self.field.lam_min - self.lip_alpha * self.field.lam_max * sb2
-        if margin <= 0.0:
+        if self.contraction_margin() <= 0.0:
             raise UsageError(
                 "contraction property violated: alpha * Lambda * sigma_bar^2 = "
-                f"{self.lip_alpha * self.field.lam_max * sb2:.6g} >= 2 lambda = "
+                f"{self.lip_alpha * self.field.lam_max * self.sigma_bar**2:.6g} >= 2 lambda = "
                 f"{2 * self.field.lam_min:.6g}"
             )
 
@@ -419,25 +396,17 @@ class BdsdePicardConfig:
     max_iter: int = 20
     tol_rel: float = 1e-6
     implicit_y: bool = False
+    rate = property(lambda self: self.beta)
 
     @classmethod
     def from_problem(cls, problem: BdsdeProblem, eps: Optional[float] = None,
                      margin: float = 0.1, max_iter: int = 20, tol_rel: float = 1e-6,
                      implicit_y: bool = False) -> "BdsdePicardConfig":
-        k, alpha = problem.lip_k, problem.lip_alpha
-        lam, lam_up = problem.field.lam_min, problem.field.lam_max
         sb2 = problem.sigma_bar**2
-        z_coef = alpha * lam_up * sb2
-        if eps is None:
-            eps = pick_epsilon(k, z_coef, lam, margin)
-        if eps <= 0.0:
-            raise UsageError("epsilon must be positive")
-        kappa = (k * eps + z_coef) / (2.0 * lam)
-        if kappa >= 1.0:
-            raise UsageError(f"kappa = {kappa:.6g} >= 1; decrease epsilon")
-        delta = k * (eps + sb2) / (k * eps + z_coef) if k > 0 else 1.0
-        beta = 1.0 / eps + 2.0 * lam * delta
-        return cls(eps, beta, delta, kappa, max_iter, tol_rel, implicit_y)
+        z_coef = problem.lip_alpha * problem.field.lam_max * sb2
+        return cls(*contraction_constants(problem.lip_k, z_coef, sb2, problem.field.lam_min,
+                                          eps, margin),
+                   max_iter, tol_rel, implicit_y)
 
 
 def _eval_drivers(problem: BdsdeProblem, y, z, ensemble: "LsmcEnsemble"):
@@ -507,40 +476,19 @@ def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
     n_b = gbm.n_paths
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
 
-    y = np.zeros((n_b, n + 1, n_w))
-    z = np.zeros((n_b, n + 1, n_w, d))
-    increments: list[float] = []
-    ratios: list[float] = []
-    converged = False
-    final_norm = 0.0
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    def sweep(y, z):
         f_vals, g_vals = _eval_drivers(problem, y, z, ensemble)
         if cfg.implicit_y:
-            y_new, z_new = _implicit_sweep(problem, ensemble, gbm, xi, f_vals,
-                                           g_vals, z)
-        else:
-            sol = solve_linear_bdsde(f_vals, g_vals, xi, ensemble, gbm)
-            y_new, z_new = sol.y, sol.z
-        inc = np.sqrt(_delta_norm_arrays(y_new - y, z_new - z, problem.time_grid,
-                                         cfg.beta, cfg.delta, hunt.weights))
-        increments.append(float(inc))
-        if len(increments) >= 2 and increments[-2] > 0.0:
-            ratios.append(increments[-1] / increments[-2])
-        y, z = y_new, z_new
-        final_norm = np.sqrt(_delta_norm_arrays(y, z, problem.time_grid,
-                                                cfg.beta, cfg.delta, hunt.weights))
-        if inc <= cfg.tol_rel * max(final_norm, 1e-300):
-            converged = True
-            break
+            return _implicit_sweep(problem, ensemble, gbm, xi, f_vals, g_vals, z)
+        sol = solve_linear_bdsde(f_vals, g_vals, xi, ensemble, gbm)
+        return sol.y, sol.z
 
-    report = BdsdePicardReport(converged, iterations, tuple(increments), tuple(ratios),
-                               cfg.kappa, cfg.eps, cfg.beta, cfg.delta, cfg.tol_rel,
-                               float(final_norm))
-    if not converged:
-        raise NumericalError(
-            f"outer Picard loop did not converge in {cfg.max_iter} iterations "
-            f"(last increment {increments[-1]:.3e})", report=report)
+    def norm(y, z):
+        return float(np.sqrt(weighted_quadrature(_delta_density(y, z, cfg.delta, hunt.weights),
+                                                 cfg.beta, problem.time_grid.times)))
+
+    (y, z), report = iterate(sweep, norm, (np.zeros((n_b, n + 1, n_w)),
+                                           np.zeros((n_b, n + 1, n_w, d))), cfg)
     return BdsdeSolution(y, z, problem.time_grid, gbm.scenario_id, hunt.weights,
                          hunt.fingerprint(), gbm.fingerprint(),
                          terminal_z_copied=True, picard_report=report)

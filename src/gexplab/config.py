@@ -113,7 +113,7 @@ def _build_scenarios(spec: dict, where: str) -> ScenarioSet:
     mats = _get(spec, "matrices", where, list, required=True)
     try:
         scen = ScenarioSet.from_list(mats)
-    except UsageError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.matrices", str(exc)) from exc
     if scen.dim != dim:
         raise ConfigError(f"{where}.l",
@@ -179,17 +179,16 @@ class Experiment:
         """All derived structure constants; what ``validate`` prints."""
         p, b = self.gspde_problem, self.bdsde_problem
         cp, cb = self.gspde_cfg, self.bdsde_cfg
-        sb = sigma_bar(self.scenarios)
         return {
-            "sigma_bar": sb,
+            "sigma_bar": sigma_bar(self.scenarios),
             "lambda_min": self.field.lam_min,
             "lambda_max": self.field.lam_max,
             "c_bar": p.c_bar,
             "alpha_bar": p.alpha_bar,
-            "margin_spde": 2 * self.field.lam_min - p.alpha_bar * sb**2,
+            "margin_spde": p.contraction_margin(),
             "K": b.lip_k,
             "alpha": b.lip_alpha,
-            "margin_bdsde": 2 * self.field.lam_min - b.lip_alpha * self.field.lam_max * sb**2,
+            "margin_bdsde": b.contraction_margin(),
             "spde": {"eps": cp.eps, "kappa": cp.kappa, "gamma": cp.gamma,
                      "delta": cp.delta},
             "bdsde": {"eps": cb.eps, "kappa": cb.kappa, "beta": cb.beta,
@@ -290,6 +289,14 @@ def validate_config(cfg: dict) -> Experiment:
     for check in sections["suite"].get("checks", []):
         if check not in SUITE_CHECKS:
             raise ConfigError("suite.checks", f"unknown check {check!r}")
+    for key in ("n_steps", "n_paths", "n_random_schedules", "dump_paths"):
+        _get(sections["gbm_check"], key, "gbm_check", int)
+    for idx, case in enumerate(_get(sections["comparison"], "cases", "comparison", list,
+                                    default=[])):
+        where = f"comparison.cases[{idx}]"
+        if not isinstance(case, dict):
+            raise ConfigError(where, f"expected dict, got {type(case).__name__}")
+        _check_keys(case, {"terminal_shift", "reaction_shift"}, where)
     sections["gspde"] = gspde_spec
     sections["bdsde"] = bdsde_spec
     if not decays and sg.boundary == "dirichlet0":

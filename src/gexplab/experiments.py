@@ -16,7 +16,6 @@ import numpy as np
 from . import verify
 from .bdsde import LsmcEnsemble, BdsdeProblem, solve_gbdsde_picard
 from .config import Experiment, _build_init, _build_scenarios
-from .errors import ConfigError
 from .gbm import (
     TimeGrid,
     build_gbm,
@@ -61,6 +60,19 @@ def _row(check, scenario_id, metric, value, tolerance, passed) -> CheckRow:
 
 def _bool_row(check, scenario_id, metric, ok) -> CheckRow:
     return _row(check, scenario_id, metric, 1.0 if ok else 0.0, 1.0, ok)
+
+
+def _picard_checks(check, sid, rep, terminal_exact, rows) -> dict:
+    """Append the converged, contraction-ratio and terminal-slice rows of one
+    Picard solve to ``rows``; return its per-scenario report record."""
+    max_ratio = max(rep.ratios) if rep.ratios else 0.0
+    rows.append(_bool_row(check, sid, "converged", rep.converged))
+    rows.append(_row(check, sid, "contraction_ratio", max_ratio,
+                     rep.kappa + 0.05, max_ratio <= rep.kappa + 0.05))
+    rows.append(_bool_row(check, sid, "terminal_exact", terminal_exact))
+    return {"scenario_id": sid, "iterations": rep.iterations,
+            "increments": list(rep.increments), "ratios": list(rep.ratios),
+            "final_norm": rep.final_norm}
 
 
 # -- backward-integral diagnostics ------------------------------------------------
@@ -222,28 +234,16 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     scen_reports = []
     for gbm, (fld, rep, wres, eres) in zip(gbms, solved):
         sid = gbm.scenario_id
-        max_ratio = max(rep.ratios) if rep.ratios else 0.0
         terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
                              for p in range(fld.n_paths))
         w_rms = float(np.sqrt(np.mean(wres**2)))
         e_rms = float(np.sqrt(np.mean(eres**2)))
-        rows.append(_bool_row("gspde", sid, "converged", rep.converged))
-        rows.append(_row("gspde", sid, "contraction_ratio", max_ratio,
-                         cfg.kappa + 0.05, max_ratio <= cfg.kappa + 0.05))
-        rows.append(_bool_row("gspde", sid, "terminal_exact", terminal_exact))
+        record = _picard_checks("gspde", sid, rep, terminal_exact, rows)
         rows.append(_row("gspde", sid, "weak_residual_rms", w_rms, weak_tol,
                          w_rms <= weak_tol))
         rows.append(_row("gspde", sid, "energy_residual_rms", e_rms, energy_tol,
                          e_rms <= energy_tol))
-        scen_reports.append({
-            "scenario_id": sid,
-            "iterations": rep.iterations,
-            "increments": list(rep.increments),
-            "ratios": list(rep.ratios),
-            "final_norm": rep.final_norm,
-            "weak_residual_rms": w_rms,
-            "energy_residual_rms": e_rms,
-        })
+        scen_reports.append(dict(record, weak_residual_rms=w_rms, energy_residual_rms=e_rms))
 
     dump_n = min(int(sec.get("dump_paths", 2)), n_b)
     dump_rows = []
@@ -288,23 +288,11 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     for gbm in gbms:
         sol = solve_gbdsde_picard(problem, hunt, gbm, exp.basis, cfg,
                                   ensemble=ensemble)
-        rep = sol.picard_report
-        sid = gbm.scenario_id
-        max_ratio = max(rep.ratios) if rep.ratios else 0.0
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
                              for b in range(gbm.n_paths))
-        rows.append(_bool_row("gbdsde", sid, "converged", rep.converged))
-        rows.append(_row("gbdsde", sid, "contraction_ratio", max_ratio,
-                         cfg.kappa + 0.05, max_ratio <= cfg.kappa + 0.05))
-        rows.append(_bool_row("gbdsde", sid, "terminal_exact", terminal_exact))
-        scen_reports.append({
-            "scenario_id": sid,
-            "iterations": rep.iterations,
-            "increments": list(rep.increments),
-            "ratios": list(rep.ratios),
-            "final_norm": rep.final_norm,
-        })
+        scen_reports.append(_picard_checks("gbdsde", gbm.scenario_id, sol.picard_report,
+                                           terminal_exact, rows))
         solutions.append(sol)
 
     dump_b = min(int(sec.get("dump_paths", 2)), n_b)
@@ -419,10 +407,6 @@ def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
     rows: list[CheckRow] = []
     case_reports = []
     for idx, case in enumerate(cases):
-        allowed = {"terminal_shift", "reaction_shift"}
-        for k in case:
-            if k not in allowed:
-                raise ConfigError(f"comparison.cases[{idx}].{k}", "unknown key")
         t_shift = float(case.get("terminal_shift", 0.0))
         f_shift = float(case.get("reaction_shift", 0.0))
         problem_b = GspdeProblem(

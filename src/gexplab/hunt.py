@@ -18,8 +18,8 @@ from scipy.stats import norm as _norm
 
 from .errors import NumericalError, UsageError
 from .gbm import TimeGrid
+from .scenario import PSD_EIG_FLOOR
 
-PSD_EIG_FLOOR = -1e-12
 FD_STEP = 1e-5
 
 

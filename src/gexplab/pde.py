@@ -32,8 +32,8 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField
+from .picard import PicardReport, contraction_constants, iterate, weighted_quadrature
 from .scenario import ScenarioSet, sigma_bar
-from ._util import exp_weights
 
 DEFAULT_DT_MAX = 1.0 / 32.0
 BOUNDARY_DECAY_TOL = 1e-8
@@ -74,21 +74,12 @@ class SpatialGrid:
         return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
 
     def points(self) -> np.ndarray:
-        ax = self.axis()
-        if self.dim == 1:
-            return ax[:, None]
-        g0, g1 = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([g0.ravel(), g1.ravel()], axis=1)
+        axes = np.meshgrid(*[self.axis()] * self.dim, indexing="ij")
+        return np.stack([g.ravel() for g in axes], axis=1)
 
     def boundary_mask(self) -> np.ndarray:
-        m = self.points_per_axis
-        if self.dim == 1:
-            mask = np.zeros(m, dtype=bool)
-            mask[[0, -1]] = True
-            return mask
-        mask = np.zeros((m, m), dtype=bool)
-        mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = True
-        return mask.ravel()
+        idx = np.indices((self.points_per_axis,) * self.dim)
+        return np.any((idx == 0) | (idx == self.points_per_axis - 1), axis=0).ravel()
 
     def interior_mask(self, collar_frac: float = 0.0) -> np.ndarray:
         """Nodes further than collar_frac * R from the boundary.
@@ -112,23 +103,12 @@ class SpatialGrid:
         """Central differences over the last axis; one-sided at Dirichlet
         boundaries, wraparound for periodic.  Output gains a trailing dim."""
         vals = np.asarray(values, dtype=float)
-        m = self.points_per_axis
-        if self.dim == 1:
-            out = np.empty(vals.shape + (1,))
-            g = out[..., 0]
-            g[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * self.dx)
-            if self.boundary == "periodic":
-                g[..., 0] = (vals[..., 1] - vals[..., -1]) / (2.0 * self.dx)
-                g[..., -1] = (vals[..., 0] - vals[..., -2]) / (2.0 * self.dx)
-            else:
-                g[..., 0] = (vals[..., 1] - vals[..., 0]) / self.dx
-                g[..., -1] = (vals[..., -1] - vals[..., -2]) / self.dx
-            return out
-        shaped = vals.reshape(vals.shape[:-1] + (m, m))
-        out = np.empty(vals.shape[:-1] + (m, m, 2))
-        for axis_id in range(2):
-            arr = np.moveaxis(shaped, -2 + axis_id, -1)
-            g = np.empty_like(arr)
+        shaped = vals.reshape(vals.shape[:-1] + (self.points_per_axis,) * self.dim)
+        out = np.empty(shaped.shape + (self.dim,))
+        for axis_id in range(self.dim):
+            arr = np.moveaxis(shaped, axis_id - self.dim, -1)
+            # Write through a view of out: a temporary plus a copy is slower.
+            g = np.moveaxis(out[..., axis_id], axis_id - self.dim, -1)
             g[..., 1:-1] = (arr[..., 2:] - arr[..., :-2]) / (2.0 * self.dx)
             if self.boundary == "periodic":
                 g[..., 0] = (arr[..., 1] - arr[..., -1]) / (2.0 * self.dx)
@@ -136,8 +116,7 @@ class SpatialGrid:
             else:
                 g[..., 0] = (arr[..., 1] - arr[..., 0]) / self.dx
                 g[..., -1] = (arr[..., -1] - arr[..., -2]) / self.dx
-            out[..., axis_id] = np.moveaxis(g, -1, -2 + axis_id)
-        return out.reshape(vals.shape + (2,))
+        return out.reshape(vals.shape + (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -197,41 +176,32 @@ class DivergenceFormOperator:
         rows, cols, vals = [], [], []
 
         def add(p, q, c):
-            rows.extend([p, q, p, q])
-            cols.extend([p, q, q, p])
-            vals.extend([-c, -c, c, c])
+            # Per face, in order: (p,p), (q,q), (p,q), (q,p).
+            rows.append(np.stack([p, q, p, q], axis=1).ravel())
+            cols.append(np.stack([p, q, q, p], axis=1).ravel())
+            vals.append(np.stack([-c, -c, c, c], axis=1).ravel())
 
-        def add_ghost(p, c):
-            rows.append(p)
-            cols.append(p)
-            vals.append(-c)
+        def boundary_coefs(nodes, axis_id, shift):
+            mids = pts[nodes].copy()
+            mids[:, axis_id] += shift
+            return self._face_coefficient(mids, axis_id) / dx**2
 
         idx = np.arange(g.n_nodes).reshape((m,) * g.dim)
         for axis_id in range(g.dim):
-            left = np.moveaxis(idx, axis_id, 0)[:-1].ravel()
-            right = np.moveaxis(idx, axis_id, 0)[1:].ravel()
-            mids = 0.5 * (pts[left] + pts[right])
-            coefs = self._face_coefficient(mids, axis_id) / dx**2
-            for p, q, c in zip(left, right, coefs):
-                add(int(p), int(q), float(c))
-            first = np.moveaxis(idx, axis_id, 0)[0].ravel()
-            last = np.moveaxis(idx, axis_id, 0)[-1].ravel()
+            lines = np.moveaxis(idx, axis_id, 0)
+            left, right = lines[:-1].ravel(), lines[1:].ravel()
+            add(left, right, self._face_coefficient(0.5 * (pts[left] + pts[right]), axis_id) / dx**2)
+            first, last = lines[0].ravel(), lines[-1].ravel()
             if g.boundary == "periodic":
-                mids = pts[last].copy()
-                mids[:, axis_id] += 0.5 * dx
-                coefs = self._face_coefficient(mids, axis_id) / dx**2
-                for p, q, c in zip(last, first, coefs):
-                    add(int(p), int(q), float(c))
+                add(last, first, boundary_coefs(last, axis_id, 0.5 * dx))
             else:
-                mids = pts[first].copy()
-                mids[:, axis_id] -= 0.5 * dx
-                for p, c in zip(first, self._face_coefficient(mids, axis_id) / dx**2):
-                    add_ghost(int(p), float(c))
-                mids = pts[last].copy()
-                mids[:, axis_id] += 0.5 * dx
-                for p, c in zip(last, self._face_coefficient(mids, axis_id) / dx**2):
-                    add_ghost(int(p), float(c))
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
+                # Ghost faces: the ghost node holds zero, only the diagonal remains.
+                for nodes, shift in ((first, -0.5 * dx), (last, 0.5 * dx)):
+                    rows.append(nodes)
+                    cols.append(nodes)
+                    vals.append(-boundary_coefs(nodes, axis_id, shift))
+        mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(g.n_nodes, g.n_nodes))
         return mat.tocsr()
 
     # -- linear algebra ----------------------------------------------------
@@ -366,12 +336,11 @@ class GspdeProblem:
                 f"noise has {self.noise.n_components} components but the driver "
                 f"dimension is {self.scenarios.dim}"
             )
-        sb2 = sigma_bar(self.scenarios) ** 2
-        margin = 2.0 * self.field.lam_min - self.alpha_bar * sb2
-        if margin <= 0.0:
+        if self.contraction_margin() <= 0.0:
             raise UsageError(
                 "contraction property violated: alpha_bar * sigma_bar^2 = "
-                f"{self.alpha_bar * sb2:.6g} >= 2 lambda = {2 * self.field.lam_min:.6g}"
+                f"{self.alpha_bar * self.sigma_bar**2:.6g} >= 2 lambda = "
+                f"{2 * self.field.lam_min:.6g}"
             )
         if self.check_boundary_decay and self.space_grid.boundary == "dirichlet0":
             self._check_decay()
@@ -413,17 +382,6 @@ class GspdeProblem:
         return 2.0 * self.field.lam_min - self.alpha_bar * self.sigma_bar**2
 
 
-def pick_epsilon(lip_sq: float, z_coef: float, lam_min: float, margin: float = 0.1) -> float:
-    """Largest epsilon keeping kappa = (lip_sq * eps + z_coef) / (2 lam) at or
-    below 1 - margin; targets the midpoint of the gap when it is thinner
-    than the margin.  With lip_sq = 0 kappa does not depend on eps."""
-    if lip_sq <= 0.0:
-        return 1.0
-    kappa0 = z_coef / (2.0 * lam_min)
-    target = max(1.0 - margin, 0.5 * (1.0 + kappa0))
-    return (2.0 * lam_min * target - z_coef) / lip_sq
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     """Constants of the fixed-point argument plus iteration controls.
@@ -438,32 +396,22 @@ class PicardConfig:
     kappa: float
     max_iter: int = 25
     tol_rel: float = 1e-6
+    rate = property(lambda self: self.gamma)
 
     @classmethod
     def from_problem(cls, problem: GspdeProblem, eps: Optional[float] = None,
                      margin: float = 0.1, max_iter: int = 25,
                      tol_rel: float = 1e-6) -> "PicardConfig":
-        c_bar, a_bar = problem.c_bar, problem.alpha_bar
         sb2 = problem.sigma_bar**2
-        lam = problem.field.lam_min
-        if eps is None:
-            eps = pick_epsilon(c_bar, a_bar * sb2, lam, margin)
-        if eps <= 0.0:
-            raise UsageError("epsilon must be positive")
-        kappa = (c_bar * eps + sb2 * a_bar) / (2.0 * lam)
-        if kappa >= 1.0:
-            raise UsageError(f"kappa = {kappa:.6g} >= 1; decrease epsilon")
-        delta = c_bar * (sb2 + eps) / (c_bar * eps + sb2 * a_bar) if c_bar > 0 else 1.0
-        gamma = 1.0 / eps + 2.0 * lam * delta
-        return cls(eps, gamma, delta, kappa, max_iter, tol_rel)
+        return cls(*contraction_constants(problem.c_bar, problem.alpha_bar * sb2, sb2,
+                                          problem.field.lam_min, eps, margin),
+                   max_iter, tol_rel)
 
     def validate_against(self, problem: GspdeProblem) -> None:
-        lam = problem.field.lam_min
-        kappa = (problem.c_bar * self.eps + problem.sigma_bar**2 * problem.alpha_bar) / (2 * lam)
-        if not (kappa < 1.0):
-            raise UsageError(f"kappa = {kappa:.6g} >= 1 for this problem")
-        delta = (self.gamma - 1.0 / self.eps) / (2.0 * lam)
-        if not (delta > 0.0):
+        sb2 = problem.sigma_bar**2
+        contraction_constants(problem.c_bar, problem.alpha_bar * sb2, sb2,
+                              problem.field.lam_min, self.eps)
+        if not (self.gamma - 1.0 / self.eps > 0.0):
             raise UsageError("delta = (gamma - 1/eps) / (2 lambda) must be positive")
 
 
@@ -490,40 +438,22 @@ def hnorm_gamma_delta(fields, gamma: float, delta: float) -> float:
 
     Accepts one RandomField or a per-scenario sequence; the expectation is
     the path mean and the sublinear layer is the max across the sequence.
-    Quadrature: left-endpoint slots with exact exponential step weights.
     """
     if isinstance(fields, RandomField):
         fields = [fields]
     if len(fields) == 0:
         raise UsageError("need at least one field")
-    best = 0.0
-    for f in fields:
-        best = max(best, _hnorm_values(f.values, f.time_grid, f.space_grid, gamma, delta))
-    return best
+    return max(weighted_quadrature(_hnorm_density(f.values, f.space_grid, delta), gamma,
+                                   f.time_grid.times) for f in fields)
 
 
-def _hnorm_values(values: np.ndarray, tg: TimeGrid, sg: SpatialGrid,
-                  gamma: float, delta: float) -> float:
-    w = exp_weights(gamma, tg.times)
+def _hnorm_density(values: np.ndarray, sg: SpatialGrid, delta: float) -> np.ndarray:
+    """delta |u|^2 + |grad u|^2 per (path, left-endpoint time slot)."""
     u = values[:, :-1, :]
     total = sg.l2_norm_sq(sg.gradient(u).reshape(u.shape[:-1] + (-1,)))
     if delta != 0.0:
         total = total + delta * sg.l2_norm_sq(u)
-    return float(np.mean(np.sum(total * w[None, :], axis=1)))
-
-
-@dataclass(frozen=True)
-class GspdeSolverReport:
-    converged: bool
-    iterations: int
-    increments: tuple
-    ratios: tuple
-    kappa: float
-    eps: float
-    gamma: float
-    delta: float
-    tol_rel: float
-    final_norm: float
+    return total
 
 
 def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
@@ -544,7 +474,7 @@ def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
 def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
                        initial: str = "zero",
                        op: Optional[DivergenceFormOperator] = None
-                       ) -> tuple[RandomField, GspdeSolverReport]:
+                       ) -> tuple[RandomField, PicardReport]:
     """Fixed-point iteration of the mild map over one path bundle.
 
     The iterate map propagates with the dt Crank-Nicolson step and feeds the
@@ -572,12 +502,7 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
     elif initial != "zero":
         raise UsageError(f"unknown initial guess {initial!r}")
 
-    increments: list[float] = []
-    ratios: list[float] = []
-    converged = False
-    final_norm = 0.0
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    def sweep(u):
         f_vals, g_vals = _eval_sources(problem, u, pts)
         new_u = np.empty_like(u)
         new_u[:, -1, :] = problem.terminal
@@ -587,36 +512,13 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
             src = src + np.einsum("pnl,pl->np", g_vals[i], gbm.db[:, i, :])
             v = op.cn_step(src, dt)
             new_u[:, i, :] = v.T
-        inc = _hnorm_values(new_u - u, tg, sg, cfg.gamma, cfg.delta)
-        increments.append(inc)
-        if len(increments) >= 2 and increments[-2] > 0.0:
-            ratios.append(inc / increments[-2])
-        u = new_u
-        final_norm = _hnorm_values(u, tg, sg, cfg.gamma, cfg.delta)
-        if inc <= cfg.tol_rel * max(final_norm, 1e-300):
-            converged = True
-            break
+        return (new_u,)
 
-    report = GspdeSolverReport(
-        converged=converged,
-        iterations=iterations,
-        increments=tuple(increments),
-        ratios=tuple(ratios),
-        kappa=cfg.kappa,
-        eps=cfg.eps,
-        gamma=cfg.gamma,
-        delta=cfg.delta,
-        tol_rel=cfg.tol_rel,
-        final_norm=final_norm,
-    )
-    if not converged:
-        raise NumericalError(
-            f"Picard iteration did not converge in {cfg.max_iter} iterations "
-            f"(last increment {increments[-1]:.3e}); ratios: {ratios}",
-            report=report,
-        )
-    field_out = RandomField(u, tg, sg, gbm.scenario_id, gbm.fingerprint())
-    return field_out, report
+    def norm(u):
+        return weighted_quadrature(_hnorm_density(u, sg, cfg.delta), cfg.gamma, tg.times)
+
+    (u,), report = iterate(sweep, norm, (u,), cfg)
+    return RandomField(u, tg, sg, gbm.scenario_id, gbm.fingerprint()), report
 
 
 # -- residual functionals ---------------------------------------------------
@@ -648,6 +550,20 @@ def _check_support(chi_vals: np.ndarray, grid: SpatialGrid) -> None:
         raise UsageError("test function must vanish at the domain boundary")
 
 
+def _residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths,
+                    op: Optional[DivergenceFormOperator]):
+    """What both residuals read: the operator, the field, its sources at the
+    right-endpoint slots, its midpoint slices (p, N, n) and g . dB_i."""
+    if u_field.values.shape[0] != gbm.n_paths:
+        raise UsageError("field and path bundle have different path counts")
+    if op is None:
+        op = discretize_operator(problem.field, problem.space_grid)
+    u = u_field.values
+    f_vals, g_vals = _eval_sources(problem, u, problem.space_grid.points())
+    u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])
+    return op, u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db)
+
+
 def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
                   problem: GspdeProblem, gbm: GBMPaths,
                   op: Optional[DivergenceFormOperator] = None) -> np.ndarray:
@@ -656,20 +572,11 @@ def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
     Quadrature is midpoint in both slots of every time integral, which makes
     the residual vanish identically for the source-free discrete evolution.
     """
-    tg, sg = problem.time_grid, problem.space_grid
-    if u_field.values.shape[0] != gbm.n_paths:
-        raise UsageError("field and path bundle have different path counts")
-    if op is None:
-        op = discretize_operator(problem.field, sg)
+    tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
     chi = test_fn.space_values(sg)
     _check_support(chi, sg)
     psi = test_fn.time_values(tg.times)
-    pts = sg.points()
-    u = u_field.values
-    dt = tg.dt
-    f_vals, g_vals = _eval_sources(problem, u, pts)
-
-    u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])           # (p, N, n)
+    op, u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm, op)
     psi_mid = 0.5 * (psi[:-1] + psi[1:])
     dpsi = psi[1:] - psi[:-1]
 
@@ -680,7 +587,6 @@ def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
     res = res + dt * np.sum(energy * psi_mid[None, :], axis=1)
     f_term = sg.inner(np.moveaxis(f_vals, 0, 1), chi[None, None, :])
     res = res - dt * np.sum(f_term * psi_mid[None, :], axis=1)
-    gdb = np.einsum("ipnl,pil->pin", g_vals, gbm.db)
     g_term = sg.inner(gdb, chi[None, None, :])
     res = res - np.sum(g_term * psi_mid[None, :], axis=1)
     return np.abs(res)
@@ -713,16 +619,8 @@ def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
     slice t_{i+1} (the backward-adapted slot) with dB_i — with a midpoint
     slice there the quadratic-variation correction would be double-counted.
     """
-    tg, sg = problem.time_grid, problem.space_grid
-    if u_field.values.shape[0] != gbm.n_paths:
-        raise UsageError("field and path bundle have different path counts")
-    if op is None:
-        op = discretize_operator(problem.field, sg)
-    pts = sg.points()
-    u = u_field.values
-    dt = tg.dt
-    f_vals, g_vals = _eval_sources(problem, u, pts)
-    u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])
+    sg, dt = problem.space_grid, problem.time_grid.dt
+    op, u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm, op)
     phi_mid = phi.deriv(u_mid)
     phi_right = phi.deriv(u[:, 1:, :])
 
@@ -732,7 +630,6 @@ def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
     rhs = np.sum(phi.value(problem.terminal)) * sg.cell_volume
     f_term = sg.inner(phi_right, np.moveaxis(f_vals, 0, 1))
     rhs = rhs + dt * np.sum(f_term, axis=1)
-    gdb = np.einsum("ipnl,pil->pin", g_vals, gbm.db)
     rhs = rhs + np.sum(sg.inner(phi_right, gdb), axis=1)
 
     cov = gbm.scenarios.covariances()[gbm.schedule.indices]   # (N, l, l)

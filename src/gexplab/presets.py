@@ -280,17 +280,15 @@ def build_raw_noise(spec: dict, dim: int, n_components: int,
 
 def _sigma_composer(field: CoefficientField):
     """z -> z sigma(x) with a one-slot cache: the grid solvers always call
-    with the same point set, and batched square roots are the costly part."""
-    cache = {}
+    with the same point set, and batched square roots are the costly part.
+    The cache hits only on a point set equal to a copy of the cached one."""
+    cache = [None]
 
     def compose(pts, z):
-        key = (pts.shape, float(pts[0, 0]), float(pts[-1, -1]))
-        sig = cache.get(key)
-        if sig is None:
-            sig = field.sigma_at(pts)
-            cache.clear()
-            cache[key] = sig
-        return np.einsum("...nd,ndk->...nk", z, sig)
+        hit = cache[0]
+        if hit is None or not np.array_equal(hit[0], pts):
+            hit = cache[0] = (np.array(pts), field.sigma_at(pts))
+        return np.einsum("...nd,ndk->...nk", z, hit[1])
 
     return compose
 

@@ -9,7 +9,7 @@ re-run under the same seed reproduces the report bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,11 +64,28 @@ class CheckpointMetrics:
     ref_rms: float
 
 
+class _Refined:
+    """Refinement table shared by the cross-solver reports: one row per step
+    count, mapping the checkpoint times of ``metric`` to worst-case values."""
+
+    metric = ""
+
+    @property
+    def non_increasing(self) -> Optional[bool]:
+        rows = self.refinement
+        if len(rows) < 2:
+            return None
+        return all(v <= prev[self.metric][t] + 1e-12
+                   for prev, cur in zip(rows, rows[1:]) for t, v in cur[self.metric].items())
+
+
 @dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(_Refined):
     """Worst-case (over scenarios) relative RMS errors at the checkpoints,
     plus a refinement table across step counts when several runs are
     combined."""
+
+    metric = "rel_rms_y"
 
     checkpoints: tuple
     per_scenario: tuple = field(repr=False)
@@ -82,16 +99,6 @@ class RepresentationReport:
     @property
     def passed(self) -> bool:
         return self.worst_rel_rms_y <= self.tolerance
-
-    @property
-    def non_increasing(self) -> Optional[bool]:
-        if len(self.refinement) < 2:
-            return None
-        ok = True
-        for prev, cur in zip(self.refinement, self.refinement[1:]):
-            for t, v in cur["rel_rms_y"].items():
-                ok &= v <= prev["rel_rms_y"][t] + 1e-12
-        return bool(ok)
 
 
 def _check_provenance(u_field: RandomField, sol: BdsdeSolution,
@@ -176,16 +183,14 @@ def check_representation(u_fields, sols, hunt: HuntPaths, gbms,
     return RepresentationReport(tuple(worst), tuple(per_scenario), tolerance, (row,))
 
 
-def combine_refinement(reports: Sequence[RepresentationReport]) -> RepresentationReport:
-    """Merge per-resolution reports, coarsest first, into one report whose
-    refinement table orders the step counts."""
+def combine_refinement(reports: Sequence[_Refined]) -> _Refined:
+    """Merge per-resolution reports of one kind into the finest of them,
+    with a refinement table that orders the step counts."""
     if not reports:
         raise UsageError("need at least one report")
-    rows = [r for rep in reports for r in rep.refinement]
-    rows.sort(key=lambda r: r["n_steps"])
+    rows = sorted((r for rep in reports for r in rep.refinement), key=lambda r: r["n_steps"])
     finest = max(reports, key=lambda r: r.refinement[0]["n_steps"])
-    return RepresentationReport(finest.checkpoints, finest.per_scenario,
-                                finest.tolerance, tuple(rows))
+    return replace(finest, refinement=tuple(rows))
 
 
 # -- comparison ---------------------------------------------------------------
@@ -272,24 +277,16 @@ def _regrid_problem(problem: GspdeProblem, tg: TimeGrid) -> GspdeProblem:
 # -- linear transport ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class TransportReport:
+class TransportReport(_Refined):
     checkpoints: tuple       # (t, rel_rms) pairs, worst over scenarios
     per_scenario: tuple = field(repr=False)
     refinement: tuple = ()
 
+    metric = "rel_rms"
+
     @property
     def worst_rel_rms(self) -> float:
         return max(v for _, v in self.checkpoints)
-
-    @property
-    def non_increasing(self) -> Optional[bool]:
-        if len(self.refinement) < 2:
-            return None
-        ok = True
-        for prev, cur in zip(self.refinement, self.refinement[1:]):
-            for t, v in cur["rel_rms"].items():
-                ok &= v <= prev["rel_rms"][t] + 1e-12
-        return bool(ok)
 
 
 def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
@@ -310,7 +307,6 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
         op = discretize_operator(field_spec, sg)
     zero_terminal = np.zeros(sg.n_nodes)
     indices = _checkpoint_indices(checkpoints, time_grid)
-    pts_grid = sg.points()
     n = time_grid.n_steps
     times = time_grid.times
     n_w = hunt.n_paths
@@ -321,42 +317,34 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
         np.asarray(noise(times[i + 1], hunt.x[:, i, :], zero_y, zero_z))
         for i in range(n)
     ])
+    problem = GspdeProblem(zero_terminal, ZERO_REACTION, noise, field_spec,
+                           scenarios, time_grid, sg, check_boundary_decay=False)
+    cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=6)
     per_scenario = []
     worst = {idx: 0.0 for idx in indices}
     for gbm in _as_list(gbms):
-        problem = GspdeProblem(zero_terminal, ZERO_REACTION, noise, field_spec,
-                               scenarios, time_grid, sg, check_boundary_decay=False)
-        cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=6)
         u_field, _ = solve_gspde_picard(problem, cfg, gbm, op=op)
         grads = sg.gradient(u_field.values)[:, :, :, 0]        # (b, n+1, nodes)
+        res_sq = dict.fromkeys(indices, 0.0)
+        ref_sq = dict.fromkeys(indices, 0.0)
+        for b in range(gbm.n_paths):
+            # Per slot i: g . dB_i minus grad u(t_i, X_{t_i}) dM_i.  The
+            # reversed cumulative sum gives both sums from every t_idx on.
+            slots = np.einsum("iwl,il->iw", g_on_paths, gbm.db[b]) - np.stack(
+                [_interp_paths(grads[b, i], sg, hunt.x[:, i, 0]) for i in range(n)]
+            ) * hunt.dm[:, :, 0].T
+            tails = np.zeros((n + 1, n_w))
+            tails[:n] = np.cumsum(slots[::-1], axis=0)[::-1]
+            for idx in indices:
+                lhs = _interp_paths(u_field.values[b, idx], sg, hunt.x[:, idx, 0])
+                res_sq[idx] += float(np.mean((lhs - tails[idx])**2))
+                ref_sq[idx] += float(np.mean(lhs**2))
         rows = {}
         for idx in indices:
-            res_sq, ref_sq = 0.0, 0.0
-            for b in range(gbm.n_paths):
-                lhs = _interp_paths(u_field.values[b, idx], sg, hunt.x[:, idx, 0])
-                back = np.zeros(n_w)
-                for i in range(idx, n):
-                    back += g_on_paths[i] @ gbm.db[b, i, :]
-                forward = np.zeros(n_w)
-                for i in range(idx, n):
-                    z_here = _interp_paths(grads[b, i], sg, hunt.x[:, i, 0])
-                    forward += z_here * hunt.dm[:, i, 0]
-                resid = lhs - (back - forward)
-                res_sq += float(np.mean(resid**2))
-                ref_sq += float(np.mean(lhs**2))
-            rel = float(np.sqrt(res_sq / max(ref_sq, REL_RMS_FLOOR)))
-            rows[idx] = rel
-            worst[idx] = max(worst[idx], rel)
+            rows[idx] = float(np.sqrt(res_sq[idx] / max(ref_sq[idx], REL_RMS_FLOOR)))
+            worst[idx] = max(worst[idx], rows[idx])
         per_scenario.append((gbm.scenario_id, {times[i]: v for i, v in rows.items()}))
     checkpoints_out = tuple((float(times[i]), worst[i]) for i in indices)
     row = {"n_steps": n, "rel_rms": {float(times[i]): worst[i] for i in indices}}
     return TransportReport(checkpoints_out, tuple(per_scenario), (row,))
 
-
-def combine_transport(reports: Sequence[TransportReport]) -> TransportReport:
-    if not reports:
-        raise UsageError("need at least one report")
-    rows = [r for rep in reports for r in rep.refinement]
-    rows.sort(key=lambda r: r["n_steps"])
-    finest = max(reports, key=lambda r: r.refinement[0]["n_steps"])
-    return TransportReport(finest.checkpoints, finest.per_scenario, tuple(rows))

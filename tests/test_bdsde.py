@@ -325,6 +325,18 @@ def test_nonconvergence_carries_report():
     assert err.value.report.iterations == 1
 
 
+def test_nonfinite_driver_stops_at_first_iteration():
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
+    prob = BdsdeProblem(lambda pts: np.cos(pts[:, 0]),
+                        lambda t, x, y, v: np.full_like(y, np.nan),
+                        lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
+                        0.25, 0.0, field, gbm.scenarios, hunt.grid)
+    with pytest.raises(NumericalError, match="non-finite") as err:
+        solve_gbdsde_picard(prob, hunt, gbm, BASIS)
+    assert err.value.report.iterations == 1
+    assert not err.value.report.converged
+
+
 def test_ito_product_rule_refinement():
     # Two source-free linear solutions: d(Y Ytilde) picks up the bracket
     # correction 2 Z a Ztilde dt; the discrete defect shrinks with dt.

@@ -117,6 +117,20 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run-suite", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("section,key,value,field", [
+    ("comparison", "cases", 5, "comparison.cases"),
+    ("gbm_check", "n_steps", "x", "gbm_check.n_steps"),
+    ("scenario_set", "matrices", [[["a"]]], "scenario_set.matrices"),
+])
+def test_cli_malformed_field_exit_2(tmp_path, capsys, section, key, value, field):
+    cfg = tiny_config()
+    cfg[section][key] = value
+    code = main(["run-suite", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_cli_gbm_and_artifacts(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config())
     out = str(tmp_path / "run")

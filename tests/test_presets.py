@@ -90,6 +90,20 @@ def test_sigma_mode_scales_z_constant():
     assert reaction_term(raw_f, field, "gradient").lip_sq == pytest.approx(0.25)
 
 
+def test_sigma_cache_misses_on_a_different_point_set():
+    field = build_field({"preset": "sinusoidal-1d", "base": 0.75, "amplitude": 0.375}, 1)
+    raw_g = build_raw_noise({"preset": "tanh-y-sin-z", "y_scale": 0.1, "z_scale": 0.5}, 1, 1)
+    pts = np.linspace(-1.0, 1.0, 5)[:, None]
+    moved = pts.copy()
+    moved[2, 0] = 0.7  # same shape, first and last coordinates as pts
+    y, z = np.zeros(5), np.ones((5, 1))
+    term = noise_term(raw_g, field, "gradient-sigma")
+    term(0.0, pts, y, z)
+    fresh = noise_term(raw_g, field, "gradient-sigma")
+    assert np.array_equal(term(0.0, moved, y, z), fresh(0.0, moved, y, z))
+    assert np.array_equal(term(0.0, pts, y, z), fresh(0.0, pts, y, z))
+
+
 def test_integrand_presets_and_unknown_names():
     times = np.linspace(0.0, 1.0, 9)
     for name in ("constant", "step", "sin-t"):
