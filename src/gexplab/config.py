@@ -82,6 +82,13 @@ def _get(cfg: dict, key: str, where: str, kind=None, default=None, required=Fals
     return value
 
 
+def _get_count(cfg: dict, key: str, where: str, default: int) -> int:
+    value = _get(cfg, key, where, int, default=default)
+    if value < 1:
+        raise ConfigError(f"{where}.{key}", f"must be >= 1, got {value}")
+    return value
+
+
 def config_hash(cfg: dict) -> str:
     """Hash of the experiment semantics: execution-only keys (where to write,
     how many workers) do not change results, so they are excluded."""
@@ -254,7 +261,7 @@ def validate_config(cfg: dict) -> Experiment:
         gspde_cfg = PicardConfig.from_problem(
             gspde_problem,
             eps=None if eps is None else float(eps),
-            max_iter=_get(gspde_spec, "max_iter", "gspde", int, default=25),
+            max_iter=_get_count(gspde_spec, "max_iter", "gspde", default=25),
             tol_rel=float(_get(gspde_spec, "tol_rel", "gspde", (int, float), default=1e-6)),
         )
         bdsde_problem = BdsdeProblem(
@@ -271,10 +278,12 @@ def validate_config(cfg: dict) -> Experiment:
         bdsde_cfg = BdsdePicardConfig.from_problem(
             bdsde_problem,
             eps=None if beps is None else float(beps),
-            max_iter=_get(bdsde_spec, "max_iter", "bdsde", int, default=20),
+            max_iter=_get_count(bdsde_spec, "max_iter", "bdsde", default=20),
             tol_rel=float(_get(bdsde_spec, "tol_rel", "bdsde", (int, float), default=1e-6)),
             implicit_y=bool(_get(bdsde_spec, "implicit_y", "bdsde", bool, default=False)),
         )
+    except ConfigError:
+        raise
     except UsageError as exc:
         raise ConfigError("config", str(exc)) from exc
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
 from .errors import NumericalError, UsageError
 from .gbm import TimeGrid
@@ -162,7 +162,7 @@ def _sample_initial(law: InitialLaw, dim: int, n_paths: int, rng) -> tuple[np.nd
             pts[bad] = rng.standard_normal((int(bad.sum()), dim))
         else:
             raise NumericalError("rejection sampling for the initial box stalled")
-        z_box = float(np.prod(_norm.cdf(high) - _norm.cdf(low)))
+        z_box = float(np.prod(ndtr(high) - ndtr(low)))
     return pts, z_box / _gaussian_density(pts)
 
 

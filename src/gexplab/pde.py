@@ -461,13 +461,13 @@ def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
     tg = problem.time_grid
     n_steps = tg.n_steps
     p, _, n = u.shape
-    grad = problem.space_grid.gradient(u)
+    grad = problem.space_grid.gradient(u[:, 1:])
     f_vals = np.empty((n_steps, p, n))
     g_vals = np.empty((n_steps, p, n, problem.noise.n_components))
     times = tg.times
     for j in range(1, n_steps + 1):
-        f_vals[j - 1] = np.asarray(problem.reaction(times[j], pts, u[:, j], grad[:, j]))
-        g_vals[j - 1] = np.asarray(problem.noise(times[j], pts, u[:, j], grad[:, j]))
+        f_vals[j - 1] = np.asarray(problem.reaction(times[j], pts, u[:, j], grad[:, j - 1]))
+        g_vals[j - 1] = np.asarray(problem.noise(times[j], pts, u[:, j], grad[:, j - 1]))
     return f_vals, g_vals
 
 

@@ -229,43 +229,59 @@ def _sample_ordering(problem_a: GspdeProblem, problem_b: GspdeProblem,
                     )
 
 
-def check_comparison(problem_a: GspdeProblem, problem_b: GspdeProblem,
+def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],
                      cfg_a: PicardConfig, cfg_b: PicardConfig, gbms,
-                     collar_frac: float = 0.05) -> ComparisonReport:
-    """Solve both ordered problems on shared noise and report the worst
-    signed gap min(u_b - u_a) over the collar interior, with a measured
-    grid-error scale from a step-doubling probe on the gap field."""
-    if problem_a.noise is not problem_b.noise:
-        raise UsageError("comparison requires the two problems to share the noise term")
-    if problem_a.space_grid != problem_b.space_grid or problem_a.time_grid != problem_b.time_grid:
-        raise UsageError("comparison requires matching grids")
-    _sample_ordering(problem_a, problem_b)
+                     collar_frac: float = 0.05) -> list[ComparisonReport]:
+    """Solve ``problem_a`` and each ordered ``problems_b[k]`` on shared noise
+    and report, per case, the worst signed gap min(u_b - u_a) over the collar
+    interior, with a measured grid-error scale from a step-doubling probe on
+    the gap field.
+
+    Every case is validated before any solve.  The unshifted problem is then
+    solved once per scenario on the fine grid and once on the coarse probe
+    grid, and both fields serve every case."""
+    for problem_b in problems_b:
+        if problem_a.noise is not problem_b.noise:
+            raise UsageError("comparison requires the two problems to share the noise term")
+        if problem_a.space_grid != problem_b.space_grid or \
+                problem_a.time_grid != problem_b.time_grid:
+            raise UsageError("comparison requires matching grids")
+        _sample_ordering(problem_a, problem_b)
+    if not problems_b:
+        return []
     sg = problem_a.space_grid
     mask = sg.interior_mask(collar_frac)
     op_a = discretize_operator(problem_a.field, sg)
-    per_scenario = []
-    min_gap = np.inf
-    probe = 0.0
+    n_cases = len(problems_b)
+    per_scenario = [[] for _ in range(n_cases)]
+    min_gap = [np.inf] * n_cases
+    probe = [0.0] * n_cases
     for gbm in _as_list(gbms):
         fa, _ = solve_gspde_picard(problem_a, cfg_a, gbm, op=op_a)
-        fb, _ = solve_gspde_picard(problem_b, cfg_b, gbm, op=op_a)
-        gap = (fb.values - fa.values)[:, :, mask]
-        scen_min = float(np.min(gap))
-        per_scenario.append((gbm.scenario_id, scen_min))
-        min_gap = min(min_gap, scen_min)
-        if gbm.grid.n_steps % 2 == 0:
+        halve = gbm.grid.n_steps % 2 == 0
+        if halve:
             coarse = coarsen_gbm(gbm, 2)
-            prob_ac = _regrid_problem(problem_a, coarse.grid)
-            prob_bc = _regrid_problem(problem_b, coarse.grid)
-            fac, _ = solve_gspde_picard(prob_ac, cfg_a, coarse, op=op_a)
-            fbc, _ = solve_gspde_picard(prob_bc, cfg_b, coarse, op=op_a)
-            gap_c = (fbc.values - fac.values)[:, :, mask]
-            probe = max(probe, float(np.max(np.abs(gap[:, ::2] - gap_c))))
-    eps_grid = 2.0 * probe + 1e-12
+            fac, _ = solve_gspde_picard(_regrid_problem(problem_a, coarse.grid), cfg_a,
+                                        coarse, op=op_a)
+        for k, problem_b in enumerate(problems_b):
+            fb, _ = solve_gspde_picard(problem_b, cfg_b, gbm, op=op_a)
+            gap = (fb.values - fa.values)[:, :, mask]
+            scen_min = float(np.min(gap))
+            per_scenario[k].append((gbm.scenario_id, scen_min))
+            min_gap[k] = min(min_gap[k], scen_min)
+            if halve:
+                fbc, _ = solve_gspde_picard(_regrid_problem(problem_b, coarse.grid), cfg_b,
+                                            coarse, op=op_a)
+                gap_c = (fbc.values - fac.values)[:, :, mask]
+                probe[k] = max(probe[k], float(np.max(np.abs(gap[:, ::2] - gap_c))))
     scale = problem_a.time_grid.dt + sg.dx**2
-    return ComparisonReport(min_gap=min_gap, eps_grid=eps_grid,
-                            c_constant=eps_grid / scale, collar_frac=collar_frac,
-                            per_scenario=tuple(per_scenario))
+    reports = []
+    for k in range(n_cases):
+        eps_grid = 2.0 * probe[k] + 1e-12
+        reports.append(ComparisonReport(min_gap=min_gap[k], eps_grid=eps_grid,
+                                        c_constant=eps_grid / scale, collar_frac=collar_frac,
+                                        per_scenario=tuple(per_scenario[k])))
+    return reports
 
 
 def _regrid_problem(problem: GspdeProblem, tg: TimeGrid) -> GspdeProblem:

@@ -1,9 +1,13 @@
 import copy
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gexplab
 from gexplab.cli import main
 from gexplab.config import config_hash, default_config, validate_config
 from gexplab.errors import ConfigError
@@ -121,6 +125,8 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     ("comparison", "cases", 5, "comparison.cases"),
     ("gbm_check", "n_steps", "x", "gbm_check.n_steps"),
     ("scenario_set", "matrices", [[["a"]]], "scenario_set.matrices"),
+    ("gspde", "max_iter", 0, "gspde.max_iter"),
+    ("bdsde", "max_iter", 0, "bdsde.max_iter"),
 ])
 def test_cli_malformed_field_exit_2(tmp_path, capsys, section, key, value, field):
     cfg = tiny_config()
@@ -129,6 +135,27 @@ def test_cli_malformed_field_exit_2(tmp_path, capsys, section, key, value, field
                  "--out", str(tmp_path / "bad")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_cli_gspde_on_dirichlet_grid(tmp_path):
+    cfg = default_config()
+    cfg["space_grid"].update({"half_width": 10.0, "points_per_axis": 201,
+                              "boundary": "dirichlet0"})
+    cfg["suite"]["checks"] = ["gspde"]
+    out = str(tmp_path / "run")
+    assert main(["run-suite", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+    with open(os.path.join(out, "suite_summary.csv")) as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 10
+    assert all(row["pass"] == "true" for row in rows)
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, gexplab.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gexplab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_gbm_and_artifacts(tmp_path, capsys):

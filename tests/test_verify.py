@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gexplab import verify
 from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, RegressionBasis, solve_gbdsde_picard
 from gexplab.errors import UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
@@ -143,14 +144,14 @@ def shifted(problem, terminal_shift=0.0, reaction_shift=0.0):
 
 def test_comparison_identical_problems():
     problem, cfg, gbms = comparison_setup()
-    report = check_comparison(problem, shifted(problem), cfg, cfg, gbms)
+    [report] = check_comparison(problem, [shifted(problem)], cfg, cfg, gbms)
     assert report.min_gap >= -1e-12
 
 
 def test_comparison_terminal_shift_gap_one():
     problem, cfg, gbms = comparison_setup()
-    report = check_comparison(problem, shifted(problem, terminal_shift=1.0),
-                              cfg, cfg, gbms)
+    [report] = check_comparison(problem, [shifted(problem, terminal_shift=1.0)],
+                                cfg, cfg, gbms)
     assert report.min_gap >= 1.0 - report.eps_grid
     assert report.min_gap == pytest.approx(1.0, abs=1e-6)
     assert report.c_constant >= 0.0
@@ -158,8 +159,8 @@ def test_comparison_terminal_shift_gap_one():
 
 def test_comparison_reaction_shift_nonnegative():
     problem, cfg, gbms = comparison_setup()
-    report = check_comparison(problem, shifted(problem, reaction_shift=0.1),
-                              cfg, cfg, gbms)
+    [report] = check_comparison(problem, [shifted(problem, reaction_shift=0.1)],
+                                cfg, cfg, gbms)
     assert report.min_gap >= -report.eps_grid
     assert report.min_gap >= -1e-9  # deterministic shift stays signed
 
@@ -167,14 +168,45 @@ def test_comparison_reaction_shift_nonnegative():
 def test_comparison_rejects_unordered_and_different_noise():
     problem, cfg, gbms = comparison_setup()
     with pytest.raises(UsageError, match="not ordered"):
-        check_comparison(problem, shifted(problem, terminal_shift=-1.0), cfg, cfg, gbms)
+        check_comparison(problem, [shifted(problem, terminal_shift=-1.0)], cfg, cfg, gbms)
     with pytest.raises(UsageError, match="not ordered"):
-        check_comparison(problem, shifted(problem, reaction_shift=-0.5), cfg, cfg, gbms)
+        check_comparison(problem, [shifted(problem, reaction_shift=-0.5)], cfg, cfg, gbms)
     other = GspdeProblem(problem.terminal, problem.reaction, zero_noise(1),
                          problem.field, problem.scenarios, problem.time_grid,
                          problem.space_grid)
     with pytest.raises(UsageError, match="noise"):
-        check_comparison(problem, other, cfg, cfg, gbms)
+        check_comparison(problem, [other], cfg, cfg, gbms)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "solve_gspde_picard",
+                        lambda *a, **k: calls.append(a) or solve_gspde_picard(*a, **k))
+    return calls
+
+
+def test_comparison_validates_every_case_before_solving(monkeypatch):
+    problem, cfg, gbms = comparison_setup()
+    calls = count_solves(monkeypatch)
+    with pytest.raises(UsageError, match="not ordered"):
+        check_comparison(problem, [shifted(problem, terminal_shift=1.0),
+                                   shifted(problem, terminal_shift=-1.0)], cfg, cfg, gbms)
+    assert calls == []
+
+
+def test_comparison_cases_share_the_unshifted_solves(monkeypatch):
+    problem, cfg, gbms = comparison_setup()
+    cases = [shifted(problem, terminal_shift=1.0), shifted(problem, reaction_shift=0.1)]
+    single = [check_comparison(problem, [case], cfg, cfg, gbms)[0] for case in cases]
+    calls = count_solves(monkeypatch)
+    joint = check_comparison(problem, cases, cfg, cfg, gbms)
+    assert len(joint) == len(cases)
+    for one, both in zip(single, joint):
+        assert both.min_gap == one.min_gap
+        assert both.eps_grid == one.eps_grid
+        assert both.per_scenario == one.per_scenario
+    assert gbms[0].grid.n_steps % 2 == 0
+    assert len(calls) == len(gbms) * (2 + 2 * len(cases))
 
 
 # -- transport --------------------------------------------------------------------
