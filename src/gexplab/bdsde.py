@@ -58,7 +58,6 @@ class RegressionBasis:
 
 
 def _monomial_powers(dim: int, degree: int) -> list[tuple]:
-    powers = [()]
     out = []
 
     def rec(prefix, remaining, budget):
@@ -212,8 +211,8 @@ class LsmcEnsemble:
         self.field = field_spec
         n = hunt.grid.n_steps
         self.contexts = [RegressionContext(hunt.x[:, i, :], basis) for i in range(n)]
-        self.a_values = np.stack([field_spec.a_at(hunt.x[:, i, :]) for i in range(n)])
-        self.a_inverse = np.linalg.inv(self.a_values)          # (n, n_W, d, d)
+        a_values = np.stack([field_spec.a_at(hunt.x[:, i, :]) for i in range(n)])
+        self.a_inverse = np.linalg.inv(a_values)               # (n, n_W, d, d)
         self.sigma = np.stack([field_spec.sigma_at(hunt.x[:, i, :])
                                for i in range(n + 1)])         # (n+1, n_W, d, d)
 
@@ -333,17 +332,38 @@ def delta_norm(solutions, beta: float, delta: float) -> float:
         solutions = [solutions]
     if len(solutions) == 0:
         raise UsageError("need at least one solution")
-    best = max(weighted_quadrature(_delta_density(sol.y, sol.z, delta, sol.weights), beta,
-                                   sol.time_grid.times) for sol in solutions)
+    best = max(weighted_quadrature(_delta_density(sol.y[:, :-1], sol.z[:, :-1], delta,
+                                                  sol.weights),
+                                   beta, sol.time_grid.times) for sol in solutions)
     return float(np.sqrt(best))
 
 
 def _delta_density(y, z, delta: float, weights) -> np.ndarray:
-    """delta |Y|^2 + |Z|^2 per (noise path, left-endpoint time slot),
+    """delta |Y|^2 + |Z|^2 with Y shaped (..., n_W) and Z (..., n_W, d),
     averaged over the diffusion paths with their importance weights, which
-    enter unnormalized for Lebesgue initial mass."""
-    dens = delta * np.asarray(y)[:, :-1]**2 + np.sum(np.asarray(z)[:, :-1]**2, axis=-1)
-    return np.mean(dens * np.asarray(weights), axis=-1)
+    enter unnormalized for Lebesgue initial mass.  Each (..., n_W) row is
+    reduced on its own, so one time slot gives the same floats as the slot's
+    column of a whole stack."""
+    return np.mean((delta * y**2 + np.einsum("...k,...k->...", z, z)) * weights, axis=-1)
+
+
+def _increment_and_iterate_norms(new: tuple, old: tuple, beta: float, delta: float,
+                                 weights, times) -> tuple[float, float]:
+    """(beta, delta)-norms of new - old and of new for (Y, Z) iterate pairs.
+
+    One pass over the N left-endpoint slots reads both iterates once and
+    fills the density columns of the increment and of the new iterate; each
+    slot's difference is a (n_b, n_W) block, never a whole-stack array.
+    """
+    (y1, z1), (y0, z0) = new, old
+    n_b, n = y1.shape[0], y1.shape[1] - 1
+    inc = np.empty((n_b, n))
+    cur = np.empty((n_b, n))
+    for i in range(n):
+        inc[:, i] = _delta_density(y1[:, i] - y0[:, i], z1[:, i] - z0[:, i], delta, weights)
+        cur[:, i] = _delta_density(y1[:, i], z1[:, i], delta, weights)
+    return (float(np.sqrt(weighted_quadrature(inc, beta, times))),
+            float(np.sqrt(weighted_quadrature(cur, beta, times))))
 
 
 @dataclass
@@ -410,18 +430,20 @@ class BdsdePicardConfig:
 
 
 def _eval_drivers(problem: BdsdeProblem, y, z, ensemble: "LsmcEnsemble"):
-    """Driver values at every slot; v = Z sigma(X) feeds the z argument."""
-    v = np.einsum("biwd,iwdk->biwk", z, ensemble.sigma)
+    """Driver values at the right-endpoint slots 1..N, the only ones the
+    backward recursion reads; v = Z sigma(X) feeds the z argument.  Slot 0
+    of the returned arrays is zero."""
     times = problem.time_grid.times
     n_b, n_slots, n_w = y.shape
-    f_out = np.empty((n_b, n_slots, n_w))
+    f_out = np.zeros((n_b, n_slots, n_w))
     g_out = None
-    for i in range(n_slots):
+    for i in range(1, n_slots):
         x_here = ensemble.hunt.x[:, i, :]
-        f_out[:, i] = np.asarray(problem.f(times[i], x_here, y[:, i], v[:, i]))
-        g_i = np.asarray(problem.g(times[i], x_here, y[:, i], v[:, i]))
+        v = np.einsum("bwd,wdk->bwk", z[:, i], ensemble.sigma[i])
+        f_out[:, i] = np.asarray(problem.f(times[i], x_here, y[:, i], v))
+        g_i = np.asarray(problem.g(times[i], x_here, y[:, i], v))
         if g_out is None:
-            g_out = np.empty((n_b, n_slots, n_w, g_i.shape[-1]))
+            g_out = np.zeros((n_b, n_slots, n_w, g_i.shape[-1]))
         g_out[:, i] = g_i
     return f_out, g_out
 
@@ -483,12 +505,12 @@ def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
         sol = solve_linear_bdsde(f_vals, g_vals, xi, ensemble, gbm)
         return sol.y, sol.z
 
-    def norm(y, z):
-        return float(np.sqrt(weighted_quadrature(_delta_density(y, z, cfg.delta, hunt.weights),
-                                                 cfg.beta, problem.time_grid.times)))
+    def norms(new, old):
+        return _increment_and_iterate_norms(new, old, cfg.beta, cfg.delta, hunt.weights,
+                                            problem.time_grid.times)
 
-    (y, z), report = iterate(sweep, norm, (np.zeros((n_b, n + 1, n_w)),
-                                           np.zeros((n_b, n + 1, n_w, d))), cfg)
+    (y, z), report = iterate(sweep, norms, (np.zeros((n_b, n + 1, n_w)),
+                                            np.zeros((n_b, n + 1, n_w, d))), cfg)
     return BdsdeSolution(y, z, problem.time_grid, gbm.scenario_id, hunt.weights,
                          hunt.fingerprint(), gbm.fingerprint(),
                          terminal_z_copied=True, picard_report=report)

@@ -517,7 +517,8 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
     def norm(u):
         return weighted_quadrature(_hnorm_density(u, sg, cfg.delta), cfg.gamma, tg.times)
 
-    (u,), report = iterate(sweep, norm, (u,), cfg)
+    (u,), report = iterate(sweep, lambda new, old: (norm(new[0] - old[0]), norm(new[0])),
+                           (u,), cfg)
     return RandomField(u, tg, sg, gbm.scenario_id, gbm.fingerprint()), report
 
 

@@ -75,11 +75,12 @@ class PicardReport:
     final_norm: float
 
 
-def iterate(sweep, norm, state: tuple, cfg) -> tuple[tuple, PicardReport]:
+def iterate(sweep, norms, state: tuple, cfg) -> tuple[tuple, PicardReport]:
     """Iterate ``state = sweep(*state)`` until the increment is small.
 
-    ``state`` is a tuple of arrays and ``norm(*arrays)`` the weighted norm in
-    which the map contracts; the increment is taken array by array.  Each
+    ``state`` is a tuple of arrays and ``norms(new, old)`` returns the pair
+    (norm of new - old, norm of new) in the weighted norm in which the map
+    contracts, so a solver can read both iterates once for both norms.  Each
     solver keeps its own convention: the grid equation passes the squared
     (gamma, delta) functional, the backward equation the square-rooted
     (beta, delta)-norm, so their increments and ratios are in different
@@ -96,12 +97,11 @@ def iterate(sweep, norm, state: tuple, cfg) -> tuple[tuple, PicardReport]:
 
     for _ in range(cfg.max_iter):
         new = sweep(*state)
-        inc = norm(*(a - b for a, b in zip(new, state)))
+        inc, final_norm = norms(new, state)
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 0.0:
             ratios.append(inc / increments[-2])
         state = new
-        final_norm = norm(*state)
         if not (math.isfinite(inc) and math.isfinite(final_norm)):
             raise NumericalError(
                 f"Picard iteration {len(increments)} produced a non-finite norm "

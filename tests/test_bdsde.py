@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gexplab import bdsde
 from gexplab.bdsde import (
     BdsdePicardConfig,
     BdsdeProblem,
@@ -13,11 +16,12 @@ from gexplab.bdsde import (
     solve_gbdsde_picard,
     solve_linear_bdsde,
 )
-from gexplab.bdsde import BdsdeSolution
+from gexplab.bdsde import BdsdeSolution, _increment_and_iterate_norms
 from gexplab.errors import NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
 from gexplab.pde import SpatialGrid, apply_semigroup, discretize_operator
+from gexplab.picard import weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
 
 
@@ -216,6 +220,36 @@ def test_delta_norm_uses_importance_weights_unnormalized():
     assert delta_norm(sol, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
+def whole_stack_delta_norm(y, z, beta, delta, weights, times):
+    """Reference: the (beta, delta)-norm from a density built over whole stacks."""
+    dens = delta * y[:, :-1]**2 + np.sum(z[:, :-1]**2, axis=-1)
+    return float(np.sqrt(weighted_quadrature(np.mean(dens * weights, axis=-1), beta, times)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_b=st.integers(1, 4), n_steps=st.integers(1, 6), n_w=st.integers(1, 40),
+       d=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+       beta=st.floats(0.0, 8.0), delta=st.floats(0.0, 20.0),
+       horizon=st.floats(0.05, 3.0))
+def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, seed,
+                                                         beta, delta, horizon):
+    rng = np.random.default_rng(seed)
+    tg = TimeGrid(horizon, n_steps)
+    weights = rng.uniform(0.1, 3.0, n_w)
+    old = (rng.standard_normal((n_b, n_steps + 1, n_w)),
+           rng.standard_normal((n_b, n_steps + 1, n_w, d)))
+    new = (rng.standard_normal((n_b, n_steps + 1, n_w)),
+           rng.standard_normal((n_b, n_steps + 1, n_w, d)))
+    inc, cur = _increment_and_iterate_norms(new, old, beta, delta, weights, tg.times)
+    assert inc == whole_stack_delta_norm(new[0] - old[0], new[1] - old[1], beta, delta,
+                                         weights, tg.times)
+    assert cur == whole_stack_delta_norm(*new, beta, delta, weights, tg.times)
+    assert cur == delta_norm(BdsdeSolution(*new, tg, 0, weights), beta, delta)
+    same, same_cur = _increment_and_iterate_norms(new, new, beta, delta, weights, tg.times)
+    assert same == 0.0
+    assert same_cur == cur
+
+
 # -- outer Picard loop --------------------------------------------------------------
 
 def representation_free_problem(field, scen, tg, k=0.25, alpha=0.5):
@@ -335,6 +369,39 @@ def test_nonfinite_driver_stops_at_first_iteration():
         solve_gbdsde_picard(prob, hunt, gbm, BASIS)
     assert err.value.report.iterations == 1
     assert not err.value.report.converged
+
+
+def poison_slot_0(f_vals, g_vals):
+    f_vals, g_vals = f_vals.copy(), g_vals.copy()
+    f_vals[:, 0] = np.nan
+    g_vals[:, 0] = np.nan
+    return f_vals, g_vals
+
+
+def test_recursion_never_reads_driver_slot_0(monkeypatch):
+    # Drivers are evaluated on slots 1..N only; NaN at slot 0 must not reach Y or Z.
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
+    n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
+    rng = np.random.default_rng(5)
+    f_vals = rng.standard_normal((n_b, n + 1, n_w))
+    g_vals = rng.standard_normal((n_b, n + 1, n_w, 1))
+    xi = np.cos(hunt.x[:, -1, 0])
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    clean = solve_linear_bdsde(f_vals, g_vals, xi, ens, gbm)
+    poisoned = solve_linear_bdsde(*poison_slot_0(f_vals, g_vals), xi, ens, gbm)
+    assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
+    assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
+
+    prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
+    cfg = BdsdePicardConfig.from_problem(prob, tol_rel=1e-8, implicit_y=True)
+    clean = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+    eval_drivers = bdsde._eval_drivers
+    monkeypatch.setattr(bdsde, "_eval_drivers",
+                        lambda *args: poison_slot_0(*eval_drivers(*args)))
+    poisoned = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+    assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
+    assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
+    assert poisoned.picard_report == clean.picard_report
 
 
 def test_ito_product_rule_refinement():
