@@ -15,12 +15,14 @@ regressed slot and is flagged, not extrapolated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
+from ._util import Count, NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths
@@ -38,13 +40,14 @@ class RegressionBasis:
     ``polynomial``: total-degree monomials of the standardized state (any
     state dimension).  ``indicator-bins``: equal-count bins, 1-D state only.
     The ridge penalty never shrinks the intercept, so constants always fit
-    exactly when ridge = 0.
+    exactly when ridge = 0.  The field types are the config schema of
+    ``bdsde.basis``.
     """
 
-    kind: str = "polynomial"
-    degree: int = 4
-    n_bins: int = 16
-    ridge: float = 0.0
+    kind: Literal["polynomial", "indicator-bins"] = "polynomial"
+    degree: NonNegInt = 4
+    n_bins: Count = 16
+    ridge: NonNeg = 0.0
 
     def __post_init__(self):
         if self.kind not in ("polynomial", "indicator-bins"):
@@ -55,6 +58,14 @@ class RegressionBasis:
             raise UsageError("need at least one bin")
         if self.ridge < 0.0:
             raise UsageError("ridge must be nonnegative")
+
+    def n_features(self, dim: int) -> int:
+        """Basis size on a ``dim``-dimensional state whose every axis varies."""
+        if self.kind == "indicator-bins":
+            if dim != 1:
+                raise UsageError("indicator-bins basis supports 1-D state only")
+            return self.n_bins
+        return math.comb(dim + self.degree, dim)
 
 
 def _monomial_powers(dim: int, degree: int) -> list[tuple]:
@@ -85,7 +96,6 @@ class RegressionContext:
             x = x[:, None]
         if x.ndim != 2:
             raise UsageError("positions must be (n_samples, state_dim)")
-        self.positions = x
         self.basis = basis
         n, d = x.shape
         self.center = x.mean(axis=0)
@@ -125,7 +135,6 @@ class RegressionContext:
             )
         self.phi = phi
         self._chol = sla.cho_factor(gram)
-        self.gram = gram
 
     @property
     def n_features(self) -> int:
@@ -159,45 +168,6 @@ class RegressionContext:
 
     def predict_in_sample(self, coefs: np.ndarray) -> np.ndarray:
         return np.asarray(coefs) @ self.phi.T
-
-    def predict_at(self, coefs: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        x = np.asarray(positions, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        return np.asarray(coefs) @ self._design(x).T
-
-
-@dataclass(frozen=True)
-class ConditionalPredictor:
-    """Fitted conditional expectation, evaluable anywhere."""
-
-    context: RegressionContext = field(repr=False)
-    coefficients: np.ndarray
-    residual_std: float
-    se_coefficients: np.ndarray
-
-    def predict(self, positions) -> np.ndarray:
-        return self.context.predict_at(self.coefficients, positions)
-
-    @property
-    def fitted(self) -> np.ndarray:
-        return self.context.predict_in_sample(self.coefficients)
-
-
-def regress_conditional(targets, positions, basis: RegressionBasis,
-                        context: Optional[RegressionContext] = None) -> ConditionalPredictor:
-    """Least-squares conditional expectation of targets given the state."""
-    t = np.asarray(targets, dtype=float).ravel()
-    ctx = context if context is not None else RegressionContext(positions, basis)
-    if t.shape[0] != ctx.positions.shape[0]:
-        raise UsageError("targets and positions have different sample counts")
-    coefs = ctx.fit(t)
-    resid = t - ctx.predict_in_sample(coefs)
-    dof = max(t.shape[0] - ctx.n_features, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * sla.cho_solve(ctx._chol, np.eye(ctx.n_features))
-    return ConditionalPredictor(ctx, coefs, float(np.sqrt(sigma2)),
-                                np.sqrt(np.maximum(np.diag(cov), 0.0)))
 
 
 class LsmcEnsemble:

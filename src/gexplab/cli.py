@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="path to the experiment JSON ('default' for the shipped one)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="worker cap")
+        p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
         p.add_argument("--out", default=None, help="output directory")
         return p
 
@@ -77,7 +77,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 def _run_command(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    exp = validate_config(cfg)
+    single = COMMANDS.get(args.command)
+    exp = validate_config(cfg, None if single is None else [single])
 
     if args.command == "validate":
         print(json.dumps(exp.constants_report(), indent=2, sort_keys=True))
@@ -86,7 +87,7 @@ def _run_command(args) -> int:
     if args.command == "run-suite":
         rows, artifacts = run_suite(exp)
     else:
-        rows, artifacts = RUNNERS[COMMANDS[args.command]](exp)
+        rows, artifacts = RUNNERS[single](exp)
 
     out_dir = exp.output_dir or "gexplab-out"
     artifacts = dict(artifacts)

@@ -1,92 +1,158 @@
 """Experiment configuration: versioned JSON schema, strict validation, and
 construction of the domain objects every command shares.
 
-Unknown keys are rejected so typos fail loudly; all contraction properties
-are checked at load time, before anything is simulated.
+Each section is a frozen dataclass whose fields declare its keys with their
+types, defaults and lower bounds once; ``_util.read`` walks them, so unknown
+keys, wrong types and out-of-range values fail loudly with the field's path.
+Everything a runner would reject is checked here, before anything is
+simulated: the contraction properties always, and the rules that tie one
+section to another for the checks that will run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Optional
+from typing import Callable, Literal, Optional, Sequence, get_args
 
-import numpy as np
-
-from .bdsde import BdsdePicardConfig, BdsdeProblem, RegressionBasis
+from ._util import Count, NonNeg, NonNegInt, Positive, read
+from .bdsde import MIN_SAMPLES_PER_FEATURE, BdsdePicardConfig, BdsdeProblem, RegressionBasis
 from .errors import ConfigError, UsageError
 from .gbm import TimeGrid
 from .hunt import CoefficientField, InitialLaw
 from .pde import GspdeProblem, PicardConfig, SpatialGrid
 from .presets import (
-    build_field,
-    build_raw_noise,
-    build_raw_reaction,
-    build_terminal,
+    FieldPreset,
+    Integrand,
+    NoisePreset,
+    ReactionPreset,
+    TerminalPreset,
+    ZMode,
     noise_term,
     reaction_term,
 )
 from .scenario import ScenarioSet, sigma_bar
+from .verify import checkpoint_indices
 
-SCHEMA_VERSION = 1
-
-_TOP_KEYS = {
-    "schema_version", "seed", "threads", "output_dir",
-    "scenario_set", "time_grid", "space_grid", "coefficient_field",
-    "terminal", "reaction", "noise", "z_mode",
-    "gspde", "bdsde", "gbm_check", "hunt_check",
-    "representation", "comparison", "suite",
-}
-
-_SECTION_KEYS = {
-    "scenario_set": {"l", "matrices"},
-    "time_grid": {"horizon", "n_steps"},
-    "space_grid": {"dim", "half_width", "points_per_axis", "boundary"},
-    "gspde": {"n_noise_paths", "eps", "max_iter", "tol_rel", "dump_paths",
-              "weak_tolerance", "energy_tolerance"},
-    "bdsde": {"n_diffusion_paths", "basis", "eps", "max_iter", "tol_rel",
-              "implicit_y", "init", "dump_paths"},
-    "gbm_check": {"scenario_set", "horizon", "n_steps", "n_paths",
-                  "n_random_schedules", "integrands", "dump_paths"},
-    "hunt_check": {"field", "horizon", "n_steps", "n_paths", "init",
-                   "bracket_tolerance", "dump_paths"},
-    "representation": {"checkpoint_fractions", "halvings", "tolerance",
-                       "n_noise_paths", "n_diffusion_paths"},
-    "comparison": {"cases", "collar_frac"},
-    "suite": {"checks"},
-    "basis": {"kind", "degree", "n_bins", "ridge"},
-    "init": {"kind", "x0", "box"},
-}
-
-SUITE_CHECKS = ("gbm-integral", "hunt-bracket", "gspde", "gbdsde",
-                "representation", "comparison")
+Check = Literal["gbm-integral", "hunt-bracket", "gspde", "gbdsde", "representation",
+                "comparison"]
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    for k in section:
-        if k not in allowed:
-            raise ConfigError(f"{where}.{k}", "unknown key")
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """A family of ``l x l`` loading matrices, one per scenario."""
+
+    l: Count
+    matrices: tuple[tuple[tuple[float, ...], ...], ...]
+
+    def build(self, where: str) -> ScenarioSet:
+        try:
+            scen = ScenarioSet.from_list(self.matrices)
+        except ValueError as exc:  # ragged or empty nesting
+            raise ConfigError(f"{where}.matrices", str(exc)) from exc
+        if scen.dim != self.l:
+            raise ConfigError(f"{where}.l", f"declared driver dimension {self.l} but "
+                                            f"matrices are {scen.dim}x{scen.dim}")
+        return scen
 
 
-def _get(cfg: dict, key: str, where: str, kind=None, default=None, required=False):
-    if key not in cfg or cfg[key] is None:
-        if required:
-            raise ConfigError(f"{where}.{key}", "missing required key")
-        return default
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}",
-                          f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
-    return value
+@dataclass(frozen=True)
+class GspdeSection:
+    n_noise_paths: Count = 6
+    eps: Optional[Positive] = None  # None: derived from the contraction margin
+    max_iter: Count = 25
+    tol_rel: NonNeg = 1e-6
+    dump_paths: NonNegInt = 2
+    weak_tolerance: NonNeg = 0.1
+    energy_tolerance: NonNeg = 0.1
 
 
-def _get_count(cfg: dict, key: str, where: str, default: int) -> int:
-    value = _get(cfg, key, where, int, default=default)
-    if value < 1:
-        raise ConfigError(f"{where}.{key}", f"must be >= 1, got {value}")
-    return value
+@dataclass(frozen=True)
+class BdsdeSection:
+    n_diffusion_paths: Count = 1500
+    basis: RegressionBasis = RegressionBasis()
+    eps: Optional[Positive] = None
+    max_iter: Count = 20
+    tol_rel: NonNeg = 1e-6
+    implicit_y: bool = False
+    init: InitialLaw = InitialLaw("point")
+    dump_paths: NonNegInt = 2
+
+
+@dataclass(frozen=True)
+class GbmCheck:
+    scenario_set: Optional[ScenarioSpec] = None  # None: the problem's
+    horizon: Optional[Positive] = None  # None: the problem's
+    n_steps: Count = 128
+    n_paths: Count = 3000
+    n_random_schedules: NonNegInt = 1
+    integrands: tuple[Integrand, ...] = get_args(Integrand)
+    dump_paths: NonNegInt = 2
+
+
+@dataclass(frozen=True)
+class HuntCheck:
+    field: Optional[FieldPreset] = None  # None: the problem's
+    horizon: Optional[Positive] = None  # None: the problem's
+    n_steps: Count = 512
+    n_paths: Count = 3000
+    init: InitialLaw = InitialLaw("point")
+    bracket_tolerance: NonNeg = 0.05
+    dump_paths: NonNegInt = 2
+
+
+@dataclass(frozen=True)
+class RepresentationCheck:
+    checkpoint_fractions: tuple[NonNeg, ...] = (0.0, 0.25, 0.5, 0.75)
+    halvings: NonNegInt = 0
+    tolerance: NonNeg = 0.05
+    n_noise_paths: Optional[Count] = None  # None: gspde.n_noise_paths
+    n_diffusion_paths: Optional[Count] = None  # None: bdsde.n_diffusion_paths
+
+
+@dataclass(frozen=True)
+class ComparisonCase:
+    terminal_shift: NonNeg = 0.0
+    reaction_shift: NonNeg = 0.0
+
+
+@dataclass(frozen=True)
+class ComparisonCheck:
+    cases: tuple[ComparisonCase, ...] = (ComparisonCase(terminal_shift=1.0),
+                                         ComparisonCase(reaction_shift=0.1))
+    collar_frac: NonNeg = 0.05
+
+
+@dataclass(frozen=True)
+class Suite:
+    checks: tuple[Check, ...] = get_args(Check)
+
+
+@dataclass(frozen=True)
+class Config:
+    """The experiment JSON, version 1."""
+
+    schema_version: Literal[1]
+    seed: NonNegInt
+    scenario_set: ScenarioSpec
+    time_grid: TimeGrid
+    space_grid: SpatialGrid
+    coefficient_field: FieldPreset
+    terminal: TerminalPreset
+    threads: int = 1  # accepted and kept out of the hash; runs are single-threaded
+    output_dir: Optional[str] = None
+    reaction: ReactionPreset = read(ReactionPreset, {"preset": "zero"}, "reaction")
+    noise: NoisePreset = read(NoisePreset, {"preset": "zero"}, "noise")
+    z_mode: ZMode = "gradient-sigma"
+    gspde: GspdeSection = GspdeSection()
+    bdsde: BdsdeSection = BdsdeSection()
+    gbm_check: GbmCheck = GbmCheck()
+    hunt_check: HuntCheck = HuntCheck()
+    representation: RepresentationCheck = RepresentationCheck()
+    comparison: ComparisonCheck = ComparisonCheck()
+    suite: Suite = Suite()
 
 
 def config_hash(cfg: dict) -> str:
@@ -114,73 +180,24 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
 
 
-def _build_scenarios(spec: dict, where: str) -> ScenarioSet:
-    _check_keys(spec, _SECTION_KEYS["scenario_set"], where)
-    dim = _get(spec, "l", where, int, required=True)
-    mats = _get(spec, "matrices", where, list, required=True)
-    try:
-        scen = ScenarioSet.from_list(mats)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}.matrices", str(exc)) from exc
-    if scen.dim != dim:
-        raise ConfigError(f"{where}.l",
-                          f"declared driver dimension {dim} but matrices are {scen.dim}x{scen.dim}")
-    return scen
+@dataclass(frozen=True, kw_only=True)
+class Experiment(Config):
+    """A validated config plus every shared object built from it.
 
+    The fallbacks are filled in: the check horizons are the problem's when
+    not given, the representation path counts those of ``gspde`` and
+    ``bdsde``."""
 
-def _build_init(spec: Optional[dict], dim: int, where: str) -> InitialLaw:
-    if spec is None:
-        return InitialLaw("point", np.zeros(dim))
-    _check_keys(spec, _SECTION_KEYS["init"], where)
-    kind = _get(spec, "kind", where, str, required=True)
-    try:
-        if kind == "point":
-            return InitialLaw("point", np.asarray(spec.get("x0", np.zeros(dim)), float))
-        if kind == "gaussian":
-            box = spec.get("box")
-            return InitialLaw("gaussian", box=tuple(box) if box else None)
-    except UsageError as exc:
-        raise ConfigError(where, str(exc)) from exc
-    raise ConfigError(f"{where}.kind", f"unknown initial law {kind!r}")
-
-
-def _build_basis(spec: Optional[dict], where: str) -> RegressionBasis:
-    if spec is None:
-        return RegressionBasis()
-    _check_keys(spec, _SECTION_KEYS["basis"], where)
-    try:
-        return RegressionBasis(
-            kind=_get(spec, "kind", where, str, default="polynomial"),
-            degree=_get(spec, "degree", where, int, default=4),
-            n_bins=_get(spec, "n_bins", where, int, default=16),
-            ridge=float(_get(spec, "ridge", where, (int, float), default=0.0)),
-        )
-    except UsageError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
-@dataclass
-class Experiment:
-    """Validated configuration with every shared object constructed."""
-
-    raw: dict
     config_hash: str
-    seed: int
-    threads: int
-    output_dir: Optional[str]
     scenarios: ScenarioSet
-    time_grid: TimeGrid
-    space_grid: SpatialGrid
     field: CoefficientField
-    z_mode: str
-    terminal_fn: object
+    terminal_fn: Callable
     gspde_problem: GspdeProblem
     gspde_cfg: PicardConfig
     bdsde_problem: BdsdeProblem
     bdsde_cfg: BdsdePicardConfig
-    basis: RegressionBasis
-    init_law: InitialLaw
-    sections: dict = field(default_factory=dict)
+    gbm_scenarios: ScenarioSet
+    hunt_field: Optional[CoefficientField]  # built only when hunt-bracket runs
 
     def constants_report(self) -> dict:
         """All derived structure constants; what ``validate`` prints."""
@@ -203,132 +220,105 @@ class Experiment:
         }
 
 
-def validate_config(cfg: dict) -> Experiment:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    version = _get(cfg, "schema_version", "config", int, required=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("config.schema_version",
-                          f"expected {SCHEMA_VERSION}, got {version}")
-    seed = _get(cfg, "seed", "config", int, required=True)
-    threads = _get(cfg, "threads", "config", int, default=1)
-    output_dir = _get(cfg, "output_dir", "config", str, default=None)
-
-    scen = _build_scenarios(_get(cfg, "scenario_set", "config", dict, required=True),
-                            "scenario_set")
-    tg_spec = _get(cfg, "time_grid", "config", dict, required=True)
-    _check_keys(tg_spec, _SECTION_KEYS["time_grid"], "time_grid")
-    sg_spec = _get(cfg, "space_grid", "config", dict, required=True)
-    _check_keys(sg_spec, _SECTION_KEYS["space_grid"], "space_grid")
+def _checked(where: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a UsageError turned into a ConfigError
+    naming ``where``."""
     try:
-        tg = TimeGrid(float(_get(tg_spec, "horizon", "time_grid", (int, float), required=True)),
-                      _get(tg_spec, "n_steps", "time_grid", int, required=True))
-        sg = SpatialGrid(
-            _get(sg_spec, "dim", "space_grid", int, default=1),
-            float(_get(sg_spec, "half_width", "space_grid", (int, float), required=True)),
-            _get(sg_spec, "points_per_axis", "space_grid", int, required=True),
-            _get(sg_spec, "boundary", "space_grid", str, default="dirichlet0"),
-        )
-    except UsageError as exc:
-        raise ConfigError("grid", str(exc)) from exc
-
-    field_obj = build_field(_get(cfg, "coefficient_field", "config", dict, required=True),
-                            sg.dim)
-    z_mode = _get(cfg, "z_mode", "config", str, default="gradient-sigma")
-    terminal_fn, decays = build_terminal(_get(cfg, "terminal", "config", dict, required=True))
-    raw_f = build_raw_reaction(_get(cfg, "reaction", "config", dict,
-                                    default={"preset": "zero"}), sg.dim)
-    raw_g = build_raw_noise(_get(cfg, "noise", "config", dict,
-                                 default={"preset": "zero"}), sg.dim, scen.dim)
-
-    gspde_spec = _get(cfg, "gspde", "config", dict, default={})
-    _check_keys(gspde_spec, _SECTION_KEYS["gspde"], "gspde")
-    bdsde_spec = _get(cfg, "bdsde", "config", dict, default={})
-    _check_keys(bdsde_spec, _SECTION_KEYS["bdsde"], "bdsde")
-
-    try:
-        gspde_problem = GspdeProblem(
-            terminal=terminal_fn(sg.points()),
-            reaction=reaction_term(raw_f, field_obj, z_mode),
-            noise=noise_term(raw_g, field_obj, z_mode),
-            field=field_obj,
-            scenarios=scen,
-            time_grid=tg,
-            space_grid=sg,
-        )
-        eps = gspde_spec.get("eps")
-        gspde_cfg = PicardConfig.from_problem(
-            gspde_problem,
-            eps=None if eps is None else float(eps),
-            max_iter=_get_count(gspde_spec, "max_iter", "gspde", default=25),
-            tol_rel=float(_get(gspde_spec, "tol_rel", "gspde", (int, float), default=1e-6)),
-        )
-        bdsde_problem = BdsdeProblem(
-            terminal_fn=terminal_fn,
-            f=raw_f.fn,
-            g=raw_g.fn,
-            lip_k=max(raw_f.lip_y_sq, raw_f.lip_z_sq, raw_g.lip_y_sq),
-            lip_alpha=raw_g.lip_z_sq,
-            field=field_obj,
-            scenarios=scen,
-            time_grid=tg,
-        )
-        beps = bdsde_spec.get("eps")
-        bdsde_cfg = BdsdePicardConfig.from_problem(
-            bdsde_problem,
-            eps=None if beps is None else float(beps),
-            max_iter=_get_count(bdsde_spec, "max_iter", "bdsde", default=20),
-            tol_rel=float(_get(bdsde_spec, "tol_rel", "bdsde", (int, float), default=1e-6)),
-            implicit_y=bool(_get(bdsde_spec, "implicit_y", "bdsde", bool, default=False)),
-        )
+        return fn(*args, **kwargs)
     except ConfigError:
         raise
     except UsageError as exc:
-        raise ConfigError("config", str(exc)) from exc
+        raise ConfigError(where, str(exc)) from exc
 
-    basis = _build_basis(bdsde_spec.get("basis"), "bdsde.basis")
-    init_law = _build_init(bdsde_spec.get("init"), sg.dim, "bdsde.init")
 
-    sections = {}
-    for name in ("gbm_check", "hunt_check", "representation", "comparison", "suite"):
-        section = _get(cfg, name, "config", dict, default={})
-        _check_keys(section, _SECTION_KEYS[name], name)
-        sections[name] = section
-    for check in sections["suite"].get("checks", []):
-        if check not in SUITE_CHECKS:
-            raise ConfigError("suite.checks", f"unknown check {check!r}")
-    for key in ("n_steps", "n_paths", "n_random_schedules", "dump_paths"):
-        _get(sections["gbm_check"], key, "gbm_check", int)
-    for idx, case in enumerate(_get(sections["comparison"], "cases", "comparison", list,
-                                    default=[])):
-        where = f"comparison.cases[{idx}]"
-        if not isinstance(case, dict):
-            raise ConfigError(where, f"expected dict, got {type(case).__name__}")
-        _check_keys(case, {"terminal_shift", "reaction_shift"}, where)
-    sections["gspde"] = gspde_spec
-    sections["bdsde"] = bdsde_spec
+def _check_basis_size(basis: RegressionBasis, dim: int, n_paths: int, where: str) -> None:
+    need = MIN_SAMPLES_PER_FEATURE * _checked("bdsde.basis", basis.n_features, dim)
+    if n_paths < need:
+        raise ConfigError(where, f"the regression basis needs at least {need} paths "
+                                 f"({MIN_SAMPLES_PER_FEATURE} per basis function), got {n_paths}")
+
+
+def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experiment:
+    """Read ``cfg`` into an Experiment, or raise ConfigError naming the field.
+
+    ``checks`` are the checks the caller will run (default: ``suite.checks``);
+    the rules tying their sections to the rest of the config are checked too.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", "top level must be a JSON object")
+    c = read(Config, cfg, "")
+    runs = set(c.suite.checks if checks is None else checks)
+    tg, sg = c.time_grid, c.space_grid
+    scen = c.scenario_set.build("scenario_set")
+    field_obj = c.coefficient_field(sg.dim, "coefficient_field")
+    terminal_fn, decays = c.terminal()
     if not decays and sg.boundary == "dirichlet0":
         raise ConfigError("terminal.preset",
                           "non-decaying terminal data needs periodic boundaries")
+    raw_f = c.reaction(sg.dim)
+    raw_g = c.noise(sg.dim, scen.dim, "noise")
+    # The problems check the contraction margins and, on Dirichlet grids,
+    # that the data vanish at the boundary.
+    gspde_problem = _checked("config", GspdeProblem,
+                             terminal=terminal_fn(sg.points()),
+                             reaction=reaction_term(raw_f, field_obj, c.z_mode),
+                             noise=noise_term(raw_g, field_obj, c.z_mode),
+                             field=field_obj, scenarios=scen, time_grid=tg, space_grid=sg)
+    bdsde_problem = _checked("config", BdsdeProblem,
+                             terminal_fn=terminal_fn, f=raw_f.fn, g=raw_g.fn,
+                             lip_k=max(raw_f.lip_y_sq, raw_f.lip_z_sq, raw_g.lip_y_sq),
+                             lip_alpha=raw_g.lip_z_sq, field=field_obj, scenarios=scen,
+                             time_grid=tg)
+    gspde_cfg = _checked("gspde.eps", PicardConfig.from_problem, gspde_problem,
+                         eps=c.gspde.eps, max_iter=c.gspde.max_iter, tol_rel=c.gspde.tol_rel)
+    bdsde_cfg = _checked("bdsde.eps", BdsdePicardConfig.from_problem, bdsde_problem,
+                         eps=c.bdsde.eps, max_iter=c.bdsde.max_iter, tol_rel=c.bdsde.tol_rel,
+                         implicit_y=c.bdsde.implicit_y)
+    gbm_scenarios = (scen if c.gbm_check.scenario_set is None
+                     else c.gbm_check.scenario_set.build("gbm_check.scenario_set"))
+    # Counts are >= 1, so ``or`` takes the fallback only for None.
+    rep = replace(c.representation,
+                  n_noise_paths=c.representation.n_noise_paths or c.gspde.n_noise_paths,
+                  n_diffusion_paths=c.representation.n_diffusion_paths
+                  or c.bdsde.n_diffusion_paths)
+
+    hunt_field = None
+    if "hunt-bracket" in runs:
+        hunt_field = (field_obj if c.hunt_check.field is None
+                      else c.hunt_check.field(sg.dim, "hunt_check.field"))
+        init = c.hunt_check.init
+        _checked(f"hunt_check.init.{'x0' if init.kind == 'point' else 'box'}",
+                 init.check_dim, hunt_field.dim)
+    if runs & {"gbdsde", "representation"}:
+        init = c.bdsde.init
+        _checked(f"bdsde.init.{'x0' if init.kind == 'point' else 'box'}",
+                 init.check_dim, sg.dim)
+    if "gbdsde" in runs:
+        _check_basis_size(c.bdsde.basis, sg.dim, c.bdsde.n_diffusion_paths,
+                          "bdsde.n_diffusion_paths")
+    if "comparison" in runs and not sg.interior_mask(c.comparison.collar_frac).any():
+        raise ConfigError("comparison.collar_frac", "the collar leaves no grid node inside")
+    if "representation" in runs:
+        if sg.dim != 1:
+            raise ConfigError("space_grid.dim",
+                              "the representation check interpolates along 1-D grids only")
+        _checked("representation.checkpoint_fractions", checkpoint_indices,
+                 [f * tg.horizon for f in rep.checkpoint_fractions], tg)
+        _check_basis_size(c.bdsde.basis, sg.dim, rep.n_diffusion_paths,
+                          "representation.n_diffusion_paths")
 
     return Experiment(
-        raw=cfg,
+        **{**vars(c), "representation": rep,
+           "gbm_check": replace(c.gbm_check, horizon=c.gbm_check.horizon or tg.horizon),
+           "hunt_check": replace(c.hunt_check, horizon=c.hunt_check.horizon or tg.horizon)},
         config_hash=config_hash(cfg),
-        seed=seed,
-        threads=max(1, threads),
-        output_dir=output_dir,
         scenarios=scen,
-        time_grid=tg,
-        space_grid=sg,
         field=field_obj,
-        z_mode=z_mode,
         terminal_fn=terminal_fn,
         gspde_problem=gspde_problem,
         gspde_cfg=gspde_cfg,
         bdsde_problem=bdsde_problem,
         bdsde_cfg=bdsde_cfg,
-        basis=basis,
-        init_law=init_law,
-        sections=sections,
+        gbm_scenarios=gbm_scenarios,
+        hunt_field=hunt_field,
     )

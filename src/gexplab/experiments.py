@@ -9,13 +9,13 @@ records; for lower-bounded metrics the tolerance column holds the bound and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import verify
-from .bdsde import LsmcEnsemble, BdsdeProblem, solve_gbdsde_picard
-from .config import Experiment, _build_init, _build_scenarios
+from .bdsde import LsmcEnsemble, solve_gbdsde_picard
+from .config import Experiment
 from .gbm import (
     TimeGrid,
     build_gbm,
@@ -24,23 +24,20 @@ from .gbm import (
     sample_driver,
 )
 from .hunt import (
-    InitialLaw,
     empirical_bracket,
     forward_integral_diagnostics,
     simulate_hunt,
 )
 from .pde import (
-    GspdeProblem,
-    PicardConfig,
     SpaceTimeTestFunction,
     discretize_operator,
     energy_identity_residual,
     solve_gspde_picard,
     weak_residual,
 )
-from .presets import build_field, integrand_values, shifted_reaction
+from .presets import integrand_values, shifted_reaction
 from .scenario import enumerate_schedules
-from ._util import SEED_DRIVER, SEED_HUNT, SEED_SCHEDULES, child_seed, parallel_map
+from ._util import SEED_DRIVER, SEED_HUNT, SEED_SCHEDULES, child_seed
 
 
 @dataclass(frozen=True)
@@ -78,24 +75,18 @@ def _picard_checks(check, sid, rep, terminal_exact, rows) -> dict:
 # -- backward-integral diagnostics ------------------------------------------------
 
 def run_gbm_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    sec = exp.sections.get("gbm_check", {})
-    scen = (_build_scenarios(sec["scenario_set"], "gbm_check.scenario_set")
-            if "scenario_set" in sec else exp.scenarios)
-    horizon = float(sec.get("horizon", exp.time_grid.horizon))
-    n_steps = int(sec.get("n_steps", 256))
-    n_paths = int(sec.get("n_paths", 4000))
-    n_random = int(sec.get("n_random_schedules", 1))
-    names = sec.get("integrands", ["constant", "step", "sin-t"])
-    grid = TimeGrid(horizon, n_steps)
+    sec, scen = exp.gbm_check, exp.gbm_scenarios
+    n_steps, n_paths = sec.n_steps, sec.n_paths
+    grid = TimeGrid(sec.horizon, n_steps)
     driver = sample_driver(grid, n_paths, scen.dim,
                            child_seed(exp.seed, SEED_DRIVER))
-    schedules = enumerate_schedules(scen, n_steps, n_random,
+    schedules = enumerate_schedules(scen, n_steps, sec.n_random_schedules,
                                     child_seed(exp.seed, SEED_SCHEDULES))
     family = [build_gbm(driver, sched, scen) for sched in schedules]
 
     rows: list[CheckRow] = []
     reports = {}
-    for name in names:
+    for name in sec.integrands:
         xi = integrand_values(name, grid.times, scen.dim)
         rep = integral_diagnostics(xi, family)
         reports[name] = {
@@ -120,7 +111,7 @@ def run_gbm_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
         rows.append(_row("gbm-integral", -1, f"doob[{name}]",
                          rep.sup_moment, rep.doob_bound, rep.doob_ok))
 
-    dump_n = min(int(sec.get("dump_paths", 4)), n_paths)
+    dump_n = min(sec.dump_paths, n_paths)
     dump_rows = []
     for paths in family[: scen.n_scenarios]:
         for p in range(dump_n):
@@ -140,16 +131,10 @@ def run_gbm_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
 # -- diffusion bracket --------------------------------------------------------------
 
 def run_hunt_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    sec = exp.sections.get("hunt_check", {})
-    field = (build_field(sec["field"], exp.space_grid.dim, "hunt_check.field")
-             if "field" in sec else exp.field)
-    horizon = float(sec.get("horizon", exp.time_grid.horizon))
-    n_steps = int(sec.get("n_steps", 512))
-    n_paths = int(sec.get("n_paths", 4000))
-    tol = float(sec.get("bracket_tolerance", 0.05))
-    grid = TimeGrid(horizon, n_steps)
-    init = _build_init(sec.get("init"), field.dim, "hunt_check.init")
-    paths = simulate_hunt(field, init, grid, n_paths,
+    sec, field = exp.hunt_check, exp.hunt_field
+    n_steps, n_paths, tol = sec.n_steps, sec.n_paths, sec.bracket_tolerance
+    grid = TimeGrid(sec.horizon, n_steps)
+    paths = simulate_hunt(field, sec.init, grid, n_paths,
                           child_seed(exp.seed, SEED_HUNT))
     bracket = empirical_bracket(paths, field)
     phi = np.zeros((n_steps, field.dim))
@@ -164,7 +149,7 @@ def run_hunt_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
         _row("hunt-forward", -1, "mean_within_3se", abs(forward.mean_total),
              3.0 * forward.se_mean, abs(forward.mean_total) <= 3.0 * forward.se_mean),
     ]
-    dump_n = min(int(sec.get("dump_paths", 4)), n_paths)
+    dump_n = min(sec.dump_paths, n_paths)
     dump_rows = []
     for p in range(dump_n):
         for i in range(n_steps):
@@ -206,36 +191,31 @@ def _default_test_fn(exp: Experiment) -> SpaceTimeTestFunction:
     )
 
 
-def _scenario_bundles(exp: Experiment, n_paths: int, grid: TimeGrid, driver=None):
-    if driver is None:
-        driver = sample_driver(grid, n_paths, exp.scenarios.dim,
-                               child_seed(exp.seed, SEED_DRIVER))
+def _scenario_bundles(exp: Experiment):
+    """One path bundle per scenario on the problem's grid, all from one
+    driver of ``gspde.n_noise_paths`` paths."""
+    driver = sample_driver(exp.time_grid, exp.gspde.n_noise_paths, exp.scenarios.dim,
+                           child_seed(exp.seed, SEED_DRIVER))
     return [build_gbm(driver, sched, exp.scenarios)
-            for sched in enumerate_schedules(exp.scenarios, grid.n_steps)]
+            for sched in enumerate_schedules(exp.scenarios, exp.time_grid.n_steps)]
 
 
 def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    sec = exp.sections.get("gspde", {})
-    n_b = int(sec.get("n_noise_paths", 8))
-    weak_tol = float(sec.get("weak_tolerance", 0.1))
-    energy_tol = float(sec.get("energy_tolerance", 0.1))
+    sec = exp.gspde
+    n_b, weak_tol, energy_tol = sec.n_noise_paths, sec.weak_tolerance, sec.energy_tolerance
     problem, cfg = exp.gspde_problem, exp.gspde_cfg
     op = discretize_operator(problem.field, problem.space_grid)
-    gbms = _scenario_bundles(exp, n_b, problem.time_grid)
+    gbms = _scenario_bundles(exp)
     test_fn = _default_test_fn(exp)
-    # Warm the step factorization before fanning out so workers only read it.
-    op.cn_step(np.zeros(problem.space_grid.n_nodes), problem.time_grid.dt)
 
-    def solve_one(gbm):
+    rows: list[CheckRow] = []
+    scen_reports = []
+    fields = []
+    for gbm in gbms:
         fld, rep = solve_gspde_picard(problem, cfg, gbm, op=op)
         wres = weak_residual(fld, test_fn, problem, gbm, op=op)
         eres = energy_identity_residual(fld, problem, gbm, op=op)
-        return fld, rep, wres, eres
-
-    solved = parallel_map(solve_one, gbms, exp.threads)
-    rows: list[CheckRow] = []
-    scen_reports = []
-    for gbm, (fld, rep, wres, eres) in zip(gbms, solved):
+        fields.append(fld)
         sid = gbm.scenario_id
         terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
                              for p in range(fld.n_paths))
@@ -248,12 +228,12 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
                          e_rms <= energy_tol))
         scen_reports.append(dict(record, weak_residual_rms=w_rms, energy_residual_rms=e_rms))
 
-    dump_n = min(int(sec.get("dump_paths", 2)), n_b)
+    dump_n = min(sec.dump_paths, n_b)
     dump_rows = []
     sg = problem.space_grid
     m = sg.points_per_axis
     stride = max(1, sg.n_nodes // 64)
-    for gbm, (fld, _, _, _) in zip(gbms, solved):
+    for gbm, fld in zip(gbms, fields):
         for p in range(dump_n):
             for i in range(problem.time_grid.n_steps + 1):
                 t = float(problem.time_grid.times[i])
@@ -276,20 +256,19 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
 # -- backward solver ----------------------------------------------------------------
 
 def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    sec = exp.sections.get("bdsde", {})
-    n_w = int(sec.get("n_diffusion_paths", 2000))
-    n_b = int(exp.sections.get("gspde", {}).get("n_noise_paths", 8))
+    sec = exp.bdsde
+    n_w, n_b = sec.n_diffusion_paths, exp.gspde.n_noise_paths
     problem, cfg = exp.bdsde_problem, exp.bdsde_cfg
-    hunt = simulate_hunt(exp.field, exp.init_law, problem.time_grid, n_w,
+    hunt = simulate_hunt(exp.field, sec.init, problem.time_grid, n_w,
                          child_seed(exp.seed, SEED_HUNT))
-    ensemble = LsmcEnsemble(hunt, exp.basis, exp.field)
-    gbms = _scenario_bundles(exp, n_b, problem.time_grid)
+    ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
+    gbms = _scenario_bundles(exp)
 
     rows: list[CheckRow] = []
     scen_reports = []
     solutions = []
     for gbm in gbms:
-        sol = solve_gbdsde_picard(problem, hunt, gbm, exp.basis, cfg,
+        sol = solve_gbdsde_picard(problem, hunt, gbm, sec.basis, cfg,
                                   ensemble=ensemble)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
@@ -298,7 +277,7 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
                                            terminal_exact, rows))
         solutions.append(sol)
 
-    dump_b = min(int(sec.get("dump_paths", 2)), n_b)
+    dump_b = min(sec.dump_paths, n_b)
     dump_w = min(8, n_w)
     dump_rows = []
     for gbm, sol in zip(gbms, solutions):
@@ -324,23 +303,18 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
 
 def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
                           n_w: int, checkpoints):
-    problem = GspdeProblem(exp.gspde_problem.terminal, exp.gspde_problem.reaction,
-                           exp.gspde_problem.noise, exp.field, exp.scenarios,
-                           grid, exp.space_grid)
-    b_problem = BdsdeProblem(exp.bdsde_problem.terminal_fn, exp.bdsde_problem.f,
-                             exp.bdsde_problem.g, exp.bdsde_problem.lip_k,
-                             exp.bdsde_problem.lip_alpha, exp.field,
-                             exp.scenarios, grid)
+    problem = replace(exp.gspde_problem, time_grid=grid)
+    b_problem = replace(exp.bdsde_problem, time_grid=grid)
     op = discretize_operator(exp.field, exp.space_grid)
-    hunt = simulate_hunt(exp.field, exp.init_law, grid, n_w,
+    hunt = simulate_hunt(exp.field, exp.bdsde.init, grid, n_w,
                          child_seed(exp.seed, SEED_HUNT), dw=dw_hunt)
-    ensemble = LsmcEnsemble(hunt, exp.basis, exp.field)
+    ensemble = LsmcEnsemble(hunt, exp.bdsde.basis, exp.field)
     gbms = [build_gbm(driver, sched, exp.scenarios)
             for sched in enumerate_schedules(exp.scenarios, grid.n_steps)]
     u_fields, sols = [], []
     for gbm in gbms:
         fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm, op=op)
-        sol = solve_gbdsde_picard(b_problem, hunt, gbm, exp.basis, exp.bdsde_cfg,
+        sol = solve_gbdsde_picard(b_problem, hunt, gbm, exp.bdsde.basis, exp.bdsde_cfg,
                                   ensemble=ensemble)
         u_fields.append(fld)
         sols.append(sol)
@@ -350,14 +324,9 @@ def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
 
 
 def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    sec = exp.sections.get("representation", {})
-    fractions = sec.get("checkpoint_fractions", [0.0, 0.25, 0.5, 0.75])
-    halvings = int(sec.get("halvings", 0))
-    tol = float(sec.get("tolerance", 0.05))
-    n_b = int(sec.get("n_noise_paths",
-                      exp.sections.get("gspde", {}).get("n_noise_paths", 8)))
-    n_w = int(sec.get("n_diffusion_paths",
-                      exp.sections.get("bdsde", {}).get("n_diffusion_paths", 2000)))
+    sec = exp.representation
+    halvings, tol = sec.halvings, sec.tolerance
+    n_b, n_w = sec.n_noise_paths, sec.n_diffusion_paths
     base = exp.time_grid
     finest = TimeGrid(base.horizon, base.n_steps * 2**halvings)
     driver_fine = sample_driver(finest, n_b, exp.scenarios.dim,
@@ -371,7 +340,8 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
         grid = TimeGrid(base.horizon, base.n_steps * 2**level)
         driver = coarsen_driver(driver_fine, factor)
         dw = dw_fine.reshape(n_w, grid.n_steps, factor, exp.field.dim).sum(axis=2)
-        reports.append(_representation_level(exp, grid, driver, dw, n_w, fractions))
+        reports.append(_representation_level(exp, grid, driver, dw, n_w,
+                                             sec.checkpoint_fractions))
     combined = verify.combine_refinement(reports) if halvings else reports[0]
     base_report = reports[0]
 
@@ -398,36 +368,27 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
 # -- comparison ---------------------------------------------------------------------
 
 def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    sec = exp.sections.get("comparison", {})
-    cases = sec.get("cases", [{"terminal_shift": 1.0, "reaction_shift": 0.0},
-                              {"terminal_shift": 0.0, "reaction_shift": 0.1}])
-    collar = float(sec.get("collar_frac", 0.05))
-    n_b = int(exp.sections.get("gspde", {}).get("n_noise_paths", 8))
+    collar = exp.comparison.collar_frac
     problem_a, cfg = exp.gspde_problem, exp.gspde_cfg
-    gbms = _scenario_bundles(exp, n_b, problem_a.time_grid)
+    gbms = _scenario_bundles(exp)
     y_dependent = (problem_a.reaction.lip_sq > 0.0 or problem_a.noise.lip_y_sq > 0.0)
 
-    shifts = [(float(case.get("terminal_shift", 0.0)), float(case.get("reaction_shift", 0.0)))
-              for case in cases]
-    problems_b = [GspdeProblem(
-        problem_a.terminal + t_shift,
-        shifted_reaction(problem_a.reaction, f_shift),
-        problem_a.noise, problem_a.field, problem_a.scenarios,
-        problem_a.time_grid, problem_a.space_grid,
-        check_boundary_decay=False,
-    ) for t_shift, f_shift in shifts]
+    cases = exp.comparison.cases
+    problems_b = [replace(problem_a, terminal=problem_a.terminal + case.terminal_shift,
+                          reaction=shifted_reaction(problem_a.reaction, case.reaction_shift),
+                          check_boundary_decay=False) for case in cases]
     reports = verify.check_comparison(problem_a, problems_b, cfg, cfg, gbms,
                                       collar_frac=collar)
 
     rows: list[CheckRow] = []
     case_reports = []
-    for idx, ((t_shift, f_shift), report) in enumerate(zip(shifts, reports)):
-        expected = t_shift if not y_dependent else 0.0
+    for idx, (case, report) in enumerate(zip(cases, reports)):
+        expected = case.terminal_shift if not y_dependent else 0.0
         bound = expected - report.eps_grid
         rows.append(_row("comparison", -1, f"min_gap[case={idx}]",
                          report.min_gap, bound, report.min_gap >= bound))
         case_reports.append({
-            "terminal_shift": t_shift, "reaction_shift": f_shift,
+            "terminal_shift": case.terminal_shift, "reaction_shift": case.reaction_shift,
             "min_gap": report.min_gap, "eps_grid": report.eps_grid,
             "c_constant": report.c_constant, "expected_lower_bound": bound,
             "per_scenario": [{"scenario_id": s, "min_gap": g}
@@ -451,7 +412,7 @@ RUNNERS = {
 
 
 def run_suite(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    checks = exp.sections.get("suite", {}).get("checks", list(RUNNERS))
+    checks = exp.suite.checks
     rows: list[CheckRow] = []
     artifacts: dict = {}
     for name in checks:

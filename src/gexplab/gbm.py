@@ -19,16 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import Count, Positive
 from .errors import UsageError
 from .scenario import ControlSchedule, ScenarioSet, sigma_bar
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, horizon] into n_steps steps."""
+    """Uniform partition of [0, horizon] into n_steps steps; the field types
+    are the config schema of ``time_grid``."""
 
-    horizon: float
-    n_steps: int
+    horizon: Positive
+    n_steps: Count
 
     def __post_init__(self):
         if not (self.horizon > 0.0):
@@ -43,9 +45,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-    def halved(self) -> "TimeGrid":
-        return TimeGrid(self.horizon, 2 * self.n_steps)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ row divergence when supplied, otherwise central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 from scipy.special import ndtr
 
+from ._util import Scalars
 from .errors import NumericalError, UsageError
 from .gbm import TimeGrid
 from .scenario import PSD_EIG_FLOOR
@@ -116,25 +117,38 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Start distribution: a point mass, or a standard Gaussian used as an
-    importance-sampling proxy for Lebesgue initial mass.
+    """Start distribution: a point mass (at the origin unless ``x0`` is
+    given), or a standard Gaussian used as an importance-sampling proxy for
+    Lebesgue initial mass.
 
     With ``kind='gaussian'`` each path carries weight Z_box / pi(X_0), where
     pi is the standard normal density and Z_box its mass on the optional
     truncation box, so weighted averages of h(X_0) estimate int_box h dx.
+    The field types are the config schema of ``bdsde.init`` and
+    ``hunt_check.init``; ``x0`` is stored as an array.
     """
 
-    kind: str
-    x0: Optional[np.ndarray] = None
-    box: Optional[tuple] = None  # (low, high) per-axis bounds
+    kind: Literal["point", "gaussian"]
+    x0: Optional[tuple[float, ...]] = None
+    box: Optional[tuple[Scalars, Scalars]] = None  # (low, high) per-axis bounds
 
     def __post_init__(self):
         if self.kind not in ("point", "gaussian"):
             raise UsageError(f"unknown initial law kind {self.kind!r}")
-        if self.kind == "point":
-            if self.x0 is None:
-                raise UsageError("point initial law needs x0")
+        if self.x0 is not None:
             object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, float)))
+
+    def check_dim(self, dim: int) -> None:
+        """Raise unless ``x0`` and the box bounds fit a ``dim``-dimensional state."""
+        if self.kind == "point" and self.x0 is not None and self.x0.shape != (dim,):
+            raise UsageError(f"x0 has shape {self.x0.shape}, expected ({dim},)")
+        if self.kind == "gaussian" and self.box is not None:
+            try:
+                low, high = (np.broadcast_to(np.asarray(b, float), (dim,)) for b in self.box)
+            except ValueError:
+                raise UsageError(f"box bounds must have 1 or {dim} values") from None
+            if np.any(high <= low):
+                raise UsageError("initial-law box must have high > low")
 
 
 def _gaussian_density(points: np.ndarray) -> np.ndarray:
@@ -143,18 +157,15 @@ def _gaussian_density(points: np.ndarray) -> np.ndarray:
 
 
 def _sample_initial(law: InitialLaw, dim: int, n_paths: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    law.check_dim(dim)
     if law.kind == "point":
-        x0 = np.asarray(law.x0, dtype=float)
-        if x0.shape != (dim,):
-            raise UsageError(f"x0 has shape {x0.shape}, expected ({dim},)")
+        x0 = np.zeros(dim) if law.x0 is None else law.x0
         return np.tile(x0, (n_paths, 1)), np.ones(n_paths)
     pts = rng.standard_normal((n_paths, dim))
     z_box = 1.0
     if law.box is not None:
         low = np.broadcast_to(np.asarray(law.box[0], float), (dim,))
         high = np.broadcast_to(np.asarray(law.box[1], float), (dim,))
-        if np.any(high <= low):
-            raise UsageError("initial-law box must have high > low")
         for _ in range(10_000):
             bad = np.any((pts < low) | (pts > high), axis=1)
             if not bad.any():

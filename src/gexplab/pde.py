@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Annotated, Callable, Literal, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._util import Bound, Positive
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField
@@ -41,12 +42,13 @@ BOUNDARY_DECAY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform tensor grid on [-R, R]^d, d in {1, 2}."""
+    """Uniform tensor grid on [-R, R]^d, d in {1, 2}; the field types are the
+    config schema of ``space_grid``."""
 
-    dim: int
-    half_width: float
-    points_per_axis: int
-    boundary: str = "dirichlet0"
+    dim: Literal[1, 2]
+    half_width: Positive
+    points_per_axis: Annotated[int, Bound(3)]
+    boundary: Literal["dirichlet0", "periodic"] = "dirichlet0"
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -117,34 +119,6 @@ class SpatialGrid:
                 g[..., 0] = (arr[..., 1] - arr[..., 0]) / self.dx
                 g[..., -1] = (arr[..., -1] - arr[..., -2]) / self.dx
         return out.reshape(vals.shape + (self.dim,))
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Values on a spatial grid with the discrete norms attached."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_nodes,):
-            raise UsageError(
-                f"values shape {vals.shape} does not match grid ({self.grid.n_nodes},)"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise UsageError("grid function must have finite entries")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def sample(cls, grid: SpatialGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.points()), dtype=float).reshape(grid.n_nodes))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.l2_norm_sq(self.values)))
-
-    def gradient(self) -> np.ndarray:
-        return self.grid.gradient(self.values)
 
 
 class DivergenceFormOperator:

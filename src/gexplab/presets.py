@@ -16,116 +16,123 @@ declared z constant by the upper ellipticity bound.
 
 from __future__ import annotations
 
+from typing import Annotated, Callable, Literal, Optional, get_args
+
 import numpy as np
 
+from ._util import NonNeg, Positive, Presets, Scalars, read
 from .errors import ConfigError
 from .hunt import CoefficientField
 from .pde import NoiseTerm, ReactionTerm
 
-Z_MODES = ("gradient", "gradient-sigma")
+ZMode = Literal["gradient", "gradient-sigma"]
+Z_MODES = get_args(ZMode)
+
+# A preset is a builder listed under its config name in its family's
+# ``Presets``; the builder's keyword-only parameters are the preset's keys
+# with their types, defaults and bounds.  A config field typed ``FieldPreset``
+# (and so on) reads as the builder with the configured keys bound.
 
 
-def _require(spec: dict, where: str, keys: tuple, optional: tuple = ()) -> None:
-    for k in keys:
-        if k not in spec:
-            raise ConfigError(f"{where}.{k}", "missing required key")
-    allowed = set(keys) | set(optional) | {"preset"}
-    for k in spec:
-        if k not in allowed:
-            raise ConfigError(f"{where}.{k}", "unknown key")
+def _broadcast(value, n: int, where: str) -> np.ndarray:
+    try:
+        return np.broadcast_to(np.asarray(value, float), (n,))
+    except ValueError:
+        raise ConfigError(where, f"needs 1 or {n} values, got {np.size(value)}") from None
 
 
-# -- coefficient fields -------------------------------------------------------
+# -- coefficient fields: builder(dim, where) -------------------------------------
+
+def _constant_field(dim: int, where: str, *, value: Positive) -> CoefficientField:
+    def a(pts):
+        return np.broadcast_to(value * np.eye(dim), (pts.shape[0], dim, dim)).copy()
+
+    return CoefficientField(dim, a, value, value, drift=lambda p: np.zeros_like(p),
+                            name="constant")
+
+
+def _sinusoidal_1d_field(dim: int, where: str, *, base: float, amplitude: NonNeg,
+                         frequency: float = 1.0) -> CoefficientField:
+    amp, freq = amplitude, frequency  # short names for the formulas
+    if dim != 1:
+        raise ConfigError(where, "sinusoidal-1d needs a 1-D domain")
+    if not amp < base:
+        raise ConfigError(f"{where}.amplitude", "need 0 <= amplitude < base")
+
+    def a(pts):
+        return (base + amp * np.sin(freq * pts[:, 0]))[:, None, None]
+
+    def drift(pts):
+        return (amp * freq * np.cos(freq * pts[:, 0]))[:, None]
+
+    return CoefficientField(1, a, base - amp, base + amp, drift=drift, name="sinusoidal-1d")
+
+
+def _diagonal_2d_field(dim: int, where: str, *, base: Scalars, amplitude: Scalars,
+                       frequency: Scalars = 1.0) -> CoefficientField:
+    base = _broadcast(base, 2, f"{where}.base")
+    amp = _broadcast(amplitude, 2, f"{where}.amplitude")
+    freq = _broadcast(frequency, 2, f"{where}.frequency")
+    if dim != 2:
+        raise ConfigError(where, "diagonal-2d needs a 2-D domain")
+    if np.any(amp < 0) or np.any(base - amp <= 0):
+        raise ConfigError(f"{where}.amplitude", "need 0 <= amplitude < base")
+
+    def a(pts):
+        out = np.zeros((pts.shape[0], 2, 2))
+        out[:, 0, 0] = base[0] + amp[0] * np.sin(freq[0] * pts[:, 0])
+        out[:, 1, 1] = base[1] + amp[1] * np.sin(freq[1] * pts[:, 1])
+        return out
+
+    def drift(pts):
+        out = np.zeros_like(pts)
+        out[:, 0] = amp[0] * freq[0] * np.cos(freq[0] * pts[:, 0])
+        out[:, 1] = amp[1] * freq[1] * np.cos(freq[1] * pts[:, 1])
+        return out
+
+    return CoefficientField(2, a, float(np.min(base - amp)), float(np.max(base + amp)),
+                            drift=drift, name="diagonal-2d")
+
+
+FieldPreset = Annotated[Callable, Presets({
+    "constant": _constant_field, "sinusoidal-1d": _sinusoidal_1d_field,
+    "diagonal-2d": _diagonal_2d_field})]
+
 
 def build_field(spec: dict, dim: int, where: str = "coefficient_field") -> CoefficientField:
-    preset = spec.get("preset")
-    if preset == "constant":
-        _require(spec, where, ("value",))
-        c = float(spec["value"])
-        if c <= 0.0:
-            raise ConfigError(f"{where}.value", "must be positive")
-
-        def a(pts):
-            return np.broadcast_to(c * np.eye(dim), (pts.shape[0], dim, dim)).copy()
-
-        return CoefficientField(dim, a, c, c, drift=lambda p: np.zeros_like(p),
-                                name="constant")
-    if preset == "sinusoidal-1d":
-        _require(spec, where, ("base", "amplitude"), optional=("frequency",))
-        base = float(spec["base"])
-        amp = float(spec["amplitude"])
-        freq = float(spec.get("frequency", 1.0))
-        if dim != 1:
-            raise ConfigError(where, "sinusoidal-1d needs a 1-D domain")
-        if not (0.0 <= amp < base):
-            raise ConfigError(f"{where}.amplitude", "need 0 <= amplitude < base")
-
-        def a(pts):
-            return (base + amp * np.sin(freq * pts[:, 0]))[:, None, None]
-
-        def drift(pts):
-            return (amp * freq * np.cos(freq * pts[:, 0]))[:, None]
-
-        return CoefficientField(1, a, base - amp, base + amp, drift=drift,
-                                name="sinusoidal-1d")
-    if preset == "diagonal-2d":
-        _require(spec, where, ("base", "amplitude"), optional=("frequency",))
-        base = np.broadcast_to(np.asarray(spec["base"], float), (2,))
-        amp = np.broadcast_to(np.asarray(spec["amplitude"], float), (2,))
-        freq = np.broadcast_to(np.asarray(spec.get("frequency", 1.0), float), (2,))
-        if dim != 2:
-            raise ConfigError(where, "diagonal-2d needs a 2-D domain")
-        if np.any(amp < 0) or np.any(base - amp <= 0):
-            raise ConfigError(f"{where}.amplitude", "need 0 <= amplitude < base")
-
-        def a(pts):
-            out = np.zeros((pts.shape[0], 2, 2))
-            out[:, 0, 0] = base[0] + amp[0] * np.sin(freq[0] * pts[:, 0])
-            out[:, 1, 1] = base[1] + amp[1] * np.sin(freq[1] * pts[:, 1])
-            return out
-
-        def drift(pts):
-            out = np.zeros_like(pts)
-            out[:, 0] = amp[0] * freq[0] * np.cos(freq[0] * pts[:, 0])
-            out[:, 1] = amp[1] * freq[1] * np.cos(freq[1] * pts[:, 1])
-            return out
-
-        return CoefficientField(2, a, float(np.min(base - amp)),
-                                float(np.max(base + amp)), drift=drift,
-                                name="diagonal-2d")
-    raise ConfigError(f"{where}.preset", f"unknown coefficient preset {preset!r}")
+    return read(FieldPreset, spec, where)(dim, where)
 
 
-# -- terminal data -------------------------------------------------------------
+# -- terminal data: builder() -> (psi(points), whether psi decays at infinity) --
+
+def _zero_terminal():
+    return (lambda pts: np.zeros(pts.shape[0])), True
+
+
+def _constant_terminal(*, value: float):
+    return (lambda pts: np.full(pts.shape[0], value)), value == 0.0
+
+
+def _gaussian_bump_terminal(*, amplitude: float = 1.0, width: Positive = 1.0,
+                            center: float = 0.0):
+    def fn(pts):
+        return amplitude * np.exp(-0.5 * np.sum((pts - center) ** 2, axis=1) / width**2)
+
+    return fn, True
+
+
+def _cosine_terminal(*, amplitude: float = 1.0, frequency: float = 1.0):
+    return (lambda pts: amplitude * np.cos(frequency * pts[:, 0])), False
+
+
+TerminalPreset = Annotated[Callable, Presets({
+    "zero": _zero_terminal, "constant": _constant_terminal,
+    "gaussian-bump": _gaussian_bump_terminal, "cosine": _cosine_terminal})]
+
 
 def build_terminal(spec: dict, where: str = "terminal"):
     """Callable psi(points) plus a flag for whether it decays at infinity."""
-    preset = spec.get("preset")
-    if preset == "zero":
-        _require(spec, where, ())
-        return (lambda pts: np.zeros(pts.shape[0])), True
-    if preset == "constant":
-        _require(spec, where, ("value",))
-        c = float(spec["value"])
-        return (lambda pts: np.full(pts.shape[0], c)), c == 0.0
-    if preset == "gaussian-bump":
-        _require(spec, where, (), optional=("amplitude", "width", "center"))
-        amp = float(spec.get("amplitude", 1.0))
-        width = float(spec.get("width", 1.0))
-        center = float(spec.get("center", 0.0))
-        if width <= 0:
-            raise ConfigError(f"{where}.width", "must be positive")
-
-        def fn(pts):
-            return amp * np.exp(-0.5 * np.sum((pts - center) ** 2, axis=1) / width**2)
-
-        return fn, True
-    if preset == "cosine":
-        _require(spec, where, (), optional=("amplitude", "frequency"))
-        amp = float(spec.get("amplitude", 1.0))
-        freq = float(spec.get("frequency", 1.0))
-        return (lambda pts: amp * np.cos(freq * pts[:, 0])), False
-    raise ConfigError(f"{where}.preset", f"unknown terminal preset {preset!r}")
+    return read(TerminalPreset, spec, where)()
 
 
 # -- drivers ---------------------------------------------------------------------
@@ -142,140 +149,154 @@ class RawDriver:
         self.name = name
 
 
-def _profile(spec: dict, where: str):
+def _envelope(width: Optional[float]):
     """Optional spatial envelope |profile| <= 1 scaling a driver."""
-    width = spec.get("x_width")
     if width is None:
-        return (lambda pts: 1.0), 1.0
-    width = float(width)
-    if width <= 0:
-        raise ConfigError(f"{where}.x_width", "must be positive")
-    return (lambda pts: np.exp(-0.5 * (pts[:, 0] / width) ** 2)), 1.0
+        return lambda pts: 1.0
+    return lambda pts: np.exp(-0.5 * (pts[:, 0] / width) ** 2)
+
+
+# Reaction presets: builder(dim) -> raw driver f.
+
+def _zero_reaction(dim: int) -> RawDriver:
+    return RawDriver(lambda t, p, y, z: np.zeros_like(y), 0.0, 0.0, name="zero")
+
+
+def _constant_reaction(dim: int, *, value: float,
+                       x_width: Optional[Positive] = None) -> RawDriver:
+    prof = _envelope(x_width)
+
+    def fn(t, p, y, z):
+        return value * prof(p) * np.ones_like(y)
+
+    return RawDriver(fn, 0.0, 0.0, name="constant")
+
+
+def _affine_y_reaction(dim: int, *, slope: float, intercept: float = 0.0,
+                       x_width: Optional[Positive] = None) -> RawDriver:
+    prof = _envelope(x_width)
+
+    def fn(t, p, y, z):
+        return prof(p) * (intercept + slope * y)
+
+    return RawDriver(fn, slope**2, 0.0, name="affine-y")
+
+
+def _sin_in_x_reaction(dim: int, *, amplitude: float, frequency: float = 1.0,
+                       x_width: Optional[Positive] = None) -> RawDriver:
+    prof = _envelope(x_width)
+
+    def fn(t, p, y, z):
+        return amplitude * np.sin(frequency * p[:, 0]) * prof(p) * np.ones_like(y)
+
+    return RawDriver(fn, 0.0, 0.0, name="sin-in-x")
+
+
+def _tanh_y_reaction(dim: int, *, scale: float, gain: float = 1.0,
+                     x_width: Optional[Positive] = None) -> RawDriver:
+    prof = _envelope(x_width)
+
+    def fn(t, p, y, z):
+        return scale * prof(p) * np.tanh(gain * y)
+
+    return RawDriver(fn, (scale * gain) ** 2, 0.0, name="tanh-y")
+
+
+def _sin_y_reaction(dim: int, *, scale: float, gain: float = 1.0,
+                    x_width: Optional[Positive] = None) -> RawDriver:
+    prof = _envelope(x_width)
+
+    def fn(t, p, y, z):
+        return scale * prof(p) * np.sin(gain * y)
+
+    return RawDriver(fn, (scale * gain) ** 2, 0.0, name="sin-y")
+
+
+def _tanh_y_sin_z_reaction(dim: int, *, y_scale: float, z_scale: float, y_gain: float = 1.0,
+                           z_gain: float = 1.0, x_width: Optional[Positive] = None) -> RawDriver:
+    ys, zs, yg, zg = y_scale, z_scale, y_gain, z_gain
+    prof = _envelope(x_width)
+
+    def fn(t, p, y, z):
+        zeta = np.sum(z, axis=-1)
+        return prof(p) * (ys * np.tanh(yg * y) + zs * np.sin(zg * zeta))
+
+    # |df|^2 <= 2 (ys yg)^2 |dy|^2 + 2 (zs zg)^2 dim |dz|^2.
+    lip = 2.0 * max((ys * yg) ** 2, (zs * zg) ** 2 * dim)
+    return RawDriver(fn, lip, lip, name="tanh-y-sin-z")
+
+
+ReactionPreset = Annotated[Callable, Presets({
+    "zero": _zero_reaction, "constant": _constant_reaction, "affine-y": _affine_y_reaction,
+    "sin-in-x": _sin_in_x_reaction, "tanh-y": _tanh_y_reaction, "sin-y": _sin_y_reaction,
+    "tanh-y-sin-z": _tanh_y_sin_z_reaction})]
 
 
 def build_raw_reaction(spec: dict, dim: int, where: str = "reaction") -> RawDriver:
-    preset = spec.get("preset")
-    if preset == "zero":
-        _require(spec, where, ())
-        return RawDriver(lambda t, p, y, z: np.zeros_like(y), 0.0, 0.0, name="zero")
-    if preset == "constant":
-        _require(spec, where, ("value",), optional=("x_width",))
-        c = float(spec["value"])
-        prof, _ = _profile(spec, where)
+    return read(ReactionPreset, spec, where)(dim)
 
-        def fn(t, p, y, z):
-            return c * prof(p) * np.ones_like(y)
 
-        return RawDriver(fn, 0.0, 0.0, name="constant")
-    if preset == "affine-y":
-        _require(spec, where, ("slope",), optional=("intercept", "x_width"))
-        a0 = float(spec.get("intercept", 0.0))
-        a1 = float(spec["slope"])
-        prof, _ = _profile(spec, where)
+# Noise presets: builder(dim, n_components, where) -> raw loading g, one
+# component per driver coordinate.
 
-        def fn(t, p, y, z):
-            return prof(p) * (a0 + a1 * y)
+def _zero_noise(dim: int, n_components: int, where: str) -> RawDriver:
+    def fn(t, p, y, z):
+        return np.zeros(np.shape(y) + (n_components,))
 
-        return RawDriver(fn, a1**2, 0.0, name="affine-y")
-    if preset == "sin-in-x":
-        _require(spec, where, ("amplitude",), optional=("frequency", "x_width"))
-        amp = float(spec["amplitude"])
-        freq = float(spec.get("frequency", 1.0))
-        prof, _ = _profile(spec, where)
+    return RawDriver(fn, 0.0, 0.0, n_components, name="zero")
 
-        def fn(t, p, y, z):
-            return amp * np.sin(freq * p[:, 0]) * prof(p) * np.ones_like(y)
 
-        return RawDriver(fn, 0.0, 0.0, name="sin-in-x")
-    if preset == "tanh-y":
-        _require(spec, where, ("scale",), optional=("gain", "x_width"))
-        scale = float(spec["scale"])
-        gain = float(spec.get("gain", 1.0))
-        prof, _ = _profile(spec, where)
+def _constant_noise(dim: int, n_components: int, where: str, *, values: Scalars,
+                    x_width: Optional[Positive] = None) -> RawDriver:
+    vals = _broadcast(values, n_components, f"{where}.values")
+    prof = _envelope(x_width)
 
-        def fn(t, p, y, z):
-            return scale * prof(p) * np.tanh(gain * y)
+    def fn(t, p, y, z):
+        base = np.multiply.outer(np.ones_like(y), vals)
+        pr = prof(p)
+        return base * (pr[..., None] if np.ndim(pr) else pr)
 
-        return RawDriver(fn, (scale * gain) ** 2, 0.0, name="tanh-y")
-    if preset == "sin-y":
-        _require(spec, where, ("scale",), optional=("gain", "x_width"))
-        scale = float(spec["scale"])
-        gain = float(spec.get("gain", 1.0))
-        prof, _ = _profile(spec, where)
+    return RawDriver(fn, 0.0, 0.0, n_components, name="constant")
 
-        def fn(t, p, y, z):
-            return scale * prof(p) * np.sin(gain * y)
 
-        return RawDriver(fn, (scale * gain) ** 2, 0.0, name="sin-y")
-    if preset == "tanh-y-sin-z":
-        _require(spec, where, ("y_scale", "z_scale"),
-                 optional=("y_gain", "z_gain", "x_width"))
-        ys, zs = float(spec["y_scale"]), float(spec["z_scale"])
-        yg, zg = float(spec.get("y_gain", 1.0)), float(spec.get("z_gain", 1.0))
-        prof, _ = _profile(spec, where)
+def _deterministic_x_noise(dim: int, n_components: int, where: str, *, amplitude: float,
+                           width: Positive = 1.0, center: float = 0.0) -> RawDriver:
+    def fn(t, p, y, z):
+        prof = amplitude * np.exp(-0.5 * np.sum((p - center) ** 2, axis=1) / width**2)
+        return np.multiply.outer(np.ones_like(y) * prof, np.ones(n_components))
 
-        def fn(t, p, y, z):
-            zeta = np.sum(z, axis=-1)
-            return prof(p) * (ys * np.tanh(yg * y) + zs * np.sin(zg * zeta))
+    return RawDriver(fn, 0.0, 0.0, n_components, name="deterministic-x")
 
-        # |df|^2 <= 2 (ys yg)^2 |dy|^2 + 2 (zs zg)^2 dim |dz|^2.
-        lip = 2.0 * max((ys * yg) ** 2, (zs * zg) ** 2 * dim)
-        return RawDriver(fn, lip, lip, name="tanh-y-sin-z")
-    raise ConfigError(f"{where}.preset", f"unknown reaction preset {preset!r}")
+
+def _tanh_y_sin_z_noise(dim: int, n_components: int, where: str, *, y_scale: Scalars,
+                        z_scale: Scalars, y_gain: float = 1.0, z_gain: float = 1.0,
+                        x_width: Optional[Positive] = None) -> RawDriver:
+    ys = _broadcast(y_scale, n_components, f"{where}.y_scale")
+    zs = _broadcast(z_scale, n_components, f"{where}.z_scale")
+    yg, zg = y_gain, z_gain
+    prof = _envelope(x_width)
+
+    def fn(t, p, y, z):
+        zeta = np.sum(z, axis=-1)
+        ty = np.tanh(yg * y)
+        sz = np.sin(zg * zeta)
+        pr = prof(p)
+        comps = [pr * (ys[j] * ty + zs[j] * sz) for j in range(n_components)]
+        return np.stack(comps, axis=-1)
+
+    lip_y = 2.0 * float(np.sum((ys * yg) ** 2))
+    lip_z = 2.0 * float(np.sum((zs * zg) ** 2)) * dim
+    return RawDriver(fn, lip_y, lip_z, n_components, name="tanh-y-sin-z")
+
+
+NoisePreset = Annotated[Callable, Presets({
+    "zero": _zero_noise, "constant": _constant_noise,
+    "deterministic-x": _deterministic_x_noise, "tanh-y-sin-z": _tanh_y_sin_z_noise})]
 
 
 def build_raw_noise(spec: dict, dim: int, n_components: int,
                     where: str = "noise") -> RawDriver:
-    preset = spec.get("preset")
-    if preset == "zero":
-        _require(spec, where, ())
-
-        def fn(t, p, y, z):
-            return np.zeros(np.shape(y) + (n_components,))
-
-        return RawDriver(fn, 0.0, 0.0, n_components, name="zero")
-    if preset == "constant":
-        _require(spec, where, ("values",), optional=("x_width",))
-        vals = np.broadcast_to(np.asarray(spec["values"], float), (n_components,))
-        prof, _ = _profile(spec, where)
-
-        def fn(t, p, y, z):
-            base = np.multiply.outer(np.ones_like(y), vals)
-            pr = prof(p)
-            return base * (pr[..., None] if np.ndim(pr) else pr)
-
-        return RawDriver(fn, 0.0, 0.0, n_components, name="constant")
-    if preset == "deterministic-x":
-        _require(spec, where, ("amplitude",), optional=("width", "center"))
-        amp = float(spec["amplitude"])
-        width = float(spec.get("width", 1.0))
-        center = float(spec.get("center", 0.0))
-
-        def fn(t, p, y, z):
-            prof = amp * np.exp(-0.5 * np.sum((p - center) ** 2, axis=1) / width**2)
-            return np.multiply.outer(np.ones_like(y) * prof, np.ones(n_components))
-
-        return RawDriver(fn, 0.0, 0.0, n_components, name="deterministic-x")
-    if preset == "tanh-y-sin-z":
-        _require(spec, where, ("y_scale", "z_scale"),
-                 optional=("y_gain", "z_gain", "x_width"))
-        ys = np.broadcast_to(np.asarray(spec["y_scale"], float), (n_components,))
-        zs = np.broadcast_to(np.asarray(spec["z_scale"], float), (n_components,))
-        yg, zg = float(spec.get("y_gain", 1.0)), float(spec.get("z_gain", 1.0))
-        prof, _ = _profile(spec, where)
-
-        def fn(t, p, y, z):
-            zeta = np.sum(z, axis=-1)
-            ty = np.tanh(yg * y)
-            sz = np.sin(zg * zeta)
-            pr = prof(p)
-            comps = [pr * (ys[j] * ty + zs[j] * sz) for j in range(n_components)]
-            return np.stack(comps, axis=-1)
-
-        lip_y = 2.0 * float(np.sum((ys * yg) ** 2))
-        lip_z = 2.0 * float(np.sum((zs * zg) ** 2)) * dim
-        return RawDriver(fn, lip_y, lip_z, n_components, name="tanh-y-sin-z")
-    raise ConfigError(f"{where}.preset", f"unknown noise preset {preset!r}")
+    return read(NoisePreset, spec, where)(dim, n_components, where)
 
 
 def _sigma_composer(field: CoefficientField):
@@ -333,6 +354,9 @@ def shifted_reaction(term: ReactionTerm, shift: float) -> ReactionTerm:
 
 
 # -- deterministic integrands for the backward-integral checks ------------------
+
+Integrand = Literal["constant", "step", "sin-t"]
+
 
 def integrand_values(name: str, times: np.ndarray, dim: int) -> np.ndarray:
     """Deterministic integrand slots (n_slots, dim) for the named preset."""

@@ -39,7 +39,7 @@ def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def _checkpoint_indices(checkpoints, grid: TimeGrid) -> list[int]:
+def checkpoint_indices(checkpoints, grid: TimeGrid) -> list[int]:
     out = []
     for t in checkpoints:
         idx = int(round(t / grid.dt))
@@ -121,7 +121,7 @@ def representation_errors(u_field: RandomField, sol: BdsdeSolution,
     scenario at the requested grid times."""
     _check_provenance(u_field, sol, hunt, gbm)
     sg = u_field.space_grid
-    indices = _checkpoint_indices(checkpoints, u_field.time_grid)
+    indices = checkpoint_indices(checkpoints, u_field.time_grid)
     out = []
     for idx in indices:
         pos = hunt.x[:, idx, 0]
@@ -261,8 +261,8 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
         halve = gbm.grid.n_steps % 2 == 0
         if halve:
             coarse = coarsen_gbm(gbm, 2)
-            fac, _ = solve_gspde_picard(_regrid_problem(problem_a, coarse.grid), cfg_a,
-                                        coarse, op=op_a)
+            fac, _ = solve_gspde_picard(_regrid(problem_a, coarse.grid), cfg_a, coarse,
+                                        op=op_a)
         for k, problem_b in enumerate(problems_b):
             fb, _ = solve_gspde_picard(problem_b, cfg_b, gbm, op=op_a)
             gap = (fb.values - fa.values)[:, :, mask]
@@ -270,8 +270,8 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
             per_scenario[k].append((gbm.scenario_id, scen_min))
             min_gap[k] = min(min_gap[k], scen_min)
             if halve:
-                fbc, _ = solve_gspde_picard(_regrid_problem(problem_b, coarse.grid), cfg_b,
-                                            coarse, op=op_a)
+                fbc, _ = solve_gspde_picard(_regrid(problem_b, coarse.grid), cfg_b, coarse,
+                                            op=op_a)
                 gap_c = (fbc.values - fac.values)[:, :, mask]
                 probe[k] = max(probe[k], float(np.max(np.abs(gap[:, ::2] - gap_c))))
     scale = problem_a.time_grid.dt + sg.dx**2
@@ -284,10 +284,8 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
     return reports
 
 
-def _regrid_problem(problem: GspdeProblem, tg: TimeGrid) -> GspdeProblem:
-    return GspdeProblem(problem.terminal, problem.reaction, problem.noise,
-                        problem.field, problem.scenarios, tg, problem.space_grid,
-                        check_boundary_decay=False)
+def _regrid(problem: GspdeProblem, tg: TimeGrid) -> GspdeProblem:
+    return replace(problem, time_grid=tg, check_boundary_decay=False)
 
 
 # -- linear transport ----------------------------------------------------------
@@ -322,7 +320,7 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
     if op is None:
         op = discretize_operator(field_spec, sg)
     zero_terminal = np.zeros(sg.n_nodes)
-    indices = _checkpoint_indices(checkpoints, time_grid)
+    indices = checkpoint_indices(checkpoints, time_grid)
     n = time_grid.n_steps
     times = time_grid.times
     n_w = hunt.n_paths

@@ -12,7 +12,6 @@ from gexplab.bdsde import (
     RegressionContext,
     delta_norm,
     extract_z,
-    regress_conditional,
     solve_gbdsde_picard,
     solve_linear_bdsde,
 )
@@ -48,19 +47,21 @@ BASIS = RegressionBasis("polynomial", degree=4, ridge=0.0)
 
 # -- regression ----------------------------------------------------------------
 
+def fitted(targets, x, basis):
+    ctx = RegressionContext(x, basis)
+    return ctx.predict_in_sample(ctx.fit(targets))
+
+
 def test_regress_constant_exact():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(400)
-    pred = regress_conditional(np.full(400, 3.25), x, BASIS)
-    assert np.allclose(pred.fitted, 3.25, atol=1e-12)
-    assert np.allclose(pred.predict(np.array([5.0])), 3.25, atol=1e-10)
+    assert np.allclose(fitted(np.full(400, 3.25), x, BASIS), 3.25, atol=1e-12)
 
 
 def test_regress_linear_in_span():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(500)
-    pred = regress_conditional(x, x, RegressionBasis("polynomial", 1))
-    assert np.allclose(pred.fitted, x, atol=1e-10)
+    assert np.allclose(fitted(x, x, RegressionBasis("polynomial", 1)), x, atol=1e-10)
 
 
 def test_regress_quadratic_coefficient_consistency():
@@ -68,12 +69,9 @@ def test_regress_quadratic_coefficient_consistency():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(10_000)
     y = x**2 + 0.3 * rng.standard_normal(10_000)
-    pred = regress_conditional(y, x, RegressionBasis("polynomial", 2))
-    # Feature is ((x - c)/s)^2; compare fitted curve to the truth instead of
-    # raw coefficients: slope against x^2 must be 1 within 3 SE.
-    grid = np.linspace(-2, 2, 41)
-    fit = pred.predict(grid)
-    coef = np.polyfit(grid**2, fit, 1)[0]
+    # Features are powers of (x - c)/s, so the fit at the sample points is a
+    # quadratic in x; its leading coefficient must be 1 within 3 SE.
+    coef = np.polyfit(x, fitted(y, x, RegressionBasis("polynomial", 2)), 2)[0]
     assert abs(coef - 1.0) <= 3.0 * 0.3 / np.sqrt(10_000) * 10
 
 
@@ -81,10 +79,10 @@ def test_regress_bins_and_rank_errors():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(800)
     target = np.where(x > 0, 1.0, -1.0)
-    pred = regress_conditional(target, x, RegressionBasis("indicator-bins", n_bins=8))
-    assert np.corrcoef(pred.fitted, target)[0, 1] > 0.9
+    pred = fitted(target, x, RegressionBasis("indicator-bins", n_bins=8))
+    assert np.corrcoef(pred, target)[0, 1] > 0.9
     with pytest.raises(UsageError, match="samples per basis"):
-        regress_conditional(target[:20], x[:20], RegressionBasis("polynomial", 6))
+        RegressionContext(x[:20], RegressionBasis("polynomial", 6))
     with pytest.raises(UsageError, match="1-D"):
         RegressionContext(rng.standard_normal((500, 2)), RegressionBasis("indicator-bins"))
 

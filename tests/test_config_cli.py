@@ -6,8 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gexplab
+from gexplab import experiments
 from gexplab.cli import main
 from gexplab.config import config_hash, default_config, validate_config
 from gexplab.errors import ConfigError
@@ -121,20 +124,102 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run-suite", "--config", str(bad)]) == 2
 
 
+@pytest.fixture
+def runners_fail(monkeypatch):
+    """Replace every runner with one that fails if called."""
+    def fail(exp):
+        raise AssertionError("a runner started on a config that exits 2")
+
+    for name in experiments.RUNNERS:
+        monkeypatch.setitem(experiments.RUNNERS, name, fail)
+
+
+def set_path(cfg, section, key, value):
+    """Set ``cfg[section]`` at the dotted ``key``; integer parts index lists."""
+    node = cfg[section]
+    *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+    for k in parents:
+        node = node[k]
+    node[last] = value
+
+
 @pytest.mark.parametrize("section,key,value,field", [
     ("comparison", "cases", 5, "comparison.cases"),
     ("gbm_check", "n_steps", "x", "gbm_check.n_steps"),
     ("scenario_set", "matrices", [[["a"]]], "scenario_set.matrices"),
     ("gspde", "max_iter", 0, "gspde.max_iter"),
     ("bdsde", "max_iter", 0, "bdsde.max_iter"),
+    ("gspde", "n_noise_paths", "x", "gspde.n_noise_paths"),
+    ("gspde", "dump_paths", "x", "gspde.dump_paths"),
+    ("gspde", "weak_tolerance", None, "gspde.weak_tolerance"),
+    ("hunt_check", "n_paths", "x", "hunt_check.n_paths"),
+    ("representation", "halvings", "x", "representation.halvings"),
+    ("representation", "tolerance", "x", "representation.tolerance"),
+    ("comparison", "collar_frac", "x", "comparison.collar_frac"),
+    ("representation", "n_diffusion_paths", "x", "representation.n_diffusion_paths"),
+    ("comparison", "cases.0.terminal_shift", "x", "comparison.cases[0].terminal_shift"),
+    ("gbm_check", "horizon", "x", "gbm_check.horizon"),
+    ("coefficient_field", "value", "x", "coefficient_field.value"),
+    ("terminal", "width", "x", "terminal.width"),
+    ("reaction", "scale", "x", "reaction.scale"),
+    ("noise", "z_scale", "x", "noise.z_scale"),
+    ("hunt_check", "field.base", "x", "hunt_check.field.base"),
+    ("hunt_check", "horizon", "x", "hunt_check.horizon"),
+    ("bdsde", "init.x0", "x", "bdsde.init.x0"),
+    ("gspde", "eps", "x", "gspde.eps"),
+    ("bdsde", "eps", "x", "bdsde.eps"),
+    ("gspde", "max_iter", True, "gspde.max_iter"),
+    ("gbm_check", "dump_paths", -1, "gbm_check.dump_paths"),
+    ("bdsde", "n_diffusion_paths", 0, "bdsde.n_diffusion_paths"),
+    ("gspde", "n_noise_paths", 0, "gspde.n_noise_paths"),
+    ("hunt_check", "n_steps", 0, "hunt_check.n_steps"),
+    ("bdsde", "basis.degree", "x", "bdsde.basis.degree"),
+    ("representation", "checkpoint_fractions", [2.0], "representation.checkpoint_fractions"),
+    ("bdsde", "init.x0", [0.0, 0.0], "bdsde.init.x0"),
+    ("bdsde", "basis.degree", 40, "bdsde.n_diffusion_paths"),
 ])
-def test_cli_malformed_field_exit_2(tmp_path, capsys, section, key, value, field):
+def test_cli_malformed_field_exit_2(tmp_path, capsys, runners_fail, section, key, value,
+                                    field):
     cfg = tiny_config()
-    cfg[section][key] = value
+    set_path(cfg, section, key, value)
     code = main(["run-suite", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "bad")])
     assert code == 2
-    assert field in capsys.readouterr().err
+    # The message starts with the field (or an element of it), named once.
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+def grid_2d_config():
+    """The shipped config on a 41x41 periodic grid with a diagonal field."""
+    cfg = default_config()
+    cfg["space_grid"].update({"dim": 2, "points_per_axis": 41})
+    cfg["coefficient_field"] = {"preset": "diagonal-2d", "base": 1.0, "amplitude": 0.3}
+    cfg["noise"]["z_scale"] = 0.3
+    cfg["bdsde"]["init"]["x0"] = [0.0, 0.0]
+    cfg["suite"]["checks"] = ["gspde", "gbdsde", "comparison"]
+    return cfg
+
+
+def test_grid_2d_config_validates():
+    exp = validate_config(grid_2d_config())
+    assert exp.space_grid.n_nodes == 41 * 41 and exp.hunt_field is None
+
+
+@pytest.mark.parametrize("command,check,field", [
+    ("run-suite", "representation", "space_grid.dim"),
+    ("verify-representation", None, "space_grid.dim"),
+    ("run-suite", "hunt-bracket", "hunt_check.field"),
+    ("simulate-hunt", None, "hunt_check.field"),
+])
+def test_cross_section_rules_checked_for_the_checks_that_run(tmp_path, capsys, runners_fail,
+                                                             command, check, field):
+    cfg = grid_2d_config()
+    if check is not None:
+        cfg["suite"]["checks"].append(check)
+    code = main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_cli_gspde_on_dirichlet_grid(tmp_path):
@@ -253,3 +338,86 @@ def test_mixed_pass_fail_rows_reflect_status(tmp_path):
     rows = open(os.path.join(out, "suite_summary.csv")).read().splitlines()[1:]
     statuses = {r.split(",")[5] for r in rows}
     assert "false" in statuses
+
+
+def test_collar_wider_than_a_dirichlet_domain_exits_2(tmp_path, capsys, runners_fail):
+    cfg = tiny_config()
+    cfg["space_grid"].update({"half_width": 10.0, "boundary": "dirichlet0"})
+    cfg["comparison"]["collar_frac"] = 1.5
+    assert main(["verify-comparison", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err.startswith("error: comparison.collar_frac: ")
+
+
+# -- fuzzing validate_config ------------------------------------------------------
+
+def _leaves(node, path=()):
+    """Key paths of every value that is neither an object nor an array of objects."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        for idx, value in enumerate(node):
+            yield from _leaves(value, path + (idx,))
+    else:
+        yield path
+
+
+def _path_name(path) -> str:
+    out = ""
+    for part in path:
+        out += f"[{part}]" if isinstance(part, int) else (f".{part}" if out else part)
+    return out
+
+
+def _json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+SHIPPED_LEAVES = list(_leaves(default_config()))
+# Fields named by rules that tie one field to others, which a well-typed value
+# can break wherever it sits.
+RULE_FIELDS = {
+    "config",                                # contraction margins, decay at the boundary
+    "gspde.eps", "bdsde.eps",                # kappa < 1 at the configured epsilon
+    "terminal.preset",                       # non-decaying data on a Dirichlet grid
+    "representation.checkpoint_fractions",   # checkpoints on the time grid
+    "space_grid.dim",                        # representation on 1-D grids only
+    "coefficient_field", "hunt_check.field",  # field presets against the grid dimension
+    "coefficient_field.amplitude",           # ellipticity: amplitude < base
+    "hunt_check.field.amplitude",
+    "bdsde.init.x0", "hunt_check.init.x0",   # initial point against the dimension
+    "noise.y_scale", "noise.z_scale",        # one scale per driver coordinate
+    "comparison.collar_frac",                # an interior left on Dirichlet grids
+    "bdsde.n_diffusion_paths",               # samples per basis function
+    "representation.n_diffusion_paths",
+}
+json_values = st.recursive(
+    # Integers stay small so that no mutated grid size allocates much memory.
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf=st.sampled_from(SHIPPED_LEAVES), value=json_values)
+def test_validate_config_fuzz_one_leaf(leaf, value):
+    cfg = default_config()
+    node = cfg
+    for part in leaf[:-1]:
+        node = node[part]
+    original, node[leaf[-1]] = node[leaf[-1]], value
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        path = _path_name(leaf)
+        # An array may stand for a number: some numbers are per-component.
+        ill_typed = (original is not None and _json_kind(value) != _json_kind(original)
+                     and (_json_kind(original), _json_kind(value)) != ("number", "list"))
+        if ill_typed:
+            assert exc.field == path
+        else:
+            assert (exc.field == path or exc.field.startswith(path + "[")
+                    or exc.field in RULE_FIELDS), (exc.field, path)

@@ -8,7 +8,6 @@ from gexplab.hunt import CoefficientField
 from gexplab.pde import (
     PHI_IDENTITY,
     PHI_SQUARE,
-    GridFunction,
     GspdeProblem,
     PicardConfig,
     ReactionTerm,
@@ -244,16 +243,14 @@ def test_semigroup_rejects_negative_tau():
         apply_semigroup(op, np.zeros(sg.n_nodes), -0.1)
 
 
-# -- grid functions and norms -------------------------------------------------
+# -- norms -----------------------------------------------------------------------
 
-def test_grid_function_validation_and_norm():
+def test_l2_norm_sq_weights_by_cell_volume():
     sg = SpatialGrid(1, 1.0, 5, "periodic")
-    gf = GridFunction(sg, np.full(sg.n_nodes, 2.0))
-    assert gf.l2_norm() == pytest.approx(2.0 * np.sqrt(5 * sg.dx))
-    with pytest.raises(UsageError):
-        GridFunction(sg, np.ones(7))
-    with pytest.raises(UsageError):
-        GridFunction(sg, np.full(sg.n_nodes, np.nan))
+    assert sg.l2_norm_sq(np.full(sg.n_nodes, 2.0)) == pytest.approx(4.0 * 5 * sg.dx)
+    sg2 = SpatialGrid(2, 1.0, 5, "periodic")
+    stack = np.stack([np.full(sg2.n_nodes, 1.0), np.full(sg2.n_nodes, 3.0)])
+    assert np.allclose(sg2.l2_norm_sq(stack), [25 * sg2.dx**2, 9.0 * 25 * sg2.dx**2])
 
 
 def test_hnorm_zero_and_constant():
