@@ -253,13 +253,16 @@ def _broadcast_driver(values, n_b: int, n_slots: int, n_w: int, trailing=()):
 
 def solve_linear_bdsde(f_vals, g_vals, xi_vals, ensemble, gbm: GBMPaths,
                        basis: Optional[RegressionBasis] = None,
-                       field_spec: Optional[CoefficientField] = None) -> BdsdeSolution:
+                       field_spec: Optional[CoefficientField] = None,
+                       drivers: Optional[Callable] = None) -> BdsdeSolution:
     """Backward recursion for given (y, z)-independent driver data.
 
     ``f_vals`` and ``g_vals`` are slot arrays aligned with the time grid
     (slot i+1 pairs with dB_i); ``xi_vals`` is the terminal payoff on the
     diffusion ensemble.  ``ensemble`` is an LsmcEnsemble, or a HuntPaths
-    given ``basis`` and ``field_spec``.
+    given ``basis`` and ``field_spec``.  In place of the arrays, ``drivers(i)``
+    may return the (n_b, n_W) and (n_b, n_W, l) driver values at slot i; it
+    is called for slots N..1, each right before the recursion reads it.
     """
     if isinstance(ensemble, HuntPaths):
         if basis is None or field_spec is None:
@@ -268,28 +271,55 @@ def solve_linear_bdsde(f_vals, g_vals, xi_vals, ensemble, gbm: GBMPaths,
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
         raise UsageError("diffusion ensemble and noise paths use different time grids")
-    n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
+    n, n_w = hunt.grid.n_steps, hunt.n_paths
     n_b, l = gbm.n_paths, gbm.dim
-    dt = hunt.grid.dt
     xi = np.asarray(xi_vals, dtype=float)
     if xi.shape != (n_w,):
         raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
-    f_arr = _broadcast_driver(f_vals, n_b, n + 1, n_w)
-    g_arr = _broadcast_driver(g_vals, n_b, n + 1, n_w, (l,))
+    if drivers is None:
+        f_arr = _broadcast_driver(f_vals, n_b, n + 1, n_w)
+        g_arr = _broadcast_driver(g_vals, n_b, n + 1, n_w, (l,))
 
-    y = np.empty((n_b, n + 1, n_w))
-    z = np.empty((n_b, n + 1, n_w, d))
+        def drivers(i):
+            return f_arr[:, i], g_arr[:, i]
+    elif f_vals is not None or g_vals is not None:
+        raise UsageError("give driver arrays or a driver callable, not both")
+    y, z = _backward(ensemble, gbm, xi, drivers)
+    return BdsdeSolution(y, z, hunt.grid, gbm.scenario_id, hunt.weights,
+                         hunt.fingerprint(), gbm.fingerprint())
+
+
+def _backward(ensemble: LsmcEnsemble, gbm: GBMPaths, xi: np.ndarray, drivers: Callable,
+              left_reaction: Optional[Callable] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The slot-by-slot recursion from the terminal payoff ``xi`` back to t_0.
+
+    Slot i regresses on the target built from Y_{i+1} and ``drivers(i + 1)``,
+    so only one slot of driver data is alive at a time.  With
+    ``left_reaction(i, y_pred)`` the step is implicit in Y: the reaction
+    moves to the left endpoint, evaluated at the regressed one-sweep
+    predictor ``y_pred`` of Y_i, while ``drivers`` still supplies g.
+    """
+    hunt = ensemble.hunt
+    n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
+    dt = hunt.grid.dt
+    y = np.empty((gbm.n_paths, n + 1, n_w))
+    z = np.empty((gbm.n_paths, n + 1, n_w, d))
     y[:, n] = xi
     for i in range(n - 1, -1, -1):
         ctx = ensemble.contexts[i]
-        target = y[:, i + 1] + dt * f_arr[:, i + 1]
-        target = target + np.einsum("bwl,bl->bw", g_arr[:, i + 1], gbm.db[:, i, :])
-        y[:, i] = ctx.predict_in_sample(ctx.fit(target))
+        f_next, g_next = drivers(i + 1)
+        noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
+        if left_reaction is None:
+            y[:, i] = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
+        else:
+            base_target = y[:, i + 1] + noise
+            fitted = ctx.predict_in_sample(
+                ctx.fit(np.stack([base_target, base_target + dt * f_next])))
+            y[:, i] = fitted[0] + dt * left_reaction(i, fitted[1])
         z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], dt=dt,
                             context=ctx, a_inverse=ensemble.a_inverse[i])
     z[:, n] = z[:, n - 1]
-    return BdsdeSolution(y, z, hunt.grid, gbm.scenario_id, hunt.weights,
-                         hunt.fingerprint(), gbm.fingerprint())
+    return y, z
 
 
 def delta_norm(solutions, beta: float, delta: float) -> float:
@@ -399,53 +429,13 @@ class BdsdePicardConfig:
                    max_iter, tol_rel, implicit_y)
 
 
-def _eval_drivers(problem: BdsdeProblem, y, z, ensemble: "LsmcEnsemble"):
-    """Driver values at the right-endpoint slots 1..N, the only ones the
-    backward recursion reads; v = Z sigma(X) feeds the z argument.  Slot 0
-    of the returned arrays is zero."""
-    times = problem.time_grid.times
-    n_b, n_slots, n_w = y.shape
-    f_out = np.zeros((n_b, n_slots, n_w))
-    g_out = None
-    for i in range(1, n_slots):
-        x_here = ensemble.hunt.x[:, i, :]
-        v = np.einsum("bwd,wdk->bwk", z[:, i], ensemble.sigma[i])
-        f_out[:, i] = np.asarray(problem.f(times[i], x_here, y[:, i], v))
-        g_i = np.asarray(problem.g(times[i], x_here, y[:, i], v))
-        if g_out is None:
-            g_out = np.zeros((n_b, n_slots, n_w, g_i.shape[-1]))
-        g_out[:, i] = g_i
-    return f_out, g_out
-
-
-def _implicit_sweep(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                    xi: np.ndarray, f_arr: np.ndarray, g_arr: np.ndarray,
-                    z_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-in-Y recursion: the noise loading and the z slot stay frozen
-    at the previous iterate, while the reaction is moved to the left
-    endpoint and evaluated at a one-sweep predictor of Y_i."""
-    hunt = ensemble.hunt
-    n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
-    n_b = gbm.n_paths
-    dt = hunt.grid.dt
-    times = hunt.grid.times
-    y = np.empty((n_b, n + 1, n_w))
-    z = np.empty((n_b, n + 1, n_w, d))
-    y[:, n] = xi
-    for i in range(n - 1, -1, -1):
-        ctx = ensemble.contexts[i]
-        base_target = y[:, i + 1] + np.einsum("bwl,bl->bw", g_arr[:, i + 1],
-                                              gbm.db[:, i, :])
-        stacked = np.stack([base_target, base_target + dt * f_arr[:, i + 1]])
-        fitted = ctx.predict_in_sample(ctx.fit(stacked))
-        base, pred = fitted[0], fitted[1]
-        v_here = np.einsum("bwd,wdk->bwk", z_prev[:, i], ensemble.sigma[i])
-        y[:, i] = base + dt * np.asarray(
-            problem.f(times[i], hunt.x[:, i, :], pred, v_here))
-        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], dt=dt,
-                            context=ctx, a_inverse=ensemble.a_inverse[i])
-    z[:, n] = z[:, n - 1]
-    return y, z
+def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, y, z, i: int, t: float):
+    """f and g at time slot i, time t, of the iterate (y, z); v = Z sigma(X)
+    feeds the z argument.  The backward recursion asks for slots N..1 only."""
+    x_here = ensemble.hunt.x[:, i, :]
+    v = np.einsum("bwd,wdk->bwk", z[:, i], ensemble.sigma[i])
+    return (np.asarray(problem.f(t, x_here, y[:, i], v), dtype=float),
+            np.asarray(problem.g(t, x_here, y[:, i], v), dtype=float))
 
 
 def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
@@ -466,18 +456,27 @@ def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
         ensemble = LsmcEnsemble(hunt, basis, problem.field)
     n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
     n_b = gbm.n_paths
+    times = problem.time_grid.times
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
 
     def sweep(y, z):
-        f_vals, g_vals = _eval_drivers(problem, y, z, ensemble)
-        if cfg.implicit_y:
-            return _implicit_sweep(problem, ensemble, gbm, xi, f_vals, g_vals, z)
-        sol = solve_linear_bdsde(f_vals, g_vals, xi, ensemble, gbm)
-        return sol.y, sol.z
+        def drivers(i):
+            return _slot_drivers(problem, ensemble, y, z, i, times[i])
+
+        if not cfg.implicit_y:
+            sol = solve_linear_bdsde(None, None, xi, ensemble, gbm, drivers=drivers)
+            return sol.y, sol.z
+
+        # Implicit in Y: g and the z slot stay frozen at the previous iterate.
+        def left_reaction(i, y_pred):
+            v = np.einsum("bwd,wdk->bwk", z[:, i], ensemble.sigma[i])
+            return np.asarray(problem.f(times[i], hunt.x[:, i, :], y_pred, v))
+
+        return _backward(ensemble, gbm, xi, drivers, left_reaction)
 
     def norms(new, old):
         return _increment_and_iterate_norms(new, old, cfg.beta, cfg.delta, hunt.weights,
-                                            problem.time_grid.times)
+                                            times)
 
     (y, z), report = iterate(sweep, norms, (np.zeros((n_b, n + 1, n_w)),
                                             np.zeros((n_b, n + 1, n_w, d))), cfg)

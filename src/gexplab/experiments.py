@@ -208,17 +208,19 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     gbms = _scenario_bundles(exp)
     test_fn = _default_test_fn(exp)
 
+    dump_n = min(sec.dump_paths, n_b)
     rows: list[CheckRow] = []
     scen_reports = []
-    fields = []
+    dumped = []  # (scenario id, the dumped paths' values) per scenario
     for gbm in gbms:
         fld, rep = solve_gspde_picard(problem, cfg, gbm, op=op)
         wres = weak_residual(fld, test_fn, problem, gbm, op=op)
         eres = energy_identity_residual(fld, problem, gbm, op=op)
-        fields.append(fld)
         sid = gbm.scenario_id
         terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
                              for p in range(fld.n_paths))
+        dumped.append((sid, fld.values[:dump_n].copy()))
+        del fld  # the next scenario's solve must not run beside this field
         w_rms = float(np.sqrt(np.mean(wres**2)))
         e_rms = float(np.sqrt(np.mean(eres**2)))
         record = _picard_checks("gspde", sid, rep, terminal_exact, rows)
@@ -228,19 +230,18 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
                          e_rms <= energy_tol))
         scen_reports.append(dict(record, weak_residual_rms=w_rms, energy_residual_rms=e_rms))
 
-    dump_n = min(sec.dump_paths, n_b)
     dump_rows = []
     sg = problem.space_grid
     m = sg.points_per_axis
     stride = max(1, sg.n_nodes // 64)
-    for gbm, fld in zip(gbms, fields):
+    times = problem.time_grid.times
+    for sid, values in dumped:
         for p in range(dump_n):
             for i in range(problem.time_grid.n_steps + 1):
-                t = float(problem.time_grid.times[i])
+                t = float(times[i])
                 for node in range(0, sg.n_nodes, stride):
                     axes = (node,) if sg.dim == 1 else (node // m, node % m)
-                    dump_rows.append((p, gbm.scenario_id, t) + axes
-                                     + (float(fld.values[p, i, node]),))
+                    dump_rows.append((p, sid, t) + axes + (float(values[p, i, node]),))
     index_cols = ["x_index"] if sg.dim == 1 else ["x_index_1", "x_index_2"]
     artifacts = {
         "gspde_report.json": {
@@ -263,30 +264,34 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
                          child_seed(exp.seed, SEED_HUNT))
     ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
     gbms = _scenario_bundles(exp)
+    dump_b = min(sec.dump_paths, n_b)
+    dump_w = min(8, n_w)
 
     rows: list[CheckRow] = []
     scen_reports = []
-    solutions = []
+    dumped = []  # (scenario id, the dumped paths' Y and Z) per scenario
     for gbm in gbms:
         sol = solve_gbdsde_picard(problem, hunt, gbm, sec.basis, cfg,
                                   ensemble=ensemble)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
                              for b in range(gbm.n_paths))
-        scen_reports.append(_picard_checks("gbdsde", gbm.scenario_id, sol.picard_report,
+        sid = gbm.scenario_id
+        scen_reports.append(_picard_checks("gbdsde", sid, sol.picard_report,
                                            terminal_exact, rows))
-        solutions.append(sol)
+        dumped.append((sid, sol.y[:dump_b, :, :dump_w].copy(),
+                       sol.z[:dump_b, :, :dump_w].copy()))
+        del sol  # the next scenario's solve must not run beside this (Y, Z)
 
-    dump_b = min(sec.dump_paths, n_b)
-    dump_w = min(8, n_w)
     dump_rows = []
-    for gbm, sol in zip(gbms, solutions):
+    times = problem.time_grid.times
+    for sid, y, z in dumped:
         for b in range(dump_b):
             for w in range(dump_w):
                 for i in range(problem.time_grid.n_steps + 1):
-                    t = float(problem.time_grid.times[i])
-                    dump_rows.append((gbm.scenario_id, b, w, t, float(sol.y[b, i, w]))
-                                     + tuple(float(v) for v in sol.z[b, i, w]))
+                    t = float(times[i])
+                    dump_rows.append((sid, b, w, t, float(y[b, i, w]))
+                                     + tuple(float(v) for v in z[b, i, w]))
     header = (["scenario_id", "b_path_id", "x_path_id", "t", "Y"]
               + [f"Z_{k + 1}" for k in range(hunt.dim)])
     artifacts = {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from gexplab.errors import NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
 from gexplab.pde import SpatialGrid, apply_semigroup, discretize_operator
-from gexplab.picard import weighted_quadrature
+from gexplab.picard import iterate, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
 
 
@@ -376,8 +378,8 @@ def poison_slot_0(f_vals, g_vals):
     return f_vals, g_vals
 
 
-def test_recursion_never_reads_driver_slot_0(monkeypatch):
-    # Drivers are evaluated on slots 1..N only; NaN at slot 0 must not reach Y or Z.
+def test_linear_recursion_never_reads_driver_slot_0():
+    # NaN at slot 0 of the driver arrays must not reach Y or Z.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
     rng = np.random.default_rng(5)
@@ -390,16 +392,157 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
     assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
     assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
 
+
+def test_recursion_never_reads_driver_slot_0(monkeypatch):
+    # The Picard sweeps, explicit and implicit in Y, evaluate drivers slot by
+    # slot inside the recursion, for slots N..1 only; a slot-0 evaluation
+    # would poison Y and Z.
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
+    ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
-    cfg = BdsdePicardConfig.from_problem(prob, tol_rel=1e-8, implicit_y=True)
-    clean = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
-    eval_drivers = bdsde._eval_drivers
-    monkeypatch.setattr(bdsde, "_eval_drivers",
-                        lambda *args: poison_slot_0(*eval_drivers(*args)))
-    poisoned = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
-    assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
-    assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
-    assert poisoned.picard_report == clean.picard_report
+    slot_drivers = bdsde._slot_drivers
+    slots = []
+
+    def poisoned_at_0(problem, ensemble, y, z, i, t):
+        slots.append(i)
+        f_i, g_i = slot_drivers(problem, ensemble, y, z, i, t)
+        return (f_i + np.nan, g_i + np.nan) if i == 0 else (f_i, g_i)
+
+    for implicit_y in (False, True):
+        cfg = BdsdePicardConfig.from_problem(prob, tol_rel=1e-8, implicit_y=implicit_y)
+        monkeypatch.setattr(bdsde, "_slot_drivers", slot_drivers)
+        clean = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+        monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
+        slots.clear()
+        poisoned = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+        sweeps = clean.picard_report.iterations
+        assert slots == list(range(hunt.grid.n_steps, 0, -1)) * sweeps
+        assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
+        assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
+        assert poisoned.picard_report == clean.picard_report
+
+
+def stacked_drivers(problem, y, z, ens):
+    """Reference: f and g over whole (n_b, N+1, n_W[, l]) stacks, slot 0 zero."""
+    times = problem.time_grid.times
+    n_b, n_slots, n_w = y.shape
+    f_out = np.zeros((n_b, n_slots, n_w))
+    g_out = None
+    for i in range(1, n_slots):
+        x_here = ens.hunt.x[:, i, :]
+        v = np.einsum("bwd,wdk->bwk", z[:, i], ens.sigma[i])
+        f_out[:, i] = np.asarray(problem.f(times[i], x_here, y[:, i], v))
+        g_i = np.asarray(problem.g(times[i], x_here, y[:, i], v))
+        if g_out is None:
+            g_out = np.zeros((n_b, n_slots, n_w, g_i.shape[-1]))
+        g_out[:, i] = g_i
+    return f_out, g_out
+
+
+def stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z_prev):
+    """Reference: the implicit-in-Y recursion reading whole driver stacks."""
+    hunt = ens.hunt
+    n, n_w, d, dt = hunt.grid.n_steps, hunt.n_paths, hunt.dim, hunt.grid.dt
+    y = np.empty((gbm.n_paths, n + 1, n_w))
+    z = np.empty((gbm.n_paths, n + 1, n_w, d))
+    y[:, n] = xi
+    for i in range(n - 1, -1, -1):
+        ctx = ens.contexts[i]
+        base_target = y[:, i + 1] + np.einsum("bwl,bl->bw", g_arr[:, i + 1], gbm.db[:, i, :])
+        fitted = ctx.predict_in_sample(
+            ctx.fit(np.stack([base_target, base_target + dt * f_arr[:, i + 1]])))
+        v_here = np.einsum("bwd,wdk->bwk", z_prev[:, i], ens.sigma[i])
+        y[:, i] = fitted[0] + dt * np.asarray(
+            problem.f(hunt.grid.times[i], hunt.x[:, i, :], fitted[1], v_here))
+        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], dt=dt, context=ctx,
+                            a_inverse=ens.a_inverse[i])
+    z[:, n] = z[:, n - 1]
+    return y, z
+
+
+def stacked_picard(problem, ens, gbm, cfg):
+    """Reference Picard loop: each sweep builds the driver stacks first and
+    feeds them to the array API of solve_linear_bdsde (or the implicit
+    reference)."""
+    hunt = ens.hunt
+    n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
+    xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
+
+    def sweep(y, z):
+        f_arr, g_arr = stacked_drivers(problem, y, z, ens)
+        if cfg.implicit_y:
+            return stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z)
+        sol = solve_linear_bdsde(f_arr, g_arr, xi, ens, gbm)
+        return sol.y, sol.z
+
+    def norms(new, old):
+        return _increment_and_iterate_norms(new, old, cfg.beta, cfg.delta, hunt.weights,
+                                            hunt.grid.times)
+
+    start = (np.zeros((gbm.n_paths, n + 1, n_w)), np.zeros((gbm.n_paths, n + 1, n_w, d)))
+    (y, z), report = iterate(sweep, norms, start, cfg)
+    return y, z, report
+
+
+def mixed_problem(field, scen, tg, k=0.2, alpha=0.3):
+    """Drivers that read t, x, y and every coordinate of v, with l components."""
+    l = scen.dim
+
+    def f(t, x, y, v):
+        return 0.4 * np.sin(y) + 0.1 * np.cos(x[:, 0] + t) + 0.2 * np.tanh(np.sum(v, axis=-1))
+
+    def g(t, x, y, v):
+        comps = [np.sqrt(k / (2.0 * l)) * np.tanh(y + j)
+                 + np.sqrt(alpha / (2.0 * l)) * np.sin(v[..., j % v.shape[-1]])
+                 for j in range(l)]
+        return np.stack(comps, axis=-1)
+
+    return BdsdeProblem(lambda pts: np.cos(pts[:, 0]) + 0.1 * np.sum(pts, axis=1), f, g,
+                        k, alpha, field, scen, tg)
+
+
+SCENARIOS = {1: ScenarioSet.from_list([[[1.0]], [[0.6]]]),
+             2: ScenarioSet.from_list([[[1.0, 0.0], [0.0, 1.0]], [[0.8, 0.1], [0.0, 0.6]]])}
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2]), l=st.sampled_from([1, 2]), n_b=st.integers(1, 3),
+       n_steps=st.integers(1, 5), n_w=st.integers(80, 200), scenario=st.integers(0, 1),
+       implicit_y=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_slot_recursion_matches_stacked_array_api_bitwise(d, l, n_b, n_steps, n_w,
+                                                          scenario, implicit_y, seed):
+    # The Picard sweep evaluates the drivers slot by slot inside the
+    # recursion; it must give the floats of the whole-stack form.
+    scen = SCENARIOS[l]
+    tg = TimeGrid(0.5, n_steps)
+    field = const_field(0.5, d)
+    hunt = simulate_hunt(field, InitialLaw("gaussian"), tg, n_w, seed=seed)
+    gbm = build_gbm(sample_driver(tg, n_b, l, seed + 1), constant_schedule(scenario, n_steps),
+                    scen)
+    ens = LsmcEnsemble(hunt, RegressionBasis("polynomial", degree=2), field)
+    prob = mixed_problem(field, scen, tg)
+    cfg = BdsdePicardConfig.from_problem(prob, max_iter=12, implicit_y=implicit_y)
+    y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
+    sol = solve_gbdsde_picard(prob, hunt, gbm, ens.basis, cfg, ensemble=ens)
+    assert sol.picard_report == rep_ref
+    assert np.array_equal(sol.y, y_ref) and np.array_equal(sol.z, z_ref)
+
+
+def test_picard_peak_memory_is_slot_sized():
+    # One explicit solve holds the previous and the new (Y, Z) plus slot-sized
+    # temporaries; whole (n_b, N+1, n_W) driver stacks would add two more.
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=20000)
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
+    cfg = BdsdePicardConfig.from_problem(prob)
+    stack_bytes = gbm.n_paths * (hunt.grid.n_steps + 1) * hunt.n_paths * 8
+    tracemalloc.start()
+    try:
+        solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * stack_bytes, peak / stack_bytes
 
 
 def test_ito_product_rule_refinement():

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gexplab import pde
 from gexplab.errors import UsageError
 from gexplab.gbm import TimeGrid, build_gbm, coarsen_driver, sample_driver
 from gexplab.hunt import CoefficientField
@@ -24,7 +29,8 @@ from gexplab.pde import (
     weak_residual,
     zero_noise,
 )
-from gexplab.pde import RandomField
+from gexplab.pde import RandomField, _hnorm_density, _increment_and_iterate_norms
+from gexplab.picard import weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
 
 
@@ -285,6 +291,36 @@ def test_hnorm_exponential_weight_exact():
     measure = sg.n_nodes * sg.cell_volume
     # integral of e^s over [0, 1] times |grad|^2 = 1 * measure
     assert hnorm_gamma_delta(f, 1.0, 0.0) == pytest.approx((np.e - 1.0) * measure, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(["dirichlet0", "periodic"]),
+       m=st.integers(3, 14), p=st.integers(1, 4), n_steps=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 8.0),
+       delta=st.one_of(st.just(0.0), st.floats(0.0, 20.0)), horizon=st.floats(0.05, 3.0),
+       block_bytes=st.sampled_from([1, 600, 2000, pde.NORM_BLOCK_BYTES]))
+def test_fused_grid_norms_match_whole_stack_bitwise(dim, boundary, m, p, n_steps, seed,
+                                                    gamma, delta, horizon, block_bytes):
+    # The grid Picard loop builds both densities in one pass over blocks of
+    # time slots (one slot, a few, all); it must give the floats of the two
+    # whole-stack norm calls.
+    rng = np.random.default_rng(seed)
+    sg = SpatialGrid(dim, 3.0, m, boundary)
+    tg = TimeGrid(horizon, n_steps)
+    old = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
+    new = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
+
+    def norm(u):
+        return weighted_quadrature(_hnorm_density(u[:, :-1], sg, delta), gamma, tg.times)
+
+    with mock.patch.object(pde, "NORM_BLOCK_BYTES", block_bytes):
+        inc, cur = _increment_and_iterate_norms(new, old, sg, gamma, delta, tg.times)
+        same, same_cur = _increment_and_iterate_norms(new, new, sg, gamma, delta, tg.times)
+    assert inc == norm(new - old)
+    assert cur == norm(new)
+    assert cur == hnorm_gamma_delta(RandomField(new, tg, sg, 0), gamma, delta)
+    assert same == 0.0
+    assert same_cur == cur
 
 
 # -- problem validation --------------------------------------------------------
