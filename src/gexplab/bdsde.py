@@ -26,7 +26,13 @@ from ._util import Count, NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths
-from .picard import PicardReport, contraction_constants, iterate, weighted_quadrature
+from .picard import (
+    PicardConfig,
+    PicardReport,
+    increment_and_iterate_norms,
+    iterate,
+    weighted_quadrature,
+)
 from .scenario import ScenarioSet, sigma_bar
 
 MIN_SAMPLES_PER_FEATURE = 10
@@ -187,40 +193,29 @@ class LsmcEnsemble:
                                for i in range(n + 1)])         # (n+1, n_W, d, d)
 
 
-def extract_z(next_values, dm, a_values=None, positions=None,
-              basis: Optional[RegressionBasis] = None, dt: float = 0.0,
-              context: Optional[RegressionContext] = None,
-              a_inverse: Optional[np.ndarray] = None, center: bool = True) -> np.ndarray:
+def extract_z(next_values, dm, context: RegressionContext, a_inverse: np.ndarray,
+              dt: float) -> np.ndarray:
     """Martingale-representation estimate of Z at one time slot.
 
     Z(x) = (2 dt)^{-1} a(x)^{-1} E[next dM | X = x], one regression per
-    martingale coordinate; returns samples shaped like next_values + (d,).
-    Either (a_values, positions, basis) or (context, a_inverse) must be
-    supplied.
+    martingale coordinate on ``context``; ``a_inverse`` holds a(X)^{-1} per
+    sample.  Returns samples shaped like next_values + (d,).
 
-    With ``center`` the fitted conditional mean of ``next`` is subtracted
-    before multiplying by dM.  The subtracted part is X-measurable, so the
-    estimated conditional expectation is unchanged, but the Monte Carlo
-    variance drops from the value scale to the increment scale.
+    The fitted conditional mean of ``next`` is subtracted before multiplying
+    by dM.  The subtracted part is X-measurable, so the estimated conditional
+    expectation is unchanged, but the Monte Carlo variance drops from the
+    value scale to the increment scale.
     """
     if dt <= 0.0:
         raise UsageError("dt must be positive")
     nxt = np.asarray(next_values, dtype=float)
     dm = np.asarray(dm, dtype=float)
-    n, d = dm.shape
-    ctx = context if context is not None else RegressionContext(positions, basis)
-    if center:
-        nxt = nxt - ctx.predict_in_sample(ctx.fit(nxt))
+    d = dm.shape[1]
+    nxt = nxt - context.predict_in_sample(context.fit(nxt))
     moments = np.empty(nxt.shape + (d,))
     for j in range(d):
-        coefs = ctx.fit(nxt * dm[:, j])
-        moments[..., j] = ctx.predict_in_sample(coefs)
-    ainv = a_inverse if a_inverse is not None else np.linalg.inv(np.asarray(a_values))
-    try:
-        z = np.einsum("njk,...nk->...nj", ainv, moments) / (2.0 * dt)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by ellipticity
-        raise NumericalError(f"coefficient matrix inversion failed: {exc}") from exc
-    return z
+        moments[..., j] = context.predict_in_sample(context.fit(nxt * dm[:, j]))
+    return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt)
 
 
 @dataclass(frozen=True)
@@ -316,8 +311,7 @@ def _backward(ensemble: LsmcEnsemble, gbm: GBMPaths, xi: np.ndarray, drivers: Ca
             fitted = ctx.predict_in_sample(
                 ctx.fit(np.stack([base_target, base_target + dt * f_next])))
             y[:, i] = fitted[0] + dt * left_reaction(i, fitted[1])
-        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], dt=dt,
-                            context=ctx, a_inverse=ensemble.a_inverse[i])
+        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
     z[:, n] = z[:, n - 1]
     return y, z
 
@@ -345,25 +339,6 @@ def _delta_density(y, z, delta: float, weights) -> np.ndarray:
     reduced on its own, so one time slot gives the same floats as the slot's
     column of a whole stack."""
     return np.mean((delta * y**2 + np.einsum("...k,...k->...", z, z)) * weights, axis=-1)
-
-
-def _increment_and_iterate_norms(new: tuple, old: tuple, beta: float, delta: float,
-                                 weights, times) -> tuple[float, float]:
-    """(beta, delta)-norms of new - old and of new for (Y, Z) iterate pairs.
-
-    One pass over the N left-endpoint slots reads both iterates once and
-    fills the density columns of the increment and of the new iterate; each
-    slot's difference is a (n_b, n_W) block, never a whole-stack array.
-    """
-    (y1, z1), (y0, z0) = new, old
-    n_b, n = y1.shape[0], y1.shape[1] - 1
-    inc = np.empty((n_b, n))
-    cur = np.empty((n_b, n))
-    for i in range(n):
-        inc[:, i] = _delta_density(y1[:, i] - y0[:, i], z1[:, i] - z0[:, i], delta, weights)
-        cur[:, i] = _delta_density(y1[:, i], z1[:, i], delta, weights)
-    return (float(np.sqrt(weighted_quadrature(inc, beta, times))),
-            float(np.sqrt(weighted_quadrature(cur, beta, times))))
 
 
 @dataclass
@@ -400,33 +375,11 @@ class BdsdeProblem:
         return (2.0 * self.field.lam_min
                 - self.lip_alpha * self.field.lam_max * self.sigma_bar**2)
 
-
-@dataclass(frozen=True)
-class BdsdePicardConfig:
-    """Contraction constants of the outer fixed-point loop.
-
-    kappa = (K eps + alpha Lambda sigma_bar^2) / (2 lambda) < 1 and
-    delta = (beta - 1/eps) / (2 lambda) = K (eps + sigma_bar^2) / (2 lambda kappa).
-    """
-
-    eps: float
-    beta: float
-    delta: float
-    kappa: float
-    max_iter: int = 20
-    tol_rel: float = 1e-6
-    implicit_y: bool = False
-    rate = property(lambda self: self.beta)
-
-    @classmethod
-    def from_problem(cls, problem: BdsdeProblem, eps: Optional[float] = None,
-                     margin: float = 0.1, max_iter: int = 20, tol_rel: float = 1e-6,
-                     implicit_y: bool = False) -> "BdsdePicardConfig":
-        sb2 = problem.sigma_bar**2
-        z_coef = problem.lip_alpha * problem.field.lam_max * sb2
-        return cls(*contraction_constants(problem.lip_k, z_coef, sb2, problem.field.lam_min,
-                                          eps, margin),
-                   max_iter, tol_rel, implicit_y)
+    def contraction_inputs(self) -> tuple[float, float, float, float]:
+        """(lip, z_coef, sigma_bar^2, lam) of ``picard.contraction_constants``:
+        kappa = (K eps + alpha Lambda sigma_bar^2) / (2 lambda)."""
+        sb2 = self.sigma_bar**2
+        return self.lip_k, self.lip_alpha * self.field.lam_max * sb2, sb2, self.field.lam_min
 
 
 def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, y, z, i: int, t: float):
@@ -440,16 +393,19 @@ def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, y, z, i: int, t
 
 def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
                         basis: RegressionBasis,
-                        cfg: Optional[BdsdePicardConfig] = None,
-                        ensemble: Optional[LsmcEnsemble] = None) -> BdsdeSolution:
+                        cfg: Optional[PicardConfig] = None,
+                        ensemble: Optional[LsmcEnsemble] = None,
+                        implicit_y: bool = False) -> BdsdeSolution:
     """Outer fixed-point loop: each iteration freezes the drivers at the
     previous (Y, Z) and solves the resulting linear equation by regression.
 
     Convergence is monitored in the (beta, delta)-norm of the increments,
     relative to the iterate norm; the report carries the ratio history.
+    With ``implicit_y`` the reaction is taken at the left endpoint.
     """
     if cfg is None:
-        cfg = BdsdePicardConfig.from_problem(problem)
+        cfg = PicardConfig.from_problem(problem, max_iter=20)
+    cfg.validate_against(problem)
     if hunt.grid != problem.time_grid or gbm.grid != problem.time_grid:
         raise UsageError("ensembles and problem use different time grids")
     if ensemble is None:
@@ -463,7 +419,7 @@ def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
         def drivers(i):
             return _slot_drivers(problem, ensemble, y, z, i, times[i])
 
-        if not cfg.implicit_y:
+        if not implicit_y:
             sol = solve_linear_bdsde(None, None, xi, ensemble, gbm, drivers=drivers)
             return sol.y, sol.z
 
@@ -474,9 +430,12 @@ def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
 
         return _backward(ensemble, gbm, xi, drivers, left_reaction)
 
+    def density(y, z):
+        return _delta_density(y, z, cfg.delta, hunt.weights)
+
     def norms(new, old):
-        return _increment_and_iterate_norms(new, old, cfg.beta, cfg.delta, hunt.weights,
-                                            times)
+        inc, cur = increment_and_iterate_norms(density, new, old, cfg.rate, times)
+        return float(np.sqrt(inc)), float(np.sqrt(cur))
 
     (y, z), report = iterate(sweep, norms, (np.zeros((n_b, n + 1, n_w)),
                                             np.zeros((n_b, n + 1, n_w, d))), cfg)

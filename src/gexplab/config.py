@@ -18,11 +18,12 @@ from importlib import resources
 from typing import Callable, Literal, Optional, Sequence, get_args
 
 from ._util import Count, NonNeg, NonNegInt, Positive, read
-from .bdsde import MIN_SAMPLES_PER_FEATURE, BdsdePicardConfig, BdsdeProblem, RegressionBasis
+from .bdsde import MIN_SAMPLES_PER_FEATURE, BdsdeProblem, RegressionBasis
 from .errors import ConfigError, UsageError
 from .gbm import TimeGrid
 from .hunt import CoefficientField, InitialLaw
-from .pde import GspdeProblem, PicardConfig, SpatialGrid
+from .pde import GspdeProblem, SpatialGrid
+from .picard import PicardConfig
 from .presets import (
     FieldPreset,
     Integrand,
@@ -195,7 +196,7 @@ class Experiment(Config):
     gspde_problem: GspdeProblem
     gspde_cfg: PicardConfig
     bdsde_problem: BdsdeProblem
-    bdsde_cfg: BdsdePicardConfig
+    bdsde_cfg: PicardConfig
     gbm_scenarios: ScenarioSet
     hunt_field: Optional[CoefficientField]  # built only when hunt-bracket runs
 
@@ -213,9 +214,9 @@ class Experiment(Config):
             "K": b.lip_k,
             "alpha": b.lip_alpha,
             "margin_bdsde": b.contraction_margin(),
-            "spde": {"eps": cp.eps, "kappa": cp.kappa, "gamma": cp.gamma,
+            "spde": {"eps": cp.eps, "kappa": cp.kappa, "gamma": cp.rate,
                      "delta": cp.delta},
-            "bdsde": {"eps": cb.eps, "kappa": cb.kappa, "beta": cb.beta,
+            "bdsde": {"eps": cb.eps, "kappa": cb.kappa, "beta": cb.rate,
                       "delta": cb.delta},
         }
 
@@ -271,9 +272,8 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
                              time_grid=tg)
     gspde_cfg = _checked("gspde.eps", PicardConfig.from_problem, gspde_problem,
                          eps=c.gspde.eps, max_iter=c.gspde.max_iter, tol_rel=c.gspde.tol_rel)
-    bdsde_cfg = _checked("bdsde.eps", BdsdePicardConfig.from_problem, bdsde_problem,
-                         eps=c.bdsde.eps, max_iter=c.bdsde.max_iter, tol_rel=c.bdsde.tol_rel,
-                         implicit_y=c.bdsde.implicit_y)
+    bdsde_cfg = _checked("bdsde.eps", PicardConfig.from_problem, bdsde_problem,
+                         eps=c.bdsde.eps, max_iter=c.bdsde.max_iter, tol_rel=c.bdsde.tol_rel)
     gbm_scenarios = (scen if c.gbm_check.scenario_set is None
                      else c.gbm_check.scenario_set.build("gbm_check.scenario_set"))
     # Counts are >= 1, so ``or`` takes the fallback only for None.

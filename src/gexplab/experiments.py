@@ -245,7 +245,7 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     index_cols = ["x_index"] if sg.dim == 1 else ["x_index_1", "x_index_2"]
     artifacts = {
         "gspde_report.json": {
-            "kappa": cfg.kappa, "eps": cfg.eps, "gamma": cfg.gamma,
+            "kappa": cfg.kappa, "eps": cfg.eps, "gamma": cfg.rate,
             "delta": cfg.delta, "per_scenario": scen_reports,
         },
         "gspde_solution.csv": (["path_id", "scenario_id", "t"] + index_cols + ["u"],
@@ -272,7 +272,7 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     dumped = []  # (scenario id, the dumped paths' Y and Z) per scenario
     for gbm in gbms:
         sol = solve_gbdsde_picard(problem, hunt, gbm, sec.basis, cfg,
-                                  ensemble=ensemble)
+                                  ensemble=ensemble, implicit_y=sec.implicit_y)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
                              for b in range(gbm.n_paths))
@@ -296,7 +296,7 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
               + [f"Z_{k + 1}" for k in range(hunt.dim)])
     artifacts = {
         "gbdsde_report.json": {
-            "kappa": cfg.kappa, "eps": cfg.eps, "beta": cfg.beta,
+            "kappa": cfg.kappa, "eps": cfg.eps, "beta": cfg.rate,
             "delta": cfg.delta, "per_scenario": scen_reports,
         },
         "bdsde_solution.csv": (header, dump_rows),
@@ -320,7 +320,7 @@ def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
     for gbm in gbms:
         fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm, op=op)
         sol = solve_gbdsde_picard(b_problem, hunt, gbm, exp.bdsde.basis, exp.bdsde_cfg,
-                                  ensemble=ensemble)
+                                  ensemble=ensemble, implicit_y=exp.bdsde.implicit_y)
         u_fields.append(fld)
         sols.append(sol)
     times = [f * grid.horizon for f in checkpoints]

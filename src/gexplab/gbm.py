@@ -75,29 +75,8 @@ def sample_driver(grid: TimeGrid, n_paths: int, dim: int, seed: int) -> DriverPa
     return DriverPaths(grid, dw, seed)
 
 
-def refine_driver(driver: DriverPaths, factor: int, seed: int | None = None) -> DriverPaths:
-    """Split each increment into ``factor`` conditioned sub-increments.
-
-    Brownian-bridge split: the sub-increments sum exactly to the original
-    increment, so coarse and fine grids share one underlying path.  Used by
-    refinement studies.
-    """
-    if factor < 1:
-        raise UsageError("refinement factor must be >= 1")
-    if factor == 1:
-        return driver
-    p, n, l = driver.increments.shape
-    rng = np.random.default_rng(driver.seed if seed is None else seed)
-    sub_dt = driver.grid.dt / factor
-    raw = rng.standard_normal((p, n, factor, l)) * np.sqrt(sub_dt)
-    # Condition each block on its sum matching the coarse increment.
-    correction = (driver.increments[:, :, None, :] - raw.sum(axis=2, keepdims=True)) / factor
-    fine = (raw + correction).reshape(p, n * factor, l)
-    return DriverPaths(TimeGrid(driver.grid.horizon, n * factor), fine, driver.seed)
-
-
 def coarsen_driver(driver: DriverPaths, factor: int) -> DriverPaths:
-    """Merge consecutive increments; the inverse of :func:`refine_driver`."""
+    """Merge consecutive increments onto a grid ``factor`` times coarser."""
     p, n, l = driver.increments.shape
     if factor < 1 or n % factor:
         raise UsageError(f"cannot coarsen {n} steps by factor {factor}")

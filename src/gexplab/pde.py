@@ -33,15 +33,17 @@ from ._util import Bound, Positive
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField
-from .picard import PicardReport, contraction_constants, iterate, weighted_quadrature
+from .picard import (
+    PicardConfig,
+    PicardReport,
+    increment_and_iterate_norms,
+    iterate,
+    weighted_quadrature,
+)
 from .scenario import ScenarioSet, sigma_bar
 
 DEFAULT_DT_MAX = 1.0 / 32.0
 BOUNDARY_DECAY_TOL = 1e-8
-# The fused norm pass takes the iterate in blocks of time slots of about
-# this many bytes: a block and its gradient stay in cache, while a block of
-# one slot of 6 paths on 161 nodes (8 KB) pays more in calls than in data.
-NORM_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -359,38 +361,11 @@ class GspdeProblem:
     def contraction_margin(self) -> float:
         return 2.0 * self.field.lam_min - self.alpha_bar * self.sigma_bar**2
 
-
-@dataclass(frozen=True)
-class PicardConfig:
-    """Constants of the fixed-point argument plus iteration controls.
-
-    Invariants: kappa = (c_bar eps + sigma_bar^2 alpha_bar) / (2 lam) < 1 and
-    delta = (gamma - 1/eps) / (2 lam) > 0.
-    """
-
-    eps: float
-    gamma: float
-    delta: float
-    kappa: float
-    max_iter: int = 25
-    tol_rel: float = 1e-6
-    rate = property(lambda self: self.gamma)
-
-    @classmethod
-    def from_problem(cls, problem: GspdeProblem, eps: Optional[float] = None,
-                     margin: float = 0.1, max_iter: int = 25,
-                     tol_rel: float = 1e-6) -> "PicardConfig":
-        sb2 = problem.sigma_bar**2
-        return cls(*contraction_constants(problem.c_bar, problem.alpha_bar * sb2, sb2,
-                                          problem.field.lam_min, eps, margin),
-                   max_iter, tol_rel)
-
-    def validate_against(self, problem: GspdeProblem) -> None:
-        sb2 = problem.sigma_bar**2
-        contraction_constants(problem.c_bar, problem.alpha_bar * sb2, sb2,
-                              problem.field.lam_min, self.eps)
-        if not (self.gamma - 1.0 / self.eps > 0.0):
-            raise UsageError("delta = (gamma - 1/eps) / (2 lambda) must be positive")
+    def contraction_inputs(self) -> tuple[float, float, float, float]:
+        """(lip, z_coef, sigma_bar^2, lam) of ``picard.contraction_constants``:
+        kappa = (c_bar eps + alpha_bar sigma_bar^2) / (2 lam)."""
+        sb2 = self.sigma_bar**2
+        return self.c_bar, self.alpha_bar * sb2, sb2, self.field.lam_min
 
 
 @dataclass(frozen=True)
@@ -434,27 +409,6 @@ def _hnorm_density(u: np.ndarray, sg: SpatialGrid, delta: float) -> np.ndarray:
     if delta != 0.0:
         total = total + delta * sg.l2_norm_sq(u)
     return total
-
-
-def _increment_and_iterate_norms(new: np.ndarray, old: np.ndarray, sg: SpatialGrid,
-                                 gamma: float, delta: float,
-                                 times: np.ndarray) -> tuple[float, float]:
-    """(gamma, delta) functionals of new - old and of new, iterates shaped
-    (paths, N+1, n_nodes).
-
-    One pass over the N left-endpoint slots, in blocks of about
-    NORM_BLOCK_BYTES, fills the density columns of both; each block's
-    difference and gradient is a cache-sized array, never a whole stack.
-    """
-    p, n = new.shape[0], new.shape[1] - 1
-    step = max(1, NORM_BLOCK_BYTES // (p * new.shape[2] * new.itemsize))
-    inc = np.empty((p, n))
-    cur = np.empty((p, n))
-    for lo in range(0, n, step):
-        block = slice(lo, min(lo + step, n))
-        inc[:, block] = _hnorm_density(new[:, block] - old[:, block], sg, delta)
-        cur[:, block] = _hnorm_density(new[:, block], sg, delta)
-    return weighted_quadrature(inc, gamma, times), weighted_quadrature(cur, gamma, times)
 
 
 def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
@@ -516,8 +470,8 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
         return (new_u,)
 
     def norms(new, old):
-        return _increment_and_iterate_norms(new[0], old[0], sg, cfg.gamma, cfg.delta,
-                                            tg.times)
+        return increment_and_iterate_norms(lambda u: _hnorm_density(u, sg, cfg.delta),
+                                           new, old, cfg.rate, tg.times)
 
     (u,), report = iterate(sweep, norms, (u,), cfg)
     return RandomField(u, tg, sg, gbm.scenario_id, gbm.fingerprint()), report

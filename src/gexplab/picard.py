@@ -3,9 +3,11 @@
 Existence and uniqueness for the grid equation and for the backward doubly
 stochastic equation rest on one argument: a Picard map contracts with
 constant kappa < 1 in an exponentially weighted space-time norm.  This
-module holds that argument once: the contraction constants, the weighted
-left-endpoint quadrature the norms are built on, and the iteration loop
-with its report.
+module holds that argument once: the contraction constants and the config
+built from them, the weighted left-endpoint quadrature the norms are built
+on, the fused pass giving the increment and iterate norms, and the
+iteration loop with its report.  A solver supplies only its four
+contraction inputs and its norm density.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, UsageError
+
+# The fused norm pass takes the iterate in blocks of time slots of about
+# this many bytes: a block and its temporaries stay in cache, while a block
+# of one small slot (6 paths on 161 nodes is 8 KB) pays more in calls than
+# in data.
+NORM_BLOCK_BYTES = 256 * 1024
 
 
 def contraction_constants(lip: float, z_coef: float, sigma_bar_sq: float, lam: float,
@@ -56,6 +64,56 @@ def weighted_quadrature(density: np.ndarray, rate: float, times: np.ndarray) -> 
     t0, t1 = times[:-1], times[1:]
     w = t1 - t0 if abs(rate) < 1e-300 else (np.exp(rate * t1) - np.exp(rate * t0)) / rate
     return float(np.mean(np.sum(density * w, axis=1)))
+
+
+@dataclass(frozen=True)
+class PicardConfig:
+    """Constants of the fixed-point argument plus iteration controls.
+
+    ``rate`` is the exponent of the norm weight: gamma for the grid
+    equation, beta for the backward one.  ``problem`` is anything with
+    ``contraction_inputs() -> (lip, z_coef, sigma_bar_sq, lam)``.
+    """
+
+    eps: float
+    rate: float
+    delta: float
+    kappa: float
+    max_iter: int = 25
+    tol_rel: float = 1e-6
+
+    @classmethod
+    def from_problem(cls, problem, eps: Optional[float] = None, margin: float = 0.1,
+                     max_iter: int = 25, tol_rel: float = 1e-6) -> "PicardConfig":
+        return cls(*contraction_constants(*problem.contraction_inputs(), eps, margin),
+                   max_iter, tol_rel)
+
+    def validate_against(self, problem) -> None:
+        contraction_constants(*problem.contraction_inputs(), self.eps)
+        if not (self.rate - 1.0 / self.eps > 0.0):
+            raise UsageError("delta = (rate - 1/eps) / (2 lambda) must be positive")
+
+
+def increment_and_iterate_norms(density, new: tuple, old: tuple, rate: float,
+                                times: np.ndarray) -> tuple[float, float]:
+    """weighted_quadrature of ``density`` on new - old and on new.
+
+    ``new`` and ``old`` are state tuples of arrays shaped (paths, N+1, ...)
+    and ``density(*arrays)`` maps their slices (paths, k, ...) to (paths, k),
+    reducing each row on its own.  One pass over the N left-endpoint slots,
+    in blocks of about NORM_BLOCK_BYTES of the whole tuple (at least one
+    slot), fills the density columns of both; each block's difference is a
+    cache-sized array, never a whole stack.
+    """
+    p, n = new[0].shape[0], new[0].shape[1] - 1
+    step = max(1, NORM_BLOCK_BYTES // sum(a[:, 0].nbytes for a in new))
+    inc = np.empty((p, n))
+    cur = np.empty((p, n))
+    for lo in range(0, n, step):
+        block = slice(lo, min(lo + step, n))
+        inc[:, block] = density(*(a[:, block] - b[:, block] for a, b in zip(new, old)))
+        cur[:, block] = density(*(a[:, block] for a in new))
+    return weighted_quadrature(inc, rate, times), weighted_quadrature(cur, rate, times)
 
 
 @dataclass(frozen=True)

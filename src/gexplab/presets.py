@@ -116,7 +116,9 @@ def _constant_terminal(*, value: float):
 def _gaussian_bump_terminal(*, amplitude: float = 1.0, width: Positive = 1.0,
                             center: float = 0.0):
     def fn(pts):
-        return amplitude * np.exp(-0.5 * np.sum((pts - center) ** 2, axis=1) / width**2)
+        # width * width, not width**2: a float power raises OverflowError for a
+        # width past 1e154, where the product goes to inf and the bump to flat.
+        return amplitude * np.exp(-0.5 * np.sum((pts - center) ** 2, axis=1) / (width * width))
 
     return fn, True
 

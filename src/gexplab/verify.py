@@ -203,9 +203,6 @@ class ComparisonReport:
     collar_frac: float
     per_scenario: tuple
 
-    def passes(self, expected_shift: float = 0.0) -> bool:
-        return self.min_gap >= expected_shift - self.eps_grid
-
 
 def _sample_ordering(problem_a: GspdeProblem, problem_b: GspdeProblem,
                      y_range=(-2.0, 2.0), z_range=(-2.0, 2.0), n_samples: int = 5) -> None:

@@ -1,13 +1,13 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexplab import bdsde
+from gexplab import bdsde, picard
 from gexplab.bdsde import (
-    BdsdePicardConfig,
     BdsdeProblem,
     LsmcEnsemble,
     RegressionBasis,
@@ -17,12 +17,17 @@ from gexplab.bdsde import (
     solve_gbdsde_picard,
     solve_linear_bdsde,
 )
-from gexplab.bdsde import BdsdeSolution, _increment_and_iterate_norms
+from gexplab.bdsde import BdsdeSolution, _delta_density
 from gexplab.errors import NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
 from gexplab.pde import SpatialGrid, apply_semigroup, discretize_operator
-from gexplab.picard import iterate, weighted_quadrature
+from gexplab.picard import (
+    PicardConfig,
+    increment_and_iterate_norms,
+    iterate,
+    weighted_quadrature,
+)
 from gexplab.scenario import ScenarioSet, constant_schedule
 
 
@@ -98,12 +103,16 @@ def test_degenerate_positions_fall_back_to_constant():
 
 # -- extract_z -------------------------------------------------------------------
 
+def slot_z(next_values, hunt, field, i, dt):
+    return extract_z(next_values, hunt.dm[:, i], RegressionContext(hunt.x[:, i], BASIS),
+                     np.linalg.inv(field.a_at(hunt.x[:, i])), dt)
+
+
 def test_extract_z_constant_next_value_is_noise_level():
     field, hunt, _ = make_ensembles(n_w=4000)
     i, c = 3, 2.0
     dt = hunt.grid.dt
-    z = extract_z(np.full(hunt.n_paths, c), hunt.dm[:, i],
-                  field.a_at(hunt.x[:, i]), hunt.x[:, i], BASIS, dt)
+    z = slot_z(np.full(hunt.n_paths, c), hunt, field, i, dt)
     # The Z estimator divides the regressed moment by 2 a dt, so its mean
     # carries standard error ~ c std(dM) / (2 a dt sqrt(n)).
     se = c * np.std(hunt.dm[:, i, 0]) / (2.0 * 0.5 * dt) / np.sqrt(hunt.n_paths)
@@ -115,16 +124,14 @@ def test_extract_z_martingale_level_recovers_unity():
     field, hunt, _ = make_ensembles(n_w=20_000, n_steps=8)
     i = 5
     m_next = hunt.dm[:, : i + 1, 0].sum(axis=1)
-    z = extract_z(m_next, hunt.dm[:, i], field.a_at(hunt.x[:, i]),
-                  hunt.x[:, i], BASIS, hunt.grid.dt)
+    z = slot_z(m_next, hunt, field, i, hunt.grid.dt)
     assert abs(float(np.mean(z)) - 1.0) <= 0.05
 
 
 def test_extract_z_rejects_bad_dt():
     field, hunt, _ = make_ensembles(n_w=200)
     with pytest.raises(UsageError):
-        extract_z(np.zeros(200), hunt.dm[:, 0], field.a_at(hunt.x[:, 0]),
-                  hunt.x[:, 0], BASIS, 0.0)
+        slot_z(np.zeros(200), hunt, field, 0, 0.0)
 
 
 # -- linear solver ---------------------------------------------------------------
@@ -230,9 +237,13 @@ def whole_stack_delta_norm(y, z, beta, delta, weights, times):
 @given(n_b=st.integers(1, 4), n_steps=st.integers(1, 6), n_w=st.integers(1, 40),
        d=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
        beta=st.floats(0.0, 8.0), delta=st.floats(0.0, 20.0),
-       horizon=st.floats(0.05, 3.0))
+       horizon=st.floats(0.05, 3.0),
+       block_bytes=st.sampled_from([1, 600, 2000, picard.NORM_BLOCK_BYTES]))
 def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, seed,
-                                                         beta, delta, horizon):
+                                                         beta, delta, horizon, block_bytes):
+    # The backward Picard loop builds both (Y, Z) densities in one pass over
+    # blocks of time slots (one slot, a few, all); the solver iterates on the
+    # square root of the quadrature, which must give the whole-stack norms.
     rng = np.random.default_rng(seed)
     tg = TimeGrid(horizon, n_steps)
     weights = rng.uniform(0.1, 3.0, n_w)
@@ -240,14 +251,20 @@ def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, s
            rng.standard_normal((n_b, n_steps + 1, n_w, d)))
     new = (rng.standard_normal((n_b, n_steps + 1, n_w)),
            rng.standard_normal((n_b, n_steps + 1, n_w, d)))
-    inc, cur = _increment_and_iterate_norms(new, old, beta, delta, weights, tg.times)
+
+    def density(y, z):
+        return _delta_density(y, z, delta, weights)
+
+    with mock.patch.object(picard, "NORM_BLOCK_BYTES", block_bytes):
+        inc, cur = increment_and_iterate_norms(density, new, old, beta, tg.times)
+        same, same_cur = increment_and_iterate_norms(density, new, new, beta, tg.times)
+    inc, cur = np.sqrt(inc), np.sqrt(cur)
     assert inc == whole_stack_delta_norm(new[0] - old[0], new[1] - old[1], beta, delta,
                                          weights, tg.times)
     assert cur == whole_stack_delta_norm(*new, beta, delta, weights, tg.times)
     assert cur == delta_norm(BdsdeSolution(*new, tg, 0, weights), beta, delta)
-    same, same_cur = _increment_and_iterate_norms(new, new, beta, delta, weights, tg.times)
     assert same == 0.0
-    assert same_cur == cur
+    assert np.sqrt(same_cur) == cur
 
 
 # -- outer Picard loop --------------------------------------------------------------
@@ -301,7 +318,7 @@ def test_picard_contraction_ratios_under_proof_bound():
     field, hunt, gbm = make_ensembles(n_steps=16, horizon=1.0, n_w=2000,
                                       a_value=1.0, scen=scen, seed=91)
     prob = representation_free_problem(field, scen, hunt.grid)
-    cfg = BdsdePicardConfig.from_problem(prob, max_iter=20, tol_rel=1e-7)
+    cfg = PicardConfig.from_problem(prob, max_iter=20, tol_rel=1e-7)
     # Recipe: eps = (2 lam (1 - 0.1) - alpha Lam sb^2) / K, kappa = 0.9.
     assert cfg.kappa == pytest.approx(0.9)
     sol = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg)
@@ -320,10 +337,10 @@ def test_picard_implicit_variant_agrees():
                                       a_value=1.0, scen=scen, seed=97)
     prob = representation_free_problem(field, scen, hunt.grid)
     explicit = solve_gbdsde_picard(prob, hunt, gbm, BASIS,
-                                   BdsdePicardConfig.from_problem(prob, tol_rel=1e-8))
+                                   PicardConfig.from_problem(prob, tol_rel=1e-8))
     implicit = solve_gbdsde_picard(prob, hunt, gbm, BASIS,
-                                   BdsdePicardConfig.from_problem(prob, tol_rel=1e-8,
-                                                                  implicit_y=True))
+                                   PicardConfig.from_problem(prob, tol_rel=1e-8),
+                                   implicit_y=True)
     scale = float(np.max(np.abs(explicit.y)))
     assert np.max(np.abs(explicit.y - implicit.y)) <= 0.05 * scale
 
@@ -349,10 +366,21 @@ def test_contraction_violation_rejected():
                      0.0, 4.0, field, gbm.scenarios, hunt.grid)
 
 
+def test_config_with_kappa_at_least_one_rejected():
+    # eps = 4 keeps kappa at 0.75 for K = 0.25 but gives 1.25 for K = 0.5.
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=400, a_value=1.0)
+    cfg = PicardConfig.from_problem(
+        representation_free_problem(field, gbm.scenarios, hunt.grid, k=0.25), eps=4.0)
+    assert cfg.kappa == pytest.approx(0.75)
+    stiffer = representation_free_problem(field, gbm.scenarios, hunt.grid, k=0.5)
+    with pytest.raises(UsageError, match="kappa"):
+        solve_gbdsde_picard(stiffer, hunt, gbm, BASIS, cfg)
+
+
 def test_nonconvergence_carries_report():
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
-    cfg = BdsdePicardConfig.from_problem(prob, max_iter=1, tol_rel=1e-14)
+    cfg = PicardConfig.from_problem(prob, max_iter=1, tol_rel=1e-14)
     with pytest.raises(NumericalError) as err:
         solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg)
     assert err.value.report is not None
@@ -409,12 +437,14 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
         return (f_i + np.nan, g_i + np.nan) if i == 0 else (f_i, g_i)
 
     for implicit_y in (False, True):
-        cfg = BdsdePicardConfig.from_problem(prob, tol_rel=1e-8, implicit_y=implicit_y)
+        cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
         monkeypatch.setattr(bdsde, "_slot_drivers", slot_drivers)
-        clean = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+        clean = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens,
+                                    implicit_y=implicit_y)
         monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
         slots.clear()
-        poisoned = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+        poisoned = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens,
+                                       implicit_y=implicit_y)
         sweeps = clean.picard_report.iterations
         assert slots == list(range(hunt.grid.n_steps, 0, -1)) * sweeps
         assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
@@ -454,13 +484,12 @@ def stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z_prev):
         v_here = np.einsum("bwd,wdk->bwk", z_prev[:, i], ens.sigma[i])
         y[:, i] = fitted[0] + dt * np.asarray(
             problem.f(hunt.grid.times[i], hunt.x[:, i, :], fitted[1], v_here))
-        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], dt=dt, context=ctx,
-                            a_inverse=ens.a_inverse[i])
+        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ens.a_inverse[i], dt)
     z[:, n] = z[:, n - 1]
     return y, z
 
 
-def stacked_picard(problem, ens, gbm, cfg):
+def stacked_picard(problem, ens, gbm, cfg, implicit_y):
     """Reference Picard loop: each sweep builds the driver stacks first and
     feeds them to the array API of solve_linear_bdsde (or the implicit
     reference)."""
@@ -470,14 +499,17 @@ def stacked_picard(problem, ens, gbm, cfg):
 
     def sweep(y, z):
         f_arr, g_arr = stacked_drivers(problem, y, z, ens)
-        if cfg.implicit_y:
+        if implicit_y:
             return stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z)
         sol = solve_linear_bdsde(f_arr, g_arr, xi, ens, gbm)
         return sol.y, sol.z
 
+    def density(y, z):
+        return _delta_density(y, z, cfg.delta, hunt.weights)
+
     def norms(new, old):
-        return _increment_and_iterate_norms(new, old, cfg.beta, cfg.delta, hunt.weights,
-                                            hunt.grid.times)
+        inc, cur = increment_and_iterate_norms(density, new, old, cfg.rate, hunt.grid.times)
+        return float(np.sqrt(inc)), float(np.sqrt(cur))
 
     start = (np.zeros((gbm.n_paths, n + 1, n_w)), np.zeros((gbm.n_paths, n + 1, n_w, d)))
     (y, z), report = iterate(sweep, norms, start, cfg)
@@ -521,9 +553,10 @@ def test_slot_recursion_matches_stacked_array_api_bitwise(d, l, n_b, n_steps, n_
                     scen)
     ens = LsmcEnsemble(hunt, RegressionBasis("polynomial", degree=2), field)
     prob = mixed_problem(field, scen, tg)
-    cfg = BdsdePicardConfig.from_problem(prob, max_iter=12, implicit_y=implicit_y)
-    y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
-    sol = solve_gbdsde_picard(prob, hunt, gbm, ens.basis, cfg, ensemble=ens)
+    cfg = PicardConfig.from_problem(prob, max_iter=12)
+    y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg, implicit_y)
+    sol = solve_gbdsde_picard(prob, hunt, gbm, ens.basis, cfg, ensemble=ens,
+                              implicit_y=implicit_y)
     assert sol.picard_report == rep_ref
     assert np.array_equal(sol.y, y_ref) and np.array_equal(sol.z, z_ref)
 
@@ -534,7 +567,7 @@ def test_picard_peak_memory_is_slot_sized():
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=20000)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
-    cfg = BdsdePicardConfig.from_problem(prob)
+    cfg = PicardConfig.from_problem(prob)
     stack_bytes = gbm.n_paths * (hunt.grid.n_steps + 1) * hunt.n_paths * 8
     tracemalloc.start()
     try:

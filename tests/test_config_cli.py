@@ -47,6 +47,14 @@ def test_default_config_validates():
     assert report["sigma_bar"] == pytest.approx(1.0)
 
 
+def test_gaussian_bump_width_past_float_square_range_validates():
+    # 2**512 squared is past the largest float: the bump goes flat, no OverflowError.
+    cfg = default_config()
+    assert cfg["terminal"]["preset"] == "gaussian-bump"
+    cfg["terminal"]["width"] = 2.0**512
+    validate_config(cfg)
+
+
 def test_unknown_key_rejected():
     cfg = default_config()
     cfg["no_such_key"] = 1

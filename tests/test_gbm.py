@@ -8,7 +8,6 @@ from gexplab.gbm import (
     build_gbm,
     coarsen_driver,
     integral_diagnostics,
-    refine_driver,
     sample_driver,
 )
 from gexplab.scenario import ControlSchedule, ScenarioSet, constant_schedule
@@ -168,11 +167,11 @@ def test_quadratic_variation_bounded_by_sigma_bar():
 
 
 def test_refine_and_coarsen_roundtrip():
-    grid = TimeGrid(1.0, 8)
-    driver = sample_driver(grid, 5, 2, seed=1)
-    fine = refine_driver(driver, 4)
-    assert fine.grid.n_steps == 32
+    # A fine driver coarsened by 4 carries the blockwise sums of its increments.
+    fine = sample_driver(TimeGrid(1.0, 32), 5, 2, seed=1)
     back = coarsen_driver(fine, 4)
-    assert np.allclose(back.increments, driver.increments, atol=1e-12)
+    assert back.grid == TimeGrid(1.0, 8)
+    blocks = sum(fine.increments[:, k::4] for k in range(4))
+    assert np.allclose(back.increments, blocks, rtol=0.0, atol=1e-15)
     with pytest.raises(UsageError):
-        coarsen_driver(driver, 3)
+        coarsen_driver(back, 3)

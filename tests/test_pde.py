@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexplab import pde
+from gexplab import picard
+
 from gexplab.errors import UsageError
 from gexplab.gbm import TimeGrid, build_gbm, coarsen_driver, sample_driver
 from gexplab.hunt import CoefficientField
@@ -29,8 +30,8 @@ from gexplab.pde import (
     weak_residual,
     zero_noise,
 )
-from gexplab.pde import RandomField, _hnorm_density, _increment_and_iterate_norms
-from gexplab.picard import weighted_quadrature
+from gexplab.pde import RandomField, _hnorm_density
+from gexplab.picard import increment_and_iterate_norms, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
 
 
@@ -298,7 +299,7 @@ def test_hnorm_exponential_weight_exact():
        m=st.integers(3, 14), p=st.integers(1, 4), n_steps=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 8.0),
        delta=st.one_of(st.just(0.0), st.floats(0.0, 20.0)), horizon=st.floats(0.05, 3.0),
-       block_bytes=st.sampled_from([1, 600, 2000, pde.NORM_BLOCK_BYTES]))
+       block_bytes=st.sampled_from([1, 600, 2000, picard.NORM_BLOCK_BYTES]))
 def test_fused_grid_norms_match_whole_stack_bitwise(dim, boundary, m, p, n_steps, seed,
                                                     gamma, delta, horizon, block_bytes):
     # The grid Picard loop builds both densities in one pass over blocks of
@@ -310,12 +311,15 @@ def test_fused_grid_norms_match_whole_stack_bitwise(dim, boundary, m, p, n_steps
     old = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
     new = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
 
-    def norm(u):
-        return weighted_quadrature(_hnorm_density(u[:, :-1], sg, delta), gamma, tg.times)
+    def density(u):
+        return _hnorm_density(u, sg, delta)
 
-    with mock.patch.object(pde, "NORM_BLOCK_BYTES", block_bytes):
-        inc, cur = _increment_and_iterate_norms(new, old, sg, gamma, delta, tg.times)
-        same, same_cur = _increment_and_iterate_norms(new, new, sg, gamma, delta, tg.times)
+    def norm(u):
+        return weighted_quadrature(density(u[:, :-1]), gamma, tg.times)
+
+    with mock.patch.object(picard, "NORM_BLOCK_BYTES", block_bytes):
+        inc, cur = increment_and_iterate_norms(density, (new,), (old,), gamma, tg.times)
+        same, same_cur = increment_and_iterate_norms(density, (new,), (new,), gamma, tg.times)
     assert inc == norm(new - old)
     assert cur == norm(new)
     assert cur == hnorm_gamma_delta(RandomField(new, tg, sg, 0), gamma, delta)
@@ -349,7 +353,7 @@ def test_picard_config_recipe():
     # kappa = (0.25*0.4 + 0.5)/2 = 0.3 for sigma_bar = lam = 1.
     assert cfg.kappa == pytest.approx(0.3)
     assert cfg.delta == pytest.approx(0.25 * 1.4 / 0.6)
-    assert cfg.gamma == pytest.approx(1 / 0.4 + 2 * cfg.delta)
+    assert cfg.rate == pytest.approx(1 / 0.4 + 2 * cfg.delta)
     cfg.validate_against(problem)
     auto = PicardConfig.from_problem(problem)
     assert auto.kappa <= 0.9 + 1e-12
@@ -466,8 +470,8 @@ def test_uniqueness_surrogate_two_initial_guesses():
     f0, _ = solve_gspde_picard(problem, cfg, gbm, initial="zero")
     f1, _ = solve_gspde_picard(problem, cfg, gbm, initial="homogeneous")
     diff = RandomField(f0.values - f1.values, problem.time_grid, problem.space_grid, 0)
-    rel = hnorm_gamma_delta(diff, cfg.gamma, cfg.delta) / max(
-        hnorm_gamma_delta(f0, cfg.gamma, cfg.delta), 1e-300)
+    rel = hnorm_gamma_delta(diff, cfg.rate, cfg.delta) / max(
+        hnorm_gamma_delta(f0, cfg.rate, cfg.delta), 1e-300)
     assert rel <= cfg.tol_rel * 10
 
 

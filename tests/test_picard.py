@@ -3,8 +3,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gexplab.bdsde import BdsdeProblem
 from gexplab.errors import NumericalError
-from gexplab.picard import iterate
+from gexplab.gbm import TimeGrid
+from gexplab.hunt import CoefficientField
+from gexplab.pde import (
+    GspdeProblem,
+    NoiseTerm,
+    ReactionTerm,
+    SpatialGrid,
+)
+from gexplab.picard import PicardConfig, iterate
+from gexplab.scenario import ScenarioSet
 
 
 def toy_cfg(max_iter=50, tol_rel=1e-3):
@@ -60,3 +70,49 @@ def test_iterate_nonfinite_norm_stops_at_once():
     assert not err.value.report.converged
     assert err.value.report.iterations == 1
     assert toy.sweeps == 1 and toy.norm_calls == 1
+
+
+# -- config ---------------------------------------------------------------------
+
+def _field(lam_min, lam_max):
+    return CoefficientField(1, lambda pts: np.ones((pts.shape[0], 1, 1)), lam_min, lam_max)
+
+
+SCENARIOS = ScenarioSet.from_list([[[0.8]], [[0.5]]])  # sigma_bar = 0.8
+
+
+def test_config_from_gspde_problem_matches_formulas():
+    # kappa = (c_bar eps + alpha_bar sigma_bar^2) / (2 lam),
+    # delta = c_bar (sigma_bar^2 + eps) / (c_bar eps + alpha_bar sigma_bar^2),
+    # gamma = 1/eps + 2 lam delta; c_bar = max(0.3, 0.2), alpha_bar = 0.5.
+    sg = SpatialGrid(1, 8.0, 33, "periodic")
+    problem = GspdeProblem(
+        terminal=np.zeros(sg.n_nodes),
+        reaction=ReactionTerm(lambda t, x, y, z: np.zeros_like(y), 0.3),
+        noise=NoiseTerm(lambda t, x, y, z: np.zeros(np.shape(y) + (1,)), 1, 0.2, 0.5),
+        field=_field(0.8, 1.2), scenarios=SCENARIOS, time_grid=TimeGrid(0.5, 4),
+        space_grid=sg)
+    cfg = PicardConfig.from_problem(problem, eps=0.5, max_iter=7, tol_rel=1e-4)
+    delta = 0.3 * (0.64 + 0.5) / (0.3 * 0.5 + 0.5 * 0.64)
+    expected = (0.5, 1 / 0.5 + 2 * 0.8 * delta, delta, (0.3 * 0.5 + 0.5 * 0.64) / (2 * 0.8))
+    assert (cfg.eps, cfg.rate, cfg.delta, cfg.kappa) == pytest.approx(expected, rel=1e-12)
+    assert (cfg.max_iter, cfg.tol_rel) == (7, 1e-4)
+    cfg.validate_against(problem)
+
+
+def test_config_from_bdsde_problem_matches_formulas():
+    # kappa = (K eps + alpha Lambda sigma_bar^2) / (2 lambda) with Lambda = lam_max,
+    # lambda = lam_min; without eps the largest one giving kappa = 0.9.
+    problem = BdsdeProblem(lambda pts: np.zeros(pts.shape[0]),
+                           lambda t, x, y, v: np.zeros_like(y),
+                           lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
+                           0.25, 0.5, _field(0.8, 1.2), SCENARIOS, TimeGrid(0.5, 4))
+    z_coef = 0.5 * 1.2 * 0.64
+    for eps_in, eps in ((0.5, 0.5), (None, (2 * 0.8 * 0.9 - z_coef) / 0.25)):
+        cfg = PicardConfig.from_problem(problem, eps=eps_in)
+        delta = 0.25 * (0.64 + eps) / (0.25 * eps + z_coef)
+        expected = (eps, 1 / eps + 2 * 0.8 * delta, delta, (0.25 * eps + z_coef) / (2 * 0.8))
+        assert (cfg.eps, cfg.rate, cfg.delta, cfg.kappa) == pytest.approx(expected, rel=1e-12)
+        assert (cfg.max_iter, cfg.tol_rel) == (25, 1e-6)
+        cfg.validate_against(problem)
+    assert cfg.kappa == pytest.approx(0.9, rel=1e-12)
