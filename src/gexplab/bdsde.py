@@ -10,7 +10,7 @@ targets as constants.  The backward recursion is
 
 where the Z scaling comes from the bracket <M> = 2 int a(X) ds.  Y at the
 horizon is the terminal payoff bitwise; Z at the horizon copies the last
-regressed slot and is flagged, not extrapolated.
+regressed slot rather than being extrapolated.
 """
 
 from __future__ import annotations
@@ -177,14 +177,12 @@ class RegressionContext:
 
 
 class LsmcEnsemble:
-    """Per-time-slot regression contexts plus coefficient caches for one
+    """Per-time-slot regression contexts, a(X)^{-1} and sigma(X) for one
     diffusion ensemble."""
 
     def __init__(self, hunt: HuntPaths, basis: RegressionBasis,
                  field_spec: CoefficientField):
         self.hunt = hunt
-        self.basis = basis
-        self.field = field_spec
         n = hunt.grid.n_steps
         self.contexts = [RegressionContext(hunt.x[:, i, :], basis) for i in range(n)]
         a_values = np.stack([field_spec.a_at(hunt.x[:, i, :]) for i in range(n)])
@@ -229,74 +227,30 @@ class BdsdeSolution:
     weights: np.ndarray = field(repr=False)
     hunt_fingerprint: tuple = ()
     gbm_fingerprint: tuple = ()
-    terminal_z_copied: bool = True
     picard_report: Optional[PicardReport] = None
 
 
-def _broadcast_driver(values, n_b: int, n_slots: int, n_w: int, trailing=()):
-    """Accept (n_b, slots, n_W[, l]) or (slots, n_W[, l]) or None."""
-    target = (n_b, n_slots, n_w) + trailing
-    if values is None:
-        return np.zeros(target)
-    arr = np.asarray(values, dtype=float)
-    if arr.shape == target[1:]:
-        arr = np.broadcast_to(arr, target)
-    if arr.shape != target:
-        raise UsageError(f"driver data has shape {arr.shape}, expected {target}")
-    return arr
+def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths, drivers: Callable,
+                       left_reaction: Optional[Callable] = None) -> BdsdeSolution:
+    """The slot-by-slot recursion from the terminal payoff ``xi`` on the
+    diffusion ensemble back to t_0, for (y, z)-independent driver data.
 
-
-def solve_linear_bdsde(f_vals, g_vals, xi_vals, ensemble, gbm: GBMPaths,
-                       basis: Optional[RegressionBasis] = None,
-                       field_spec: Optional[CoefficientField] = None,
-                       drivers: Optional[Callable] = None) -> BdsdeSolution:
-    """Backward recursion for given (y, z)-independent driver data.
-
-    ``f_vals`` and ``g_vals`` are slot arrays aligned with the time grid
-    (slot i+1 pairs with dB_i); ``xi_vals`` is the terminal payoff on the
-    diffusion ensemble.  ``ensemble`` is an LsmcEnsemble, or a HuntPaths
-    given ``basis`` and ``field_spec``.  In place of the arrays, ``drivers(i)``
-    may return the (n_b, n_W) and (n_b, n_W, l) driver values at slot i; it
-    is called for slots N..1, each right before the recursion reads it.
+    ``drivers(i)`` returns the (n_b, n_W) f and the (n_b, n_W, l) g at time
+    slot i, which pairs with dB_{i-1}.  It is called for slots N..1, each
+    right before slot i-1 regresses on the target built from it, so only one
+    slot of driver data is alive at a time.  With ``left_reaction(i, y_pred)``
+    the step is implicit in Y: the reaction moves to the left endpoint,
+    evaluated at the regressed one-sweep predictor ``y_pred`` of Y_i, while
+    ``drivers`` still supplies g.
     """
-    if isinstance(ensemble, HuntPaths):
-        if basis is None or field_spec is None:
-            raise UsageError("building an ensemble needs a basis and a coefficient field")
-        ensemble = LsmcEnsemble(ensemble, basis, field_spec)
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
         raise UsageError("diffusion ensemble and noise paths use different time grids")
-    n, n_w = hunt.grid.n_steps, hunt.n_paths
-    n_b, l = gbm.n_paths, gbm.dim
-    xi = np.asarray(xi_vals, dtype=float)
-    if xi.shape != (n_w,):
-        raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
-    if drivers is None:
-        f_arr = _broadcast_driver(f_vals, n_b, n + 1, n_w)
-        g_arr = _broadcast_driver(g_vals, n_b, n + 1, n_w, (l,))
-
-        def drivers(i):
-            return f_arr[:, i], g_arr[:, i]
-    elif f_vals is not None or g_vals is not None:
-        raise UsageError("give driver arrays or a driver callable, not both")
-    y, z = _backward(ensemble, gbm, xi, drivers)
-    return BdsdeSolution(y, z, hunt.grid, gbm.scenario_id, hunt.weights,
-                         hunt.fingerprint(), gbm.fingerprint())
-
-
-def _backward(ensemble: LsmcEnsemble, gbm: GBMPaths, xi: np.ndarray, drivers: Callable,
-              left_reaction: Optional[Callable] = None) -> tuple[np.ndarray, np.ndarray]:
-    """The slot-by-slot recursion from the terminal payoff ``xi`` back to t_0.
-
-    Slot i regresses on the target built from Y_{i+1} and ``drivers(i + 1)``,
-    so only one slot of driver data is alive at a time.  With
-    ``left_reaction(i, y_pred)`` the step is implicit in Y: the reaction
-    moves to the left endpoint, evaluated at the regressed one-sweep
-    predictor ``y_pred`` of Y_i, while ``drivers`` still supplies g.
-    """
-    hunt = ensemble.hunt
     n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
     dt = hunt.grid.dt
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n_w,):
+        raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
     y = np.empty((gbm.n_paths, n + 1, n_w))
     z = np.empty((gbm.n_paths, n + 1, n_w, d))
     y[:, n] = xi
@@ -313,7 +267,8 @@ def _backward(ensemble: LsmcEnsemble, gbm: GBMPaths, xi: np.ndarray, drivers: Ca
             y[:, i] = fitted[0] + dt * left_reaction(i, fitted[1])
         z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
     z[:, n] = z[:, n - 1]
-    return y, z
+    return BdsdeSolution(y, z, hunt.grid, gbm.scenario_id, hunt.weights,
+                         hunt.fingerprint(), gbm.fingerprint())
 
 
 def delta_norm(solutions, beta: float, delta: float) -> float:
@@ -391,25 +346,21 @@ def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, y, z, i: int, t
             np.asarray(problem.g(t, x_here, y[:, i], v), dtype=float))
 
 
-def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
-                        basis: RegressionBasis,
-                        cfg: Optional[PicardConfig] = None,
-                        ensemble: Optional[LsmcEnsemble] = None,
-                        implicit_y: bool = False) -> BdsdeSolution:
+def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
+                        cfg: PicardConfig, implicit_y: bool = False) -> BdsdeSolution:
     """Outer fixed-point loop: each iteration freezes the drivers at the
     previous (Y, Z) and solves the resulting linear equation by regression.
 
-    Convergence is monitored in the (beta, delta)-norm of the increments,
-    relative to the iterate norm; the report carries the ratio history.
-    With ``implicit_y`` the reaction is taken at the left endpoint.
+    The terminal payoff, the paths and their weights are those of
+    ``ensemble.hunt``.  Convergence is monitored in the (beta, delta)-norm
+    of the increments, relative to the iterate norm; the report carries the
+    ratio history.  With ``implicit_y`` the reaction is taken at the left
+    endpoint.
     """
-    if cfg is None:
-        cfg = PicardConfig.from_problem(problem, max_iter=20)
     cfg.validate_against(problem)
+    hunt = ensemble.hunt
     if hunt.grid != problem.time_grid or gbm.grid != problem.time_grid:
         raise UsageError("ensembles and problem use different time grids")
-    if ensemble is None:
-        ensemble = LsmcEnsemble(hunt, basis, problem.field)
     n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
     n_b = gbm.n_paths
     times = problem.time_grid.times
@@ -419,16 +370,14 @@ def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
         def drivers(i):
             return _slot_drivers(problem, ensemble, y, z, i, times[i])
 
-        if not implicit_y:
-            sol = solve_linear_bdsde(None, None, xi, ensemble, gbm, drivers=drivers)
-            return sol.y, sol.z
-
         # Implicit in Y: g and the z slot stay frozen at the previous iterate.
         def left_reaction(i, y_pred):
             v = np.einsum("bwd,wdk->bwk", z[:, i], ensemble.sigma[i])
             return np.asarray(problem.f(times[i], hunt.x[:, i, :], y_pred, v))
 
-        return _backward(ensemble, gbm, xi, drivers, left_reaction)
+        sol = solve_linear_bdsde(xi, ensemble, gbm, drivers,
+                                 left_reaction if implicit_y else None)
+        return sol.y, sol.z
 
     def density(y, z):
         return _delta_density(y, z, cfg.delta, hunt.weights)
@@ -440,5 +389,4 @@ def solve_gbdsde_picard(problem: BdsdeProblem, hunt: HuntPaths, gbm: GBMPaths,
     (y, z), report = iterate(sweep, norms, (np.zeros((n_b, n + 1, n_w)),
                                             np.zeros((n_b, n + 1, n_w, d))), cfg)
     return BdsdeSolution(y, z, problem.time_grid, gbm.scenario_id, hunt.weights,
-                         hunt.fingerprint(), gbm.fingerprint(),
-                         terminal_z_copied=True, picard_report=report)
+                         hunt.fingerprint(), gbm.fingerprint(), picard_report=report)

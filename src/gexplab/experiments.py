@@ -271,8 +271,7 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     scen_reports = []
     dumped = []  # (scenario id, the dumped paths' Y and Z) per scenario
     for gbm in gbms:
-        sol = solve_gbdsde_picard(problem, hunt, gbm, sec.basis, cfg,
-                                  ensemble=ensemble, implicit_y=sec.implicit_y)
+        sol = solve_gbdsde_picard(problem, ensemble, gbm, cfg, sec.implicit_y)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
                              for b in range(gbm.n_paths))
@@ -319,8 +318,8 @@ def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
     u_fields, sols = [], []
     for gbm in gbms:
         fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm, op=op)
-        sol = solve_gbdsde_picard(b_problem, hunt, gbm, exp.bdsde.basis, exp.bdsde_cfg,
-                                  ensemble=ensemble, implicit_y=exp.bdsde.implicit_y)
+        sol = solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg,
+                                  exp.bdsde.implicit_y)
         u_fields.append(fld)
         sols.append(sol)
     times = [f * grid.horizon for f in checkpoints]
@@ -382,8 +381,7 @@ def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
     problems_b = [replace(problem_a, terminal=problem_a.terminal + case.terminal_shift,
                           reaction=shifted_reaction(problem_a.reaction, case.reaction_shift),
                           check_boundary_decay=False) for case in cases]
-    reports = verify.check_comparison(problem_a, problems_b, cfg, cfg, gbms,
-                                      collar_frac=collar)
+    reports = verify.check_comparison(problem_a, problems_b, cfg, gbms, collar_frac=collar)
 
     rows: list[CheckRow] = []
     case_reports = []

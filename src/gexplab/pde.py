@@ -441,8 +441,7 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
     tg, sg = problem.time_grid, problem.space_grid
     if gbm.grid != tg:
         raise UsageError("path bundle and problem use different time grids")
-    if gbm.scenarios.matrices.shape != problem.scenarios.matrices.shape or \
-            not np.array_equal(gbm.scenarios.matrices, problem.scenarios.matrices):
+    if not np.array_equal(gbm.scenarios.matrices, problem.scenarios.matrices):
         raise UsageError("path bundle and problem use different scenario sets")
     if op is None:
         op = discretize_operator(problem.field, sg)

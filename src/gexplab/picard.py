@@ -89,9 +89,13 @@ class PicardConfig:
                    max_iter, tol_rel)
 
     def validate_against(self, problem) -> None:
-        contraction_constants(*problem.contraction_inputs(), self.eps)
-        if not (self.rate - 1.0 / self.eps > 0.0):
-            raise UsageError("delta = (rate - 1/eps) / (2 lambda) must be positive")
+        """Raise unless (eps, rate, delta, kappa) are ``problem``'s constants
+        at this eps, so the norms and the reported kappa are its own."""
+        own = contraction_constants(*problem.contraction_inputs(), self.eps)
+        if own != (self.eps, self.rate, self.delta, self.kappa):
+            raise UsageError(f"config was built for another problem: its kappa is "
+                             f"{self.kappa:.6g}, the problem's is {own[3]:.6g} at eps = "
+                             f"{self.eps:.6g}")
 
 
 def increment_and_iterate_norms(density, new: tuple, old: tuple, rate: float,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bdsde import BdsdeSolution
 from .errors import UsageError
-from .gbm import GBMPaths, coarsen_gbm
+from .gbm import GBMPaths, TimeGrid, coarsen_gbm
 from .hunt import CoefficientField, HuntPaths
 from .pde import (
     DivergenceFormOperator,
@@ -29,14 +29,9 @@ from .pde import (
     discretize_operator,
     solve_gspde_picard,
 )
-from .gbm import TimeGrid
 from .scenario import ScenarioSet
 
 REL_RMS_FLOOR = 1e-12
-
-
-def _as_list(x):
-    return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
 def checkpoint_indices(checkpoints, grid: TimeGrid) -> list[int]:
@@ -89,16 +84,7 @@ class RepresentationReport(_Refined):
 
     checkpoints: tuple
     per_scenario: tuple = field(repr=False)
-    tolerance: float = 0.05
     refinement: tuple = ()
-
-    @property
-    def worst_rel_rms_y(self) -> float:
-        return max(c.rel_rms_y for c in self.checkpoints)
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_rel_rms_y <= self.tolerance
 
 
 def _check_provenance(u_field: RandomField, sol: BdsdeSolution,
@@ -153,16 +139,16 @@ def representation_errors(u_field: RandomField, sol: BdsdeSolution,
     return out
 
 
-def check_representation(u_fields, sols, hunt: HuntPaths, gbms,
-                         checkpoints: Sequence[float], tolerance: float = 0.05,
+def check_representation(u_fields: Sequence[RandomField], sols: Sequence[BdsdeSolution],
+                         hunt: HuntPaths, gbms: Sequence[GBMPaths],
+                         checkpoints: Sequence[float],
                          field_spec: Optional[CoefficientField] = None) -> RepresentationReport:
-    """Worst case across scenarios; inputs are per-scenario sequences (or
-    single objects) sharing one diffusion ensemble."""
-    u_list, s_list, g_list = _as_list(u_fields), _as_list(sols), _as_list(gbms)
-    if not (len(u_list) == len(s_list) == len(g_list)) or not u_list:
+    """Worst case across scenarios of per-scenario sequences sharing one
+    diffusion ensemble."""
+    if not (len(u_fields) == len(sols) == len(gbms)) or not u_fields:
         raise UsageError("need matching non-empty per-scenario sequences")
     per_scenario = []
-    for u, s, g in zip(u_list, s_list, g_list):
+    for u, s, g in zip(u_fields, sols, gbms):
         per_scenario.append((g.scenario_id,
                              representation_errors(u, s, hunt, g, checkpoints, field_spec)))
     worst = []
@@ -176,11 +162,11 @@ def check_representation(u_fields, sols, hunt: HuntPaths, gbms,
             ref_rms=min(r.ref_rms for r in rows),
         ))
     row = {
-        "n_steps": u_list[0].time_grid.n_steps,
+        "n_steps": u_fields[0].time_grid.n_steps,
         "rel_rms_y": {c.t: c.rel_rms_y for c in worst},
         "rel_rms_z": {c.t: c.rel_rms_z for c in worst},
     }
-    return RepresentationReport(tuple(worst), tuple(per_scenario), tolerance, (row,))
+    return RepresentationReport(tuple(worst), tuple(per_scenario), (row,))
 
 
 def combine_refinement(reports: Sequence[_Refined]) -> _Refined:
@@ -227,12 +213,12 @@ def _sample_ordering(problem_a: GspdeProblem, problem_b: GspdeProblem,
 
 
 def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],
-                     cfg_a: PicardConfig, cfg_b: PicardConfig, gbms,
+                     cfg: PicardConfig, gbms: Sequence[GBMPaths],
                      collar_frac: float = 0.05) -> list[ComparisonReport]:
     """Solve ``problem_a`` and each ordered ``problems_b[k]`` on shared noise
-    and report, per case, the worst signed gap min(u_b - u_a) over the collar
-    interior, with a measured grid-error scale from a step-doubling probe on
-    the gap field.
+    under one ``cfg`` and report, per case, the worst signed gap
+    min(u_b - u_a) over the collar interior, with a measured grid-error scale
+    from a step-doubling probe on the gap field.
 
     Every case is validated before any solve.  The unshifted problem is then
     solved once per scenario on the fine grid and once on the coarse probe
@@ -253,21 +239,21 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
     per_scenario = [[] for _ in range(n_cases)]
     min_gap = [np.inf] * n_cases
     probe = [0.0] * n_cases
-    for gbm in _as_list(gbms):
-        fa, _ = solve_gspde_picard(problem_a, cfg_a, gbm, op=op_a)
+    for gbm in gbms:
+        fa, _ = solve_gspde_picard(problem_a, cfg, gbm, op=op_a)
         halve = gbm.grid.n_steps % 2 == 0
         if halve:
             coarse = coarsen_gbm(gbm, 2)
-            fac, _ = solve_gspde_picard(_regrid(problem_a, coarse.grid), cfg_a, coarse,
+            fac, _ = solve_gspde_picard(_regrid(problem_a, coarse.grid), cfg, coarse,
                                         op=op_a)
         for k, problem_b in enumerate(problems_b):
-            fb, _ = solve_gspde_picard(problem_b, cfg_b, gbm, op=op_a)
+            fb, _ = solve_gspde_picard(problem_b, cfg, gbm, op=op_a)
             gap = (fb.values - fa.values)[:, :, mask]
             scen_min = float(np.min(gap))
             per_scenario[k].append((gbm.scenario_id, scen_min))
             min_gap[k] = min(min_gap[k], scen_min)
             if halve:
-                fbc, _ = solve_gspde_picard(_regrid(problem_b, coarse.grid), cfg_b, coarse,
+                fbc, _ = solve_gspde_picard(_regrid(problem_b, coarse.grid), cfg, coarse,
                                             op=op_a)
                 gap_c = (fbc.values - fac.values)[:, :, mask]
                 probe[k] = max(probe[k], float(np.max(np.abs(gap[:, ::2] - gap_c))))
@@ -302,7 +288,7 @@ class TransportReport(_Refined):
 
 def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
                            time_grid: TimeGrid, space_grid: SpatialGrid,
-                           hunt: HuntPaths, gbms, scenarios: ScenarioSet,
+                           hunt: HuntPaths, gbms: Sequence[GBMPaths], scenarios: ScenarioSet,
                            checkpoints: Sequence[float] = (0.0,),
                            op: Optional[DivergenceFormOperator] = None) -> TransportReport:
     """Both sides of the pathwise identity for u = sum P g . dB: the field
@@ -333,7 +319,7 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=6)
     per_scenario = []
     worst = {idx: 0.0 for idx in indices}
-    for gbm in _as_list(gbms):
+    for gbm in gbms:
         u_field, _ = solve_gspde_picard(problem, cfg, gbm, op=op)
         grads = sg.gradient(u_field.values)[:, :, :, 0]        # (b, n+1, nodes)
         res_sq = dict.fromkeys(indices, 0.0)

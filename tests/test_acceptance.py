@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from gexplab.bdsde import RegressionBasis, solve_linear_bdsde
+from gexplab.bdsde import LsmcEnsemble, RegressionBasis, solve_linear_bdsde
 from gexplab.cli import main as cli_main
 from gexplab.config import default_config, validate_config
 from gexplab.experiments import run_comparison, run_gspde, run_representation
@@ -208,19 +208,22 @@ def test_criterion_08_linear_gbdsde_oracles():
     field = build_field({"preset": "constant", "value": 0.5}, 1)
     hunt = simulate_hunt(field, InitialLaw("point", [0.0]), tg, 1500, seed=51)
     gbm = build_gbm(sample_driver(tg, 3, 1, seed=52), constant_schedule(0, 12), scen)
-    basis = RegressionBasis("polynomial", 4)
+    ens = LsmcEnsemble(hunt, RegressionBasis("polynomial", 4), field)
     n, n_w = tg.n_steps, hunt.n_paths
+    shape = (gbm.n_paths, n + 1, n_w)
 
-    sol_c = solve_linear_bdsde(None, None, np.full(n_w, 2.5), hunt, gbm, basis, field)
+    def slots(f=0.0, g=0.0):
+        f, g = np.broadcast_to(f, shape), np.broadcast_to(g, shape + (1,))
+        return lambda i: (f[:, i], g[:, i])
+
+    sol_c = solve_linear_bdsde(np.full(n_w, 2.5), ens, gbm, slots())
     err_c = float(np.max(np.abs(sol_c.y - 2.5)))
 
-    sol_f = solve_linear_bdsde(np.ones((n + 1, n_w)), None, np.zeros(n_w), hunt,
-                               gbm, basis, field)
+    sol_f = solve_linear_bdsde(np.zeros(n_w), ens, gbm, slots(f=np.ones((n + 1, n_w))))
     expect = (tg.horizon - tg.times)[None, :, None]
     err_f = float(np.max(np.abs(sol_f.y - expect)))
 
-    sol_g = solve_linear_bdsde(None, np.ones((n + 1, n_w, 1)), np.zeros(n_w), hunt,
-                               gbm, basis, field)
+    sol_g = solve_linear_bdsde(np.zeros(n_w), ens, gbm, slots(g=np.ones((n + 1, n_w, 1))))
     levels = gbm.levels()[:, :, 0]
     err_g = float(np.max(np.abs(sol_g.y - levels[:, :, None])))
     elapsed = time.perf_counter() - start

@@ -52,6 +52,14 @@ def make_ensembles(n_steps=16, horizon=0.5, n_w=1500, n_b=3, a_value=0.5,
 BASIS = RegressionBasis("polynomial", degree=4, ridge=0.0)
 
 
+def slot_lookup(hunt, gbm, f=0.0, g=0.0):
+    """Driver arrays as the slot callable of solve_linear_bdsde: ``f`` and
+    ``g`` are broadcast to (n_b, N+1, n_W) and (n_b, N+1, n_W, l)."""
+    shape = (gbm.n_paths, hunt.grid.n_steps + 1, hunt.n_paths)
+    f, g = np.broadcast_to(f, shape), np.broadcast_to(g, shape + (gbm.dim,))
+    return lambda i: (f[:, i], g[:, i])
+
+
 # -- regression ----------------------------------------------------------------
 
 def fitted(targets, x, basis):
@@ -139,22 +147,23 @@ def test_extract_z_rejects_bad_dt():
 def test_linear_constant_terminal():
     field, hunt, gbm = make_ensembles()
     c = 2.5
-    sol = solve_linear_bdsde(None, None, np.full(hunt.n_paths, c), hunt, gbm,
-                             BASIS, field)
+    sol = solve_linear_bdsde(np.full(hunt.n_paths, c), LsmcEnsemble(hunt, BASIS, field),
+                             gbm, slot_lookup(hunt, gbm))
     assert np.allclose(sol.y, c, atol=1e-10)
     assert np.array_equal(sol.y[:, -1], np.full((gbm.n_paths, hunt.n_paths), c))
     # Z is pure regression noise on centered targets, scale c/(2 a dt) noise.
     dt = hunt.grid.dt
     se = c * np.sqrt(2 * 0.5 * dt) / (2.0 * 0.5 * dt) / np.sqrt(hunt.n_paths)
     assert float(np.max(np.abs(np.mean(sol.z, axis=2)))) <= 4.0 * se
-    assert sol.terminal_z_copied
+    assert np.array_equal(sol.z[:, -1], sol.z[:, -2])  # copied, not extrapolated
 
 
 def test_linear_unit_reaction_gives_time_to_horizon():
     field, hunt, gbm = make_ensembles(n_steps=12, horizon=0.75)
     n, n_w = hunt.grid.n_steps, hunt.n_paths
     f_vals = np.ones((n + 1, n_w))
-    sol = solve_linear_bdsde(f_vals, None, np.zeros(n_w), hunt, gbm, BASIS, field)
+    sol = solve_linear_bdsde(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
+                             slot_lookup(hunt, gbm, f=f_vals))
     times = hunt.grid.times
     for i in range(n + 1):
         assert np.allclose(sol.y[:, i], 0.75 - times[i], atol=1e-10)
@@ -164,7 +173,8 @@ def test_linear_unit_noise_telescopes_to_b_level():
     field, hunt, gbm = make_ensembles(n_steps=10)
     n, n_w = hunt.grid.n_steps, hunt.n_paths
     g_vals = np.ones((n + 1, n_w, 1))
-    sol = solve_linear_bdsde(None, g_vals, np.zeros(n_w), hunt, gbm, BASIS, field)
+    sol = solve_linear_bdsde(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
+                             slot_lookup(hunt, gbm, g=g_vals))
     levels = gbm.levels()  # B anchored at horizon
     for b in range(gbm.n_paths):
         for i in range(n + 1):
@@ -182,7 +192,8 @@ def test_linear_martingale_property_in_sample():
     xi = phi(hunt.x[:, -1, :])
     n = hunt.grid.n_steps
     f_vals = 0.3 * np.ones((n + 1, hunt.n_paths))
-    sol = solve_linear_bdsde(f_vals, None, xi, hunt, gbm, BASIS, field)
+    sol = solve_linear_bdsde(xi, LsmcEnsemble(hunt, BASIS, field), gbm,
+                             slot_lookup(hunt, gbm, f=f_vals))
     dt = hunt.grid.dt
     for i in range(n):
         resid = sol.y[:, i] - sol.y[:, i + 1] - 0.3 * dt
@@ -196,8 +207,8 @@ def test_linear_grid_mismatch_rejected():
     other = sample_driver(TimeGrid(0.5, 8), 3, 1, seed=0)
     bad_gbm = build_gbm(other, constant_schedule(0, 8), gbm.scenarios)
     with pytest.raises(UsageError):
-        solve_linear_bdsde(None, None, np.zeros(hunt.n_paths), hunt, bad_gbm,
-                           BASIS, field)
+        solve_linear_bdsde(np.zeros(hunt.n_paths), LsmcEnsemble(hunt, BASIS, field),
+                           bad_gbm, slot_lookup(hunt, gbm))
 
 
 # -- delta norm -------------------------------------------------------------------
@@ -285,7 +296,8 @@ def test_picard_zero_data_zero_solution():
                         lambda t, x, y, v: -y,
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         1.0, 0.0, field, gbm.scenarios, hunt.grid)
-    sol = solve_gbdsde_picard(prob, hunt, gbm, BASIS)
+    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
+                              PicardConfig.from_problem(prob, max_iter=20))
     assert np.allclose(sol.y, 0.0, atol=1e-12)
     assert np.allclose(sol.z, 0.0, atol=1e-12)
 
@@ -299,7 +311,8 @@ def test_picard_source_free_matches_semigroup_oracle():
                         lambda t, x, y, v: np.zeros_like(y),
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         0.0, 0.0, field, gbm.scenarios, hunt.grid)
-    sol = solve_gbdsde_picard(prob, hunt, gbm, RegressionBasis("polynomial", 5))
+    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis("polynomial", 5), field),
+                              gbm, PicardConfig.from_problem(prob, max_iter=20))
     sg = SpatialGrid(1, 8.0, 801, "periodic")
     op = discretize_operator(field, sg)
     psi = np.cos(sg.points()[:, 0])
@@ -321,7 +334,7 @@ def test_picard_contraction_ratios_under_proof_bound():
     cfg = PicardConfig.from_problem(prob, max_iter=20, tol_rel=1e-7)
     # Recipe: eps = (2 lam (1 - 0.1) - alpha Lam sb^2) / K, kappa = 0.9.
     assert cfg.kappa == pytest.approx(0.9)
-    sol = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg)
+    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
     rep = sol.picard_report
     assert rep.converged
     assert all(r <= cfg.kappa + 0.05 for r in rep.ratios)
@@ -336,11 +349,10 @@ def test_picard_implicit_variant_agrees():
     field, hunt, gbm = make_ensembles(n_steps=24, horizon=0.5, n_w=2000,
                                       a_value=1.0, scen=scen, seed=97)
     prob = representation_free_problem(field, scen, hunt.grid)
-    explicit = solve_gbdsde_picard(prob, hunt, gbm, BASIS,
-                                   PicardConfig.from_problem(prob, tol_rel=1e-8))
-    implicit = solve_gbdsde_picard(prob, hunt, gbm, BASIS,
-                                   PicardConfig.from_problem(prob, tol_rel=1e-8),
-                                   implicit_y=True)
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
+    explicit = solve_gbdsde_picard(prob, ens, gbm, cfg)
+    implicit = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=True)
     scale = float(np.max(np.abs(explicit.y)))
     assert np.max(np.abs(explicit.y - implicit.y)) <= 0.05 * scale
 
@@ -350,7 +362,9 @@ def test_picard_basis_stability():
     field, hunt, gbm = make_ensembles(n_steps=12, horizon=0.5, n_w=4000,
                                       a_value=1.0, scen=scen, seed=101)
     prob = representation_free_problem(field, scen, hunt.grid)
-    sols = [solve_gbdsde_picard(prob, hunt, gbm, RegressionBasis("polynomial", deg))
+    cfg = PicardConfig.from_problem(prob, max_iter=20)
+    sols = [solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis("polynomial", deg),
+                                                   field), gbm, cfg)
             for deg in (3, 6)]
     y0 = [float(np.mean(s.y[:, 0])) for s in sols]
     spread = [float(np.std(s.y[:, 0]) / np.sqrt(s.y[:, 0].size)) for s in sols]
@@ -374,7 +388,34 @@ def test_config_with_kappa_at_least_one_rejected():
     assert cfg.kappa == pytest.approx(0.75)
     stiffer = representation_free_problem(field, gbm.scenarios, hunt.grid, k=0.5)
     with pytest.raises(UsageError, match="kappa"):
-        solve_gbdsde_picard(stiffer, hunt, gbm, BASIS, cfg)
+        solve_gbdsde_picard(stiffer, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
+
+
+def test_config_for_another_problem_rejected():
+    # eps = 1 gives kappa 0.375 and rate 2.33 for K = 0.25, but kappa 0.5 and
+    # rate 3.0 for K = 0.5: both are contractions, only the constants differ.
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=400, a_value=1.0)
+    cfg = PicardConfig.from_problem(
+        representation_free_problem(field, gbm.scenarios, hunt.grid, k=0.25), eps=1.0)
+    assert cfg.kappa == pytest.approx(0.375)
+    stiffer = representation_free_problem(field, gbm.scenarios, hunt.grid, k=0.5)
+    with pytest.raises(UsageError, match="kappa is 0.375, the problem's is 0.5"):
+        solve_gbdsde_picard(stiffer, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
+
+
+@pytest.mark.parametrize("implicit_y", [False, True])
+def test_each_picard_iteration_is_one_linear_solve(monkeypatch, implicit_y):
+    # Both sweeps run the one backward recursion, through the module global.
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
+    prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
+    calls = []
+    monkeypatch.setattr(bdsde, "solve_linear_bdsde",
+                        lambda *a: calls.append(a) or solve_linear_bdsde(*a))
+    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
+                              PicardConfig.from_problem(prob), implicit_y=implicit_y)
+    assert sol.picard_report.iterations >= 2
+    assert len(calls) == sol.picard_report.iterations
+    assert all((a[4] is not None) == implicit_y for a in calls)
 
 
 def test_nonconvergence_carries_report():
@@ -382,7 +423,7 @@ def test_nonconvergence_carries_report():
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
     cfg = PicardConfig.from_problem(prob, max_iter=1, tol_rel=1e-14)
     with pytest.raises(NumericalError) as err:
-        solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg)
+        solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
     assert err.value.report is not None
     assert err.value.report.iterations == 1
 
@@ -394,7 +435,8 @@ def test_nonfinite_driver_stops_at_first_iteration():
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         0.25, 0.0, field, gbm.scenarios, hunt.grid)
     with pytest.raises(NumericalError, match="non-finite") as err:
-        solve_gbdsde_picard(prob, hunt, gbm, BASIS)
+        solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
+                            PicardConfig.from_problem(prob, max_iter=20))
     assert err.value.report.iterations == 1
     assert not err.value.report.converged
 
@@ -415,8 +457,9 @@ def test_linear_recursion_never_reads_driver_slot_0():
     g_vals = rng.standard_normal((n_b, n + 1, n_w, 1))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    clean = solve_linear_bdsde(f_vals, g_vals, xi, ens, gbm)
-    poisoned = solve_linear_bdsde(*poison_slot_0(f_vals, g_vals), xi, ens, gbm)
+    clean = solve_linear_bdsde(xi, ens, gbm, slot_lookup(hunt, gbm, f_vals, g_vals))
+    poisoned = solve_linear_bdsde(xi, ens, gbm,
+                                  slot_lookup(hunt, gbm, *poison_slot_0(f_vals, g_vals)))
     assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
     assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
 
@@ -439,12 +482,10 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
     for implicit_y in (False, True):
         cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
         monkeypatch.setattr(bdsde, "_slot_drivers", slot_drivers)
-        clean = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens,
-                                    implicit_y=implicit_y)
+        clean = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=implicit_y)
         monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
         slots.clear()
-        poisoned = solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens,
-                                       implicit_y=implicit_y)
+        poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=implicit_y)
         sweeps = clean.picard_report.iterations
         assert slots == list(range(hunt.grid.n_steps, 0, -1)) * sweeps
         assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
@@ -491,7 +532,7 @@ def stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z_prev):
 
 def stacked_picard(problem, ens, gbm, cfg, implicit_y):
     """Reference Picard loop: each sweep builds the driver stacks first and
-    feeds them to the array API of solve_linear_bdsde (or the implicit
+    hands them to solve_linear_bdsde as a slot lookup (or to the implicit
     reference)."""
     hunt = ens.hunt
     n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
@@ -501,7 +542,7 @@ def stacked_picard(problem, ens, gbm, cfg, implicit_y):
         f_arr, g_arr = stacked_drivers(problem, y, z, ens)
         if implicit_y:
             return stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z)
-        sol = solve_linear_bdsde(f_arr, g_arr, xi, ens, gbm)
+        sol = solve_linear_bdsde(xi, ens, gbm, lambda i: (f_arr[:, i], g_arr[:, i]))
         return sol.y, sol.z
 
     def density(y, z):
@@ -541,8 +582,8 @@ SCENARIOS = {1: ScenarioSet.from_list([[[1.0]], [[0.6]]]),
 @given(d=st.sampled_from([1, 2]), l=st.sampled_from([1, 2]), n_b=st.integers(1, 3),
        n_steps=st.integers(1, 5), n_w=st.integers(80, 200), scenario=st.integers(0, 1),
        implicit_y=st.booleans(), seed=st.integers(0, 2**31 - 1))
-def test_slot_recursion_matches_stacked_array_api_bitwise(d, l, n_b, n_steps, n_w,
-                                                          scenario, implicit_y, seed):
+def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
+                                                        scenario, implicit_y, seed):
     # The Picard sweep evaluates the drivers slot by slot inside the
     # recursion; it must give the floats of the whole-stack form.
     scen = SCENARIOS[l]
@@ -555,8 +596,7 @@ def test_slot_recursion_matches_stacked_array_api_bitwise(d, l, n_b, n_steps, n_
     prob = mixed_problem(field, scen, tg)
     cfg = PicardConfig.from_problem(prob, max_iter=12)
     y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg, implicit_y)
-    sol = solve_gbdsde_picard(prob, hunt, gbm, ens.basis, cfg, ensemble=ens,
-                              implicit_y=implicit_y)
+    sol = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=implicit_y)
     assert sol.picard_report == rep_ref
     assert np.array_equal(sol.y, y_ref) and np.array_equal(sol.z, z_ref)
 
@@ -571,7 +611,7 @@ def test_picard_peak_memory_is_slot_sized():
     stack_bytes = gbm.n_paths * (hunt.grid.n_steps + 1) * hunt.n_paths * 8
     tracemalloc.start()
     try:
-        solve_gbdsde_picard(prob, hunt, gbm, BASIS, cfg, ensemble=ens)
+        solve_gbdsde_picard(prob, ens, gbm, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,8 +626,9 @@ def test_ito_product_rule_refinement():
                                           a_value=0.5, seed=seed)
         xi1 = np.cos(hunt.x[:, -1, 0])
         xi2 = np.sin(hunt.x[:, -1, 0])
-        s1 = solve_linear_bdsde(None, None, xi1, hunt, gbm, BASIS, field)
-        s2 = solve_linear_bdsde(None, None, xi2, hunt, gbm, BASIS, field)
+        ens = LsmcEnsemble(hunt, BASIS, field)
+        s1 = solve_linear_bdsde(xi1, ens, gbm, slot_lookup(hunt, gbm))
+        s2 = solve_linear_bdsde(xi2, ens, gbm, slot_lookup(hunt, gbm))
         a_vals = np.stack([field.a_at(hunt.x[:, i, :])[:, 0, 0]
                            for i in range(n_steps)])
         prod = s1.y[0] * s2.y[0]

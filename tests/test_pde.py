@@ -359,6 +359,18 @@ def test_picard_config_recipe():
     assert auto.kappa <= 0.9 + 1e-12
 
 
+def test_config_for_another_problem_rejected():
+    # eps = 1 is a contraction for both reaction constants; only the
+    # constants (kappa 0.3 against 0.4) tell the configs apart.
+    def problem(lip_sq):
+        return make_problem(reaction=ReactionTerm(lambda t, p, y, z: 0.0 * y, lip_sq),
+                            noise=NoiseTerm(lambda t, p, y, z: 0.1 * y[..., None], 1, 0.01, 0.5))
+
+    cfg = PicardConfig.from_problem(problem(0.1), eps=1.0)
+    with pytest.raises(UsageError, match="kappa is 0.3, the problem's is 0.4"):
+        solve_gspde_picard(problem(0.3), cfg, make_gbm(problem(0.3)))
+
+
 # -- solver ---------------------------------------------------------------------
 
 def test_source_free_fixed_point_is_homogeneous_term_bitwise():
