@@ -9,7 +9,7 @@ records; for lower-bounded metrics the tolerance column holds the bound and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -305,26 +305,25 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
 
 # -- representation -------------------------------------------------------------------
 
-def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
+def _representation_level(exp: Experiment, op, grid: TimeGrid, driver, dw_hunt,
                           n_w: int, checkpoints):
     problem = replace(exp.gspde_problem, time_grid=grid)
     b_problem = replace(exp.bdsde_problem, time_grid=grid)
-    op = discretize_operator(exp.field, exp.space_grid)
     hunt = simulate_hunt(exp.field, exp.bdsde.init, grid, n_w,
                          child_seed(exp.seed, SEED_HUNT), dw=dw_hunt)
     ensemble = LsmcEnsemble(hunt, exp.bdsde.basis, exp.field)
     gbms = [build_gbm(driver, sched, exp.scenarios)
             for sched in enumerate_schedules(exp.scenarios, grid.n_steps)]
-    u_fields, sols = [], []
-    for gbm in gbms:
-        fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm, op=op)
-        sol = solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg,
-                                  exp.bdsde.implicit_y)
-        u_fields.append(fld)
-        sols.append(sol)
+
+    def solves():
+        for gbm in gbms:
+            fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm, op=op)
+            yield fld, solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg,
+                                           exp.bdsde.implicit_y), gbm
+            del fld  # the next scenario's solves must not run beside this field
+
     times = [f * grid.horizon for f in checkpoints]
-    return verify.check_representation(u_fields, sols, hunt, gbms, times,
-                                       field_spec=exp.field)
+    return verify.check_representation(solves(), hunt, times, exp.field)
 
 
 def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
@@ -337,33 +336,37 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
                                 child_seed(exp.seed, SEED_DRIVER))
     rng = np.random.default_rng(child_seed(exp.seed, SEED_HUNT, 1))
     dw_fine = rng.standard_normal((n_w, finest.n_steps, exp.field.dim)) * np.sqrt(finest.dt)
+    # One operator for all levels: its Crank-Nicolson factors are cached per step size.
+    op = discretize_operator(exp.field, exp.space_grid)
 
-    reports = []
+    refinement = []  # one row of worst-case errors per step count, coarsest first
     for level in range(halvings + 1):
         factor = 2 ** (halvings - level)
         grid = TimeGrid(base.horizon, base.n_steps * 2**level)
         driver = coarsen_driver(driver_fine, factor)
         dw = dw_fine.reshape(n_w, grid.n_steps, factor, exp.field.dim).sum(axis=2)
-        reports.append(_representation_level(exp, grid, driver, dw, n_w,
-                                             sec.checkpoint_fractions))
-    combined = verify.combine_refinement(reports) if halvings else reports[0]
-    base_report = reports[0]
+        worst = _representation_level(exp, op, grid, driver, dw, n_w,
+                                      sec.checkpoint_fractions)
+        if level == 0:
+            base_worst = worst
+        refinement.append({"n_steps": grid.n_steps,
+                           "rel_rms_y": {c.t: c.rel_rms_y for c in worst},
+                           "rel_rms_z": {c.t: c.rel_rms_z for c in worst}})
 
     rows = [_row("representation", -1, f"rel_rms_y[t={c.t:g}]", c.rel_rms_y, tol,
-                 c.rel_rms_y <= tol) for c in base_report.checkpoints]
+                 c.rel_rms_y <= tol) for c in base_worst]
+    non_increasing = None
     if halvings:
-        rows.append(_bool_row("representation", -1, "non_increasing",
-                              bool(combined.non_increasing)))
+        non_increasing = all(v <= prev["rel_rms_y"][t] + 1e-12
+                             for prev, cur in zip(refinement, refinement[1:])
+                             for t, v in cur["rel_rms_y"].items())
+        rows.append(_bool_row("representation", -1, "non_increasing", non_increasing))
     artifacts = {
         "representation_report.json": {
             "tolerance": tol,
-            "checkpoints": [
-                {"t": c.t, "rel_rms_y": c.rel_rms_y, "rel_rms_z": c.rel_rms_z,
-                 "rel_rms_z_sigma": c.rel_rms_z_sigma, "ref_rms": c.ref_rms}
-                for c in base_report.checkpoints
-            ],
-            "refinement": list(combined.refinement),
-            "non_increasing": combined.non_increasing,
+            "checkpoints": [asdict(c) for c in base_worst],
+            "refinement": refinement,
+            "non_increasing": non_increasing,
         },
     }
     return rows, artifacts

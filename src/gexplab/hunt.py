@@ -10,6 +10,7 @@ row divergence when supplied, otherwise central finite differences.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
@@ -187,6 +188,7 @@ class HuntPaths:
     weights: np.ndarray = field(repr=False)  # (n_paths,)
     seed: int = 0
     init_kind: str = "point"
+    digest: str = ""  # of x and weights: the seed does not fix paths from a supplied dw
 
     @property
     def n_paths(self) -> int:
@@ -197,7 +199,8 @@ class HuntPaths:
         return self.x.shape[2]
 
     def fingerprint(self) -> tuple:
-        return (self.seed, self.n_paths, self.grid.n_steps, self.dim, self.init_kind)
+        return (self.seed, self.n_paths, self.grid.n_steps, self.dim, self.init_kind,
+                self.digest)
 
 
 def simulate_hunt(field_spec: CoefficientField, init: InitialLaw, grid: TimeGrid,
@@ -231,7 +234,9 @@ def simulate_hunt(field_spec: CoefficientField, init: InitialLaw, grid: TimeGrid
         step_m = np.sqrt(2.0) * np.einsum("pab,pb->pa", sig, dw[:, i])
         dm[:, i] = step_m
         x[:, i + 1] = here + step_m + field_spec.drift_at(here) * grid.dt
-    return HuntPaths(grid, x, dm, weights, seed, init.kind)
+    digest = hashlib.blake2b(x, digest_size=16)
+    digest.update(weights)
+    return HuntPaths(grid, x, dm, weights, seed, init.kind, digest.hexdigest())
 
 
 def _phi_steps(phi: np.ndarray, paths: HuntPaths) -> np.ndarray:

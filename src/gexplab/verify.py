@@ -9,8 +9,8 @@ re-run under the same seed reproduces the report bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import UsageError
 from .gbm import GBMPaths, TimeGrid, coarsen_gbm
 from .hunt import CoefficientField, HuntPaths
 from .pde import (
-    DivergenceFormOperator,
     GspdeProblem,
     NoiseTerm,
     PicardConfig,
@@ -59,34 +58,6 @@ class CheckpointMetrics:
     ref_rms: float
 
 
-class _Refined:
-    """Refinement table shared by the cross-solver reports: one row per step
-    count, mapping the checkpoint times of ``metric`` to worst-case values."""
-
-    metric = ""
-
-    @property
-    def non_increasing(self) -> Optional[bool]:
-        rows = self.refinement
-        if len(rows) < 2:
-            return None
-        return all(v <= prev[self.metric][t] + 1e-12
-                   for prev, cur in zip(rows, rows[1:]) for t, v in cur[self.metric].items())
-
-
-@dataclass(frozen=True)
-class RepresentationReport(_Refined):
-    """Worst-case (over scenarios) relative RMS errors at the checkpoints,
-    plus a refinement table across step counts when several runs are
-    combined."""
-
-    metric = "rel_rms_y"
-
-    checkpoints: tuple
-    per_scenario: tuple = field(repr=False)
-    refinement: tuple = ()
-
-
 def _check_provenance(u_field: RandomField, sol: BdsdeSolution,
                       hunt: HuntPaths, gbm: GBMPaths) -> None:
     if u_field.gbm_fingerprint != gbm.fingerprint():
@@ -102,7 +73,7 @@ def _check_provenance(u_field: RandomField, sol: BdsdeSolution,
 def representation_errors(u_field: RandomField, sol: BdsdeSolution,
                           hunt: HuntPaths, gbm: GBMPaths,
                           checkpoints: Sequence[float],
-                          field_spec: Optional[CoefficientField] = None) -> list[CheckpointMetrics]:
+                          field_spec: CoefficientField) -> list[CheckpointMetrics]:
     """Relative RMS of u(t, X_t) - Y_t and grad u(t, X_t) - Z_t for one
     scenario at the requested grid times."""
     _check_provenance(u_field, sol, hunt, gbm)
@@ -112,9 +83,7 @@ def representation_errors(u_field: RandomField, sol: BdsdeSolution,
     for idx in indices:
         pos = hunt.x[:, idx, 0]
         err_y, ref_y, err_z, ref_z, err_zs, ref_zs = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-        sig = None
-        if field_spec is not None:
-            sig = field_spec.sigma_at(hunt.x[:, idx, :])[:, 0, 0]
+        sig = field_spec.sigma_at(hunt.x[:, idx, :])[:, 0, 0]
         for b in range(u_field.n_paths):
             u_here = _interp_paths(u_field.values[b, idx], sg, pos)
             grad_here = _interp_paths(sg.gradient(u_field.values[b, idx])[:, 0], sg, pos)
@@ -124,59 +93,39 @@ def representation_errors(u_field: RandomField, sol: BdsdeSolution,
             ref_y += float(np.mean(u_here**2))
             err_z += float(np.mean(dz**2))
             ref_z += float(np.mean(grad_here**2))
-            if sig is not None:
-                err_zs += float(np.mean((dz * sig) ** 2))
-                ref_zs += float(np.mean((grad_here * sig) ** 2))
+            err_zs += float(np.mean((dz * sig) ** 2))
+            ref_zs += float(np.mean((grad_here * sig) ** 2))
         ref_rms = np.sqrt(ref_y / u_field.n_paths)
         out.append(CheckpointMetrics(
             t=float(u_field.time_grid.times[idx]),
             rel_rms_y=float(np.sqrt(err_y / u_field.n_paths) / max(ref_rms, REL_RMS_FLOOR)),
             rel_rms_z=float(np.sqrt(err_z / max(ref_z, REL_RMS_FLOOR))),
-            rel_rms_z_sigma=float(np.sqrt(err_zs / max(ref_zs, REL_RMS_FLOOR)))
-            if sig is not None else float("nan"),
+            rel_rms_z_sigma=float(np.sqrt(err_zs / max(ref_zs, REL_RMS_FLOOR))),
             ref_rms=float(ref_rms),
         ))
     return out
 
 
-def check_representation(u_fields: Sequence[RandomField], sols: Sequence[BdsdeSolution],
-                         hunt: HuntPaths, gbms: Sequence[GBMPaths],
-                         checkpoints: Sequence[float],
-                         field_spec: Optional[CoefficientField] = None) -> RepresentationReport:
-    """Worst case across scenarios of per-scenario sequences sharing one
-    diffusion ensemble."""
-    if not (len(u_fields) == len(sols) == len(gbms)) or not u_fields:
-        raise UsageError("need matching non-empty per-scenario sequences")
-    per_scenario = []
-    for u, s, g in zip(u_fields, sols, gbms):
-        per_scenario.append((g.scenario_id,
-                             representation_errors(u, s, hunt, g, checkpoints, field_spec)))
-    worst = []
-    for j, t in enumerate(checkpoints):
-        rows = [metrics[j] for _, metrics in per_scenario]
-        worst.append(CheckpointMetrics(
-            t=float(t),
-            rel_rms_y=max(r.rel_rms_y for r in rows),
-            rel_rms_z=max(r.rel_rms_z for r in rows),
-            rel_rms_z_sigma=max(r.rel_rms_z_sigma for r in rows),
-            ref_rms=min(r.ref_rms for r in rows),
-        ))
-    row = {
-        "n_steps": u_fields[0].time_grid.n_steps,
-        "rel_rms_y": {c.t: c.rel_rms_y for c in worst},
-        "rel_rms_z": {c.t: c.rel_rms_z for c in worst},
-    }
-    return RepresentationReport(tuple(worst), tuple(per_scenario), (row,))
-
-
-def combine_refinement(reports: Sequence[_Refined]) -> _Refined:
-    """Merge per-resolution reports of one kind into the finest of them,
-    with a refinement table that orders the step counts."""
-    if not reports:
-        raise UsageError("need at least one report")
-    rows = sorted((r for rep in reports for r in rep.refinement), key=lambda r: r["n_steps"])
-    finest = max(reports, key=lambda r: r.refinement[0]["n_steps"])
-    return replace(finest, refinement=tuple(rows))
+def check_representation(solves: Iterable[tuple[RandomField, BdsdeSolution, GBMPaths]],
+                         hunt: HuntPaths, checkpoints: Sequence[float],
+                         field_spec: CoefficientField) -> tuple[CheckpointMetrics, ...]:
+    """Worst case per checkpoint over the per-scenario (grid field, backward
+    solution, noise bundle) triples of ``solves``, which share one diffusion
+    ensemble.  Each triple is dropped before the next is drawn, so a
+    generator of solves keeps one scenario's solves alive at a time."""
+    worst = None
+    for u_field, sol, gbm in solves:
+        metrics = representation_errors(u_field, sol, hunt, gbm, checkpoints, field_spec)
+        del u_field, sol  # the next scenario's solves must not run beside these
+        worst = metrics if worst is None else [
+            CheckpointMetrics(t=w.t, rel_rms_y=max(w.rel_rms_y, m.rel_rms_y),
+                              rel_rms_z=max(w.rel_rms_z, m.rel_rms_z),
+                              rel_rms_z_sigma=max(w.rel_rms_z_sigma, m.rel_rms_z_sigma),
+                              ref_rms=min(w.ref_rms, m.ref_rms))
+            for w, m in zip(worst, metrics)]
+    if worst is None:
+        raise UsageError("need at least one scenario")
+    return tuple(replace(w, t=float(t)) for w, t in zip(worst, checkpoints))
 
 
 # -- comparison ---------------------------------------------------------------
@@ -186,7 +135,6 @@ class ComparisonReport:
     min_gap: float
     eps_grid: float
     c_constant: float
-    collar_frac: float
     per_scenario: tuple
 
 
@@ -262,7 +210,7 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
     for k in range(n_cases):
         eps_grid = 2.0 * probe[k] + 1e-12
         reports.append(ComparisonReport(min_gap=min_gap[k], eps_grid=eps_grid,
-                                        c_constant=eps_grid / scale, collar_frac=collar_frac,
+                                        c_constant=eps_grid / scale,
                                         per_scenario=tuple(per_scenario[k])))
     return reports
 
@@ -274,12 +222,8 @@ def _regrid(problem: GspdeProblem, tg: TimeGrid) -> GspdeProblem:
 # -- linear transport ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class TransportReport(_Refined):
+class TransportReport:
     checkpoints: tuple       # (t, rel_rms) pairs, worst over scenarios
-    per_scenario: tuple = field(repr=False)
-    refinement: tuple = ()
-
-    metric = "rel_rms"
 
     @property
     def worst_rel_rms(self) -> float:
@@ -289,8 +233,7 @@ class TransportReport(_Refined):
 def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
                            time_grid: TimeGrid, space_grid: SpatialGrid,
                            hunt: HuntPaths, gbms: Sequence[GBMPaths], scenarios: ScenarioSet,
-                           checkpoints: Sequence[float] = (0.0,),
-                           op: Optional[DivergenceFormOperator] = None) -> TransportReport:
+                           checkpoints: Sequence[float] = (0.0,)) -> TransportReport:
     """Both sides of the pathwise identity for u = sum P g . dB: the field
     evaluated along the diffusion equals the backward noise sum minus the
     forward gradient integral.  The noise term must be deterministic in
@@ -300,8 +243,7 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
     if hunt.grid != time_grid:
         raise UsageError("diffusion ensemble and time grid do not match")
     sg = space_grid
-    if op is None:
-        op = discretize_operator(field_spec, sg)
+    op = discretize_operator(field_spec, sg)
     zero_terminal = np.zeros(sg.n_nodes)
     indices = checkpoint_indices(checkpoints, time_grid)
     n = time_grid.n_steps
@@ -317,7 +259,6 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
     problem = GspdeProblem(zero_terminal, ZERO_REACTION, noise, field_spec,
                            scenarios, time_grid, sg, check_boundary_decay=False)
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=6)
-    per_scenario = []
     worst = {idx: 0.0 for idx in indices}
     for gbm in gbms:
         u_field, _ = solve_gspde_picard(problem, cfg, gbm, op=op)
@@ -336,12 +277,8 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
                 lhs = _interp_paths(u_field.values[b, idx], sg, hunt.x[:, idx, 0])
                 res_sq[idx] += float(np.mean((lhs - tails[idx])**2))
                 ref_sq[idx] += float(np.mean(lhs**2))
-        rows = {}
         for idx in indices:
-            rows[idx] = float(np.sqrt(res_sq[idx] / max(ref_sq[idx], REL_RMS_FLOOR)))
-            worst[idx] = max(worst[idx], rows[idx])
-        per_scenario.append((gbm.scenario_id, {times[i]: v for i, v in rows.items()}))
-    checkpoints_out = tuple((float(times[i]), worst[i]) for i in indices)
-    row = {"n_steps": n, "rel_rms": {float(times[i]): worst[i] for i in indices}}
-    return TransportReport(checkpoints_out, tuple(per_scenario), (row,))
+            worst[idx] = max(worst[idx],
+                             float(np.sqrt(res_sq[idx] / max(ref_sq[idx], REL_RMS_FLOOR))))
+    return TransportReport(tuple((float(times[i]), worst[i]) for i in indices))
 

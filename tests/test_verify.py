@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from gexplab import verify
+from gexplab import experiments, verify
+from gexplab.config import default_config, validate_config
 from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, RegressionBasis, solve_gbdsde_picard
 from gexplab.errors import UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
@@ -23,7 +26,6 @@ from gexplab.verify import (
     check_comparison,
     check_linear_transport,
     check_representation,
-    combine_refinement,
     representation_errors,
 )
 
@@ -69,19 +71,18 @@ def setup_pipeline(terminal_fn, n_steps=8, horizon=0.5, n_b=4, n_w=1500,
 def test_representation_constant_terminal_is_exact():
     problem, u_fields, sols, hunt, gbms, field = setup_pipeline(
         lambda pts: np.full(pts.shape[0], 2.0))
-    report = check_representation(u_fields, sols, hunt, gbms,
-                                  [0.0, 0.25, 0.375], field_spec=field)
-    assert max(c.rel_rms_y for c in report.checkpoints) <= 1e-9
+    worst = check_representation(zip(u_fields, sols, gbms), hunt, [0.0, 0.25, 0.375], field)
+    assert max(c.rel_rms_y for c in worst) <= 1e-9
 
 
 def test_representation_source_free_semigroup_case():
     problem, u_fields, sols, hunt, gbms, field = setup_pipeline(
         lambda pts: np.exp(-0.25 * pts[:, 0] ** 2), n_w=2500)
     t_hor = problem.time_grid.horizon
-    report = check_representation(u_fields, sols, hunt, gbms,
-                                  [0.0, 0.25 * t_hor, 0.5 * t_hor], field_spec=field)
-    assert max(c.rel_rms_y for c in report.checkpoints) <= 0.05
-    for c in report.checkpoints:
+    worst = check_representation(zip(u_fields, sols, gbms), hunt,
+                                 [0.0, 0.25 * t_hor, 0.5 * t_hor], field)
+    assert max(c.rel_rms_y for c in worst) <= 0.05
+    for c in worst:
         assert np.isfinite(c.rel_rms_z) and np.isfinite(c.rel_rms_z_sigma)
 
 
@@ -89,22 +90,101 @@ def test_representation_provenance_and_checkpoints():
     problem, u_fields, sols, hunt, gbms, field = setup_pipeline(
         lambda pts: np.exp(-0.25 * pts[:, 0] ** 2), n_w=600)
     with pytest.raises(UsageError, match="grid time"):
-        representation_errors(u_fields[0], sols[0], hunt, gbms[0], [0.1234])
+        representation_errors(u_fields[0], sols[0], hunt, gbms[0], [0.1234], field)
     other_hunt = simulate_hunt(const_field(0.5), InitialLaw("point", [0.0]),
                                problem.time_grid, hunt.n_paths, seed=999)
     with pytest.raises(UsageError, match="diffusion"):
-        representation_errors(u_fields[0], sols[0], other_hunt, gbms[0], [0.0])
+        representation_errors(u_fields[0], sols[0], other_hunt, gbms[0], [0.0], field)
     with pytest.raises(UsageError, match="noise"):
-        representation_errors(u_fields[0], sols[0], hunt, gbms[1], [0.0])
+        representation_errors(u_fields[0], sols[0], hunt, gbms[1], [0.0], field)
 
 
-def test_combine_refinement_orders_rows():
+def test_fingerprint_covers_supplied_increments():
     problem, u_fields, sols, hunt, gbms, field = setup_pipeline(
-        lambda pts: np.full(pts.shape[0], 1.0), n_w=600)
-    rep = check_representation(u_fields, sols, hunt, gbms, [0.0], field_spec=field)
-    merged = combine_refinement([rep, rep])
-    assert len(merged.refinement) == 2
-    assert merged.non_increasing is True  # identical rows are non-increasing
+        lambda pts: np.exp(-0.25 * pts[:, 0] ** 2), n_w=600, seed=6)
+    assert hunt.seed == 7
+    tg = problem.time_grid
+    rng = np.random.default_rng(5)
+    ensembles = [simulate_hunt(field, InitialLaw("point", [0.0]), tg, hunt.n_paths, seed=7,
+                               dw=rng.standard_normal((hunt.n_paths, tg.n_steps, 1))
+                               * np.sqrt(tg.dt)) for _ in range(2)]
+    assert ensembles[0].fingerprint() != ensembles[1].fingerprint()
+    assert ensembles[0].fingerprint()[:5] == ensembles[1].fingerprint()[:5]
+    with pytest.raises(UsageError, match="diffusion"):
+        representation_errors(u_fields[0], sols[0], ensembles[0], gbms[0], [0.0], field)
+
+
+def test_representation_worst_case_matches_per_scenario_errors():
+    problem, u_fields, sols, hunt, gbms, field = setup_pipeline(
+        lambda pts: np.exp(-0.25 * pts[:, 0] ** 2), n_w=600)
+    checkpoints = [0.0, 0.25]
+    per_scenario = [representation_errors(u, s, hunt, g, checkpoints, field)
+                    for u, s, g in zip(u_fields, sols, gbms)]
+    worst = check_representation(zip(u_fields, sols, gbms), hunt, checkpoints, field)
+    assert [c.t for c in worst] == checkpoints
+    for j, c in enumerate(worst):
+        rows = [metrics[j] for metrics in per_scenario]
+        assert c.rel_rms_y == max(r.rel_rms_y for r in rows)
+        assert c.rel_rms_z == max(r.rel_rms_z for r in rows)
+        assert c.rel_rms_z_sigma == max(r.rel_rms_z_sigma for r in rows)
+        assert c.ref_rms == min(r.ref_rms for r in rows)
+    with pytest.raises(UsageError, match="at least one scenario"):
+        check_representation(iter(()), hunt, checkpoints, field)
+
+
+def small_representation_exp(halvings):
+    cfg = default_config()
+    cfg["time_grid"]["n_steps"] = 8
+    cfg["representation"].update(halvings=halvings, n_noise_paths=2, n_diffusion_paths=300)
+    cfg["suite"]["checks"] = ["representation"]
+    return validate_config(cfg)
+
+
+def test_runner_builds_the_refinement_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(experiments, "discretize_operator",
+                        lambda *a: built.append(a) or discretize_operator(*a))
+    rows, artifacts = experiments.run_representation(small_representation_exp(1))
+    rep = artifacts["representation_report.json"]
+    assert len(built) == 1
+    assert [r["n_steps"] for r in rep["refinement"]] == [8, 16]
+    coarse, fine = rep["refinement"]
+    assert list(coarse["rel_rms_y"]) == [c["t"] for c in rep["checkpoints"]]
+    assert list(coarse["rel_rms_y"].values()) == [c["rel_rms_y"] for c in rep["checkpoints"]]
+    expected = all(fine["rel_rms_y"][t] <= coarse["rel_rms_y"][t] + 1e-12
+                   for t in fine["rel_rms_y"])
+    assert rep["non_increasing"] is expected
+    [summary] = [r for r in rows if r.metric == "non_increasing"]
+    assert summary.passed is expected and summary.value == float(expected)
+
+    built.clear()
+    rows, artifacts = experiments.run_representation(small_representation_exp(0))
+    rep = artifacts["representation_report.json"]
+    assert len(built) == 1
+    assert rep["non_increasing"] is None
+    assert [r["n_steps"] for r in rep["refinement"]] == [8]
+    assert not [r for r in rows if r.metric == "non_increasing"]
+
+
+def test_runner_drops_each_scenarios_solves_before_the_next(monkeypatch):
+    refs, alive_at_start = [], []
+
+    def gspde(*args, **kwargs):
+        alive_at_start.append(sum(r() is not None for r in refs))
+        fld, rep = solve_gspde_picard(*args, **kwargs)
+        refs.append(weakref.ref(fld))
+        return fld, rep
+
+    def gbdsde(*args, **kwargs):
+        sol = solve_gbdsde_picard(*args, **kwargs)
+        refs.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(experiments, "solve_gspde_picard", gspde)
+    monkeypatch.setattr(experiments, "solve_gbdsde_picard", gbdsde)
+    experiments.run_representation(small_representation_exp(1))
+    assert alive_at_start == [0, 0, 0, 0]  # two scenarios on each of two levels
+    assert all(r() is None for r in refs)
 
 
 # -- comparison ------------------------------------------------------------------
