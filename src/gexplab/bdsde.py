@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import Count, NonNeg, NonNegInt
+from ._util import NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths
@@ -41,36 +41,24 @@ DEGENERATE_STD = 1e-12
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Feature basis for the conditional-expectation regressions.
-
-    ``polynomial``: total-degree monomials of the standardized state (any
-    state dimension).  ``indicator-bins``: equal-count bins, 1-D state only.
-    The ridge penalty never shrinks the intercept, so constants always fit
-    exactly when ridge = 0.  The field types are the config schema of
-    ``bdsde.basis``.
+    """Feature basis for the conditional-expectation regressions: the
+    monomials of total degree at most ``degree`` in the standardized state
+    (any state dimension), with a ridge penalty that never shrinks the
+    intercept, so constants always fit exactly when ridge = 0.  The field
+    types are the config schema of ``bdsde.basis``.
     """
 
-    kind: Literal["polynomial", "indicator-bins"] = "polynomial"
     degree: NonNegInt = 4
-    n_bins: Count = 16
     ridge: NonNeg = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "indicator-bins"):
-            raise UsageError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 0:
+        if self.degree < 0:
             raise UsageError("polynomial degree must be >= 0")
-        if self.kind == "indicator-bins" and self.n_bins < 1:
-            raise UsageError("need at least one bin")
         if self.ridge < 0.0:
             raise UsageError("ridge must be nonnegative")
 
     def n_features(self, dim: int) -> int:
         """Basis size on a ``dim``-dimensional state whose every axis varies."""
-        if self.kind == "indicator-bins":
-            if dim != 1:
-                raise UsageError("indicator-bins basis supports 1-D state only")
-            return self.n_bins
         return math.comb(dim + self.degree, dim)
 
 
@@ -102,26 +90,13 @@ class RegressionContext:
             x = x[:, None]
         if x.ndim != 2:
             raise UsageError("positions must be (n_samples, state_dim)")
-        self.basis = basis
-        n, d = x.shape
+        n = x.shape[0]
         self.center = x.mean(axis=0)
         spread = x.std(axis=0)
         self.active = spread > DEGENERATE_STD
         self.scale = np.where(self.active, spread, 1.0)
-        if basis.kind == "polynomial":
-            a_dim = int(np.sum(self.active))
-            self.powers = _monomial_powers(a_dim, basis.degree) if a_dim else [()]
-            self.edges = None
-        else:
-            if d != 1:
-                raise UsageError("indicator-bins basis supports 1-D state only")
-            if not self.active[0]:
-                self.powers = [()]
-                self.edges = None
-            else:
-                qs = np.linspace(0.0, 1.0, basis.n_bins + 1)[1:-1]
-                self.edges = np.quantile(x[:, 0], qs)
-                self.powers = None
+        a_dim = int(np.sum(self.active))
+        self.powers = _monomial_powers(a_dim, basis.degree) if a_dim else [()]
         phi = self._design(x)
         n_feat = phi.shape[1]
         if n < MIN_SAMPLES_PER_FEATURE * n_feat:
@@ -130,8 +105,7 @@ class RegressionContext:
                 f"function ({n} samples, {n_feat} features)"
             )
         penalty = np.full(n_feat, basis.ridge)
-        if basis.kind == "polynomial":
-            penalty[0] = 0.0  # never shrink the intercept
+        penalty[0] = 0.0  # never shrink the intercept
         gram = phi.T @ phi + np.diag(penalty)
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
@@ -147,11 +121,6 @@ class RegressionContext:
         return self.phi.shape[1]
 
     def _design(self, x: np.ndarray) -> np.ndarray:
-        if self.basis.kind == "indicator-bins" and self.edges is not None:
-            idx = np.searchsorted(self.edges, x[:, 0])
-            phi = np.zeros((x.shape[0], self.basis.n_bins))
-            phi[np.arange(x.shape[0]), idx] = 1.0
-            return phi
         z = (x - self.center) / self.scale
         z = z[:, self.active] if z.shape[1] else z
         cols = []
@@ -230,18 +199,15 @@ class BdsdeSolution:
     picard_report: Optional[PicardReport] = None
 
 
-def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths, drivers: Callable,
-                       left_reaction: Optional[Callable] = None) -> BdsdeSolution:
+def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
+                       drivers: Callable) -> BdsdeSolution:
     """The slot-by-slot recursion from the terminal payoff ``xi`` on the
     diffusion ensemble back to t_0, for (y, z)-independent driver data.
 
     ``drivers(i)`` returns the (n_b, n_W) f and the (n_b, n_W, l) g at time
     slot i, which pairs with dB_{i-1}.  It is called for slots N..1, each
     right before slot i-1 regresses on the target built from it, so only one
-    slot of driver data is alive at a time.  With ``left_reaction(i, y_pred)``
-    the step is implicit in Y: the reaction moves to the left endpoint,
-    evaluated at the regressed one-sweep predictor ``y_pred`` of Y_i, while
-    ``drivers`` still supplies g.
+    slot of driver data is alive at a time.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -258,13 +224,7 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths, dr
         ctx = ensemble.contexts[i]
         f_next, g_next = drivers(i + 1)
         noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
-        if left_reaction is None:
-            y[:, i] = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
-        else:
-            base_target = y[:, i + 1] + noise
-            fitted = ctx.predict_in_sample(
-                ctx.fit(np.stack([base_target, base_target + dt * f_next])))
-            y[:, i] = fitted[0] + dt * left_reaction(i, fitted[1])
+        y[:, i] = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
         z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
     z[:, n] = z[:, n - 1]
     return BdsdeSolution(y, z, hunt.grid, gbm.scenario_id, hunt.weights,
@@ -347,15 +307,14 @@ def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, y, z, i: int, t
 
 
 def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                        cfg: PicardConfig, implicit_y: bool = False) -> BdsdeSolution:
+                        cfg: PicardConfig) -> BdsdeSolution:
     """Outer fixed-point loop: each iteration freezes the drivers at the
     previous (Y, Z) and solves the resulting linear equation by regression.
 
     The terminal payoff, the paths and their weights are those of
     ``ensemble.hunt``.  Convergence is monitored in the (beta, delta)-norm
     of the increments, relative to the iterate norm; the report carries the
-    ratio history.  With ``implicit_y`` the reaction is taken at the left
-    endpoint.
+    ratio history.
     """
     cfg.validate_against(problem)
     hunt = ensemble.hunt
@@ -367,16 +326,8 @@ def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMP
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
 
     def sweep(y, z):
-        def drivers(i):
-            return _slot_drivers(problem, ensemble, y, z, i, times[i])
-
-        # Implicit in Y: g and the z slot stay frozen at the previous iterate.
-        def left_reaction(i, y_pred):
-            v = np.einsum("bwd,wdk->bwk", z[:, i], ensemble.sigma[i])
-            return np.asarray(problem.f(times[i], hunt.x[:, i, :], y_pred, v))
-
-        sol = solve_linear_bdsde(xi, ensemble, gbm, drivers,
-                                 left_reaction if implicit_y else None)
+        sol = solve_linear_bdsde(
+            xi, ensemble, gbm, lambda i: _slot_drivers(problem, ensemble, y, z, i, times[i]))
         return sol.y, sol.z
 
     def density(y, z):

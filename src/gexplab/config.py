@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Literal, Optional, Sequence, get_args
@@ -30,7 +31,6 @@ from .presets import (
     NoisePreset,
     ReactionPreset,
     TerminalPreset,
-    ZMode,
     noise_term,
     reaction_term,
 )
@@ -77,7 +77,6 @@ class BdsdeSection:
     eps: Optional[Positive] = None
     max_iter: Count = 20
     tol_rel: NonNeg = 1e-6
-    implicit_y: bool = False
     init: InitialLaw = InitialLaw("point")
     dump_paths: NonNegInt = 2
 
@@ -146,7 +145,6 @@ class Config:
     output_dir: Optional[str] = None
     reaction: ReactionPreset = read(ReactionPreset, {"preset": "zero"}, "reaction")
     noise: NoisePreset = read(NoisePreset, {"preset": "zero"}, "noise")
-    z_mode: ZMode = "gradient-sigma"
     gspde: GspdeSection = GspdeSection()
     bdsde: BdsdeSection = BdsdeSection()
     gbm_check: GbmCheck = GbmCheck()
@@ -233,7 +231,7 @@ def _checked(where: str, fn, *args, **kwargs):
 
 
 def _check_basis_size(basis: RegressionBasis, dim: int, n_paths: int, where: str) -> None:
-    need = MIN_SAMPLES_PER_FEATURE * _checked("bdsde.basis", basis.n_features, dim)
+    need = MIN_SAMPLES_PER_FEATURE * basis.n_features(dim)
     if n_paths < need:
         raise ConfigError(where, f"the regression basis needs at least {need} paths "
                                  f"({MIN_SAMPLES_PER_FEATURE} per basis function), got {n_paths}")
@@ -250,6 +248,10 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
     c = read(Config, cfg, "")
     runs = set(c.suite.checks if checks is None else checks)
     tg, sg = c.time_grid, c.space_grid
+    # The grid spacing and the weak-form test bump are fractions of the half
+    # width, and both are squared as floats.
+    if not math.isfinite(sg.half_width * sg.half_width):
+        raise ConfigError("space_grid.half_width", f"{sg.half_width:g} overflows when squared")
     scen = c.scenario_set.build("scenario_set")
     field_obj = c.coefficient_field(sg.dim, "coefficient_field")
     terminal_fn, decays = c.terminal()
@@ -262,8 +264,8 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
     # that the data vanish at the boundary.
     gspde_problem = _checked("config", GspdeProblem,
                              terminal=terminal_fn(sg.points()),
-                             reaction=reaction_term(raw_f, field_obj, c.z_mode),
-                             noise=noise_term(raw_g, field_obj, c.z_mode),
+                             reaction=reaction_term(raw_f, field_obj),
+                             noise=noise_term(raw_g, field_obj),
                              field=field_obj, scenarios=scen, time_grid=tg, space_grid=sg)
     bdsde_problem = _checked("config", BdsdeProblem,
                              terminal_fn=terminal_fn, f=raw_f.fn, g=raw_g.fn,

@@ -271,7 +271,7 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     scen_reports = []
     dumped = []  # (scenario id, the dumped paths' Y and Z) per scenario
     for gbm in gbms:
-        sol = solve_gbdsde_picard(problem, ensemble, gbm, cfg, sec.implicit_y)
+        sol = solve_gbdsde_picard(problem, ensemble, gbm, cfg)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
                              for b in range(gbm.n_paths))
@@ -318,8 +318,7 @@ def _representation_level(exp: Experiment, op, grid: TimeGrid, driver, dw_hunt,
     def solves():
         for gbm in gbms:
             fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm, op=op)
-            yield fld, solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg,
-                                           exp.bdsde.implicit_y), gbm
+            yield fld, solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg), gbm
             del fld  # the next scenario's solves must not run beside this field
 
     times = [f * grid.horizon for f in checkpoints]

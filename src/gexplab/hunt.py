@@ -105,16 +105,6 @@ class CoefficientField:
             out += diff[:, :, j]
         return out
 
-    def ellipticity_report(self, points: np.ndarray, n_directions: int = 16,
-                           seed: int = 0) -> tuple[float, float]:
-        """Min/max Rayleigh quotients of a(x) over sampled unit directions."""
-        mats = self.a_at(points)
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((n_directions, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        quad = np.einsum("qa,nab,qb->nq", dirs, mats, dirs)
-        return float(np.min(quad)), float(np.max(quad))
-
 
 @dataclass(frozen=True)
 class InitialLaw:

@@ -7,16 +7,19 @@ inferred from a black box.  Every preset documents its constants:
   reaction f:  |f(y,z) - f(y',z')|^2 <= lip (|y-y'|^2 + |z-z'|^2)
   noise g:     sum_j |dg^j|^2 <= lip_y |dy|^2 + lip_z |dz|^2
 
+Constants and widths are squared as x * x: a float x ** 2 raises
+OverflowError past 1e154, where the product is inf, so a huge constant fails
+the contraction check and a huge width gives a flat profile.
+
 The z slot of a raw driver is the dimensionless argument fed to it.  For the
-grid equation the slot carries either the gradient itself (z_mode
-"gradient") or the sigma-contracted gradient (z_mode "gradient-sigma", the
-Markovian pairing with the backward solver); the sigma mode multiplies the
-declared z constant by the upper ellipticity bound.
+grid equation the slot carries the sigma-contracted gradient, the Markovian
+pairing with the backward solver's Z sigma, so the declared z constant is
+multiplied by the upper ellipticity bound.
 """
 
 from __future__ import annotations
 
-from typing import Annotated, Callable, Literal, Optional, get_args
+from typing import Annotated, Callable, Literal, Optional
 
 import numpy as np
 
@@ -24,9 +27,6 @@ from ._util import NonNeg, Positive, Presets, Scalars, read
 from .errors import ConfigError
 from .hunt import CoefficientField
 from .pde import NoiseTerm, ReactionTerm
-
-ZMode = Literal["gradient", "gradient-sigma"]
-Z_MODES = get_args(ZMode)
 
 # A preset is a builder listed under its config name in its family's
 # ``Presets``; the builder's keyword-only parameters are the preset's keys
@@ -116,8 +116,6 @@ def _constant_terminal(*, value: float):
 def _gaussian_bump_terminal(*, amplitude: float = 1.0, width: Positive = 1.0,
                             center: float = 0.0):
     def fn(pts):
-        # width * width, not width**2: a float power raises OverflowError for a
-        # width past 1e154, where the product goes to inf and the bump to flat.
         return amplitude * np.exp(-0.5 * np.sum((pts - center) ** 2, axis=1) / (width * width))
 
     return fn, True
@@ -181,7 +179,7 @@ def _affine_y_reaction(dim: int, *, slope: float, intercept: float = 0.0,
     def fn(t, p, y, z):
         return prof(p) * (intercept + slope * y)
 
-    return RawDriver(fn, slope**2, 0.0, name="affine-y")
+    return RawDriver(fn, slope * slope, 0.0, name="affine-y")
 
 
 def _sin_in_x_reaction(dim: int, *, amplitude: float, frequency: float = 1.0,
@@ -201,7 +199,7 @@ def _tanh_y_reaction(dim: int, *, scale: float, gain: float = 1.0,
     def fn(t, p, y, z):
         return scale * prof(p) * np.tanh(gain * y)
 
-    return RawDriver(fn, (scale * gain) ** 2, 0.0, name="tanh-y")
+    return RawDriver(fn, (scale * gain) * (scale * gain), 0.0, name="tanh-y")
 
 
 def _sin_y_reaction(dim: int, *, scale: float, gain: float = 1.0,
@@ -211,7 +209,7 @@ def _sin_y_reaction(dim: int, *, scale: float, gain: float = 1.0,
     def fn(t, p, y, z):
         return scale * prof(p) * np.sin(gain * y)
 
-    return RawDriver(fn, (scale * gain) ** 2, 0.0, name="sin-y")
+    return RawDriver(fn, (scale * gain) * (scale * gain), 0.0, name="sin-y")
 
 
 def _tanh_y_sin_z_reaction(dim: int, *, y_scale: float, z_scale: float, y_gain: float = 1.0,
@@ -224,7 +222,7 @@ def _tanh_y_sin_z_reaction(dim: int, *, y_scale: float, z_scale: float, y_gain: 
         return prof(p) * (ys * np.tanh(yg * y) + zs * np.sin(zg * zeta))
 
     # |df|^2 <= 2 (ys yg)^2 |dy|^2 + 2 (zs zg)^2 dim |dz|^2.
-    lip = 2.0 * max((ys * yg) ** 2, (zs * zg) ** 2 * dim)
+    lip = 2.0 * max((ys * yg) * (ys * yg), (zs * zg) * (zs * zg) * dim)
     return RawDriver(fn, lip, lip, name="tanh-y-sin-z")
 
 
@@ -264,7 +262,7 @@ def _constant_noise(dim: int, n_components: int, where: str, *, values: Scalars,
 def _deterministic_x_noise(dim: int, n_components: int, where: str, *, amplitude: float,
                            width: Positive = 1.0, center: float = 0.0) -> RawDriver:
     def fn(t, p, y, z):
-        prof = amplitude * np.exp(-0.5 * np.sum((p - center) ** 2, axis=1) / width**2)
+        prof = amplitude * np.exp(-0.5 * np.sum((p - center) ** 2, axis=1) / (width * width))
         return np.multiply.outer(np.ones_like(y) * prof, np.ones(n_components))
 
     return RawDriver(fn, 0.0, 0.0, n_components, name="deterministic-x")
@@ -316,11 +314,8 @@ def _sigma_composer(field: CoefficientField):
     return compose
 
 
-def reaction_term(raw: RawDriver, field: CoefficientField, z_mode: str) -> ReactionTerm:
-    if z_mode not in Z_MODES:
-        raise ConfigError("z_mode", f"must be one of {Z_MODES}")
-    if z_mode == "gradient":
-        return ReactionTerm(raw.fn, max(raw.lip_y_sq, raw.lip_z_sq), raw.name)
+def reaction_term(raw: RawDriver, field: CoefficientField) -> ReactionTerm:
+    """The grid reaction: ``raw`` with its z slot fed grad u sigma(x)."""
     compose = _sigma_composer(field)
 
     def fn(t, pts, y, z):
@@ -330,11 +325,8 @@ def reaction_term(raw: RawDriver, field: CoefficientField, z_mode: str) -> React
     return ReactionTerm(fn, lip, raw.name + "@sigma")
 
 
-def noise_term(raw: RawDriver, field: CoefficientField, z_mode: str) -> NoiseTerm:
-    if z_mode not in Z_MODES:
-        raise ConfigError("z_mode", f"must be one of {Z_MODES}")
-    if z_mode == "gradient":
-        return NoiseTerm(raw.fn, raw.n_components, raw.lip_y_sq, raw.lip_z_sq, raw.name)
+def noise_term(raw: RawDriver, field: CoefficientField) -> NoiseTerm:
+    """The grid noise loading: ``raw`` with its z slot fed grad u sigma(x)."""
     compose = _sigma_composer(field)
 
     def fn(t, pts, y, z):

@@ -208,7 +208,7 @@ def test_criterion_08_linear_gbdsde_oracles():
     field = build_field({"preset": "constant", "value": 0.5}, 1)
     hunt = simulate_hunt(field, InitialLaw("point", [0.0]), tg, 1500, seed=51)
     gbm = build_gbm(sample_driver(tg, 3, 1, seed=52), constant_schedule(0, 12), scen)
-    ens = LsmcEnsemble(hunt, RegressionBasis("polynomial", 4), field)
+    ens = LsmcEnsemble(hunt, RegressionBasis(4), field)
     n, n_w = tg.n_steps, hunt.n_paths
     shape = (gbm.n_paths, n + 1, n_w)
 

@@ -49,7 +49,7 @@ def make_ensembles(n_steps=16, horizon=0.5, n_w=1500, n_b=3, a_value=0.5,
     return field, hunt, gbm
 
 
-BASIS = RegressionBasis("polynomial", degree=4, ridge=0.0)
+BASIS = RegressionBasis(degree=4, ridge=0.0)
 
 
 def slot_lookup(hunt, gbm, f=0.0, g=0.0):
@@ -76,7 +76,7 @@ def test_regress_constant_exact():
 def test_regress_linear_in_span():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(500)
-    assert np.allclose(fitted(x, x, RegressionBasis("polynomial", 1)), x, atol=1e-10)
+    assert np.allclose(fitted(x, x, RegressionBasis(1)), x, atol=1e-10)
 
 
 def test_regress_quadratic_coefficient_consistency():
@@ -86,20 +86,14 @@ def test_regress_quadratic_coefficient_consistency():
     y = x**2 + 0.3 * rng.standard_normal(10_000)
     # Features are powers of (x - c)/s, so the fit at the sample points is a
     # quadratic in x; its leading coefficient must be 1 within 3 SE.
-    coef = np.polyfit(x, fitted(y, x, RegressionBasis("polynomial", 2)), 2)[0]
+    coef = np.polyfit(x, fitted(y, x, RegressionBasis(2)), 2)[0]
     assert abs(coef - 1.0) <= 3.0 * 0.3 / np.sqrt(10_000) * 10
 
 
-def test_regress_bins_and_rank_errors():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(800)
-    target = np.where(x > 0, 1.0, -1.0)
-    pred = fitted(target, x, RegressionBasis("indicator-bins", n_bins=8))
-    assert np.corrcoef(pred, target)[0, 1] > 0.9
+def test_regress_too_few_samples_rejected():
+    x = np.random.default_rng(4).standard_normal(800)
     with pytest.raises(UsageError, match="samples per basis"):
-        RegressionContext(x[:20], RegressionBasis("polynomial", 6))
-    with pytest.raises(UsageError, match="1-D"):
-        RegressionContext(rng.standard_normal((500, 2)), RegressionBasis("indicator-bins"))
+        RegressionContext(x[:20], RegressionBasis(6))
 
 
 def test_degenerate_positions_fall_back_to_constant():
@@ -311,7 +305,7 @@ def test_picard_source_free_matches_semigroup_oracle():
                         lambda t, x, y, v: np.zeros_like(y),
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         0.0, 0.0, field, gbm.scenarios, hunt.grid)
-    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis("polynomial", 5), field),
+    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis(5), field),
                               gbm, PicardConfig.from_problem(prob, max_iter=20))
     sg = SpatialGrid(1, 8.0, 801, "periodic")
     op = discretize_operator(field, sg)
@@ -344,26 +338,13 @@ def test_picard_contraction_ratios_under_proof_bound():
         assert np.array_equal(sol.y[b, -1], xi)
 
 
-def test_picard_implicit_variant_agrees():
-    scen = ScenarioSet.from_list([[[1.0]]])
-    field, hunt, gbm = make_ensembles(n_steps=24, horizon=0.5, n_w=2000,
-                                      a_value=1.0, scen=scen, seed=97)
-    prob = representation_free_problem(field, scen, hunt.grid)
-    ens = LsmcEnsemble(hunt, BASIS, field)
-    cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
-    explicit = solve_gbdsde_picard(prob, ens, gbm, cfg)
-    implicit = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=True)
-    scale = float(np.max(np.abs(explicit.y)))
-    assert np.max(np.abs(explicit.y - implicit.y)) <= 0.05 * scale
-
-
 def test_picard_basis_stability():
     scen = ScenarioSet.from_list([[[1.0]]])
     field, hunt, gbm = make_ensembles(n_steps=12, horizon=0.5, n_w=4000,
                                       a_value=1.0, scen=scen, seed=101)
     prob = representation_free_problem(field, scen, hunt.grid)
     cfg = PicardConfig.from_problem(prob, max_iter=20)
-    sols = [solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis("polynomial", deg),
+    sols = [solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis(deg),
                                                    field), gbm, cfg)
             for deg in (3, 6)]
     y0 = [float(np.mean(s.y[:, 0])) for s in sols]
@@ -403,19 +384,17 @@ def test_config_for_another_problem_rejected():
         solve_gbdsde_picard(stiffer, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
 
 
-@pytest.mark.parametrize("implicit_y", [False, True])
-def test_each_picard_iteration_is_one_linear_solve(monkeypatch, implicit_y):
-    # Both sweeps run the one backward recursion, through the module global.
+def test_each_picard_iteration_is_one_linear_solve(monkeypatch):
+    # Each sweep runs the one backward recursion, through the module global.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
     calls = []
     monkeypatch.setattr(bdsde, "solve_linear_bdsde",
                         lambda *a: calls.append(a) or solve_linear_bdsde(*a))
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
-                              PicardConfig.from_problem(prob), implicit_y=implicit_y)
+                              PicardConfig.from_problem(prob))
     assert sol.picard_report.iterations >= 2
     assert len(calls) == sol.picard_report.iterations
-    assert all((a[4] is not None) == implicit_y for a in calls)
 
 
 def test_nonconvergence_carries_report():
@@ -465,9 +444,8 @@ def test_linear_recursion_never_reads_driver_slot_0():
 
 
 def test_recursion_never_reads_driver_slot_0(monkeypatch):
-    # The Picard sweeps, explicit and implicit in Y, evaluate drivers slot by
-    # slot inside the recursion, for slots N..1 only; a slot-0 evaluation
-    # would poison Y and Z.
+    # The Picard sweep evaluates drivers slot by slot inside the recursion,
+    # for slots N..1 only; a slot-0 evaluation would poison Y and Z.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
@@ -479,18 +457,15 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
         f_i, g_i = slot_drivers(problem, ensemble, y, z, i, t)
         return (f_i + np.nan, g_i + np.nan) if i == 0 else (f_i, g_i)
 
-    for implicit_y in (False, True):
-        cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
-        monkeypatch.setattr(bdsde, "_slot_drivers", slot_drivers)
-        clean = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=implicit_y)
-        monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
-        slots.clear()
-        poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=implicit_y)
-        sweeps = clean.picard_report.iterations
-        assert slots == list(range(hunt.grid.n_steps, 0, -1)) * sweeps
-        assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
-        assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
-        assert poisoned.picard_report == clean.picard_report
+    cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
+    clean = solve_gbdsde_picard(prob, ens, gbm, cfg)
+    monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
+    poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg)
+    sweeps = clean.picard_report.iterations
+    assert slots == list(range(hunt.grid.n_steps, 0, -1)) * sweeps
+    assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
+    assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
+    assert poisoned.picard_report == clean.picard_report
 
 
 def stacked_drivers(problem, y, z, ens):
@@ -510,38 +485,15 @@ def stacked_drivers(problem, y, z, ens):
     return f_out, g_out
 
 
-def stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z_prev):
-    """Reference: the implicit-in-Y recursion reading whole driver stacks."""
-    hunt = ens.hunt
-    n, n_w, d, dt = hunt.grid.n_steps, hunt.n_paths, hunt.dim, hunt.grid.dt
-    y = np.empty((gbm.n_paths, n + 1, n_w))
-    z = np.empty((gbm.n_paths, n + 1, n_w, d))
-    y[:, n] = xi
-    for i in range(n - 1, -1, -1):
-        ctx = ens.contexts[i]
-        base_target = y[:, i + 1] + np.einsum("bwl,bl->bw", g_arr[:, i + 1], gbm.db[:, i, :])
-        fitted = ctx.predict_in_sample(
-            ctx.fit(np.stack([base_target, base_target + dt * f_arr[:, i + 1]])))
-        v_here = np.einsum("bwd,wdk->bwk", z_prev[:, i], ens.sigma[i])
-        y[:, i] = fitted[0] + dt * np.asarray(
-            problem.f(hunt.grid.times[i], hunt.x[:, i, :], fitted[1], v_here))
-        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ens.a_inverse[i], dt)
-    z[:, n] = z[:, n - 1]
-    return y, z
-
-
-def stacked_picard(problem, ens, gbm, cfg, implicit_y):
+def stacked_picard(problem, ens, gbm, cfg):
     """Reference Picard loop: each sweep builds the driver stacks first and
-    hands them to solve_linear_bdsde as a slot lookup (or to the implicit
-    reference)."""
+    hands them to solve_linear_bdsde as a slot lookup."""
     hunt = ens.hunt
     n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
 
     def sweep(y, z):
         f_arr, g_arr = stacked_drivers(problem, y, z, ens)
-        if implicit_y:
-            return stacked_implicit_sweep(problem, ens, gbm, xi, f_arr, g_arr, z)
         sol = solve_linear_bdsde(xi, ens, gbm, lambda i: (f_arr[:, i], g_arr[:, i]))
         return sol.y, sol.z
 
@@ -581,9 +533,9 @@ SCENARIOS = {1: ScenarioSet.from_list([[[1.0]], [[0.6]]]),
 @settings(max_examples=30, deadline=None)
 @given(d=st.sampled_from([1, 2]), l=st.sampled_from([1, 2]), n_b=st.integers(1, 3),
        n_steps=st.integers(1, 5), n_w=st.integers(80, 200), scenario=st.integers(0, 1),
-       implicit_y=st.booleans(), seed=st.integers(0, 2**31 - 1))
+       seed=st.integers(0, 2**31 - 1))
 def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
-                                                        scenario, implicit_y, seed):
+                                                        scenario, seed):
     # The Picard sweep evaluates the drivers slot by slot inside the
     # recursion; it must give the floats of the whole-stack form.
     scen = SCENARIOS[l]
@@ -592,11 +544,11 @@ def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
     hunt = simulate_hunt(field, InitialLaw("gaussian"), tg, n_w, seed=seed)
     gbm = build_gbm(sample_driver(tg, n_b, l, seed + 1), constant_schedule(scenario, n_steps),
                     scen)
-    ens = LsmcEnsemble(hunt, RegressionBasis("polynomial", degree=2), field)
+    ens = LsmcEnsemble(hunt, RegressionBasis(degree=2), field)
     prob = mixed_problem(field, scen, tg)
     cfg = PicardConfig.from_problem(prob, max_iter=12)
-    y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg, implicit_y)
-    sol = solve_gbdsde_picard(prob, ens, gbm, cfg, implicit_y=implicit_y)
+    y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
+    sol = solve_gbdsde_picard(prob, ens, gbm, cfg)
     assert sol.picard_report == rep_ref
     assert np.array_equal(sol.y, y_ref) and np.array_equal(sol.z, z_ref)
 

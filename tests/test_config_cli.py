@@ -64,6 +64,18 @@ def test_unknown_key_rejected():
     cfg["gspde"]["bogus"] = 2
     with pytest.raises(ConfigError, match="gspde.bogus"):
         validate_config(cfg)
+    # Keys the schema no longer has, each with a value it once accepted.
+    for field, value in [("z_mode", "gradient-sigma"), ("bdsde.implicit_y", False),
+                         ("bdsde.basis.kind", "polynomial"), ("bdsde.basis.n_bins", 16)]:
+        cfg = default_config()
+        *parents, key = field.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == field
 
 
 def test_missing_preset_field_level_error():
@@ -143,8 +155,9 @@ def runners_fail(monkeypatch):
 
 
 def set_path(cfg, section, key, value):
-    """Set ``cfg[section]`` at the dotted ``key``; integer parts index lists."""
-    node = cfg[section]
+    """Set ``cfg[section]`` (``cfg`` for section None) at the dotted ``key``;
+    integer parts index lists."""
+    node = cfg if section is None else cfg[section]
     *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
     for k in parents:
         node = node[k]
@@ -185,6 +198,12 @@ def set_path(cfg, section, key, value):
     ("representation", "checkpoint_fractions", [2.0], "representation.checkpoint_fractions"),
     ("bdsde", "init.x0", [0.0, 0.0], "bdsde.init.x0"),
     ("bdsde", "basis.degree", 40, "bdsde.n_diffusion_paths"),
+    (None, "z_mode", "gradient", "z_mode"),
+    ("bdsde", "implicit_y", True, "bdsde.implicit_y"),
+    ("bdsde", "basis.kind", "indicator-bins", "bdsde.basis.kind"),
+    ("bdsde", "basis.n_bins", 16, "bdsde.basis.n_bins"),
+    ("space_grid", "half_width", 1e200, "space_grid.half_width"),
+    ("space_grid", "half_width", 1e156, "space_grid.half_width"),  # R/4 squared overflows
 ])
 def test_cli_malformed_field_exit_2(tmp_path, capsys, runners_fail, section, key, value,
                                     field):
@@ -429,3 +448,30 @@ def test_validate_config_fuzz_one_leaf(leaf, value):
         else:
             assert (exc.field == path or exc.field.startswith(path + "[")
                     or exc.field in RULE_FIELDS), (exc.field, path)
+
+
+def _float_leaves(node, path=()):
+    """Key paths of every float in ``node``, array elements included."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _float_leaves(value, path + (key,))
+    elif type(node) is float:
+        yield path
+
+
+@pytest.mark.parametrize("value", [1e200, -1e200])
+@pytest.mark.parametrize("leaf", list(_float_leaves(default_config())), ids=_path_name)
+def test_huge_float_leaf_validates_or_names_a_field(leaf, value):
+    # A float power of a huge constant raises OverflowError; validation must
+    # either accept the value or reject it as a config error.
+    cfg = default_config()
+    node = cfg
+    for part in leaf[:-1]:
+        node = node[part]
+    node[leaf[-1]] = value
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        path = _path_name(leaf)
+        assert (exc.field == path or exc.field.startswith(path + "[")
+                or exc.field in RULE_FIELDS), (exc.field, path)

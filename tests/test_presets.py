@@ -25,8 +25,8 @@ def test_constant_and_sinusoidal_fields():
     x = np.linspace(-3, 3, 25)[:, None]
     fd = CoefficientField(1, sin_field.a, sin_field.lam_min, sin_field.lam_max)
     assert np.allclose(sin_field.drift_at(x), fd.drift_at(x), atol=1e-7)
-    lo, hi = sin_field.ellipticity_report(x)
-    assert sin_field.lam_min - 1e-12 <= lo and hi <= sin_field.lam_max + 1e-12
+    vals = sin_field.a_at(x)[:, 0, 0]
+    assert sin_field.lam_min - 1e-12 <= vals.min() and vals.max() <= sin_field.lam_max + 1e-12
 
 
 def test_diagonal_2d_field():
@@ -74,20 +74,39 @@ def test_driver_declared_constants_are_honest():
         assert np.all(np.sum(dg**2, -1) <= bound_g + 1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    {"preset": "affine-y", "slope": 1e200},
+    {"preset": "tanh-y", "scale": 1e200},
+    {"preset": "sin-y", "scale": 0.5, "gain": -1e200},
+    {"preset": "tanh-y-sin-z", "y_scale": 1e200, "z_scale": 0.1},
+    {"preset": "tanh-y-sin-z", "y_scale": 0.1, "z_scale": 0.1, "z_gain": 1e200},
+])
+def test_huge_reaction_constant_gives_infinite_lipschitz_bound(spec):
+    # A float power of the constant would raise OverflowError instead.
+    raw_f = build_raw_reaction(spec, 1)
+    assert max(raw_f.lip_y_sq, raw_f.lip_z_sq) == np.inf
+
+
+def test_deterministic_noise_with_huge_width_is_flat():
+    raw_g = build_raw_noise({"preset": "deterministic-x", "amplitude": 0.5, "width": 1e200}, 1, 2)
+    pts = np.linspace(-3.0, 3.0, 7)[:, None]
+    assert np.array_equal(raw_g.fn(0.0, pts, np.zeros(7), np.zeros((7, 1))), np.full((7, 2), 0.5))
+
+
 def test_sigma_mode_scales_z_constant():
     field = build_field({"preset": "constant", "value": 4.0}, 1)
     raw_g = build_raw_noise({"preset": "tanh-y-sin-z", "y_scale": 0.1,
                              "z_scale": 0.2}, 1, 1)
-    plain = noise_term(raw_g, field, "gradient")
-    composed = noise_term(raw_g, field, "gradient-sigma")
-    assert composed.lip_z_sq == pytest.approx(plain.lip_z_sq * 4.0)
+    composed = noise_term(raw_g, field)
+    assert composed.lip_y_sq == pytest.approx(raw_g.lip_y_sq)
+    assert composed.lip_z_sq == pytest.approx(raw_g.lip_z_sq * 4.0)
     # sigma = 2, so the composed term sees z * 2.
     pts = np.zeros((5, 1))
     y = np.zeros(5)
     z = np.full((5, 1), 0.3)
-    assert np.allclose(composed.fn(0.0, pts, y, z), plain.fn(0.0, pts, y, 2.0 * z))
+    assert np.allclose(composed.fn(0.0, pts, y, z), raw_g.fn(0.0, pts, y, 2.0 * z))
     raw_f = build_raw_reaction({"preset": "tanh-y", "scale": 0.5}, 1)
-    assert reaction_term(raw_f, field, "gradient").lip_sq == pytest.approx(0.25)
+    assert reaction_term(raw_f, field).lip_sq == pytest.approx(0.25)
 
 
 def test_sigma_cache_misses_on_a_different_point_set():
@@ -97,9 +116,9 @@ def test_sigma_cache_misses_on_a_different_point_set():
     moved = pts.copy()
     moved[2, 0] = 0.7  # same shape, first and last coordinates as pts
     y, z = np.zeros(5), np.ones((5, 1))
-    term = noise_term(raw_g, field, "gradient-sigma")
+    term = noise_term(raw_g, field)
     term(0.0, pts, y, z)
-    fresh = noise_term(raw_g, field, "gradient-sigma")
+    fresh = noise_term(raw_g, field)
     assert np.array_equal(term(0.0, moved, y, z), fresh(0.0, moved, y, z))
     assert np.array_equal(term(0.0, pts, y, z), fresh(0.0, pts, y, z))
 

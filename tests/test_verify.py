@@ -55,7 +55,7 @@ def setup_pipeline(terminal_fn, n_steps=8, horizon=0.5, n_b=4, n_w=1500,
     driver = sample_driver(tg, n_b, 1, seed)
     gbms = [build_gbm(driver, constant_schedule(k, n_steps), scen) for k in range(2)]
     hunt = simulate_hunt(field, InitialLaw("point", [0.0]), tg, n_w, seed + 1)
-    ensemble = LsmcEnsemble(hunt, RegressionBasis("polynomial", deg), field)
+    ensemble = LsmcEnsemble(hunt, RegressionBasis(deg), field)
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=20, tol_rel=1e-8)
     b_cfg = PicardConfig.from_problem(bprob, max_iter=20)
     op = discretize_operator(field, sg)
