@@ -11,6 +11,11 @@ targets as constants.  The backward recursion is
 where the Z scaling comes from the bracket <M> = 2 int a(X) ds.  Y at the
 horizon is the terminal payoff bitwise; Z at the horizon copies the last
 regressed slot rather than being extrapolated.
+
+The drivers' v slot is fed Z sigma(X), the Markovian pairing with the grid
+solver's grad u sigma(x), under which Y_t = u(t, X_t) and
+Z_t = grad u(t, X_t); the two equations share their driver terms and so
+their contraction inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .picard import (
     iterate,
     weighted_quadrature,
 )
-from .scenario import ScenarioSet, sigma_bar
 
 MIN_SAMPLES_PER_FEATURE = 10
 DEGENERATE_STD = 1e-12
@@ -258,43 +262,23 @@ def _delta_density(y, z, delta: float, weights) -> np.ndarray:
 
 @dataclass
 class BdsdeProblem:
-    """Driver data with declared Lipschitz constants.
+    """Driver data of the backward equation.
 
     Drivers have signature fn(t, x, y, v) with x the diffusion state sample
     (state dependence is how the drivers are random over the forward
-    factor); the v slot is fed Z sigma(X).
+    factor).  ``inputs`` are the (lip, z_coef, sigma_bar^2, lam) that
+    ``pde.derive_contraction_inputs`` gives the drivers' terms, the same for
+    both equations.
     """
 
     terminal_fn: Callable[[np.ndarray], np.ndarray]
     f: Callable
     g: Callable
-    lip_k: float
-    lip_alpha: float
-    field: CoefficientField
-    scenarios: ScenarioSet
     time_grid: TimeGrid
-
-    def __post_init__(self):
-        if self.contraction_margin() <= 0.0:
-            raise UsageError(
-                "contraction property violated: alpha * Lambda * sigma_bar^2 = "
-                f"{self.lip_alpha * self.field.lam_max * self.sigma_bar**2:.6g} >= 2 lambda = "
-                f"{2 * self.field.lam_min:.6g}"
-            )
-
-    @property
-    def sigma_bar(self) -> float:
-        return sigma_bar(self.scenarios)
-
-    def contraction_margin(self) -> float:
-        return (2.0 * self.field.lam_min
-                - self.lip_alpha * self.field.lam_max * self.sigma_bar**2)
+    inputs: tuple[float, float, float, float]
 
     def contraction_inputs(self) -> tuple[float, float, float, float]:
-        """(lip, z_coef, sigma_bar^2, lam) of ``picard.contraction_constants``:
-        kappa = (K eps + alpha Lambda sigma_bar^2) / (2 lambda)."""
-        sb2 = self.sigma_bar**2
-        return self.lip_k, self.lip_alpha * self.field.lam_max * sb2, sb2, self.field.lam_min
+        return self.inputs
 
 
 def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, y, z, i: int, t: float):

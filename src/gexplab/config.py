@@ -31,8 +31,6 @@ from .presets import (
     NoisePreset,
     ReactionPreset,
     TerminalPreset,
-    noise_term,
-    reaction_term,
 )
 from .scenario import ScenarioSet, sigma_bar
 from .verify import checkpoint_indices
@@ -199,19 +197,21 @@ class Experiment(Config):
     hunt_field: Optional[CoefficientField]  # built only when hunt-bracket runs
 
     def constants_report(self) -> dict:
-        """All derived structure constants; what ``validate`` prints."""
-        p, b = self.gspde_problem, self.bdsde_problem
+        """All derived structure constants; what ``validate`` prints.  Both
+        equations share ``lip`` (printed as c_bar and K) and the margin."""
+        lip, z_coef, _, lam = self.gspde_problem.contraction_inputs()
+        g_z = self.gspde_problem.noise.lip_z_sq
         cp, cb = self.gspde_cfg, self.bdsde_cfg
         return {
             "sigma_bar": sigma_bar(self.scenarios),
             "lambda_min": self.field.lam_min,
             "lambda_max": self.field.lam_max,
-            "c_bar": p.c_bar,
-            "alpha_bar": p.alpha_bar,
-            "margin_spde": p.contraction_margin(),
-            "K": b.lip_k,
-            "alpha": b.lip_alpha,
-            "margin_bdsde": b.contraction_margin(),
+            "c_bar": lip,
+            "alpha_bar": g_z * self.field.lam_max,
+            "margin_spde": 2.0 * lam - z_coef,
+            "K": lip,
+            "alpha": g_z,
+            "margin_bdsde": 2.0 * lam - z_coef,
             "spde": {"eps": cp.eps, "kappa": cp.kappa, "gamma": cp.rate,
                      "delta": cp.delta},
             "bdsde": {"eps": cb.eps, "kappa": cb.kappa, "beta": cb.rate,
@@ -258,20 +258,14 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
     if not decays and sg.boundary == "dirichlet0":
         raise ConfigError("terminal.preset",
                           "non-decaying terminal data needs periodic boundaries")
-    raw_f = c.reaction(sg.dim)
-    raw_g = c.noise(sg.dim, scen.dim, "noise")
-    # The problems check the contraction margins and, on Dirichlet grids,
-    # that the data vanish at the boundary.
+    reaction, noise = c.reaction(sg.dim), c.noise(sg.dim, scen.dim, "noise")
+    # The grid problem checks the contraction margin both equations share
+    # and, on Dirichlet grids, that the data vanish at the boundary.
     gspde_problem = _checked("config", GspdeProblem,
-                             terminal=terminal_fn(sg.points()),
-                             reaction=reaction_term(raw_f, field_obj),
-                             noise=noise_term(raw_g, field_obj),
+                             terminal=terminal_fn(sg.points()), reaction=reaction, noise=noise,
                              field=field_obj, scenarios=scen, time_grid=tg, space_grid=sg)
-    bdsde_problem = _checked("config", BdsdeProblem,
-                             terminal_fn=terminal_fn, f=raw_f.fn, g=raw_g.fn,
-                             lip_k=max(raw_f.lip_y_sq, raw_f.lip_z_sq, raw_g.lip_y_sq),
-                             lip_alpha=raw_g.lip_z_sq, field=field_obj, scenarios=scen,
-                             time_grid=tg)
+    bdsde_problem = BdsdeProblem(terminal_fn, reaction.fn, noise.fn, tg,
+                                 gspde_problem.contraction_inputs())
     gspde_cfg = _checked("gspde.eps", PicardConfig.from_problem, gspde_problem,
                          eps=c.gspde.eps, max_iter=c.gspde.max_iter, tol_rel=c.gspde.tol_rel)
     bdsde_cfg = _checked("bdsde.eps", PicardConfig.from_problem, bdsde_problem,

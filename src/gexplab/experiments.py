@@ -30,7 +30,6 @@ from .hunt import (
 )
 from .pde import (
     SpaceTimeTestFunction,
-    discretize_operator,
     energy_identity_residual,
     solve_gspde_picard,
     weak_residual,
@@ -204,7 +203,6 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     sec = exp.gspde
     n_b, weak_tol, energy_tol = sec.n_noise_paths, sec.weak_tolerance, sec.energy_tolerance
     problem, cfg = exp.gspde_problem, exp.gspde_cfg
-    op = discretize_operator(problem.field, problem.space_grid)
     gbms = _scenario_bundles(exp)
     test_fn = _default_test_fn(exp)
 
@@ -213,9 +211,9 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     scen_reports = []
     dumped = []  # (scenario id, the dumped paths' values) per scenario
     for gbm in gbms:
-        fld, rep = solve_gspde_picard(problem, cfg, gbm, op=op)
-        wres = weak_residual(fld, test_fn, problem, gbm, op=op)
-        eres = energy_identity_residual(fld, problem, gbm, op=op)
+        fld, rep = solve_gspde_picard(problem, cfg, gbm)
+        wres = weak_residual(fld, test_fn, problem, gbm)
+        eres = energy_identity_residual(fld, problem, gbm)
         sid = gbm.scenario_id
         terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
                              for p in range(fld.n_paths))
@@ -305,8 +303,10 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
 
 # -- representation -------------------------------------------------------------------
 
-def _representation_level(exp: Experiment, op, grid: TimeGrid, driver, dw_hunt,
+def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
                           n_w: int, checkpoints):
+    # The grid problem keeps its operator, whose Crank-Nicolson factors are
+    # cached per step size.
     problem = replace(exp.gspde_problem, time_grid=grid)
     b_problem = replace(exp.bdsde_problem, time_grid=grid)
     hunt = simulate_hunt(exp.field, exp.bdsde.init, grid, n_w,
@@ -317,7 +317,7 @@ def _representation_level(exp: Experiment, op, grid: TimeGrid, driver, dw_hunt,
 
     def solves():
         for gbm in gbms:
-            fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm, op=op)
+            fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm)
             yield fld, solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg), gbm
             del fld  # the next scenario's solves must not run beside this field
 
@@ -335,8 +335,6 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
                                 child_seed(exp.seed, SEED_DRIVER))
     rng = np.random.default_rng(child_seed(exp.seed, SEED_HUNT, 1))
     dw_fine = rng.standard_normal((n_w, finest.n_steps, exp.field.dim)) * np.sqrt(finest.dt)
-    # One operator for all levels: its Crank-Nicolson factors are cached per step size.
-    op = discretize_operator(exp.field, exp.space_grid)
 
     refinement = []  # one row of worst-case errors per step count, coarsest first
     for level in range(halvings + 1):
@@ -344,8 +342,7 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
         grid = TimeGrid(base.horizon, base.n_steps * 2**level)
         driver = coarsen_driver(driver_fine, factor)
         dw = dw_fine.reshape(n_w, grid.n_steps, factor, exp.field.dim).sum(axis=2)
-        worst = _representation_level(exp, op, grid, driver, dw, n_w,
-                                      sec.checkpoint_fractions)
+        worst = _representation_level(exp, grid, driver, dw, n_w, sec.checkpoint_fractions)
         if level == 0:
             base_worst = worst
         refinement.append({"n_steps": grid.n_steps,
@@ -377,7 +374,7 @@ def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
     collar = exp.comparison.collar_frac
     problem_a, cfg = exp.gspde_problem, exp.gspde_cfg
     gbms = _scenario_bundles(exp)
-    y_dependent = (problem_a.reaction.lip_sq > 0.0 or problem_a.noise.lip_y_sq > 0.0)
+    y_dependent = (problem_a.reaction.lip_y_sq > 0.0 or problem_a.noise.lip_y_sq > 0.0)
 
     cases = exp.comparison.cases
     problems_b = [replace(problem_a, terminal=problem_a.terminal + case.terminal_shift,

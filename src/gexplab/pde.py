@@ -17,6 +17,13 @@ evaluated by the backward recursion
     u_i = CN_dt[ u_{i+1} + dt f(t_{i+1}, u*, grad u*) + g(t_{i+1}, ...) . dB_i ],
 
 whose fixed point reproduces the mild formula exactly at grid times.
+
+The drivers f(t, x, y, v) and g(t, x, y, v) declare constants for their y
+and v slots.  The sweep feeds the v slot grad u sigma(x), the Markovian
+pairing with the backward solver's Z sigma(X), under which Y_t = u(t, X_t)
+and Z_t = grad u(t, X_t).  As |(p - p') sigma|^2 <= Lambda |p - p'|^2,
+the v constants enter the contraction argument of both equations times the
+upper ellipticity bound Lambda, in ``derive_contraction_inputs``.
 """
 
 from __future__ import annotations
@@ -128,7 +135,8 @@ class SpatialGrid:
 
 
 class DivergenceFormOperator:
-    """Sparse flux-form discretization of sum_i d_i(a^{ii} d_j .)."""
+    """Sparse flux-form discretization of sum_i d_i(a^{ii} d_j .), with
+    sigma(x) at the nodes for the drivers' v slot."""
 
     def __init__(self, field_spec: CoefficientField, grid: SpatialGrid):
         if field_spec.dim != grid.dim:
@@ -136,6 +144,7 @@ class DivergenceFormOperator:
         self.field = field_spec
         self.grid = grid
         self.matrix = self._assemble()
+        self.node_sigma = field_spec.sigma_at(grid.points())  # (n, d, d)
         self._step_cache: dict[float, tuple] = {}
 
     # -- assembly ---------------------------------------------------------
@@ -258,21 +267,22 @@ def homogeneous_term(op: DivergenceFormOperator, terminal: np.ndarray,
 
 @dataclass(frozen=True)
 class ReactionTerm:
-    """Drift-reaction f(t, x, y, z) with a declared joint Lipschitz bound:
-    |f(...,y,z) - f(...,y',z')|^2 <= lip_sq (|y-y'|^2 + |z-z'|^2)."""
+    """Drift-reaction f(t, x, y, v) with declared constants:
+    |f(...,y,v) - f(...,y',v')|^2 <= lip_y_sq |y-y'|^2 + lip_z_sq |v-v'|^2."""
 
     fn: Callable
-    lip_sq: float
+    lip_y_sq: float
+    lip_z_sq: float
     name: str = "custom"
 
-    def __call__(self, t, pts, y, z):
-        return self.fn(t, pts, y, z)
+    def __call__(self, t, pts, y, v):
+        return self.fn(t, pts, y, v)
 
 
 @dataclass(frozen=True)
 class NoiseTerm:
     """Noise loading g = (g^1..g^l) with declared constants:
-    sum_j |dg^j|^2 <= lip_y_sq |dy|^2 + lip_z_sq |dz|^2."""
+    sum_j |dg^j|^2 <= lip_y_sq |dy|^2 + lip_z_sq |dv|^2."""
 
     fn: Callable
     n_components: int
@@ -280,23 +290,46 @@ class NoiseTerm:
     lip_z_sq: float
     name: str = "custom"
 
-    def __call__(self, t, pts, y, z):
-        return self.fn(t, pts, y, z)
+    def __call__(self, t, pts, y, v):
+        return self.fn(t, pts, y, v)
 
 
-ZERO_REACTION = ReactionTerm(lambda t, p, y, z: np.zeros_like(y), 0.0, "zero")
+ZERO_REACTION = ReactionTerm(lambda t, p, y, v: np.zeros_like(y), 0.0, 0.0, "zero")
 
 
 def zero_noise(n_components: int) -> NoiseTerm:
-    def fn(t, p, y, z):
+    def fn(t, p, y, v):
         return np.zeros(np.shape(y) + (n_components,))
 
     return NoiseTerm(fn, n_components, 0.0, 0.0, "zero")
 
 
+def derive_contraction_inputs(reaction: ReactionTerm, noise: NoiseTerm,
+                              field_spec: CoefficientField,
+                              scenarios: ScenarioSet) -> tuple[float, float, float, float]:
+    """(lip, z_coef, sigma_bar^2, lam) of ``picard.contraction_constants``,
+    the same for the grid and the backward equation:
+
+        lip = max(f_y, f_z Lambda, g_y),  z_coef = g_z Lambda sigma_bar^2,
+        kappa = (lip eps + z_coef) / (2 lambda).
+
+    Raises unless the contraction margin 2 lambda - z_coef is positive."""
+    sb2 = sigma_bar(scenarios) ** 2
+    lam, lam_up = field_spec.lam_min, field_spec.lam_max
+    z_coef = noise.lip_z_sq * lam_up * sb2
+    if 2.0 * lam - z_coef <= 0.0:
+        raise UsageError(f"contraction property violated: g_z * Lambda * sigma_bar^2 = "
+                         f"{z_coef:.6g} >= 2 lambda = {2 * lam:.6g}")
+    return max(reaction.lip_y_sq, reaction.lip_z_sq * lam_up, noise.lip_y_sq), z_coef, sb2, lam
+
+
 @dataclass
 class GspdeProblem:
-    """Terminal-value problem data with validated structure constants."""
+    """Terminal-value problem data with validated structure constants.
+
+    The problem owns its grid operator.  ``dataclasses.replace`` carries it
+    over while the field object and the grid stay the same; otherwise a new
+    one is built."""
 
     terminal: np.ndarray
     reaction: ReactionTerm
@@ -306,6 +339,8 @@ class GspdeProblem:
     time_grid: TimeGrid
     space_grid: SpatialGrid
     check_boundary_decay: bool = True
+    operator: Optional[DivergenceFormOperator] = field(default=None, repr=False,
+                                                       compare=False)
 
     def __post_init__(self):
         self.terminal = np.asarray(self.terminal, dtype=float)
@@ -316,14 +351,12 @@ class GspdeProblem:
                 f"noise has {self.noise.n_components} components but the driver "
                 f"dimension is {self.scenarios.dim}"
             )
-        if self.contraction_margin() <= 0.0:
-            raise UsageError(
-                "contraction property violated: alpha_bar * sigma_bar^2 = "
-                f"{self.alpha_bar * self.sigma_bar**2:.6g} >= 2 lambda = "
-                f"{2 * self.field.lam_min:.6g}"
-            )
+        self.contraction_inputs()  # raises unless the margin is positive
         if self.check_boundary_decay and self.space_grid.boundary == "dirichlet0":
             self._check_decay()
+        op = self.operator
+        if op is None or op.field is not self.field or op.grid != self.space_grid:
+            self.operator = discretize_operator(self.field, self.space_grid)
 
     def _check_decay(self):
         mask = self.space_grid.boundary_mask()
@@ -346,26 +379,8 @@ class GspdeProblem:
                     f"({edge:.3e} vs max {top:.3e}); enlarge the domain"
                 )
 
-    @property
-    def c_bar(self) -> float:
-        return max(self.reaction.lip_sq, self.noise.lip_y_sq)
-
-    @property
-    def alpha_bar(self) -> float:
-        return self.noise.lip_z_sq
-
-    @property
-    def sigma_bar(self) -> float:
-        return sigma_bar(self.scenarios)
-
-    def contraction_margin(self) -> float:
-        return 2.0 * self.field.lam_min - self.alpha_bar * self.sigma_bar**2
-
     def contraction_inputs(self) -> tuple[float, float, float, float]:
-        """(lip, z_coef, sigma_bar^2, lam) of ``picard.contraction_constants``:
-        kappa = (c_bar eps + alpha_bar sigma_bar^2) / (2 lam)."""
-        sb2 = self.sigma_bar**2
-        return self.c_bar, self.alpha_bar * sb2, sb2, self.field.lam_min
+        return derive_contraction_inputs(self.reaction, self.noise, self.field, self.scenarios)
 
 
 @dataclass(frozen=True)
@@ -412,24 +427,25 @@ def _hnorm_density(u: np.ndarray, sg: SpatialGrid, delta: float) -> np.ndarray:
 
 
 def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
-    """Reaction and noise at right-endpoint slots 1..N of the iterate."""
+    """Reaction and noise at right-endpoint slots 1..N of the iterate, their
+    v slot fed grad u sigma(x)."""
     tg = problem.time_grid
     n_steps = tg.n_steps
     p, _, n = u.shape
     grad = problem.space_grid.gradient(u[:, 1:])
+    sigma = problem.operator.node_sigma
     f_vals = np.empty((n_steps, p, n))
     g_vals = np.empty((n_steps, p, n, problem.noise.n_components))
     times = tg.times
     for j in range(1, n_steps + 1):
-        f_vals[j - 1] = np.asarray(problem.reaction(times[j], pts, u[:, j], grad[:, j - 1]))
-        g_vals[j - 1] = np.asarray(problem.noise(times[j], pts, u[:, j], grad[:, j - 1]))
+        v = np.einsum("...nd,ndk->...nk", grad[:, j - 1], sigma)
+        f_vals[j - 1] = np.asarray(problem.reaction(times[j], pts, u[:, j], v))
+        g_vals[j - 1] = np.asarray(problem.noise(times[j], pts, u[:, j], v))
     return f_vals, g_vals
 
 
 def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
-                       initial: str = "zero",
-                       op: Optional[DivergenceFormOperator] = None
-                       ) -> tuple[RandomField, PicardReport]:
+                       initial: str = "zero") -> tuple[RandomField, PicardReport]:
     """Fixed-point iteration of the mild map over one path bundle.
 
     The iterate map propagates with the dt Crank-Nicolson step and feeds the
@@ -443,8 +459,7 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
         raise UsageError("path bundle and problem use different time grids")
     if not np.array_equal(gbm.scenarios.matrices, problem.scenarios.matrices):
         raise UsageError("path bundle and problem use different scenario sets")
-    if op is None:
-        op = discretize_operator(problem.field, sg)
+    op = problem.operator
     pts = sg.points()
     p, n_steps, n = gbm.n_paths, tg.n_steps, sg.n_nodes
     dt = tg.dt
@@ -505,23 +520,19 @@ def _check_support(chi_vals: np.ndarray, grid: SpatialGrid) -> None:
         raise UsageError("test function must vanish at the domain boundary")
 
 
-def _residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths,
-                    op: Optional[DivergenceFormOperator]):
-    """What both residuals read: the operator, the field, its sources at the
-    right-endpoint slots, its midpoint slices (p, N, n) and g . dB_i."""
+def _residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths):
+    """What both residuals read: the field, its sources at the right-endpoint
+    slots, its midpoint slices (p, N, n) and g . dB_i."""
     if u_field.values.shape[0] != gbm.n_paths:
         raise UsageError("field and path bundle have different path counts")
-    if op is None:
-        op = discretize_operator(problem.field, problem.space_grid)
     u = u_field.values
     f_vals, g_vals = _eval_sources(problem, u, problem.space_grid.points())
     u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])
-    return op, u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db)
+    return u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db)
 
 
 def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
-                  problem: GspdeProblem, gbm: GBMPaths,
-                  op: Optional[DivergenceFormOperator] = None) -> np.ndarray:
+                  problem: GspdeProblem, gbm: GBMPaths) -> np.ndarray:
     """Absolute residual of the test-function formulation at t = 0, per path.
 
     Quadrature is midpoint in both slots of every time integral, which makes
@@ -531,14 +542,14 @@ def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
     chi = test_fn.space_values(sg)
     _check_support(chi, sg)
     psi = test_fn.time_values(tg.times)
-    op, u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm, op)
+    u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm)
     psi_mid = 0.5 * (psi[:-1] + psi[1:])
     dpsi = psi[1:] - psi[:-1]
 
     res = sg.inner(u[:, 0, :], psi[0] * chi)
     res = res - sg.inner(problem.terminal, psi[-1] * chi)
     res = res + np.sum(sg.inner(u_mid, chi[None, None, :]) * dpsi[None, :], axis=1)
-    energy = op.energy(u_mid, chi[None, None, :])        # (p, N)
+    energy = problem.operator.energy(u_mid, chi[None, None, :])  # (p, N)
     res = res + dt * np.sum(energy * psi_mid[None, :], axis=1)
     f_term = sg.inner(np.moveaxis(f_vals, 0, 1), chi[None, None, :])
     res = res - dt * np.sum(f_term * psi_mid[None, :], axis=1)
@@ -564,8 +575,7 @@ PHI_IDENTITY = PhiFunction(lambda y: y, lambda y: np.ones_like(y),
 
 
 def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
-                             gbm: GBMPaths, phi: PhiFunction = PHI_SQUARE,
-                             op: Optional[DivergenceFormOperator] = None) -> np.ndarray:
+                             gbm: GBMPaths, phi: PhiFunction = PHI_SQUARE) -> np.ndarray:
     """Absolute residual, per path, of the composition identity at t = 0.
 
     The bracket of the noise is replaced by the active scenario's
@@ -575,12 +585,12 @@ def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
     slice there the quadratic-variation correction would be double-counted.
     """
     sg, dt = problem.space_grid, problem.time_grid.dt
-    op, u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm, op)
+    u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm)
     phi_mid = phi.deriv(u_mid)
     phi_right = phi.deriv(u[:, 1:, :])
 
     lhs = np.sum(phi.value(u[:, 0, :]), axis=-1) * sg.cell_volume
-    lhs = lhs + dt * np.sum(op.energy(phi_mid, u_mid), axis=1)
+    lhs = lhs + dt * np.sum(problem.operator.energy(phi_mid, u_mid), axis=1)
 
     rhs = np.sum(phi.value(problem.terminal)) * sg.cell_volume
     f_term = sg.inner(phi_right, np.moveaxis(f_vals, 0, 1))

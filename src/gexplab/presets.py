@@ -2,19 +2,16 @@
 
 Drivers are configured by preset name rather than arbitrary code because the
 contraction validators need declared Lipschitz constants, which cannot be
-inferred from a black box.  Every preset documents its constants:
+inferred from a black box.  Every driver preset is a ``pde.ReactionTerm`` or
+``pde.NoiseTerm`` and documents its constants:
 
-  reaction f:  |f(y,z) - f(y',z')|^2 <= lip (|y-y'|^2 + |z-z'|^2)
-  noise g:     sum_j |dg^j|^2 <= lip_y |dy|^2 + lip_z |dz|^2
+  reaction f:  |f(y,v) - f(y',v')|^2 <= lip_y |y-y'|^2 + lip_z |v-v'|^2
+  noise g:     sum_j |dg^j|^2 <= lip_y |dy|^2 + lip_z |dv|^2
 
 Constants and widths are squared as x * x: a float x ** 2 raises
 OverflowError past 1e154, where the product is inf, so a huge constant fails
-the contraction check and a huge width gives a flat profile.
-
-The z slot of a raw driver is the dimensionless argument fed to it.  For the
-grid equation the slot carries the sigma-contracted gradient, the Markovian
-pairing with the backward solver's Z sigma, so the declared z constant is
-multiplied by the upper ellipticity bound.
+the contraction check and a huge width gives a flat profile.  Array squares
+that overflow give inf without a warning, for the same outcome.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 from ._util import NonNeg, Positive, Presets, Scalars, read
 from .errors import ConfigError
 from .hunt import CoefficientField
-from .pde import NoiseTerm, ReactionTerm
+from .pde import ZERO_REACTION, NoiseTerm, ReactionTerm, zero_noise
 
 # A preset is a builder listed under its config name in its family's
 # ``Presets``; the builder's keyword-only parameters are the preset's keys
@@ -113,12 +110,15 @@ def _constant_terminal(*, value: float):
     return (lambda pts: np.full(pts.shape[0], value)), value == 0.0
 
 
+def _half_sq_dist(pts, center, width) -> np.ndarray:
+    """0.5 |pts - center|^2 / width^2 per point; inf past the float range."""
+    with np.errstate(over="ignore"):
+        return 0.5 * np.sum((pts - center) ** 2, axis=1) / (width * width)
+
+
 def _gaussian_bump_terminal(*, amplitude: float = 1.0, width: Positive = 1.0,
                             center: float = 0.0):
-    def fn(pts):
-        return amplitude * np.exp(-0.5 * np.sum((pts - center) ** 2, axis=1) / (width * width))
-
-    return fn, True
+    return (lambda pts: amplitude * np.exp(-_half_sq_dist(pts, center, width))), True
 
 
 def _cosine_terminal(*, amplitude: float = 1.0, frequency: float = 1.0):
@@ -137,18 +137,6 @@ def build_terminal(spec: dict, where: str = "terminal"):
 
 # -- drivers ---------------------------------------------------------------------
 
-class RawDriver:
-    """Driver callable fn(t, x_points, y, z_slot) with split constants."""
-
-    def __init__(self, fn, lip_y_sq: float, lip_z_sq: float, n_components: int = 0,
-                 name: str = "custom"):
-        self.fn = fn
-        self.lip_y_sq = float(lip_y_sq)
-        self.lip_z_sq = float(lip_z_sq)
-        self.n_components = n_components
-        self.name = name
-
-
 def _envelope(width: Optional[float]):
     """Optional spatial envelope |profile| <= 1 scaling a driver."""
     if width is None:
@@ -156,64 +144,64 @@ def _envelope(width: Optional[float]):
     return lambda pts: np.exp(-0.5 * (pts[:, 0] / width) ** 2)
 
 
-# Reaction presets: builder(dim) -> raw driver f.
+# Reaction presets: builder(dim) -> reaction term f.
 
-def _zero_reaction(dim: int) -> RawDriver:
-    return RawDriver(lambda t, p, y, z: np.zeros_like(y), 0.0, 0.0, name="zero")
+def _zero_reaction(dim: int) -> ReactionTerm:
+    return ZERO_REACTION
 
 
 def _constant_reaction(dim: int, *, value: float,
-                       x_width: Optional[Positive] = None) -> RawDriver:
+                       x_width: Optional[Positive] = None) -> ReactionTerm:
     prof = _envelope(x_width)
 
     def fn(t, p, y, z):
         return value * prof(p) * np.ones_like(y)
 
-    return RawDriver(fn, 0.0, 0.0, name="constant")
+    return ReactionTerm(fn, 0.0, 0.0, "constant")
 
 
 def _affine_y_reaction(dim: int, *, slope: float, intercept: float = 0.0,
-                       x_width: Optional[Positive] = None) -> RawDriver:
+                       x_width: Optional[Positive] = None) -> ReactionTerm:
     prof = _envelope(x_width)
 
     def fn(t, p, y, z):
         return prof(p) * (intercept + slope * y)
 
-    return RawDriver(fn, slope * slope, 0.0, name="affine-y")
+    return ReactionTerm(fn, slope * slope, 0.0, "affine-y")
 
 
 def _sin_in_x_reaction(dim: int, *, amplitude: float, frequency: float = 1.0,
-                       x_width: Optional[Positive] = None) -> RawDriver:
+                       x_width: Optional[Positive] = None) -> ReactionTerm:
     prof = _envelope(x_width)
 
     def fn(t, p, y, z):
         return amplitude * np.sin(frequency * p[:, 0]) * prof(p) * np.ones_like(y)
 
-    return RawDriver(fn, 0.0, 0.0, name="sin-in-x")
+    return ReactionTerm(fn, 0.0, 0.0, "sin-in-x")
 
 
 def _tanh_y_reaction(dim: int, *, scale: float, gain: float = 1.0,
-                     x_width: Optional[Positive] = None) -> RawDriver:
+                     x_width: Optional[Positive] = None) -> ReactionTerm:
     prof = _envelope(x_width)
 
     def fn(t, p, y, z):
         return scale * prof(p) * np.tanh(gain * y)
 
-    return RawDriver(fn, (scale * gain) * (scale * gain), 0.0, name="tanh-y")
+    return ReactionTerm(fn, (scale * gain) * (scale * gain), 0.0, "tanh-y")
 
 
 def _sin_y_reaction(dim: int, *, scale: float, gain: float = 1.0,
-                    x_width: Optional[Positive] = None) -> RawDriver:
+                    x_width: Optional[Positive] = None) -> ReactionTerm:
     prof = _envelope(x_width)
 
     def fn(t, p, y, z):
         return scale * prof(p) * np.sin(gain * y)
 
-    return RawDriver(fn, (scale * gain) * (scale * gain), 0.0, name="sin-y")
+    return ReactionTerm(fn, (scale * gain) * (scale * gain), 0.0, "sin-y")
 
 
 def _tanh_y_sin_z_reaction(dim: int, *, y_scale: float, z_scale: float, y_gain: float = 1.0,
-                           z_gain: float = 1.0, x_width: Optional[Positive] = None) -> RawDriver:
+                           z_gain: float = 1.0, x_width: Optional[Positive] = None) -> ReactionTerm:
     ys, zs, yg, zg = y_scale, z_scale, y_gain, z_gain
     prof = _envelope(x_width)
 
@@ -223,7 +211,7 @@ def _tanh_y_sin_z_reaction(dim: int, *, y_scale: float, z_scale: float, y_gain: 
 
     # |df|^2 <= 2 (ys yg)^2 |dy|^2 + 2 (zs zg)^2 dim |dz|^2.
     lip = 2.0 * max((ys * yg) * (ys * yg), (zs * zg) * (zs * zg) * dim)
-    return RawDriver(fn, lip, lip, name="tanh-y-sin-z")
+    return ReactionTerm(fn, lip, lip, "tanh-y-sin-z")
 
 
 ReactionPreset = Annotated[Callable, Presets({
@@ -232,22 +220,19 @@ ReactionPreset = Annotated[Callable, Presets({
     "tanh-y-sin-z": _tanh_y_sin_z_reaction})]
 
 
-def build_raw_reaction(spec: dict, dim: int, where: str = "reaction") -> RawDriver:
+def build_reaction(spec: dict, dim: int, where: str = "reaction") -> ReactionTerm:
     return read(ReactionPreset, spec, where)(dim)
 
 
-# Noise presets: builder(dim, n_components, where) -> raw loading g, one
+# Noise presets: builder(dim, n_components, where) -> noise term g, one
 # component per driver coordinate.
 
-def _zero_noise(dim: int, n_components: int, where: str) -> RawDriver:
-    def fn(t, p, y, z):
-        return np.zeros(np.shape(y) + (n_components,))
-
-    return RawDriver(fn, 0.0, 0.0, n_components, name="zero")
+def _zero_noise(dim: int, n_components: int, where: str) -> NoiseTerm:
+    return zero_noise(n_components)
 
 
 def _constant_noise(dim: int, n_components: int, where: str, *, values: Scalars,
-                    x_width: Optional[Positive] = None) -> RawDriver:
+                    x_width: Optional[Positive] = None) -> NoiseTerm:
     vals = _broadcast(values, n_components, f"{where}.values")
     prof = _envelope(x_width)
 
@@ -256,21 +241,21 @@ def _constant_noise(dim: int, n_components: int, where: str, *, values: Scalars,
         pr = prof(p)
         return base * (pr[..., None] if np.ndim(pr) else pr)
 
-    return RawDriver(fn, 0.0, 0.0, n_components, name="constant")
+    return NoiseTerm(fn, n_components, 0.0, 0.0, "constant")
 
 
 def _deterministic_x_noise(dim: int, n_components: int, where: str, *, amplitude: float,
-                           width: Positive = 1.0, center: float = 0.0) -> RawDriver:
+                           width: Positive = 1.0, center: float = 0.0) -> NoiseTerm:
     def fn(t, p, y, z):
-        prof = amplitude * np.exp(-0.5 * np.sum((p - center) ** 2, axis=1) / (width * width))
+        prof = amplitude * np.exp(-_half_sq_dist(p, center, width))
         return np.multiply.outer(np.ones_like(y) * prof, np.ones(n_components))
 
-    return RawDriver(fn, 0.0, 0.0, n_components, name="deterministic-x")
+    return NoiseTerm(fn, n_components, 0.0, 0.0, "deterministic-x")
 
 
 def _tanh_y_sin_z_noise(dim: int, n_components: int, where: str, *, y_scale: Scalars,
                         z_scale: Scalars, y_gain: float = 1.0, z_gain: float = 1.0,
-                        x_width: Optional[Positive] = None) -> RawDriver:
+                        x_width: Optional[Positive] = None) -> NoiseTerm:
     ys = _broadcast(y_scale, n_components, f"{where}.y_scale")
     zs = _broadcast(z_scale, n_components, f"{where}.z_scale")
     yg, zg = y_gain, z_gain
@@ -284,9 +269,10 @@ def _tanh_y_sin_z_noise(dim: int, n_components: int, where: str, *, y_scale: Sca
         comps = [pr * (ys[j] * ty + zs[j] * sz) for j in range(n_components)]
         return np.stack(comps, axis=-1)
 
-    lip_y = 2.0 * float(np.sum((ys * yg) ** 2))
-    lip_z = 2.0 * float(np.sum((zs * zg) ** 2)) * dim
-    return RawDriver(fn, lip_y, lip_z, n_components, name="tanh-y-sin-z")
+    with np.errstate(over="ignore"):
+        lip_y = 2.0 * float(np.sum((ys * yg) ** 2))
+        lip_z = 2.0 * float(np.sum((zs * zg) ** 2)) * dim
+    return NoiseTerm(fn, n_components, lip_y, lip_z, "tanh-y-sin-z")
 
 
 NoisePreset = Annotated[Callable, Presets({
@@ -294,46 +280,9 @@ NoisePreset = Annotated[Callable, Presets({
     "deterministic-x": _deterministic_x_noise, "tanh-y-sin-z": _tanh_y_sin_z_noise})]
 
 
-def build_raw_noise(spec: dict, dim: int, n_components: int,
-                    where: str = "noise") -> RawDriver:
+def build_noise(spec: dict, dim: int, n_components: int,
+                where: str = "noise") -> NoiseTerm:
     return read(NoisePreset, spec, where)(dim, n_components, where)
-
-
-def _sigma_composer(field: CoefficientField):
-    """z -> z sigma(x) with a one-slot cache: the grid solvers always call
-    with the same point set, and batched square roots are the costly part.
-    The cache hits only on a point set equal to a copy of the cached one."""
-    cache = [None]
-
-    def compose(pts, z):
-        hit = cache[0]
-        if hit is None or not np.array_equal(hit[0], pts):
-            hit = cache[0] = (np.array(pts), field.sigma_at(pts))
-        return np.einsum("...nd,ndk->...nk", z, hit[1])
-
-    return compose
-
-
-def reaction_term(raw: RawDriver, field: CoefficientField) -> ReactionTerm:
-    """The grid reaction: ``raw`` with its z slot fed grad u sigma(x)."""
-    compose = _sigma_composer(field)
-
-    def fn(t, pts, y, z):
-        return raw.fn(t, pts, y, compose(pts, z))
-
-    lip = max(raw.lip_y_sq, raw.lip_z_sq * field.lam_max)
-    return ReactionTerm(fn, lip, raw.name + "@sigma")
-
-
-def noise_term(raw: RawDriver, field: CoefficientField) -> NoiseTerm:
-    """The grid noise loading: ``raw`` with its z slot fed grad u sigma(x)."""
-    compose = _sigma_composer(field)
-
-    def fn(t, pts, y, z):
-        return raw.fn(t, pts, y, compose(pts, z))
-
-    return NoiseTerm(fn, raw.n_components, raw.lip_y_sq,
-                     raw.lip_z_sq * field.lam_max, raw.name + "@sigma")
 
 
 def shifted_reaction(term: ReactionTerm, shift: float) -> ReactionTerm:
@@ -344,7 +293,7 @@ def shifted_reaction(term: ReactionTerm, shift: float) -> ReactionTerm:
     def fn(t, pts, y, z):
         return np.asarray(term.fn(t, pts, y, z)) + shift
 
-    return ReactionTerm(fn, term.lip_sq, f"{term.name}+{shift:g}")
+    return ReactionTerm(fn, term.lip_y_sq, term.lip_z_sq, f"{term.name}+{shift:g}")
 
 
 # -- deterministic integrands for the backward-integral checks ------------------

@@ -25,7 +25,6 @@ from .pde import (
     RandomField,
     SpatialGrid,
     ZERO_REACTION,
-    discretize_operator,
     solve_gspde_picard,
 )
 from .scenario import ScenarioSet
@@ -182,27 +181,24 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
         return []
     sg = problem_a.space_grid
     mask = sg.interior_mask(collar_frac)
-    op_a = discretize_operator(problem_a.field, sg)
     n_cases = len(problems_b)
     per_scenario = [[] for _ in range(n_cases)]
     min_gap = [np.inf] * n_cases
     probe = [0.0] * n_cases
     for gbm in gbms:
-        fa, _ = solve_gspde_picard(problem_a, cfg, gbm, op=op_a)
+        fa, _ = solve_gspde_picard(problem_a, cfg, gbm)
         halve = gbm.grid.n_steps % 2 == 0
         if halve:
             coarse = coarsen_gbm(gbm, 2)
-            fac, _ = solve_gspde_picard(_regrid(problem_a, coarse.grid), cfg, coarse,
-                                        op=op_a)
+            fac, _ = solve_gspde_picard(_regrid(problem_a, coarse.grid), cfg, coarse)
         for k, problem_b in enumerate(problems_b):
-            fb, _ = solve_gspde_picard(problem_b, cfg, gbm, op=op_a)
+            fb, _ = solve_gspde_picard(problem_b, cfg, gbm)
             gap = (fb.values - fa.values)[:, :, mask]
             scen_min = float(np.min(gap))
             per_scenario[k].append((gbm.scenario_id, scen_min))
             min_gap[k] = min(min_gap[k], scen_min)
             if halve:
-                fbc, _ = solve_gspde_picard(_regrid(problem_b, coarse.grid), cfg, coarse,
-                                            op=op_a)
+                fbc, _ = solve_gspde_picard(_regrid(problem_b, coarse.grid), cfg, coarse)
                 gap_c = (fbc.values - fac.values)[:, :, mask]
                 probe[k] = max(probe[k], float(np.max(np.abs(gap[:, ::2] - gap_c))))
     scale = problem_a.time_grid.dt + sg.dx**2
@@ -243,7 +239,6 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
     if hunt.grid != time_grid:
         raise UsageError("diffusion ensemble and time grid do not match")
     sg = space_grid
-    op = discretize_operator(field_spec, sg)
     zero_terminal = np.zeros(sg.n_nodes)
     indices = checkpoint_indices(checkpoints, time_grid)
     n = time_grid.n_steps
@@ -261,7 +256,7 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=6)
     worst = {idx: 0.0 for idx in indices}
     for gbm in gbms:
-        u_field, _ = solve_gspde_picard(problem, cfg, gbm, op=op)
+        u_field, _ = solve_gspde_picard(problem, cfg, gbm)
         grads = sg.gradient(u_field.values)[:, :, :, 0]        # (b, n+1, nodes)
         res_sq = dict.fromkeys(indices, 0.0)
         ref_sq = dict.fromkeys(indices, 0.0)

@@ -164,12 +164,12 @@ def test_criterion_07_linear_gspde_exactness():
     field = build_field({"preset": "constant", "value": 1.0}, 1)
     pts = sg.points()
     psi = np.exp(-0.5 * pts[:, 0] ** 2)
-    hom_problem = GspdeProblem(psi, ReactionTerm(lambda t, p, y, z: np.zeros_like(y), 0.0),
+    hom_problem = GspdeProblem(psi, ReactionTerm(lambda t, p, y, z: np.zeros_like(y), 0.0, 0.0),
                                zero_noise(1), field, scen, tg, sg)
     gbm = build_gbm(sample_driver(tg, 2, 1, seed=5), constant_schedule(0, 256), scen)
-    op = discretize_operator(field, sg)
+    op = hom_problem.operator
     cfg = PicardConfig.from_problem(hom_problem, eps=1.0, max_iter=5)
-    fld, rep = solve_gspde_picard(hom_problem, cfg, gbm, op=op)
+    fld, rep = solve_gspde_picard(hom_problem, cfg, gbm)
     hom = homogeneous_term(op, psi, tg)
     bitwise = all(np.array_equal(fld.values[p], hom) for p in range(fld.n_paths))
 
@@ -177,9 +177,9 @@ def test_criterion_07_linear_gspde_exactness():
     def f_fn(t, p, y, z):
         return 0.5 * (1.0 + np.cos(t)) * np.exp(-0.5 * p[:, 0] ** 2) * np.ones_like(y)
 
-    det_problem = GspdeProblem(psi, ReactionTerm(f_fn, 0.0), zero_noise(1),
+    det_problem = GspdeProblem(psi, ReactionTerm(f_fn, 0.0, 0.0), zero_noise(1),
                                field, scen, tg, sg)
-    fld2, _ = solve_gspde_picard(det_problem, cfg, gbm, op=op)
+    fld2, _ = solve_gspde_picard(det_problem, cfg, gbm)
     dense = op.matrix.toarray()
     refine = 4
     n_f = tg.n_steps * refine
@@ -304,7 +304,7 @@ def test_criterion_12_energy_identity_refinement_order():
     scen = ScenarioSet.from_list([[[1.0]]])
     field = build_field({"preset": "constant", "value": 1.0}, 1)
     psi = np.exp(-0.5 * np.sum(sg.points() ** 2, axis=1))
-    reaction = ReactionTerm(lambda t, p, y, z: 0.3 * np.sin(y), 0.09)
+    reaction = ReactionTerm(lambda t, p, y, z: 0.3 * np.sin(y), 0.09, 0.0)
 
     def g_fn(t, p, y, z):
         prof = np.exp(-0.125 * p[:, 0] ** 2)

@@ -21,7 +21,14 @@ from gexplab.bdsde import BdsdeSolution, _delta_density
 from gexplab.errors import NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
-from gexplab.pde import SpatialGrid, apply_semigroup, discretize_operator
+from gexplab.pde import (
+    NoiseTerm,
+    ReactionTerm,
+    SpatialGrid,
+    apply_semigroup,
+    derive_contraction_inputs,
+    discretize_operator,
+)
 from gexplab.picard import (
     PicardConfig,
     increment_and_iterate_norms,
@@ -274,6 +281,15 @@ def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, s
 
 # -- outer Picard loop --------------------------------------------------------------
 
+def backward_problem(terminal_fn, f, g, k, alpha, field, scen, tg):
+    """Drivers f and g whose y constant is ``k`` and whose v constant
+    (that of g) is ``alpha``, with the contraction inputs both equations
+    derive from them."""
+    inputs = derive_contraction_inputs(ReactionTerm(f, k, 0.0),
+                                       NoiseTerm(g, scen.dim, 0.0, alpha), field, scen)
+    return BdsdeProblem(terminal_fn, f, g, tg, inputs)
+
+
 def representation_free_problem(field, scen, tg, k=0.25, alpha=0.5):
     def f(t, x, y, v):
         return 0.5 * np.sin(y)
@@ -281,12 +297,12 @@ def representation_free_problem(field, scen, tg, k=0.25, alpha=0.5):
     def g(t, x, y, v):
         return (np.sqrt(k / 2.0) * np.tanh(y) + np.sqrt(alpha / 2.0) * np.sin(v[..., 0]))[..., None]
 
-    return BdsdeProblem(lambda pts: np.cos(pts[:, 0]), f, g, k, alpha, field, scen, tg)
+    return backward_problem(lambda pts: np.cos(pts[:, 0]), f, g, k, alpha, field, scen, tg)
 
 
 def test_picard_zero_data_zero_solution():
     field, hunt, gbm = make_ensembles(a_value=1.0)
-    prob = BdsdeProblem(lambda pts: np.zeros(pts.shape[0]),
+    prob = backward_problem(lambda pts: np.zeros(pts.shape[0]),
                         lambda t, x, y, v: -y,
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         1.0, 0.0, field, gbm.scenarios, hunt.grid)
@@ -301,7 +317,7 @@ def test_picard_source_free_matches_semigroup_oracle():
     # grid semigroup of module pde, interpolated to the paths.
     field, hunt, gbm = make_ensembles(n_steps=16, horizon=0.5, n_w=4000,
                                       a_value=0.5, seed=77)
-    prob = BdsdeProblem(lambda pts: np.cos(pts[:, 0]),
+    prob = backward_problem(lambda pts: np.cos(pts[:, 0]),
                         lambda t, x, y, v: np.zeros_like(y),
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         0.0, 0.0, field, gbm.scenarios, hunt.grid)
@@ -355,7 +371,7 @@ def test_picard_basis_stability():
 def test_contraction_violation_rejected():
     field, hunt, gbm = make_ensembles(a_value=1.0)
     with pytest.raises(UsageError, match="contraction"):
-        BdsdeProblem(lambda pts: np.zeros(pts.shape[0]),
+        backward_problem(lambda pts: np.zeros(pts.shape[0]),
                      lambda t, x, y, v: np.zeros_like(y),
                      lambda t, x, y, v: 2.0 * v[..., :1],
                      0.0, 4.0, field, gbm.scenarios, hunt.grid)
@@ -409,7 +425,7 @@ def test_nonconvergence_carries_report():
 
 def test_nonfinite_driver_stops_at_first_iteration():
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
-    prob = BdsdeProblem(lambda pts: np.cos(pts[:, 0]),
+    prob = backward_problem(lambda pts: np.cos(pts[:, 0]),
                         lambda t, x, y, v: np.full_like(y, np.nan),
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         0.25, 0.0, field, gbm.scenarios, hunt.grid)
@@ -522,7 +538,7 @@ def mixed_problem(field, scen, tg, k=0.2, alpha=0.3):
                  for j in range(l)]
         return np.stack(comps, axis=-1)
 
-    return BdsdeProblem(lambda pts: np.cos(pts[:, 0]) + 0.1 * np.sum(pts, axis=1), f, g,
+    return backward_problem(lambda pts: np.cos(pts[:, 0]) + 0.1 * np.sum(pts, axis=1), f, g,
                         k, alpha, field, scen, tg)
 
 

@@ -137,6 +137,19 @@ def test_validate_command(tmp_path, capsys):
     assert "contraction" in err
 
 
+def test_validate_stderr_names_the_field_first(tmp_path):
+    # An overflowing constant squares to inf without a NumPy warning ahead
+    # of the error line.
+    cfg = default_config()
+    cfg["noise"]["y_scale"] = 1e200
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gexplab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "gexplab.cli", "validate", "--config",
+                           write_config(tmp_path, cfg)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: gspde.eps"), proc.stderr
+
+
 def test_cli_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run-suite", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -204,6 +217,7 @@ def set_path(cfg, section, key, value):
     ("bdsde", "basis.n_bins", 16, "bdsde.basis.n_bins"),
     ("space_grid", "half_width", 1e200, "space_grid.half_width"),
     ("space_grid", "half_width", 1e156, "space_grid.half_width"),  # R/4 squared overflows
+    ("noise", "y_scale", 1e200, "gspde.eps"),  # an infinite constant: kappa >= 1
 ])
 def test_cli_malformed_field_exit_2(tmp_path, capsys, runners_fail, section, key, value,
                                     field):
@@ -230,6 +244,37 @@ def grid_2d_config():
 def test_grid_2d_config_validates():
     exp = validate_config(grid_2d_config())
     assert exp.space_grid.n_nodes == 41 * 41 and exp.hunt_field is None
+
+
+@pytest.mark.parametrize("field", [
+    {"preset": "constant", "value": 1.0},
+    {"preset": "constant", "value": 4.0},
+    {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.5},
+], ids=lambda f: f"{f['preset']}-{f.get('value', f.get('base'))}")
+@pytest.mark.parametrize("reaction", [
+    {"preset": "zero"},
+    {"preset": "affine-y", "slope": 0.3},
+    {"preset": "tanh-y", "scale": 0.4},
+    {"preset": "sin-y", "scale": 0.5},
+    {"preset": "tanh-y-sin-z", "y_scale": 0.1, "z_scale": 0.4},
+], ids=lambda r: r["preset"])
+def test_both_equations_share_the_contraction_inputs(field, reaction):
+    cfg = default_config()
+    cfg["coefficient_field"], cfg["reaction"] = field, reaction
+    exp = validate_config(cfg)
+    assert exp.gspde_problem.contraction_inputs() == exp.bdsde_problem.contraction_inputs()
+    report = exp.constants_report()
+    assert report["K"] == report["c_bar"] and report["margin_bdsde"] == report["margin_spde"]
+
+
+def test_both_equations_share_the_contraction_inputs_in_2d():
+    cfg = grid_2d_config()
+    cfg["reaction"] = {"preset": "tanh-y-sin-z", "y_scale": 0.1, "z_scale": 0.3}
+    exp = validate_config(cfg)
+    assert exp.field.lam_max == 1.3
+    # The reaction's v constant times Lambda is the largest: 0.36 * 1.3.
+    assert exp.bdsde_problem.contraction_inputs()[0] == pytest.approx(0.468)
+    assert exp.gspde_problem.contraction_inputs() == exp.bdsde_problem.contraction_inputs()
 
 
 @pytest.mark.parametrize("command,check,field", [
@@ -459,11 +504,13 @@ def _float_leaves(node, path=()):
         yield path
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [1e200, -1e200])
 @pytest.mark.parametrize("leaf", list(_float_leaves(default_config())), ids=_path_name)
 def test_huge_float_leaf_validates_or_names_a_field(leaf, value):
     # A float power of a huge constant raises OverflowError; validation must
-    # either accept the value or reject it as a config error.
+    # either accept the value or reject it as a config error, and an array
+    # square that overflows must not warn.
     cfg = default_config()
     node = cfg
     for part in leaf[:-1]:

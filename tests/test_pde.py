@@ -345,7 +345,7 @@ def test_boundary_decay_check_dirichlet():
 
 def test_picard_config_recipe():
     problem = make_problem(
-        reaction=ReactionTerm(lambda t, p, y, z: 0.5 * np.tanh(y), 0.25),
+        reaction=ReactionTerm(lambda t, p, y, z: 0.5 * np.tanh(y), 0.25, 0.0),
         noise=NoiseTerm(lambda t, p, y, z: np.stack([0.1 * y], axis=-1), 0.01, 0.0, n_components=1) if False else
         NoiseTerm(lambda t, p, y, z: 0.1 * y[..., None], 1, 0.01, 0.5),
     )
@@ -363,7 +363,7 @@ def test_config_for_another_problem_rejected():
     # eps = 1 is a contraction for both reaction constants; only the
     # constants (kappa 0.3 against 0.4) tell the configs apart.
     def problem(lip_sq):
-        return make_problem(reaction=ReactionTerm(lambda t, p, y, z: 0.0 * y, lip_sq),
+        return make_problem(reaction=ReactionTerm(lambda t, p, y, z: 0.0 * y, lip_sq, 0.0),
                             noise=NoiseTerm(lambda t, p, y, z: 0.1 * y[..., None], 1, 0.01, 0.5))
 
     cfg = PicardConfig.from_problem(problem(0.1), eps=1.0)
@@ -376,10 +376,9 @@ def test_config_for_another_problem_rejected():
 def test_source_free_fixed_point_is_homogeneous_term_bitwise():
     problem = make_problem()
     gbm = make_gbm(problem)
-    op = discretize_operator(problem.field, problem.space_grid)
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=5)
-    field, report = solve_gspde_picard(problem, cfg, gbm, op=op)
-    hom = homogeneous_term(op, problem.terminal, problem.time_grid)
+    field, report = solve_gspde_picard(problem, cfg, gbm)
+    hom = homogeneous_term(problem.operator, problem.terminal, problem.time_grid)
     for p in range(field.n_paths):
         assert np.array_equal(field.values[p], hom)
     assert report.converged and report.iterations == 2
@@ -397,7 +396,7 @@ def test_deterministic_reaction_matches_theta_scheme_oracle():
         return 0.5 * (1.0 + np.cos(t)) * prof * np.ones_like(y)
 
     problem = make_problem(n_steps=tg.n_steps, horizon=tg.horizon,
-                           reaction=ReactionTerm(f_fn, 0.0))
+                           reaction=ReactionTerm(f_fn, 0.0, 0.0))
     gbm = make_gbm(problem, n_paths=1)
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=5)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
@@ -427,7 +426,7 @@ def test_deterministic_reaction_matches_theta_scheme_oracle():
 
 
 def test_picard_contraction_ratios_under_kappa():
-    reaction = ReactionTerm(lambda t, p, y, z: 0.5 * np.sin(y), 0.25)
+    reaction = ReactionTerm(lambda t, p, y, z: 0.5 * np.sin(y), 0.25, 0.0)
 
     def g_fn(t, p, y, z):
         return (np.sqrt(0.125) * np.tanh(y) + 0.5 * np.sin(z[..., 0]))[..., None]
@@ -457,7 +456,7 @@ def test_solver_two_dimensional_smoke():
 
     field = CoefficientField(2, a, 0.7, 1.3)
     psi = np.exp(-0.5 * np.sum(sg.points() ** 2, axis=1))
-    reaction = ReactionTerm(lambda t, p, y, z: 0.2 * np.tanh(y), 0.04)
+    reaction = ReactionTerm(lambda t, p, y, z: 0.2 * np.tanh(y), 0.04, 0.0)
 
     def g_fn(t, p, y, z):
         return (0.1 * np.tanh(y) + 0.1 * np.sin(np.sum(z, axis=-1)))[..., None]
@@ -475,7 +474,7 @@ def test_solver_two_dimensional_smoke():
 
 
 def test_uniqueness_surrogate_two_initial_guesses():
-    reaction = ReactionTerm(lambda t, p, y, z: 0.4 * np.cos(y), 0.16)
+    reaction = ReactionTerm(lambda t, p, y, z: 0.4 * np.cos(y), 0.16, 0.0)
     problem = make_problem(reaction=reaction, horizon=0.5, n_steps=16)
     gbm = make_gbm(problem, n_paths=3, seed=13)
     cfg = PicardConfig.from_problem(problem, tol_rel=1e-10, max_iter=30)
@@ -519,7 +518,7 @@ def test_weak_residual_support_violation():
 
 
 def nonlinear_problem(n_steps, seed_terminal_width=1.0, horizon=0.5):
-    reaction = ReactionTerm(lambda t, p, y, z: 0.3 * np.sin(y), 0.09)
+    reaction = ReactionTerm(lambda t, p, y, z: 0.3 * np.sin(y), 0.09, 0.0)
 
     def g_fn(t, p, y, z):
         prof = np.exp(-0.125 * p[:, 0] ** 2)

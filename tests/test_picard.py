@@ -12,6 +12,7 @@ from gexplab.pde import (
     NoiseTerm,
     ReactionTerm,
     SpatialGrid,
+    derive_contraction_inputs,
 )
 from gexplab.picard import PicardConfig, iterate
 from gexplab.scenario import ScenarioSet
@@ -82,19 +83,21 @@ SCENARIOS = ScenarioSet.from_list([[[0.8]], [[0.5]]])  # sigma_bar = 0.8
 
 
 def test_config_from_gspde_problem_matches_formulas():
-    # kappa = (c_bar eps + alpha_bar sigma_bar^2) / (2 lam),
-    # delta = c_bar (sigma_bar^2 + eps) / (c_bar eps + alpha_bar sigma_bar^2),
-    # gamma = 1/eps + 2 lam delta; c_bar = max(0.3, 0.2), alpha_bar = 0.5.
+    # kappa = (c_bar eps + z_coef) / (2 lam), z_coef = alpha_bar sigma_bar^2,
+    # delta = c_bar (sigma_bar^2 + eps) / (c_bar eps + z_coef),
+    # gamma = 1/eps + 2 lam delta; the v-slot constants count times
+    # Lambda = 1.2: c_bar = max(0.3, 0.3 * 1.2, 0.2), alpha_bar = 0.5 * 1.2.
     sg = SpatialGrid(1, 8.0, 33, "periodic")
     problem = GspdeProblem(
         terminal=np.zeros(sg.n_nodes),
-        reaction=ReactionTerm(lambda t, x, y, z: np.zeros_like(y), 0.3),
+        reaction=ReactionTerm(lambda t, x, y, z: np.zeros_like(y), 0.3, 0.3),
         noise=NoiseTerm(lambda t, x, y, z: np.zeros(np.shape(y) + (1,)), 1, 0.2, 0.5),
         field=_field(0.8, 1.2), scenarios=SCENARIOS, time_grid=TimeGrid(0.5, 4),
         space_grid=sg)
     cfg = PicardConfig.from_problem(problem, eps=0.5, max_iter=7, tol_rel=1e-4)
-    delta = 0.3 * (0.64 + 0.5) / (0.3 * 0.5 + 0.5 * 0.64)
-    expected = (0.5, 1 / 0.5 + 2 * 0.8 * delta, delta, (0.3 * 0.5 + 0.5 * 0.64) / (2 * 0.8))
+    c_bar, z_coef = 0.36, 0.6 * 0.64
+    delta = c_bar * (0.64 + 0.5) / (c_bar * 0.5 + z_coef)
+    expected = (0.5, 1 / 0.5 + 2 * 0.8 * delta, delta, (c_bar * 0.5 + z_coef) / (2 * 0.8))
     assert (cfg.eps, cfg.rate, cfg.delta, cfg.kappa) == pytest.approx(expected, rel=1e-12)
     assert (cfg.max_iter, cfg.tol_rel) == (7, 1e-4)
     cfg.validate_against(problem)
@@ -103,10 +106,10 @@ def test_config_from_gspde_problem_matches_formulas():
 def test_config_from_bdsde_problem_matches_formulas():
     # kappa = (K eps + alpha Lambda sigma_bar^2) / (2 lambda) with Lambda = lam_max,
     # lambda = lam_min; without eps the largest one giving kappa = 0.9.
-    problem = BdsdeProblem(lambda pts: np.zeros(pts.shape[0]),
-                           lambda t, x, y, v: np.zeros_like(y),
-                           lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
-                           0.25, 0.5, _field(0.8, 1.2), SCENARIOS, TimeGrid(0.5, 4))
+    f = ReactionTerm(lambda t, x, y, v: np.zeros_like(y), 0.25, 0.0)
+    g = NoiseTerm(lambda t, x, y, v: np.zeros(np.shape(y) + (1,)), 1, 0.0, 0.5)
+    problem = BdsdeProblem(lambda pts: np.zeros(pts.shape[0]), f.fn, g.fn, TimeGrid(0.5, 4),
+                           derive_contraction_inputs(f, g, _field(0.8, 1.2), SCENARIOS))
     z_coef = 0.5 * 1.2 * 0.64
     for eps_in, eps in ((0.5, 0.5), (None, (2 * 0.8 * 0.9 - z_coef) / 0.25)):
         cfg = PicardConfig.from_problem(problem, eps=eps_in)

@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 
 from gexplab.errors import ConfigError
+from gexplab.gbm import TimeGrid
 from gexplab.hunt import CoefficientField
+from gexplab.pde import (
+    ZERO_REACTION,
+    GspdeProblem,
+    SpatialGrid,
+    _eval_sources,
+    derive_contraction_inputs,
+)
 from gexplab.presets import (
     build_field,
-    build_raw_noise,
-    build_raw_reaction,
+    build_noise,
+    build_reaction,
     build_terminal,
     integrand_values,
-    noise_term,
-    reaction_term,
 )
+from gexplab.scenario import ScenarioSet
 
 
 def test_constant_and_sinusoidal_fields():
@@ -57,20 +64,20 @@ def test_terminal_presets_and_decay_flags():
 
 def test_driver_declared_constants_are_honest():
     # Sampled Lipschitz quotients never exceed the declared constants.
-    raw_f = build_raw_reaction({"preset": "tanh-y-sin-z", "y_scale": 0.4,
-                                "z_scale": 0.3}, 1)
-    raw_g = build_raw_noise({"preset": "tanh-y-sin-z", "y_scale": 0.25,
-                             "z_scale": 0.5}, 1, 1)
+    f_term = build_reaction({"preset": "tanh-y-sin-z", "y_scale": 0.4,
+                            "z_scale": 0.3}, 1)
+    g_term = build_noise({"preset": "tanh-y-sin-z", "y_scale": 0.25,
+                         "z_scale": 0.5}, 1, 1)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, size=(64, 1))
     for _ in range(40):
         y1, y2 = rng.uniform(-3, 3, size=(2, 64))
         z1, z2 = rng.uniform(-3, 3, size=(2, 64, 1))
-        df = raw_f.fn(0.1, pts, y1, z1) - raw_f.fn(0.1, pts, y2, z2)
-        bound_f = raw_f.lip_y_sq * (y1 - y2) ** 2 + raw_f.lip_z_sq * np.sum((z1 - z2) ** 2, -1)
+        df = f_term.fn(0.1, pts, y1, z1) - f_term.fn(0.1, pts, y2, z2)
+        bound_f = f_term.lip_y_sq * (y1 - y2) ** 2 + f_term.lip_z_sq * np.sum((z1 - z2) ** 2, -1)
         assert np.all(df**2 <= bound_f + 1e-12)
-        dg = raw_g.fn(0.1, pts, y1, z1) - raw_g.fn(0.1, pts, y2, z2)
-        bound_g = raw_g.lip_y_sq * (y1 - y2) ** 2 + raw_g.lip_z_sq * np.sum((z1 - z2) ** 2, -1)
+        dg = g_term.fn(0.1, pts, y1, z1) - g_term.fn(0.1, pts, y2, z2)
+        bound_g = g_term.lip_y_sq * (y1 - y2) ** 2 + g_term.lip_z_sq * np.sum((z1 - z2) ** 2, -1)
         assert np.all(np.sum(dg**2, -1) <= bound_g + 1e-12)
 
 
@@ -83,44 +90,46 @@ def test_driver_declared_constants_are_honest():
 ])
 def test_huge_reaction_constant_gives_infinite_lipschitz_bound(spec):
     # A float power of the constant would raise OverflowError instead.
-    raw_f = build_raw_reaction(spec, 1)
-    assert max(raw_f.lip_y_sq, raw_f.lip_z_sq) == np.inf
+    f_term = build_reaction(spec, 1)
+    assert max(f_term.lip_y_sq, f_term.lip_z_sq) == np.inf
 
 
 def test_deterministic_noise_with_huge_width_is_flat():
-    raw_g = build_raw_noise({"preset": "deterministic-x", "amplitude": 0.5, "width": 1e200}, 1, 2)
+    g_term = build_noise({"preset": "deterministic-x", "amplitude": 0.5, "width": 1e200}, 1, 2)
     pts = np.linspace(-3.0, 3.0, 7)[:, None]
-    assert np.array_equal(raw_g.fn(0.0, pts, np.zeros(7), np.zeros((7, 1))), np.full((7, 2), 0.5))
+    assert np.array_equal(g_term.fn(0.0, pts, np.zeros(7), np.zeros((7, 1))), np.full((7, 2), 0.5))
 
 
-def test_sigma_mode_scales_z_constant():
+def test_sigma_pairing_scales_z_constant():
+    # Both equations read their constants from one derivation, which
+    # multiplies the v-slot constants by Lambda = 4.
     field = build_field({"preset": "constant", "value": 4.0}, 1)
-    raw_g = build_raw_noise({"preset": "tanh-y-sin-z", "y_scale": 0.1,
-                             "z_scale": 0.2}, 1, 1)
-    composed = noise_term(raw_g, field)
-    assert composed.lip_y_sq == pytest.approx(raw_g.lip_y_sq)
-    assert composed.lip_z_sq == pytest.approx(raw_g.lip_z_sq * 4.0)
-    # sigma = 2, so the composed term sees z * 2.
-    pts = np.zeros((5, 1))
-    y = np.zeros(5)
-    z = np.full((5, 1), 0.3)
-    assert np.allclose(composed.fn(0.0, pts, y, z), raw_g.fn(0.0, pts, y, 2.0 * z))
-    raw_f = build_raw_reaction({"preset": "tanh-y", "scale": 0.5}, 1)
-    assert reaction_term(raw_f, field).lip_sq == pytest.approx(0.25)
+    g_term = build_noise({"preset": "tanh-y-sin-z", "y_scale": 0.1,
+                         "z_scale": 0.2}, 1, 1)
+    f_term = build_reaction({"preset": "tanh-y", "scale": 0.5}, 1)
+    scen = ScenarioSet.from_list([[[1.0]]])
+    lip, z_coef, sb2, lam = derive_contraction_inputs(f_term, g_term, field, scen)
+    assert (sb2, lam) == (1.0, 4.0)
+    assert z_coef == pytest.approx(g_term.lip_z_sq * 4.0)
+    assert lip == pytest.approx(0.25)  # the reaction constant; g_y is 0.02
+    # sigma = 2, so the grid solver feeds the drivers grad u * 2.
+    sg = SpatialGrid(1, 8.0, 33, "periodic")
+    problem = GspdeProblem(np.zeros(sg.n_nodes), f_term, g_term, field, scen,
+                           TimeGrid(0.5, 2), sg)
+    pts = sg.points()
+    u = np.random.default_rng(3).standard_normal((2, 3, sg.n_nodes))
+    f_vals, g_vals = _eval_sources(problem, u, pts)
+    grad = sg.gradient(u)
+    for j in (1, 2):
+        t = problem.time_grid.times[j]
+        assert np.allclose(g_vals[j - 1], g_term.fn(t, pts, u[:, j], 2.0 * grad[:, j]))
+        assert np.allclose(f_vals[j - 1], f_term.fn(t, pts, u[:, j], 2.0 * grad[:, j]))
 
 
-def test_sigma_cache_misses_on_a_different_point_set():
-    field = build_field({"preset": "sinusoidal-1d", "base": 0.75, "amplitude": 0.375}, 1)
-    raw_g = build_raw_noise({"preset": "tanh-y-sin-z", "y_scale": 0.1, "z_scale": 0.5}, 1, 1)
-    pts = np.linspace(-1.0, 1.0, 5)[:, None]
-    moved = pts.copy()
-    moved[2, 0] = 0.7  # same shape, first and last coordinates as pts
-    y, z = np.zeros(5), np.ones((5, 1))
-    term = noise_term(raw_g, field)
-    term(0.0, pts, y, z)
-    fresh = noise_term(raw_g, field)
-    assert np.array_equal(term(0.0, moved, y, z), fresh(0.0, moved, y, z))
-    assert np.array_equal(term(0.0, pts, y, z), fresh(0.0, pts, y, z))
+def test_zero_presets_are_the_zero_terms():
+    assert build_reaction({"preset": "zero"}, 1) is ZERO_REACTION
+    zero_g = build_noise({"preset": "zero"}, 1, 2)
+    assert (zero_g.name, zero_g.n_components, zero_g.lip_y_sq, zero_g.lip_z_sq) == ("zero", 2, 0.0, 0.0)
 
 
 def test_integrand_presets_and_unknown_names():
@@ -131,6 +140,6 @@ def test_integrand_presets_and_unknown_names():
     with pytest.raises(ConfigError):
         integrand_values("bogus", times, 1)
     with pytest.raises(ConfigError):
-        build_raw_reaction({"preset": "bogus"}, 1)
+        build_reaction({"preset": "bogus"}, 1)
     with pytest.raises(ConfigError):
-        build_raw_reaction({"preset": "tanh-y", "scale": 0.1, "extra": 1}, 1)
+        build_reaction({"preset": "tanh-y", "scale": 0.1, "extra": 1}, 1)

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gexplab import experiments, verify
+from gexplab import experiments, pde, verify
 from gexplab.config import default_config, validate_config
 from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, RegressionBasis, solve_gbdsde_picard
 from gexplab.errors import UsageError
@@ -17,6 +17,7 @@ from gexplab.pde import (
     SpatialGrid,
     ZERO_REACTION,
     apply_semigroup,
+    derive_contraction_inputs,
     discretize_operator,
     solve_gspde_picard,
     zero_noise,
@@ -47,21 +48,19 @@ def setup_pipeline(terminal_fn, n_steps=8, horizon=0.5, n_b=4, n_w=1500,
     psi = terminal_fn(sg.points())
     problem = GspdeProblem(psi, reaction or ZERO_REACTION, noise or zero_noise(1),
                            field, scen, tg, sg)
-    bprob = BdsdeProblem(
-        terminal_fn,
-        b_f or (lambda t, x, y, v: np.zeros_like(y)),
-        b_g or (lambda t, x, y, v: np.zeros(np.shape(y) + (1,))),
-        lip_k, lip_alpha, field, scen, tg)
+    b_f = ReactionTerm(b_f or (lambda t, x, y, v: np.zeros_like(y)), lip_k, 0.0)
+    b_g = NoiseTerm(b_g or (lambda t, x, y, v: np.zeros(np.shape(y) + (1,))), 1, 0.0, lip_alpha)
+    bprob = BdsdeProblem(terminal_fn, b_f.fn, b_g.fn, tg,
+                         derive_contraction_inputs(b_f, b_g, field, scen))
     driver = sample_driver(tg, n_b, 1, seed)
     gbms = [build_gbm(driver, constant_schedule(k, n_steps), scen) for k in range(2)]
     hunt = simulate_hunt(field, InitialLaw("point", [0.0]), tg, n_w, seed + 1)
     ensemble = LsmcEnsemble(hunt, RegressionBasis(deg), field)
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=20, tol_rel=1e-8)
     b_cfg = PicardConfig.from_problem(bprob, max_iter=20)
-    op = discretize_operator(field, sg)
     u_fields, sols = [], []
     for gbm in gbms:
-        fld, _ = solve_gspde_picard(problem, cfg, gbm, op=op)
+        fld, _ = solve_gspde_picard(problem, cfg, gbm)
         sol = solve_gbdsde_picard(bprob, ensemble, gbm, b_cfg)
         u_fields.append(fld)
         sols.append(sol)
@@ -142,7 +141,7 @@ def small_representation_exp(halvings):
 
 def test_runner_builds_the_refinement_table(monkeypatch):
     built = []
-    monkeypatch.setattr(experiments, "discretize_operator",
+    monkeypatch.setattr(pde, "discretize_operator",
                         lambda *a: built.append(a) or discretize_operator(*a))
     rows, artifacts = experiments.run_representation(small_representation_exp(1))
     rep = artifacts["representation_report.json"]
@@ -164,6 +163,21 @@ def test_runner_builds_the_refinement_table(monkeypatch):
     assert rep["non_increasing"] is None
     assert [r["n_steps"] for r in rep["refinement"]] == [8]
     assert not [r for r in rows if r.metric == "non_increasing"]
+
+
+def test_suite_builds_one_grid_operator(monkeypatch):
+    # The grid problem owns its operator; the runners and the problems they
+    # derive by ``replace`` share it.
+    built = []
+    monkeypatch.setattr(pde, "discretize_operator",
+                        lambda *a: built.append(a) or discretize_operator(*a))
+    cfg = default_config()
+    cfg["time_grid"]["n_steps"] = 8
+    cfg["gspde"]["n_noise_paths"] = 2
+    cfg["representation"].update(n_noise_paths=2, n_diffusion_paths=300)
+    cfg["suite"]["checks"] = ["gspde", "comparison", "representation"]
+    experiments.run_suite(validate_config(cfg))
+    assert len(built) == 1
 
 
 def test_runner_drops_each_scenarios_solves_before_the_next(monkeypatch):
@@ -196,7 +210,7 @@ def comparison_setup(reaction=None, noise=None, n_steps=16):
     field = const_field(1.0)
     psi = np.exp(-0.5 * np.sum(sg.points() ** 2, axis=1))
     reaction = reaction or ReactionTerm(
-        lambda t, p, y, z: 0.2 * np.sin(p[:, 0]) * np.ones_like(y), 0.0, "sin-x")
+        lambda t, p, y, z: 0.2 * np.sin(p[:, 0]) * np.ones_like(y), 0.0, 0.0, "sin-x")
     noise = noise or NoiseTerm(
         lambda t, p, y, z: np.exp(-0.125 * p[:, 0] ** 2)[..., None] * np.ones(np.shape(y) + (1,)),
         1, 0.0, 0.0, "det-x")
@@ -215,7 +229,7 @@ def shifted(problem, terminal_shift=0.0, reaction_shift=0.0):
         def fn(t, p, y, z):
             return np.asarray(base.fn(t, p, y, z)) + reaction_shift
 
-        reaction = ReactionTerm(fn, base.lip_sq, base.name + "+shift")
+        reaction = ReactionTerm(fn, base.lip_y_sq, base.lip_z_sq, base.name + "+shift")
     return GspdeProblem(problem.terminal + terminal_shift, reaction, problem.noise,
                         problem.field, problem.scenarios, problem.time_grid,
                         problem.space_grid, check_boundary_decay=False)
