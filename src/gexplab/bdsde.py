@@ -241,8 +241,6 @@ def delta_norm(solutions, beta: float, delta: float) -> float:
     The expectation is the importance-weighted mean over diffusion paths and
     the plain mean over noise paths.
     """
-    if isinstance(solutions, BdsdeSolution):
-        solutions = [solutions]
     if len(solutions) == 0:
         raise UsageError("need at least one solution")
     best = max(weighted_quadrature(_delta_density(sol.y[:, :-1], sol.z[:, :-1], delta,

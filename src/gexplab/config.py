@@ -18,12 +18,14 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Literal, Optional, Sequence, get_args
 
+import numpy as np
+
 from ._util import Count, NonNeg, NonNegInt, Positive, read
 from .bdsde import MIN_SAMPLES_PER_FEATURE, BdsdeProblem, RegressionBasis
 from .errors import ConfigError, UsageError
 from .gbm import TimeGrid
 from .hunt import CoefficientField, InitialLaw
-from .pde import GspdeProblem, SpatialGrid
+from .pde import GspdeProblem, SpatialGrid, edge_excess
 from .picard import PicardConfig
 from .presets import (
     FieldPreset,
@@ -37,6 +39,9 @@ from .verify import checkpoint_indices
 
 Check = Literal["gbm-integral", "hunt-bracket", "gspde", "gbdsde", "representation",
                 "comparison"]
+# On a Dirichlet grid the data reach at most this fraction of their maximum
+# on the edge nodes.
+BOUNDARY_DECAY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -170,11 +175,14 @@ def load_config(path: str) -> dict:
         return default_config()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            cfg = json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", f"the top level of {path} must be a JSON object")
+    return cfg
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -243,8 +251,6 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
     ``checks`` are the checks the caller will run (default: ``suite.checks``);
     the rules tying their sections to the rest of the config are checked too.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be a JSON object")
     c = read(Config, cfg, "")
     runs = set(c.suite.checks if checks is None else checks)
     tg, sg = c.time_grid, c.space_grid
@@ -259,10 +265,22 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
         raise ConfigError("terminal.preset",
                           "non-decaying terminal data needs periodic boundaries")
     reaction, noise = c.reaction(sg.dim), c.noise(sg.dim, scen.dim, "noise")
-    # The grid problem checks the contraction margin both equations share
-    # and, on Dirichlet grids, that the data vanish at the boundary.
-    gspde_problem = _checked("config", GspdeProblem,
-                             terminal=terminal_fn(sg.points()), reaction=reaction, noise=noise,
+    pts = sg.points()
+    terminal = terminal_fn(pts)
+    if sg.boundary == "dirichlet0":
+        # The equations live on the whole space; a Dirichlet grid truncates
+        # them soundly only where the data vanish at its edge.
+        y, v = np.zeros(sg.n_nodes), np.zeros((sg.n_nodes, sg.dim))
+        for where, values in (("terminal", terminal), ("reaction", reaction(0.0, pts, y, v)),
+                              ("noise", noise(0.0, pts, y, v))):
+            excess = edge_excess(values, sg, BOUNDARY_DECAY_TOL)
+            if excess:
+                raise ConfigError(where, "not negligible at the truncation boundary ({:.3e} vs "
+                                         "max {:.3e}); enlarge the domain".format(*excess))
+    # The grid problem checks the contraction margin both equations share,
+    # 2 lambda > g_z Lambda sigma_bar^2, which g_z = 0 always meets.
+    gspde_problem = _checked("noise", GspdeProblem,
+                             terminal=terminal, reaction=reaction, noise=noise,
                              field=field_obj, scenarios=scen, time_grid=tg, space_grid=sg)
     bdsde_problem = BdsdeProblem(terminal_fn, reaction.fn, noise.fn, tg,
                                  gspde_problem.contraction_inputs())

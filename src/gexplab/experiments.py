@@ -190,34 +190,44 @@ def _default_test_fn(exp: Experiment) -> SpaceTimeTestFunction:
     )
 
 
-def _scenario_bundles(exp: Experiment):
-    """One path bundle per scenario on the problem's grid, all from one
-    driver of ``gspde.n_noise_paths`` paths."""
+def _scenario_bundles(exp: Experiment, driver):
+    """One path bundle per scenario on the driver's grid."""
+    return [build_gbm(driver, sched, exp.scenarios)
+            for sched in enumerate_schedules(exp.scenarios, driver.grid.n_steps)]
+
+
+def _problem_bundles(exp: Experiment):
+    """The bundles on the problem's grid, from ``gspde.n_noise_paths`` paths."""
     driver = sample_driver(exp.time_grid, exp.gspde.n_noise_paths, exp.scenarios.dim,
                            child_seed(exp.seed, SEED_DRIVER))
-    return [build_gbm(driver, sched, exp.scenarios)
-            for sched in enumerate_schedules(exp.scenarios, exp.time_grid.n_steps)]
+    return _scenario_bundles(exp, driver)
 
 
 def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     sec = exp.gspde
     n_b, weak_tol, energy_tol = sec.n_noise_paths, sec.weak_tolerance, sec.energy_tolerance
     problem, cfg = exp.gspde_problem, exp.gspde_cfg
-    gbms = _scenario_bundles(exp)
     test_fn = _default_test_fn(exp)
+    sg = problem.space_grid
+    m = sg.points_per_axis
+    stride = max(1, sg.n_nodes // 64)
 
     dump_n = min(sec.dump_paths, n_b)
     rows: list[CheckRow] = []
     scen_reports = []
-    dumped = []  # (scenario id, the dumped paths' values) per scenario
-    for gbm in gbms:
+    dump_rows = []
+    for gbm in _problem_bundles(exp):
         fld, rep = solve_gspde_picard(problem, cfg, gbm)
         wres = weak_residual(fld, test_fn, problem, gbm)
         eres = energy_identity_residual(fld, problem, gbm)
         sid = gbm.scenario_id
         terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
                              for p in range(fld.n_paths))
-        dumped.append((sid, fld.values[:dump_n].copy()))
+        for p in range(dump_n):
+            for i, t in enumerate(problem.time_grid.times):
+                for node in range(0, sg.n_nodes, stride):
+                    axes = (node,) if sg.dim == 1 else (node // m, node % m)
+                    dump_rows.append((p, sid, float(t)) + axes + (float(fld.values[p, i, node]),))
         del fld  # the next scenario's solve must not run beside this field
         w_rms = float(np.sqrt(np.mean(wres**2)))
         e_rms = float(np.sqrt(np.mean(eres**2)))
@@ -228,18 +238,6 @@ def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
                          e_rms <= energy_tol))
         scen_reports.append(dict(record, weak_residual_rms=w_rms, energy_residual_rms=e_rms))
 
-    dump_rows = []
-    sg = problem.space_grid
-    m = sg.points_per_axis
-    stride = max(1, sg.n_nodes // 64)
-    times = problem.time_grid.times
-    for sid, values in dumped:
-        for p in range(dump_n):
-            for i in range(problem.time_grid.n_steps + 1):
-                t = float(times[i])
-                for node in range(0, sg.n_nodes, stride):
-                    axes = (node,) if sg.dim == 1 else (node // m, node % m)
-                    dump_rows.append((p, sid, t) + axes + (float(values[p, i, node]),))
     index_cols = ["x_index"] if sg.dim == 1 else ["x_index_1", "x_index_2"]
     artifacts = {
         "gspde_report.json": {
@@ -261,14 +259,13 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     hunt = simulate_hunt(exp.field, sec.init, problem.time_grid, n_w,
                          child_seed(exp.seed, SEED_HUNT))
     ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
-    gbms = _scenario_bundles(exp)
     dump_b = min(sec.dump_paths, n_b)
     dump_w = min(8, n_w)
 
     rows: list[CheckRow] = []
     scen_reports = []
-    dumped = []  # (scenario id, the dumped paths' Y and Z) per scenario
-    for gbm in gbms:
+    dump_rows = []
+    for gbm in _problem_bundles(exp):
         sol = solve_gbdsde_picard(problem, ensemble, gbm, cfg)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
@@ -276,19 +273,12 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
         sid = gbm.scenario_id
         scen_reports.append(_picard_checks("gbdsde", sid, sol.picard_report,
                                            terminal_exact, rows))
-        dumped.append((sid, sol.y[:dump_b, :, :dump_w].copy(),
-                       sol.z[:dump_b, :, :dump_w].copy()))
-        del sol  # the next scenario's solve must not run beside this (Y, Z)
-
-    dump_rows = []
-    times = problem.time_grid.times
-    for sid, y, z in dumped:
         for b in range(dump_b):
             for w in range(dump_w):
-                for i in range(problem.time_grid.n_steps + 1):
-                    t = float(times[i])
-                    dump_rows.append((sid, b, w, t, float(y[b, i, w]))
-                                     + tuple(float(v) for v in z[b, i, w]))
+                for i, t in enumerate(problem.time_grid.times):
+                    dump_rows.append((sid, b, w, float(t), float(sol.y[b, i, w]))
+                                     + tuple(float(v) for v in sol.z[b, i, w]))
+        del sol  # the next scenario's solve must not run beside this (Y, Z)
     header = (["scenario_id", "b_path_id", "x_path_id", "t", "Y"]
               + [f"Z_{k + 1}" for k in range(hunt.dim)])
     artifacts = {
@@ -312,11 +302,9 @@ def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
     hunt = simulate_hunt(exp.field, exp.bdsde.init, grid, n_w,
                          child_seed(exp.seed, SEED_HUNT), dw=dw_hunt)
     ensemble = LsmcEnsemble(hunt, exp.bdsde.basis, exp.field)
-    gbms = [build_gbm(driver, sched, exp.scenarios)
-            for sched in enumerate_schedules(exp.scenarios, grid.n_steps)]
 
     def solves():
-        for gbm in gbms:
+        for gbm in _scenario_bundles(exp, driver):
             fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm)
             yield fld, solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg), gbm
             del fld  # the next scenario's solves must not run beside this field
@@ -373,13 +361,13 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
 def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
     collar = exp.comparison.collar_frac
     problem_a, cfg = exp.gspde_problem, exp.gspde_cfg
-    gbms = _scenario_bundles(exp)
+    gbms = _problem_bundles(exp)
     y_dependent = (problem_a.reaction.lip_y_sq > 0.0 or problem_a.noise.lip_y_sq > 0.0)
 
     cases = exp.comparison.cases
     problems_b = [replace(problem_a, terminal=problem_a.terminal + case.terminal_shift,
-                          reaction=shifted_reaction(problem_a.reaction, case.reaction_shift),
-                          check_boundary_decay=False) for case in cases]
+                          reaction=shifted_reaction(problem_a.reaction, case.reaction_shift))
+                  for case in cases]
     reports = verify.check_comparison(problem_a, problems_b, cfg, gbms, collar_frac=collar)
 
     rows: list[CheckRow] = []

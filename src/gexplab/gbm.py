@@ -23,6 +23,9 @@ from ._util import Count, Positive
 from .errors import UsageError
 from .scenario import ControlSchedule, ScenarioSet, sigma_bar
 
+# Every Monte Carlo tolerance band is this many standard errors wide.
+CONFIDENCE = 3.0
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -219,7 +222,7 @@ class IntegralDiagnostics:
 
     Upper expectations are maxima across schedules; the isometry bound uses
     sigma_bar^2 * sup_E[int |xi|^2] and the maximal-inequality bound four
-    times that.  Tolerance factors follow the 3-standard-error convention.
+    times that.  Tolerance factors are CONFIDENCE standard errors.
     """
 
     sigma_bar: float
@@ -235,14 +238,12 @@ class IntegralDiagnostics:
     doob_ok: bool
 
 
-def integral_diagnostics(xi, paths_family, confidence: float = 3.0) -> IntegralDiagnostics:
+def integral_diagnostics(xi, paths_family) -> IntegralDiagnostics:
     """Diagnostics for the backward integral of ``xi`` across schedules.
 
-    ``paths_family`` is one GBMPaths or a sequence built from a shared
-    driver, one entry per enumerated schedule.
+    ``paths_family`` is a sequence of GBMPaths built from a shared driver,
+    one entry per enumerated schedule.
     """
-    if isinstance(paths_family, GBMPaths):
-        paths_family = [paths_family]
     if len(paths_family) == 0:
         raise UsageError("need at least one path bundle")
     sbar = sigma_bar(paths_family[0].scenarios)
@@ -266,10 +267,10 @@ def integral_diagnostics(xi, paths_family, confidence: float = 3.0) -> IntegralD
 
     # Mean-zero is a per-scenario statement; report the scenario with the
     # worst |mean| to band ratio.
-    worst = max(rows, key=lambda r: abs(r.mean_i0) / (confidence * r.se_i0 + 1e-300))
+    worst = max(rows, key=lambda r: abs(r.mean_i0) / (CONFIDENCE * r.se_i0 + 1e-300))
     mean_abs = abs(worst.mean_i0)
-    band = confidence * worst.se_i0
-    mean_ok = all(abs(r.mean_i0) <= confidence * r.se_i0 + 1e-15 for r in rows)
+    band = CONFIDENCE * worst.se_i0
+    mean_ok = all(abs(r.mean_i0) <= CONFIDENCE * r.se_i0 + 1e-15 for r in rows)
     m2 = max(r.second_moment for r in rows)
     m2_se = max(r.se_second for r in rows)
     sup_m = max(r.sup_moment for r in rows)
@@ -277,8 +278,8 @@ def integral_diagnostics(xi, paths_family, confidence: float = 3.0) -> IntegralD
     qmax = max(r.xi_square for r in rows)
     iso_bound = sbar**2 * qmax
     doob_bound = 4.0 * sbar**2 * qmax
-    iso_tol = 1.0 + confidence * (m2_se / m2 if m2 > 0 else 0.0)
-    doob_tol = 1.0 + confidence * (sup_se / sup_m if sup_m > 0 else 0.0)
+    iso_tol = 1.0 + CONFIDENCE * (m2_se / m2 if m2 > 0 else 0.0)
+    doob_tol = 1.0 + CONFIDENCE * (sup_se / sup_m if sup_m > 0 else 0.0)
     return IntegralDiagnostics(
         sigma_bar=sbar,
         per_scenario=tuple(rows),

@@ -61,7 +61,7 @@ class CoefficientField:
 
     ``a`` maps points (n, dim) to matrices (n, dim, dim); ``drift``, when
     given, maps points to the row divergence sum_j d_j a^{ij}.  Without it
-    the drift falls back to central differences with step ``fd_step``.
+    the drift falls back to central differences with step ``FD_STEP``.
     """
 
     dim: int
@@ -69,7 +69,6 @@ class CoefficientField:
     lam_min: float
     lam_max: float
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = FD_STEP
     name: str = "custom"
 
     def __post_init__(self):
@@ -96,7 +95,7 @@ class CoefficientField:
             if out.shape != pts.shape:
                 raise UsageError(f"drift returned shape {out.shape}, expected {pts.shape}")
             return out
-        h = self.fd_step
+        h = FD_STEP
         out = np.zeros_like(pts)
         for j in range(self.dim):
             shift = np.zeros(self.dim)

@@ -50,7 +50,6 @@ from .picard import (
 from .scenario import ScenarioSet, sigma_bar
 
 DEFAULT_DT_MAX = 1.0 / 32.0
-BOUNDARY_DECAY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,14 @@ class SpatialGrid:
                 g[..., 0] = (arr[..., 1] - arr[..., 0]) / self.dx
                 g[..., -1] = (arr[..., -1] - arr[..., -2]) / self.dx
         return out.reshape(vals.shape + (self.dim,))
+
+
+def edge_excess(values, grid: SpatialGrid, tol: float) -> Optional[tuple[float, float]]:
+    """(edge max, max) of |values|, nodes on the leading axis, when the max
+    over the grid's edge nodes exceeds ``tol`` times the max; else None."""
+    arr = np.abs(np.asarray(values))
+    edge, top = float(np.max(arr[grid.boundary_mask()])), float(np.max(arr))
+    return (edge, top) if edge > tol * top else None
 
 
 class DivergenceFormOperator:
@@ -338,7 +345,6 @@ class GspdeProblem:
     scenarios: ScenarioSet
     time_grid: TimeGrid
     space_grid: SpatialGrid
-    check_boundary_decay: bool = True
     operator: Optional[DivergenceFormOperator] = field(default=None, repr=False,
                                                        compare=False)
 
@@ -352,32 +358,9 @@ class GspdeProblem:
                 f"dimension is {self.scenarios.dim}"
             )
         self.contraction_inputs()  # raises unless the margin is positive
-        if self.check_boundary_decay and self.space_grid.boundary == "dirichlet0":
-            self._check_decay()
         op = self.operator
         if op is None or op.field is not self.field or op.grid != self.space_grid:
             self.operator = discretize_operator(self.field, self.space_grid)
-
-    def _check_decay(self):
-        mask = self.space_grid.boundary_mask()
-        pts = self.space_grid.points()
-        zero_y = np.zeros(self.space_grid.n_nodes)
-        zero_z = np.zeros((self.space_grid.n_nodes, self.space_grid.dim))
-        for name, values in (
-            ("terminal", self.terminal),
-            ("reaction", np.asarray(self.reaction(0.0, pts, zero_y, zero_z))),
-            ("noise", np.asarray(self.noise(0.0, pts, zero_y, zero_z))),
-        ):
-            arr = np.atleast_2d(values.T).T  # (n, k)
-            top = float(np.max(np.abs(arr)))
-            if top == 0.0:
-                continue
-            edge = float(np.max(np.abs(arr[mask])))
-            if edge > BOUNDARY_DECAY_TOL * top:
-                raise UsageError(
-                    f"{name} is not negligible at the truncation boundary "
-                    f"({edge:.3e} vs max {top:.3e}); enlarge the domain"
-                )
 
     def contraction_inputs(self) -> tuple[float, float, float, float]:
         return derive_contraction_inputs(self.reaction, self.noise, self.field, self.scenarios)
@@ -402,13 +385,10 @@ class RandomField:
 
 
 def hnorm_gamma_delta(fields, gamma: float, delta: float) -> float:
-    """Weighted space-time functional E int e^{gamma s} (delta |u|^2 + |grad u|^2) ds.
-
-    Accepts one RandomField or a per-scenario sequence; the expectation is
-    the path mean and the sublinear layer is the max across the sequence.
+    """Weighted space-time functional E int e^{gamma s} (delta |u|^2 + |grad u|^2) ds
+    of a per-scenario sequence of RandomFields; the expectation is the path
+    mean and the sublinear layer is the max across the sequence.
     """
-    if isinstance(fields, RandomField):
-        fields = [fields]
     if len(fields) == 0:
         raise UsageError("need at least one field")
     return max(weighted_quadrature(_hnorm_density(f.values[:, :-1], f.space_grid, delta),
@@ -509,17 +489,6 @@ class SpaceTimeTestFunction:
         return np.array([float(self.psi(t)) for t in times])
 
 
-def _check_support(chi_vals: np.ndarray, grid: SpatialGrid) -> None:
-    if grid.boundary == "periodic":
-        return
-    top = float(np.max(np.abs(chi_vals)))
-    if top == 0.0:
-        return
-    edge = float(np.max(np.abs(chi_vals[grid.boundary_mask()])))
-    if edge > 1e-10 * top:
-        raise UsageError("test function must vanish at the domain boundary")
-
-
 def _residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths):
     """What both residuals read: the field, its sources at the right-endpoint
     slots, its midpoint slices (p, N, n) and g . dB_i."""
@@ -540,7 +509,8 @@ def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
     """
     tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
     chi = test_fn.space_values(sg)
-    _check_support(chi, sg)
+    if sg.boundary == "dirichlet0" and edge_excess(chi, sg, 1e-10):
+        raise UsageError("test function must vanish at the domain boundary")
     psi = test_fn.time_values(tg.times)
     u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm)
     psi_mid = 0.5 * (psi[:-1] + psi[1:])

@@ -25,24 +25,25 @@ from .errors import NumericalError, UsageError
 # of one small slot (6 paths on 161 nodes is 8 KB) pays more in calls than
 # in data.
 NORM_BLOCK_BYTES = 256 * 1024
+# Without a configured epsilon, kappa is held at or below 1 - KAPPA_MARGIN.
+KAPPA_MARGIN = 0.1
 
 
 def contraction_constants(lip: float, z_coef: float, sigma_bar_sq: float, lam: float,
-                          eps: Optional[float] = None,
-                          margin: float = 0.1) -> tuple[float, float, float, float]:
+                          eps: Optional[float] = None) -> tuple[float, float, float, float]:
     """(eps, rate, delta, kappa) of the fixed-point argument.
 
     kappa = (lip eps + z_coef) / (2 lam) < 1, delta = lip (sigma_bar^2 + eps)
     / (lip eps + z_coef) and rate = 1/eps + 2 lam delta, the exponent of the
     norm weight.  Without ``eps`` the largest epsilon keeping kappa at or
-    below 1 - margin is taken, aiming at the midpoint of the gap when that is
-    thinner than the margin; with lip = 0 kappa does not depend on eps.
+    below 1 - KAPPA_MARGIN is taken, aiming at the midpoint of the gap when
+    that is thinner than the margin; with lip = 0 kappa does not depend on eps.
     """
     if eps is None:
         if lip <= 0.0:
             eps = 1.0
         else:
-            target = max(1.0 - margin, 0.5 * (1.0 + z_coef / (2.0 * lam)))
+            target = max(1.0 - KAPPA_MARGIN, 0.5 * (1.0 + z_coef / (2.0 * lam)))
             eps = (2.0 * lam * target - z_coef) / lip
     if eps <= 0.0:
         raise UsageError("epsilon must be positive")
@@ -83,10 +84,9 @@ class PicardConfig:
     tol_rel: float = 1e-6
 
     @classmethod
-    def from_problem(cls, problem, eps: Optional[float] = None, margin: float = 0.1,
-                     max_iter: int = 25, tol_rel: float = 1e-6) -> "PicardConfig":
-        return cls(*contraction_constants(*problem.contraction_inputs(), eps, margin),
-                   max_iter, tol_rel)
+    def from_problem(cls, problem, eps: Optional[float] = None, max_iter: int = 25,
+                     tol_rel: float = 1e-6) -> "PicardConfig":
+        return cls(*contraction_constants(*problem.contraction_inputs(), eps), max_iter, tol_rel)
 
     def validate_against(self, problem) -> None:
         """Raise unless (eps, rate, delta, kappa) are ``problem``'s constants

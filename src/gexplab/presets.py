@@ -210,8 +210,8 @@ def _tanh_y_sin_z_reaction(dim: int, *, y_scale: float, z_scale: float, y_gain: 
         return prof(p) * (ys * np.tanh(yg * y) + zs * np.sin(zg * zeta))
 
     # |df|^2 <= 2 (ys yg)^2 |dy|^2 + 2 (zs zg)^2 dim |dz|^2.
-    lip = 2.0 * max((ys * yg) * (ys * yg), (zs * zg) * (zs * zg) * dim)
-    return ReactionTerm(fn, lip, lip, "tanh-y-sin-z")
+    return ReactionTerm(fn, 2.0 * (ys * yg) * (ys * yg), 2.0 * (zs * zg) * (zs * zg) * dim,
+                        "tanh-y-sin-z")
 
 
 ReactionPreset = Annotated[Callable, Presets({

@@ -30,6 +30,8 @@ from .pde import (
 from .scenario import ScenarioSet
 
 REL_RMS_FLOOR = 1e-12
+# The y and v values at which the comparison check samples the reaction gap.
+ORDERING_SAMPLES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 def checkpoint_indices(checkpoints, grid: TimeGrid) -> list[int]:
@@ -137,18 +139,15 @@ class ComparisonReport:
     per_scenario: tuple
 
 
-def _sample_ordering(problem_a: GspdeProblem, problem_b: GspdeProblem,
-                     y_range=(-2.0, 2.0), z_range=(-2.0, 2.0), n_samples: int = 5) -> None:
+def _sample_ordering(problem_a: GspdeProblem, problem_b: GspdeProblem) -> None:
     sg, tg = problem_a.space_grid, problem_a.time_grid
     psi_gap = problem_b.terminal - problem_a.terminal
     if float(np.min(psi_gap)) < -1e-12:
         raise UsageError("terminal data are not ordered: min(psi_b - psi_a) < 0")
     pts = sg.points()
-    ys = np.linspace(*y_range, n_samples)
-    zs = np.linspace(*z_range, n_samples)
     for t in (0.0, 0.5 * tg.horizon, tg.horizon):
-        for yv in ys:
-            for zv in zs:
+        for yv in ORDERING_SAMPLES:
+            for zv in ORDERING_SAMPLES:
                 y = np.full(sg.n_nodes, yv)
                 z = np.full((sg.n_nodes, sg.dim), zv)
                 gap = np.asarray(problem_b.reaction(t, pts, y, z)) - \
@@ -190,7 +189,7 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
         halve = gbm.grid.n_steps % 2 == 0
         if halve:
             coarse = coarsen_gbm(gbm, 2)
-            fac, _ = solve_gspde_picard(_regrid(problem_a, coarse.grid), cfg, coarse)
+            fac, _ = solve_gspde_picard(replace(problem_a, time_grid=coarse.grid), cfg, coarse)
         for k, problem_b in enumerate(problems_b):
             fb, _ = solve_gspde_picard(problem_b, cfg, gbm)
             gap = (fb.values - fa.values)[:, :, mask]
@@ -198,7 +197,7 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
             per_scenario[k].append((gbm.scenario_id, scen_min))
             min_gap[k] = min(min_gap[k], scen_min)
             if halve:
-                fbc, _ = solve_gspde_picard(_regrid(problem_b, coarse.grid), cfg, coarse)
+                fbc, _ = solve_gspde_picard(replace(problem_b, time_grid=coarse.grid), cfg, coarse)
                 gap_c = (fbc.values - fac.values)[:, :, mask]
                 probe[k] = max(probe[k], float(np.max(np.abs(gap[:, ::2] - gap_c))))
     scale = problem_a.time_grid.dt + sg.dx**2
@@ -209,10 +208,6 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
                                         c_constant=eps_grid / scale,
                                         per_scenario=tuple(per_scenario[k])))
     return reports
-
-
-def _regrid(problem: GspdeProblem, tg: TimeGrid) -> GspdeProblem:
-    return replace(problem, time_grid=tg, check_boundary_decay=False)
 
 
 # -- linear transport ----------------------------------------------------------
@@ -252,7 +247,7 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
         for i in range(n)
     ])
     problem = GspdeProblem(zero_terminal, ZERO_REACTION, noise, field_spec,
-                           scenarios, time_grid, sg, check_boundary_decay=False)
+                           scenarios, time_grid, sg)
     cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=6)
     worst = {idx: 0.0 for idx in indices}
     for gbm in gbms:

@@ -87,7 +87,7 @@ def test_criterion_02_isometry_bound_and_classical_equality():
     sgrid = TimeGrid(0.8, 64)
     sdriver = sample_driver(sgrid, 40_000, 1, seed=21)
     spaths = build_gbm(sdriver, constant_schedule(0, 64), singleton)
-    srep = integral_diagnostics(np.ones((65, 1)), spaths)
+    srep = integral_diagnostics(np.ones((65, 1)), [spaths])
     eq_gap = abs(srep.second_moment - 0.8) / 0.8
     elapsed = time.perf_counter() - start
     ok = rep.isometry_ok and srep.isometry_ok and eq_gap <= 0.02 and elapsed < 5.0

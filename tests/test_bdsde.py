@@ -219,13 +219,13 @@ def test_delta_norm_examples():
     shape_y = (2, 17, 50)
     zeros = BdsdeSolution(np.zeros(shape_y), np.zeros(shape_y + (1,)), tg, 0,
                           np.ones(50))
-    assert delta_norm(zeros, 1.0, 1.0) == 0.0
+    assert delta_norm([zeros], 1.0, 1.0) == 0.0
     ones_y = BdsdeSolution(np.ones(shape_y), np.zeros(shape_y + (1,)), tg, 0,
                            np.ones(50))
-    assert delta_norm(ones_y, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert delta_norm([ones_y], 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
     ones_z = BdsdeSolution(np.zeros(shape_y), np.ones(shape_y + (1,)), tg, 0,
                            np.ones(50))
-    assert delta_norm(ones_z, 1.0, 0.0) == pytest.approx(np.sqrt(np.e - 1.0), rel=1e-12)
+    assert delta_norm([ones_z], 1.0, 0.0) == pytest.approx(np.sqrt(np.e - 1.0), rel=1e-12)
 
 
 def test_delta_norm_uses_importance_weights_unnormalized():
@@ -236,7 +236,7 @@ def test_delta_norm_uses_importance_weights_unnormalized():
     sol = BdsdeSolution(y, np.zeros((1, 5, n_w, 1)), tg, 0, weights)
     # delta E int e^{0 s} |Y|^2 ds with weighted mean over diffusion paths.
     expected = np.sqrt(np.mean(weights) * tg.horizon)
-    assert delta_norm(sol, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert delta_norm([sol], 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def whole_stack_delta_norm(y, z, beta, delta, weights, times):
@@ -274,7 +274,7 @@ def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, s
     assert inc == whole_stack_delta_norm(new[0] - old[0], new[1] - old[1], beta, delta,
                                          weights, tg.times)
     assert cur == whole_stack_delta_norm(*new, beta, delta, weights, tg.times)
-    assert cur == delta_norm(BdsdeSolution(*new, tg, 0, weights), beta, delta)
+    assert cur == delta_norm([BdsdeSolution(*new, tg, 0, weights)], beta, delta)
     assert same == 0.0
     assert np.sqrt(same_cur) == cur
 

@@ -155,6 +155,9 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run-suite", "--config", str(bad)]) == 2
+    bad.write_text("[]")
+    assert main(["run-suite", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: config: the top level")
 
 
 @pytest.fixture
@@ -218,11 +221,21 @@ def set_path(cfg, section, key, value):
     ("space_grid", "half_width", 1e200, "space_grid.half_width"),
     ("space_grid", "half_width", 1e156, "space_grid.half_width"),  # R/4 squared overflows
     ("noise", "y_scale", 1e200, "gspde.eps"),  # an infinite constant: kappa >= 1
+    ("noise", "z_scale", 5, "noise"),  # g_z Lambda sigma_bar^2 = 50 >= 2 lambda
+    # On a Dirichlet grid the data must vanish at the edge.
+    (None, ("space_grid.boundary", "terminal.width"), ("dirichlet0", 5), "terminal"),
+    (None, ("space_grid.boundary", "reaction"),
+     ("dirichlet0", {"preset": "sin-in-x", "amplitude": 0.5}), "reaction"),
+    (None, ("space_grid.boundary", "noise"),
+     ("dirichlet0", {"preset": "constant", "values": 0.3}), "noise"),
 ])
 def test_cli_malformed_field_exit_2(tmp_path, capsys, runners_fail, section, key, value,
                                     field):
     cfg = tiny_config()
-    set_path(cfg, section, key, value)
+    # A tuple of keys sets each to its value in the tuple of values.
+    keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
+    for k, v in zip(keys, values):
+        set_path(cfg, section, k, v)
     code = main(["run-suite", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "bad")])
     assert code == 2
@@ -265,6 +278,15 @@ def test_both_equations_share_the_contraction_inputs(field, reaction):
     assert exp.gspde_problem.contraction_inputs() == exp.bdsde_problem.contraction_inputs()
     report = exp.constants_report()
     assert report["K"] == report["c_bar"] and report["margin_bdsde"] == report["margin_spde"]
+
+
+def test_tanh_y_sin_z_reaction_declares_each_slot_constant():
+    # f_y = 2 * 0.4^2 = 0.32 is the largest: f_z Lambda = 2 * 0.1^2 * 1.5 = 0.03
+    # and the shipped noise's g_y is 0.25.
+    cfg = default_config()
+    cfg["coefficient_field"] = {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.5}
+    cfg["reaction"] = {"preset": "tanh-y-sin-z", "y_scale": 0.4, "z_scale": 0.1}
+    assert validate_config(cfg).constants_report()["K"] == pytest.approx(0.32)
 
 
 def test_both_equations_share_the_contraction_inputs_in_2d():
@@ -450,7 +472,8 @@ SHIPPED_LEAVES = list(_leaves(default_config()))
 # Fields named by rules that tie one field to others, which a well-typed value
 # can break wherever it sits.
 RULE_FIELDS = {
-    "config",                                # contraction margins, decay at the boundary
+    "terminal", "reaction",                  # data vanish at a Dirichlet grid's edge
+    "noise",                                 # that, and the contraction margin
     "gspde.eps", "bdsde.eps",                # kappa < 1 at the configured epsilon
     "terminal.preset",                       # non-decaying data on a Dirichlet grid
     "representation.checkpoint_fractions",   # checkpoints on the time grid

@@ -119,7 +119,7 @@ def test_backward_integral_column_mismatch():
 
 def test_diagnostics_zero_integrand():
     paths = make_paths([[[1.0]]], n_paths=64, n_steps=8)
-    rep = integral_diagnostics(np.zeros((9, 1)), paths)
+    rep = integral_diagnostics(np.zeros((9, 1)), [paths])
     assert rep.mean_abs_max == 0.0
     assert rep.second_moment == 0.0
     assert rep.isometry_bound == 0.0
@@ -131,7 +131,7 @@ def test_diagnostics_classical_isometry():
     t_hor = 0.8
     paths = make_paths([[[1.0]]], n_paths=40_000, n_steps=32, horizon=t_hor, seed=21)
     n = paths.grid.n_steps
-    rep = integral_diagnostics(np.ones((n + 1, 1)), paths)
+    rep = integral_diagnostics(np.ones((n + 1, 1)), [paths])
     assert rep.mean_zero_ok
     assert abs(rep.second_moment - t_hor) < 0.02 * t_hor
     assert rep.isometry_ok and rep.doob_ok

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gexplab import picard
 
-from gexplab.errors import UsageError
+from gexplab.config import default_config, validate_config
+from gexplab.errors import ConfigError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, coarsen_driver, sample_driver
 from gexplab.hunt import CoefficientField
 from gexplab.pde import (
@@ -264,12 +265,13 @@ def test_hnorm_zero_and_constant():
     problem = make_problem()
     tg, sg = problem.time_grid, problem.space_grid
     zeros = RandomField(np.zeros((2, tg.n_steps + 1, sg.n_nodes)), tg, sg, 0)
-    assert hnorm_gamma_delta(zeros, 1.0, 1.0) == 0.0
+    assert hnorm_gamma_delta([zeros], 1.0, 1.0) == 0.0
     # gamma=0, delta=1, u == c: integral is c^2 * |domain| * T.
     c = 1.7
     const = RandomField(np.full((3, tg.n_steps + 1, sg.n_nodes), c), tg, sg, 0)
     measure = sg.n_nodes * sg.cell_volume
-    assert hnorm_gamma_delta(const, 0.0, 1.0) == pytest.approx(c**2 * measure * tg.horizon, rel=1e-12)
+    assert hnorm_gamma_delta([const], 0.0, 1.0) == pytest.approx(c**2 * measure * tg.horizon,
+                                                          rel=1e-12)
 
 
 def test_hnorm_takes_worst_scenario_of_a_family():
@@ -278,7 +280,7 @@ def test_hnorm_takes_worst_scenario_of_a_family():
     small = RandomField(np.full((2, tg.n_steps + 1, sg.n_nodes), 0.5), tg, sg, 0)
     big = RandomField(np.full((2, tg.n_steps + 1, sg.n_nodes), 2.0), tg, sg, 1)
     both = hnorm_gamma_delta([small, big], 0.0, 1.0)
-    assert both == pytest.approx(hnorm_gamma_delta(big, 0.0, 1.0), rel=1e-12)
+    assert both == pytest.approx(hnorm_gamma_delta([big], 0.0, 1.0), rel=1e-12)
 
 
 def test_hnorm_exponential_weight_exact():
@@ -291,7 +293,7 @@ def test_hnorm_exponential_weight_exact():
     f = RandomField(vals, tg, sg, 0)
     measure = sg.n_nodes * sg.cell_volume
     # integral of e^s over [0, 1] times |grad|^2 = 1 * measure
-    assert hnorm_gamma_delta(f, 1.0, 0.0) == pytest.approx((np.e - 1.0) * measure, rel=1e-12)
+    assert hnorm_gamma_delta([f], 1.0, 0.0) == pytest.approx((np.e - 1.0) * measure, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -322,7 +324,7 @@ def test_fused_grid_norms_match_whole_stack_bitwise(dim, boundary, m, p, n_steps
         same, same_cur = increment_and_iterate_norms(density, (new,), (new,), gamma, tg.times)
     assert inc == norm(new - old)
     assert cur == norm(new)
-    assert cur == hnorm_gamma_delta(RandomField(new, tg, sg, 0), gamma, delta)
+    assert cur == hnorm_gamma_delta([RandomField(new, tg, sg, 0)], gamma, delta)
     assert same == 0.0
     assert same_cur == cur
 
@@ -336,11 +338,13 @@ def test_contraction_rejected_at_construction():
 
 
 def test_boundary_decay_check_dirichlet():
-    sg_kw = {"boundary": "dirichlet0", "half_width": 2.0}
-    with pytest.raises(UsageError, match="boundary"):
-        make_problem(grid_kw=sg_kw, terminal=np.ones(161))
+    cfg = default_config()
+    cfg["space_grid"].update(boundary="dirichlet0", half_width=2.0)
+    with pytest.raises(ConfigError, match="^terminal: not negligible at the truncation boundary"):
+        validate_config(cfg)
     # Periodic grids accept non-decaying data.
-    make_problem(terminal=np.ones(161))
+    cfg["space_grid"]["boundary"] = "periodic"
+    validate_config(cfg)
 
 
 def test_picard_config_recipe():
@@ -481,8 +485,8 @@ def test_uniqueness_surrogate_two_initial_guesses():
     f0, _ = solve_gspde_picard(problem, cfg, gbm, initial="zero")
     f1, _ = solve_gspde_picard(problem, cfg, gbm, initial="homogeneous")
     diff = RandomField(f0.values - f1.values, problem.time_grid, problem.space_grid, 0)
-    rel = hnorm_gamma_delta(diff, cfg.rate, cfg.delta) / max(
-        hnorm_gamma_delta(f0, cfg.rate, cfg.delta), 1e-300)
+    rel = hnorm_gamma_delta([diff], cfg.rate, cfg.delta) / max(
+        hnorm_gamma_delta([f0], cfg.rate, cfg.delta), 1e-300)
     assert rel <= cfg.tol_rel * 10
 
 

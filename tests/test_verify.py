@@ -232,7 +232,7 @@ def shifted(problem, terminal_shift=0.0, reaction_shift=0.0):
         reaction = ReactionTerm(fn, base.lip_y_sq, base.lip_z_sq, base.name + "+shift")
     return GspdeProblem(problem.terminal + terminal_shift, reaction, problem.noise,
                         problem.field, problem.scenarios, problem.time_grid,
-                        problem.space_grid, check_boundary_decay=False)
+                        problem.space_grid)
 
 
 def test_comparison_identical_problems():
