@@ -31,6 +31,7 @@ from .hunt import (
 from .pde import (
     SpaceTimeTestFunction,
     energy_identity_residual,
+    residual_slots,
     solve_gspde_picard,
     weak_residual,
 )
@@ -106,9 +107,9 @@ def run_gbm_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
         rows.append(_row("gbm-integral", -1, f"mean_zero[{name}]",
                          rep.mean_abs_max, rep.mean_band, rep.mean_zero_ok))
         rows.append(_row("gbm-integral", -1, f"isometry[{name}]",
-                         rep.second_moment, rep.isometry_bound, rep.isometry_ok))
+                         rep.second_moment, rep.isometry_tolerance, rep.isometry_ok))
         rows.append(_row("gbm-integral", -1, f"doob[{name}]",
-                         rep.sup_moment, rep.doob_bound, rep.doob_ok))
+                         rep.sup_moment, rep.doob_tolerance, rep.doob_ok))
 
     dump_n = min(sec.dump_paths, n_paths)
     dump_rows = []
@@ -203,46 +204,52 @@ def _problem_bundles(exp: Experiment):
     return _scenario_bundles(exp, driver)
 
 
-def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
-    sec = exp.gspde
-    n_b, weak_tol, energy_tol = sec.n_noise_paths, sec.weak_tolerance, sec.energy_tolerance
-    problem, cfg = exp.gspde_problem, exp.gspde_cfg
-    test_fn = _default_test_fn(exp)
-    sg = problem.space_grid
-    m = sg.points_per_axis
-    stride = max(1, sg.n_nodes // 64)
+def _dump_nodes(sg) -> range:
+    """The nodes of the gspde dump: every stride-th, about 64 in all."""
+    return range(0, sg.n_nodes, max(1, sg.n_nodes // 64))
 
-    dump_n = min(sec.dump_paths, n_b)
+
+def _gspde_scenario(exp: Experiment, test_fn, fld, rep, gbm) -> tuple:
+    """The gspde rows, report record and dumped slices of one solved scenario."""
+    sec, problem = exp.gspde, exp.gspde_problem
+    slots = residual_slots(fld, problem, gbm)
+    wres = weak_residual(fld, test_fn, problem, gbm, slots)
+    eres = energy_identity_residual(fld, problem, gbm, slots=slots)
+    sid = gbm.scenario_id
+    terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
+                         for p in range(fld.n_paths))
+    dump = fld.values[:min(sec.dump_paths, fld.n_paths), :, _dump_nodes(problem.space_grid)]
+    w_rms = float(np.sqrt(np.mean(wres**2)))
+    e_rms = float(np.sqrt(np.mean(eres**2)))
     rows: list[CheckRow] = []
-    scen_reports = []
-    dump_rows = []
-    for gbm in _problem_bundles(exp):
-        fld, rep = solve_gspde_picard(problem, cfg, gbm)
-        wres = weak_residual(fld, test_fn, problem, gbm)
-        eres = energy_identity_residual(fld, problem, gbm)
-        sid = gbm.scenario_id
-        terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
-                             for p in range(fld.n_paths))
-        for p in range(dump_n):
-            for i, t in enumerate(problem.time_grid.times):
-                for node in range(0, sg.n_nodes, stride):
-                    axes = (node,) if sg.dim == 1 else (node // m, node % m)
-                    dump_rows.append((p, sid, float(t)) + axes + (float(fld.values[p, i, node]),))
-        del fld  # the next scenario's solve must not run beside this field
-        w_rms = float(np.sqrt(np.mean(wres**2)))
-        e_rms = float(np.sqrt(np.mean(eres**2)))
-        record = _picard_checks("gspde", sid, rep, terminal_exact, rows)
-        rows.append(_row("gspde", sid, "weak_residual_rms", w_rms, weak_tol,
-                         w_rms <= weak_tol))
-        rows.append(_row("gspde", sid, "energy_residual_rms", e_rms, energy_tol,
-                         e_rms <= energy_tol))
-        scen_reports.append(dict(record, weak_residual_rms=w_rms, energy_residual_rms=e_rms))
+    record = _picard_checks("gspde", sid, rep, terminal_exact, rows)
+    rows.append(_row("gspde", sid, "weak_residual_rms", w_rms, sec.weak_tolerance,
+                     w_rms <= sec.weak_tolerance))
+    rows.append(_row("gspde", sid, "energy_residual_rms", e_rms, sec.energy_tolerance,
+                     e_rms <= sec.energy_tolerance))
+    return rows, dict(record, weak_residual_rms=w_rms, energy_residual_rms=e_rms), dump
 
+
+def _gspde_result(exp: Experiment, scenarios) -> tuple[list[CheckRow], dict]:
+    """Rows and artifacts from the ``_gspde_scenario`` records, in scenario order."""
+    problem, cfg = exp.gspde_problem, exp.gspde_cfg
+    sg, times = problem.space_grid, problem.time_grid.times
+    m = sg.points_per_axis
+    rows: list[CheckRow] = []
+    dump_rows = []
+    for scen_rows, record, dump in scenarios:
+        rows.extend(scen_rows)
+        sid = record["scenario_id"]
+        for p in range(dump.shape[0]):
+            for i, t in enumerate(times):
+                for k, node in enumerate(_dump_nodes(sg)):
+                    axes = (node,) if sg.dim == 1 else (node // m, node % m)
+                    dump_rows.append((p, sid, float(t)) + axes + (float(dump[p, i, k]),))
     index_cols = ["x_index"] if sg.dim == 1 else ["x_index_1", "x_index_2"]
     artifacts = {
         "gspde_report.json": {
             "kappa": cfg.kappa, "eps": cfg.eps, "gamma": cfg.rate,
-            "delta": cfg.delta, "per_scenario": scen_reports,
+            "delta": cfg.delta, "per_scenario": [record for _, record, _ in scenarios],
         },
         "gspde_solution.csv": (["path_id", "scenario_id", "t"] + index_cols + ["u"],
                                dump_rows),
@@ -358,17 +365,17 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
 
 # -- comparison ---------------------------------------------------------------------
 
-def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
+def _comparison_result(exp: Experiment, bases) -> tuple[list[CheckRow], dict]:
+    """Rows and artifacts of the comparison check on the base solves ``bases``."""
     collar = exp.comparison.collar_frac
     problem_a, cfg = exp.gspde_problem, exp.gspde_cfg
-    gbms = _problem_bundles(exp)
     y_dependent = (problem_a.reaction.lip_y_sq > 0.0 or problem_a.noise.lip_y_sq > 0.0)
 
     cases = exp.comparison.cases
     problems_b = [replace(problem_a, terminal=problem_a.terminal + case.terminal_shift,
                           reaction=shifted_reaction(problem_a.reaction, case.reaction_shift))
                   for case in cases]
-    reports = verify.check_comparison(problem_a, problems_b, cfg, gbms, collar_frac=collar)
+    reports = verify.check_comparison(problem_a, problems_b, cfg, bases, collar_frac=collar)
 
     rows: list[CheckRow] = []
     case_reports = []
@@ -389,6 +396,49 @@ def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
     return rows, artifacts
 
 
+# -- grid checks: one base solve per scenario ------------------------------------------
+
+GRID_CHECKS = ("gspde", "comparison")
+
+
+def run_grid_checks(exp: Experiment, names) -> dict:
+    """Rows and artifacts of each grid check in ``names``, keyed by name.
+
+    The base problem is solved once per scenario bundle, and every named
+    check reads that field: gspde for its residuals, Picard rows and dump,
+    comparison for its case gaps.  Each field is dropped before the next
+    scenario is solved, so one scenario's field is alive at a time."""
+    problem, cfg = exp.gspde_problem, exp.gspde_cfg
+    test_fn = _default_test_fn(exp)
+    gspde = [] if "gspde" in names else None  # per scenario: rows, record, dump
+
+    def bases():
+        for gbm in _problem_bundles(exp):
+            fld, rep = solve_gspde_picard(problem, cfg, gbm)
+            if gspde is not None:
+                gspde.append(_gspde_scenario(exp, test_fn, fld, rep, gbm))
+            yield fld, gbm
+            del fld  # the next scenario's solve must not run beside this field
+
+    solves = bases()
+    out = {}
+    if "comparison" in names:
+        out["comparison"] = _comparison_result(exp, solves)
+    if gspde is not None:
+        for _ in solves:  # the scenarios comparison did not draw, if any
+            pass
+        out["gspde"] = _gspde_result(exp, gspde)
+    return out
+
+
+def run_gspde(exp: Experiment) -> tuple[list[CheckRow], dict]:
+    return run_grid_checks(exp, ("gspde",))["gspde"]
+
+
+def run_comparison(exp: Experiment) -> tuple[list[CheckRow], dict]:
+    return run_grid_checks(exp, ("comparison",))["comparison"]
+
+
 # -- suite -------------------------------------------------------------------------
 
 RUNNERS = {
@@ -402,11 +452,18 @@ RUNNERS = {
 
 
 def run_suite(exp: Experiment) -> tuple[list[CheckRow], dict]:
+    """Every check of ``suite.checks``, rows and artifacts in that order.  The
+    grid checks run together, at the first one's turn, on shared base solves."""
     checks = exp.suite.checks
     rows: list[CheckRow] = []
     artifacts: dict = {}
+    grid: dict = {}
     for name in checks:
-        sub_rows, sub_artifacts = RUNNERS[name](exp)
+        if name in GRID_CHECKS:
+            grid = grid or run_grid_checks(exp, checks)
+            sub_rows, sub_artifacts = grid[name]
+        else:
+            sub_rows, sub_artifacts = RUNNERS[name](exp)
         rows.extend(sub_rows)
         artifacts.update(sub_artifacts)
     artifacts["suite_report.json"] = {

@@ -16,6 +16,7 @@ is the discrete image of integrands measurable for the backward filtration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +46,13 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        """The n_steps + 1 grid times, computed once per grid and read-only,
+        since every caller shares the one array."""
+        times = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,8 @@ class IntegralDiagnostics:
 
     Upper expectations are maxima across schedules; the isometry bound uses
     sigma_bar^2 * sup_E[int |xi|^2] and the maximal-inequality bound four
-    times that.  Tolerance factors are CONFIDENCE standard errors.
+    times that.  Each bound is tested against its tolerance, the bound
+    widened by CONFIDENCE relative standard errors of the moment it caps.
     """
 
     sigma_bar: float
@@ -232,9 +238,11 @@ class IntegralDiagnostics:
     mean_zero_ok: bool
     second_moment: float
     isometry_bound: float
+    isometry_tolerance: float
     isometry_ok: bool
     sup_moment: float
     doob_bound: float
+    doob_tolerance: float
     doob_ok: bool
 
 
@@ -278,8 +286,8 @@ def integral_diagnostics(xi, paths_family) -> IntegralDiagnostics:
     qmax = max(r.xi_square for r in rows)
     iso_bound = sbar**2 * qmax
     doob_bound = 4.0 * sbar**2 * qmax
-    iso_tol = 1.0 + CONFIDENCE * (m2_se / m2 if m2 > 0 else 0.0)
-    doob_tol = 1.0 + CONFIDENCE * (sup_se / sup_m if sup_m > 0 else 0.0)
+    iso_tol = iso_bound * (1.0 + CONFIDENCE * (m2_se / m2 if m2 > 0 else 0.0)) + 1e-15
+    doob_tol = doob_bound * (1.0 + CONFIDENCE * (sup_se / sup_m if sup_m > 0 else 0.0)) + 1e-15
     return IntegralDiagnostics(
         sigma_bar=sbar,
         per_scenario=tuple(rows),
@@ -288,8 +296,10 @@ def integral_diagnostics(xi, paths_family) -> IntegralDiagnostics:
         mean_zero_ok=mean_ok,
         second_moment=m2,
         isometry_bound=iso_bound,
-        isometry_ok=bool(m2 <= iso_bound * iso_tol + 1e-15),
+        isometry_tolerance=iso_tol,
+        isometry_ok=bool(m2 <= iso_tol),
         sup_moment=sup_m,
         doob_bound=doob_bound,
-        doob_ok=bool(sup_m <= doob_bound * doob_tol + 1e-15),
+        doob_tolerance=doob_tol,
+        doob_ok=bool(sup_m <= doob_tol),
     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Annotated, Callable, Literal, Optional
+from typing import Annotated, Callable, Literal, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -489,30 +489,53 @@ class SpaceTimeTestFunction:
         return np.array([float(self.psi(t)) for t in times])
 
 
-def _residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths):
-    """What both residuals read: the field, its sources at the right-endpoint
-    slots, its midpoint slices (p, N, n) and g . dB_i."""
+class ResidualSlots(NamedTuple):
+    """What both residuals read of one field: the field, its sources at the
+    right-endpoint slots, its midpoint slices (p, N, n) and g . dB_i."""
+
+    u: np.ndarray
+    f_vals: np.ndarray
+    g_vals: np.ndarray
+    u_mid: np.ndarray
+    gdb: np.ndarray
+
+
+def residual_slots(u_field: RandomField, problem: GspdeProblem,
+                   gbm: GBMPaths) -> ResidualSlots:
+    """The slots of ``u_field``; a caller that takes both residuals of one
+    field evaluates them once and passes them to each."""
     if u_field.values.shape[0] != gbm.n_paths:
         raise UsageError("field and path bundle have different path counts")
     u = u_field.values
     f_vals, g_vals = _eval_sources(problem, u, problem.space_grid.points())
     u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])
-    return u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db)
+    return ResidualSlots(u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db))
+
+
+def _slots_of(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths,
+              slots: Optional[ResidualSlots]) -> ResidualSlots:
+    if slots is None:
+        return residual_slots(u_field, problem, gbm)
+    if slots.u is not u_field.values:
+        raise UsageError("residual slots belong to another field")
+    return slots
 
 
 def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
-                  problem: GspdeProblem, gbm: GBMPaths) -> np.ndarray:
+                  problem: GspdeProblem, gbm: GBMPaths,
+                  slots: Optional[ResidualSlots] = None) -> np.ndarray:
     """Absolute residual of the test-function formulation at t = 0, per path.
 
     Quadrature is midpoint in both slots of every time integral, which makes
     the residual vanish identically for the source-free discrete evolution.
+    ``slots`` are the field's ``residual_slots``, evaluated here when not given.
     """
     tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
     chi = test_fn.space_values(sg)
     if sg.boundary == "dirichlet0" and edge_excess(chi, sg, 1e-10):
         raise UsageError("test function must vanish at the domain boundary")
     psi = test_fn.time_values(tg.times)
-    u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm)
+    u, f_vals, g_vals, u_mid, gdb = _slots_of(u_field, problem, gbm, slots)
     psi_mid = 0.5 * (psi[:-1] + psi[1:])
     dpsi = psi[1:] - psi[:-1]
 
@@ -545,7 +568,8 @@ PHI_IDENTITY = PhiFunction(lambda y: y, lambda y: np.ones_like(y),
 
 
 def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
-                             gbm: GBMPaths, phi: PhiFunction = PHI_SQUARE) -> np.ndarray:
+                             gbm: GBMPaths, phi: PhiFunction = PHI_SQUARE,
+                             slots: Optional[ResidualSlots] = None) -> np.ndarray:
     """Absolute residual, per path, of the composition identity at t = 0.
 
     The bracket of the noise is replaced by the active scenario's
@@ -553,9 +577,10 @@ def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
     midpoint slices; the source and noise integrals pair the right-endpoint
     slice t_{i+1} (the backward-adapted slot) with dB_i — with a midpoint
     slice there the quadratic-variation correction would be double-counted.
+    ``slots`` are the field's ``residual_slots``, evaluated here when not given.
     """
     sg, dt = problem.space_grid, problem.time_grid.dt
-    u, f_vals, g_vals, u_mid, gdb = _residual_slots(u_field, problem, gbm)
+    u, f_vals, g_vals, u_mid, gdb = _slots_of(u_field, problem, gbm, slots)
     phi_mid = phi.deriv(u_mid)
     phi_right = phi.deriv(u[:, 1:, :])
 

@@ -158,17 +158,45 @@ def _sample_ordering(problem_a: GspdeProblem, problem_b: GspdeProblem) -> None:
                     )
 
 
+def _case_gaps(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],
+               cfg: PicardConfig, fa: RandomField, gbm: GBMPaths,
+               mask: np.ndarray) -> list[tuple[float, float]]:
+    """Per case, the worst gap min(u_b - u_a) on ``mask`` over one scenario
+    bundle and the step-doubling probe max|gap - coarse gap| (0 when the step
+    count is odd)."""
+    halve = gbm.grid.n_steps % 2 == 0
+    if halve:
+        coarse = coarsen_gbm(gbm, 2)
+        fac, _ = solve_gspde_picard(replace(problem_a, time_grid=coarse.grid), cfg, coarse)
+    out = []
+    for problem_b in problems_b:
+        fb, _ = solve_gspde_picard(problem_b, cfg, gbm)
+        gap = (fb.values - fa.values)[:, :, mask]
+        probe = 0.0
+        if halve:
+            fbc, _ = solve_gspde_picard(replace(problem_b, time_grid=coarse.grid), cfg, coarse)
+            gap_c = (fbc.values - fac.values)[:, :, mask]
+            probe = float(np.max(np.abs(gap[:, ::2] - gap_c)))
+        out.append((float(np.min(gap)), probe))
+    return out
+
+
 def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],
-                     cfg: PicardConfig, gbms: Sequence[GBMPaths],
+                     cfg: PicardConfig, bases: Iterable[tuple[RandomField, GBMPaths]],
                      collar_frac: float = 0.05) -> list[ComparisonReport]:
-    """Solve ``problem_a`` and each ordered ``problems_b[k]`` on shared noise
-    under one ``cfg`` and report, per case, the worst signed gap
+    """Compare ``problem_a`` with each ordered ``problems_b[k]`` on shared
+    noise under one ``cfg`` and report, per case, the worst signed gap
     min(u_b - u_a) over the collar interior, with a measured grid-error scale
     from a step-doubling probe on the gap field.
 
-    Every case is validated before any solve.  The unshifted problem is then
-    solved once per scenario on the fine grid and once on the coarse probe
-    grid, and both fields serve every case."""
+    ``bases`` yields, per scenario, the already-solved field of
+    ``problem_a`` and its noise bundle, so the grid checks of a suite share
+    one base solve per scenario.  Every case is validated before the first
+    pair is drawn, and with no case no pair is.  Each field is dropped before
+    the next pair is drawn, so a generator of solves keeps one scenario's
+    base field alive at a time.  Per scenario the unshifted problem is solved
+    once more, on the coarse probe grid, and both of its fields serve every
+    case."""
     for problem_b in problems_b:
         if problem_a.noise is not problem_b.noise:
             raise UsageError("comparison requires the two problems to share the noise term")
@@ -178,35 +206,24 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
         _sample_ordering(problem_a, problem_b)
     if not problems_b:
         return []
-    sg = problem_a.space_grid
-    mask = sg.interior_mask(collar_frac)
-    n_cases = len(problems_b)
-    per_scenario = [[] for _ in range(n_cases)]
-    min_gap = [np.inf] * n_cases
-    probe = [0.0] * n_cases
-    for gbm in gbms:
-        fa, _ = solve_gspde_picard(problem_a, cfg, gbm)
-        halve = gbm.grid.n_steps % 2 == 0
-        if halve:
-            coarse = coarsen_gbm(gbm, 2)
-            fac, _ = solve_gspde_picard(replace(problem_a, time_grid=coarse.grid), cfg, coarse)
-        for k, problem_b in enumerate(problems_b):
-            fb, _ = solve_gspde_picard(problem_b, cfg, gbm)
-            gap = (fb.values - fa.values)[:, :, mask]
-            scen_min = float(np.min(gap))
-            per_scenario[k].append((gbm.scenario_id, scen_min))
-            min_gap[k] = min(min_gap[k], scen_min)
-            if halve:
-                fbc, _ = solve_gspde_picard(replace(problem_b, time_grid=coarse.grid), cfg, coarse)
-                gap_c = (fbc.values - fac.values)[:, :, mask]
-                probe[k] = max(probe[k], float(np.max(np.abs(gap[:, ::2] - gap_c))))
-    scale = problem_a.time_grid.dt + sg.dx**2
+    mask = problem_a.space_grid.interior_mask(collar_frac)
+    per_case = [[] for _ in problems_b]   # (scenario_id, min gap, probe) per case
+    for fa, gbm in bases:
+        if fa.gbm_fingerprint != gbm.fingerprint() or fa.time_grid != problem_a.time_grid \
+                or fa.space_grid != problem_a.space_grid:
+            raise UsageError("base field was not solved on this problem's grids and noise")
+        gaps = _case_gaps(problem_a, problems_b, cfg, fa, gbm, mask)
+        del fa  # the next scenario's base solve must not run beside this field
+        for rows, (gap, probe) in zip(per_case, gaps):
+            rows.append((gbm.scenario_id, gap, probe))
+    scale = problem_a.time_grid.dt + problem_a.space_grid.dx**2
     reports = []
-    for k in range(n_cases):
-        eps_grid = 2.0 * probe[k] + 1e-12
-        reports.append(ComparisonReport(min_gap=min_gap[k], eps_grid=eps_grid,
-                                        c_constant=eps_grid / scale,
-                                        per_scenario=tuple(per_scenario[k])))
+    for rows in per_case:
+        eps_grid = 2.0 * max((probe for _, _, probe in rows), default=0.0) + 1e-12
+        reports.append(ComparisonReport(
+            min_gap=min((gap for _, gap, _ in rows), default=np.inf), eps_grid=eps_grid,
+            c_constant=eps_grid / scale,
+            per_scenario=tuple((sid, gap) for sid, gap, _ in rows)))
     return reports
 
 

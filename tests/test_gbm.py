@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from gexplab.config import default_config, validate_config
 from gexplab.errors import UsageError
+from gexplab.experiments import run_gbm_check
 from gexplab.gbm import (
     TimeGrid,
     backward_integral,
@@ -148,6 +150,50 @@ def test_diagnostics_two_scenarios_bound_saturates():
     assert abs(rep.second_moment - 4.0 * 0.5) < 0.03 * 4.0 * 0.5
     assert rep.isometry_bound == pytest.approx(4.0 * 0.5)
     assert rep.isometry_ok and rep.doob_ok and rep.mean_zero_ok
+
+
+@pytest.mark.parametrize("seed,n_paths", [(7, 4000), (11, 4)])
+def test_gbm_integral_rows_pass_exactly_when_within_their_tolerance(seed, n_paths):
+    # Seed 7 puts isometry[constant] above its bare bound 2.0 but inside the
+    # bound widened by 3 standard errors that the check applies; seed 11 with
+    # 4 paths fails isometry rows.  Each row prints the tolerance it applies.
+    cfg = default_config()
+    cfg["seed"] = seed
+    cfg["gbm_check"].update(scenario_set={"l": 1, "matrices": [[[1.0]], [[2.0]]]},
+                            horizon=0.5, n_steps=16, n_paths=n_paths)
+    rows, artifacts = run_gbm_check(validate_config(cfg, ["gbm-integral"]))
+    bounds = {f"isometry[{name}]": rep["isometry_bound"]
+              for name, rep in artifacts["gbm_report.json"]["checks"].items()}
+    iso = [r for r in rows if r.metric in bounds]
+    if seed == 7:
+        assert any(r.passed and r.value > bounds[r.metric] for r in iso)
+    else:
+        assert any(not r.passed for r in iso)
+    for r in rows:
+        assert r.passed == (r.value <= r.tolerance), r
+
+
+def test_diagnostics_tolerances_decide_both_bounds():
+    # sigma_bar is read from the first bundle's scenario set, so a loading-2
+    # bundle after a loading-1 one exceeds both bounds.
+    fam = [make_paths([[[1.0]]], n_paths=4000, n_steps=16),
+           make_paths([[[2.0]]], n_paths=4000, n_steps=16)]
+    rep = integral_diagnostics(np.ones((17, 1)), fam)
+    assert not rep.isometry_ok and not rep.doob_ok
+    for r in (rep, integral_diagnostics(np.ones((17, 1)), fam[:1])):
+        assert r.isometry_ok == (r.second_moment <= r.isometry_tolerance)
+        assert r.doob_ok == (r.sup_moment <= r.doob_tolerance)
+        assert r.isometry_tolerance > r.isometry_bound
+        assert r.doob_tolerance > r.doob_bound
+
+
+def test_time_grid_times_are_computed_once_and_read_only():
+    grid = TimeGrid(0.7, 24)
+    assert grid.times is grid.times
+    assert np.array_equal(grid.times, np.linspace(0.0, 0.7, 25))
+    with pytest.raises(ValueError):
+        grid.times[0] = 1.0
+    assert grid == TimeGrid(0.7, 24)
 
 
 def test_quadratic_variation_bounded_by_sigma_bar():

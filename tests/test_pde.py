@@ -28,6 +28,7 @@ from gexplab.pde import (
     hnorm_gamma_delta,
     homogeneous_term,
     solve_gspde_picard,
+    residual_slots,
     weak_residual,
     zero_noise,
 )
@@ -577,6 +578,24 @@ def test_energy_identity_phi_linear_reduces_to_weak_form():
     weak = weak_residual(field, unit_fn, problem, gbm)
     energy = energy_identity_residual(field, problem, gbm, PHI_IDENTITY)
     assert np.allclose(weak, energy, atol=1e-10)
+
+
+def test_residuals_read_shared_slots_bitwise():
+    problem = nonlinear_problem(n_steps=24)
+    gbm = make_gbm(problem, n_paths=3, seed=37)
+    cfg = PicardConfig.from_problem(problem, tol_rel=1e-10, max_iter=30)
+    field, _ = solve_gspde_picard(problem, cfg, gbm)
+    slots = residual_slots(field, problem, gbm)
+    tf = bump_test_fn()
+    assert np.array_equal(weak_residual(field, tf, problem, gbm, slots),
+                          weak_residual(field, tf, problem, gbm))
+    assert np.array_equal(energy_identity_residual(field, problem, gbm, slots=slots),
+                          energy_identity_residual(field, problem, gbm))
+    other = RandomField(field.values.copy(), problem.time_grid, problem.space_grid, 0)
+    with pytest.raises(UsageError, match="another field"):
+        weak_residual(other, tf, problem, gbm, slots)
+    with pytest.raises(UsageError, match="another field"):
+        energy_identity_residual(other, problem, gbm, slots=slots)
 
 
 def test_energy_identity_halving_decay():

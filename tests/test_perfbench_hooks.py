@@ -36,5 +36,8 @@ def test_traced_run_fills_every_solver_layer(tmp_path):
     layers = json.loads(result.read_text())
     assert layers["bdsde.drivers_s"] > 0.0
     assert layers["pde.sources_s"] > 0.0
+    assert layers["pde.residuals_s"] > 0.0
+    assert layers["verify.comparison_self_s"] > 0.0
+    assert layers["pde.cn_calls"] > 0
     assert layers["bdsde.fit_calls"] > 0
     assert layers["pde.operators_built"] == 1

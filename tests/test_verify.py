@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gexplab import experiments, pde, verify
+from gexplab.artifacts import write_artifacts
 from gexplab.config import default_config, validate_config
 from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, RegressionBasis, solve_gbdsde_picard
 from gexplab.errors import UsageError
@@ -180,6 +181,63 @@ def test_suite_builds_one_grid_operator(monkeypatch):
     assert len(built) == 1
 
 
+def small_grid_exp(checks):
+    cfg = default_config()
+    cfg["time_grid"]["n_steps"] = 8
+    cfg["gspde"]["n_noise_paths"] = 2
+    cfg["suite"]["checks"] = list(checks)
+    return validate_config(cfg)
+
+
+def test_grid_checks_share_one_base_solve_per_scenario(monkeypatch):
+    steps = []
+
+    def counted(problem, *args, **kwargs):
+        steps.append(problem.time_grid.n_steps)
+        return solve_gspde_picard(problem, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_gspde_picard", counted)
+    monkeypatch.setattr(verify, "solve_gspde_picard", counted)
+    exp = small_grid_exp(["gspde", "comparison"])
+    n_scen, n_cases = exp.scenarios.n_scenarios, len(exp.comparison.cases)
+    assert n_scen == 2 and n_cases == 2
+    experiments.run_suite(exp)
+    assert steps.count(8) == n_scen * (1 + n_cases)   # base and shifted cases
+    assert steps.count(4) == n_scen * (1 + n_cases)   # their coarse probes
+    assert len(steps) == 2 * n_scen * (1 + n_cases)
+
+
+def test_grid_checks_together_write_what_each_writes_alone(tmp_path):
+    def run(checks):
+        rows, artifacts = experiments.run_suite(small_grid_exp(checks))
+        out = tmp_path / "-".join(checks)
+        write_artifacts(str(out), artifacts, "hash")
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        del files["suite_report.json"]  # names the checks run
+        return rows, files
+
+    alone = {name: run([name]) for name in ("gspde", "comparison")}
+    for checks in (["gspde", "comparison"], ["comparison", "gspde"]):
+        rows, files = run(checks)
+        assert rows == alone[checks[0]][0] + alone[checks[1]][0]
+        assert files == {**alone["gspde"][1], **alone["comparison"][1]}
+
+
+def test_grid_checks_drop_each_base_field_before_the_next(monkeypatch):
+    refs, alive_at_start = [], []
+
+    def tracked(*args, **kwargs):
+        alive_at_start.append(sum(r() is not None for r in refs))
+        fld, rep = solve_gspde_picard(*args, **kwargs)
+        refs.append(weakref.ref(fld))
+        return fld, rep
+
+    monkeypatch.setattr(experiments, "solve_gspde_picard", tracked)
+    experiments.run_suite(small_grid_exp(["gspde", "comparison"]))
+    assert alive_at_start == [0, 0]
+    assert all(r() is None for r in refs)
+
+
 def test_runner_drops_each_scenarios_solves_before_the_next(monkeypatch):
     refs, alive_at_start = [], []
 
@@ -221,6 +279,14 @@ def comparison_setup(reaction=None, noise=None, n_steps=16):
     return problem, cfg, gbms
 
 
+def base_solves(problem, cfg, gbms):
+    """The per-scenario (base field, bundle) pairs ``check_comparison`` reads,
+    each solved when drawn, through ``verify``'s name so that ``count_solves``
+    sees them too."""
+    for gbm in gbms:
+        yield verify.solve_gspde_picard(problem, cfg, gbm)[0], gbm
+
+
 def shifted(problem, terminal_shift=0.0, reaction_shift=0.0):
     reaction = problem.reaction
     if reaction_shift:
@@ -237,13 +303,15 @@ def shifted(problem, terminal_shift=0.0, reaction_shift=0.0):
 
 def test_comparison_identical_problems():
     problem, cfg, gbms = comparison_setup()
-    [report] = check_comparison(problem, [shifted(problem)], cfg, gbms)
+    bases = base_solves(problem, cfg, gbms)
+    [report] = check_comparison(problem, [shifted(problem)], cfg, bases)
     assert report.min_gap >= -1e-12
 
 
 def test_comparison_terminal_shift_gap_one():
     problem, cfg, gbms = comparison_setup()
-    [report] = check_comparison(problem, [shifted(problem, terminal_shift=1.0)], cfg, gbms)
+    bases = base_solves(problem, cfg, gbms)
+    [report] = check_comparison(problem, [shifted(problem, terminal_shift=1.0)], cfg, bases)
     assert report.min_gap >= 1.0 - report.eps_grid
     assert report.min_gap == pytest.approx(1.0, abs=1e-6)
     assert report.c_constant >= 0.0
@@ -251,22 +319,31 @@ def test_comparison_terminal_shift_gap_one():
 
 def test_comparison_reaction_shift_nonnegative():
     problem, cfg, gbms = comparison_setup()
-    [report] = check_comparison(problem, [shifted(problem, reaction_shift=0.1)], cfg, gbms)
+    bases = base_solves(problem, cfg, gbms)
+    [report] = check_comparison(problem, [shifted(problem, reaction_shift=0.1)], cfg, bases)
     assert report.min_gap >= -report.eps_grid
     assert report.min_gap >= -1e-9  # deterministic shift stays signed
 
 
 def test_comparison_rejects_unordered_and_different_noise():
     problem, cfg, gbms = comparison_setup()
+    bases = base_solves(problem, cfg, gbms)
     with pytest.raises(UsageError, match="not ordered"):
-        check_comparison(problem, [shifted(problem, terminal_shift=-1.0)], cfg, gbms)
+        check_comparison(problem, [shifted(problem, terminal_shift=-1.0)], cfg, bases)
     with pytest.raises(UsageError, match="not ordered"):
-        check_comparison(problem, [shifted(problem, reaction_shift=-0.5)], cfg, gbms)
+        check_comparison(problem, [shifted(problem, reaction_shift=-0.5)], cfg, bases)
     other = GspdeProblem(problem.terminal, problem.reaction, zero_noise(1),
                          problem.field, problem.scenarios, problem.time_grid,
                          problem.space_grid)
     with pytest.raises(UsageError, match="noise"):
-        check_comparison(problem, [other], cfg, gbms)
+        check_comparison(problem, [other], cfg, bases)
+
+
+def test_comparison_rejects_a_base_field_of_other_noise():
+    problem, cfg, gbms = comparison_setup()
+    fld, _ = solve_gspde_picard(problem, cfg, gbms[0])
+    with pytest.raises(UsageError, match="base field"):
+        check_comparison(problem, [shifted(problem)], cfg, [(fld, gbms[1])])
 
 
 def count_solves(monkeypatch):
@@ -278,19 +355,21 @@ def count_solves(monkeypatch):
 
 def test_comparison_validates_every_case_before_solving(monkeypatch):
     problem, cfg, gbms = comparison_setup()
+    bases = base_solves(problem, cfg, gbms)
     calls = count_solves(monkeypatch)
     with pytest.raises(UsageError, match="not ordered"):
         check_comparison(problem, [shifted(problem, terminal_shift=1.0),
-                                   shifted(problem, terminal_shift=-1.0)], cfg, gbms)
+                                   shifted(problem, terminal_shift=-1.0)], cfg, bases)
     assert calls == []
 
 
 def test_comparison_cases_share_the_unshifted_solves(monkeypatch):
     problem, cfg, gbms = comparison_setup()
     cases = [shifted(problem, terminal_shift=1.0), shifted(problem, reaction_shift=0.1)]
-    single = [check_comparison(problem, [case], cfg, gbms)[0] for case in cases]
+    single = [check_comparison(problem, [case], cfg, base_solves(problem, cfg, gbms))[0]
+              for case in cases]
     calls = count_solves(monkeypatch)
-    joint = check_comparison(problem, cases, cfg, gbms)
+    joint = check_comparison(problem, cases, cfg, base_solves(problem, cfg, gbms))
     assert len(joint) == len(cases)
     for one, both in zip(single, joint):
         assert both.min_gap == one.min_gap
