@@ -31,13 +31,7 @@ from ._util import NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths
-from .picard import (
-    PicardConfig,
-    PicardReport,
-    increment_and_iterate_norms,
-    iterate,
-    weighted_quadrature,
-)
+from .picard import PicardConfig, PicardReport, iterate, weighted_quadrature
 
 MIN_SAMPLES_PER_FEATURE = 10
 DEGENERATE_STD = 1e-12
@@ -204,7 +198,8 @@ class BdsdeSolution:
 
 
 def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                       drivers: Callable) -> BdsdeSolution:
+                       drivers: Callable, out: Optional[tuple] = None,
+                       on_slot: Optional[Callable] = None) -> BdsdeSolution:
     """The slot-by-slot recursion from the terminal payoff ``xi`` on the
     diffusion ensemble back to t_0, for (y, z)-independent driver data.
 
@@ -212,6 +207,12 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     slot i, which pairs with dB_{i-1}.  It is called for slots N..1, each
     right before slot i-1 regresses on the target built from it, so only one
     slot of driver data is alive at a time.
+
+    ``out = (y, z)`` names the stacks to write, which may hold the previous
+    iterate that ``drivers`` reads: slot i keeps its old values until
+    ``drivers(i)`` has returned (slot 0 until the last one has), and
+    ``on_slot(i, y_i, z_i)`` sees each new slot i < N just before it
+    overwrites the old one.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -221,15 +222,27 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n_w,):
         raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
-    y = np.empty((gbm.n_paths, n + 1, n_w))
-    z = np.empty((gbm.n_paths, n + 1, n_w, d))
-    y[:, n] = xi
+    y, z = out if out is not None else (np.empty((gbm.n_paths, n + 1, n_w)),
+                                        np.empty((gbm.n_paths, n + 1, n_w, d)))
+
+    def write(i, y_i, z_i):
+        if on_slot is not None:
+            on_slot(i, y_i, z_i)
+        y[:, i] = y_i
+        z[:, i] = z_i
+
     for i in range(n - 1, -1, -1):
         ctx = ensemble.contexts[i]
         f_next, g_next = drivers(i + 1)
+        # Slot i+1 of out held what drivers(i+1) read; only now is it free.
+        if i == n - 1:
+            y[:, n] = xi
+        else:
+            write(i + 1, y_i, z_i)
         noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
-        y[:, i] = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
-        z[:, i] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
+        y_i = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
+        z_i = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
+    write(0, y_i, z_i)
     z[:, n] = z[:, n - 1]
     return BdsdeSolution(y, z, hunt.grid, gbm.scenario_id, hunt.weights,
                          hunt.fingerprint(), gbm.fingerprint())
@@ -308,18 +321,19 @@ def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMP
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
 
     def sweep(y, z):
-        sol = solve_linear_bdsde(
-            xi, ensemble, gbm, lambda i: _slot_drivers(problem, ensemble, y, z, i, times[i]))
-        return sol.y, sol.z
+        inc, cur = np.empty((n_b, n)), np.empty((n_b, n))
 
-    def density(y, z):
-        return _delta_density(y, z, cfg.delta, hunt.weights)
+        def measure(i, y_i, z_i):
+            inc[:, i] = _delta_density(y_i - y[:, i], z_i - z[:, i], cfg.delta, hunt.weights)
+            cur[:, i] = _delta_density(y_i, z_i, cfg.delta, hunt.weights)
 
-    def norms(new, old):
-        inc, cur = increment_and_iterate_norms(density, new, old, cfg.rate, times)
-        return float(np.sqrt(inc)), float(np.sqrt(cur))
+        solve_linear_bdsde(xi, ensemble, gbm,
+                           lambda i: _slot_drivers(problem, ensemble, y, z, i, times[i]),
+                           out=(y, z), on_slot=measure)
+        return ((y, z), math.sqrt(weighted_quadrature(inc, cfg.rate, times)),
+                math.sqrt(weighted_quadrature(cur, cfg.rate, times)))
 
-    (y, z), report = iterate(sweep, norms, (np.zeros((n_b, n + 1, n_w)),
-                                            np.zeros((n_b, n + 1, n_w, d))), cfg)
+    (y, z), report = iterate(sweep, (np.zeros((n_b, n + 1, n_w)),
+                                     np.zeros((n_b, n + 1, n_w, d))), cfg)
     return BdsdeSolution(y, z, problem.time_grid, gbm.scenario_id, hunt.weights,
                          hunt.fingerprint(), gbm.fingerprint(), picard_report=report)

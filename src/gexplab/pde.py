@@ -461,13 +461,11 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
             src = src + np.einsum("pnl,pl->np", g_vals[i], gbm.db[:, i, :])
             v = op.cn_step(src, dt)
             new_u[:, i, :] = v.T
-        return (new_u,)
+        inc, cur = increment_and_iterate_norms(lambda u: _hnorm_density(u, sg, cfg.delta),
+                                               (new_u,), (u,), cfg.rate, tg.times)
+        return (new_u,), inc, cur
 
-    def norms(new, old):
-        return increment_and_iterate_norms(lambda u: _hnorm_density(u, sg, cfg.delta),
-                                           new, old, cfg.rate, tg.times)
-
-    (u,), report = iterate(sweep, norms, (u,), cfg)
+    (u,), report = iterate(sweep, (u,), cfg)
     return RandomField(u, tg, sg, gbm.scenario_id, gbm.fingerprint()), report
 
 

@@ -5,9 +5,10 @@ stochastic equation rest on one argument: a Picard map contracts with
 constant kappa < 1 in an exponentially weighted space-time norm.  This
 module holds that argument once: the contraction constants and the config
 built from them, the weighted left-endpoint quadrature the norms are built
-on, the fused pass giving the increment and iterate norms, and the
-iteration loop with its report.  A solver supplies only its four
-contraction inputs and its norm density.
+on, the fused pass giving the increment and iterate norms of two stacked
+iterates, and the iteration loop with its report.  A solver supplies its
+four contraction inputs and a sweep that returns the next iterate with both
+norms.
 """
 
 from __future__ import annotations
@@ -137,18 +138,19 @@ class PicardReport:
     final_norm: float
 
 
-def iterate(sweep, norms, state: tuple, cfg) -> tuple[tuple, PicardReport]:
-    """Iterate ``state = sweep(*state)`` until the increment is small.
+def iterate(sweep, state: tuple, cfg) -> tuple[tuple, PicardReport]:
+    """Iterate ``state, inc, norm = sweep(*state)`` until the increment is small.
 
-    ``state`` is a tuple of arrays and ``norms(new, old)`` returns the pair
-    (norm of new - old, norm of new) in the weighted norm in which the map
-    contracts, so a solver can read both iterates once for both norms.  Each
-    solver keeps its own convention: the grid equation passes the squared
-    (gamma, delta) functional, the backward equation the square-rooted
-    (beta, delta)-norm, so their increments and ratios are in different
-    powers.  The loop stops once inc <= tol_rel * max(norm(iterate), 1e-300)
-    and raises NumericalError carrying the report after ``cfg.max_iter``
-    sweeps, or at once when a norm is not finite.
+    ``state`` is a tuple of arrays; ``sweep`` returns the next state with
+    the pair (norm of new - old, norm of new) in the weighted norm in which
+    the map contracts, so a solver takes both norms where it reads both
+    iterates, and may overwrite the old state in place.  Each solver keeps
+    its own convention: the grid equation passes the squared (gamma, delta)
+    functional, the backward equation the square-rooted (beta, delta)-norm,
+    so their increments and ratios are in different powers.  The loop stops
+    once inc <= tol_rel * max(norm(iterate), 1e-300) and raises
+    NumericalError carrying the report after ``cfg.max_iter`` sweeps, or at
+    once when a norm is not finite.
     """
     increments: list[float] = []
     ratios: list[float] = []
@@ -158,12 +160,10 @@ def iterate(sweep, norms, state: tuple, cfg) -> tuple[tuple, PicardReport]:
                             cfg.kappa, cfg.eps, cfg.rate, cfg.delta, cfg.tol_rel, final_norm)
 
     for _ in range(cfg.max_iter):
-        new = sweep(*state)
-        inc, final_norm = norms(new, state)
+        state, inc, final_norm = sweep(*state)
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 0.0:
             ratios.append(inc / increments[-2])
-        state = new
         if not (math.isfinite(inc) and math.isfinite(final_norm)):
             raise NumericalError(
                 f"Picard iteration {len(increments)} produced a non-finite norm "

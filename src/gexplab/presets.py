@@ -265,9 +265,8 @@ def _tanh_y_sin_z_noise(dim: int, n_components: int, where: str, *, y_scale: Sca
         zeta = np.sum(z, axis=-1)
         ty = np.tanh(yg * y)
         sz = np.sin(zg * zeta)
-        pr = prof(p)
-        comps = [pr * (ys[j] * ty + zs[j] * sz) for j in range(n_components)]
-        return np.stack(comps, axis=-1)
+        pr = np.expand_dims(prof(p), -1)
+        return pr * (ty[..., None] * ys + sz[..., None] * zs)
 
     with np.errstate(over="ignore"):
         lip_y = 2.0 * float(np.sum((ys * yg) ** 2))

@@ -253,8 +253,8 @@ def whole_stack_delta_norm(y, z, beta, delta, weights, times):
        block_bytes=st.sampled_from([1, 600, 2000, picard.NORM_BLOCK_BYTES]))
 def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, seed,
                                                          beta, delta, horizon, block_bytes):
-    # The backward Picard loop builds both (Y, Z) densities in one pass over
-    # blocks of time slots (one slot, a few, all); the solver iterates on the
+    # The two-stack reference loop builds both (Y, Z) densities in one pass
+    # over blocks of time slots (one slot, a few, all); it iterates on the
     # square root of the quadrature, which must give the whole-stack norms.
     rng = np.random.default_rng(seed)
     tg = TimeGrid(horizon, n_steps)
@@ -406,7 +406,7 @@ def test_each_picard_iteration_is_one_linear_solve(monkeypatch):
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
     calls = []
     monkeypatch.setattr(bdsde, "solve_linear_bdsde",
-                        lambda *a: calls.append(a) or solve_linear_bdsde(*a))
+                        lambda *a, **kw: calls.append(a) or solve_linear_bdsde(*a, **kw))
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
                               PicardConfig.from_problem(prob))
     assert sol.picard_report.iterations >= 2
@@ -459,6 +459,39 @@ def test_linear_recursion_never_reads_driver_slot_0():
     assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
 
 
+def test_linear_solve_into_out_overwrites_each_slot_after_its_drivers():
+    # With out = (y, z) the recursion writes the stacks the drivers may read:
+    # slot i keeps its old values until drivers(i) has returned, on_slot sees
+    # each new slot i < N before it overwrites them, and the floats are those
+    # of a solve into fresh stacks.
+    field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
+    n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
+    rng = np.random.default_rng(3)
+    lookup = slot_lookup(hunt, gbm, rng.standard_normal((n_b, n + 1, n_w)),
+                         rng.standard_normal((n_b, n + 1, n_w, 1)))
+    xi = np.cos(hunt.x[:, -1, 0])
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    fresh = solve_linear_bdsde(xi, ens, gbm, lookup)
+    y, z = np.full((n_b, n + 1, n_w), -7.0), np.full((n_b, n + 1, n_w, 1), -7.0)
+    events = []
+
+    def drivers(i):
+        events.append(("drivers", i, bool(np.all(y[:, i] == -7.0) and np.all(z[:, i] == -7.0))))
+        return lookup(i)
+
+    def on_slot(i, y_i, z_i):
+        events.append(("write", i, bool(np.all(y[:, i] == -7.0) and np.all(z[:, i] == -7.0))))
+        assert np.array_equal(y_i, fresh.y[:, i]) and np.array_equal(z_i, fresh.z[:, i])
+
+    sol = solve_linear_bdsde(xi, ens, gbm, drivers, out=(y, z), on_slot=on_slot)
+    assert sol.y is y and sol.z is z
+    assert np.array_equal(y, fresh.y) and np.array_equal(z, fresh.z)
+    assert events == ([("drivers", n, True)]
+                      + [e for i in range(n - 1, 0, -1)
+                         for e in (("drivers", i, True), ("write", i, True))]
+                      + [("write", 0, True)])
+
+
 def test_recursion_never_reads_driver_slot_0(monkeypatch):
     # The Picard sweep evaluates drivers slot by slot inside the recursion,
     # for slots N..1 only; a slot-0 evaluation would poison Y and Z.
@@ -502,26 +535,26 @@ def stacked_drivers(problem, y, z, ens):
 
 
 def stacked_picard(problem, ens, gbm, cfg):
-    """Reference Picard loop: each sweep builds the driver stacks first and
-    hands them to solve_linear_bdsde as a slot lookup."""
+    """Reference Picard loop on two (Y, Z) stacks: each sweep builds the
+    driver stacks first, hands them to solve_linear_bdsde as a slot lookup
+    into fresh stacks and takes the norms of the new and the old iterate
+    whole."""
     hunt = ens.hunt
     n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
 
-    def sweep(y, z):
-        f_arr, g_arr = stacked_drivers(problem, y, z, ens)
-        sol = solve_linear_bdsde(xi, ens, gbm, lambda i: (f_arr[:, i], g_arr[:, i]))
-        return sol.y, sol.z
-
     def density(y, z):
         return _delta_density(y, z, cfg.delta, hunt.weights)
 
-    def norms(new, old):
-        inc, cur = increment_and_iterate_norms(density, new, old, cfg.rate, hunt.grid.times)
-        return float(np.sqrt(inc)), float(np.sqrt(cur))
+    def sweep(y, z):
+        f_arr, g_arr = stacked_drivers(problem, y, z, ens)
+        sol = solve_linear_bdsde(xi, ens, gbm, lambda i: (f_arr[:, i], g_arr[:, i]))
+        inc, cur = increment_and_iterate_norms(density, (sol.y, sol.z), (y, z), cfg.rate,
+                                               hunt.grid.times)
+        return (sol.y, sol.z), float(np.sqrt(inc)), float(np.sqrt(cur))
 
     start = (np.zeros((gbm.n_paths, n + 1, n_w)), np.zeros((gbm.n_paths, n + 1, n_w, d)))
-    (y, z), report = iterate(sweep, norms, start, cfg)
+    (y, z), report = iterate(sweep, start, cfg)
     return y, z, report
 
 
@@ -570,8 +603,9 @@ def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
 
 
 def test_picard_peak_memory_is_slot_sized():
-    # One explicit solve holds the previous and the new (Y, Z) plus slot-sized
-    # temporaries; whole (n_b, N+1, n_W) driver stacks would add two more.
+    # The sweep overwrites one (Y, Z) in place, two stacks for d = 1, plus
+    # slot-sized temporaries (about one stack at 9 slots); a second iterate
+    # or whole (n_b, N+1, n_W) driver stacks would each add two more.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=20000)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
@@ -583,7 +617,7 @@ def test_picard_peak_memory_is_slot_sized():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * stack_bytes, peak / stack_bytes
+    assert peak <= 3.5 * stack_bytes, peak / stack_bytes
 
 
 def test_ito_product_rule_refinement():

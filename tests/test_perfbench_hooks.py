@@ -40,4 +40,6 @@ def test_traced_run_fills_every_solver_layer(tmp_path):
     assert layers["verify.comparison_self_s"] > 0.0
     assert layers["pde.cn_calls"] > 0
     assert layers["bdsde.fit_calls"] > 0
+    assert layers["bdsde.linear_self_s"] > 0.0
+    assert layers["bdsde.picard_iters"] > 0
     assert layers["pde.operators_built"] == 1
