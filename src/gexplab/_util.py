@@ -31,8 +31,8 @@ def child_seed(master_seed: int, purpose: int, index: int = 0) -> int:
 
 @dataclass(frozen=True)
 class Bound:
-    """Lower bound of a numeric field, attached through ``Annotated``;
-    a strict bound excludes ``low`` itself."""
+    """Lower bound of a numeric field, or of an array field's length,
+    attached through ``Annotated``; a strict bound excludes ``low`` itself."""
 
     low: float
     strict: bool = False
@@ -72,13 +72,15 @@ def read(tp, value, where: str):
     ``Literal``, ``Optional``, a union of a scalar and an array form,
     ``tuple[X, ...]`` and fixed-length tuples (read from arrays), dataclasses
     (read from objects, one key per field, defaults from the fields), and
-    ``Annotated`` with a ``Bound`` (a lower bound) or ``Presets``.  Every
-    failure is a ConfigError naming the offending path; a UsageError from a
-    dataclass's own checks names the dataclass's path.
+    ``Annotated`` with a ``Bound`` (a lower bound, on the length of an
+    array) or ``Presets``.  Every failure is a ConfigError naming the
+    offending path; a UsageError from a dataclass's own checks names the
+    dataclass's path.
     """
     meta = ()
     if get_origin(tp) is Annotated:
         tp, *meta = get_args(tp)
+    bound = next((m for m in meta if isinstance(m, Bound)), None)
     presets = next((m for m in meta if isinstance(m, Presets)), None)
     if presets is not None:
         return _read_preset(presets, value, where)
@@ -100,6 +102,7 @@ def read(tp, value, where: str):
         items = args[:1] * len(value) if args[-1] is Ellipsis else args
         if len(items) != len(value):
             raise ConfigError(where, f"expected {len(items)} items, got {len(value)}")
+        _check_bound(bound, len(value), where, "must have {} items")
         return tuple(read(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
     if is_dataclass(tp):
         required = {f.name: f.default is MISSING and f.default_factory is MISSING
@@ -120,11 +123,16 @@ def read(tp, value, where: str):
             raise ConfigError(where, "must be a finite number")
     elif not (isinstance(value, tp) and (tp is bool or not isinstance(value, bool))):
         raise ConfigError(where, f"expected {_JSON_NAMES[tp]}, got {_kind(value)}")
-    bound = next((m for m in meta if isinstance(m, Bound)), None)
-    if bound is not None and (value < bound.low or (bound.strict and value == bound.low)):
-        raise ConfigError(where, f"must be {'>' if bound.strict else '>='} {bound.low:g}, "
-                                 f"got {value!r}")
+    _check_bound(bound, value, where)
     return value
+
+
+def _check_bound(bound, value, where: str, claim: str = "must be {}") -> None:
+    """Raise unless ``value`` meets ``bound`` (None: no bound); ``claim``
+    words the rule around its comparison, such as ">= 1"."""
+    if bound is not None and (value < bound.low or (bound.strict and value == bound.low)):
+        need = f"{'>' if bound.strict else '>='} {bound.low:g}"
+        raise ConfigError(where, f"{claim.format(need)}, got {value!r}")
 
 
 def _read_keys(required: dict, hints: dict, raw, where: str) -> dict:

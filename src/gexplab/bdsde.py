@@ -190,10 +190,8 @@ class BdsdeSolution:
     y: np.ndarray = field(repr=False)   # (n_b, n_steps+1, n_W)
     z: np.ndarray = field(repr=False)   # (n_b, n_steps+1, n_W, d)
     time_grid: TimeGrid
-    scenario_id: int
-    weights: np.ndarray = field(repr=False)
-    hunt_fingerprint: tuple = ()
-    gbm_fingerprint: tuple = ()
+    hunt_fingerprint: tuple
+    gbm_fingerprint: tuple
     picard_report: Optional[PicardReport] = None
 
 
@@ -204,15 +202,14 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     diffusion ensemble back to t_0, for (y, z)-independent driver data.
 
     ``drivers(i)`` returns the (n_b, n_W) f and the (n_b, n_W, l) g at time
-    slot i, which pairs with dB_{i-1}.  It is called for slots N..1, each
-    right before slot i-1 regresses on the target built from it, so only one
-    slot of driver data is alive at a time.
+    slot i, which pairs with dB_{i-1}.  It is called for slots N..1: slot N
+    before the payoff is written, slot i right after slot i has regressed,
+    so only one slot of driver data is alive at a time.
 
     ``out = (y, z)`` names the stacks to write, which may hold the previous
     iterate that ``drivers`` reads: slot i keeps its old values until
-    ``drivers(i)`` has returned (slot 0 until the last one has), and
-    ``on_slot(i, y_i, z_i)`` sees each new slot i < N just before it
-    overwrites the old one.
+    ``drivers(i)`` has returned, and ``on_slot(i, y_i, z_i)`` sees each new
+    slot i < N just before it overwrites the old one.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -224,42 +221,21 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
         raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
     y, z = out if out is not None else (np.empty((gbm.n_paths, n + 1, n_w)),
                                         np.empty((gbm.n_paths, n + 1, n_w, d)))
-
-    def write(i, y_i, z_i):
+    f_next, g_next = drivers(n)
+    y[:, n] = xi
+    for i in range(n - 1, -1, -1):
+        ctx = ensemble.contexts[i]
+        noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
+        y_i = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
+        z_i = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
+        if i > 0:
+            f_next, g_next = drivers(i)  # reads the old slot i
         if on_slot is not None:
             on_slot(i, y_i, z_i)
         y[:, i] = y_i
         z[:, i] = z_i
-
-    for i in range(n - 1, -1, -1):
-        ctx = ensemble.contexts[i]
-        f_next, g_next = drivers(i + 1)
-        # Slot i+1 of out held what drivers(i+1) read; only now is it free.
-        if i == n - 1:
-            y[:, n] = xi
-        else:
-            write(i + 1, y_i, z_i)
-        noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
-        y_i = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
-        z_i = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
-    write(0, y_i, z_i)
     z[:, n] = z[:, n - 1]
-    return BdsdeSolution(y, z, hunt.grid, gbm.scenario_id, hunt.weights,
-                         hunt.fingerprint(), gbm.fingerprint())
-
-
-def delta_norm(solutions, beta: float, delta: float) -> float:
-    """sup over solutions of sqrt(delta E int e^{beta s}|Y|^2 + E int e^{beta s}|Z|^2).
-
-    The expectation is the importance-weighted mean over diffusion paths and
-    the plain mean over noise paths.
-    """
-    if len(solutions) == 0:
-        raise UsageError("need at least one solution")
-    best = max(weighted_quadrature(_delta_density(sol.y[:, :-1], sol.z[:, :-1], delta,
-                                                  sol.weights),
-                                   beta, sol.time_grid.times) for sol in solutions)
-    return float(np.sqrt(best))
+    return BdsdeSolution(y, z, hunt.grid, hunt.fingerprint(), gbm.fingerprint())
 
 
 def _delta_density(y, z, delta: float, weights) -> np.ndarray:
@@ -335,5 +311,5 @@ def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMP
 
     (y, z), report = iterate(sweep, (np.zeros((n_b, n + 1, n_w)),
                                      np.zeros((n_b, n + 1, n_w, d))), cfg)
-    return BdsdeSolution(y, z, problem.time_grid, gbm.scenario_id, hunt.weights,
-                         hunt.fingerprint(), gbm.fingerprint(), picard_report=report)
+    return BdsdeSolution(y, z, problem.time_grid, hunt.fingerprint(), gbm.fingerprint(),
+                         picard_report=report)

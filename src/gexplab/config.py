@@ -16,11 +16,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Literal, Optional, Sequence, get_args
+from typing import Annotated, Callable, Literal, Optional, Sequence, get_args
 
 import numpy as np
 
-from ._util import Count, NonNeg, NonNegInt, Positive, read
+from ._util import Bound, Count, NonNeg, NonNegInt, Positive, read
 from .bdsde import MIN_SAMPLES_PER_FEATURE, BdsdeProblem, RegressionBasis
 from .errors import ConfigError, UsageError
 from .gbm import TimeGrid
@@ -91,7 +91,7 @@ class GbmCheck:
     n_steps: Count = 128
     n_paths: Count = 3000
     n_random_schedules: NonNegInt = 1
-    integrands: tuple[Integrand, ...] = get_args(Integrand)
+    integrands: Annotated[tuple[Integrand, ...], Bound(1)] = get_args(Integrand)
     dump_paths: NonNegInt = 2
 
 
@@ -108,7 +108,7 @@ class HuntCheck:
 
 @dataclass(frozen=True)
 class RepresentationCheck:
-    checkpoint_fractions: tuple[NonNeg, ...] = (0.0, 0.25, 0.5, 0.75)
+    checkpoint_fractions: Annotated[tuple[NonNeg, ...], Bound(1)] = (0.0, 0.25, 0.5, 0.75)
     halvings: NonNegInt = 0
     tolerance: NonNeg = 0.05
     n_noise_paths: Optional[Count] = None  # None: gspde.n_noise_paths
@@ -123,14 +123,14 @@ class ComparisonCase:
 
 @dataclass(frozen=True)
 class ComparisonCheck:
-    cases: tuple[ComparisonCase, ...] = (ComparisonCase(terminal_shift=1.0),
-                                         ComparisonCase(reaction_shift=0.1))
+    cases: Annotated[tuple[ComparisonCase, ...], Bound(1)] = (
+        ComparisonCase(terminal_shift=1.0), ComparisonCase(reaction_shift=0.1))
     collar_frac: NonNeg = 0.05
 
 
 @dataclass(frozen=True)
 class Suite:
-    checks: tuple[Check, ...] = get_args(Check)
+    checks: Annotated[tuple[Check, ...], Bound(1)] = get_args(Check)
 
 
 @dataclass(frozen=True)

@@ -213,8 +213,8 @@ def _gspde_scenario(exp: Experiment, test_fn, fld, rep, gbm) -> tuple:
     """The gspde rows, report record and dumped slices of one solved scenario."""
     sec, problem = exp.gspde, exp.gspde_problem
     slots = residual_slots(fld, problem, gbm)
-    wres = weak_residual(fld, test_fn, problem, gbm, slots)
-    eres = energy_identity_residual(fld, problem, gbm, slots=slots)
+    wres = weak_residual(slots, test_fn, problem)
+    eres = energy_identity_residual(slots, problem, gbm)
     sid = gbm.scenario_id
     terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
                          for p in range(fld.n_paths))

@@ -218,7 +218,6 @@ class ScenarioIntegralStats:
     sup_moment: float
     se_sup: float
     xi_square: float
-    se_xi_square: float
 
 
 @dataclass(frozen=True)
@@ -270,8 +269,8 @@ def integral_diagnostics(xi, paths_family) -> IntegralDiagnostics:
         m0, s0 = _mse(i0)
         m2, s2 = _mse(i0 * i0)
         ms, ss = _mse(sup_sq)
-        mq, sq = _mse(q)
-        rows.append(ScenarioIntegralStats(paths.scenario_id, m0, s0, m2, s2, ms, ss, mq, sq))
+        rows.append(ScenarioIntegralStats(paths.scenario_id, m0, s0, m2, s2, ms, ss,
+                                          float(np.mean(q))))
 
     # Mean-zero is a per-scenario statement; report the scenario with the
     # worst |mean| to band ratio.

@@ -25,21 +25,6 @@ from .scenario import PSD_EIG_FLOOR
 FD_STEP = 1e-5
 
 
-def sqrt_spd(a_matrix: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in [PSD_EIG_FLOOR, 0) are clamped to zero; anything lower
-    raises, because the coefficient matrix is then genuinely indefinite.
-    """
-    a = np.asarray(a_matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if not np.allclose(a, a.T, atol=1e-10 * scale):
-        raise UsageError("matrix must be symmetric")
-    return _sqrt_spd_batch(a[None])[0]
-
-
 def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
     if mats.shape[-1] == 1:
         vals = mats[..., 0, 0]

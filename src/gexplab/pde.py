@@ -40,16 +40,15 @@ from ._util import Bound, Positive
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField
-from .picard import (
-    PicardConfig,
-    PicardReport,
-    increment_and_iterate_norms,
-    iterate,
-    weighted_quadrature,
-)
+from .picard import PicardConfig, PicardReport, iterate, weighted_quadrature
 from .scenario import ScenarioSet, sigma_bar
 
 DEFAULT_DT_MAX = 1.0 / 32.0
+# The grid sweep's norm pass takes the iterate in blocks of time slots of
+# about this many bytes: a block and its temporaries stay in cache, while a
+# block of one small slot (6 paths on 161 nodes is 8 KB) pays more in calls
+# than in data.
+NORM_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -259,17 +258,6 @@ def apply_semigroup(op: DivergenceFormOperator, values: np.ndarray, tau: float,
     return out
 
 
-def homogeneous_term(op: DivergenceFormOperator, terminal: np.ndarray,
-                     time_grid: TimeGrid) -> np.ndarray:
-    """P_{T-t_i} terminal at every grid time via composed dt-steps."""
-    n = time_grid.n_steps
-    out = np.empty((n + 1, terminal.shape[-1]))
-    out[n] = terminal
-    for i in range(n - 1, -1, -1):
-        out[i] = op.cn_step(out[i + 1], time_grid.dt)
-    return out
-
-
 # -- problem data ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -373,26 +361,11 @@ class RandomField:
     values: np.ndarray = field(repr=False)  # (n_paths, n_steps+1, n_nodes)
     time_grid: TimeGrid
     space_grid: SpatialGrid
-    scenario_id: int
-    gbm_fingerprint: tuple = ()
+    gbm_fingerprint: tuple
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
-
-    def terminal_slice(self) -> np.ndarray:
-        return self.values[:, -1, :]
-
-
-def hnorm_gamma_delta(fields, gamma: float, delta: float) -> float:
-    """Weighted space-time functional E int e^{gamma s} (delta |u|^2 + |grad u|^2) ds
-    of a per-scenario sequence of RandomFields; the expectation is the path
-    mean and the sublinear layer is the max across the sequence.
-    """
-    if len(fields) == 0:
-        raise UsageError("need at least one field")
-    return max(weighted_quadrature(_hnorm_density(f.values[:, :-1], f.space_grid, delta),
-                                   gamma, f.time_grid.times) for f in fields)
 
 
 def _hnorm_density(u: np.ndarray, sg: SpatialGrid, delta: float) -> np.ndarray:
@@ -404,6 +377,25 @@ def _hnorm_density(u: np.ndarray, sg: SpatialGrid, delta: float) -> np.ndarray:
     if delta != 0.0:
         total = total + delta * sg.l2_norm_sq(u)
     return total
+
+
+def increment_and_iterate_norms(new: np.ndarray, old: np.ndarray, sg: SpatialGrid,
+                                delta: float, gamma: float,
+                                times: np.ndarray) -> tuple[float, float]:
+    """The (gamma, delta) functionals of new - old and of new, stacks shaped
+    (paths, N+1, n_nodes), from the ``_hnorm_density`` of the N left-endpoint
+    slots.  One pass takes blocks of about NORM_BLOCK_BYTES of slots (at
+    least one), so each block's difference is a cache-sized array, never a
+    whole stack."""
+    p, n = new.shape[0], new.shape[1] - 1
+    step = max(1, NORM_BLOCK_BYTES // new[:, 0].nbytes)
+    inc = np.empty((p, n))
+    cur = np.empty((p, n))
+    for lo in range(0, n, step):
+        block = slice(lo, min(lo + step, n))
+        inc[:, block] = _hnorm_density(new[:, block] - old[:, block], sg, delta)
+        cur[:, block] = _hnorm_density(new[:, block], sg, delta)
+    return weighted_quadrature(inc, gamma, times), weighted_quadrature(cur, gamma, times)
 
 
 def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
@@ -424,8 +416,8 @@ def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
     return f_vals, g_vals
 
 
-def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
-                       initial: str = "zero") -> tuple[RandomField, PicardReport]:
+def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
+                       gbm: GBMPaths) -> tuple[RandomField, PicardReport]:
     """Fixed-point iteration of the mild map over one path bundle.
 
     The iterate map propagates with the dt Crank-Nicolson step and feeds the
@@ -446,10 +438,6 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
 
     u = np.zeros((p, n_steps + 1, n))
     u[:, -1, :] = problem.terminal
-    if initial == "homogeneous":
-        u[:] = homogeneous_term(op, problem.terminal, tg)[None, :, :]
-    elif initial != "zero":
-        raise UsageError(f"unknown initial guess {initial!r}")
 
     def sweep(u):
         f_vals, g_vals = _eval_sources(problem, u, pts)
@@ -461,12 +449,11 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig, gbm: GBMPaths,
             src = src + np.einsum("pnl,pl->np", g_vals[i], gbm.db[:, i, :])
             v = op.cn_step(src, dt)
             new_u[:, i, :] = v.T
-        inc, cur = increment_and_iterate_norms(lambda u: _hnorm_density(u, sg, cfg.delta),
-                                               (new_u,), (u,), cfg.rate, tg.times)
+        inc, cur = increment_and_iterate_norms(new_u, u, sg, cfg.delta, cfg.rate, tg.times)
         return (new_u,), inc, cur
 
     (u,), report = iterate(sweep, (u,), cfg)
-    return RandomField(u, tg, sg, gbm.scenario_id, gbm.fingerprint()), report
+    return RandomField(u, tg, sg, gbm.fingerprint()), report
 
 
 # -- residual functionals ---------------------------------------------------
@@ -500,8 +487,7 @@ class ResidualSlots(NamedTuple):
 
 def residual_slots(u_field: RandomField, problem: GspdeProblem,
                    gbm: GBMPaths) -> ResidualSlots:
-    """The slots of ``u_field``; a caller that takes both residuals of one
-    field evaluates them once and passes them to each."""
+    """The slots of ``u_field`` that both residuals read, evaluated once."""
     if u_field.values.shape[0] != gbm.n_paths:
         raise UsageError("field and path bundle have different path counts")
     u = u_field.values
@@ -510,30 +496,20 @@ def residual_slots(u_field: RandomField, problem: GspdeProblem,
     return ResidualSlots(u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db))
 
 
-def _slots_of(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths,
-              slots: Optional[ResidualSlots]) -> ResidualSlots:
-    if slots is None:
-        return residual_slots(u_field, problem, gbm)
-    if slots.u is not u_field.values:
-        raise UsageError("residual slots belong to another field")
-    return slots
-
-
-def weak_residual(u_field: RandomField, test_fn: SpaceTimeTestFunction,
-                  problem: GspdeProblem, gbm: GBMPaths,
-                  slots: Optional[ResidualSlots] = None) -> np.ndarray:
+def weak_residual(slots: ResidualSlots, test_fn: SpaceTimeTestFunction,
+                  problem: GspdeProblem) -> np.ndarray:
     """Absolute residual of the test-function formulation at t = 0, per path.
 
     Quadrature is midpoint in both slots of every time integral, which makes
     the residual vanish identically for the source-free discrete evolution.
-    ``slots`` are the field's ``residual_slots``, evaluated here when not given.
+    ``slots`` are the field's ``residual_slots``.
     """
     tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
     chi = test_fn.space_values(sg)
     if sg.boundary == "dirichlet0" and edge_excess(chi, sg, 1e-10):
         raise UsageError("test function must vanish at the domain boundary")
     psi = test_fn.time_values(tg.times)
-    u, f_vals, g_vals, u_mid, gdb = _slots_of(u_field, problem, gbm, slots)
+    u, f_vals, g_vals, u_mid, gdb = slots
     psi_mid = 0.5 * (psi[:-1] + psi[1:])
     dpsi = psi[1:] - psi[:-1]
 
@@ -565,9 +541,8 @@ PHI_IDENTITY = PhiFunction(lambda y: y, lambda y: np.ones_like(y),
                            lambda y: np.zeros_like(y), "identity")
 
 
-def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
-                             gbm: GBMPaths, phi: PhiFunction = PHI_SQUARE,
-                             slots: Optional[ResidualSlots] = None) -> np.ndarray:
+def energy_identity_residual(slots: ResidualSlots, problem: GspdeProblem, gbm: GBMPaths,
+                             phi: PhiFunction = PHI_SQUARE) -> np.ndarray:
     """Absolute residual, per path, of the composition identity at t = 0.
 
     The bracket of the noise is replaced by the active scenario's
@@ -575,10 +550,10 @@ def energy_identity_residual(u_field: RandomField, problem: GspdeProblem,
     midpoint slices; the source and noise integrals pair the right-endpoint
     slice t_{i+1} (the backward-adapted slot) with dB_i — with a midpoint
     slice there the quadratic-variation correction would be double-counted.
-    ``slots`` are the field's ``residual_slots``, evaluated here when not given.
+    ``slots`` are the field's ``residual_slots`` on ``gbm``.
     """
     sg, dt = problem.space_grid, problem.time_grid.dt
-    u, f_vals, g_vals, u_mid, gdb = _slots_of(u_field, problem, gbm, slots)
+    u, f_vals, g_vals, u_mid, gdb = slots
     phi_mid = phi.deriv(u_mid)
     phi_right = phi.deriv(u[:, 1:, :])
 

@@ -5,9 +5,8 @@ stochastic equation rest on one argument: a Picard map contracts with
 constant kappa < 1 in an exponentially weighted space-time norm.  This
 module holds that argument once: the contraction constants and the config
 built from them, the weighted left-endpoint quadrature the norms are built
-on, the fused pass giving the increment and iterate norms of two stacked
-iterates, and the iteration loop with its report.  A solver supplies its
-four contraction inputs and a sweep that returns the next iterate with both
+on, and the iteration loop with its report.  A solver supplies its four
+contraction inputs and a sweep that returns the next iterate with both
 norms.
 """
 
@@ -21,11 +20,6 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 
-# The fused norm pass takes the iterate in blocks of time slots of about
-# this many bytes: a block and its temporaries stay in cache, while a block
-# of one small slot (6 paths on 161 nodes is 8 KB) pays more in calls than
-# in data.
-NORM_BLOCK_BYTES = 256 * 1024
 # Without a configured epsilon, kappa is held at or below 1 - KAPPA_MARGIN.
 KAPPA_MARGIN = 0.1
 
@@ -97,28 +91,6 @@ class PicardConfig:
             raise UsageError(f"config was built for another problem: its kappa is "
                              f"{self.kappa:.6g}, the problem's is {own[3]:.6g} at eps = "
                              f"{self.eps:.6g}")
-
-
-def increment_and_iterate_norms(density, new: tuple, old: tuple, rate: float,
-                                times: np.ndarray) -> tuple[float, float]:
-    """weighted_quadrature of ``density`` on new - old and on new.
-
-    ``new`` and ``old`` are state tuples of arrays shaped (paths, N+1, ...)
-    and ``density(*arrays)`` maps their slices (paths, k, ...) to (paths, k),
-    reducing each row on its own.  One pass over the N left-endpoint slots,
-    in blocks of about NORM_BLOCK_BYTES of the whole tuple (at least one
-    slot), fills the density columns of both; each block's difference is a
-    cache-sized array, never a whole stack.
-    """
-    p, n = new[0].shape[0], new[0].shape[1] - 1
-    step = max(1, NORM_BLOCK_BYTES // sum(a[:, 0].nbytes for a in new))
-    inc = np.empty((p, n))
-    cur = np.empty((p, n))
-    for lo in range(0, n, step):
-        block = slice(lo, min(lo + step, n))
-        inc[:, block] = density(*(a[:, block] - b[:, block] for a, b in zip(new, old)))
-        cur[:, block] = density(*(a[:, block] for a in new))
-    return weighted_quadrature(inc, rate, times), weighted_quadrature(cur, rate, times)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Annotated, Callable, Literal, Optional
 
 import numpy as np
 
-from ._util import NonNeg, Positive, Presets, Scalars, read
+from ._util import NonNeg, Positive, Presets, Scalars
 from .errors import ConfigError
 from .hunt import CoefficientField
 from .pde import ZERO_REACTION, NoiseTerm, ReactionTerm, zero_noise
@@ -96,10 +96,6 @@ FieldPreset = Annotated[Callable, Presets({
     "diagonal-2d": _diagonal_2d_field})]
 
 
-def build_field(spec: dict, dim: int, where: str = "coefficient_field") -> CoefficientField:
-    return read(FieldPreset, spec, where)(dim, where)
-
-
 # -- terminal data: builder() -> (psi(points), whether psi decays at infinity) --
 
 def _zero_terminal():
@@ -128,11 +124,6 @@ def _cosine_terminal(*, amplitude: float = 1.0, frequency: float = 1.0):
 TerminalPreset = Annotated[Callable, Presets({
     "zero": _zero_terminal, "constant": _constant_terminal,
     "gaussian-bump": _gaussian_bump_terminal, "cosine": _cosine_terminal})]
-
-
-def build_terminal(spec: dict, where: str = "terminal"):
-    """Callable psi(points) plus a flag for whether it decays at infinity."""
-    return read(TerminalPreset, spec, where)()
 
 
 # -- drivers ---------------------------------------------------------------------
@@ -220,10 +211,6 @@ ReactionPreset = Annotated[Callable, Presets({
     "tanh-y-sin-z": _tanh_y_sin_z_reaction})]
 
 
-def build_reaction(spec: dict, dim: int, where: str = "reaction") -> ReactionTerm:
-    return read(ReactionPreset, spec, where)(dim)
-
-
 # Noise presets: builder(dim, n_components, where) -> noise term g, one
 # component per driver coordinate.
 
@@ -277,11 +264,6 @@ def _tanh_y_sin_z_noise(dim: int, n_components: int, where: str, *, y_scale: Sca
 NoisePreset = Annotated[Callable, Presets({
     "zero": _zero_noise, "constant": _constant_noise,
     "deterministic-x": _deterministic_x_noise, "tanh-y-sin-z": _tanh_y_sin_z_noise})]
-
-
-def build_noise(spec: dict, dim: int, n_components: int,
-                where: str = "noise") -> NoiseTerm:
-    return read(NoisePreset, spec, where)(dim, n_components, where)
 
 
 def shifted_reaction(term: ReactionTerm, shift: float) -> ReactionTerm:

@@ -33,12 +33,13 @@ from gexplab.pde import (
     apply_semigroup,
     discretize_operator,
     energy_identity_residual,
-    homogeneous_term,
+    residual_slots,
     solve_gspde_picard,
     zero_noise,
 )
-from gexplab.presets import build_field
+from gexplab.presets import FieldPreset
 from gexplab.scenario import ScenarioSet, constant_schedule
+from oracles import homogeneous_term, preset
 
 
 def report(num, description, passed, detail=""):
@@ -112,7 +113,8 @@ def test_criterion_03_doob_bound():
 
 def test_criterion_04_bracket_identity_sinusoidal():
     start = time.perf_counter()
-    field = build_field({"preset": "sinusoidal-1d", "base": 0.75, "amplitude": 0.375}, 1)
+    field = preset(FieldPreset, {"preset": "sinusoidal-1d", "base": 0.75,
+                                 "amplitude": 0.375}, 1)
     paths = simulate_hunt(field, InitialLaw("point", [0.0]), TimeGrid(1.0, 512),
                           10_000, seed=33)
     rep = empirical_bracket(paths, field)
@@ -125,7 +127,7 @@ def test_criterion_04_bracket_identity_sinusoidal():
 def test_criterion_05_semigroup_heat_kernel():
     start = time.perf_counter()
     sg = SpatialGrid(1, 10.0, 2001, "dirichlet0")
-    field = build_field({"preset": "constant", "value": 0.5}, 1)
+    field = preset(FieldPreset, {"preset": "constant", "value": 0.5}, 1)
     op = discretize_operator(field, sg)
     x = sg.points()[:, 0]
     v = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
@@ -161,7 +163,7 @@ def test_criterion_07_linear_gspde_exactness():
     sg = SpatialGrid(1, 8.0, 161, "periodic")
     tg = TimeGrid(0.5, 256)
     scen = ScenarioSet.from_list([[[1.0]]])
-    field = build_field({"preset": "constant", "value": 1.0}, 1)
+    field = preset(FieldPreset, {"preset": "constant", "value": 1.0}, 1)
     pts = sg.points()
     psi = np.exp(-0.5 * pts[:, 0] ** 2)
     hom_problem = GspdeProblem(psi, ReactionTerm(lambda t, p, y, z: np.zeros_like(y), 0.0, 0.0),
@@ -205,7 +207,7 @@ def test_criterion_08_linear_gbdsde_oracles():
     start = time.perf_counter()
     scen = ScenarioSet.from_list([[[1.0]]])
     tg = TimeGrid(0.75, 12)
-    field = build_field({"preset": "constant", "value": 0.5}, 1)
+    field = preset(FieldPreset, {"preset": "constant", "value": 0.5}, 1)
     hunt = simulate_hunt(field, InitialLaw("point", [0.0]), tg, 1500, seed=51)
     gbm = build_gbm(sample_driver(tg, 3, 1, seed=52), constant_schedule(0, 12), scen)
     ens = LsmcEnsemble(hunt, RegressionBasis(4), field)
@@ -302,7 +304,7 @@ def test_criterion_11_ordered_solutions_stay_ordered():
 def test_criterion_12_energy_identity_refinement_order():
     sg = SpatialGrid(1, 8.0, 161, "periodic")
     scen = ScenarioSet.from_list([[[1.0]]])
-    field = build_field({"preset": "constant", "value": 1.0}, 1)
+    field = preset(FieldPreset, {"preset": "constant", "value": 1.0}, 1)
     psi = np.exp(-0.5 * np.sum(sg.points() ** 2, axis=1))
     reaction = ReactionTerm(lambda t, p, y, z: 0.3 * np.sin(y), 0.09, 0.0)
 
@@ -322,7 +324,7 @@ def test_criterion_12_energy_identity_refinement_order():
                         constant_schedule(0, n), scen)
         cfg = PicardConfig.from_problem(problem, tol_rel=1e-9, max_iter=30)
         fld, _ = solve_gspde_picard(problem, cfg, gbm)
-        r = energy_identity_residual(fld, problem, gbm)
+        r = energy_identity_residual(residual_slots(fld, problem, gbm), problem, gbm)
         res[n] = float(np.sqrt(np.mean(r**2)))
     lv = np.log2(np.array(levels, float))
     vals = np.log2([res[k] for k in levels])

@@ -1,23 +1,21 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexplab import bdsde, picard
+from gexplab import bdsde
 from gexplab.bdsde import (
     BdsdeProblem,
     LsmcEnsemble,
     RegressionBasis,
     RegressionContext,
-    delta_norm,
     extract_z,
     solve_gbdsde_picard,
     solve_linear_bdsde,
 )
-from gexplab.bdsde import BdsdeSolution, _delta_density
+from gexplab.bdsde import _delta_density
 from gexplab.errors import NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
@@ -29,13 +27,9 @@ from gexplab.pde import (
     derive_contraction_inputs,
     discretize_operator,
 )
-from gexplab.picard import (
-    PicardConfig,
-    increment_and_iterate_norms,
-    iterate,
-    weighted_quadrature,
-)
+from gexplab.picard import PicardConfig, iterate, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
+from oracles import whole_stack_delta_norm
 
 
 def const_field(value, dim=1):
@@ -214,18 +208,23 @@ def test_linear_grid_mismatch_rejected():
 
 # -- delta norm -------------------------------------------------------------------
 
+def slot_delta_norm(y, z, beta, delta, weights, times):
+    """The (beta, delta)-norm as the Picard sweep takes it: the density of
+    each left-endpoint slot on its own, then the weighted quadrature."""
+    dens = np.stack([_delta_density(y[:, i], z[:, i], delta, weights)
+                     for i in range(y.shape[1] - 1)], axis=1)
+    return float(np.sqrt(weighted_quadrature(dens, beta, times)))
+
+
 def test_delta_norm_examples():
     tg = TimeGrid(1.0, 16)
     shape_y = (2, 17, 50)
-    zeros = BdsdeSolution(np.zeros(shape_y), np.zeros(shape_y + (1,)), tg, 0,
-                          np.ones(50))
-    assert delta_norm([zeros], 1.0, 1.0) == 0.0
-    ones_y = BdsdeSolution(np.ones(shape_y), np.zeros(shape_y + (1,)), tg, 0,
-                           np.ones(50))
-    assert delta_norm([ones_y], 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-    ones_z = BdsdeSolution(np.zeros(shape_y), np.ones(shape_y + (1,)), tg, 0,
-                           np.ones(50))
-    assert delta_norm([ones_z], 1.0, 0.0) == pytest.approx(np.sqrt(np.e - 1.0), rel=1e-12)
+    zeros, ones, weights = np.zeros(shape_y), np.ones(shape_y), np.ones(50)
+    assert slot_delta_norm(zeros, zeros[..., None], 1.0, 1.0, weights, tg.times) == 0.0
+    assert slot_delta_norm(ones, zeros[..., None], 0.0, 1.0, weights,
+                           tg.times) == pytest.approx(1.0, rel=1e-12)
+    assert slot_delta_norm(zeros, ones[..., None], 1.0, 0.0, weights,
+                           tg.times) == pytest.approx(np.sqrt(np.e - 1.0), rel=1e-12)
 
 
 def test_delta_norm_uses_importance_weights_unnormalized():
@@ -233,29 +232,22 @@ def test_delta_norm_uses_importance_weights_unnormalized():
     n_w = 10
     weights = np.linspace(0.5, 2.0, n_w)
     y = np.ones((1, 5, n_w))
-    sol = BdsdeSolution(y, np.zeros((1, 5, n_w, 1)), tg, 0, weights)
     # delta E int e^{0 s} |Y|^2 ds with weighted mean over diffusion paths.
     expected = np.sqrt(np.mean(weights) * tg.horizon)
-    assert delta_norm([sol], 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
-
-
-def whole_stack_delta_norm(y, z, beta, delta, weights, times):
-    """Reference: the (beta, delta)-norm from a density built over whole stacks."""
-    dens = delta * y[:, :-1]**2 + np.sum(z[:, :-1]**2, axis=-1)
-    return float(np.sqrt(weighted_quadrature(np.mean(dens * weights, axis=-1), beta, times)))
+    assert slot_delta_norm(y, np.zeros((1, 5, n_w, 1)), 0.0, 1.0, weights,
+                           tg.times) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n_b=st.integers(1, 4), n_steps=st.integers(1, 6), n_w=st.integers(1, 40),
        d=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
        beta=st.floats(0.0, 8.0), delta=st.floats(0.0, 20.0),
-       horizon=st.floats(0.05, 3.0),
-       block_bytes=st.sampled_from([1, 600, 2000, picard.NORM_BLOCK_BYTES]))
-def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, seed,
-                                                         beta, delta, horizon, block_bytes):
-    # The two-stack reference loop builds both (Y, Z) densities in one pass
-    # over blocks of time slots (one slot, a few, all); it iterates on the
-    # square root of the quadrature, which must give the whole-stack norms.
+       horizon=st.floats(0.05, 3.0))
+def test_slot_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, seed,
+                                                        beta, delta, horizon):
+    # The Picard sweep builds the (Y, Z) densities one slot at a time; it
+    # iterates on the square root of the quadrature, which must give the
+    # whole-stack norms.
     rng = np.random.default_rng(seed)
     tg = TimeGrid(horizon, n_steps)
     weights = rng.uniform(0.1, 3.0, n_w)
@@ -263,20 +255,13 @@ def test_fused_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, s
            rng.standard_normal((n_b, n_steps + 1, n_w, d)))
     new = (rng.standard_normal((n_b, n_steps + 1, n_w)),
            rng.standard_normal((n_b, n_steps + 1, n_w, d)))
-
-    def density(y, z):
-        return _delta_density(y, z, delta, weights)
-
-    with mock.patch.object(picard, "NORM_BLOCK_BYTES", block_bytes):
-        inc, cur = increment_and_iterate_norms(density, new, old, beta, tg.times)
-        same, same_cur = increment_and_iterate_norms(density, new, new, beta, tg.times)
-    inc, cur = np.sqrt(inc), np.sqrt(cur)
+    inc = slot_delta_norm(new[0] - old[0], new[1] - old[1], beta, delta, weights, tg.times)
+    cur = slot_delta_norm(*new, beta, delta, weights, tg.times)
     assert inc == whole_stack_delta_norm(new[0] - old[0], new[1] - old[1], beta, delta,
                                          weights, tg.times)
     assert cur == whole_stack_delta_norm(*new, beta, delta, weights, tg.times)
-    assert cur == delta_norm([BdsdeSolution(*new, tg, 0, weights)], beta, delta)
-    assert same == 0.0
-    assert np.sqrt(same_cur) == cur
+    assert slot_delta_norm(new[0] - new[0], new[1] - new[1], beta, delta, weights,
+                           tg.times) == 0.0
 
 
 # -- outer Picard loop --------------------------------------------------------------
@@ -542,16 +527,15 @@ def stacked_picard(problem, ens, gbm, cfg):
     hunt = ens.hunt
     n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
-
-    def density(y, z):
-        return _delta_density(y, z, cfg.delta, hunt.weights)
+    times = hunt.grid.times
 
     def sweep(y, z):
         f_arr, g_arr = stacked_drivers(problem, y, z, ens)
         sol = solve_linear_bdsde(xi, ens, gbm, lambda i: (f_arr[:, i], g_arr[:, i]))
-        inc, cur = increment_and_iterate_norms(density, (sol.y, sol.z), (y, z), cfg.rate,
-                                               hunt.grid.times)
-        return (sol.y, sol.z), float(np.sqrt(inc)), float(np.sqrt(cur))
+        return ((sol.y, sol.z),
+                whole_stack_delta_norm(sol.y - y, sol.z - z, cfg.rate, cfg.delta,
+                                       hunt.weights, times),
+                whole_stack_delta_norm(sol.y, sol.z, cfg.rate, cfg.delta, hunt.weights, times))
 
     start = (np.zeros((gbm.n_paths, n + 1, n_w)), np.zeros((gbm.n_paths, n + 1, n_w, d)))
     (y, z), report = iterate(sweep, start, cfg)

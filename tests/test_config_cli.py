@@ -182,6 +182,11 @@ def set_path(cfg, section, key, value):
 
 @pytest.mark.parametrize("section,key,value,field", [
     ("comparison", "cases", 5, "comparison.cases"),
+    # A check over an empty list would pass with no rows.
+    ("comparison", "cases", [], "comparison.cases"),
+    ("representation", "checkpoint_fractions", [], "representation.checkpoint_fractions"),
+    ("gbm_check", "integrands", [], "gbm_check.integrands"),
+    ("suite", "checks", [], "suite.checks"),
     ("gbm_check", "n_steps", "x", "gbm_check.n_steps"),
     ("scenario_set", "matrices", [[["a"]]], "scenario_set.matrices"),
     ("gspde", "max_iter", 0, "gspde.max_iter"),

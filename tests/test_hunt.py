@@ -10,8 +10,8 @@ from gexplab.hunt import (
     forward_integral,
     forward_integral_diagnostics,
     simulate_hunt,
-    sqrt_spd,
 )
+from gexplab.hunt import _sqrt_spd_batch
 
 
 def constant_field(value, dim=1):
@@ -34,8 +34,10 @@ def sin_field(base=0.75, amp=0.375):
 
 
 def test_sqrt_spd_identity_and_diagonal():
-    assert np.allclose(sqrt_spd(np.eye(3)), np.eye(3), atol=1e-14)
-    assert np.allclose(sqrt_spd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
+    roots = _sqrt_spd_batch(np.stack([np.eye(2), np.diag([4.0, 9.0])]))
+    assert np.allclose(roots[0], np.eye(2), atol=1e-14)
+    assert np.allclose(roots[1], np.diag([2.0, 3.0]), atol=1e-14)
+    assert np.array_equal(_sqrt_spd_batch(np.full((3, 1, 1), 4.0)), np.full((3, 1, 1), 2.0))
 
 
 def test_sqrt_spd_random_spd_eigen_oracle():
@@ -43,14 +45,14 @@ def test_sqrt_spd_random_spd_eigen_oracle():
     for _ in range(10):
         m = rng.standard_normal((4, 4))
         a = m @ m.T + 0.1 * np.eye(4)
-        s = sqrt_spd(a)
+        s = _sqrt_spd_batch(a[None])[0]
         assert np.allclose(s, s.T, atol=1e-12)
         assert np.linalg.norm(s @ s - a) <= 1e-10
 
 
 def test_sqrt_spd_rejects_indefinite():
-    with pytest.raises((NumericalError, UsageError)):
-        sqrt_spd(np.diag([1.0, -1e-6]))
+    with pytest.raises(NumericalError):
+        _sqrt_spd_batch(np.diag([1.0, -1e-6])[None])
 
 
 def test_constant_half_variance():

@@ -6,8 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexplab import picard
-
+from gexplab import pde
 from gexplab.config import default_config, validate_config
 from gexplab.errors import ConfigError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, coarsen_driver, sample_driver
@@ -25,16 +24,16 @@ from gexplab.pde import (
     apply_semigroup,
     discretize_operator,
     energy_identity_residual,
-    hnorm_gamma_delta,
-    homogeneous_term,
+    increment_and_iterate_norms,
     solve_gspde_picard,
     residual_slots,
     weak_residual,
     zero_noise,
 )
-from gexplab.pde import RandomField, _hnorm_density
-from gexplab.picard import increment_and_iterate_norms, weighted_quadrature
+from gexplab.pde import _hnorm_density
+from gexplab.picard import weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
+from oracles import homogeneous_term, whole_stack_hnorm
 
 
 def const_field(value, dim=1):
@@ -262,26 +261,21 @@ def test_l2_norm_sq_weights_by_cell_volume():
     assert np.allclose(sg2.l2_norm_sq(stack), [25 * sg2.dx**2, 9.0 * 25 * sg2.dx**2])
 
 
+def hnorm(u, gamma, delta, sg, tg):
+    """The (gamma, delta) functional of a stack u shaped (paths, N+1, n)."""
+    return weighted_quadrature(_hnorm_density(u[:, :-1], sg, delta), gamma, tg.times)
+
+
 def test_hnorm_zero_and_constant():
     problem = make_problem()
     tg, sg = problem.time_grid, problem.space_grid
-    zeros = RandomField(np.zeros((2, tg.n_steps + 1, sg.n_nodes)), tg, sg, 0)
-    assert hnorm_gamma_delta([zeros], 1.0, 1.0) == 0.0
+    assert hnorm(np.zeros((2, tg.n_steps + 1, sg.n_nodes)), 1.0, 1.0, sg, tg) == 0.0
     # gamma=0, delta=1, u == c: integral is c^2 * |domain| * T.
     c = 1.7
-    const = RandomField(np.full((3, tg.n_steps + 1, sg.n_nodes), c), tg, sg, 0)
+    const = np.full((3, tg.n_steps + 1, sg.n_nodes), c)
     measure = sg.n_nodes * sg.cell_volume
-    assert hnorm_gamma_delta([const], 0.0, 1.0) == pytest.approx(c**2 * measure * tg.horizon,
-                                                          rel=1e-12)
-
-
-def test_hnorm_takes_worst_scenario_of_a_family():
-    problem = make_problem()
-    tg, sg = problem.time_grid, problem.space_grid
-    small = RandomField(np.full((2, tg.n_steps + 1, sg.n_nodes), 0.5), tg, sg, 0)
-    big = RandomField(np.full((2, tg.n_steps + 1, sg.n_nodes), 2.0), tg, sg, 1)
-    both = hnorm_gamma_delta([small, big], 0.0, 1.0)
-    assert both == pytest.approx(hnorm_gamma_delta([big], 0.0, 1.0), rel=1e-12)
+    assert hnorm(const, 0.0, 1.0, sg, tg) == pytest.approx(c**2 * measure * tg.horizon,
+                                                           rel=1e-12)
 
 
 def test_hnorm_exponential_weight_exact():
@@ -291,10 +285,9 @@ def test_hnorm_exponential_weight_exact():
     tg = TimeGrid(1.0, 8)
     slope = sg.points()[:, 0].copy()
     vals = np.tile(slope, (1, tg.n_steps + 1, 1))
-    f = RandomField(vals, tg, sg, 0)
     measure = sg.n_nodes * sg.cell_volume
     # integral of e^s over [0, 1] times |grad|^2 = 1 * measure
-    assert hnorm_gamma_delta([f], 1.0, 0.0) == pytest.approx((np.e - 1.0) * measure, rel=1e-12)
+    assert hnorm(vals, 1.0, 0.0, sg, tg) == pytest.approx((np.e - 1.0) * measure, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,30 +295,24 @@ def test_hnorm_exponential_weight_exact():
        m=st.integers(3, 14), p=st.integers(1, 4), n_steps=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 8.0),
        delta=st.one_of(st.just(0.0), st.floats(0.0, 20.0)), horizon=st.floats(0.05, 3.0),
-       block_bytes=st.sampled_from([1, 600, 2000, picard.NORM_BLOCK_BYTES]))
+       block_bytes=st.sampled_from([1, 600, 2000, pde.NORM_BLOCK_BYTES]))
 def test_fused_grid_norms_match_whole_stack_bitwise(dim, boundary, m, p, n_steps, seed,
                                                     gamma, delta, horizon, block_bytes):
     # The grid Picard loop builds both densities in one pass over blocks of
-    # time slots (one slot, a few, all); it must give the floats of the two
-    # whole-stack norm calls.
+    # time slots (one slot, a few, all); it must give the floats of the
+    # whole-stack reference.
     rng = np.random.default_rng(seed)
     sg = SpatialGrid(dim, 3.0, m, boundary)
     tg = TimeGrid(horizon, n_steps)
     old = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
     new = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
 
-    def density(u):
-        return _hnorm_density(u, sg, delta)
-
-    def norm(u):
-        return weighted_quadrature(density(u[:, :-1]), gamma, tg.times)
-
-    with mock.patch.object(picard, "NORM_BLOCK_BYTES", block_bytes):
-        inc, cur = increment_and_iterate_norms(density, (new,), (old,), gamma, tg.times)
-        same, same_cur = increment_and_iterate_norms(density, (new,), (new,), gamma, tg.times)
-    assert inc == norm(new - old)
-    assert cur == norm(new)
-    assert cur == hnorm_gamma_delta([RandomField(new, tg, sg, 0)], gamma, delta)
+    with mock.patch.object(pde, "NORM_BLOCK_BYTES", block_bytes):
+        inc, cur = increment_and_iterate_norms(new, old, sg, delta, gamma, tg.times)
+        same, same_cur = increment_and_iterate_norms(new, new, sg, delta, gamma, tg.times)
+    assert inc == whole_stack_hnorm(new - old, gamma, delta, sg, tg.times)
+    assert cur == whole_stack_hnorm(new, gamma, delta, sg, tg.times)
+    assert cur == hnorm(new, gamma, delta, sg, tg)
     assert same == 0.0
     assert same_cur == cur
 
@@ -387,7 +374,7 @@ def test_source_free_fixed_point_is_homogeneous_term_bitwise():
     for p in range(field.n_paths):
         assert np.array_equal(field.values[p], hom)
     assert report.converged and report.iterations == 2
-    assert np.array_equal(field.terminal_slice()[0], problem.terminal)
+    assert np.array_equal(field.values[0, -1], problem.terminal)
 
 
 def test_deterministic_reaction_matches_theta_scheme_oracle():
@@ -445,7 +432,7 @@ def test_picard_contraction_ratios_under_kappa():
     assert report.converged
     assert report.iterations <= 15
     assert all(r <= cfg.kappa + 0.05 for r in report.ratios)
-    assert np.array_equal(field.terminal_slice()[3], problem.terminal)
+    assert np.array_equal(field.values[3, -1], problem.terminal)
 
 
 def test_solver_two_dimensional_smoke():
@@ -472,23 +459,10 @@ def test_solver_two_dimensional_smoke():
     cfg = PicardConfig.from_problem(problem, max_iter=20)
     fld, rep = solve_gspde_picard(problem, cfg, gbm)
     assert rep.converged
-    assert np.array_equal(fld.terminal_slice()[0], psi)
+    assert np.array_equal(fld.values[0, -1], psi)
     assert np.all(np.isfinite(fld.values))
-    res = energy_identity_residual(fld, problem, gbm)
+    res = energy_identity_residual(residual_slots(fld, problem, gbm), problem, gbm)
     assert np.all(np.isfinite(res))
-
-
-def test_uniqueness_surrogate_two_initial_guesses():
-    reaction = ReactionTerm(lambda t, p, y, z: 0.4 * np.cos(y), 0.16, 0.0)
-    problem = make_problem(reaction=reaction, horizon=0.5, n_steps=16)
-    gbm = make_gbm(problem, n_paths=3, seed=13)
-    cfg = PicardConfig.from_problem(problem, tol_rel=1e-10, max_iter=30)
-    f0, _ = solve_gspde_picard(problem, cfg, gbm, initial="zero")
-    f1, _ = solve_gspde_picard(problem, cfg, gbm, initial="homogeneous")
-    diff = RandomField(f0.values - f1.values, problem.time_grid, problem.space_grid, 0)
-    rel = hnorm_gamma_delta([diff], cfg.rate, cfg.delta) / max(
-        hnorm_gamma_delta([f0], cfg.rate, cfg.delta), 1e-300)
-    assert rel <= cfg.tol_rel * 10
 
 
 # -- residuals -------------------------------------------------------------------
@@ -506,8 +480,9 @@ def test_weak_residual_zero_testfn_and_homogeneous_exactness():
     cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     zero_fn = SpaceTimeTestFunction(lambda t: 0.0, lambda pts: np.zeros(pts.shape[0]))
-    assert np.all(weak_residual(field, zero_fn, problem, gbm) == 0.0)
-    res = weak_residual(field, bump_test_fn(), problem, gbm)
+    slots = residual_slots(field, problem, gbm)
+    assert np.all(weak_residual(slots, zero_fn, problem) == 0.0)
+    res = weak_residual(slots, bump_test_fn(), problem)
     assert np.max(res) <= 1e-10
 
 
@@ -519,7 +494,7 @@ def test_weak_residual_support_violation():
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     wide = SpaceTimeTestFunction(lambda t: 1.0, lambda pts: np.ones(pts.shape[0]))
     with pytest.raises(UsageError, match="vanish"):
-        weak_residual(field, wide, problem, gbm)
+        weak_residual(residual_slots(field, problem, gbm), wide, problem)
 
 
 def nonlinear_problem(n_steps, seed_terminal_width=1.0, horizon=0.5):
@@ -547,8 +522,10 @@ def test_weak_residual_halving_decay():
     field_f, _ = solve_gspde_picard(fine_problem, cfg_f, gbm_fine)
     field_c, _ = solve_gspde_picard(coarse_problem, cfg_c, gbm_coarse)
     tf = bump_test_fn()
-    res_f = float(np.sqrt(np.mean(weak_residual(field_f, tf, fine_problem, gbm_fine) ** 2)))
-    res_c = float(np.sqrt(np.mean(weak_residual(field_c, tf, coarse_problem, gbm_coarse) ** 2)))
+    slots_f = residual_slots(field_f, fine_problem, gbm_fine)
+    slots_c = residual_slots(field_c, coarse_problem, gbm_coarse)
+    res_f = float(np.sqrt(np.mean(weak_residual(slots_f, tf, fine_problem) ** 2)))
+    res_c = float(np.sqrt(np.mean(weak_residual(slots_c, tf, coarse_problem) ** 2)))
     assert res_c > 1e-10
     assert res_f <= 0.8 * res_c
 
@@ -558,7 +535,8 @@ def test_energy_identity_zero_data():
     gbm = make_gbm(problem, n_paths=2)
     cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
-    assert np.all(energy_identity_residual(field, problem, gbm) == 0.0)
+    slots = residual_slots(field, problem, gbm)
+    assert np.all(energy_identity_residual(slots, problem, gbm) == 0.0)
 
 
 def test_energy_identity_source_free_exact():
@@ -566,7 +544,8 @@ def test_energy_identity_source_free_exact():
     gbm = make_gbm(problem, n_paths=2)
     cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
-    assert np.max(energy_identity_residual(field, problem, gbm, PHI_SQUARE)) <= 1e-10
+    slots = residual_slots(field, problem, gbm)
+    assert np.max(energy_identity_residual(slots, problem, gbm, PHI_SQUARE)) <= 1e-10
 
 
 def test_energy_identity_phi_linear_reduces_to_weak_form():
@@ -575,27 +554,10 @@ def test_energy_identity_phi_linear_reduces_to_weak_form():
     cfg = PicardConfig.from_problem(problem, tol_rel=1e-10, max_iter=30)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     unit_fn = SpaceTimeTestFunction(lambda t: 1.0, lambda pts: np.ones(pts.shape[0]))
-    weak = weak_residual(field, unit_fn, problem, gbm)
-    energy = energy_identity_residual(field, problem, gbm, PHI_IDENTITY)
-    assert np.allclose(weak, energy, atol=1e-10)
-
-
-def test_residuals_read_shared_slots_bitwise():
-    problem = nonlinear_problem(n_steps=24)
-    gbm = make_gbm(problem, n_paths=3, seed=37)
-    cfg = PicardConfig.from_problem(problem, tol_rel=1e-10, max_iter=30)
-    field, _ = solve_gspde_picard(problem, cfg, gbm)
     slots = residual_slots(field, problem, gbm)
-    tf = bump_test_fn()
-    assert np.array_equal(weak_residual(field, tf, problem, gbm, slots),
-                          weak_residual(field, tf, problem, gbm))
-    assert np.array_equal(energy_identity_residual(field, problem, gbm, slots=slots),
-                          energy_identity_residual(field, problem, gbm))
-    other = RandomField(field.values.copy(), problem.time_grid, problem.space_grid, 0)
-    with pytest.raises(UsageError, match="another field"):
-        weak_residual(other, tf, problem, gbm, slots)
-    with pytest.raises(UsageError, match="another field"):
-        energy_identity_residual(other, problem, gbm, slots=slots)
+    weak = weak_residual(slots, unit_fn, problem)
+    energy = energy_identity_residual(slots, problem, gbm, PHI_IDENTITY)
+    assert np.allclose(weak, energy, atol=1e-10)
 
 
 def test_energy_identity_halving_decay():
@@ -611,6 +573,7 @@ def test_energy_identity_halving_decay():
         gbm = build_gbm(drv, constant_schedule(0, n), problem.scenarios)
         cfg = PicardConfig.from_problem(problem, tol_rel=1e-9, max_iter=30)
         fld, _ = solve_gspde_picard(problem, cfg, gbm)
-        res[n] = float(np.sqrt(np.mean(energy_identity_residual(fld, problem, gbm) ** 2)))
+        slots = residual_slots(fld, problem, gbm)
+        res[n] = float(np.sqrt(np.mean(energy_identity_residual(slots, problem, gbm) ** 2)))
     order = np.log2(res[16] / res[64]) / 2.0
     assert order >= 0.4

@@ -12,22 +12,23 @@ from gexplab.pde import (
     derive_contraction_inputs,
 )
 from gexplab.presets import (
-    build_field,
-    build_noise,
-    build_reaction,
-    build_terminal,
+    FieldPreset,
+    NoisePreset,
+    ReactionPreset,
+    TerminalPreset,
     integrand_values,
 )
 from gexplab.scenario import ScenarioSet
+from oracles import preset
 
 
 def test_constant_and_sinusoidal_fields():
-    field = build_field({"preset": "constant", "value": 0.7}, 2)
+    field = preset(FieldPreset, {"preset": "constant", "value": 0.7}, 2)
     pts = np.zeros((3, 2))
     assert np.allclose(field.a_at(pts), 0.7 * np.eye(2))
     assert np.allclose(field.drift_at(pts), 0.0)
 
-    sin_field = build_field({"preset": "sinusoidal-1d", "base": 0.75,
+    sin_field = preset(FieldPreset, {"preset": "sinusoidal-1d", "base": 0.75,
                              "amplitude": 0.25, "frequency": 2.0}, 1)
     x = np.linspace(-3, 3, 25)[:, None]
     fd = CoefficientField(1, sin_field.a, sin_field.lam_min, sin_field.lam_max)
@@ -37,7 +38,7 @@ def test_constant_and_sinusoidal_fields():
 
 
 def test_diagonal_2d_field():
-    field = build_field({"preset": "diagonal-2d", "base": [1.0, 0.8],
+    field = preset(FieldPreset, {"preset": "diagonal-2d", "base": [1.0, 0.8],
                          "amplitude": [0.2, 0.1], "frequency": [1.0, 2.0]}, 2)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-3, 3, size=(40, 2))
@@ -46,27 +47,27 @@ def test_diagonal_2d_field():
     fd = CoefficientField(2, field.a, field.lam_min, field.lam_max)
     assert np.allclose(field.drift_at(pts), fd.drift_at(pts), atol=1e-7)
     with pytest.raises(ConfigError):
-        build_field({"preset": "diagonal-2d", "base": [1.0, 0.8],
+        preset(FieldPreset, {"preset": "diagonal-2d", "base": [1.0, 0.8],
                      "amplitude": [0.2, 0.1]}, 1)
 
 
 def test_terminal_presets_and_decay_flags():
-    fn, decays = build_terminal({"preset": "gaussian-bump", "width": 1.5})
+    fn, decays = preset(TerminalPreset, {"preset": "gaussian-bump", "width": 1.5})
     assert decays
     pts = np.array([[0.0], [10.0]])
     vals = fn(pts)
     assert vals[0] == pytest.approx(1.0) and vals[1] < 1e-9
-    _, decays = build_terminal({"preset": "cosine"})
+    _, decays = preset(TerminalPreset, {"preset": "cosine"})
     assert not decays
-    _, decays = build_terminal({"preset": "constant", "value": 0.0})
+    _, decays = preset(TerminalPreset, {"preset": "constant", "value": 0.0})
     assert decays
 
 
 def test_driver_declared_constants_are_honest():
     # Sampled Lipschitz quotients never exceed the declared constants.
-    f_term = build_reaction({"preset": "tanh-y-sin-z", "y_scale": 0.4,
+    f_term = preset(ReactionPreset, {"preset": "tanh-y-sin-z", "y_scale": 0.4,
                             "z_scale": 0.3}, 1)
-    g_term = build_noise({"preset": "tanh-y-sin-z", "y_scale": 0.25,
+    g_term = preset(NoisePreset, {"preset": "tanh-y-sin-z", "y_scale": 0.25,
                          "z_scale": 0.5}, 1, 1)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, size=(64, 1))
@@ -90,12 +91,13 @@ def test_driver_declared_constants_are_honest():
 ])
 def test_huge_reaction_constant_gives_infinite_lipschitz_bound(spec):
     # A float power of the constant would raise OverflowError instead.
-    f_term = build_reaction(spec, 1)
+    f_term = preset(ReactionPreset, spec, 1)
     assert max(f_term.lip_y_sq, f_term.lip_z_sq) == np.inf
 
 
 def test_deterministic_noise_with_huge_width_is_flat():
-    g_term = build_noise({"preset": "deterministic-x", "amplitude": 0.5, "width": 1e200}, 1, 2)
+    g_term = preset(NoisePreset, {"preset": "deterministic-x", "amplitude": 0.5,
+                                  "width": 1e200}, 1, 2)
     pts = np.linspace(-3.0, 3.0, 7)[:, None]
     assert np.array_equal(g_term.fn(0.0, pts, np.zeros(7), np.zeros((7, 1))), np.full((7, 2), 0.5))
 
@@ -103,10 +105,10 @@ def test_deterministic_noise_with_huge_width_is_flat():
 def test_sigma_pairing_scales_z_constant():
     # Both equations read their constants from one derivation, which
     # multiplies the v-slot constants by Lambda = 4.
-    field = build_field({"preset": "constant", "value": 4.0}, 1)
-    g_term = build_noise({"preset": "tanh-y-sin-z", "y_scale": 0.1,
+    field = preset(FieldPreset, {"preset": "constant", "value": 4.0}, 1)
+    g_term = preset(NoisePreset, {"preset": "tanh-y-sin-z", "y_scale": 0.1,
                          "z_scale": 0.2}, 1, 1)
-    f_term = build_reaction({"preset": "tanh-y", "scale": 0.5}, 1)
+    f_term = preset(ReactionPreset, {"preset": "tanh-y", "scale": 0.5}, 1)
     scen = ScenarioSet.from_list([[[1.0]]])
     lip, z_coef, sb2, lam = derive_contraction_inputs(f_term, g_term, field, scen)
     assert (sb2, lam) == (1.0, 4.0)
@@ -127,8 +129,8 @@ def test_sigma_pairing_scales_z_constant():
 
 
 def test_zero_presets_are_the_zero_terms():
-    assert build_reaction({"preset": "zero"}, 1) is ZERO_REACTION
-    zero_g = build_noise({"preset": "zero"}, 1, 2)
+    assert preset(ReactionPreset, {"preset": "zero"}, 1) is ZERO_REACTION
+    zero_g = preset(NoisePreset, {"preset": "zero"}, 1, 2)
     assert (zero_g.name, zero_g.n_components, zero_g.lip_y_sq, zero_g.lip_z_sq) == ("zero", 2, 0.0, 0.0)
 
 
@@ -140,6 +142,6 @@ def test_integrand_presets_and_unknown_names():
     with pytest.raises(ConfigError):
         integrand_values("bogus", times, 1)
     with pytest.raises(ConfigError):
-        build_reaction({"preset": "bogus"}, 1)
+        preset(ReactionPreset, {"preset": "bogus"}, 1)
     with pytest.raises(ConfigError):
-        build_reaction({"preset": "tanh-y", "scale": 0.1, "extra": 1}, 1)
+        preset(ReactionPreset, {"preset": "tanh-y", "scale": 0.1, "extra": 1}, 1)
