@@ -21,7 +21,8 @@ their contraction inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from ._util import NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths
-from .picard import PicardConfig, PicardReport, iterate, weighted_quadrature
+from .picard import PicardConfig, PicardReport, iterate_in_place, weighted_quadrature
 
 MIN_SAMPLES_PER_FEATURE = 10
 DEGENERATE_STD = 1e-12
@@ -196,45 +197,38 @@ class BdsdeSolution:
 
 
 def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                       drivers: Callable, out: Optional[tuple] = None,
-                       on_slot: Optional[Callable] = None) -> BdsdeSolution:
+                       drivers: Callable, y: np.ndarray, z: np.ndarray) -> BdsdeSolution:
     """The slot-by-slot recursion from the terminal payoff ``xi`` on the
-    diffusion ensemble back to t_0, for (y, z)-independent driver data.
+    diffusion ensemble back to t_0, into the stacks ``y`` (n_b, N+1, n_W)
+    and ``z`` (n_b, N+1, n_W, d).
 
-    ``drivers(i)`` returns the (n_b, n_W) f and the (n_b, n_W, l) g at time
-    slot i, which pairs with dB_{i-1}.  It is called for slots N..1: slot N
-    before the payoff is written, slot i right after slot i has regressed,
-    so only one slot of driver data is alive at a time.
-
-    ``out = (y, z)`` names the stacks to write, which may hold the previous
-    iterate that ``drivers`` reads: slot i keeps its old values until
-    ``drivers(i)`` has returned, and ``on_slot(i, y_i, z_i)`` sees each new
-    slot i < N just before it overwrites the old one.
+    ``drivers(i, y_i, z_i)`` sees each new slot i, N down to 0, before it
+    overwrites slot i, and returns the (n_b, n_W) f and (n_b, n_W, l) g at
+    slot i, which pair with dB_{i-1}; its slot-0 value is not read.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
         raise UsageError("diffusion ensemble and noise paths use different time grids")
-    n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
+    n, n_w = hunt.grid.n_steps, hunt.n_paths
     dt = hunt.grid.dt
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n_w,):
         raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
-    y, z = out if out is not None else (np.empty((gbm.n_paths, n + 1, n_w)),
-                                        np.empty((gbm.n_paths, n + 1, n_w, d)))
-    f_next, g_next = drivers(n)
-    y[:, n] = xi
-    for i in range(n - 1, -1, -1):
-        ctx = ensemble.contexts[i]
-        noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
-        y_i = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
-        z_i = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
-        if i > 0:
-            f_next, g_next = drivers(i)  # reads the old slot i
-        if on_slot is not None:
-            on_slot(i, y_i, z_i)
+    y_i = np.tile(xi, (gbm.n_paths, 1))
+    # Z at the horizon copies the last regressed slot, N - 1.
+    z_i = extract_z(y_i, hunt.dm[:, n - 1], ensemble.contexts[n - 1],
+                    ensemble.a_inverse[n - 1], dt)
+    for i in range(n, -1, -1):
+        if i < n:
+            f_next, g_next = at_next
+            ctx = ensemble.contexts[i]
+            noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
+            y_i = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
+            if i < n - 1:
+                z_i = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
+        at_next = drivers(i, y_i, z_i)
         y[:, i] = y_i
         z[:, i] = z_i
-    z[:, n] = z[:, n - 1]
     return BdsdeSolution(y, z, hunt.grid, hunt.fingerprint(), gbm.fingerprint())
 
 
@@ -268,48 +262,48 @@ class BdsdeProblem:
         return self.inputs
 
 
-def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, y, z, i: int, t: float):
-    """f and g at time slot i, time t, of the iterate (y, z); v = Z sigma(X)
-    feeds the z argument.  The backward recursion asks for slots N..1 only."""
-    x_here = ensemble.hunt.x[:, i, :]
-    v = np.einsum("bwd,wdk->bwk", z[:, i], ensemble.sigma[i])
-    return (np.asarray(problem.f(t, x_here, y[:, i], v), dtype=float),
-            np.asarray(problem.g(t, x_here, y[:, i], v), dtype=float))
+def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i):
+    """f and g at slot i of (y_i, z_i), v fed Z sigma(X); None at slot 0."""
+    if i == 0:
+        return None
+    t, x_here = problem.time_grid.times[i], ensemble.hunt.x[:, i, :]
+    v = np.einsum("bwd,wdk->bwk", z_i, ensemble.sigma[i])
+    return (np.asarray(problem.f(t, x_here, y_i, v), dtype=float),
+            np.asarray(problem.g(t, x_here, y_i, v), dtype=float))
+
+
+def _payoff(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.ndarray:
+    """The payoff on ``ensemble.hunt``'s paths, once all time grids agree."""
+    hunt = ensemble.hunt
+    if hunt.grid != problem.time_grid or gbm.grid != problem.time_grid:
+        raise UsageError("ensembles and problem use different time grids")
+    return np.asarray(problem.terminal_fn(hunt.x[:, -1, :]), dtype=float).reshape(hunt.n_paths)
+
+
+def _zero_stacks(ensemble: LsmcEnsemble, gbm: GBMPaths) -> tuple[np.ndarray, np.ndarray]:
+    shape = (gbm.n_paths, ensemble.hunt.grid.n_steps + 1, ensemble.hunt.n_paths)
+    return np.zeros(shape), np.zeros(shape + (ensemble.hunt.dim,))
+
+
+def solve_gbdsde(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> BdsdeSolution:
+    """The explicit scheme, one sweep with the drivers read at the new slot:
+    the fixed point of the Picard map, which fixes one slot per sweep."""
+    return solve_linear_bdsde(_payoff(problem, ensemble, gbm), ensemble, gbm,
+                              partial(_slot_drivers, problem, ensemble),
+                              *_zero_stacks(ensemble, gbm))
 
 
 def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
                         cfg: PicardConfig) -> BdsdeSolution:
-    """Outer fixed-point loop: each iteration freezes the drivers at the
-    previous (Y, Z) and solves the resulting linear equation by regression.
-
-    The terminal payoff, the paths and their weights are those of
-    ``ensemble.hunt``.  Convergence is monitored in the (beta, delta)-norm
-    of the increments, relative to the iterate norm; the report carries the
-    ratio history.
-    """
+    """The Picard iteration from zero, each sweep with the drivers frozen at
+    the previous (Y, Z) and its increment in the (beta, delta)-norm, as the
+    check of the contraction; ``solve_gbdsde``'s sweep then overwrites the
+    last iterate, so the solution does not read ``cfg``."""
     cfg.validate_against(problem)
-    hunt = ensemble.hunt
-    if hunt.grid != problem.time_grid or gbm.grid != problem.time_grid:
-        raise UsageError("ensembles and problem use different time grids")
-    n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
-    n_b = gbm.n_paths
-    times = problem.time_grid.times
-    xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
-
-    def sweep(y, z):
-        inc, cur = np.empty((n_b, n)), np.empty((n_b, n))
-
-        def measure(i, y_i, z_i):
-            inc[:, i] = _delta_density(y_i - y[:, i], z_i - z[:, i], cfg.delta, hunt.weights)
-            cur[:, i] = _delta_density(y_i, z_i, cfg.delta, hunt.weights)
-
-        solve_linear_bdsde(xi, ensemble, gbm,
-                           lambda i: _slot_drivers(problem, ensemble, y, z, i, times[i]),
-                           out=(y, z), on_slot=measure)
-        return ((y, z), math.sqrt(weighted_quadrature(inc, cfg.rate, times)),
-                math.sqrt(weighted_quadrature(cur, cfg.rate, times)))
-
-    (y, z), report = iterate(sweep, (np.zeros((n_b, n + 1, n_w)),
-                                     np.zeros((n_b, n + 1, n_w, d))), cfg)
-    return BdsdeSolution(y, z, problem.time_grid, hunt.fingerprint(), gbm.fingerprint(),
-                         picard_report=report)
+    xi, hunt, times = _payoff(problem, ensemble, gbm), ensemble.hunt, problem.time_grid.times
+    (y, z), slot_drivers = _zero_stacks(ensemble, gbm), partial(_slot_drivers, problem, ensemble)
+    report = iterate_in_place(
+        lambda drivers: solve_linear_bdsde(xi, ensemble, gbm, drivers, y, z), (y, z),
+        slot_drivers, lambda y_i, z_i: _delta_density(y_i, z_i, cfg.delta, hunt.weights),
+        lambda dens: math.sqrt(weighted_quadrature(dens, cfg.rate, times)), cfg)
+    return replace(solve_linear_bdsde(xi, ensemble, gbm, slot_drivers, y, z), picard_report=report)

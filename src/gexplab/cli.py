@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .artifacts import merge_summaries, rows_to_json, write_artifacts, write_summary
 from .config import load_config, validate_config
-from .errors import NumericalError, UsageError
+from .errors import ConfigError, NumericalError, UsageError
 from .experiments import RUNNERS, run_suite
 
 EXIT_OK = 0
@@ -84,12 +85,16 @@ def _run_command(args) -> int:
         print(json.dumps(exp.constants_report(), indent=2, sort_keys=True))
         return EXIT_OK
 
+    out_dir = exp.output_dir or "gexplab-out"
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output_dir", str(exc)) from exc
     if args.command == "run-suite":
         rows, artifacts = run_suite(exp)
     else:
         rows, artifacts = RUNNERS[single](exp)
 
-    out_dir = exp.output_dir or "gexplab-out"
     artifacts = dict(artifacts)
     artifacts["checks_report.json"] = {"checks": rows_to_json(rows), "seed": exp.seed}
     write_artifacts(out_dir, artifacts, exp.config_hash)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import verify
-from .bdsde import LsmcEnsemble, solve_gbdsde_picard
+from .bdsde import LsmcEnsemble, solve_gbdsde, solve_gbdsde_picard
 from .config import Experiment
 from .gbm import (
     TimeGrid,
@@ -32,6 +32,7 @@ from .pde import (
     SpaceTimeTestFunction,
     energy_identity_residual,
     residual_slots,
+    solve_gspde,
     solve_gspde_picard,
     weak_residual,
 )
@@ -216,8 +217,7 @@ def _gspde_scenario(exp: Experiment, test_fn, fld, rep, gbm) -> tuple:
     wres = weak_residual(slots, test_fn, problem)
     eres = energy_identity_residual(slots, problem, gbm)
     sid = gbm.scenario_id
-    terminal_exact = all(np.array_equal(fld.values[p, -1], problem.terminal)
-                         for p in range(fld.n_paths))
+    terminal_exact = bool(np.all(fld.values[:, -1] == problem.terminal))
     dump = fld.values[:min(sec.dump_paths, fld.n_paths), :, _dump_nodes(problem.space_grid)]
     w_rms = float(np.sqrt(np.mean(wres**2)))
     e_rms = float(np.sqrt(np.mean(eres**2)))
@@ -275,8 +275,7 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     for gbm in _problem_bundles(exp):
         sol = solve_gbdsde_picard(problem, ensemble, gbm, cfg)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
-        terminal_exact = all(np.array_equal(sol.y[b, -1], xi)
-                             for b in range(gbm.n_paths))
+        terminal_exact = bool(np.all(sol.y[:, -1] == xi))
         sid = gbm.scenario_id
         scen_reports.append(_picard_checks("gbdsde", sid, sol.picard_report,
                                            terminal_exact, rows))
@@ -312,8 +311,8 @@ def _representation_level(exp: Experiment, grid: TimeGrid, driver, dw_hunt,
 
     def solves():
         for gbm in _scenario_bundles(exp, driver):
-            fld, _ = solve_gspde_picard(problem, exp.gspde_cfg, gbm)
-            yield fld, solve_gbdsde_picard(b_problem, ensemble, gbm, exp.bdsde_cfg), gbm
+            fld = solve_gspde(problem, gbm)
+            yield fld, solve_gbdsde(b_problem, ensemble, gbm), gbm
             del fld  # the next scenario's solves must not run beside this field
 
     times = [f * grid.horizon for f in checkpoints]
@@ -368,14 +367,14 @@ def run_representation(exp: Experiment) -> tuple[list[CheckRow], dict]:
 def _comparison_result(exp: Experiment, bases) -> tuple[list[CheckRow], dict]:
     """Rows and artifacts of the comparison check on the base solves ``bases``."""
     collar = exp.comparison.collar_frac
-    problem_a, cfg = exp.gspde_problem, exp.gspde_cfg
+    problem_a = exp.gspde_problem
     y_dependent = (problem_a.reaction.lip_y_sq > 0.0 or problem_a.noise.lip_y_sq > 0.0)
 
     cases = exp.comparison.cases
     problems_b = [replace(problem_a, terminal=problem_a.terminal + case.terminal_shift,
                           reaction=shifted_reaction(problem_a.reaction, case.reaction_shift))
                   for case in cases]
-    reports = verify.check_comparison(problem_a, problems_b, cfg, bases, collar_frac=collar)
+    reports = verify.check_comparison(problem_a, problems_b, bases, collar_frac=collar)
 
     rows: list[CheckRow] = []
     case_reports = []
@@ -406,16 +405,19 @@ def run_grid_checks(exp: Experiment, names) -> dict:
 
     The base problem is solved once per scenario bundle, and every named
     check reads that field: gspde for its residuals, Picard rows and dump,
-    comparison for its case gaps.  Each field is dropped before the next
-    scenario is solved, so one scenario's field is alive at a time."""
+    comparison for its case gaps; the Picard check runs only for gspde.
+    Each field is dropped before the next scenario is solved, so one
+    scenario's field is alive at a time."""
     problem, cfg = exp.gspde_problem, exp.gspde_cfg
     test_fn = _default_test_fn(exp)
     gspde = [] if "gspde" in names else None  # per scenario: rows, record, dump
 
     def bases():
         for gbm in _problem_bundles(exp):
-            fld, rep = solve_gspde_picard(problem, cfg, gbm)
-            if gspde is not None:
+            if gspde is None:
+                fld = solve_gspde(problem, gbm)
+            else:
+                fld, rep = solve_gspde_picard(problem, cfg, gbm)
                 gspde.append(_gspde_scenario(exp, test_fn, fld, rep, gbm))
             yield fld, gbm
             del fld  # the next scenario's solve must not run beside this field

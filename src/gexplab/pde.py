@@ -1,5 +1,5 @@
-"""Grid discretization of the divergence-form operator and the mild-solution
-Picard iteration for the noise-driven quasilinear equation.
+"""Grid discretization of the divergence-form operator and the mild solution
+of the noise-driven quasilinear equation, with its Picard check.
 
 The truncated domain is [-R, R]^d with either homogeneous Dirichlet data
 (the function vanishes on ghost nodes outside the grid) or periodic
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Annotated, Callable, Literal, NamedTuple, Optional
 
 import numpy as np
@@ -40,15 +41,10 @@ from ._util import Bound, Positive
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField
-from .picard import PicardConfig, PicardReport, iterate, weighted_quadrature
+from .picard import PicardConfig, PicardReport, iterate_in_place, weighted_quadrature
 from .scenario import ScenarioSet, sigma_bar
 
 DEFAULT_DT_MAX = 1.0 / 32.0
-# The grid sweep's norm pass takes the iterate in blocks of time slots of
-# about this many bytes: a block and its temporaries stay in cache, while a
-# block of one small slot (6 paths on 161 nodes is 8 KB) pays more in calls
-# than in data.
-NORM_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -379,81 +375,70 @@ def _hnorm_density(u: np.ndarray, sg: SpatialGrid, delta: float) -> np.ndarray:
     return total
 
 
-def increment_and_iterate_norms(new: np.ndarray, old: np.ndarray, sg: SpatialGrid,
-                                delta: float, gamma: float,
-                                times: np.ndarray) -> tuple[float, float]:
-    """The (gamma, delta) functionals of new - old and of new, stacks shaped
-    (paths, N+1, n_nodes), from the ``_hnorm_density`` of the N left-endpoint
-    slots.  One pass takes blocks of about NORM_BLOCK_BYTES of slots (at
-    least one), so each block's difference is a cache-sized array, never a
-    whole stack."""
-    p, n = new.shape[0], new.shape[1] - 1
-    step = max(1, NORM_BLOCK_BYTES // new[:, 0].nbytes)
-    inc = np.empty((p, n))
-    cur = np.empty((p, n))
-    for lo in range(0, n, step):
-        block = slice(lo, min(lo + step, n))
-        inc[:, block] = _hnorm_density(new[:, block] - old[:, block], sg, delta)
-        cur[:, block] = _hnorm_density(new[:, block], sg, delta)
-    return weighted_quadrature(inc, gamma, times), weighted_quadrature(cur, gamma, times)
+def _slot_sources(problem: GspdeProblem, pts: np.ndarray, i: int, u_i: np.ndarray):
+    """Reaction and noise at slot i of grid functions u_i shaped (p, n), the
+    v slot fed grad u sigma(x); None at slot 0."""
+    if i == 0:
+        return None
+    t = problem.time_grid.times[i]
+    v = np.einsum("...nd,ndk->...nk", problem.space_grid.gradient(u_i),
+                  problem.operator.node_sigma)
+    return (np.asarray(problem.reaction(t, pts, u_i, v)),
+            np.asarray(problem.noise(t, pts, u_i, v)))
 
 
-def _eval_sources(problem: GspdeProblem, u: np.ndarray, pts: np.ndarray):
-    """Reaction and noise at right-endpoint slots 1..N of the iterate, their
-    v slot fed grad u sigma(x)."""
-    tg = problem.time_grid
-    n_steps = tg.n_steps
-    p, _, n = u.shape
-    grad = problem.space_grid.gradient(u[:, 1:])
-    sigma = problem.operator.node_sigma
-    f_vals = np.empty((n_steps, p, n))
-    g_vals = np.empty((n_steps, p, n, problem.noise.n_components))
-    times = tg.times
-    for j in range(1, n_steps + 1):
-        v = np.einsum("...nd,ndk->...nk", grad[:, j - 1], sigma)
-        f_vals[j - 1] = np.asarray(problem.reaction(times[j], pts, u[:, j], v))
-        g_vals[j - 1] = np.asarray(problem.noise(times[j], pts, u[:, j], v))
-    return f_vals, g_vals
+def _grid_recursion(problem: GspdeProblem, gbm: GBMPaths, u: np.ndarray,
+                    sources: Callable) -> RandomField:
+    """u_i = CN_dt[u_{i+1} + dt f_{i+1} + g_{i+1} . dB_i] into the stack u
+    (p, N+1, n); ``sources(i, u_i)`` sees each new slot i, N down to 0,
+    before it overwrites slot i, and returns the reaction and noise at slot
+    i, which pair with dB_{i-1}; its slot-0 value is not read."""
+    if gbm.grid != problem.time_grid:
+        raise UsageError("path bundle and problem use different time grids")
+    if not np.array_equal(gbm.scenarios.matrices, problem.scenarios.matrices):
+        raise UsageError("path bundle and problem use different scenario sets")
+    n_steps, dt, op = problem.time_grid.n_steps, problem.time_grid.dt, problem.operator
+    u_i = np.tile(problem.terminal, (gbm.n_paths, 1))
+    v = np.ascontiguousarray(u_i.T)  # (n, p), the slot the CN step acts on
+    for i in range(n_steps, -1, -1):
+        if i < n_steps:
+            f_next, g_next = at_next
+            src = v + dt * f_next.T
+            src = src + np.einsum("pnl,pl->np", g_next, gbm.db[:, i, :])
+            v = op.cn_step(src, dt)
+            u_i = np.ascontiguousarray(v.T)  # rows laid out as in the stack
+        at_next = sources(i, u_i)
+        u[:, i] = u_i
+    return RandomField(u, problem.time_grid, problem.space_grid, gbm.fingerprint())
+
+
+def _start(problem: GspdeProblem, gbm: GBMPaths) -> np.ndarray:
+    u = np.zeros((gbm.n_paths, problem.time_grid.n_steps + 1, problem.space_grid.n_nodes))
+    u[:, -1] = problem.terminal
+    return u
+
+
+def solve_gspde(problem: GspdeProblem, gbm: GBMPaths) -> RandomField:
+    """The explicit scheme, one sweep with the sources read at the new slot:
+    the fixed point of the Picard map, which fixes one slot per sweep."""
+    return _grid_recursion(problem, gbm, _start(problem, gbm),
+                           partial(_slot_sources, problem, problem.space_grid.points()))
 
 
 def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
                        gbm: GBMPaths) -> tuple[RandomField, PicardReport]:
-    """Fixed-point iteration of the mild map over one path bundle.
-
-    The iterate map propagates with the dt Crank-Nicolson step and feeds the
-    previous iterate into the reaction and noise slots at t_{i+1}, paired
-    with dB_i.  Convergence is measured in the (gamma, delta) functional of
-    the increment, relative to the iterate.
-    """
+    """The mild-solution Picard iteration from zero, each sweep with the
+    sources at the previous iterate and its increment in the (gamma, delta)
+    functional, as the check of the contraction; ``solve_gspde``'s sweep then
+    overwrites the last iterate, so the field does not read ``cfg``."""
     cfg.validate_against(problem)
-    tg, sg = problem.time_grid, problem.space_grid
-    if gbm.grid != tg:
-        raise UsageError("path bundle and problem use different time grids")
-    if not np.array_equal(gbm.scenarios.matrices, problem.scenarios.matrices):
-        raise UsageError("path bundle and problem use different scenario sets")
-    op = problem.operator
-    pts = sg.points()
-    p, n_steps, n = gbm.n_paths, tg.n_steps, sg.n_nodes
-    dt = tg.dt
-
-    u = np.zeros((p, n_steps + 1, n))
-    u[:, -1, :] = problem.terminal
-
-    def sweep(u):
-        f_vals, g_vals = _eval_sources(problem, u, pts)
-        new_u = np.empty_like(u)
-        new_u[:, -1, :] = problem.terminal
-        v = np.ascontiguousarray(new_u[:, -1, :].T)  # (n, p)
-        for i in range(n_steps - 1, -1, -1):
-            src = v + dt * f_vals[i].T
-            src = src + np.einsum("pnl,pl->np", g_vals[i], gbm.db[:, i, :])
-            v = op.cn_step(src, dt)
-            new_u[:, i, :] = v.T
-        inc, cur = increment_and_iterate_norms(new_u, u, sg, cfg.delta, cfg.rate, tg.times)
-        return (new_u,), inc, cur
-
-    (u,), report = iterate(sweep, (u,), cfg)
-    return RandomField(u, tg, sg, gbm.fingerprint()), report
+    sg, times = problem.space_grid, problem.time_grid.times
+    u, slot_sources = _start(problem, gbm), partial(_slot_sources, problem, sg.points())
+    report = iterate_in_place(
+        lambda sources: _grid_recursion(problem, gbm, u, sources), (u,), slot_sources,
+        lambda u_i: _hnorm_density(u_i, sg, cfg.delta),
+        lambda dens: weighted_quadrature(dens, cfg.rate, times), cfg)
+    return _grid_recursion(problem, gbm, u, slot_sources), report
 
 
 # -- residual functionals ---------------------------------------------------
@@ -490,8 +475,12 @@ def residual_slots(u_field: RandomField, problem: GspdeProblem,
     """The slots of ``u_field`` that both residuals read, evaluated once."""
     if u_field.values.shape[0] != gbm.n_paths:
         raise UsageError("field and path bundle have different path counts")
-    u = u_field.values
-    f_vals, g_vals = _eval_sources(problem, u, problem.space_grid.points())
+    u, pts = u_field.values, problem.space_grid.points()
+    p, n_slots, n = u.shape
+    f_vals = np.empty((n_slots - 1, p, n))
+    g_vals = np.empty((n_slots - 1, p, n, problem.noise.n_components))
+    for j in range(1, n_slots):
+        f_vals[j - 1], g_vals[j - 1] = _slot_sources(problem, pts, j, u[:, j])
     u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])
     return ResidualSlots(u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db))
 

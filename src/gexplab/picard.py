@@ -6,8 +6,8 @@ constant kappa < 1 in an exponentially weighted space-time norm.  This
 module holds that argument once: the contraction constants and the config
 built from them, the weighted left-endpoint quadrature the norms are built
 on, and the iteration loop with its report.  A solver supplies its four
-contraction inputs and a sweep that returns the next iterate with both
-norms.
+contraction inputs and its backward recursion; a Picard sweep is that
+recursion with the drivers read at the previous iterate.
 """
 
 from __future__ import annotations
@@ -113,16 +113,12 @@ class PicardReport:
 def iterate(sweep, state: tuple, cfg) -> tuple[tuple, PicardReport]:
     """Iterate ``state, inc, norm = sweep(*state)`` until the increment is small.
 
-    ``state`` is a tuple of arrays; ``sweep`` returns the next state with
-    the pair (norm of new - old, norm of new) in the weighted norm in which
-    the map contracts, so a solver takes both norms where it reads both
-    iterates, and may overwrite the old state in place.  Each solver keeps
-    its own convention: the grid equation passes the squared (gamma, delta)
-    functional, the backward equation the square-rooted (beta, delta)-norm,
-    so their increments and ratios are in different powers.  The loop stops
-    once inc <= tol_rel * max(norm(iterate), 1e-300) and raises
-    NumericalError carrying the report after ``cfg.max_iter`` sweeps, or at
-    once when a norm is not finite.
+    ``sweep`` returns the next state, possibly the old one overwritten, with
+    the norms of new - old and of new in which the map contracts: the squared
+    (gamma, delta) functional for the grid equation, the (beta, delta)-norm
+    for the backward one.  The loop stops once inc <= tol_rel * max(norm,
+    1e-300); it raises NumericalError carrying the report after
+    ``cfg.max_iter`` sweeps, or at once when a norm is not finite.
     """
     increments: list[float] = []
     ratios: list[float] = []
@@ -147,3 +143,27 @@ def iterate(sweep, state: tuple, cfg) -> tuple[tuple, PicardReport]:
         f"Picard iteration did not converge in {cfg.max_iter} iterations "
         f"(last increment {increments[-1]:.3e}); ratios: {ratios}",
         report=report(False, final_norm))
+
+
+def iterate_in_place(recursion, stacks: tuple, slot_drivers, density, norm,
+                     cfg) -> PicardReport:
+    """``iterate`` Picard sweeps in place: ``stacks`` hold the start and end as
+    the last iterate.  ``recursion(drivers)`` hands ``drivers(i, *new)`` each
+    new slot i before it overwrites slot i; a sweep returns ``slot_drivers(i,
+    *old)`` and reduces the per-path ``density`` of new and new - old by ``norm``."""
+    p, n = stacks[0].shape[0], stacks[0].shape[1] - 1
+
+    def sweep(*_):
+        inc, cur = np.empty((p, n)), np.empty((p, n))
+
+        def drivers(i, *new):
+            old = [s[:, i] for s in stacks]
+            if i < n:
+                inc[:, i] = density(*(a - b for a, b in zip(new, old)))
+                cur[:, i] = density(*new)
+            return slot_drivers(i, *old)
+
+        recursion(drivers)
+        return stacks, norm(inc), norm(cur)
+
+    return iterate(sweep, stacks, cfg)[1]

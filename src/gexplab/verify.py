@@ -21,11 +21,10 @@ from .hunt import CoefficientField, HuntPaths
 from .pde import (
     GspdeProblem,
     NoiseTerm,
-    PicardConfig,
     RandomField,
     SpatialGrid,
     ZERO_REACTION,
-    solve_gspde_picard,
+    solve_gspde,
 )
 from .scenario import ScenarioSet
 
@@ -158,23 +157,22 @@ def _sample_ordering(problem_a: GspdeProblem, problem_b: GspdeProblem) -> None:
                     )
 
 
-def _case_gaps(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],
-               cfg: PicardConfig, fa: RandomField, gbm: GBMPaths,
-               mask: np.ndarray) -> list[tuple[float, float]]:
+def _case_gaps(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem], fa: RandomField,
+               gbm: GBMPaths, mask: np.ndarray) -> list[tuple[float, float]]:
     """Per case, the worst gap min(u_b - u_a) on ``mask`` over one scenario
     bundle and the step-doubling probe max|gap - coarse gap| (0 when the step
     count is odd)."""
     halve = gbm.grid.n_steps % 2 == 0
     if halve:
         coarse = coarsen_gbm(gbm, 2)
-        fac, _ = solve_gspde_picard(replace(problem_a, time_grid=coarse.grid), cfg, coarse)
+        fac = solve_gspde(replace(problem_a, time_grid=coarse.grid), coarse)
     out = []
     for problem_b in problems_b:
-        fb, _ = solve_gspde_picard(problem_b, cfg, gbm)
+        fb = solve_gspde(problem_b, gbm)
         gap = (fb.values - fa.values)[:, :, mask]
         probe = 0.0
         if halve:
-            fbc, _ = solve_gspde_picard(replace(problem_b, time_grid=coarse.grid), cfg, coarse)
+            fbc = solve_gspde(replace(problem_b, time_grid=coarse.grid), coarse)
             gap_c = (fbc.values - fac.values)[:, :, mask]
             probe = float(np.max(np.abs(gap[:, ::2] - gap_c)))
         out.append((float(np.min(gap)), probe))
@@ -182,12 +180,11 @@ def _case_gaps(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],
 
 
 def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],
-                     cfg: PicardConfig, bases: Iterable[tuple[RandomField, GBMPaths]],
+                     bases: Iterable[tuple[RandomField, GBMPaths]],
                      collar_frac: float = 0.05) -> list[ComparisonReport]:
     """Compare ``problem_a`` with each ordered ``problems_b[k]`` on shared
-    noise under one ``cfg`` and report, per case, the worst signed gap
-    min(u_b - u_a) over the collar interior, with a measured grid-error scale
-    from a step-doubling probe on the gap field.
+    noise and report, per case, the worst signed gap min(u_b - u_a) over the
+    collar interior, with a grid-error scale from a step-doubling probe.
 
     ``bases`` yields, per scenario, the already-solved field of
     ``problem_a`` and its noise bundle, so the grid checks of a suite share
@@ -212,7 +209,7 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
         if fa.gbm_fingerprint != gbm.fingerprint() or fa.time_grid != problem_a.time_grid \
                 or fa.space_grid != problem_a.space_grid:
             raise UsageError("base field was not solved on this problem's grids and noise")
-        gaps = _case_gaps(problem_a, problems_b, cfg, fa, gbm, mask)
+        gaps = _case_gaps(problem_a, problems_b, fa, gbm, mask)
         del fa  # the next scenario's base solve must not run beside this field
         for rows, (gap, probe) in zip(per_case, gaps):
             rows.append((gbm.scenario_id, gap, probe))
@@ -265,10 +262,9 @@ def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
     ])
     problem = GspdeProblem(zero_terminal, ZERO_REACTION, noise, field_spec,
                            scenarios, time_grid, sg)
-    cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=6)
     worst = {idx: 0.0 for idx in indices}
     for gbm in gbms:
-        u_field, _ = solve_gspde_picard(problem, cfg, gbm)
+        u_field = solve_gspde(problem, gbm)
         grads = sg.gradient(u_field.values)[:, :, :, 0]        # (b, n+1, nodes)
         res_sq = dict.fromkeys(indices, 0.0)
         ref_sq = dict.fromkeys(indices, 0.0)

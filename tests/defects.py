@@ -35,12 +35,14 @@ class Defect:
 
 
 def _grid_solve_with(transform):
-    """Plant: the grid solver runs on ``transform(problem)``; the residuals
+    """Plant: both grid solvers run on ``transform(problem)``; the residuals
     and every other reader keep the problem as configured."""
     def plant(monkeypatch, exp):
-        solve = experiments.solve_gspde_picard
+        solve, picard = experiments.solve_gspde, experiments.solve_gspde_picard
+        monkeypatch.setattr(experiments, "solve_gspde",
+                            lambda problem, gbm: solve(transform(problem), gbm))
         monkeypatch.setattr(experiments, "solve_gspde_picard",
-                            lambda problem, cfg, gbm: solve(transform(problem), cfg, gbm))
+                            lambda problem, cfg, gbm: picard(transform(problem), cfg, gbm))
     return plant
 
 
@@ -66,20 +68,26 @@ def _backward_driver(name, factor):
     return plant
 
 
-def _grid_drivers_at_slot_i(monkeypatch, exp):
-    # The sweep pairs dB_i with the drivers at slot i instead of i + 1.
-    sources = pde._eval_sources
-    solve = experiments.solve_gspde_picard
+def _grid_drivers_one_slot_stale(monkeypatch, exp):
+    # Both grid solvers pair dB_i with the sources at slot i + 2, the slot
+    # before the one the recursion has just computed; the residuals read the
+    # sources at the right slot.
+    sources = pde._slot_sources
+    held = []
 
-    def lagged(problem, u, pts):
-        return sources(problem, np.concatenate([u[:, :1], u[:, :-1]], axis=1), pts)
+    def stale(problem, pts, i, u_i):
+        if i == problem.time_grid.n_steps:  # a new sweep starts
+            held[:] = [sources(problem, pts, i, u_i)]
+        held.append(sources(problem, pts, i, u_i))
+        return held.pop(0)
 
-    def solve_lagged(problem, cfg, gbm):
-        with monkeypatch.context() as inner:
-            inner.setattr(pde, "_eval_sources", lagged)
-            return solve(problem, cfg, gbm)
+    for name in ("solve_gspde", "solve_gspde_picard"):
+        def solve_stale(*args, solve=getattr(experiments, name)):
+            with monkeypatch.context() as inner:
+                inner.setattr(pde, "_slot_sources", stale)
+                return solve(*args)
 
-    monkeypatch.setattr(experiments, "solve_gspde_picard", solve_lagged)
+        monkeypatch.setattr(experiments, name, solve_stale)
 
 
 def _z_without_sigma(monkeypatch, exp):
@@ -99,13 +107,15 @@ DEFECTS = (
     Defect("grid-reaction-x0.5", _grid_solve_with(_scaled_reaction),
            RESIDUALS + REPRESENTATION, 0.1175),
     Defect("grid-noise-sign-flipped", _grid_solve_with(_flipped_noise),
-           RESIDUALS + REPRESENTATION, 0.666),
+           RESIDUALS + REPRESENTATION, 0.6663),
     Defect("extract-z-x2", _doubled_z, REPRESENTATION, 0.1487),
     Defect("backward-reaction-dropped", _backward_driver("f", 0.0), REPRESENTATION, 0.1883),
     Defect("backward-noise-x1.05", _backward_driver("g", 1.05), REPRESENTATION, 0.0229,
            missed=True),
-    Defect("grid-drivers-read-at-slot-i", _grid_drivers_at_slot_i, REPRESENTATION, 0.0425,
-           missed=True),
-    Defect("backward-drivers-fed-z-not-z-sigma", _z_without_sigma, REPRESENTATION, 0.0273,
+    # An O(dt) shift of the sources in time: the scheme stays consistent, and
+    # rel_rms_y[t=0] moves by 1e-5.
+    Defect("grid-drivers-one-slot-stale", _grid_drivers_one_slot_stale, REPRESENTATION,
+           0.01462, missed=True),
+    Defect("backward-drivers-fed-z-not-z-sigma", _z_without_sigma, REPRESENTATION, 0.0272,
            field=SINUSOIDAL_FIELD, missed=True),
 )

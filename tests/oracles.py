@@ -1,6 +1,8 @@
 """Reference computations the tests compare the package against; no
 command of the package runs them."""
 
+from unittest import mock
+
 import numpy as np
 
 from gexplab._util import read
@@ -38,3 +40,19 @@ def whole_stack_hnorm(u, gamma, delta, sg, times):
     dens = np.sum(grad**2, axis=-1) * sg.cell_volume + delta * (np.sum(u**2, axis=-1)
                                                                 * sg.cell_volume)
     return weighted_quadrature(dens, gamma, times)
+
+
+def with_last_picard_iterate(module, recursion, solve, *args):
+    """``solve(*args)`` and copies of the stacks that its last call of the
+    backward recursion ``module.<recursion>`` started from: for a Picard
+    solver, its last iterate, which the explicit sweep then overwrites."""
+    seen = []
+    original = getattr(module, recursion)
+
+    def record(*rec_args):
+        seen.append([a.copy() for a in rec_args if isinstance(a, np.ndarray) and a.ndim >= 3])
+        return original(*rec_args)
+
+    with mock.patch.object(module, recursion, record):
+        out = solve(*args)
+    return out, seen[-1]

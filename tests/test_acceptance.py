@@ -214,18 +214,19 @@ def test_criterion_08_linear_gbdsde_oracles():
     n, n_w = tg.n_steps, hunt.n_paths
     shape = (gbm.n_paths, n + 1, n_w)
 
-    def slots(f=0.0, g=0.0):
+    def solve(xi, f=0.0, g=0.0):
         f, g = np.broadcast_to(f, shape), np.broadcast_to(g, shape + (1,))
-        return lambda i: (f[:, i], g[:, i])
+        return solve_linear_bdsde(xi, ens, gbm, lambda i, y_i, z_i: (f[:, i], g[:, i]),
+                                  np.empty(shape), np.empty(shape + (1,)))
 
-    sol_c = solve_linear_bdsde(np.full(n_w, 2.5), ens, gbm, slots())
+    sol_c = solve(np.full(n_w, 2.5))
     err_c = float(np.max(np.abs(sol_c.y - 2.5)))
 
-    sol_f = solve_linear_bdsde(np.zeros(n_w), ens, gbm, slots(f=np.ones((n + 1, n_w))))
+    sol_f = solve(np.zeros(n_w), f=np.ones((n + 1, n_w)))
     expect = (tg.horizon - tg.times)[None, :, None]
     err_f = float(np.max(np.abs(sol_f.y - expect)))
 
-    sol_g = solve_linear_bdsde(np.zeros(n_w), ens, gbm, slots(g=np.ones((n + 1, n_w, 1))))
+    sol_g = solve(np.zeros(n_w), g=np.ones((n + 1, n_w, 1)))
     levels = gbm.levels()[:, :, 0]
     err_g = float(np.max(np.abs(sol_g.y - levels[:, :, None])))
     elapsed = time.perf_counter() - start

@@ -12,6 +12,7 @@ from gexplab.bdsde import (
     RegressionBasis,
     RegressionContext,
     extract_z,
+    solve_gbdsde,
     solve_gbdsde_picard,
     solve_linear_bdsde,
 )
@@ -29,7 +30,7 @@ from gexplab.pde import (
 )
 from gexplab.picard import PicardConfig, iterate, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import whole_stack_delta_norm
+from oracles import whole_stack_delta_norm, with_last_picard_iterate
 
 
 def const_field(value, dim=1):
@@ -58,7 +59,14 @@ def slot_lookup(hunt, gbm, f=0.0, g=0.0):
     ``g`` are broadcast to (n_b, N+1, n_W) and (n_b, N+1, n_W, l)."""
     shape = (gbm.n_paths, hunt.grid.n_steps + 1, hunt.n_paths)
     f, g = np.broadcast_to(f, shape), np.broadcast_to(g, shape + (gbm.dim,))
-    return lambda i: (f[:, i], g[:, i])
+    return lambda i, y_i, z_i: (f[:, i], g[:, i])
+
+
+def linear(xi, ens, gbm, drivers):
+    """solve_linear_bdsde into fresh (Y, Z) stacks."""
+    shape = (gbm.n_paths, ens.hunt.grid.n_steps + 1, ens.hunt.n_paths)
+    return solve_linear_bdsde(xi, ens, gbm, drivers, np.empty(shape),
+                              np.empty(shape + (ens.hunt.dim,)))
 
 
 # -- regression ----------------------------------------------------------------
@@ -142,8 +150,8 @@ def test_extract_z_rejects_bad_dt():
 def test_linear_constant_terminal():
     field, hunt, gbm = make_ensembles()
     c = 2.5
-    sol = solve_linear_bdsde(np.full(hunt.n_paths, c), LsmcEnsemble(hunt, BASIS, field),
-                             gbm, slot_lookup(hunt, gbm))
+    sol = linear(np.full(hunt.n_paths, c), LsmcEnsemble(hunt, BASIS, field),
+                 gbm, slot_lookup(hunt, gbm))
     assert np.allclose(sol.y, c, atol=1e-10)
     assert np.array_equal(sol.y[:, -1], np.full((gbm.n_paths, hunt.n_paths), c))
     # Z is pure regression noise on centered targets, scale c/(2 a dt) noise.
@@ -157,8 +165,8 @@ def test_linear_unit_reaction_gives_time_to_horizon():
     field, hunt, gbm = make_ensembles(n_steps=12, horizon=0.75)
     n, n_w = hunt.grid.n_steps, hunt.n_paths
     f_vals = np.ones((n + 1, n_w))
-    sol = solve_linear_bdsde(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
-                             slot_lookup(hunt, gbm, f=f_vals))
+    sol = linear(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
+                 slot_lookup(hunt, gbm, f=f_vals))
     times = hunt.grid.times
     for i in range(n + 1):
         assert np.allclose(sol.y[:, i], 0.75 - times[i], atol=1e-10)
@@ -168,8 +176,8 @@ def test_linear_unit_noise_telescopes_to_b_level():
     field, hunt, gbm = make_ensembles(n_steps=10)
     n, n_w = hunt.grid.n_steps, hunt.n_paths
     g_vals = np.ones((n + 1, n_w, 1))
-    sol = solve_linear_bdsde(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
-                             slot_lookup(hunt, gbm, g=g_vals))
+    sol = linear(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
+                 slot_lookup(hunt, gbm, g=g_vals))
     levels = gbm.levels()  # B anchored at horizon
     for b in range(gbm.n_paths):
         for i in range(n + 1):
@@ -187,8 +195,8 @@ def test_linear_martingale_property_in_sample():
     xi = phi(hunt.x[:, -1, :])
     n = hunt.grid.n_steps
     f_vals = 0.3 * np.ones((n + 1, hunt.n_paths))
-    sol = solve_linear_bdsde(xi, LsmcEnsemble(hunt, BASIS, field), gbm,
-                             slot_lookup(hunt, gbm, f=f_vals))
+    sol = linear(xi, LsmcEnsemble(hunt, BASIS, field), gbm,
+                 slot_lookup(hunt, gbm, f=f_vals))
     dt = hunt.grid.dt
     for i in range(n):
         resid = sol.y[:, i] - sol.y[:, i + 1] - 0.3 * dt
@@ -202,8 +210,8 @@ def test_linear_grid_mismatch_rejected():
     other = sample_driver(TimeGrid(0.5, 8), 3, 1, seed=0)
     bad_gbm = build_gbm(other, constant_schedule(0, 8), gbm.scenarios)
     with pytest.raises(UsageError):
-        solve_linear_bdsde(np.zeros(hunt.n_paths), LsmcEnsemble(hunt, BASIS, field),
-                           bad_gbm, slot_lookup(hunt, gbm))
+        linear(np.zeros(hunt.n_paths), LsmcEnsemble(hunt, BASIS, field),
+               bad_gbm, slot_lookup(hunt, gbm))
 
 
 # -- delta norm -------------------------------------------------------------------
@@ -395,7 +403,9 @@ def test_each_picard_iteration_is_one_linear_solve(monkeypatch):
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
                               PicardConfig.from_problem(prob))
     assert sol.picard_report.iterations >= 2
-    assert len(calls) == sol.picard_report.iterations
+    # One call per Picard sweep, then the explicit sweep that overwrites
+    # the last iterate.
+    assert len(calls) == sol.picard_report.iterations + 1
 
 
 def test_nonconvergence_carries_report():
@@ -437,18 +447,17 @@ def test_linear_recursion_never_reads_driver_slot_0():
     g_vals = rng.standard_normal((n_b, n + 1, n_w, 1))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    clean = solve_linear_bdsde(xi, ens, gbm, slot_lookup(hunt, gbm, f_vals, g_vals))
-    poisoned = solve_linear_bdsde(xi, ens, gbm,
-                                  slot_lookup(hunt, gbm, *poison_slot_0(f_vals, g_vals)))
+    clean = linear(xi, ens, gbm, slot_lookup(hunt, gbm, f_vals, g_vals))
+    poisoned = linear(xi, ens, gbm,
+                      slot_lookup(hunt, gbm, *poison_slot_0(f_vals, g_vals)))
     assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
     assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
 
 
-def test_linear_solve_into_out_overwrites_each_slot_after_its_drivers():
-    # With out = (y, z) the recursion writes the stacks the drivers may read:
-    # slot i keeps its old values until drivers(i) has returned, on_slot sees
-    # each new slot i < N before it overwrites them, and the floats are those
-    # of a solve into fresh stacks.
+def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
+    # The recursion writes the stacks the drivers may read: drivers sees each
+    # new slot i, N down to 0, while slot i of the stacks still holds its old
+    # values, and the floats are those of a solve into fresh stacks.
     field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
     n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
     rng = np.random.default_rng(3)
@@ -456,47 +465,43 @@ def test_linear_solve_into_out_overwrites_each_slot_after_its_drivers():
                          rng.standard_normal((n_b, n + 1, n_w, 1)))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    fresh = solve_linear_bdsde(xi, ens, gbm, lookup)
+    fresh = linear(xi, ens, gbm, lookup)
     y, z = np.full((n_b, n + 1, n_w), -7.0), np.full((n_b, n + 1, n_w, 1), -7.0)
     events = []
 
-    def drivers(i):
-        events.append(("drivers", i, bool(np.all(y[:, i] == -7.0) and np.all(z[:, i] == -7.0))))
-        return lookup(i)
-
-    def on_slot(i, y_i, z_i):
-        events.append(("write", i, bool(np.all(y[:, i] == -7.0) and np.all(z[:, i] == -7.0))))
+    def drivers(i, y_i, z_i):
+        events.append((i, bool(np.all(y[:, i] == -7.0) and np.all(z[:, i] == -7.0))))
         assert np.array_equal(y_i, fresh.y[:, i]) and np.array_equal(z_i, fresh.z[:, i])
+        return lookup(i, y_i, z_i)
 
-    sol = solve_linear_bdsde(xi, ens, gbm, drivers, out=(y, z), on_slot=on_slot)
+    sol = solve_linear_bdsde(xi, ens, gbm, drivers, y, z)
     assert sol.y is y and sol.z is z
     assert np.array_equal(y, fresh.y) and np.array_equal(z, fresh.z)
-    assert events == ([("drivers", n, True)]
-                      + [e for i in range(n - 1, 0, -1)
-                         for e in (("drivers", i, True), ("write", i, True))]
-                      + [("write", 0, True)])
+    assert events == [(i, True) for i in range(n, -1, -1)]
 
 
 def test_recursion_never_reads_driver_slot_0(monkeypatch):
-    # The Picard sweep evaluates drivers slot by slot inside the recursion,
-    # for slots N..1 only; a slot-0 evaluation would poison Y and Z.
+    # The drivers are asked for at every slot, N..0, in each Picard sweep and
+    # in the explicit sweep; whatever they return at slot 0 must not reach
+    # Y, Z or the report.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
     slot_drivers = bdsde._slot_drivers
     slots = []
 
-    def poisoned_at_0(problem, ensemble, y, z, i, t):
+    def poisoned_at_0(problem, ensemble, i, y_i, z_i):
         slots.append(i)
-        f_i, g_i = slot_drivers(problem, ensemble, y, z, i, t)
-        return (f_i + np.nan, g_i + np.nan) if i == 0 else (f_i, g_i)
+        if i == 0:
+            return np.full_like(y_i, np.nan), np.full(y_i.shape + (1,), np.nan)
+        return slot_drivers(problem, ensemble, i, y_i, z_i)
 
     cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
     clean = solve_gbdsde_picard(prob, ens, gbm, cfg)
     monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
     poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg)
-    sweeps = clean.picard_report.iterations
-    assert slots == list(range(hunt.grid.n_steps, 0, -1)) * sweeps
+    sweeps = clean.picard_report.iterations + 1
+    assert slots == list(range(hunt.grid.n_steps, -1, -1)) * sweeps
     assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
     assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
     assert poisoned.picard_report == clean.picard_report
@@ -531,7 +536,7 @@ def stacked_picard(problem, ens, gbm, cfg):
 
     def sweep(y, z):
         f_arr, g_arr = stacked_drivers(problem, y, z, ens)
-        sol = solve_linear_bdsde(xi, ens, gbm, lambda i: (f_arr[:, i], g_arr[:, i]))
+        sol = linear(xi, ens, gbm, lambda i, y_i, z_i: (f_arr[:, i], g_arr[:, i]))
         return ((sol.y, sol.z),
                 whole_stack_delta_norm(sol.y - y, sol.z - z, cfg.rate, cfg.delta,
                                        hunt.weights, times),
@@ -569,8 +574,9 @@ SCENARIOS = {1: ScenarioSet.from_list([[[1.0]], [[0.6]]]),
        seed=st.integers(0, 2**31 - 1))
 def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
                                                         scenario, seed):
-    # The Picard sweep evaluates the drivers slot by slot inside the
-    # recursion; it must give the floats of the whole-stack form.
+    # The Picard sweep evaluates the drivers slot by slot inside the one
+    # in-place recursion; its report and its last iterate must be the floats
+    # of the whole-stack form, and the (Y, Z) it returns is solve_gbdsde's.
     scen = SCENARIOS[l]
     tg = TimeGrid(0.5, n_steps)
     field = const_field(0.5, d)
@@ -581,9 +587,12 @@ def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
     prob = mixed_problem(field, scen, tg)
     cfg = PicardConfig.from_problem(prob, max_iter=12)
     y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
-    sol = solve_gbdsde_picard(prob, ens, gbm, cfg)
+    sol, (y, z) = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
+                                           prob, ens, gbm, cfg)
     assert sol.picard_report == rep_ref
-    assert np.array_equal(sol.y, y_ref) and np.array_equal(sol.z, z_ref)
+    assert np.array_equal(y, y_ref) and np.array_equal(z, z_ref)
+    explicit = solve_gbdsde(prob, ens, gbm)
+    assert np.array_equal(sol.y, explicit.y) and np.array_equal(sol.z, explicit.z)
 
 
 def test_picard_peak_memory_is_slot_sized():
@@ -613,8 +622,8 @@ def test_ito_product_rule_refinement():
         xi1 = np.cos(hunt.x[:, -1, 0])
         xi2 = np.sin(hunt.x[:, -1, 0])
         ens = LsmcEnsemble(hunt, BASIS, field)
-        s1 = solve_linear_bdsde(xi1, ens, gbm, slot_lookup(hunt, gbm))
-        s2 = solve_linear_bdsde(xi2, ens, gbm, slot_lookup(hunt, gbm))
+        s1 = linear(xi1, ens, gbm, slot_lookup(hunt, gbm))
+        s2 = linear(xi2, ens, gbm, slot_lookup(hunt, gbm))
         a_vals = np.stack([field.a_at(hunt.x[:, i, :])[:, 0, 0]
                            for i in range(n_steps)])
         prod = s1.y[0] * s2.y[0]

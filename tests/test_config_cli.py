@@ -233,6 +233,8 @@ def set_path(cfg, section, key, value):
      ("dirichlet0", {"preset": "sin-in-x", "amplitude": 0.5}), "reaction"),
     (None, ("space_grid.boundary", "noise"),
      ("dirichlet0", {"preset": "constant", "values": 0.3}), "noise"),
+    # --out names a file that exists, so no output directory can be made.
+    (None, "output_dir", None, "output_dir"),
 ])
 def test_cli_malformed_field_exit_2(tmp_path, capsys, runners_fail, section, key, value,
                                     field):
@@ -241,8 +243,10 @@ def test_cli_malformed_field_exit_2(tmp_path, capsys, runners_fail, section, key
     keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
     for k, v in zip(keys, values):
         set_path(cfg, section, k, v)
-    code = main(["run-suite", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path / "bad")])
+    out = tmp_path / "bad"
+    if field == "output_dir":
+        out.write_text("")
+    code = main(["run-suite", "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert code == 2
     # The message starts with the field (or an element of it), named once.
     assert capsys.readouterr().err.startswith(f"error: {field}")

@@ -1,0 +1,90 @@
+"""The Picard maps of both solvers are nilpotent: slot N is data and each
+sweep fixes one more slot, so their fixed point is the explicit backward
+scheme that ``solve_gspde`` and ``solve_gbdsde`` compute in one sweep.  The
+Picard loop is the check of the paper's contraction, and no solution a run
+writes depends on its keys."""
+
+import numpy as np
+import pytest
+
+from defects import SINUSOIDAL_FIELD
+from gexplab import bdsde, experiments, pde
+from gexplab._util import SEED_HUNT, child_seed
+from gexplab.artifacts import write_artifacts
+from gexplab.bdsde import LsmcEnsemble, solve_gbdsde, solve_gbdsde_picard
+from gexplab.config import default_config, validate_config
+from gexplab.hunt import simulate_hunt
+from gexplab.pde import solve_gspde, solve_gspde_picard
+from gexplab.picard import PicardConfig
+from oracles import with_last_picard_iterate
+
+FIELDS = pytest.mark.parametrize("field", [None, SINUSOIDAL_FIELD],
+                                 ids=["shipped", "sinusoidal"])
+
+
+def shipped(field):
+    cfg = default_config()
+    if field is not None:
+        cfg["coefficient_field"] = field
+    return validate_config(cfg)
+
+
+def exhaustive(cfg, problem):
+    """``cfg``'s constants with tol_rel 0 and N + 2 sweeps: the loop stops
+    only on an increment of exactly 0, and N + 2 sweeps fix every slot from
+    a zero start."""
+    return PicardConfig.from_problem(problem, cfg.eps, max_iter=problem.time_grid.n_steps + 2,
+                                     tol_rel=0.0)
+
+
+@FIELDS
+def test_grid_picard_stops_on_the_explicit_scheme_bitwise(field):
+    exp = shipped(field)
+    problem = exp.gspde_problem
+    cfg = exhaustive(exp.gspde_cfg, problem)
+    for gbm in experiments._problem_bundles(exp):
+        (fld, rep), [last] = with_last_picard_iterate(pde, "_grid_recursion",
+                                                      solve_gspde_picard, problem, cfg, gbm)
+        explicit = solve_gspde(problem, gbm).values
+        assert rep.converged and rep.increments[-1] == 0.0
+        assert np.array_equal(last, explicit)
+        assert np.array_equal(fld.values, explicit)
+
+
+@FIELDS
+def test_backward_picard_stops_on_the_explicit_scheme_bitwise(field):
+    exp = shipped(field)
+    problem, sec = exp.bdsde_problem, exp.bdsde
+    hunt = simulate_hunt(exp.field, sec.init, problem.time_grid, sec.n_diffusion_paths,
+                         child_seed(exp.seed, SEED_HUNT))
+    ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
+    cfg = exhaustive(exp.bdsde_cfg, problem)
+    for gbm in experiments._problem_bundles(exp):
+        sol, (y, z) = with_last_picard_iterate(bdsde, "solve_linear_bdsde",
+                                               solve_gbdsde_picard, problem, ensemble, gbm, cfg)
+        explicit = solve_gbdsde(problem, ensemble, gbm)
+        rep = sol.picard_report
+        assert rep.converged and rep.increments[-1] == 0.0
+        assert np.array_equal(y, explicit.y) and np.array_equal(z, explicit.z)
+        assert np.array_equal(sol.y, explicit.y) and np.array_equal(sol.z, explicit.z)
+
+
+def test_solutions_do_not_read_the_picard_keys(tmp_path):
+    # tol_rel and max_iter govern the Picard records and rows only: the
+    # checks and the dumped solutions read the explicit scheme.
+    solved = ("representation_report.json", "comparison_report.json", "gspde_solution.csv",
+              "bdsde_solution.csv")
+
+    def run(tol_rel, max_iter):
+        cfg = default_config()
+        for section in ("gspde", "bdsde"):
+            cfg[section].update(tol_rel=tol_rel, max_iter=max_iter)
+        cfg["suite"]["checks"] = ["gspde", "gbdsde", "representation", "comparison"]
+        _, artifacts = experiments.run_suite(validate_config(cfg))
+        out = tmp_path / f"{tol_rel}-{max_iter}"
+        write_artifacts(str(out), artifacts, "hash")
+        return {name: (out / name).read_bytes() for name in solved + ("gspde_report.json",)}
+
+    strict, loose = run(1e-6, 15), run(1e-3, 25)
+    assert strict.pop("gspde_report.json") != loose.pop("gspde_report.json")  # keys were read
+    assert strict == loose

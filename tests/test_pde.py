@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,16 +22,16 @@ from gexplab.pde import (
     apply_semigroup,
     discretize_operator,
     energy_identity_residual,
-    increment_and_iterate_norms,
     solve_gspde_picard,
     residual_slots,
+    solve_gspde,
     weak_residual,
     zero_noise,
 )
 from gexplab.pde import _hnorm_density
-from gexplab.picard import weighted_quadrature
+from gexplab.picard import iterate, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import homogeneous_term, whole_stack_hnorm
+from oracles import homogeneous_term, whole_stack_hnorm, with_last_picard_iterate
 
 
 def const_field(value, dim=1):
@@ -294,27 +292,29 @@ def test_hnorm_exponential_weight_exact():
 @given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(["dirichlet0", "periodic"]),
        m=st.integers(3, 14), p=st.integers(1, 4), n_steps=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 8.0),
-       delta=st.one_of(st.just(0.0), st.floats(0.0, 20.0)), horizon=st.floats(0.05, 3.0),
-       block_bytes=st.sampled_from([1, 600, 2000, pde.NORM_BLOCK_BYTES]))
-def test_fused_grid_norms_match_whole_stack_bitwise(dim, boundary, m, p, n_steps, seed,
-                                                    gamma, delta, horizon, block_bytes):
-    # The grid Picard loop builds both densities in one pass over blocks of
-    # time slots (one slot, a few, all); it must give the floats of the
-    # whole-stack reference.
+       delta=st.one_of(st.just(0.0), st.floats(0.0, 20.0)), horizon=st.floats(0.05, 3.0))
+def test_slot_grid_norms_match_whole_stack_bitwise(dim, boundary, m, p, n_steps, seed,
+                                                   gamma, delta, horizon):
+    # The grid Picard sweep takes both densities one slot at a time, the new
+    # slot against the slot of the stack it is about to overwrite; they must
+    # give the floats of the whole-stack reference.
     rng = np.random.default_rng(seed)
     sg = SpatialGrid(dim, 3.0, m, boundary)
     tg = TimeGrid(horizon, n_steps)
     old = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
     new = rng.standard_normal((p, n_steps + 1, sg.n_nodes))
 
-    with mock.patch.object(pde, "NORM_BLOCK_BYTES", block_bytes):
-        inc, cur = increment_and_iterate_norms(new, old, sg, delta, gamma, tg.times)
-        same, same_cur = increment_and_iterate_norms(new, new, sg, delta, gamma, tg.times)
+    def slot_norm(density):
+        dens = np.stack([density(np.ascontiguousarray(new[:, i]), old[:, i])
+                         for i in range(n_steps)], axis=1)
+        return weighted_quadrature(dens, gamma, tg.times)
+
+    inc = slot_norm(lambda new_i, old_i: _hnorm_density(new_i - old_i, sg, delta))
+    cur = slot_norm(lambda new_i, old_i: _hnorm_density(new_i, sg, delta))
     assert inc == whole_stack_hnorm(new - old, gamma, delta, sg, tg.times)
     assert cur == whole_stack_hnorm(new, gamma, delta, sg, tg.times)
     assert cur == hnorm(new, gamma, delta, sg, tg)
-    assert same == 0.0
-    assert same_cur == cur
+    assert slot_norm(lambda new_i, old_i: _hnorm_density(new_i - new_i, sg, delta)) == 0.0
 
 
 # -- problem validation --------------------------------------------------------
@@ -463,6 +463,89 @@ def test_solver_two_dimensional_smoke():
     assert np.all(np.isfinite(fld.values))
     res = energy_identity_residual(residual_slots(fld, problem, gbm), problem, gbm)
     assert np.all(np.isfinite(res))
+
+
+def stacked_grid_picard(problem, gbm, cfg):
+    """Reference Picard loop on two field stacks: each sweep evaluates the
+    sources of the old iterate over the whole stack, runs the Crank-Nicolson
+    recursion into a fresh stack and takes both norms whole."""
+    tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
+    pts = sg.points()
+
+    def sources(u):
+        grad = sg.gradient(u[:, 1:])
+        f_vals = np.empty((tg.n_steps,) + u[:, 0].shape)
+        g_vals = np.empty(f_vals.shape + (problem.noise.n_components,))
+        for j in range(1, tg.n_steps + 1):
+            v = np.einsum("...nd,ndk->...nk", grad[:, j - 1], problem.operator.node_sigma)
+            f_vals[j - 1] = problem.reaction(tg.times[j], pts, u[:, j], v)
+            g_vals[j - 1] = problem.noise(tg.times[j], pts, u[:, j], v)
+        return f_vals, g_vals
+
+    def sweep(u):
+        f_vals, g_vals = sources(u)
+        new = np.empty_like(u)
+        new[:, -1] = problem.terminal
+        v = np.ascontiguousarray(new[:, -1].T)
+        for i in range(tg.n_steps - 1, -1, -1):
+            src = v + dt * f_vals[i].T
+            src = src + np.einsum("pnl,pl->np", g_vals[i], gbm.db[:, i, :])
+            v = problem.operator.cn_step(src, dt)
+            new[:, i] = v.T
+        return ((new,), whole_stack_hnorm(new - u, cfg.rate, cfg.delta, sg, tg.times),
+                whole_stack_hnorm(new, cfg.rate, cfg.delta, sg, tg.times))
+
+    start = np.zeros((gbm.n_paths, tg.n_steps + 1, sg.n_nodes))
+    start[:, -1] = problem.terminal
+    (u,), report = iterate(sweep, (start,), cfg)
+    return u, report
+
+
+def mixed_grid_problem(dim, l, boundary, m, n_steps, k=0.2, alpha=0.3):
+    """Sources that read t, x, y and every coordinate of v, with l noise
+    components, on a field whose sigma(x) is not constant."""
+    def a(pts):
+        out = np.zeros((pts.shape[0], dim, dim))
+        out[:, 0, 0] = 1.0 + 0.3 * np.sin(pts[:, 0])
+        if dim == 2:
+            out[:, 1, 1] = 0.8
+        return out
+
+    def f(t, p, y, z):
+        return 0.3 * np.sin(y) + 0.1 * np.cos(p[:, 0] + t) + 0.2 * np.tanh(np.sum(z, axis=-1))
+
+    def g(t, p, y, z):
+        return np.stack([np.sqrt(k / (2.0 * l)) * np.tanh(y + j)
+                         + np.sqrt(alpha / (2.0 * l)) * np.sin(z[..., j % dim])
+                         for j in range(l)], axis=-1)
+
+    scen = ScenarioSet.from_list([[[1.0]], [[0.6]]] if l == 1 else
+                                 [[[1.0, 0.0], [0.0, 1.0]], [[0.8, 0.1], [0.0, 0.6]]])
+    sg = SpatialGrid(dim, 3.0, m, boundary)
+    return GspdeProblem(bump(sg.points()), ReactionTerm(f, 0.18, 0.08 * dim),
+                        NoiseTerm(g, l, k, alpha), CoefficientField(dim, a, 0.7, 1.3), scen,
+                        TimeGrid(0.5, n_steps), sg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), l=st.sampled_from([1, 2]),
+       boundary=st.sampled_from(["dirichlet0", "periodic"]), m=st.integers(5, 12),
+       p=st.integers(1, 3), n_steps=st.integers(1, 5), scenario=st.integers(0, 1),
+       seed=st.integers(0, 2**31 - 1))
+def test_slot_recursion_matches_stacked_sources_bitwise(dim, l, boundary, m, p, n_steps,
+                                                        scenario, seed):
+    # The grid Picard sweep evaluates the sources slot by slot inside the one
+    # in-place recursion; its report and its last iterate must be the floats
+    # of the whole-stack form, and the field it returns is solve_gspde's.
+    problem = mixed_grid_problem(dim, l, boundary, m, n_steps)
+    gbm = make_gbm(problem, n_paths=p, seed=seed, scenario=scenario)
+    cfg = PicardConfig.from_problem(problem, max_iter=12)
+    u_ref, rep_ref = stacked_grid_picard(problem, gbm, cfg)
+    (fld, rep), [last] = with_last_picard_iterate(pde, "_grid_recursion", solve_gspde_picard,
+                                                  problem, cfg, gbm)
+    assert rep == rep_ref
+    assert np.array_equal(last, u_ref)
+    assert np.array_equal(fld.values, solve_gspde(problem, gbm).values)
 
 
 # -- residuals -------------------------------------------------------------------

@@ -8,7 +8,7 @@ from gexplab.pde import (
     ZERO_REACTION,
     GspdeProblem,
     SpatialGrid,
-    _eval_sources,
+    _slot_sources,
     derive_contraction_inputs,
 )
 from gexplab.presets import (
@@ -120,12 +120,12 @@ def test_sigma_pairing_scales_z_constant():
                            TimeGrid(0.5, 2), sg)
     pts = sg.points()
     u = np.random.default_rng(3).standard_normal((2, 3, sg.n_nodes))
-    f_vals, g_vals = _eval_sources(problem, u, pts)
     grad = sg.gradient(u)
     for j in (1, 2):
         t = problem.time_grid.times[j]
-        assert np.allclose(g_vals[j - 1], g_term.fn(t, pts, u[:, j], 2.0 * grad[:, j]))
-        assert np.allclose(f_vals[j - 1], f_term.fn(t, pts, u[:, j], 2.0 * grad[:, j]))
+        f_vals, g_vals = _slot_sources(problem, pts, j, u[:, j])
+        assert np.allclose(g_vals, g_term.fn(t, pts, u[:, j], 2.0 * grad[:, j]))
+        assert np.allclose(f_vals, f_term.fn(t, pts, u[:, j], 2.0 * grad[:, j]))
 
 
 def test_zero_presets_are_the_zero_terms():

@@ -6,20 +6,20 @@ import pytest
 from gexplab import experiments, pde, verify
 from gexplab.artifacts import write_artifacts
 from gexplab.config import default_config, validate_config
-from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, RegressionBasis, solve_gbdsde_picard
+from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, RegressionBasis, solve_gbdsde
 from gexplab.errors import UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
 from gexplab.pde import (
     GspdeProblem,
     NoiseTerm,
-    PicardConfig,
     ReactionTerm,
     SpatialGrid,
     ZERO_REACTION,
     apply_semigroup,
     derive_contraction_inputs,
     discretize_operator,
+    solve_gspde,
     solve_gspde_picard,
     zero_noise,
 )
@@ -57,14 +57,8 @@ def setup_pipeline(terminal_fn, n_steps=8, horizon=0.5, n_b=4, n_w=1500,
     gbms = [build_gbm(driver, constant_schedule(k, n_steps), scen) for k in range(2)]
     hunt = simulate_hunt(field, InitialLaw("point", [0.0]), tg, n_w, seed + 1)
     ensemble = LsmcEnsemble(hunt, RegressionBasis(deg), field)
-    cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=20, tol_rel=1e-8)
-    b_cfg = PicardConfig.from_problem(bprob, max_iter=20)
-    u_fields, sols = [], []
-    for gbm in gbms:
-        fld, _ = solve_gspde_picard(problem, cfg, gbm)
-        sol = solve_gbdsde_picard(bprob, ensemble, gbm, b_cfg)
-        u_fields.append(fld)
-        sols.append(sol)
+    u_fields = [solve_gspde(problem, gbm) for gbm in gbms]
+    sols = [solve_gbdsde(bprob, ensemble, gbm) for gbm in gbms]
     return problem, u_fields, sols, hunt, gbms, field
 
 
@@ -192,12 +186,15 @@ def small_grid_exp(checks):
 def test_grid_checks_share_one_base_solve_per_scenario(monkeypatch):
     steps = []
 
-    def counted(problem, *args, **kwargs):
-        steps.append(problem.time_grid.n_steps)
-        return solve_gspde_picard(problem, *args, **kwargs)
+    def counted(solve):
+        def run(problem, *args):
+            steps.append(problem.time_grid.n_steps)
+            return solve(problem, *args)
+        return run
 
-    monkeypatch.setattr(experiments, "solve_gspde_picard", counted)
-    monkeypatch.setattr(verify, "solve_gspde_picard", counted)
+    monkeypatch.setattr(experiments, "solve_gspde_picard", counted(solve_gspde_picard))
+    monkeypatch.setattr(experiments, "solve_gspde", counted(solve_gspde))
+    monkeypatch.setattr(verify, "solve_gspde", counted(solve_gspde))
     exp = small_grid_exp(["gspde", "comparison"])
     n_scen, n_cases = exp.scenarios.n_scenarios, len(exp.comparison.cases)
     assert n_scen == 2 and n_cases == 2
@@ -241,19 +238,19 @@ def test_grid_checks_drop_each_base_field_before_the_next(monkeypatch):
 def test_runner_drops_each_scenarios_solves_before_the_next(monkeypatch):
     refs, alive_at_start = [], []
 
-    def gspde(*args, **kwargs):
+    def gspde(*args):
         alive_at_start.append(sum(r() is not None for r in refs))
-        fld, rep = solve_gspde_picard(*args, **kwargs)
+        fld = solve_gspde(*args)
         refs.append(weakref.ref(fld))
-        return fld, rep
+        return fld
 
-    def gbdsde(*args, **kwargs):
-        sol = solve_gbdsde_picard(*args, **kwargs)
+    def gbdsde(*args):
+        sol = solve_gbdsde(*args)
         refs.append(weakref.ref(sol))
         return sol
 
-    monkeypatch.setattr(experiments, "solve_gspde_picard", gspde)
-    monkeypatch.setattr(experiments, "solve_gbdsde_picard", gbdsde)
+    monkeypatch.setattr(experiments, "solve_gspde", gspde)
+    monkeypatch.setattr(experiments, "solve_gbdsde", gbdsde)
     experiments.run_representation(small_representation_exp(1))
     assert alive_at_start == [0, 0, 0, 0]  # two scenarios on each of two levels
     assert all(r() is None for r in refs)
@@ -275,16 +272,15 @@ def comparison_setup(reaction=None, noise=None, n_steps=16):
     problem = GspdeProblem(psi, reaction, noise, field, scen, tg, sg)
     driver = sample_driver(tg, 4, 1, seed=3)
     gbms = [build_gbm(driver, constant_schedule(k, n_steps), scen) for k in range(2)]
-    cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=20, tol_rel=1e-9)
-    return problem, cfg, gbms
+    return problem, gbms
 
 
-def base_solves(problem, cfg, gbms):
+def base_solves(problem, gbms):
     """The per-scenario (base field, bundle) pairs ``check_comparison`` reads,
     each solved when drawn, through ``verify``'s name so that ``count_solves``
     sees them too."""
     for gbm in gbms:
-        yield verify.solve_gspde_picard(problem, cfg, gbm)[0], gbm
+        yield verify.solve_gspde(problem, gbm), gbm
 
 
 def shifted(problem, terminal_shift=0.0, reaction_shift=0.0):
@@ -302,74 +298,74 @@ def shifted(problem, terminal_shift=0.0, reaction_shift=0.0):
 
 
 def test_comparison_identical_problems():
-    problem, cfg, gbms = comparison_setup()
-    bases = base_solves(problem, cfg, gbms)
-    [report] = check_comparison(problem, [shifted(problem)], cfg, bases)
+    problem, gbms = comparison_setup()
+    bases = base_solves(problem, gbms)
+    [report] = check_comparison(problem, [shifted(problem)], bases)
     assert report.min_gap >= -1e-12
 
 
 def test_comparison_terminal_shift_gap_one():
-    problem, cfg, gbms = comparison_setup()
-    bases = base_solves(problem, cfg, gbms)
-    [report] = check_comparison(problem, [shifted(problem, terminal_shift=1.0)], cfg, bases)
+    problem, gbms = comparison_setup()
+    bases = base_solves(problem, gbms)
+    [report] = check_comparison(problem, [shifted(problem, terminal_shift=1.0)], bases)
     assert report.min_gap >= 1.0 - report.eps_grid
     assert report.min_gap == pytest.approx(1.0, abs=1e-6)
     assert report.c_constant >= 0.0
 
 
 def test_comparison_reaction_shift_nonnegative():
-    problem, cfg, gbms = comparison_setup()
-    bases = base_solves(problem, cfg, gbms)
-    [report] = check_comparison(problem, [shifted(problem, reaction_shift=0.1)], cfg, bases)
+    problem, gbms = comparison_setup()
+    bases = base_solves(problem, gbms)
+    [report] = check_comparison(problem, [shifted(problem, reaction_shift=0.1)], bases)
     assert report.min_gap >= -report.eps_grid
     assert report.min_gap >= -1e-9  # deterministic shift stays signed
 
 
 def test_comparison_rejects_unordered_and_different_noise():
-    problem, cfg, gbms = comparison_setup()
-    bases = base_solves(problem, cfg, gbms)
+    problem, gbms = comparison_setup()
+    bases = base_solves(problem, gbms)
     with pytest.raises(UsageError, match="not ordered"):
-        check_comparison(problem, [shifted(problem, terminal_shift=-1.0)], cfg, bases)
+        check_comparison(problem, [shifted(problem, terminal_shift=-1.0)], bases)
     with pytest.raises(UsageError, match="not ordered"):
-        check_comparison(problem, [shifted(problem, reaction_shift=-0.5)], cfg, bases)
+        check_comparison(problem, [shifted(problem, reaction_shift=-0.5)], bases)
     other = GspdeProblem(problem.terminal, problem.reaction, zero_noise(1),
                          problem.field, problem.scenarios, problem.time_grid,
                          problem.space_grid)
     with pytest.raises(UsageError, match="noise"):
-        check_comparison(problem, [other], cfg, bases)
+        check_comparison(problem, [other], bases)
 
 
 def test_comparison_rejects_a_base_field_of_other_noise():
-    problem, cfg, gbms = comparison_setup()
-    fld, _ = solve_gspde_picard(problem, cfg, gbms[0])
+    problem, gbms = comparison_setup()
+    fld = solve_gspde(problem, gbms[0])
     with pytest.raises(UsageError, match="base field"):
-        check_comparison(problem, [shifted(problem)], cfg, [(fld, gbms[1])])
+        check_comparison(problem, [shifted(problem)], [(fld, gbms[1])])
 
 
 def count_solves(monkeypatch):
     calls = []
-    monkeypatch.setattr(verify, "solve_gspde_picard",
-                        lambda *a, **k: calls.append(a) or solve_gspde_picard(*a, **k))
+    monkeypatch.setattr(verify, "solve_gspde",
+                        lambda *a: calls.append(a) or solve_gspde(*a))
     return calls
 
 
 def test_comparison_validates_every_case_before_solving(monkeypatch):
-    problem, cfg, gbms = comparison_setup()
-    bases = base_solves(problem, cfg, gbms)
+    problem, gbms = comparison_setup()
+    bases = base_solves(problem, gbms)
     calls = count_solves(monkeypatch)
     with pytest.raises(UsageError, match="not ordered"):
         check_comparison(problem, [shifted(problem, terminal_shift=1.0),
-                                   shifted(problem, terminal_shift=-1.0)], cfg, bases)
+                                   shifted(problem, terminal_shift=-1.0)], bases)
     assert calls == []
 
 
 def test_comparison_cases_share_the_unshifted_solves(monkeypatch):
-    problem, cfg, gbms = comparison_setup()
+    problem, gbms = comparison_setup()
     cases = [shifted(problem, terminal_shift=1.0), shifted(problem, reaction_shift=0.1)]
-    single = [check_comparison(problem, [case], cfg, base_solves(problem, cfg, gbms))[0]
+    single = [check_comparison(problem, [case], base_solves(problem, gbms))[0]
               for case in cases]
     calls = count_solves(monkeypatch)
-    joint = check_comparison(problem, cases, cfg, base_solves(problem, cfg, gbms))
+    joint = check_comparison(problem, cases, base_solves(problem, gbms))
     assert len(joint) == len(cases)
     for one, both in zip(single, joint):
         assert both.min_gap == one.min_gap
