@@ -136,7 +136,8 @@ class RegressionContext:
         t = np.asarray(targets, dtype=float)
         rhs = t @ self.phi                       # (..., n_features)
         flat = rhs.reshape(-1, self.n_features)
-        # Non-finite targets pass through; the Picard loop stops on them.
+        # Non-finite targets pass through: the Picard check stops on a
+        # non-finite norm, the explicit scheme at the first non-finite slot.
         coefs = sla.cho_solve(self._chol, flat.T, check_finite=False).T
         return coefs.reshape(t.shape[:-1] + (self.n_features,))
 
@@ -197,14 +198,19 @@ class BdsdeSolution:
 
 
 def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                       drivers: Callable, y: np.ndarray, z: np.ndarray) -> BdsdeSolution:
+                       drivers: Callable, y: np.ndarray, z: np.ndarray,
+                       start: int) -> BdsdeSolution:
     """The slot-by-slot recursion from the terminal payoff ``xi`` on the
     diffusion ensemble back to t_0, into the stacks ``y`` (n_b, N+1, n_W)
-    and ``z`` (n_b, N+1, n_W, d).
+    and ``z`` (n_b, N+1, n_W, d), recomputing slots ``start`` .. 0.
 
-    ``drivers(i, y_i, z_i)`` sees each new slot i, N down to 0, before it
-    overwrites slot i, and returns the (n_b, n_W) f and (n_b, n_W, l) g at
-    slot i, which pair with dB_{i-1}; its slot-0 value is not read.
+    ``drivers(i, y_i, z_i)`` sees each new slot i, start down to 0, before
+    it overwrites slot i, and returns the (n_b, n_W) f and (n_b, n_W, l) g at
+    slot i, which pair with dB_{i-1}; its slot-0 value is not read.  Below
+    ``start`` = N the slots above ``start`` are taken as the stacks hold
+    them, and ``drivers`` first sees slot start + 1 read back; ``start`` = -1
+    recomputes nothing.  Each slot's diffusion data are read as one
+    contiguous (n_W, d) copy.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -214,18 +220,24 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n_w,):
         raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
-    y_i = np.tile(xi, (gbm.n_paths, 1))
-    # Z at the horizon copies the last regressed slot, N - 1.
-    z_i = extract_z(y_i, hunt.dm[:, n - 1], ensemble.contexts[n - 1],
-                    ensemble.a_inverse[n - 1], dt)
-    for i in range(n, -1, -1):
+    if start == n:
+        y_i = np.tile(xi, (gbm.n_paths, 1))
+        # Z at the horizon copies the last regressed slot, N - 1.
+        z_i = extract_z(y_i, np.ascontiguousarray(hunt.dm[:, n - 1]), ensemble.contexts[n - 1],
+                        ensemble.a_inverse[n - 1], dt)
+    else:  # slot start + 1 read back; at start = N - 1, Z_N is the Z kept
+        y_i, z_i = y[:, start + 1], z[:, start + 1]
+        if start >= 0:
+            at_next = drivers(start + 1, y_i, z_i)
+    for i in range(start, -1, -1):
         if i < n:
             f_next, g_next = at_next
             ctx = ensemble.contexts[i]
             noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
             y_i = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
             if i < n - 1:
-                z_i = extract_z(y[:, i + 1], hunt.dm[:, i], ctx, ensemble.a_inverse[i], dt)
+                z_i = extract_z(y[:, i + 1], np.ascontiguousarray(hunt.dm[:, i]), ctx,
+                                ensemble.a_inverse[i], dt)
         at_next = drivers(i, y_i, z_i)
         y[:, i] = y_i
         z[:, i] = z_i
@@ -263,13 +275,24 @@ class BdsdeProblem:
 
 
 def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i):
-    """f and g at slot i of (y_i, z_i), v fed Z sigma(X); None at slot 0."""
+    """f and g at slot i of (y_i, z_i), v fed Z sigma(X) and x the slot's
+    diffusion state as one contiguous copy; None at slot 0."""
     if i == 0:
         return None
-    t, x_here = problem.time_grid.times[i], ensemble.hunt.x[:, i, :]
+    t, x_here = problem.time_grid.times[i], np.ascontiguousarray(ensemble.hunt.x[:, i, :])
     v = np.einsum("bwd,wdk->bwk", z_i, ensemble.sigma[i])
     return (np.asarray(problem.f(t, x_here, y_i, v), dtype=float),
             np.asarray(problem.g(t, x_here, y_i, v), dtype=float))
+
+
+def _explicit_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i):
+    """``_slot_drivers`` read at the new slot, the explicit scheme's, which
+    stops at the first slot whose Y or Z is not finite."""
+    bad = [name for name, vals in (("Y", y_i), ("Z", z_i)) if not np.all(np.isfinite(vals))]
+    if bad:
+        raise NumericalError(f"backward solve produced non-finite {' and '.join(bad)} "
+                             f"at slot {i}")
+    return _slot_drivers(problem, ensemble, i, y_i, z_i)
 
 
 def _payoff(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.ndarray:
@@ -289,8 +312,8 @@ def solve_gbdsde(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -
     """The explicit scheme, one sweep with the drivers read at the new slot:
     the fixed point of the Picard map, which fixes one slot per sweep."""
     return solve_linear_bdsde(_payoff(problem, ensemble, gbm), ensemble, gbm,
-                              partial(_slot_drivers, problem, ensemble),
-                              *_zero_stacks(ensemble, gbm))
+                              partial(_explicit_drivers, problem, ensemble),
+                              *_zero_stacks(ensemble, gbm), problem.time_grid.n_steps)
 
 
 def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
@@ -298,12 +321,16 @@ def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMP
     """The Picard iteration from zero, each sweep with the drivers frozen at
     the previous (Y, Z) and its increment in the (beta, delta)-norm, as the
     check of the contraction; ``solve_gbdsde``'s sweep then overwrites the
-    last iterate, so the solution does not read ``cfg``."""
+    last iterate from the first slot that the K sweeps left unfixed, N - K,
+    so the solution does not read ``cfg``."""
     cfg.validate_against(problem)
     xi, hunt, times = _payoff(problem, ensemble, gbm), ensemble.hunt, problem.time_grid.times
-    (y, z), slot_drivers = _zero_stacks(ensemble, gbm), partial(_slot_drivers, problem, ensemble)
-    report = iterate_in_place(
-        lambda drivers: solve_linear_bdsde(xi, ensemble, gbm, drivers, y, z), (y, z),
-        slot_drivers, lambda y_i, z_i: _delta_density(y_i, z_i, cfg.delta, hunt.weights),
+    y, z = _zero_stacks(ensemble, gbm)
+    report, unfixed = iterate_in_place(
+        lambda drivers, start: solve_linear_bdsde(xi, ensemble, gbm, drivers, y, z, start),
+        (y, z), partial(_slot_drivers, problem, ensemble),
+        lambda y_i, z_i: _delta_density(y_i, z_i, cfg.delta, hunt.weights),
         lambda dens: math.sqrt(weighted_quadrature(dens, cfg.rate, times)), cfg)
-    return replace(solve_linear_bdsde(xi, ensemble, gbm, slot_drivers, y, z), picard_report=report)
+    sol = solve_linear_bdsde(xi, ensemble, gbm, partial(_explicit_drivers, problem, ensemble),
+                             y, z, unfixed)
+    return replace(sol, picard_report=report)

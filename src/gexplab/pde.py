@@ -388,19 +388,27 @@ def _slot_sources(problem: GspdeProblem, pts: np.ndarray, i: int, u_i: np.ndarra
 
 
 def _grid_recursion(problem: GspdeProblem, gbm: GBMPaths, u: np.ndarray,
-                    sources: Callable) -> RandomField:
+                    sources: Callable, start: int) -> RandomField:
     """u_i = CN_dt[u_{i+1} + dt f_{i+1} + g_{i+1} . dB_i] into the stack u
-    (p, N+1, n); ``sources(i, u_i)`` sees each new slot i, N down to 0,
-    before it overwrites slot i, and returns the reaction and noise at slot
-    i, which pair with dB_{i-1}; its slot-0 value is not read."""
+    (p, N+1, n) for slots ``start`` .. 0; ``sources(i, u_i)`` sees each new
+    slot i, start down to 0, before it overwrites slot i, and returns the
+    reaction and noise at slot i, which pair with dB_{i-1}; its slot-0 value
+    is not read.  Below ``start`` = N the slots above ``start`` are taken as
+    u holds them, and ``sources`` first sees slot start + 1 read back;
+    ``start`` = -1 recomputes nothing."""
     if gbm.grid != problem.time_grid:
         raise UsageError("path bundle and problem use different time grids")
     if not np.array_equal(gbm.scenarios.matrices, problem.scenarios.matrices):
         raise UsageError("path bundle and problem use different scenario sets")
     n_steps, dt, op = problem.time_grid.n_steps, problem.time_grid.dt, problem.operator
-    u_i = np.tile(problem.terminal, (gbm.n_paths, 1))
+    if start == n_steps:
+        u_i = np.tile(problem.terminal, (gbm.n_paths, 1))
+    else:
+        u_i = u[:, start + 1]
+        if start >= 0:
+            at_next = sources(start + 1, u_i)
     v = np.ascontiguousarray(u_i.T)  # (n, p), the slot the CN step acts on
-    for i in range(n_steps, -1, -1):
+    for i in range(start, -1, -1):
         if i < n_steps:
             f_next, g_next = at_next
             src = v + dt * f_next.T
@@ -422,7 +430,8 @@ def solve_gspde(problem: GspdeProblem, gbm: GBMPaths) -> RandomField:
     """The explicit scheme, one sweep with the sources read at the new slot:
     the fixed point of the Picard map, which fixes one slot per sweep."""
     return _grid_recursion(problem, gbm, _start(problem, gbm),
-                           partial(_slot_sources, problem, problem.space_grid.points()))
+                           partial(_slot_sources, problem, problem.space_grid.points()),
+                           problem.time_grid.n_steps)
 
 
 def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
@@ -430,15 +439,16 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
     """The mild-solution Picard iteration from zero, each sweep with the
     sources at the previous iterate and its increment in the (gamma, delta)
     functional, as the check of the contraction; ``solve_gspde``'s sweep then
-    overwrites the last iterate, so the field does not read ``cfg``."""
+    overwrites the last iterate from the first slot that the K sweeps left
+    unfixed, N - K, so the field does not read ``cfg``."""
     cfg.validate_against(problem)
     sg, times = problem.space_grid, problem.time_grid.times
     u, slot_sources = _start(problem, gbm), partial(_slot_sources, problem, sg.points())
-    report = iterate_in_place(
-        lambda sources: _grid_recursion(problem, gbm, u, sources), (u,), slot_sources,
-        lambda u_i: _hnorm_density(u_i, sg, cfg.delta),
+    report, unfixed = iterate_in_place(
+        lambda sources, start: _grid_recursion(problem, gbm, u, sources, start), (u,),
+        slot_sources, lambda u_i: _hnorm_density(u_i, sg, cfg.delta),
         lambda dens: weighted_quadrature(dens, cfg.rate, times), cfg)
-    return _grid_recursion(problem, gbm, u, slot_sources), report
+    return _grid_recursion(problem, gbm, u, slot_sources, unfixed), report
 
 
 # -- residual functionals ---------------------------------------------------

@@ -146,24 +146,39 @@ def iterate(sweep, state: tuple, cfg) -> tuple[tuple, PicardReport]:
 
 
 def iterate_in_place(recursion, stacks: tuple, slot_drivers, density, norm,
-                     cfg) -> PicardReport:
+                     cfg) -> tuple[PicardReport, int]:
     """``iterate`` Picard sweeps in place: ``stacks`` hold the start and end as
-    the last iterate.  ``recursion(drivers)`` hands ``drivers(i, *new)`` each
-    new slot i before it overwrites slot i; a sweep returns ``slot_drivers(i,
-    *old)`` and reduces the per-path ``density`` of new and new - old by ``norm``."""
+    the last iterate.  ``recursion(drivers, start)`` recomputes slots start
+    down to 0: it hands ``drivers(i, *new)`` slot start + 1 as the stacks hold
+    it, when start < N, then each new slot i before it overwrites slot i; a
+    sweep returns ``slot_drivers(i, *old)`` and reduces the per-path
+    ``density`` of new and new - old by ``norm``.
+
+    The map is nilpotent: slot N is data and slot i reads only slots above
+    it, so sweep k leaves slots N .. N - k + 1 bitwise fixed and sweep k + 1
+    recomputes slots N - k .. 0 only.  A slot it skips keeps its density and
+    adds an increment density of exactly 0, the floats a recomputation from
+    bitwise-equal inputs would give.  Returns the report and the first slot
+    the K sweeps left unfixed, N - K, or -1 once K >= N + 1: where a sweep
+    with the drivers read at the new slot resumes to reach the fixed point."""
     p, n = stacks[0].shape[0], stacks[0].shape[1] - 1
+    inc, cur = np.empty((p, n)), np.empty((p, n))
+    start = n
 
     def sweep(*_):
-        inc, cur = np.empty((p, n)), np.empty((p, n))
+        nonlocal start
+        inc[:, start + 1:] = 0.0  # the slots this sweep skips
 
         def drivers(i, *new):
             old = [s[:, i] for s in stacks]
-            if i < n:
+            if i <= start and i < n:
                 inc[:, i] = density(*(a - b for a, b in zip(new, old)))
                 cur[:, i] = density(*new)
             return slot_drivers(i, *old)
 
-        recursion(drivers)
+        recursion(drivers, start)
+        start = max(start - 1, -1)
         return stacks, norm(inc), norm(cur)
 
-    return iterate(sweep, stacks, cfg)[1]
+    report = iterate(sweep, stacks, cfg)[1]
+    return report, start

@@ -70,16 +70,18 @@ def _backward_driver(name, factor):
 
 def _grid_drivers_one_slot_stale(monkeypatch, exp):
     # Both grid solvers pair dB_i with the sources at slot i + 2, the slot
-    # before the one the recursion has just computed; the residuals read the
-    # sources at the right slot.
+    # before the one the recursion has just computed (at slot N, slot N's own);
+    # the residuals read the sources at the right slot.  The sources are held
+    # per slot: a sweep that resumes below slot N reads slot start + 2 from
+    # the sweep before, which fixed it.
     sources = pde._slot_sources
-    held = []
+    held = {}
 
     def stale(problem, pts, i, u_i):
-        if i == problem.time_grid.n_steps:  # a new sweep starts
-            held[:] = [sources(problem, pts, i, u_i)]
-        held.append(sources(problem, pts, i, u_i))
-        return held.pop(0)
+        if i == problem.time_grid.n_steps:  # a solve starts from the terminal slot
+            held.clear()
+        held[i] = sources(problem, pts, i, u_i)
+        return held.get(i + 1, held[i])
 
     for name in ("solve_gspde", "solve_gspde_picard"):
         def solve_stale(*args, solve=getattr(experiments, name)):

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 
 from gexplab._util import read
-from gexplab.picard import weighted_quadrature
+from gexplab.picard import iterate, weighted_quadrature
 from gexplab.presets import FieldPreset, NoisePreset
 
 
@@ -56,3 +56,38 @@ def with_last_picard_iterate(module, recursion, solve, *args):
     with mock.patch.object(module, recursion, record):
         out = solve(*args)
     return out, seen[-1]
+
+
+def resumed_slots(start, n):
+    """The slots a backward recursion from ``start`` hands its drivers: below
+    N, slot start + 1 read back first, then start .. 0; none from -1."""
+    return list(range(min(start + 1, n), -1, -1)) if start >= 0 else []
+
+
+def every_slot_iterate_in_place(recursion, stacks, slot_drivers, density, norm, cfg):
+    """``picard.iterate_in_place`` with every sweep recomputing and measuring
+    slots N .. 0, and the explicit sweep after it starting at N: the schedule
+    that resuming at the first unfixed slot must reproduce bitwise."""
+    p, n = stacks[0].shape[0], stacks[0].shape[1] - 1
+
+    def sweep(*_):
+        inc, cur = np.empty((p, n)), np.empty((p, n))
+
+        def drivers(i, *new):
+            old = [s[:, i] for s in stacks]
+            if i < n:
+                inc[:, i] = density(*(a - b for a, b in zip(new, old)))
+                cur[:, i] = density(*new)
+            return slot_drivers(i, *old)
+
+        recursion(drivers, n)
+        return stacks, norm(inc), norm(cur)
+
+    return iterate(sweep, stacks, cfg)[1], n
+
+
+def with_full_sweeps(module, solve, *args):
+    """``solve(*args)`` with ``module``'s Picard sweeps and the explicit
+    sweep after them run over every slot (``every_slot_iterate_in_place``)."""
+    with mock.patch.object(module, "iterate_in_place", every_slot_iterate_in_place):
+        return solve(*args)

@@ -30,7 +30,7 @@ from gexplab.pde import (
 )
 from gexplab.picard import PicardConfig, iterate, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import whole_stack_delta_norm, with_last_picard_iterate
+from oracles import resumed_slots, whole_stack_delta_norm, with_last_picard_iterate
 
 
 def const_field(value, dim=1):
@@ -66,7 +66,7 @@ def linear(xi, ens, gbm, drivers):
     """solve_linear_bdsde into fresh (Y, Z) stacks."""
     shape = (gbm.n_paths, ens.hunt.grid.n_steps + 1, ens.hunt.n_paths)
     return solve_linear_bdsde(xi, ens, gbm, drivers, np.empty(shape),
-                              np.empty(shape + (ens.hunt.dim,)))
+                              np.empty(shape + (ens.hunt.dim,)), ens.hunt.grid.n_steps)
 
 
 # -- regression ----------------------------------------------------------------
@@ -403,9 +403,33 @@ def test_each_picard_iteration_is_one_linear_solve(monkeypatch):
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
                               PicardConfig.from_problem(prob))
     assert sol.picard_report.iterations >= 2
-    # One call per Picard sweep, then the explicit sweep that overwrites
-    # the last iterate.
-    assert len(calls) == sol.picard_report.iterations + 1
+    # One call per Picard sweep, each from the first slot the sweeps before
+    # left unfixed, then the explicit sweep that overwrites the last iterate
+    # from slot N - K.
+    n = hunt.grid.n_steps
+    assert [a[-1] for a in calls] == list(range(n, n - sol.picard_report.iterations - 1, -1))
+
+
+def test_backward_solve_reads_each_slot_contiguously(monkeypatch):
+    # extract_z and the drivers get one contiguous (n_W, d) copy of the
+    # slot's dM and X, not a strided view of the (n_W, N, d) stacks.
+    field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
+    prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
+    extract, f, g = bdsde.extract_z, prob.f, prob.g
+    seen = []
+
+    def contiguous(arr, shape):
+        seen.append(arr.shape)
+        assert arr.flags.c_contiguous and arr.shape == shape
+        return arr
+
+    monkeypatch.setattr(bdsde, "extract_z", lambda nxt, dm, *a: extract(
+        nxt, contiguous(dm, (hunt.n_paths, 1)), *a))
+    prob.f = lambda t, x, y, v: f(t, contiguous(x, (hunt.n_paths, 1)), y, v)
+    prob.g = lambda t, x, y, v: g(t, contiguous(x, (hunt.n_paths, 1)), y, v)
+    solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
+                        PicardConfig.from_problem(prob))
+    assert len(seen) > 3 * hunt.grid.n_steps
 
 
 def test_nonconvergence_carries_report():
@@ -474,16 +498,43 @@ def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
         assert np.array_equal(y_i, fresh.y[:, i]) and np.array_equal(z_i, fresh.z[:, i])
         return lookup(i, y_i, z_i)
 
-    sol = solve_linear_bdsde(xi, ens, gbm, drivers, y, z)
+    sol = solve_linear_bdsde(xi, ens, gbm, drivers, y, z, n)
     assert sol.y is y and sol.z is z
     assert np.array_equal(y, fresh.y) and np.array_equal(z, fresh.z)
     assert events == [(i, True) for i in range(n, -1, -1)]
 
 
+@pytest.mark.parametrize("start", [5, 4, 2, 0, -1])
+def test_linear_recursion_resumes_below_the_slots_it_keeps(start):
+    # From ``start`` < N the recursion keeps slots above ``start``, hands the
+    # drivers slot start + 1 as the stacks hold it, then recomputes start..0
+    # into the floats of a whole sweep; at start = N - 1 the Z kept is slot N's.
+    field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
+    n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
+    rng = np.random.default_rng(4)
+    lookup = slot_lookup(hunt, gbm, rng.standard_normal((n_b, n + 1, n_w)),
+                         rng.standard_normal((n_b, n + 1, n_w, 1)))
+    xi = np.cos(hunt.x[:, -1, 0])
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    fresh = linear(xi, ens, gbm, lookup)
+    y, z = fresh.y.copy(), fresh.z.copy()
+    y[:, :start + 1], z[:, :start + 1] = -7.0, -7.0
+    seen = []
+
+    def drivers(i, y_i, z_i):
+        seen.append(i)
+        assert np.array_equal(y_i, fresh.y[:, i]) and np.array_equal(z_i, fresh.z[:, i])
+        return lookup(i, y_i, z_i)
+
+    solve_linear_bdsde(xi, ens, gbm, drivers, y, z, start)
+    assert np.array_equal(y, fresh.y) and np.array_equal(z, fresh.z)
+    assert seen == resumed_slots(start, n)
+
+
 def test_recursion_never_reads_driver_slot_0(monkeypatch):
-    # The drivers are asked for at every slot, N..0, in each Picard sweep and
-    # in the explicit sweep; whatever they return at slot 0 must not reach
-    # Y, Z or the report.
+    # Picard sweep k recomputes slots N - k + 1 .. 0 and the explicit sweep
+    # after K sweeps N - K .. 0, each asking for the drivers down to slot 0;
+    # whatever they return at slot 0 must not reach Y, Z or the report.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
@@ -500,8 +551,9 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
     clean = solve_gbdsde_picard(prob, ens, gbm, cfg)
     monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
     poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg)
-    sweeps = clean.picard_report.iterations + 1
-    assert slots == list(range(hunt.grid.n_steps, -1, -1)) * sweeps
+    n, k = hunt.grid.n_steps, clean.picard_report.iterations
+    assert 2 <= k <= n
+    assert slots == [i for start in range(n, n - k - 1, -1) for i in resumed_slots(start, n)]
     assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
     assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
     assert poisoned.picard_report == clean.picard_report

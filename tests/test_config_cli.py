@@ -430,6 +430,22 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_cli_nonfinite_backward_solve_exit_3(tmp_path, capsys):
+    # A terminal of 1e305 keeps the grid finite, but the backward regression
+    # overflows; the explicit backward solve stops at the first non-finite
+    # slot (Z at slot N copies the regression at slot N - 1) instead of
+    # writing NaN rows.
+    cfg = default_config()
+    cfg["terminal"]["amplitude"] = 1e305
+    cfg["suite"]["checks"] = ["representation"]
+    out = tmp_path / "n"
+    code = main(["run-suite", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"non-finite Z at slot {cfg['time_grid']['n_steps']}" in captured.err
+    assert "value=nan" not in captured.out and not (out / "suite_summary.csv").exists()
+
+
 def test_mixed_pass_fail_rows_reflect_status(tmp_path):
     cfg = tiny_config()
     cfg["representation"]["tolerance"] = 1e-9  # force a failing check

@@ -4,6 +4,8 @@ scheme that ``solve_gspde`` and ``solve_gbdsde`` compute in one sweep.  The
 Picard loop is the check of the paper's contraction, and no solution a run
 writes depends on its keys."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from gexplab.config import default_config, validate_config
 from gexplab.hunt import simulate_hunt
 from gexplab.pde import solve_gspde, solve_gspde_picard
 from gexplab.picard import PicardConfig
-from oracles import with_last_picard_iterate
+from oracles import with_full_sweeps, with_last_picard_iterate
 
 FIELDS = pytest.mark.parametrize("field", [None, SINUSOIDAL_FIELD],
                                  ids=["shipped", "sinusoidal"])
+# The shipped Picard keys, and tol_rel 0 with N + 2 sweeps.
+SCHEDULES = pytest.mark.parametrize("exhaust", [False, True], ids=["shipped", "exhaustive"])
 
 
 def shipped(field):
@@ -27,6 +31,26 @@ def shipped(field):
     if field is not None:
         cfg["coefficient_field"] = field
     return validate_config(cfg)
+
+
+def shipped_ensemble(exp):
+    sec = exp.bdsde
+    hunt = simulate_hunt(exp.field, sec.init, exp.bdsde_problem.time_grid,
+                         sec.n_diffusion_paths, child_seed(exp.seed, SEED_HUNT))
+    return LsmcEnsemble(hunt, sec.basis, exp.field)
+
+
+def starts(module, recursion, solve, *args):
+    """``solve(*args)`` and the first slot of each of its calls of the
+    backward recursion ``module.<recursion>``, its last argument."""
+    seen, original = [], getattr(module, recursion)
+
+    def record(*rec_args):
+        seen.append(rec_args[-1])
+        return original(*rec_args)
+
+    with mock.patch.object(module, recursion, record):
+        return solve(*args), seen
 
 
 def exhaustive(cfg, problem):
@@ -54,10 +78,7 @@ def test_grid_picard_stops_on_the_explicit_scheme_bitwise(field):
 @FIELDS
 def test_backward_picard_stops_on_the_explicit_scheme_bitwise(field):
     exp = shipped(field)
-    problem, sec = exp.bdsde_problem, exp.bdsde
-    hunt = simulate_hunt(exp.field, sec.init, problem.time_grid, sec.n_diffusion_paths,
-                         child_seed(exp.seed, SEED_HUNT))
-    ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
+    problem, ensemble = exp.bdsde_problem, shipped_ensemble(exp)
     cfg = exhaustive(exp.bdsde_cfg, problem)
     for gbm in experiments._problem_bundles(exp):
         sol, (y, z) = with_last_picard_iterate(bdsde, "solve_linear_bdsde",
@@ -67,6 +88,47 @@ def test_backward_picard_stops_on_the_explicit_scheme_bitwise(field):
         assert rep.converged and rep.increments[-1] == 0.0
         assert np.array_equal(y, explicit.y) and np.array_equal(z, explicit.z)
         assert np.array_equal(sol.y, explicit.y) and np.array_equal(sol.z, explicit.z)
+
+
+def schedule(n, k):
+    """First slots of K resumed Picard sweeps and the explicit sweep after,
+    for K <= N."""
+    return list(range(n, n - k - 1, -1))
+
+
+@FIELDS
+@SCHEDULES
+def test_resumed_grid_sweeps_match_full_sweeps_bitwise(field, exhaust):
+    # Sweep k starts at slot N - k + 1 and the explicit sweep at N - K; the
+    # report and the field are the floats of sweeps over every slot.  At
+    # tol_rel 0 the increment reaches exactly 0 before sweep N + 1.
+    exp = shipped(field)
+    problem, n = exp.gspde_problem, exp.gspde_problem.time_grid.n_steps
+    cfg = exhaustive(exp.gspde_cfg, problem) if exhaust else exp.gspde_cfg
+    for gbm in experiments._problem_bundles(exp):
+        (fld, rep), firsts = starts(pde, "_grid_recursion", solve_gspde_picard, problem, cfg, gbm)
+        full, full_rep = with_full_sweeps(pde, solve_gspde_picard, problem, cfg, gbm)
+        assert 2 <= rep.iterations <= n  # the explicit sweep resumes inside the stack
+        assert firsts == schedule(n, rep.iterations)
+        assert rep == full_rep and np.array_equal(fld.values, full.values)
+
+
+@FIELDS
+@SCHEDULES
+def test_resumed_backward_sweeps_match_full_sweeps_bitwise(field, exhaust):
+    exp = shipped(field)
+    problem, ensemble = exp.bdsde_problem, shipped_ensemble(exp)
+    n = problem.time_grid.n_steps
+    cfg = exhaustive(exp.bdsde_cfg, problem) if exhaust else exp.bdsde_cfg
+    for gbm in experiments._problem_bundles(exp):
+        sol, firsts = starts(bdsde, "solve_linear_bdsde", solve_gbdsde_picard, problem,
+                             ensemble, gbm, cfg)
+        full = with_full_sweeps(bdsde, solve_gbdsde_picard, problem, ensemble, gbm, cfg)
+        k = sol.picard_report.iterations
+        assert 2 <= k <= n
+        assert firsts == schedule(n, k)
+        assert sol.picard_report == full.picard_report
+        assert np.array_equal(sol.y, full.y) and np.array_equal(sol.z, full.z)
 
 
 def test_solutions_do_not_read_the_picard_keys(tmp_path):

@@ -14,8 +14,9 @@ from gexplab.pde import (
     SpatialGrid,
     derive_contraction_inputs,
 )
-from gexplab.picard import PicardConfig, iterate
+from gexplab.picard import PicardConfig, iterate, iterate_in_place
 from gexplab.scenario import ScenarioSet
+from oracles import every_slot_iterate_in_place, resumed_slots
 
 
 def toy_cfg(max_iter=50, tol_rel=1e-3):
@@ -72,6 +73,71 @@ def test_iterate_nonfinite_norm_stops_at_once():
     assert not err.value.report.converged
     assert err.value.report.iterations == 1
     assert toy.sweeps == 1 and toy.norm_calls == 1
+
+
+class ToyRecursion:
+    """x_i = x_{i+1} / 2 + d_{i+1} / 4 back from x_N = 1 into a (1, N+1)
+    stack, in the calling convention of ``iterate_in_place``: every float
+    is dyadic, so sweeps that skip a slot and sweeps that recompute it agree
+    bitwise.  Records the slots each call computes."""
+
+    def __init__(self, n):
+        self.n = n
+        self.x = np.zeros((1, n + 1))
+        self.computed = []
+
+    def __call__(self, drivers, start):
+        n, x = self.n, self.x
+        self.computed.append([])
+        if 0 <= start < n:
+            at_next = drivers(start + 1, x[:, start + 1])
+        for i in range(start, -1, -1):
+            new = np.ones(1) if i == n else x[:, i + 1] / 2.0 + at_next / 4.0
+            at_next = drivers(i, new)
+            x[:, i] = new
+            self.computed[-1].append(i)
+        return x
+
+
+def toy_picard(engine, n, cfg):
+    toy = ToyRecursion(n)
+    report, unfixed = engine(toy, (toy.x,), lambda i, x_i: x_i + 1.0, lambda x_i: x_i**2,
+                             lambda dens: float(np.sum(dens)), cfg)
+    return toy, report, unfixed
+
+
+@pytest.mark.parametrize("tol_rel", [0.0, 1e-3])
+def test_sweep_k_recomputes_the_slots_below_the_fixed_ones(tol_rel):
+    # Sweep k recomputes slots N - k + 1 .. 0 and skips the ones above, which
+    # the sweeps before fixed; the report and the iterate are the floats of
+    # sweeps that recompute every slot.  Sweep N + 1 fixes slot 0 and sweep
+    # N + 2, which recomputes none, is the first with an increment of 0.
+    n = 6
+    cfg = toy_cfg(max_iter=n + 2, tol_rel=tol_rel)
+    toy, report, unfixed = toy_picard(iterate_in_place, n, cfg)
+    full, full_report, _ = toy_picard(every_slot_iterate_in_place, n, cfg)
+    k = report.iterations
+    assert toy.computed == [list(range(n - s, -1, -1)) for s in range(k)]
+    assert full.computed == [list(range(n, -1, -1))] * k
+    assert report == full_report and np.array_equal(toy.x, full.x)
+    # The explicit sweep after K sweeps resumes at N - K, and has nothing
+    # left to do once K >= N + 1.
+    assert unfixed == max(n - k, -1)
+    if tol_rel == 0.0:
+        assert k == n + 2 and unfixed == -1 and toy.computed[-2:] == [[0], []]
+        assert report.increments[-2] > 0.0 and report.increments[-1] == 0.0
+    else:
+        assert 2 <= k <= n
+
+
+def test_resumed_recursion_reads_back_the_slot_above():
+    # Below N the recursion first hands the drivers slot start + 1 as the
+    # stacks hold it; from -1 it hands them nothing.
+    toy, seen = ToyRecursion(4), []
+    for start in (4, 3, 1, 0, -1):
+        toy(lambda i, x_i: seen.append(i) or x_i, start)
+        assert seen == resumed_slots(start, 4)
+        seen.clear()
 
 
 # -- config ---------------------------------------------------------------------
