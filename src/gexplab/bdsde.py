@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -154,19 +154,45 @@ class LsmcEnsemble:
         self.hunt = hunt
         n = hunt.grid.n_steps
         self.contexts = [RegressionContext(hunt.x[:, i, :], basis) for i in range(n)]
+        self.n_features = max(ctx.n_features for ctx in self.contexts)
         a_values = np.stack([field_spec.a_at(hunt.x[:, i, :]) for i in range(n)])
         self.a_inverse = np.linalg.inv(a_values)               # (n, n_W, d, d)
         self.sigma = np.stack([field_spec.sigma_at(hunt.x[:, i, :])
                                for i in range(n + 1)])         # (n+1, n_W, d, d)
 
+    @cached_property
+    def norm_grams(self) -> np.ndarray:
+        """Per slot i < N, the Gram matrices that give the path averages of
+        |Y|^2 and |Z|^2 from the slot's coefficients (``solve_linear_bdsde``),
+        shaped (N, 1 + d, F, 1 + d, F) for the F = ``n_features`` padded
+        features: block [0, 0] is G_y = Phi^T diag(w) Phi / n_W, block
+        [1 + k, 1 + k'] is G_z[k, k'] = Phi^T diag(w (A^T A)_kk') Phi /
+        (n_W (2 dt)^2) with A = a(X)^{-1} and w the importance weights, and
+        the Y-Z blocks and the padding are zero.  Built on first use and kept
+        for every sweep and scenario of the ensemble."""
+        hunt, f = self.hunt, self.n_features
+        n, n_w, d, w = hunt.grid.n_steps, hunt.n_paths, hunt.dim, hunt.weights
+        out = np.zeros((n, 1 + d, f, 1 + d, f))
+        for i, ctx in enumerate(self.contexts):
+            phi, k, a_inv = ctx.phi, ctx.n_features, self.a_inverse[i]
+            ata = np.einsum("wjk,wjl->wkl", a_inv, a_inv) / (2.0 * hunt.grid.dt) ** 2
+            out[i, 0, :k, 0, :k] = phi.T @ (w[:, None] * phi) / n_w
+            for a in range(d):
+                for b in range(d):
+                    out[i, 1 + a, :k, 1 + b, :k] = (phi.T @ ((w * ata[:, a, b])[:, None] * phi)
+                                                    / n_w)
+        return out
+
 
 def extract_z(next_values, dm, context: RegressionContext, a_inverse: np.ndarray,
-              dt: float) -> np.ndarray:
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Martingale-representation estimate of Z at one time slot.
 
     Z(x) = (2 dt)^{-1} a(x)^{-1} E[next dM | X = x], one regression per
     martingale coordinate on ``context``; ``a_inverse`` holds a(X)^{-1} per
-    sample.  Returns samples shaped like next_values + (d,).
+    sample.  Returns the samples, shaped like next_values + (d,), and the
+    coefficients of the d moment regressions, shaped like next_values[:-1]
+    + (d, n_features).
 
     The fitted conditional mean of ``next`` is subtracted before multiplying
     by dM.  The subtracted part is X-measurable, so the estimated conditional
@@ -180,9 +206,12 @@ def extract_z(next_values, dm, context: RegressionContext, a_inverse: np.ndarray
     d = dm.shape[1]
     nxt = nxt - context.predict_in_sample(context.fit(nxt))
     moments = np.empty(nxt.shape + (d,))
+    coefs = np.empty(nxt.shape[:-1] + (d, context.n_features))
     for j in range(d):
-        moments[..., j] = context.predict_in_sample(context.fit(nxt * dm[:, j]))
-    return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt)
+        coefs_j = context.fit(nxt * dm[:, j])
+        coefs[..., j, :] = coefs_j
+        moments[..., j] = context.predict_in_sample(coefs_j)
+    return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt), coefs
 
 
 @dataclass(frozen=True)
@@ -198,19 +227,24 @@ class BdsdeSolution:
 
 
 def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                       drivers: Callable, y: np.ndarray, z: np.ndarray,
+                       drivers: Callable, y: np.ndarray, z: np.ndarray, c: np.ndarray,
                        start: int) -> BdsdeSolution:
     """The slot-by-slot recursion from the terminal payoff ``xi`` on the
-    diffusion ensemble back to t_0, into the stacks ``y`` (n_b, N+1, n_W)
-    and ``z`` (n_b, N+1, n_W, d), recomputing slots ``start`` .. 0.
+    diffusion ensemble back to t_0, into the stacks ``y`` (n_b, N+1, n_W),
+    ``z`` (n_b, N+1, n_W, d) and ``c`` (n_b, N+1, 1 + d, F), recomputing
+    slots ``start`` .. 0.
 
-    ``drivers(i, y_i, z_i)`` sees each new slot i, start down to 0, before
-    it overwrites slot i, and returns the (n_b, n_W) f and (n_b, n_W, l) g at
-    slot i, which pair with dB_{i-1}; its slot-0 value is not read.  Below
-    ``start`` = N the slots above ``start`` are taken as the stacks hold
-    them, and ``drivers`` first sees slot start + 1 read back; ``start`` = -1
-    recomputes nothing.  Each slot's diffusion data are read as one
-    contiguous (n_W, d) copy.
+    ``c[:, i]`` holds the regression coefficients of slot i on the ensemble's
+    ``n_features`` = F features, zero-padded: row 0 those of Y, rows 1 .. d
+    those of the d moment regressions behind Z.  Slot N holds no Y row (the
+    payoff is not a regression) and the Z rows of slot N - 1, which its Z
+    copies.  ``drivers(i, y_i, z_i, c_i)`` sees each new slot i, start down
+    to 0, before it overwrites slot i, and returns the (n_b, n_W) f and
+    (n_b, n_W, l) g at slot i, which pair with dB_{i-1}; its slot-0 value is
+    not read.  Below ``start`` = N the slots above ``start`` are taken as the
+    stacks hold them, and ``drivers`` first sees slot start + 1 read back;
+    ``start`` = -1 recomputes nothing.  Each slot's ``dM`` and ``X`` are read
+    as the contiguous (n_W, d) views the ensemble stores.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -220,37 +254,57 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n_w,):
         raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
+    slot_shape = c.shape[:1] + c.shape[2:]
     if start == n:
-        y_i = np.tile(xi, (gbm.n_paths, 1))
+        y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
         # Z at the horizon copies the last regressed slot, N - 1.
-        z_i = extract_z(y_i, np.ascontiguousarray(hunt.dm[:, n - 1]), ensemble.contexts[n - 1],
-                        ensemble.a_inverse[n - 1], dt)
+        ctx = ensemble.contexts[n - 1]
+        z_i, c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx,
+                                                     ensemble.a_inverse[n - 1], dt)
     else:  # slot start + 1 read back; at start = N - 1, Z_N is the Z kept
-        y_i, z_i = y[:, start + 1], z[:, start + 1]
+        y_i, z_i, c_i = y[:, start + 1], z[:, start + 1], c[:, start + 1]
         if start >= 0:
-            at_next = drivers(start + 1, y_i, z_i)
+            at_next = drivers(start + 1, y_i, z_i, c_i)
     for i in range(start, -1, -1):
         if i < n:
             f_next, g_next = at_next
             ctx = ensemble.contexts[i]
+            k = ctx.n_features
             noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
-            y_i = ctx.predict_in_sample(ctx.fit(y[:, i + 1] + dt * f_next + noise))
+            c_y = ctx.fit(y[:, i + 1] + dt * f_next + noise)
+            y_i, c_new = ctx.predict_in_sample(c_y), np.zeros(slot_shape)
+            c_new[:, 0, :k] = c_y
             if i < n - 1:
-                z_i = extract_z(y[:, i + 1], np.ascontiguousarray(hunt.dm[:, i]), ctx,
-                                ensemble.a_inverse[i], dt)
-        at_next = drivers(i, y_i, z_i)
+                z_i, c_new[:, 1:, :k] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx,
+                                                  ensemble.a_inverse[i], dt)
+            else:  # Z_{N-1} is the Z kept at the horizon
+                c_new[:, 1:] = c_i[:, 1:]
+            c_i = c_new
+        at_next = drivers(i, y_i, z_i, c_i)
         y[:, i] = y_i
         z[:, i] = z_i
+        c[:, i] = c_i
     return BdsdeSolution(y, z, hunt.grid, hunt.fingerprint(), gbm.fingerprint())
 
 
-def _delta_density(y, z, delta: float, weights) -> np.ndarray:
-    """delta |Y|^2 + |Z|^2 with Y shaped (..., n_W) and Z (..., n_W, d),
-    averaged over the diffusion paths with their importance weights, which
-    enter unnormalized for Lebesgue initial mass.  Each (..., n_W) row is
-    reduced on its own, so one time slot gives the same floats as the slot's
-    column of a whole stack."""
-    return np.mean((delta * y**2 + np.einsum("...k,...k->...", z, z)) * weights, axis=-1)
+def _coefficient_densities(ensemble: LsmcEnsemble, delta: float) -> Callable:
+    """``densities(i, new, old)`` of ``picard.iterate_in_place`` for the
+    (beta, delta)-norm: per noise path, delta |Y|^2 + |Z|^2 averaged over
+    the diffusion paths with their importance weights, of new - old and of
+    new at slot i, as quadratic forms in the slot's coefficients (the last
+    of the slot data) with the ensemble's ``norm_grams``."""
+    grams = ensemble.norm_grams.copy()
+    grams[:, 0, :, 0] *= delta
+    n, blocks, f = grams.shape[:3]
+    grams = grams.reshape(n, blocks * f, blocks * f)
+
+    def densities(i, new, old):
+        c_new = new[-1].reshape(len(new[-1]), -1)
+        c_inc = c_new - old[-1].reshape(c_new.shape)
+        return (np.sum((c_inc @ grams[i]) * c_inc, axis=-1),
+                np.sum((c_new @ grams[i]) * c_new, axis=-1))
+
+    return densities
 
 
 @dataclass
@@ -274,18 +328,19 @@ class BdsdeProblem:
         return self.inputs
 
 
-def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i):
+def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i, *_):
     """f and g at slot i of (y_i, z_i), v fed Z sigma(X) and x the slot's
-    diffusion state as one contiguous copy; None at slot 0."""
+    diffusion state; None at slot 0.  The slot's coefficients, the last of
+    the slot data the recursion hands its drivers, are not read."""
     if i == 0:
         return None
-    t, x_here = problem.time_grid.times[i], np.ascontiguousarray(ensemble.hunt.x[:, i, :])
+    t, x_here = problem.time_grid.times[i], ensemble.hunt.x[:, i, :]
     v = np.einsum("bwd,wdk->bwk", z_i, ensemble.sigma[i])
     return (np.asarray(problem.f(t, x_here, y_i, v), dtype=float),
             np.asarray(problem.g(t, x_here, y_i, v), dtype=float))
 
 
-def _explicit_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i):
+def _explicit_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i, *_):
     """``_slot_drivers`` read at the new slot, the explicit scheme's, which
     stops at the first slot whose Y or Z is not finite."""
     bad = [name for name, vals in (("Y", y_i), ("Z", z_i)) if not np.all(np.isfinite(vals))]
@@ -303,9 +358,12 @@ def _payoff(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.
     return np.asarray(problem.terminal_fn(hunt.x[:, -1, :]), dtype=float).reshape(hunt.n_paths)
 
 
-def _zero_stacks(ensemble: LsmcEnsemble, gbm: GBMPaths) -> tuple[np.ndarray, np.ndarray]:
-    shape = (gbm.n_paths, ensemble.hunt.grid.n_steps + 1, ensemble.hunt.n_paths)
-    return np.zeros(shape), np.zeros(shape + (ensemble.hunt.dim,))
+def _zero_stacks(ensemble: LsmcEnsemble, gbm: GBMPaths) -> tuple[np.ndarray, ...]:
+    """Zero (Y, Z, coefficient) stacks for ``solve_linear_bdsde``."""
+    hunt = ensemble.hunt
+    shape = (gbm.n_paths, hunt.grid.n_steps + 1)
+    return (np.zeros(shape + (hunt.n_paths,)), np.zeros(shape + (hunt.n_paths, hunt.dim)),
+            np.zeros(shape + (1 + hunt.dim, ensemble.n_features)))
 
 
 def solve_gbdsde(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> BdsdeSolution:
@@ -319,18 +377,19 @@ def solve_gbdsde(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -
 def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
                         cfg: PicardConfig) -> BdsdeSolution:
     """The Picard iteration from zero, each sweep with the drivers frozen at
-    the previous (Y, Z) and its increment in the (beta, delta)-norm, as the
-    check of the contraction; ``solve_gbdsde``'s sweep then overwrites the
-    last iterate from the first slot that the K sweeps left unfixed, N - K,
-    so the solution does not read ``cfg``."""
+    the previous (Y, Z) and its increment in the (beta, delta)-norm, taken
+    from the regression coefficients, as the check of the contraction;
+    ``solve_gbdsde``'s sweep then overwrites the last iterate from the first
+    slot that the K sweeps left unfixed, N - K, so the solution does not read
+    ``cfg``."""
     cfg.validate_against(problem)
-    xi, hunt, times = _payoff(problem, ensemble, gbm), ensemble.hunt, problem.time_grid.times
-    y, z = _zero_stacks(ensemble, gbm)
+    xi, times = _payoff(problem, ensemble, gbm), problem.time_grid.times
+    stacks = _zero_stacks(ensemble, gbm)
     report, unfixed = iterate_in_place(
-        lambda drivers, start: solve_linear_bdsde(xi, ensemble, gbm, drivers, y, z, start),
-        (y, z), partial(_slot_drivers, problem, ensemble),
-        lambda y_i, z_i: _delta_density(y_i, z_i, cfg.delta, hunt.weights),
+        lambda drivers, start: solve_linear_bdsde(xi, ensemble, gbm, drivers, *stacks, start),
+        stacks, partial(_slot_drivers, problem, ensemble),
+        _coefficient_densities(ensemble, cfg.delta),
         lambda dens: math.sqrt(weighted_quadrature(dens, cfg.rate, times)), cfg)
     sol = solve_linear_bdsde(xi, ensemble, gbm, partial(_explicit_drivers, problem, ensemble),
-                             y, z, unfixed)
+                             *stacks, unfixed)
     return replace(sol, picard_report=report)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._util import Scalars
 from .errors import NumericalError, UsageError
@@ -148,13 +147,18 @@ def _sample_initial(law: InitialLaw, dim: int, n_paths: int, rng) -> tuple[np.nd
             pts[bad] = rng.standard_normal((int(bad.sum()), dim))
         else:
             raise NumericalError("rejection sampling for the initial box stalled")
+        from scipy.special import ndtr  # only this branch needs it; its import is slow
         z_box = float(np.prod(ndtr(high) - ndtr(low)))
     return pts, z_box / _gaussian_density(pts)
 
 
 @dataclass(frozen=True)
 class HuntPaths:
-    """Euler-Maruyama ensemble with exact martingale increments."""
+    """Euler-Maruyama ensemble with exact martingale increments.
+
+    ``simulate_hunt`` stores ``x`` and ``dm`` slot by slot, so each time
+    slot ``x[:, i]`` or ``dm[:, i]`` is one contiguous (n_paths, dim) view.
+    """
 
     grid: TimeGrid
     x: np.ndarray = field(repr=False)        # (n_paths, n_steps+1, dim)
@@ -196,21 +200,22 @@ def simulate_hunt(field_spec: CoefficientField, init: InitialLaw, grid: TimeGrid
         if dw.shape != (n_paths, n, d):
             raise UsageError(f"dw has shape {dw.shape}, expected {(n_paths, n, d)}")
 
-    x = np.empty((n_paths, n + 1, d))
-    dm = np.empty((n_paths, n, d))
-    x[:, 0] = x0
+    x = np.empty((n + 1, n_paths, d))  # slot-major: each slot is contiguous
+    dm = np.empty((n, n_paths, d))
+    x[0] = x0
     for i in range(n):
-        here = x[:, i]
+        here = x[i]
         try:
             sig = field_spec.sigma_at(here)
         except NumericalError as exc:
             raise NumericalError(f"non-PSD coefficient at step {i}: {exc}") from exc
         step_m = np.sqrt(2.0) * np.einsum("pab,pb->pa", sig, dw[:, i])
-        dm[:, i] = step_m
-        x[:, i + 1] = here + step_m + field_spec.drift_at(here) * grid.dt
+        dm[i] = step_m
+        x[i + 1] = here + step_m + field_spec.drift_at(here) * grid.dt
     digest = hashlib.blake2b(x, digest_size=16)
     digest.update(weights)
-    return HuntPaths(grid, x, dm, weights, seed, init.kind, digest.hexdigest())
+    return HuntPaths(grid, x.transpose(1, 0, 2), dm.transpose(1, 0, 2), weights, seed,
+                     init.kind, digest.hexdigest())
 
 
 def _phi_steps(phi: np.ndarray, paths: HuntPaths) -> np.ndarray:
@@ -303,8 +308,12 @@ def empirical_bracket(paths: HuntPaths, field_spec: CoefficientField) -> Bracket
     """Compare cumulative dM_i dM_j sums with the left-endpoint quadrature of
     2 a^{ij}(X) along the same paths; relative deviation is over the diagonal
     entries at every positive grid time."""
-    p, n, d = paths.dm.shape
-    emp_steps = np.einsum("pia,pib->iab", paths.dm, paths.dm) / p
+    # einsum's order of summation follows the memory layout: summing over a
+    # path-major copy keeps the bracket's floats independent of the slot-major
+    # storage of the ensemble.
+    dm = np.ascontiguousarray(paths.dm)
+    p, n, d = dm.shape
+    emp_steps = np.einsum("pia,pib->iab", dm, dm) / p
     model_steps = np.zeros((n, d, d))
     for i in range(n):
         model_steps[i] = np.mean(field_spec.a_at(paths.x[:, i]), axis=0) * (2.0 * paths.grid.dt)
@@ -317,7 +326,7 @@ def empirical_bracket(paths: HuntPaths, field_spec: CoefficientField) -> Bracket
     emp_d = empirical[1:, diag, diag]
     mod_d = model[1:, diag, diag]
     rel = np.abs(emp_d - mod_d) / np.maximum(np.abs(mod_d), 1e-300)
-    per_path_total = np.einsum("pia,pib->pab", paths.dm, paths.dm)
+    per_path_total = np.einsum("pia,pib->pab", dm, dm)
     final_se = np.std(per_path_total, axis=0, ddof=1) / np.sqrt(p) if p > 1 else np.zeros((d, d))
     off_ok = True
     for a in range(d):

@@ -446,7 +446,8 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
     u, slot_sources = _start(problem, gbm), partial(_slot_sources, problem, sg.points())
     report, unfixed = iterate_in_place(
         lambda sources, start: _grid_recursion(problem, gbm, u, sources, start), (u,),
-        slot_sources, lambda u_i: _hnorm_density(u_i, sg, cfg.delta),
+        slot_sources, lambda i, new, old: (_hnorm_density(new[0] - old[0], sg, cfg.delta),
+                                          _hnorm_density(new[0], sg, cfg.delta)),
         lambda dens: weighted_quadrature(dens, cfg.rate, times), cfg)
     return _grid_recursion(problem, gbm, u, slot_sources, unfixed), report
 

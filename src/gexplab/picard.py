@@ -145,14 +145,15 @@ def iterate(sweep, state: tuple, cfg) -> tuple[tuple, PicardReport]:
         report=report(False, final_norm))
 
 
-def iterate_in_place(recursion, stacks: tuple, slot_drivers, density, norm,
+def iterate_in_place(recursion, stacks: tuple, slot_drivers, densities, norm,
                      cfg) -> tuple[PicardReport, int]:
     """``iterate`` Picard sweeps in place: ``stacks`` hold the start and end as
     the last iterate.  ``recursion(drivers, start)`` recomputes slots start
     down to 0: it hands ``drivers(i, *new)`` slot start + 1 as the stacks hold
     it, when start < N, then each new slot i before it overwrites slot i; a
-    sweep returns ``slot_drivers(i, *old)`` and reduces the per-path
-    ``density`` of new and new - old by ``norm``.
+    sweep returns ``slot_drivers(i, *old)``, takes the per-path densities of
+    new - old and of new from ``densities(i, new, old)`` and reduces each by
+    ``norm``.
 
     The map is nilpotent: slot N is data and slot i reads only slots above
     it, so sweep k leaves slots N .. N - k + 1 bitwise fixed and sweep k + 1
@@ -172,8 +173,7 @@ def iterate_in_place(recursion, stacks: tuple, slot_drivers, density, norm,
         def drivers(i, *new):
             old = [s[:, i] for s in stacks]
             if i <= start and i < n:
-                inc[:, i] = density(*(a - b for a, b in zip(new, old)))
-                cur[:, i] = density(*new)
+                inc[:, i], cur[:, i] = densities(i, new, old)
             return slot_drivers(i, *old)
 
         recursion(drivers, start)

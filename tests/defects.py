@@ -58,7 +58,12 @@ def _flipped_noise(problem):
 
 def _doubled_z(monkeypatch, exp):
     extract = bdsde.extract_z
-    monkeypatch.setattr(bdsde, "extract_z", lambda *a: 2.0 * extract(*a))
+
+    def doubled(*args):
+        z, coefs = extract(*args)
+        return 2.0 * z, 2.0 * coefs
+
+    monkeypatch.setattr(bdsde, "extract_z", doubled)
 
 
 def _backward_driver(name, factor):

@@ -27,6 +27,16 @@ def homogeneous_term(op, terminal, time_grid):
     return out
 
 
+def delta_density(y, z, delta: float, weights) -> np.ndarray:
+    """delta |Y|^2 + |Z|^2 with Y shaped (..., n_W) and Z (..., n_W, d),
+    averaged over the diffusion paths with their importance weights, which
+    enter unnormalized for Lebesgue initial mass: the value-space density
+    that the backward Picard check takes from the regression coefficients.
+    Each (..., n_W) row is reduced on its own, so one time slot gives the
+    same floats as the slot's column of a whole stack."""
+    return np.mean((delta * y**2 + np.einsum("...k,...k->...", z, z)) * weights, axis=-1)
+
+
 def whole_stack_delta_norm(y, z, beta, delta, weights, times):
     """The (beta, delta)-norm from a density built over whole stacks."""
     dens = delta * y[:, :-1]**2 + np.sum(z[:, :-1]**2, axis=-1)
@@ -64,7 +74,7 @@ def resumed_slots(start, n):
     return list(range(min(start + 1, n), -1, -1)) if start >= 0 else []
 
 
-def every_slot_iterate_in_place(recursion, stacks, slot_drivers, density, norm, cfg):
+def every_slot_iterate_in_place(recursion, stacks, slot_drivers, densities, norm, cfg):
     """``picard.iterate_in_place`` with every sweep recomputing and measuring
     slots N .. 0, and the explicit sweep after it starting at N: the schedule
     that resuming at the first unfixed slot must reproduce bitwise."""
@@ -76,8 +86,7 @@ def every_slot_iterate_in_place(recursion, stacks, slot_drivers, density, norm, 
         def drivers(i, *new):
             old = [s[:, i] for s in stacks]
             if i < n:
-                inc[:, i] = density(*(a - b for a, b in zip(new, old)))
-                cur[:, i] = density(*new)
+                inc[:, i], cur[:, i] = densities(i, new, old)
             return slot_drivers(i, *old)
 
         recursion(drivers, n)

@@ -216,8 +216,9 @@ def test_criterion_08_linear_gbdsde_oracles():
 
     def solve(xi, f=0.0, g=0.0):
         f, g = np.broadcast_to(f, shape), np.broadcast_to(g, shape + (1,))
-        return solve_linear_bdsde(xi, ens, gbm, lambda i, y_i, z_i: (f[:, i], g[:, i]),
-                                  np.empty(shape), np.empty(shape + (1,)), n)
+        return solve_linear_bdsde(xi, ens, gbm, lambda i, *slot: (f[:, i], g[:, i]),
+                                  np.empty(shape), np.empty(shape + (1,)),
+                                  np.empty(shape[:2] + (2, ens.n_features)), n)
 
     sol_c = solve(np.full(n_w, 2.5))
     err_c = float(np.max(np.abs(sol_c.y - 2.5)))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from gexplab.bdsde import (
     solve_gbdsde_picard,
     solve_linear_bdsde,
 )
-from gexplab.bdsde import _delta_density
 from gexplab.errors import NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
@@ -29,8 +29,15 @@ from gexplab.pde import (
     discretize_operator,
 )
 from gexplab.picard import PicardConfig, iterate, weighted_quadrature
+from gexplab.presets import FieldPreset
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import resumed_slots, whole_stack_delta_norm, with_last_picard_iterate
+from oracles import (
+    delta_density,
+    preset,
+    resumed_slots,
+    whole_stack_delta_norm,
+    with_last_picard_iterate,
+)
 
 
 def const_field(value, dim=1):
@@ -59,14 +66,21 @@ def slot_lookup(hunt, gbm, f=0.0, g=0.0):
     ``g`` are broadcast to (n_b, N+1, n_W) and (n_b, N+1, n_W, l)."""
     shape = (gbm.n_paths, hunt.grid.n_steps + 1, hunt.n_paths)
     f, g = np.broadcast_to(f, shape), np.broadcast_to(g, shape + (gbm.dim,))
-    return lambda i, y_i, z_i: (f[:, i], g[:, i])
+    return lambda i, *slot: (f[:, i], g[:, i])
+
+
+def fresh_stacks(ens, gbm, fill=np.nan):
+    """(Y, Z, coefficient) stacks for solve_linear_bdsde, filled with ``fill``."""
+    shape = (gbm.n_paths, ens.hunt.grid.n_steps + 1)
+    return (np.full(shape + (ens.hunt.n_paths,), fill),
+            np.full(shape + (ens.hunt.n_paths, ens.hunt.dim), fill),
+            np.full(shape + (1 + ens.hunt.dim, ens.n_features), fill))
 
 
 def linear(xi, ens, gbm, drivers):
-    """solve_linear_bdsde into fresh (Y, Z) stacks."""
-    shape = (gbm.n_paths, ens.hunt.grid.n_steps + 1, ens.hunt.n_paths)
-    return solve_linear_bdsde(xi, ens, gbm, drivers, np.empty(shape),
-                              np.empty(shape + (ens.hunt.dim,)), ens.hunt.grid.n_steps)
+    """solve_linear_bdsde into fresh stacks."""
+    return solve_linear_bdsde(xi, ens, gbm, drivers, *fresh_stacks(ens, gbm),
+                              ens.hunt.grid.n_steps)
 
 
 # -- regression ----------------------------------------------------------------
@@ -116,7 +130,7 @@ def test_degenerate_positions_fall_back_to_constant():
 
 def slot_z(next_values, hunt, field, i, dt):
     return extract_z(next_values, hunt.dm[:, i], RegressionContext(hunt.x[:, i], BASIS),
-                     np.linalg.inv(field.a_at(hunt.x[:, i])), dt)
+                     np.linalg.inv(field.a_at(hunt.x[:, i])), dt)[0]
 
 
 def test_extract_z_constant_next_value_is_noise_level():
@@ -219,7 +233,7 @@ def test_linear_grid_mismatch_rejected():
 def slot_delta_norm(y, z, beta, delta, weights, times):
     """The (beta, delta)-norm as the Picard sweep takes it: the density of
     each left-endpoint slot on its own, then the weighted quadrature."""
-    dens = np.stack([_delta_density(y[:, i], z[:, i], delta, weights)
+    dens = np.stack([delta_density(y[:, i], z[:, i], delta, weights)
                      for i in range(y.shape[1] - 1)], axis=1)
     return float(np.sqrt(weighted_quadrature(dens, beta, times)))
 
@@ -270,6 +284,59 @@ def test_slot_norms_match_whole_stack_reference_bitwise(n_b, n_steps, n_w, d, se
     assert cur == whole_stack_delta_norm(*new, beta, delta, weights, tg.times)
     assert slot_delta_norm(new[0] - new[0], new[1] - new[1], beta, delta, weights,
                            tg.times) == 0.0
+
+
+def tilted_field():
+    """A 2-D field with off-diagonal entries, so that every block of
+    (a^{-1})^T a^{-1} varies along the paths."""
+    def a(pts):
+        out = np.empty((pts.shape[0], 2, 2))
+        out[:, 0, 0] = 1.0 + 0.3 * np.sin(pts[:, 0])
+        out[:, 1, 1] = 0.8 + 0.2 * np.sin(pts[:, 1])
+        out[:, 0, 1] = out[:, 1, 0] = 0.2 * np.cos(pts[:, 0] + pts[:, 1])
+        return out
+
+    return CoefficientField(2, a, 0.3, 1.5, name="tilted")
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), init=st.sampled_from(["point", "gaussian-box"]),
+       ridge=st.sampled_from([0.0, 1e-3]), degree=st.sampled_from([2, 4]),
+       n_b=st.integers(1, 3), n_steps=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+       delta=st.floats(0.0, 20.0))
+def test_coefficient_densities_match_value_space_oracle(d, init, ridge, degree, n_b, n_steps,
+                                                        seed, delta):
+    # The Picard check takes delta |Y|^2 + |Z|^2, averaged over the paths
+    # with their weights, of new - old and of new as quadratic forms in each
+    # slot's coefficients; they must give the value-space densities of the
+    # (Y, Z) the recursion writes, to rounding.  Under point init slot 0 has
+    # one active feature, fewer than the other slots.
+    tg = TimeGrid(0.5, n_steps)
+    field = (preset(FieldPreset, {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.3}, 1)
+             if d == 1 else tilted_field())
+    law = (InitialLaw("point", [0.2] * d) if init == "point"
+           else InitialLaw("gaussian", box=(-1.5, 1.5)))
+    hunt = simulate_hunt(field, law, tg, 300, seed=seed)
+    gbm = build_gbm(sample_driver(tg, n_b, 1, seed + 1), constant_schedule(0, n_steps),
+                    SCENARIOS[1])
+    ens = LsmcEnsemble(hunt, RegressionBasis(degree, ridge), field)
+    n, n_w = tg.n_steps, hunt.n_paths
+    rng = np.random.default_rng(seed)
+    new, old = fresh_stacks(ens, gbm), fresh_stacks(ens, gbm)
+    for stacks in (new, old):
+        lookup = slot_lookup(hunt, gbm, rng.standard_normal((n_b, n + 1, n_w)),
+                             rng.standard_normal((n_b, n + 1, n_w, 1)))
+        solve_linear_bdsde(np.cos(hunt.x[:, -1, 0]) + rng.standard_normal(n_w), ens, gbm,
+                           lookup, *stacks, n)
+    assert (ens.contexts[0].n_features == 1) == (init == "point")
+    densities = bdsde._coefficient_densities(ens, delta)
+    for i in range(n):
+        inc, cur = densities(i, [s[:, i] for s in new], [s[:, i] for s in old])
+        dy, dz = new[0][:, i] - old[0][:, i], new[1][:, i] - old[1][:, i]
+        np.testing.assert_allclose(inc, delta_density(dy, dz, delta, hunt.weights),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cur, delta_density(new[0][:, i], new[1][:, i], delta,
+                                                      hunt.weights), rtol=1e-12, atol=0.0)
 
 
 # -- outer Picard loop --------------------------------------------------------------
@@ -411,25 +478,67 @@ def test_each_picard_iteration_is_one_linear_solve(monkeypatch):
 
 
 def test_backward_solve_reads_each_slot_contiguously(monkeypatch):
-    # extract_z and the drivers get one contiguous (n_W, d) copy of the
-    # slot's dM and X, not a strided view of the (n_W, N, d) stacks.
+    # extract_z and the drivers get each slot's dM and X as a contiguous
+    # (n_W, d) view into the ensemble's own arrays, which hold them slot by
+    # slot: no copy and no strided gather.
     field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
     extract, f, g = bdsde.extract_z, prob.f, prob.g
     seen = []
 
-    def contiguous(arr, shape):
+    def slot_view(arr, stack):
         seen.append(arr.shape)
-        assert arr.flags.c_contiguous and arr.shape == shape
+        assert arr.flags.c_contiguous and arr.shape == (hunt.n_paths, 1)
+        assert np.shares_memory(arr, stack)
         return arr
 
     monkeypatch.setattr(bdsde, "extract_z", lambda nxt, dm, *a: extract(
-        nxt, contiguous(dm, (hunt.n_paths, 1)), *a))
-    prob.f = lambda t, x, y, v: f(t, contiguous(x, (hunt.n_paths, 1)), y, v)
-    prob.g = lambda t, x, y, v: g(t, contiguous(x, (hunt.n_paths, 1)), y, v)
+        nxt, slot_view(dm, hunt.dm), *a))
+    prob.f = lambda t, x, y, v: f(t, slot_view(x, hunt.x), y, v)
+    prob.g = lambda t, x, y, v: g(t, slot_view(x, hunt.x), y, v)
     solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
                         PicardConfig.from_problem(prob))
     assert len(seen) > 3 * hunt.grid.n_steps
+
+
+def regression_calls(monkeypatch):
+    """Counts of RegressionContext.fit and predict_in_sample calls."""
+    counts = {"fit": 0, "predict_in_sample": 0}
+    for name in counts:
+        method = getattr(RegressionContext, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(RegressionContext, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_picard_check_adds_no_regression_calls(monkeypatch, d):
+    # The check takes its norms from the coefficients the recursion fits
+    # anyway: per recomputed slot i < N one Y fit and, below N - 1, the
+    # 1 + d fits of extract_z, plus 1 + d at the horizon when a sweep starts
+    # at N; each fit is predicted once.
+    scen = SCENARIOS[1]
+    tg = TimeGrid(0.5, 6)
+    field = const_field(0.5, d)
+    hunt = simulate_hunt(field, InitialLaw("gaussian"), tg, 400, seed=8)
+    gbm = build_gbm(sample_driver(tg, 2, 1, seed=9), constant_schedule(0, 6), scen)
+    ens = LsmcEnsemble(hunt, RegressionBasis(degree=2), field)
+    prob = mixed_problem(field, scen, tg)
+    counts = regression_calls(monkeypatch)
+    sol = solve_gbdsde_picard(prob, ens, gbm, PicardConfig.from_problem(prob))
+    n, k = tg.n_steps, sol.picard_report.iterations
+    assert 2 <= k <= n
+
+    def fits(start):
+        return ((1 + d) * (start == n)
+                + sum(1 + (1 + d) * (i < n - 1) for i in range(min(start, n - 1), -1, -1)))
+
+    expected = sum(fits(start) for start in range(n, n - k - 1, -1))
+    assert counts == {"fit": expected, "predict_in_sample": expected}
 
 
 def test_nonconvergence_carries_report():
@@ -489,18 +598,19 @@ def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
                          rng.standard_normal((n_b, n + 1, n_w, 1)))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    fresh = linear(xi, ens, gbm, lookup)
-    y, z = np.full((n_b, n + 1, n_w), -7.0), np.full((n_b, n + 1, n_w, 1), -7.0)
+    fresh = fresh_stacks(ens, gbm)
+    solve_linear_bdsde(xi, ens, gbm, lookup, *fresh, n)
+    stacks = fresh_stacks(ens, gbm, -7.0)
     events = []
 
-    def drivers(i, y_i, z_i):
-        events.append((i, bool(np.all(y[:, i] == -7.0) and np.all(z[:, i] == -7.0))))
-        assert np.array_equal(y_i, fresh.y[:, i]) and np.array_equal(z_i, fresh.z[:, i])
-        return lookup(i, y_i, z_i)
+    def drivers(i, *new):
+        events.append((i, all(np.all(s[:, i] == -7.0) for s in stacks)))
+        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, fresh, strict=True))
+        return lookup(i, *new)
 
-    sol = solve_linear_bdsde(xi, ens, gbm, drivers, y, z, n)
-    assert sol.y is y and sol.z is z
-    assert np.array_equal(y, fresh.y) and np.array_equal(z, fresh.z)
+    sol = solve_linear_bdsde(xi, ens, gbm, drivers, *stacks, n)
+    assert sol.y is stacks[0] and sol.z is stacks[1]
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, fresh))
     assert events == [(i, True) for i in range(n, -1, -1)]
 
 
@@ -516,18 +626,20 @@ def test_linear_recursion_resumes_below_the_slots_it_keeps(start):
                          rng.standard_normal((n_b, n + 1, n_w, 1)))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    fresh = linear(xi, ens, gbm, lookup)
-    y, z = fresh.y.copy(), fresh.z.copy()
-    y[:, :start + 1], z[:, :start + 1] = -7.0, -7.0
+    fresh = fresh_stacks(ens, gbm)
+    solve_linear_bdsde(xi, ens, gbm, lookup, *fresh, n)
+    stacks = tuple(s.copy() for s in fresh)
+    for s in stacks:
+        s[:, :start + 1] = -7.0
     seen = []
 
-    def drivers(i, y_i, z_i):
+    def drivers(i, *new):
         seen.append(i)
-        assert np.array_equal(y_i, fresh.y[:, i]) and np.array_equal(z_i, fresh.z[:, i])
-        return lookup(i, y_i, z_i)
+        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, fresh, strict=True))
+        return lookup(i, *new)
 
-    solve_linear_bdsde(xi, ens, gbm, drivers, y, z, start)
-    assert np.array_equal(y, fresh.y) and np.array_equal(z, fresh.z)
+    solve_linear_bdsde(xi, ens, gbm, drivers, *stacks, start)
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, fresh))
     assert seen == resumed_slots(start, n)
 
 
@@ -541,11 +653,11 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
     slot_drivers = bdsde._slot_drivers
     slots = []
 
-    def poisoned_at_0(problem, ensemble, i, y_i, z_i):
+    def poisoned_at_0(problem, ensemble, i, y_i, *slot):
         slots.append(i)
         if i == 0:
             return np.full_like(y_i, np.nan), np.full(y_i.shape + (1,), np.nan)
-        return slot_drivers(problem, ensemble, i, y_i, z_i)
+        return slot_drivers(problem, ensemble, i, y_i, *slot)
 
     cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
     clean = solve_gbdsde_picard(prob, ens, gbm, cfg)
@@ -577,26 +689,28 @@ def stacked_drivers(problem, y, z, ens):
 
 
 def stacked_picard(problem, ens, gbm, cfg):
-    """Reference Picard loop on two (Y, Z) stacks: each sweep builds the
-    driver stacks first, hands them to solve_linear_bdsde as a slot lookup
-    into fresh stacks and takes the norms of the new and the old iterate
-    whole."""
+    """Reference Picard loop on whole stacks: each sweep builds the driver
+    stacks first, hands them to solve_linear_bdsde as a slot lookup into
+    fresh stacks and then takes the densities of the new iterate and of its
+    increment over the old one slot by slot, with the solver's densities."""
     hunt = ens.hunt
-    n, n_w, d = hunt.grid.n_steps, hunt.n_paths, hunt.dim
+    n, n_w = hunt.grid.n_steps, hunt.n_paths
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
-    times = hunt.grid.times
+    densities = bdsde._coefficient_densities(ens, cfg.delta)
 
-    def sweep(y, z):
-        f_arr, g_arr = stacked_drivers(problem, y, z, ens)
-        sol = linear(xi, ens, gbm, lambda i, y_i, z_i: (f_arr[:, i], g_arr[:, i]))
-        return ((sol.y, sol.z),
-                whole_stack_delta_norm(sol.y - y, sol.z - z, cfg.rate, cfg.delta,
-                                       hunt.weights, times),
-                whole_stack_delta_norm(sol.y, sol.z, cfg.rate, cfg.delta, hunt.weights, times))
+    def norm(dens):
+        return math.sqrt(weighted_quadrature(np.stack(dens, axis=1), cfg.rate, hunt.grid.times))
 
-    start = (np.zeros((gbm.n_paths, n + 1, n_w)), np.zeros((gbm.n_paths, n + 1, n_w, d)))
-    (y, z), report = iterate(sweep, start, cfg)
-    return y, z, report
+    def sweep(*old):
+        f_arr, g_arr = stacked_drivers(problem, old[0], old[1], ens)
+        new = fresh_stacks(ens, gbm)
+        solve_linear_bdsde(xi, ens, gbm, lambda i, *slot: (f_arr[:, i], g_arr[:, i]), *new, n)
+        inc, cur = zip(*(densities(i, [s[:, i] for s in new], [s[:, i] for s in old])
+                         for i in range(n)))
+        return new, norm(inc), norm(cur)
+
+    stacks, report = iterate(sweep, fresh_stacks(ens, gbm, 0.0), cfg)
+    return stacks, report
 
 
 def mixed_problem(field, scen, tg, k=0.2, alpha=0.3):
@@ -627,8 +741,9 @@ SCENARIOS = {1: ScenarioSet.from_list([[[1.0]], [[0.6]]]),
 def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
                                                         scenario, seed):
     # The Picard sweep evaluates the drivers slot by slot inside the one
-    # in-place recursion; its report and its last iterate must be the floats
-    # of the whole-stack form, and the (Y, Z) it returns is solve_gbdsde's.
+    # in-place recursion; its report and its last iterate (Y, Z and the
+    # coefficients) must be the floats of the whole-stack form taking the
+    # same densities, and the (Y, Z) it returns is solve_gbdsde's.
     scen = SCENARIOS[l]
     tg = TimeGrid(0.5, n_steps)
     field = const_field(0.5, d)
@@ -638,11 +753,11 @@ def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
     ens = LsmcEnsemble(hunt, RegressionBasis(degree=2), field)
     prob = mixed_problem(field, scen, tg)
     cfg = PicardConfig.from_problem(prob, max_iter=12)
-    y_ref, z_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
-    sol, (y, z) = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
+    stacks_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
+    sol, stacks = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
                                            prob, ens, gbm, cfg)
     assert sol.picard_report == rep_ref
-    assert np.array_equal(y, y_ref) and np.array_equal(z, z_ref)
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, stacks_ref, strict=True))
     explicit = solve_gbdsde(prob, ens, gbm)
     assert np.array_equal(sol.y, explicit.y) and np.array_equal(sol.z, explicit.z)
 

@@ -338,12 +338,23 @@ def test_cli_gspde_on_dirichlet_grid(tmp_path):
     assert all(row["pass"] == "true" for row in rows)
 
 
-def test_import_does_not_load_scipy_stats():
-    code = "import sys, gexplab.cli; print('scipy.stats' in sys.modules)"
+def loaded_by_cli_import(module):
+    """Whether importing ``gexplab.cli`` in a fresh interpreter loads ``module``."""
+    code = f"import sys, gexplab.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gexplab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_stats():
+    assert not loaded_by_cli_import("scipy.stats")
+
+
+def test_import_does_not_load_scipy_special():
+    # Only the Gaussian-box initial law reads scipy.special (for ndtr), so the
+    # import every process pays stays out of the CLI's load.
+    assert not loaded_by_cli_import("scipy.special")
 
 
 def test_cli_gbm_and_artifacts(tmp_path, capsys):

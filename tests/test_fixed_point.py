@@ -81,8 +81,8 @@ def test_backward_picard_stops_on_the_explicit_scheme_bitwise(field):
     problem, ensemble = exp.bdsde_problem, shipped_ensemble(exp)
     cfg = exhaustive(exp.bdsde_cfg, problem)
     for gbm in experiments._problem_bundles(exp):
-        sol, (y, z) = with_last_picard_iterate(bdsde, "solve_linear_bdsde",
-                                               solve_gbdsde_picard, problem, ensemble, gbm, cfg)
+        sol, (y, z, _) = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
+                                                  problem, ensemble, gbm, cfg)
         explicit = solve_gbdsde(problem, ensemble, gbm)
         rep = sol.picard_report
         assert rep.converged and rep.increments[-1] == 0.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,24 @@ def test_non_psd_coefficient_aborts_with_location():
     field = CoefficientField(1, bad_a, 0.1, 1.0, drift=lambda p: np.zeros_like(p))
     with pytest.raises(NumericalError, match="step"):
         simulate_hunt(field, InitialLaw("point", [3.0]), TimeGrid(1.0, 4), 8, seed=1)
+
+
+@pytest.mark.parametrize("field", [sin_field(), constant_field(0.5, 2)], ids=["sin-1d", "2d"])
+def test_paths_are_stored_slot_by_slot(field):
+    # Each time slot of x and dm is a contiguous (n_paths, dim) view, and the
+    # reports that sum over paths give the floats they give on a path-major
+    # C-contiguous copy of the same ensemble: the summation order is kept.
+    grid = TimeGrid(1.0, 256)
+    paths = simulate_hunt(field, InitialLaw("gaussian"), grid, 1500, seed=29)
+    assert all(paths.x[:, i].flags.c_contiguous for i in range(grid.n_steps + 1))
+    assert all(paths.dm[:, i].flags.c_contiguous for i in range(grid.n_steps))
+    copy = replace(paths, x=np.ascontiguousarray(paths.x), dm=np.ascontiguousarray(paths.dm))
+    assert copy.x.flags.c_contiguous and copy.dm.flags.c_contiguous
+    bracket, bracket_copy = empirical_bracket(paths, field), empirical_bracket(copy, field)
+    for name in ("times", "empirical", "model", "final_se"):
+        assert np.array_equal(getattr(bracket, name), getattr(bracket_copy, name)), name
+    assert bracket.max_rel_dev_diag == bracket_copy.max_rel_dev_diag
+    assert bracket.offdiag_ok == bracket_copy.offdiag_ok
+    phi = np.cos(np.arange(grid.n_steps * field.dim)).reshape(grid.n_steps, field.dim)
+    assert (forward_integral_diagnostics(phi, paths, field)
+            == forward_integral_diagnostics(phi, copy, field))

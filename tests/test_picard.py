@@ -101,7 +101,8 @@ class ToyRecursion:
 
 def toy_picard(engine, n, cfg):
     toy = ToyRecursion(n)
-    report, unfixed = engine(toy, (toy.x,), lambda i, x_i: x_i + 1.0, lambda x_i: x_i**2,
+    report, unfixed = engine(toy, (toy.x,), lambda i, x_i: x_i + 1.0,
+                             lambda i, new, old: ((new[0] - old[0])**2, new[0]**2),
                              lambda dens: float(np.sum(dens)), cfg)
     return toy, report, unfixed
 
