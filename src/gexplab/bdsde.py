@@ -156,7 +156,10 @@ class LsmcEnsemble:
         self.contexts = [RegressionContext(hunt.x[:, i, :], basis) for i in range(n)]
         self.n_features = max(ctx.n_features for ctx in self.contexts)
         a_values = np.stack([field_spec.a_at(hunt.x[:, i, :]) for i in range(n)])
-        self.a_inverse = np.linalg.inv(a_values)               # (n, n_W, d, d)
+        # In 1-D the reciprocal is bitwise the inverse LAPACK gives each 1 x 1
+        # matrix, without one LAPACK call per path and slot.
+        self.a_inverse = (1.0 / a_values if hunt.dim == 1
+                          else np.linalg.inv(a_values))        # (n, n_W, d, d)
         self.sigma = np.stack([field_spec.sigma_at(hunt.x[:, i, :])
                                for i in range(n + 1)])         # (n+1, n_W, d, d)
 
@@ -183,6 +186,32 @@ class LsmcEnsemble:
                                                     / n_w)
         return out
 
+    def slot_values(self, i: int, c_i: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Y, Z) at slot i, shaped (n_b, n_W) and (n_b, n_W, d), from the
+        slot's coefficients ``c_i`` (n_b, 1 + d, F) as ``solve_linear_bdsde``
+        writes them: Y predicted from row 0 and Z from rows 1 .. d by the
+        calls ``extract_z`` makes, so the floats are the ones the recursion
+        made.  At slot N, Y is the payoff ``xi`` and Z is evaluated on slot
+        N - 1's context and a(X)^{-1}, the slot whose Z it copies."""
+        n = self.hunt.grid.n_steps
+        regressed = min(i, n - 1)
+        ctx = self.contexts[regressed]
+        k = ctx.n_features
+        z = _z_values(ctx, c_i[:, 1:, :k], self.a_inverse[regressed], self.hunt.grid.dt)
+        y = np.tile(xi, (len(c_i), 1)) if i == n else ctx.predict_in_sample(c_i[:, 0, :k])
+        return y, z
+
+
+def _z_values(context: RegressionContext, coefs: np.ndarray, a_inverse: np.ndarray,
+              dt: float) -> np.ndarray:
+    """Z = (2 dt)^{-1} a(X)^{-1} times the moments predicted from the d moment
+    regressions' coefficients ``coefs`` (..., d, n_features) on ``context``."""
+    d = coefs.shape[-2]
+    moments = np.empty(coefs.shape[:-2] + (context.phi.shape[0], d))
+    for j in range(d):
+        moments[..., j] = context.predict_in_sample(coefs[..., j, :])
+    return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt)
+
 
 def extract_z(next_values, dm, context: RegressionContext, a_inverse: np.ndarray,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -205,46 +234,56 @@ def extract_z(next_values, dm, context: RegressionContext, a_inverse: np.ndarray
     dm = np.asarray(dm, dtype=float)
     d = dm.shape[1]
     nxt = nxt - context.predict_in_sample(context.fit(nxt))
-    moments = np.empty(nxt.shape + (d,))
     coefs = np.empty(nxt.shape[:-1] + (d, context.n_features))
     for j in range(d):
-        coefs_j = context.fit(nxt * dm[:, j])
-        coefs[..., j, :] = coefs_j
-        moments[..., j] = context.predict_in_sample(coefs_j)
-    return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt), coefs
+        coefs[..., j, :] = context.fit(nxt * dm[:, j])
+    return _z_values(context, coefs, a_inverse, dt), coefs
 
 
 @dataclass(frozen=True)
 class BdsdeSolution:
-    """Y, Z over (noise path, time, diffusion path) for one scenario."""
+    """Y, Z over (noise path, time, diffusion path) for one scenario, kept as
+    the coefficient stack ``c`` that ``solve_linear_bdsde`` writes and the
+    payoff ``xi``; ``slot(i)`` evaluates the (Y, Z) of slot i."""
 
-    y: np.ndarray = field(repr=False)   # (n_b, n_steps+1, n_W)
-    z: np.ndarray = field(repr=False)   # (n_b, n_steps+1, n_W, d)
-    time_grid: TimeGrid
-    hunt_fingerprint: tuple
+    c: np.ndarray = field(repr=False)      # (n_b, n_steps+1, 1 + d, F)
+    xi: np.ndarray = field(repr=False)     # (n_W,)
+    ensemble: LsmcEnsemble = field(repr=False)
     gbm_fingerprint: tuple
     picard_report: Optional[PicardReport] = None
 
+    @property
+    def time_grid(self) -> TimeGrid:
+        return self.ensemble.hunt.grid
+
+    @property
+    def hunt_fingerprint(self) -> tuple:
+        return self.ensemble.hunt.fingerprint()
+
+    def slot(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Y, Z) at slot i, shaped (n_b, n_W) and (n_b, n_W, d)."""
+        return self.ensemble.slot_values(i, self.c[:, i], self.xi)
+
 
 def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                       drivers: Callable, y: np.ndarray, z: np.ndarray, c: np.ndarray,
-                       start: int) -> BdsdeSolution:
+                       drivers: Callable, c: np.ndarray, start: int) -> BdsdeSolution:
     """The slot-by-slot recursion from the terminal payoff ``xi`` on the
-    diffusion ensemble back to t_0, into the stacks ``y`` (n_b, N+1, n_W),
-    ``z`` (n_b, N+1, n_W, d) and ``c`` (n_b, N+1, 1 + d, F), recomputing
-    slots ``start`` .. 0.
+    diffusion ensemble back to t_0, into the coefficient stack ``c`` (n_b,
+    N+1, 1 + d, F), recomputing slots ``start`` .. 0.
 
     ``c[:, i]`` holds the regression coefficients of slot i on the ensemble's
     ``n_features`` = F features, zero-padded: row 0 those of Y, rows 1 .. d
     those of the d moment regressions behind Z.  Slot N holds no Y row (the
     payoff is not a regression) and the Z rows of slot N - 1, which its Z
-    copies.  ``drivers(i, y_i, z_i, c_i)`` sees each new slot i, start down
-    to 0, before it overwrites slot i, and returns the (n_b, n_W) f and
+    copies.  The (Y, Z) of a slot is ``LsmcEnsemble.slot_values`` of its
+    coefficients; the recursion keeps only the slot it just made.
+    ``drivers(i, y_i, z_i, c_i)`` sees each new slot i, start down to 0,
+    before it overwrites slot i of ``c``, and returns the (n_b, n_W) f and
     (n_b, n_W, l) g at slot i, which pair with dB_{i-1}; its slot-0 value is
-    not read.  Below ``start`` = N the slots above ``start`` are taken as the
-    stacks hold them, and ``drivers`` first sees slot start + 1 read back;
-    ``start`` = -1 recomputes nothing.  Each slot's ``dM`` and ``X`` are read
-    as the contiguous (n_W, d) views the ensemble stores.
+    not read.  Below ``start`` = N the slots above ``start`` are taken as
+    ``c`` holds them, and ``drivers`` first sees slot start + 1 evaluated
+    from ``c``; ``start`` = -1 recomputes nothing.  Each slot's ``dM`` and
+    ``X`` are read as the contiguous (n_W, d) views the ensemble stores.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -261,30 +300,27 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
         ctx = ensemble.contexts[n - 1]
         z_i, c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx,
                                                      ensemble.a_inverse[n - 1], dt)
-    else:  # slot start + 1 read back; at start = N - 1, Z_N is the Z kept
-        y_i, z_i, c_i = y[:, start + 1], z[:, start + 1], c[:, start + 1]
-        if start >= 0:
-            at_next = drivers(start + 1, y_i, z_i, c_i)
+    elif start >= 0:  # slot start + 1 evaluated; at start = N - 1, Z_N is the Z kept
+        c_i = c[:, start + 1]
+        y_i, z_i = ensemble.slot_values(start + 1, c_i, xi)
+        at_next = drivers(start + 1, y_i, z_i, c_i)
     for i in range(start, -1, -1):
         if i < n:
             f_next, g_next = at_next
             ctx = ensemble.contexts[i]
             k = ctx.n_features
             noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
-            c_y = ctx.fit(y[:, i + 1] + dt * f_next + noise)
-            y_i, c_new = ctx.predict_in_sample(c_y), np.zeros(slot_shape)
-            c_new[:, 0, :k] = c_y
+            c_new = np.zeros(slot_shape)
+            c_new[:, 0, :k] = ctx.fit(y_i + dt * f_next + noise)
             if i < n - 1:
-                z_i, c_new[:, 1:, :k] = extract_z(y[:, i + 1], hunt.dm[:, i], ctx,
+                z_i, c_new[:, 1:, :k] = extract_z(y_i, hunt.dm[:, i], ctx,
                                                   ensemble.a_inverse[i], dt)
             else:  # Z_{N-1} is the Z kept at the horizon
                 c_new[:, 1:] = c_i[:, 1:]
-            c_i = c_new
+            y_i, c_i = ctx.predict_in_sample(c_new[:, 0, :k]), c_new
         at_next = drivers(i, y_i, z_i, c_i)
-        y[:, i] = y_i
-        z[:, i] = z_i
         c[:, i] = c_i
-    return BdsdeSolution(y, z, hunt.grid, hunt.fingerprint(), gbm.fingerprint())
+    return BdsdeSolution(c, xi, ensemble, gbm.fingerprint())
 
 
 def _coefficient_densities(ensemble: LsmcEnsemble, delta: float) -> Callable:
@@ -328,10 +364,9 @@ class BdsdeProblem:
         return self.inputs
 
 
-def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i, *_):
+def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i):
     """f and g at slot i of (y_i, z_i), v fed Z sigma(X) and x the slot's
-    diffusion state; None at slot 0.  The slot's coefficients, the last of
-    the slot data the recursion hands its drivers, are not read."""
+    diffusion state; None at slot 0."""
     if i == 0:
         return None
     t, x_here = problem.time_grid.times[i], ensemble.hunt.x[:, i, :]
@@ -342,12 +377,36 @@ def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_
 
 def _explicit_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i, *_):
     """``_slot_drivers`` read at the new slot, the explicit scheme's, which
-    stops at the first slot whose Y or Z is not finite."""
+    stops at the first slot whose Y or Z is not finite.  The slot's
+    coefficients, the last of the slot data the recursion hands its drivers,
+    are not read."""
     bad = [name for name, vals in (("Y", y_i), ("Z", z_i)) if not np.all(np.isfinite(vals))]
     if bad:
         raise NumericalError(f"backward solve produced non-finite {' and '.join(bad)} "
                              f"at slot {i}")
     return _slot_drivers(problem, ensemble, i, y_i, z_i)
+
+
+def _previous_iterate_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble,
+                              xi: np.ndarray, n_b: int) -> Callable:
+    """``slot_drivers(i, c_i)`` of ``picard.iterate_in_place``:
+    ``_slot_drivers`` at the previous iterate, whose slot i is evaluated from
+    its coefficients ``c_i``.  Iterate 0 is zero at every slot, the horizon
+    included, so the first sweep, which ends at slot 0, hands the drivers
+    zeros; slot 0 is not evaluated, as its drivers are not read."""
+    hunt = ensemble.hunt
+    zero = (np.zeros((n_b, hunt.n_paths)), np.zeros((n_b, hunt.n_paths, hunt.dim)))
+    first_sweep = True
+
+    def slot_drivers(i, c_i):
+        nonlocal first_sweep
+        if i == 0:
+            first_sweep = False
+            return None
+        old = zero if first_sweep else ensemble.slot_values(i, c_i, xi)
+        return _slot_drivers(problem, ensemble, i, *old)
+
+    return slot_drivers
 
 
 def _payoff(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.ndarray:
@@ -358,12 +417,10 @@ def _payoff(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.
     return np.asarray(problem.terminal_fn(hunt.x[:, -1, :]), dtype=float).reshape(hunt.n_paths)
 
 
-def _zero_stacks(ensemble: LsmcEnsemble, gbm: GBMPaths) -> tuple[np.ndarray, ...]:
-    """Zero (Y, Z, coefficient) stacks for ``solve_linear_bdsde``."""
+def _zero_coefficients(ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.ndarray:
+    """A zero coefficient stack for ``solve_linear_bdsde``."""
     hunt = ensemble.hunt
-    shape = (gbm.n_paths, hunt.grid.n_steps + 1)
-    return (np.zeros(shape + (hunt.n_paths,)), np.zeros(shape + (hunt.n_paths, hunt.dim)),
-            np.zeros(shape + (1 + hunt.dim, ensemble.n_features)))
+    return np.zeros((gbm.n_paths, hunt.grid.n_steps + 1, 1 + hunt.dim, ensemble.n_features))
 
 
 def solve_gbdsde(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> BdsdeSolution:
@@ -371,25 +428,26 @@ def solve_gbdsde(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -
     the fixed point of the Picard map, which fixes one slot per sweep."""
     return solve_linear_bdsde(_payoff(problem, ensemble, gbm), ensemble, gbm,
                               partial(_explicit_drivers, problem, ensemble),
-                              *_zero_stacks(ensemble, gbm), problem.time_grid.n_steps)
+                              _zero_coefficients(ensemble, gbm), problem.time_grid.n_steps)
 
 
 def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
                         cfg: PicardConfig) -> BdsdeSolution:
-    """The Picard iteration from zero, each sweep with the drivers frozen at
-    the previous (Y, Z) and its increment in the (beta, delta)-norm, taken
-    from the regression coefficients, as the check of the contraction;
+    """The Picard iteration from zero on one coefficient stack, each sweep
+    with the drivers frozen at the previous (Y, Z), evaluated slot by slot
+    from its coefficients, and its increment in the (beta, delta)-norm taken
+    from the coefficients, as the check of the contraction;
     ``solve_gbdsde``'s sweep then overwrites the last iterate from the first
     slot that the K sweeps left unfixed, N - K, so the solution does not read
     ``cfg``."""
     cfg.validate_against(problem)
     xi, times = _payoff(problem, ensemble, gbm), problem.time_grid.times
-    stacks = _zero_stacks(ensemble, gbm)
+    c = _zero_coefficients(ensemble, gbm)
     report, unfixed = iterate_in_place(
-        lambda drivers, start: solve_linear_bdsde(xi, ensemble, gbm, drivers, *stacks, start),
-        stacks, partial(_slot_drivers, problem, ensemble),
+        lambda drivers, start: solve_linear_bdsde(xi, ensemble, gbm, drivers, c, start),
+        (c,), _previous_iterate_drivers(problem, ensemble, xi, gbm.n_paths),
         _coefficient_densities(ensemble, cfg.delta),
         lambda dens: math.sqrt(weighted_quadrature(dens, cfg.rate, times)), cfg)
     sol = solve_linear_bdsde(xi, ensemble, gbm, partial(_explicit_drivers, problem, ensemble),
-                             *stacks, unfixed)
+                             c, unfixed)
     return replace(sol, picard_report=report)

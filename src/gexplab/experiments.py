@@ -268,6 +268,7 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
     dump_b = min(sec.dump_paths, n_b)
     dump_w = min(8, n_w)
+    n = problem.time_grid.n_steps
 
     rows: list[CheckRow] = []
     scen_reports = []
@@ -275,16 +276,19 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     for gbm in _problem_bundles(exp):
         sol = solve_gbdsde_picard(problem, ensemble, gbm, cfg)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
-        terminal_exact = bool(np.all(sol.y[:, -1] == xi))
+        terminal_exact = bool(np.all(sol.slot(n)[0] == xi))
         sid = gbm.scenario_id
         scen_reports.append(_picard_checks("gbdsde", sid, sol.picard_report,
                                            terminal_exact, rows))
+        # One slot is evaluated at a time, on every path, and only copies of
+        # the dumped paths are kept, not views that hold the whole slot.
+        dumped = [tuple(v[:dump_b, :dump_w].copy() for v in sol.slot(i))
+                  for i in range(n + 1)] if dump_b else []
         for b in range(dump_b):
             for w in range(dump_w):
-                for i, t in enumerate(problem.time_grid.times):
-                    dump_rows.append((sid, b, w, float(t), float(sol.y[b, i, w]))
-                                     + tuple(float(v) for v in sol.z[b, i, w]))
-        del sol  # the next scenario's solve must not run beside this (Y, Z)
+                for (y, z), t in zip(dumped, problem.time_grid.times):
+                    dump_rows.append((sid, b, w, float(t), float(y[b, w]))
+                                     + tuple(float(v) for v in z[b, w]))
     header = (["scenario_id", "b_path_id", "x_path_id", "t", "Y"]
               + [f"Z_{k + 1}" for k in range(hunt.dim)])
     artifacts = {

@@ -84,11 +84,12 @@ def representation_errors(u_field: RandomField, sol: BdsdeSolution,
         pos = hunt.x[:, idx, 0]
         err_y, ref_y, err_z, ref_z, err_zs, ref_zs = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         sig = field_spec.sigma_at(hunt.x[:, idx, :])[:, 0, 0]
+        y, z = sol.slot(idx)
         for b in range(u_field.n_paths):
             u_here = _interp_paths(u_field.values[b, idx], sg, pos)
             grad_here = _interp_paths(sg.gradient(u_field.values[b, idx])[:, 0], sg, pos)
-            dy = u_here - sol.y[b, idx]
-            dz = grad_here - sol.z[b, idx, :, 0]
+            dy = u_here - y[b]
+            dz = grad_here - z[b, :, 0]
             err_y += float(np.mean(dy**2))
             ref_y += float(np.mean(u_here**2))
             err_z += float(np.mean(dz**2))

@@ -1,12 +1,15 @@
 """Reference computations the tests compare the package against; no
 command of the package runs them."""
 
+import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
 
+from gexplab import bdsde
 from gexplab._util import read
-from gexplab.picard import iterate, weighted_quadrature
+from gexplab.picard import iterate, iterate_in_place, weighted_quadrature
 from gexplab.presets import FieldPreset, NoisePreset
 
 
@@ -100,3 +103,89 @@ def with_full_sweeps(module, solve, *args):
     sweep after them run over every slot (``every_slot_iterate_in_place``)."""
     with mock.patch.object(module, "iterate_in_place", every_slot_iterate_in_place):
         return solve(*args)
+
+
+def solution_stacks(sol):
+    """The (Y, Z) stacks, (n_b, N+1, n_W) and (n_b, N+1, n_W, d), of a
+    ``bdsde.BdsdeSolution``, evaluated slot by slot."""
+    y, z = zip(*(sol.slot(i) for i in range(sol.c.shape[1])))
+    return np.stack(y, axis=1), np.stack(z, axis=1)
+
+
+def value_z(next_values, dm, context, a_inverse, dt):
+    """``bdsde.extract_z`` with each moment predicted from the coefficients
+    its fit returns, not from a stored copy of them: the Z that evaluating a
+    slot's moment coefficients must give bitwise."""
+    nxt = next_values - context.predict_in_sample(context.fit(next_values))
+    d = dm.shape[1]
+    moments = np.empty(nxt.shape + (d,))
+    coefs = np.empty(nxt.shape[:-1] + (d, context.n_features))
+    for j in range(d):
+        coefs_j = context.fit(nxt * dm[:, j])
+        coefs[..., j, :] = coefs_j
+        moments[..., j] = context.predict_in_sample(coefs_j)
+    return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt), coefs
+
+
+def stacked_linear_bdsde(xi, ensemble, gbm, drivers, y, z, c, start):
+    """``bdsde.solve_linear_bdsde`` writing every slot's (Y, Z) into the
+    stacks ``y`` and ``z`` beside the coefficient stack ``c``, and reading
+    slot start + 1 back from them below N: the values that evaluating a slot
+    from its coefficients must give bitwise.  Returns (y, z, c)."""
+    hunt = ensemble.hunt
+    n, dt = hunt.grid.n_steps, hunt.grid.dt
+    slot_shape = c.shape[:1] + c.shape[2:]
+    if start == n:
+        y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
+        ctx = ensemble.contexts[n - 1]
+        z_i, c_i[:, 1:, :ctx.n_features] = value_z(y_i, hunt.dm[:, n - 1], ctx,
+                                                   ensemble.a_inverse[n - 1], dt)
+    else:
+        y_i, z_i, c_i = y[:, start + 1], z[:, start + 1], c[:, start + 1]
+        if start >= 0:
+            at_next = drivers(start + 1, y_i, z_i, c_i)
+    for i in range(start, -1, -1):
+        if i < n:
+            f_next, g_next = at_next
+            ctx = ensemble.contexts[i]
+            k = ctx.n_features
+            noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
+            c_y = ctx.fit(y[:, i + 1] + dt * f_next + noise)
+            y_i, c_new = ctx.predict_in_sample(c_y), np.zeros(slot_shape)
+            c_new[:, 0, :k] = c_y
+            if i < n - 1:
+                z_i, c_new[:, 1:, :k] = value_z(y[:, i + 1], hunt.dm[:, i], ctx,
+                                                ensemble.a_inverse[i], dt)
+            else:
+                c_new[:, 1:] = c_i[:, 1:]
+            c_i = c_new
+        at_next = drivers(i, y_i, z_i, c_i)
+        y[:, i] = y_i
+        z[:, i] = z_i
+        c[:, i] = c_i
+    return y, z, c
+
+
+def zero_stacks(ensemble, gbm):
+    """Zero (Y, Z, coefficient) stacks for ``stacked_linear_bdsde``."""
+    hunt = ensemble.hunt
+    shape = (gbm.n_paths, hunt.grid.n_steps + 1)
+    return (np.zeros(shape + (hunt.n_paths,)), np.zeros(shape + (hunt.n_paths, hunt.dim)),
+            np.zeros(shape + (1 + hunt.dim, ensemble.n_features)))
+
+
+def stacked_gbdsde_picard(problem, ensemble, gbm, cfg):
+    """``bdsde.solve_gbdsde_picard`` on (Y, Z, coefficient) stacks: the Picard
+    sweeps read the previous iterate's (Y, Z) from the stacks, and the
+    explicit sweep after them resumes at the first unfixed slot.  Returns the
+    stacks and the report."""
+    xi, times = bdsde._payoff(problem, ensemble, gbm), problem.time_grid.times
+    stacks = zero_stacks(ensemble, gbm)
+    report, unfixed = iterate_in_place(
+        lambda drivers, start: stacked_linear_bdsde(xi, ensemble, gbm, drivers, *stacks, start),
+        stacks, lambda i, y_i, z_i, _: bdsde._slot_drivers(problem, ensemble, i, y_i, z_i),
+        bdsde._coefficient_densities(ensemble, cfg.delta),
+        lambda dens: math.sqrt(weighted_quadrature(dens, cfg.rate, times)), cfg)
+    stacked_linear_bdsde(xi, ensemble, gbm, partial(bdsde._explicit_drivers, problem, ensemble),
+                         *stacks, unfixed)
+    return stacks, report

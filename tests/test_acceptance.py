@@ -39,7 +39,7 @@ from gexplab.pde import (
 )
 from gexplab.presets import FieldPreset
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import homogeneous_term, preset
+from oracles import homogeneous_term, preset, solution_stacks
 
 
 def report(num, description, passed, detail=""):
@@ -216,20 +216,20 @@ def test_criterion_08_linear_gbdsde_oracles():
 
     def solve(xi, f=0.0, g=0.0):
         f, g = np.broadcast_to(f, shape), np.broadcast_to(g, shape + (1,))
-        return solve_linear_bdsde(xi, ens, gbm, lambda i, *slot: (f[:, i], g[:, i]),
-                                  np.empty(shape), np.empty(shape + (1,)),
-                                  np.empty(shape[:2] + (2, ens.n_features)), n)
+        return solution_stacks(solve_linear_bdsde(
+            xi, ens, gbm, lambda i, *slot: (f[:, i], g[:, i]),
+            np.empty(shape[:2] + (2, ens.n_features)), n))[0]
 
-    sol_c = solve(np.full(n_w, 2.5))
-    err_c = float(np.max(np.abs(sol_c.y - 2.5)))
+    y_c = solve(np.full(n_w, 2.5))
+    err_c = float(np.max(np.abs(y_c - 2.5)))
 
-    sol_f = solve(np.zeros(n_w), f=np.ones((n + 1, n_w)))
+    y_f = solve(np.zeros(n_w), f=np.ones((n + 1, n_w)))
     expect = (tg.horizon - tg.times)[None, :, None]
-    err_f = float(np.max(np.abs(sol_f.y - expect)))
+    err_f = float(np.max(np.abs(y_f - expect)))
 
-    sol_g = solve(np.zeros(n_w), g=np.ones((n + 1, n_w, 1)))
+    y_g = solve(np.zeros(n_w), g=np.ones((n + 1, n_w, 1)))
     levels = gbm.levels()[:, :, 0]
-    err_g = float(np.max(np.abs(sol_g.y - levels[:, :, None])))
+    err_g = float(np.max(np.abs(y_g - levels[:, :, None])))
     elapsed = time.perf_counter() - start
     ok = max(err_c, err_f, err_g) <= 1e-10 and elapsed < 10.0
     report(8, "linear backward oracles (constant, unit reaction, unit noise)", ok,

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexplab import bdsde
+from gexplab import bdsde, experiments
 from gexplab.bdsde import (
     BdsdeProblem,
     LsmcEnsemble,
@@ -17,6 +19,7 @@ from gexplab.bdsde import (
     solve_gbdsde_picard,
     solve_linear_bdsde,
 )
+from gexplab.config import default_config, validate_config
 from gexplab.errors import NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
@@ -35,8 +38,12 @@ from oracles import (
     delta_density,
     preset,
     resumed_slots,
+    solution_stacks,
+    stacked_gbdsde_picard,
+    stacked_linear_bdsde,
     whole_stack_delta_norm,
     with_last_picard_iterate,
+    zero_stacks,
 )
 
 
@@ -69,18 +76,21 @@ def slot_lookup(hunt, gbm, f=0.0, g=0.0):
     return lambda i, *slot: (f[:, i], g[:, i])
 
 
-def fresh_stacks(ens, gbm, fill=np.nan):
-    """(Y, Z, coefficient) stacks for solve_linear_bdsde, filled with ``fill``."""
-    shape = (gbm.n_paths, ens.hunt.grid.n_steps + 1)
-    return (np.full(shape + (ens.hunt.n_paths,), fill),
-            np.full(shape + (ens.hunt.n_paths, ens.hunt.dim), fill),
-            np.full(shape + (1 + ens.hunt.dim, ens.n_features), fill))
+def fresh_coefficients(ens, gbm, fill=np.nan):
+    """A coefficient stack for solve_linear_bdsde, filled with ``fill``."""
+    return np.full((gbm.n_paths, ens.hunt.grid.n_steps + 1, 1 + ens.hunt.dim, ens.n_features),
+                   fill)
 
 
 def linear(xi, ens, gbm, drivers):
-    """solve_linear_bdsde into fresh stacks."""
-    return solve_linear_bdsde(xi, ens, gbm, drivers, *fresh_stacks(ens, gbm),
+    """solve_linear_bdsde into a fresh coefficient stack."""
+    return solve_linear_bdsde(xi, ens, gbm, drivers, fresh_coefficients(ens, gbm),
                               ens.hunt.grid.n_steps)
+
+
+def linear_stacks(xi, ens, gbm, drivers):
+    """The (Y, Z) stacks of ``linear``."""
+    return solution_stacks(linear(xi, ens, gbm, drivers))
 
 
 # -- regression ----------------------------------------------------------------
@@ -164,38 +174,38 @@ def test_extract_z_rejects_bad_dt():
 def test_linear_constant_terminal():
     field, hunt, gbm = make_ensembles()
     c = 2.5
-    sol = linear(np.full(hunt.n_paths, c), LsmcEnsemble(hunt, BASIS, field),
-                 gbm, slot_lookup(hunt, gbm))
-    assert np.allclose(sol.y, c, atol=1e-10)
-    assert np.array_equal(sol.y[:, -1], np.full((gbm.n_paths, hunt.n_paths), c))
+    y, z = linear_stacks(np.full(hunt.n_paths, c), LsmcEnsemble(hunt, BASIS, field),
+                         gbm, slot_lookup(hunt, gbm))
+    assert np.allclose(y, c, atol=1e-10)
+    assert np.array_equal(y[:, -1], np.full((gbm.n_paths, hunt.n_paths), c))
     # Z is pure regression noise on centered targets, scale c/(2 a dt) noise.
     dt = hunt.grid.dt
     se = c * np.sqrt(2 * 0.5 * dt) / (2.0 * 0.5 * dt) / np.sqrt(hunt.n_paths)
-    assert float(np.max(np.abs(np.mean(sol.z, axis=2)))) <= 4.0 * se
-    assert np.array_equal(sol.z[:, -1], sol.z[:, -2])  # copied, not extrapolated
+    assert float(np.max(np.abs(np.mean(z, axis=2)))) <= 4.0 * se
+    assert np.array_equal(z[:, -1], z[:, -2])  # copied, not extrapolated
 
 
 def test_linear_unit_reaction_gives_time_to_horizon():
     field, hunt, gbm = make_ensembles(n_steps=12, horizon=0.75)
     n, n_w = hunt.grid.n_steps, hunt.n_paths
     f_vals = np.ones((n + 1, n_w))
-    sol = linear(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
-                 slot_lookup(hunt, gbm, f=f_vals))
+    y, _ = linear_stacks(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
+                         slot_lookup(hunt, gbm, f=f_vals))
     times = hunt.grid.times
     for i in range(n + 1):
-        assert np.allclose(sol.y[:, i], 0.75 - times[i], atol=1e-10)
+        assert np.allclose(y[:, i], 0.75 - times[i], atol=1e-10)
 
 
 def test_linear_unit_noise_telescopes_to_b_level():
     field, hunt, gbm = make_ensembles(n_steps=10)
     n, n_w = hunt.grid.n_steps, hunt.n_paths
     g_vals = np.ones((n + 1, n_w, 1))
-    sol = linear(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
-                 slot_lookup(hunt, gbm, g=g_vals))
+    y, _ = linear_stacks(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
+                         slot_lookup(hunt, gbm, g=g_vals))
     levels = gbm.levels()  # B anchored at horizon
     for b in range(gbm.n_paths):
         for i in range(n + 1):
-            assert np.allclose(sol.y[b, i], levels[b, i, 0], atol=1e-10)
+            assert np.allclose(y[b, i], levels[b, i, 0], atol=1e-10)
 
 
 def test_linear_martingale_property_in_sample():
@@ -209,11 +219,11 @@ def test_linear_martingale_property_in_sample():
     xi = phi(hunt.x[:, -1, :])
     n = hunt.grid.n_steps
     f_vals = 0.3 * np.ones((n + 1, hunt.n_paths))
-    sol = linear(xi, LsmcEnsemble(hunt, BASIS, field), gbm,
-                 slot_lookup(hunt, gbm, f=f_vals))
+    y, _ = linear_stacks(xi, LsmcEnsemble(hunt, BASIS, field), gbm,
+                         slot_lookup(hunt, gbm, f=f_vals))
     dt = hunt.grid.dt
     for i in range(n):
-        resid = sol.y[:, i] - sol.y[:, i + 1] - 0.3 * dt
+        resid = y[:, i] - y[:, i + 1] - 0.3 * dt
         mean = np.mean(resid, axis=1)
         se = np.std(resid, axis=1, ddof=1) / np.sqrt(hunt.n_paths)
         assert np.all(np.abs(mean) <= 3.0 * se + 1e-12)
@@ -322,12 +332,12 @@ def test_coefficient_densities_match_value_space_oracle(d, init, ridge, degree, 
     ens = LsmcEnsemble(hunt, RegressionBasis(degree, ridge), field)
     n, n_w = tg.n_steps, hunt.n_paths
     rng = np.random.default_rng(seed)
-    new, old = fresh_stacks(ens, gbm), fresh_stacks(ens, gbm)
+    new, old = [], []
     for stacks in (new, old):
         lookup = slot_lookup(hunt, gbm, rng.standard_normal((n_b, n + 1, n_w)),
                              rng.standard_normal((n_b, n + 1, n_w, 1)))
-        solve_linear_bdsde(np.cos(hunt.x[:, -1, 0]) + rng.standard_normal(n_w), ens, gbm,
-                           lookup, *stacks, n)
+        sol = linear(np.cos(hunt.x[:, -1, 0]) + rng.standard_normal(n_w), ens, gbm, lookup)
+        stacks.extend(solution_stacks(sol) + (sol.c,))
     assert (ens.contexts[0].n_features == 1) == (init == "point")
     densities = bdsde._coefficient_densities(ens, delta)
     for i in range(n):
@@ -337,6 +347,19 @@ def test_coefficient_densities_match_value_space_oracle(d, init, ridge, degree, 
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(cur, delta_density(new[0][:, i], new[1][:, i], delta,
                                                       hunt.weights), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [{"preset": "constant", "value": 0.3},
+                                  {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.3}],
+                         ids=["constant", "sinusoidal-1d"])
+def test_one_dimensional_a_inverse_is_lapacks_bitwise(spec):
+    # In 1-D the ensemble takes the reciprocal of a(X) in place of one LAPACK
+    # inverse per 1 x 1 matrix; the floats must be LAPACK's.
+    field = preset(FieldPreset, spec, 1)
+    tg = TimeGrid(0.5, 8)
+    hunt = simulate_hunt(field, InitialLaw("gaussian"), tg, 500, seed=12)
+    a = np.stack([field.a_at(hunt.x[:, i, :]) for i in range(tg.n_steps)])
+    assert np.array_equal(LsmcEnsemble(hunt, BASIS, field).a_inverse, np.linalg.inv(a))
 
 
 # -- outer Picard loop --------------------------------------------------------------
@@ -366,10 +389,10 @@ def test_picard_zero_data_zero_solution():
                         lambda t, x, y, v: -y,
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         1.0, 0.0, field, gbm.scenarios, hunt.grid)
-    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
-                              PicardConfig.from_problem(prob, max_iter=20))
-    assert np.allclose(sol.y, 0.0, atol=1e-12)
-    assert np.allclose(sol.z, 0.0, atol=1e-12)
+    y, z = solution_stacks(solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
+                                               PicardConfig.from_problem(prob, max_iter=20)))
+    assert np.allclose(y, 0.0, atol=1e-12)
+    assert np.allclose(z, 0.0, atol=1e-12)
 
 
 def test_picard_source_free_matches_semigroup_oracle():
@@ -391,7 +414,7 @@ def test_picard_source_free_matches_semigroup_oracle():
     for i in (0, 4, 8, 12):
         u_slice = apply_semigroup(op, psi, times[-1] - times[i], dt_max=1 / 64)
         oracle = np.interp(hunt.x[:, i, 0], x_axis, u_slice)
-        err = np.sqrt(np.mean((sol.y[0, i] - oracle) ** 2))
+        err = np.sqrt(np.mean((sol.slot(i)[0][0] - oracle) ** 2))
         ref = np.sqrt(np.mean(oracle**2))
         assert err <= 0.05 * max(ref, 1e-12)
 
@@ -410,8 +433,9 @@ def test_picard_contraction_ratios_under_proof_bound():
     assert all(r <= cfg.kappa + 0.05 for r in rep.ratios)
     # Terminal slice is the payoff bitwise.
     xi = prob.terminal_fn(hunt.x[:, -1, :])
+    y_n = sol.slot(hunt.grid.n_steps)[0]
     for b in range(gbm.n_paths):
-        assert np.array_equal(sol.y[b, -1], xi)
+        assert np.array_equal(y_n[b], xi)
 
 
 def test_picard_basis_stability():
@@ -423,8 +447,8 @@ def test_picard_basis_stability():
     sols = [solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis(deg),
                                                    field), gbm, cfg)
             for deg in (3, 6)]
-    y0 = [float(np.mean(s.y[:, 0])) for s in sols]
-    spread = [float(np.std(s.y[:, 0]) / np.sqrt(s.y[:, 0].size)) for s in sols]
+    y0 = [float(np.mean(s.slot(0)[0])) for s in sols]
+    spread = [float(np.std(s.slot(0)[0]) / np.sqrt(s.slot(0)[0].size)) for s in sols]
     assert abs(y0[0] - y0[1]) <= 3.0 * (max(spread) + 1e-6)
 
 
@@ -520,7 +544,11 @@ def test_picard_check_adds_no_regression_calls(monkeypatch, d):
     # The check takes its norms from the coefficients the recursion fits
     # anyway: per recomputed slot i < N one Y fit and, below N - 1, the
     # 1 + d fits of extract_z, plus 1 + d at the horizon when a sweep starts
-    # at N; each fit is predicted once.
+    # at N; each fit is predicted once.  Evaluating a kept slot from its
+    # coefficients predicts 1 + d times (d at the horizon, whose Y is the
+    # payoff) and fits nothing: the slot a recursion below N reads back, and
+    # the previous iterate at slots N - k + 2 .. 1 in sweep k >= 2, which
+    # read slot 0 of no iterate and the zero iterate 0 of no coefficients.
     scen = SCENARIOS[1]
     tg = TimeGrid(0.5, 6)
     field = const_field(0.5, d)
@@ -537,8 +565,15 @@ def test_picard_check_adds_no_regression_calls(monkeypatch, d):
         return ((1 + d) * (start == n)
                 + sum(1 + (1 + d) * (i < n - 1) for i in range(min(start, n - 1), -1, -1)))
 
+    def evals(*slots):
+        return sum(d + (i < n) for i in slots)
+
     expected = sum(fits(start) for start in range(n, n - k - 1, -1))
-    assert counts == {"fit": expected, "predict_in_sample": expected}
+    # Sweeps 2 .. K start at N - 1 .. N - K + 1, the explicit sweep at N - K.
+    evaluated = (sum(evals(start + 1, *range(start + 1, 0, -1))
+                     for start in range(n - 1, n - k, -1))
+                 + evals(n - k + 1))
+    assert counts == {"fit": expected, "predict_in_sample": expected + evaluated}
 
 
 def test_nonconvergence_carries_report():
@@ -580,17 +615,18 @@ def test_linear_recursion_never_reads_driver_slot_0():
     g_vals = rng.standard_normal((n_b, n + 1, n_w, 1))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    clean = linear(xi, ens, gbm, slot_lookup(hunt, gbm, f_vals, g_vals))
-    poisoned = linear(xi, ens, gbm,
-                      slot_lookup(hunt, gbm, *poison_slot_0(f_vals, g_vals)))
-    assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
-    assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
+    clean = linear_stacks(xi, ens, gbm, slot_lookup(hunt, gbm, f_vals, g_vals))
+    poisoned = linear_stacks(xi, ens, gbm,
+                             slot_lookup(hunt, gbm, *poison_slot_0(f_vals, g_vals)))
+    assert all(np.array_equal(p, c) for p, c in zip(poisoned, clean))
+    assert all(np.all(np.isfinite(p)) for p in poisoned)
 
 
 def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
-    # The recursion writes the stacks the drivers may read: drivers sees each
-    # new slot i, N down to 0, while slot i of the stacks still holds its old
-    # values, and the floats are those of a solve into fresh stacks.
+    # The recursion writes the coefficient stack the drivers may read:
+    # drivers sees each new slot i, N down to 0, while slot i of the stack
+    # still holds its old values, and the floats are those of the reference
+    # recursion that keeps (Y, Z) stacks.
     field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
     n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
     rng = np.random.default_rng(3)
@@ -598,27 +634,27 @@ def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
                          rng.standard_normal((n_b, n + 1, n_w, 1)))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    fresh = fresh_stacks(ens, gbm)
-    solve_linear_bdsde(xi, ens, gbm, lookup, *fresh, n)
-    stacks = fresh_stacks(ens, gbm, -7.0)
+    ref = stacked_linear_bdsde(xi, ens, gbm, lookup, *zero_stacks(ens, gbm), n)
+    c = fresh_coefficients(ens, gbm, -7.0)
     events = []
 
     def drivers(i, *new):
-        events.append((i, all(np.all(s[:, i] == -7.0) for s in stacks)))
-        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, fresh, strict=True))
+        events.append((i, bool(np.all(c[:, i] == -7.0))))
+        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, ref, strict=True))
         return lookup(i, *new)
 
-    sol = solve_linear_bdsde(xi, ens, gbm, drivers, *stacks, n)
-    assert sol.y is stacks[0] and sol.z is stacks[1]
-    assert all(np.array_equal(a, b) for a, b in zip(stacks, fresh))
+    sol = solve_linear_bdsde(xi, ens, gbm, drivers, c, n)
+    assert sol.c is c and np.array_equal(c, ref[2])
+    assert all(np.array_equal(a, b) for a, b in zip(solution_stacks(sol), ref))
     assert events == [(i, True) for i in range(n, -1, -1)]
 
 
 @pytest.mark.parametrize("start", [5, 4, 2, 0, -1])
 def test_linear_recursion_resumes_below_the_slots_it_keeps(start):
     # From ``start`` < N the recursion keeps slots above ``start``, hands the
-    # drivers slot start + 1 as the stacks hold it, then recomputes start..0
-    # into the floats of a whole sweep; at start = N - 1 the Z kept is slot N's.
+    # drivers slot start + 1 evaluated from its coefficients, then recomputes
+    # start..0 into the floats of a whole sweep; at start = N - 1 the Z kept
+    # is slot N's.
     field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
     n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
     rng = np.random.default_rng(4)
@@ -626,27 +662,28 @@ def test_linear_recursion_resumes_below_the_slots_it_keeps(start):
                          rng.standard_normal((n_b, n + 1, n_w, 1)))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    fresh = fresh_stacks(ens, gbm)
-    solve_linear_bdsde(xi, ens, gbm, lookup, *fresh, n)
-    stacks = tuple(s.copy() for s in fresh)
-    for s in stacks:
-        s[:, :start + 1] = -7.0
+    ref = stacked_linear_bdsde(xi, ens, gbm, lookup, *zero_stacks(ens, gbm), n)
+    c = ref[2].copy()
+    c[:, :start + 1] = -7.0
     seen = []
 
     def drivers(i, *new):
         seen.append(i)
-        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, fresh, strict=True))
+        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, ref, strict=True))
         return lookup(i, *new)
 
-    solve_linear_bdsde(xi, ens, gbm, drivers, *stacks, start)
-    assert all(np.array_equal(a, b) for a, b in zip(stacks, fresh))
+    sol = solve_linear_bdsde(xi, ens, gbm, drivers, c, start)
+    assert np.array_equal(c, ref[2])
+    assert all(np.array_equal(a, b) for a, b in zip(solution_stacks(sol), ref))
     assert seen == resumed_slots(start, n)
 
 
 def test_recursion_never_reads_driver_slot_0(monkeypatch):
     # Picard sweep k recomputes slots N - k + 1 .. 0 and the explicit sweep
     # after K sweeps N - K .. 0, each asking for the drivers down to slot 0;
-    # whatever they return at slot 0 must not reach Y, Z or the report.
+    # whatever they return at slot 0 must not reach Y, Z or the report.  The
+    # Picard sweeps do not evaluate the previous iterate at slot 0, so only
+    # the explicit sweep asks _slot_drivers for it.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
@@ -665,9 +702,11 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
     poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg)
     n, k = hunt.grid.n_steps, clean.picard_report.iterations
     assert 2 <= k <= n
-    assert slots == [i for start in range(n, n - k - 1, -1) for i in resumed_slots(start, n)]
-    assert np.array_equal(poisoned.y, clean.y) and np.array_equal(poisoned.z, clean.z)
-    assert np.all(np.isfinite(poisoned.y)) and np.all(np.isfinite(poisoned.z))
+    assert slots == ([i for start in range(n, n - k, -1) for i in resumed_slots(start, n) if i]
+                     + resumed_slots(n - k, n))
+    clean_yz, poisoned_yz = solution_stacks(clean), solution_stacks(poisoned)
+    assert all(np.array_equal(p, c) for p, c in zip(poisoned_yz, clean_yz))
+    assert all(np.all(np.isfinite(p)) for p in poisoned_yz)
     assert poisoned.picard_report == clean.picard_report
 
 
@@ -690,9 +729,10 @@ def stacked_drivers(problem, y, z, ens):
 
 def stacked_picard(problem, ens, gbm, cfg):
     """Reference Picard loop on whole stacks: each sweep builds the driver
-    stacks first, hands them to solve_linear_bdsde as a slot lookup into
-    fresh stacks and then takes the densities of the new iterate and of its
-    increment over the old one slot by slot, with the solver's densities."""
+    stacks first, hands them to the stack-writing recursion as a slot lookup
+    into fresh stacks and then takes the densities of the new iterate and of
+    its increment over the old one slot by slot, with the solver's
+    densities."""
     hunt = ens.hunt
     n, n_w = hunt.grid.n_steps, hunt.n_paths
     xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
@@ -703,13 +743,13 @@ def stacked_picard(problem, ens, gbm, cfg):
 
     def sweep(*old):
         f_arr, g_arr = stacked_drivers(problem, old[0], old[1], ens)
-        new = fresh_stacks(ens, gbm)
-        solve_linear_bdsde(xi, ens, gbm, lambda i, *slot: (f_arr[:, i], g_arr[:, i]), *new, n)
+        new = stacked_linear_bdsde(xi, ens, gbm, lambda i, *slot: (f_arr[:, i], g_arr[:, i]),
+                                   *zero_stacks(ens, gbm), n)
         inc, cur = zip(*(densities(i, [s[:, i] for s in new], [s[:, i] for s in old])
                          for i in range(n)))
         return new, norm(inc), norm(cur)
 
-    stacks, report = iterate(sweep, fresh_stacks(ens, gbm, 0.0), cfg)
+    stacks, report = iterate(sweep, zero_stacks(ens, gbm), cfg)
     return stacks, report
 
 
@@ -741,9 +781,10 @@ SCENARIOS = {1: ScenarioSet.from_list([[[1.0]], [[0.6]]]),
 def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
                                                         scenario, seed):
     # The Picard sweep evaluates the drivers slot by slot inside the one
-    # in-place recursion; its report and its last iterate (Y, Z and the
-    # coefficients) must be the floats of the whole-stack form taking the
-    # same densities, and the (Y, Z) it returns is solve_gbdsde's.
+    # in-place recursion; its report and its last iterate (the coefficients
+    # and the (Y, Z) evaluated from them) must be the floats of the
+    # whole-stack form taking the same densities, and the (Y, Z) it returns
+    # is solve_gbdsde's.
     scen = SCENARIOS[l]
     tg = TimeGrid(0.5, n_steps)
     field = const_field(0.5, d)
@@ -754,30 +795,106 @@ def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
     prob = mixed_problem(field, scen, tg)
     cfg = PicardConfig.from_problem(prob, max_iter=12)
     stacks_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
-    sol, stacks = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
-                                           prob, ens, gbm, cfg)
+    sol, [c_last] = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
+                                             prob, ens, gbm, cfg)
     assert sol.picard_report == rep_ref
-    assert all(np.array_equal(a, b) for a, b in zip(stacks, stacks_ref, strict=True))
+    last = solution_stacks(replace(sol, c=c_last)) + (c_last,)
+    assert all(np.array_equal(a, b) for a, b in zip(last, stacks_ref, strict=True))
     explicit = solve_gbdsde(prob, ens, gbm)
-    assert np.array_equal(sol.y, explicit.y) and np.array_equal(sol.z, explicit.z)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(solution_stacks(sol), solution_stacks(explicit), strict=True))
 
 
-def test_picard_peak_memory_is_slot_sized():
-    # The sweep overwrites one (Y, Z) in place, two stacks for d = 1, plus
-    # slot-sized temporaries (about one stack at 9 slots); a second iterate
-    # or whole (n_b, N+1, n_W) driver stacks would each add two more.
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([1, 2]), init=st.sampled_from(["point", "gaussian-box"]),
+       n_b=st.integers(1, 3), n_steps=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
+def test_slot_values_and_picard_report_match_stacked_oracle_bitwise(d, init, n_b, n_steps, seed):
+    # The solution keeps only coefficients: the (Y, Z) it evaluates at every
+    # slot, N and N - 1 (whose Z copies slot N's) included, and its Picard
+    # report are the floats of the reference solver that keeps (Y, Z) stacks
+    # and reads the previous iterate from them.  The first sweep hands the drivers the
+    # zero iterate at slot N too; from the second on slot N holds the payoff.
+    tg = TimeGrid(0.5, n_steps)
+    field = (preset(FieldPreset, {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.3}, 1)
+             if d == 1 else tilted_field())
+    law = (InitialLaw("point", [0.2] * d) if init == "point"
+           else InitialLaw("gaussian", box=(-1.5, 1.5)))
+    hunt = simulate_hunt(field, law, tg, 300, seed=seed)
+    scen = SCENARIOS[1]
+    gbm = build_gbm(sample_driver(tg, n_b, 1, seed + 1), constant_schedule(0, n_steps), scen)
+    ens = LsmcEnsemble(hunt, RegressionBasis(2), field)
+    prob = mixed_problem(field, scen, tg)
+    cfg = PicardConfig.from_problem(prob, max_iter=n_steps + 2)
+    n, slot_drivers, at_horizon = tg.n_steps, bdsde._slot_drivers, []
+
+    def record(problem, ensemble, i, y_i, *rest):
+        if i == n:
+            at_horizon.append(y_i.copy())
+        return slot_drivers(problem, ensemble, i, y_i, *rest)
+
+    with mock.patch.object(bdsde, "_slot_drivers", record):
+        sol = solve_gbdsde_picard(prob, ens, gbm, cfg)
+    (y, z, c), report = stacked_gbdsde_picard(prob, ens, gbm, cfg)
+    assert sol.picard_report == report
+    assert np.array_equal(sol.c, c)
+    for i in range(n + 1):
+        y_i, z_i = sol.slot(i)
+        assert np.array_equal(y_i, y[:, i]) and np.array_equal(z_i, z[:, i])
+    assert len(at_horizon) >= 2 and np.all(at_horizon[0] == 0.0)
+    assert all(np.array_equal(y_n, y[:, n]) for y_n in at_horizon[1:])
+
+
+def traced_peak(fn, *args):
+    """The peak traced memory of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def backward_peak_slots(solve):
+    """The peak traced memory of ``solve(problem, ensemble, gbm)`` on 3 noise
+    paths, 20,000 diffusion paths and 8 steps, in (n_b, n_W) float slots.
+    One (n_b, N+1, n_W) stack is 9 slots there."""
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=20000)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
-    cfg = PicardConfig.from_problem(prob)
-    stack_bytes = gbm.n_paths * (hunt.grid.n_steps + 1) * hunt.n_paths * 8
-    tracemalloc.start()
-    try:
-        solve_gbdsde_picard(prob, ens, gbm, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * stack_bytes, peak / stack_bytes
+    return traced_peak(solve, prob, ens, gbm) / (gbm.n_paths * hunt.n_paths * 8)
+
+
+def test_picard_peak_memory_is_slot_sized():
+    # The check keeps the coefficient stack and slot-sized temporaries, 14.4
+    # slots as measured; the bound adds a margin of 1.6.  A (Y, Z) value
+    # stack, a second iterate or whole driver stacks would each add at least
+    # one stack of 9 slots.
+    peak = backward_peak_slots(lambda prob, ens, gbm: solve_gbdsde_picard(
+        prob, ens, gbm, PicardConfig.from_problem(prob)))
+    assert peak <= 16.0, peak
+
+
+def test_explicit_peak_memory_is_slot_sized():
+    # As for the Picard check: 10.3 slots as measured, a margin of 1.7.
+    peak = backward_peak_slots(solve_gbdsde)
+    assert peak <= 12.0, peak
+
+
+@pytest.mark.parametrize("runner", ["gbdsde", "representation"])
+def test_backward_runners_allocate_no_value_stack(runner):
+    # With 48 noise paths a (n_b, N+1, n_W) array outweighs everything else
+    # the runner holds at once (measured peak 0.69 of one), so a peak below
+    # one such array shows that none was allocated: not by the solve and not
+    # by the gbdsde dump, which evaluates one slot at a time.
+    cfg = default_config()
+    n_b, n_w = 48, 2000
+    cfg["gspde"]["n_noise_paths"] = n_b
+    cfg["bdsde"]["n_diffusion_paths"] = n_w
+    cfg["representation"].update(n_noise_paths=n_b, n_diffusion_paths=n_w, halvings=0)
+    exp = validate_config(cfg)
+    stack_bytes = n_b * (exp.time_grid.n_steps + 1) * n_w * 8
+    peak = traced_peak(experiments.RUNNERS[runner], exp)
+    assert peak < stack_bytes, peak / stack_bytes
 
 
 def test_ito_product_rule_refinement():
@@ -789,19 +906,19 @@ def test_ito_product_rule_refinement():
         xi1 = np.cos(hunt.x[:, -1, 0])
         xi2 = np.sin(hunt.x[:, -1, 0])
         ens = LsmcEnsemble(hunt, BASIS, field)
-        s1 = linear(xi1, ens, gbm, slot_lookup(hunt, gbm))
-        s2 = linear(xi2, ens, gbm, slot_lookup(hunt, gbm))
+        y1, z1 = linear_stacks(xi1, ens, gbm, slot_lookup(hunt, gbm))
+        y2, z2 = linear_stacks(xi2, ens, gbm, slot_lookup(hunt, gbm))
         a_vals = np.stack([field.a_at(hunt.x[:, i, :])[:, 0, 0]
                            for i in range(n_steps)])
-        prod = s1.y[0] * s2.y[0]
+        prod = y1[0] * y2[0]
         total = prod[0] - prod[-1]
         dt = hunt.grid.dt
         model = 0.0
         for i in range(n_steps):
-            dy1 = s1.y[0, i] - s1.y[0, i + 1]
-            dy2 = s2.y[0, i] - s2.y[0, i + 1]
-            cross = 2.0 * s1.z[0, i, :, 0] * a_vals[i] * s2.z[0, i, :, 0] * dt
-            model += s1.y[0, i + 1] * dy2 + s2.y[0, i + 1] * dy1 + cross
+            dy1 = y1[0, i] - y1[0, i + 1]
+            dy2 = y2[0, i] - y2[0, i + 1]
+            cross = 2.0 * z1[0, i, :, 0] * a_vals[i] * z2[0, i, :, 0] * dt
+            model += y1[0, i + 1] * dy2 + y2[0, i + 1] * dy1 + cross
         # Normalize by the terminal product scale (the t=0 product vanishes
         # for the odd payoff started at the origin).
         scale = np.sqrt(np.mean(prod[-1] ** 2)) + 1e-12

@@ -4,6 +4,7 @@ scheme that ``solve_gspde`` and ``solve_gbdsde`` compute in one sweep.  The
 Picard loop is the check of the paper's contraction, and no solution a run
 writes depends on its keys."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from gexplab.config import default_config, validate_config
 from gexplab.hunt import simulate_hunt
 from gexplab.pde import solve_gspde, solve_gspde_picard
 from gexplab.picard import PicardConfig
-from oracles import with_full_sweeps, with_last_picard_iterate
+from oracles import solution_stacks, with_full_sweeps, with_last_picard_iterate
 
 FIELDS = pytest.mark.parametrize("field", [None, SINUSOIDAL_FIELD],
                                  ids=["shipped", "sinusoidal"])
@@ -81,13 +82,17 @@ def test_backward_picard_stops_on_the_explicit_scheme_bitwise(field):
     problem, ensemble = exp.bdsde_problem, shipped_ensemble(exp)
     cfg = exhaustive(exp.bdsde_cfg, problem)
     for gbm in experiments._problem_bundles(exp):
-        sol, (y, z, _) = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
-                                                  problem, ensemble, gbm, cfg)
+        sol, [c] = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
+                                            problem, ensemble, gbm, cfg)
         explicit = solve_gbdsde(problem, ensemble, gbm)
         rep = sol.picard_report
         assert rep.converged and rep.increments[-1] == 0.0
-        assert np.array_equal(y, explicit.y) and np.array_equal(z, explicit.z)
-        assert np.array_equal(sol.y, explicit.y) and np.array_equal(sol.z, explicit.z)
+        y, z = solution_stacks(replace(sol, c=c))
+        ey, ez = solution_stacks(explicit)
+        assert np.array_equal(c, explicit.c)
+        assert np.array_equal(y, ey) and np.array_equal(z, ez)
+        assert np.array_equal(sol.c, explicit.c)
+        assert all(np.array_equal(a, b) for a, b in zip(solution_stacks(sol), (ey, ez)))
 
 
 def schedule(n, k):
@@ -128,7 +133,9 @@ def test_resumed_backward_sweeps_match_full_sweeps_bitwise(field, exhaust):
         assert 2 <= k <= n
         assert firsts == schedule(n, k)
         assert sol.picard_report == full.picard_report
-        assert np.array_equal(sol.y, full.y) and np.array_equal(sol.z, full.z)
+        assert np.array_equal(sol.c, full.c)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(solution_stacks(sol), solution_stacks(full), strict=True))
 
 
 def test_solutions_do_not_read_the_picard_keys(tmp_path):
