@@ -19,6 +19,7 @@ from .errors import ConfigError, UsageError
 SEED_DRIVER = 11
 SEED_HUNT = 23
 SEED_SCHEDULES = 37
+SEED_PICARD = 41
 
 
 def child_seed(master_seed: int, purpose: int, index: int = 0) -> int:

@@ -32,7 +32,7 @@ from ._util import NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths
-from .picard import PicardConfig, PicardReport, iterate_in_place, weighted_quadrature
+from .picard import PicardConfig, PicardReport, check_fixed_point, weighted_quadrature
 
 MIN_SAMPLES_PER_FEATURE = 10
 DEGENERATE_STD = 1e-12
@@ -266,10 +266,10 @@ class BdsdeSolution:
 
 
 def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
-                       drivers: Callable, c: np.ndarray, start: int) -> BdsdeSolution:
+                       drivers: Callable, c: Optional[np.ndarray]) -> BdsdeSolution:
     """The slot-by-slot recursion from the terminal payoff ``xi`` on the
     diffusion ensemble back to t_0, into the coefficient stack ``c`` (n_b,
-    N+1, 1 + d, F), recomputing slots ``start`` .. 0.
+    N+1, 1 + d, F), or into none when ``c`` is None.
 
     ``c[:, i]`` holds the regression coefficients of slot i on the ensemble's
     ``n_features`` = F features, zero-padded: row 0 those of Y, rows 1 .. d
@@ -277,13 +277,11 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     payoff is not a regression) and the Z rows of slot N - 1, which its Z
     copies.  The (Y, Z) of a slot is ``LsmcEnsemble.slot_values`` of its
     coefficients; the recursion keeps only the slot it just made.
-    ``drivers(i, y_i, z_i, c_i)`` sees each new slot i, start down to 0,
-    before it overwrites slot i of ``c``, and returns the (n_b, n_W) f and
-    (n_b, n_W, l) g at slot i, which pair with dB_{i-1}; its slot-0 value is
-    not read.  Below ``start`` = N the slots above ``start`` are taken as
-    ``c`` holds them, and ``drivers`` first sees slot start + 1 evaluated
-    from ``c``; ``start`` = -1 recomputes nothing.  Each slot's ``dM`` and
-    ``X`` are read as the contiguous (n_W, d) views the ensemble stores.
+    ``drivers(i, y_i, z_i, c_i)`` sees each new slot i, N down to 0, before
+    it is written into ``c``, and returns the (n_b, n_W) f and (n_b, n_W, l)
+    g at slot i, which pair with dB_{i-1}; its slot-0 value is not read.
+    Each slot's ``dM`` and ``X`` are read as the contiguous (n_W, d) views
+    the ensemble stores.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -293,18 +291,13 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n_w,):
         raise UsageError(f"terminal payoff has shape {xi.shape}, expected ({n_w},)")
-    slot_shape = c.shape[:1] + c.shape[2:]
-    if start == n:
-        y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
-        # Z at the horizon copies the last regressed slot, N - 1.
-        ctx = ensemble.contexts[n - 1]
-        z_i, c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx,
-                                                     ensemble.a_inverse[n - 1], dt)
-    elif start >= 0:  # slot start + 1 evaluated; at start = N - 1, Z_N is the Z kept
-        c_i = c[:, start + 1]
-        y_i, z_i = ensemble.slot_values(start + 1, c_i, xi)
-        at_next = drivers(start + 1, y_i, z_i, c_i)
-    for i in range(start, -1, -1):
+    slot_shape = (gbm.n_paths, 1 + hunt.dim, ensemble.n_features)
+    y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
+    # Z at the horizon copies the last regressed slot, N - 1.
+    ctx = ensemble.contexts[n - 1]
+    z_i, c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx,
+                                                 ensemble.a_inverse[n - 1], dt)
+    for i in range(n, -1, -1):
         if i < n:
             f_next, g_next = at_next
             ctx = ensemble.contexts[i]
@@ -319,28 +312,26 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
                 c_new[:, 1:] = c_i[:, 1:]
             y_i, c_i = ctx.predict_in_sample(c_new[:, 0, :k]), c_new
         at_next = drivers(i, y_i, z_i, c_i)
-        c[:, i] = c_i
+        if c is not None:
+            c[:, i] = c_i
     return BdsdeSolution(c, xi, ensemble, gbm.fingerprint())
 
 
-def _coefficient_densities(ensemble: LsmcEnsemble, delta: float) -> Callable:
-    """``densities(i, new, old)`` of ``picard.iterate_in_place`` for the
-    (beta, delta)-norm: per noise path, delta |Y|^2 + |Z|^2 averaged over
-    the diffusion paths with their importance weights, of new - old and of
-    new at slot i, as quadratic forms in the slot's coefficients (the last
-    of the slot data) with the ensemble's ``norm_grams``."""
+def _coefficient_density(ensemble: LsmcEnsemble, delta: float) -> Callable:
+    """``density(i, c_i)`` of the (beta, delta)-norm: per noise path,
+    delta |Y|^2 + |Z|^2 at slot i < N averaged over the diffusion paths with
+    their importance weights, as a quadratic form in the slot's coefficients
+    c_i (n_b, 1 + d, F) with the ensemble's ``norm_grams``."""
     grams = ensemble.norm_grams.copy()
     grams[:, 0, :, 0] *= delta
     n, blocks, f = grams.shape[:3]
     grams = grams.reshape(n, blocks * f, blocks * f)
 
-    def densities(i, new, old):
-        c_new = new[-1].reshape(len(new[-1]), -1)
-        c_inc = c_new - old[-1].reshape(c_new.shape)
-        return (np.sum((c_inc @ grams[i]) * c_inc, axis=-1),
-                np.sum((c_new @ grams[i]) * c_new, axis=-1))
+    def density(i, c_i):
+        flat = c_i.reshape(len(c_i), -1)
+        return np.sum((flat @ grams[i]) * flat, axis=-1)
 
-    return densities
+    return density
 
 
 @dataclass
@@ -387,28 +378,6 @@ def _explicit_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i
     return _slot_drivers(problem, ensemble, i, y_i, z_i)
 
 
-def _previous_iterate_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble,
-                              xi: np.ndarray, n_b: int) -> Callable:
-    """``slot_drivers(i, c_i)`` of ``picard.iterate_in_place``:
-    ``_slot_drivers`` at the previous iterate, whose slot i is evaluated from
-    its coefficients ``c_i``.  Iterate 0 is zero at every slot, the horizon
-    included, so the first sweep, which ends at slot 0, hands the drivers
-    zeros; slot 0 is not evaluated, as its drivers are not read."""
-    hunt = ensemble.hunt
-    zero = (np.zeros((n_b, hunt.n_paths)), np.zeros((n_b, hunt.n_paths, hunt.dim)))
-    first_sweep = True
-
-    def slot_drivers(i, c_i):
-        nonlocal first_sweep
-        if i == 0:
-            first_sweep = False
-            return None
-        old = zero if first_sweep else ensemble.slot_values(i, c_i, xi)
-        return _slot_drivers(problem, ensemble, i, *old)
-
-    return slot_drivers
-
-
 def _payoff(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.ndarray:
     """The payoff on ``ensemble.hunt``'s paths, once all time grids agree."""
     hunt = ensemble.hunt
@@ -417,37 +386,42 @@ def _payoff(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.
     return np.asarray(problem.terminal_fn(hunt.x[:, -1, :]), dtype=float).reshape(hunt.n_paths)
 
 
-def _zero_coefficients(ensemble: LsmcEnsemble, gbm: GBMPaths) -> np.ndarray:
-    """A zero coefficient stack for ``solve_linear_bdsde``."""
-    hunt = ensemble.hunt
-    return np.zeros((gbm.n_paths, hunt.grid.n_steps + 1, 1 + hunt.dim, ensemble.n_features))
-
-
 def solve_gbdsde(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths) -> BdsdeSolution:
     """The explicit scheme, one sweep with the drivers read at the new slot:
     the fixed point of the Picard map, which fixes one slot per sweep."""
+    hunt = ensemble.hunt
+    c = np.zeros((gbm.n_paths, hunt.grid.n_steps + 1, 1 + hunt.dim, ensemble.n_features))
     return solve_linear_bdsde(_payoff(problem, ensemble, gbm), ensemble, gbm,
-                              partial(_explicit_drivers, problem, ensemble),
-                              _zero_coefficients(ensemble, gbm), problem.time_grid.n_steps)
+                              partial(_explicit_drivers, problem, ensemble), c)
 
 
 def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMPaths,
                         cfg: PicardConfig) -> BdsdeSolution:
-    """The Picard iteration from zero on one coefficient stack, each sweep
-    with the drivers frozen at the previous (Y, Z), evaluated slot by slot
-    from its coefficients, and its increment in the (beta, delta)-norm taken
-    from the coefficients, as the check of the contraction;
-    ``solve_gbdsde``'s sweep then overwrites the last iterate from the first
-    slot that the K sweeps left unfixed, N - K, so the solution does not read
-    ``cfg``."""
+    """``solve_gbdsde``'s solution u* with ``picard.check_fixed_point`` at it,
+    the perturbation a seeded standard normal multiplier of each coefficient.
+    Each check sweep reads the drivers at its frozen iterate, evaluated slot
+    by slot from the scaled coefficients of u*, and takes each new slot's
+    distance to u*, and the iterate's, in the (beta, delta)-norm from the
+    coefficients; it keeps no coefficient stack."""
     cfg.validate_against(problem)
-    xi, times = _payoff(problem, ensemble, gbm), problem.time_grid.times
-    c = _zero_coefficients(ensemble, gbm)
-    report, unfixed = iterate_in_place(
-        lambda drivers, start: solve_linear_bdsde(xi, ensemble, gbm, drivers, c, start),
-        (c,), _previous_iterate_drivers(problem, ensemble, xi, gbm.n_paths),
-        _coefficient_densities(ensemble, cfg.delta),
-        lambda dens: math.sqrt(weighted_quadrature(dens, cfg.rate, times)), cfg)
-    sol = solve_linear_bdsde(xi, ensemble, gbm, partial(_explicit_drivers, problem, ensemble),
-                             c, unfixed)
-    return replace(sol, picard_report=report)
+    sol = solve_gbdsde(problem, ensemble, gbm)
+    c, times, n = sol.c, problem.time_grid.times, problem.time_grid.n_steps
+    density = _coefficient_density(ensemble, cfg.delta)
+
+    def sweep(scale):
+        dens, payoff = np.empty((2, gbm.n_paths, n)), scale(n) * sol.xi
+
+        def drivers(i, y_i, z_i, c_i):
+            w = c[:, i] * scale(i)
+            if i < n:
+                dens[0, :, i] = density(i, c_i - c[:, i])
+                dens[1, :, i] = density(i, w - c[:, i])
+            if i:  # the drivers of slot 0 are not read
+                return _slot_drivers(problem, ensemble, i, *ensemble.slot_values(i, w, payoff))
+            return None
+
+        solve_linear_bdsde(sol.xi, ensemble, gbm, drivers, None)
+        return tuple(math.sqrt(weighted_quadrature(d, cfg.rate, times)) for d in dens)
+
+    perturbation = np.random.default_rng(cfg.seed).standard_normal(c.shape[2:])
+    return replace(sol, picard_report=check_fixed_point(sweep, perturbation, times, cfg))

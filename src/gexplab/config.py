@@ -20,7 +20,7 @@ from typing import Annotated, Callable, Literal, Optional, Sequence, get_args
 
 import numpy as np
 
-from ._util import Bound, Count, NonNeg, NonNegInt, Positive, read
+from ._util import SEED_PICARD, Bound, Count, NonNeg, NonNegInt, Positive, child_seed, read
 from .bdsde import MIN_SAMPLES_PER_FEATURE, BdsdeProblem, RegressionBasis
 from .errors import ConfigError, UsageError
 from .gbm import TimeGrid
@@ -66,7 +66,7 @@ class ScenarioSpec:
 class GspdeSection:
     n_noise_paths: Count = 6
     eps: Optional[Positive] = None  # None: derived from the contraction margin
-    max_iter: Count = 25
+    max_iter: Count = 25  # read by no run; kept so that configs keep their hash
     tol_rel: NonNeg = 1e-6
     dump_paths: NonNegInt = 2
     weak_tolerance: NonNeg = 0.1
@@ -78,7 +78,7 @@ class BdsdeSection:
     n_diffusion_paths: Count = 1500
     basis: RegressionBasis = RegressionBasis()
     eps: Optional[Positive] = None
-    max_iter: Count = 20
+    max_iter: Count = 20  # read by no run
     tol_rel: NonNeg = 1e-6
     init: InitialLaw = InitialLaw("point")
     dump_paths: NonNegInt = 2
@@ -284,10 +284,11 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
                              field=field_obj, scenarios=scen, time_grid=tg, space_grid=sg)
     bdsde_problem = BdsdeProblem(terminal_fn, reaction.fn, noise.fn, tg,
                                  gspde_problem.contraction_inputs())
+    seed = child_seed(c.seed, SEED_PICARD)
     gspde_cfg = _checked("gspde.eps", PicardConfig.from_problem, gspde_problem,
-                         eps=c.gspde.eps, max_iter=c.gspde.max_iter, tol_rel=c.gspde.tol_rel)
+                         eps=c.gspde.eps, tol_rel=c.gspde.tol_rel, seed=seed)
     bdsde_cfg = _checked("bdsde.eps", PicardConfig.from_problem, bdsde_problem,
-                         eps=c.bdsde.eps, max_iter=c.bdsde.max_iter, tol_rel=c.bdsde.tol_rel)
+                         eps=c.bdsde.eps, tol_rel=c.bdsde.tol_rel, seed=seed)
     gbm_scenarios = (scen if c.gbm_check.scenario_set is None
                      else c.gbm_check.scenario_set.build("gbm_check.scenario_set"))
     # Counts are >= 1, so ``or`` takes the fallback only for None.
@@ -316,6 +317,11 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
         if sg.dim != 1:
             raise ConfigError("space_grid.dim",
                               "the representation check interpolates along 1-D grids only")
+        x0 = c.bdsde.init.x0
+        if x0 is not None and c.bdsde.init.kind == "point" and np.any(np.abs(x0) > sg.half_width):
+            raise ConfigError("bdsde.init.x0", f"{x0.tolist()} lies off the grid "
+                                               f"[-{sg.half_width:g}, {sg.half_width:g}], "
+                                               "along which representation interpolates u")
         _checked("representation.checkpoint_fractions", checkpoint_indices,
                  [f * tg.horizon for f in rep.checkpoint_fractions], tg)
         _check_basis_size(c.bdsde.basis, sg.dim, rep.n_diffusion_paths,

@@ -62,7 +62,8 @@ def _bool_row(check, scenario_id, metric, ok) -> CheckRow:
 
 def _picard_checks(check, sid, rep, terminal_exact, rows) -> dict:
     """Append the converged, contraction-ratio and terminal-slice rows of one
-    Picard solve to ``rows``; return its per-scenario report record."""
+    Picard check to ``rows``: the ratio row gates the larger of rho(-u*) and
+    rho(h); return its per-scenario report record."""
     max_ratio = max(rep.ratios) if rep.ratios else 0.0
     rows.append(_bool_row(check, sid, "converged", rep.converged))
     rows.append(_row(check, sid, "contraction_ratio", max_ratio,

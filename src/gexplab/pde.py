@@ -41,10 +41,11 @@ from ._util import Bound, Positive
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField
-from .picard import PicardConfig, PicardReport, iterate_in_place, weighted_quadrature
+from .picard import PicardConfig, PicardReport, check_fixed_point, weighted_quadrature
 from .scenario import ScenarioSet, sigma_bar
 
 DEFAULT_DT_MAX = 1.0 / 32.0
+PERTURBATION_MODES = 4
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,11 @@ class DivergenceFormOperator:
         if cached is None:
             n = self.grid.n_nodes
             eye = sp.identity(n, format="csc")
-            solve = spla.splu((eye - 0.5 * h * self.matrix).tocsc())
+            try:
+                solve = spla.splu((eye - 0.5 * h * self.matrix).tocsc())
+            except RuntimeError as exc:
+                raise NumericalError(f"semigroup factorization at step {h:.6g} failed: "
+                                     f"{exc}") from exc
             forward = (sp.identity(n, format="csr") + 0.5 * h * self.matrix.tocsr())
             cached = (solve, forward)
             self._step_cache[h] = cached
@@ -387,28 +392,21 @@ def _slot_sources(problem: GspdeProblem, pts: np.ndarray, i: int, u_i: np.ndarra
             np.asarray(problem.noise(t, pts, u_i, v)))
 
 
-def _grid_recursion(problem: GspdeProblem, gbm: GBMPaths, u: np.ndarray,
-                    sources: Callable, start: int) -> RandomField:
-    """u_i = CN_dt[u_{i+1} + dt f_{i+1} + g_{i+1} . dB_i] into the stack u
-    (p, N+1, n) for slots ``start`` .. 0; ``sources(i, u_i)`` sees each new
-    slot i, start down to 0, before it overwrites slot i, and returns the
-    reaction and noise at slot i, which pair with dB_{i-1}; its slot-0 value
-    is not read.  Below ``start`` = N the slots above ``start`` are taken as
-    u holds them, and ``sources`` first sees slot start + 1 read back;
-    ``start`` = -1 recomputes nothing."""
+def _grid_recursion(problem: GspdeProblem, gbm: GBMPaths, sources: Callable,
+                    u: Optional[np.ndarray]) -> None:
+    """u_i = CN_dt[u_{i+1} + dt f_{i+1} + g_{i+1} . dB_i] from the terminal
+    data at slot N down to slot 0; ``sources(i, u_i)`` sees each new slot i
+    and returns the reaction and noise at slot i, which pair with dB_{i-1};
+    its slot-0 value is not read.  Each slot is then written into the stack
+    u (p, N+1, n), unless u is None."""
     if gbm.grid != problem.time_grid:
         raise UsageError("path bundle and problem use different time grids")
     if not np.array_equal(gbm.scenarios.matrices, problem.scenarios.matrices):
         raise UsageError("path bundle and problem use different scenario sets")
     n_steps, dt, op = problem.time_grid.n_steps, problem.time_grid.dt, problem.operator
-    if start == n_steps:
-        u_i = np.tile(problem.terminal, (gbm.n_paths, 1))
-    else:
-        u_i = u[:, start + 1]
-        if start >= 0:
-            at_next = sources(start + 1, u_i)
+    u_i = np.tile(problem.terminal, (gbm.n_paths, 1))
     v = np.ascontiguousarray(u_i.T)  # (n, p), the slot the CN step acts on
-    for i in range(start, -1, -1):
+    for i in range(n_steps, -1, -1):
         if i < n_steps:
             f_next, g_next = at_next
             src = v + dt * f_next.T
@@ -416,40 +414,59 @@ def _grid_recursion(problem: GspdeProblem, gbm: GBMPaths, u: np.ndarray,
             v = op.cn_step(src, dt)
             u_i = np.ascontiguousarray(v.T)  # rows laid out as in the stack
         at_next = sources(i, u_i)
-        u[:, i] = u_i
-    return RandomField(u, problem.time_grid, problem.space_grid, gbm.fingerprint())
-
-
-def _start(problem: GspdeProblem, gbm: GBMPaths) -> np.ndarray:
-    u = np.zeros((gbm.n_paths, problem.time_grid.n_steps + 1, problem.space_grid.n_nodes))
-    u[:, -1] = problem.terminal
-    return u
+        if u is not None:
+            u[:, i] = u_i
 
 
 def solve_gspde(problem: GspdeProblem, gbm: GBMPaths) -> RandomField:
     """The explicit scheme, one sweep with the sources read at the new slot:
     the fixed point of the Picard map, which fixes one slot per sweep."""
-    return _grid_recursion(problem, gbm, _start(problem, gbm),
-                           partial(_slot_sources, problem, problem.space_grid.points()),
-                           problem.time_grid.n_steps)
+    u = np.empty((gbm.n_paths, problem.time_grid.n_steps + 1, problem.space_grid.n_nodes))
+    _grid_recursion(problem, gbm, partial(_slot_sources, problem, problem.space_grid.points()),
+                    u)
+    return RandomField(u, problem.time_grid, problem.space_grid, gbm.fingerprint())
+
+
+def _smooth_field(sg: SpatialGrid, seed: int) -> np.ndarray:
+    """A seeded smooth field on the nodes: sum_k a_k cos(w_k . x) + b_k
+    sin(w_k . x) over PERTURBATION_MODES wave vectors w_k, each entry an
+    integer multiple of pi / R of size at most 2, so periodic on [-R, R]^d,
+    with a_k and b_k normal of variance 1 / PERTURBATION_MODES.  It takes
+    only standard normal draws and no matrix product, code that a grid-only
+    run already has in memory, so the field adds nothing to its peak RSS."""
+    rng = np.random.default_rng(seed)
+    waves = np.clip(np.rint(rng.standard_normal((PERTURBATION_MODES, sg.dim))), -2.0, 2.0)
+    phases = np.sum(sg.points()[:, None, :] * waves, axis=-1) * (np.pi / sg.half_width)
+    a, b = rng.standard_normal((2, PERTURBATION_MODES)) / math.sqrt(PERTURBATION_MODES)
+    return np.sum(a * np.cos(phases) + b * np.sin(phases), axis=-1)
 
 
 def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
                        gbm: GBMPaths) -> tuple[RandomField, PicardReport]:
-    """The mild-solution Picard iteration from zero, each sweep with the
-    sources at the previous iterate and its increment in the (gamma, delta)
-    functional, as the check of the contraction; ``solve_gspde``'s sweep then
-    overwrites the last iterate from the first slot that the K sweeps left
-    unfixed, N - K, so the field does not read ``cfg``."""
+    """``solve_gspde``'s field u* and ``picard.check_fixed_point`` at it, the
+    perturbation a ``_smooth_field`` on the nodes.  Each check sweep reads
+    the sources at its frozen iterate and streams each new slot's distance
+    to u*, and the iterate's, into its (gamma, delta) density; no second
+    field is kept."""
     cfg.validate_against(problem)
-    sg, times = problem.space_grid, problem.time_grid.times
-    u, slot_sources = _start(problem, gbm), partial(_slot_sources, problem, sg.points())
-    report, unfixed = iterate_in_place(
-        lambda sources, start: _grid_recursion(problem, gbm, u, sources, start), (u,),
-        slot_sources, lambda i, new, old: (_hnorm_density(new[0] - old[0], sg, cfg.delta),
-                                          _hnorm_density(new[0], sg, cfg.delta)),
-        lambda dens: weighted_quadrature(dens, cfg.rate, times), cfg)
-    return _grid_recursion(problem, gbm, u, slot_sources, unfixed), report
+    sg, times, n = problem.space_grid, problem.time_grid.times, problem.time_grid.n_steps
+    pts, fld = sg.points(), solve_gspde(problem, gbm)
+    u = fld.values
+
+    def sweep(scale):
+        dens = np.empty((2, gbm.n_paths, n))
+
+        def sources(i, new):
+            w = u[:, i] * scale(i)
+            if i < n:
+                dens[0, :, i] = _hnorm_density(new - u[:, i], sg, cfg.delta)
+                dens[1, :, i] = _hnorm_density(w - u[:, i], sg, cfg.delta)
+            return _slot_sources(problem, pts, i, w)
+
+        _grid_recursion(problem, gbm, sources, None)
+        return tuple(weighted_quadrature(d, cfg.rate, times) for d in dens)
+
+    return fld, check_fixed_point(sweep, _smooth_field(sg, cfg.seed), times, cfg)
 
 
 # -- residual functionals ---------------------------------------------------

@@ -5,9 +5,9 @@ stochastic equation rest on one argument: a Picard map contracts with
 constant kappa < 1 in an exponentially weighted space-time norm.  This
 module holds that argument once: the contraction constants and the config
 built from them, the weighted left-endpoint quadrature the norms are built
-on, and the iteration loop with its report.  A solver supplies its four
-contraction inputs and its backward recursion; a Picard sweep is that
-recursion with the drivers read at the previous iterate.
+on, and the check of the contraction at the fixed point with its report.
+A solver supplies its four contraction inputs and a Picard sweep: its
+backward recursion with the drivers frozen at a given iterate.
 """
 
 from __future__ import annotations
@@ -50,38 +50,42 @@ def contraction_constants(lip: float, z_coef: float, sigma_bar_sq: float, lam: f
 
 
 def weighted_quadrature(density: np.ndarray, rate: float, times: np.ndarray) -> float:
-    """E int e^{rate s} density(s) ds from a density at the left-endpoint
-    slots t_0 .. t_{N-1}, shaped (paths, N).
+    """E int e^{rate (s - T)} density(s) ds from a density at the left-endpoint
+    slots t_0 .. t_{N-1}, shaped (paths, N), with T = t_N.
 
-    Each slot carries the exact step weight int_{t_i}^{t_{i+1}} e^{rate s} ds,
-    so time-constant densities integrate exactly; the expectation is the
-    mean over paths.
+    Each slot carries the exact step weight int_{t_i}^{t_{i+1}} e^{rate (s - T)}
+    ds, so time-constant densities integrate exactly; the expectation is the
+    mean over paths.  The weight is taken relative to e^{rate T}, which
+    overflows long before the norm does; every ratio of two norms is that of
+    the weights e^{rate s}.
     """
-    t0, t1 = times[:-1], times[1:]
-    w = t1 - t0 if abs(rate) < 1e-300 else (np.exp(rate * t1) - np.exp(rate * t0)) / rate
+    t0, t1, horizon = times[:-1], times[1:], times[-1]
+    w = (t1 - t0 if abs(rate) < 1e-300
+         else (np.exp(rate * (t1 - horizon)) - np.exp(rate * (t0 - horizon))) / rate)
     return float(np.mean(np.sum(density * w, axis=1)))
 
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Constants of the fixed-point argument plus iteration controls.
+    """Constants of the fixed-point argument plus the check's controls.
 
     ``rate`` is the exponent of the norm weight: gamma for the grid
     equation, beta for the backward one.  ``problem`` is anything with
-    ``contraction_inputs() -> (lip, z_coef, sigma_bar_sq, lam)``.
+    ``contraction_inputs() -> (lip, z_coef, sigma_bar_sq, lam)``.  ``seed``
+    draws the perturbation of ``check_fixed_point``.
     """
 
     eps: float
     rate: float
     delta: float
     kappa: float
-    max_iter: int = 25
     tol_rel: float = 1e-6
+    seed: int = 0
 
     @classmethod
-    def from_problem(cls, problem, eps: Optional[float] = None, max_iter: int = 25,
-                     tol_rel: float = 1e-6) -> "PicardConfig":
-        return cls(*contraction_constants(*problem.contraction_inputs(), eps), max_iter, tol_rel)
+    def from_problem(cls, problem, eps: Optional[float] = None, tol_rel: float = 1e-6,
+                     seed: int = 0) -> "PicardConfig":
+        return cls(*contraction_constants(*problem.contraction_inputs(), eps), tol_rel, seed)
 
     def validate_against(self, problem) -> None:
         """Raise unless (eps, rate, delta, kappa) are ``problem``'s constants
@@ -95,7 +99,7 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class PicardReport:
-    """Iteration history of one fixed-point solve and the constants it ran
+    """The contraction check of one solution and the constants it ran
     under; ``rate`` is gamma for the grid equation, beta for the backward one."""
 
     converged: bool
@@ -110,75 +114,43 @@ class PicardReport:
     final_norm: float
 
 
-def iterate(sweep, state: tuple, cfg) -> tuple[tuple, PicardReport]:
-    """Iterate ``state, inc, norm = sweep(*state)`` until the increment is small.
+def check_fixed_point(sweep, perturbation, times: np.ndarray, cfg) -> PicardReport:
+    """The paper's contraction, tested at the explicit solution u*, the fixed
+    point of the Picard map Phi, by three sweeps.
 
-    ``sweep`` returns the next state, possibly the old one overwritten, with
-    the norms of new - old and of new in which the map contracts: the squared
-    (gamma, delta) functional for the grid equation, the (beta, delta)-norm
-    for the backward one.  The loop stops once inc <= tol_rel * max(norm,
-    1e-300); it raises NumericalError carrying the report after
-    ``cfg.max_iter`` sweeps, or at once when a norm is not finite.
+    ``sweep(scale)`` runs one Picard sweep with the drivers frozen at the
+    iterate w whose slot i is ``scale(i)`` times slot i of u*, and returns the
+    norms of Phi(w) - u* and of w - u*, in the power in which the map
+    contracts: the squared (gamma, delta) functional for the grid equation,
+    the (beta, delta)-norm for the backward one.  The scale is 0 for w = 0,
+    1 for w = u*, and 1 + r_i ``perturbation``, r_i = (T - t_i) / T, for
+    w = u* + h, whose h vanishes at slot N; at slot N it is the scalar 0 or 1.
+
+    ``increments`` are |Phi(0) - u*|, |Phi(u* + h) - u*| and the residual
+    |Phi(u*) - u*|, ``ratios`` are rho(-u*) = |Phi(0) - u*| / |u*| and
+    rho(h) = |Phi(u* + h) - u*| / |h|, 0 where the perturbation has norm 0
+    (the distance is then the residual's), ``final_norm`` is |u*|, and the
+    check has converged when the residual is at most ``tol_rel`` |u*|.
+    Raises NumericalError carrying the report when a norm is not finite.
     """
-    increments: list[float] = []
-    ratios: list[float] = []
+    n, ramp = len(times) - 1, (times[-1] - times) / times[-1]
+    increments, sizes = [], []
 
-    def report(converged: bool, final_norm: float) -> PicardReport:
-        return PicardReport(converged, len(increments), tuple(increments), tuple(ratios),
-                            cfg.kappa, cfg.eps, cfg.rate, cfg.delta, cfg.tol_rel, final_norm)
+    def scale(a, b):
+        return lambda i: a + ramp[i] * b if i < n else a
 
-    for _ in range(cfg.max_iter):
-        state, inc, final_norm = sweep(*state)
+    def report(converged: bool) -> PicardReport:
+        ratios = tuple(inc / size if size > 0.0 else 0.0
+                       for inc, size in zip(increments[:2], sizes))
+        return PicardReport(converged, len(increments), tuple(increments), ratios,
+                            cfg.kappa, cfg.eps, cfg.rate, cfg.delta, cfg.tol_rel, sizes[0])
+
+    for a, b in ((0.0, 0.0), (1.0, perturbation), (1.0, 0.0)):
+        inc, size = sweep(scale(a, b))
         increments.append(inc)
-        if len(increments) >= 2 and increments[-2] > 0.0:
-            ratios.append(inc / increments[-2])
-        if not (math.isfinite(inc) and math.isfinite(final_norm)):
+        sizes.append(size)
+        if not (math.isfinite(inc) and math.isfinite(size)):
             raise NumericalError(
-                f"Picard iteration {len(increments)} produced a non-finite norm "
-                f"(increment {inc:.3e}, iterate {final_norm:.3e})",
-                report=report(False, final_norm))
-        if inc <= cfg.tol_rel * max(final_norm, 1e-300):
-            return state, report(True, final_norm)
-    raise NumericalError(
-        f"Picard iteration did not converge in {cfg.max_iter} iterations "
-        f"(last increment {increments[-1]:.3e}); ratios: {ratios}",
-        report=report(False, final_norm))
-
-
-def iterate_in_place(recursion, stacks: tuple, slot_drivers, densities, norm,
-                     cfg) -> tuple[PicardReport, int]:
-    """``iterate`` Picard sweeps in place: ``stacks`` hold the start and end as
-    the last iterate.  ``recursion(drivers, start)`` recomputes slots start
-    down to 0: it hands ``drivers(i, *new)`` slot start + 1 as the stacks hold
-    it, when start < N, then each new slot i before it overwrites slot i; a
-    sweep returns ``slot_drivers(i, *old)``, takes the per-path densities of
-    new - old and of new from ``densities(i, new, old)`` and reduces each by
-    ``norm``.
-
-    The map is nilpotent: slot N is data and slot i reads only slots above
-    it, so sweep k leaves slots N .. N - k + 1 bitwise fixed and sweep k + 1
-    recomputes slots N - k .. 0 only.  A slot it skips keeps its density and
-    adds an increment density of exactly 0, the floats a recomputation from
-    bitwise-equal inputs would give.  Returns the report and the first slot
-    the K sweeps left unfixed, N - K, or -1 once K >= N + 1: where a sweep
-    with the drivers read at the new slot resumes to reach the fixed point."""
-    p, n = stacks[0].shape[0], stacks[0].shape[1] - 1
-    inc, cur = np.empty((p, n)), np.empty((p, n))
-    start = n
-
-    def sweep(*_):
-        nonlocal start
-        inc[:, start + 1:] = 0.0  # the slots this sweep skips
-
-        def drivers(i, *new):
-            old = [s[:, i] for s in stacks]
-            if i <= start and i < n:
-                inc[:, i], cur[:, i] = densities(i, new, old)
-            return slot_drivers(i, *old)
-
-        recursion(drivers, start)
-        start = max(start - 1, -1)
-        return stacks, norm(inc), norm(cur)
-
-    report = iterate(sweep, stacks, cfg)[1]
-    return report, start
+                f"Picard check sweep {len(increments)} produced a non-finite norm "
+                f"(distance {inc:.3e}, perturbation {size:.3e})", report=report(False))
+    return report(increments[2] <= cfg.tol_rel * max(sizes[0], 1e-300))

@@ -1,15 +1,10 @@
 """Reference computations the tests compare the package against; no
 command of the package runs them."""
 
-import math
-from functools import partial
-from unittest import mock
-
 import numpy as np
 
-from gexplab import bdsde
 from gexplab._util import read
-from gexplab.picard import iterate, iterate_in_place, weighted_quadrature
+from gexplab.picard import weighted_quadrature
 from gexplab.presets import FieldPreset, NoisePreset
 
 
@@ -55,54 +50,12 @@ def whole_stack_hnorm(u, gamma, delta, sg, times):
     return weighted_quadrature(dens, gamma, times)
 
 
-def with_last_picard_iterate(module, recursion, solve, *args):
-    """``solve(*args)`` and copies of the stacks that its last call of the
-    backward recursion ``module.<recursion>`` started from: for a Picard
-    solver, its last iterate, which the explicit sweep then overwrites."""
-    seen = []
-    original = getattr(module, recursion)
-
-    def record(*rec_args):
-        seen.append([a.copy() for a in rec_args if isinstance(a, np.ndarray) and a.ndim >= 3])
-        return original(*rec_args)
-
-    with mock.patch.object(module, recursion, record):
-        out = solve(*args)
-    return out, seen[-1]
-
-
-def resumed_slots(start, n):
-    """The slots a backward recursion from ``start`` hands its drivers: below
-    N, slot start + 1 read back first, then start .. 0; none from -1."""
-    return list(range(min(start + 1, n), -1, -1)) if start >= 0 else []
-
-
-def every_slot_iterate_in_place(recursion, stacks, slot_drivers, densities, norm, cfg):
-    """``picard.iterate_in_place`` with every sweep recomputing and measuring
-    slots N .. 0, and the explicit sweep after it starting at N: the schedule
-    that resuming at the first unfixed slot must reproduce bitwise."""
-    p, n = stacks[0].shape[0], stacks[0].shape[1] - 1
-
-    def sweep(*_):
-        inc, cur = np.empty((p, n)), np.empty((p, n))
-
-        def drivers(i, *new):
-            old = [s[:, i] for s in stacks]
-            if i < n:
-                inc[:, i], cur[:, i] = densities(i, new, old)
-            return slot_drivers(i, *old)
-
-        recursion(drivers, n)
-        return stacks, norm(inc), norm(cur)
-
-    return iterate(sweep, stacks, cfg)[1], n
-
-
-def with_full_sweeps(module, solve, *args):
-    """``solve(*args)`` with ``module``'s Picard sweeps and the explicit
-    sweep after them run over every slot (``every_slot_iterate_in_place``)."""
-    with mock.patch.object(module, "iterate_in_place", every_slot_iterate_in_place):
-        return solve(*args)
+def absolute_weighted_quadrature(density, rate, times):
+    """``picard.weighted_quadrature`` with the step weights e^{rate s} taken
+    as they are, not relative to e^{rate T}."""
+    t0, t1 = times[:-1], times[1:]
+    w = t1 - t0 if abs(rate) < 1e-300 else (np.exp(rate * t1) - np.exp(rate * t0)) / rate
+    return float(np.mean(np.sum(density * w, axis=1)))
 
 
 def solution_stacks(sol):
@@ -127,24 +80,19 @@ def value_z(next_values, dm, context, a_inverse, dt):
     return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt), coefs
 
 
-def stacked_linear_bdsde(xi, ensemble, gbm, drivers, y, z, c, start):
+def stacked_linear_bdsde(xi, ensemble, gbm, drivers, y, z, c):
     """``bdsde.solve_linear_bdsde`` writing every slot's (Y, Z) into the
-    stacks ``y`` and ``z`` beside the coefficient stack ``c``, and reading
-    slot start + 1 back from them below N: the values that evaluating a slot
-    from its coefficients must give bitwise.  Returns (y, z, c)."""
+    stacks ``y`` and ``z`` beside the coefficient stack ``c``: the values
+    that evaluating a slot from its coefficients must give bitwise.  Returns
+    (y, z, c)."""
     hunt = ensemble.hunt
     n, dt = hunt.grid.n_steps, hunt.grid.dt
     slot_shape = c.shape[:1] + c.shape[2:]
-    if start == n:
-        y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
-        ctx = ensemble.contexts[n - 1]
-        z_i, c_i[:, 1:, :ctx.n_features] = value_z(y_i, hunt.dm[:, n - 1], ctx,
-                                                   ensemble.a_inverse[n - 1], dt)
-    else:
-        y_i, z_i, c_i = y[:, start + 1], z[:, start + 1], c[:, start + 1]
-        if start >= 0:
-            at_next = drivers(start + 1, y_i, z_i, c_i)
-    for i in range(start, -1, -1):
+    y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
+    ctx = ensemble.contexts[n - 1]
+    z_i, c_i[:, 1:, :ctx.n_features] = value_z(y_i, hunt.dm[:, n - 1], ctx,
+                                               ensemble.a_inverse[n - 1], dt)
+    for i in range(n, -1, -1):
         if i < n:
             f_next, g_next = at_next
             ctx = ensemble.contexts[i]
@@ -172,20 +120,3 @@ def zero_stacks(ensemble, gbm):
     shape = (gbm.n_paths, hunt.grid.n_steps + 1)
     return (np.zeros(shape + (hunt.n_paths,)), np.zeros(shape + (hunt.n_paths, hunt.dim)),
             np.zeros(shape + (1 + hunt.dim, ensemble.n_features)))
-
-
-def stacked_gbdsde_picard(problem, ensemble, gbm, cfg):
-    """``bdsde.solve_gbdsde_picard`` on (Y, Z, coefficient) stacks: the Picard
-    sweeps read the previous iterate's (Y, Z) from the stacks, and the
-    explicit sweep after them resumes at the first unfixed slot.  Returns the
-    stacks and the report."""
-    xi, times = bdsde._payoff(problem, ensemble, gbm), problem.time_grid.times
-    stacks = zero_stacks(ensemble, gbm)
-    report, unfixed = iterate_in_place(
-        lambda drivers, start: stacked_linear_bdsde(xi, ensemble, gbm, drivers, *stacks, start),
-        stacks, lambda i, y_i, z_i, _: bdsde._slot_drivers(problem, ensemble, i, y_i, z_i),
-        bdsde._coefficient_densities(ensemble, cfg.delta),
-        lambda dens: math.sqrt(weighted_quadrature(dens, cfg.rate, times)), cfg)
-    stacked_linear_bdsde(xi, ensemble, gbm, partial(bdsde._explicit_drivers, problem, ensemble),
-                         *stacks, unfixed)
-    return stacks, report

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -31,18 +31,15 @@ from gexplab.pde import (
     derive_contraction_inputs,
     discretize_operator,
 )
-from gexplab.picard import PicardConfig, iterate, weighted_quadrature
+from gexplab.picard import PicardConfig, check_fixed_point, weighted_quadrature
 from gexplab.presets import FieldPreset
 from gexplab.scenario import ScenarioSet, constant_schedule
 from oracles import (
     delta_density,
     preset,
-    resumed_slots,
     solution_stacks,
-    stacked_gbdsde_picard,
     stacked_linear_bdsde,
     whole_stack_delta_norm,
-    with_last_picard_iterate,
     zero_stacks,
 )
 
@@ -84,8 +81,7 @@ def fresh_coefficients(ens, gbm, fill=np.nan):
 
 def linear(xi, ens, gbm, drivers):
     """solve_linear_bdsde into a fresh coefficient stack."""
-    return solve_linear_bdsde(xi, ens, gbm, drivers, fresh_coefficients(ens, gbm),
-                              ens.hunt.grid.n_steps)
+    return solve_linear_bdsde(xi, ens, gbm, drivers, fresh_coefficients(ens, gbm))
 
 
 def linear_stacks(xi, ens, gbm, drivers):
@@ -256,7 +252,7 @@ def test_delta_norm_examples():
     assert slot_delta_norm(ones, zeros[..., None], 0.0, 1.0, weights,
                            tg.times) == pytest.approx(1.0, rel=1e-12)
     assert slot_delta_norm(zeros, ones[..., None], 1.0, 0.0, weights,
-                           tg.times) == pytest.approx(np.sqrt(np.e - 1.0), rel=1e-12)
+                           tg.times) == pytest.approx(np.sqrt(1.0 - np.exp(-1.0)), rel=1e-12)
 
 
 def test_delta_norm_uses_importance_weights_unnormalized():
@@ -317,10 +313,10 @@ def tilted_field():
 def test_coefficient_densities_match_value_space_oracle(d, init, ridge, degree, n_b, n_steps,
                                                         seed, delta):
     # The Picard check takes delta |Y|^2 + |Z|^2, averaged over the paths
-    # with their weights, of new - old and of new as quadratic forms in each
-    # slot's coefficients; they must give the value-space densities of the
-    # (Y, Z) the recursion writes, to rounding.  Under point init slot 0 has
-    # one active feature, fewer than the other slots.
+    # with their weights, of a difference of two slots and of one slot as
+    # quadratic forms in the slot's coefficients; they must give the
+    # value-space densities of the (Y, Z) the recursion writes, to rounding.
+    # Under point init slot 0 has one active feature, fewer than the others.
     tg = TimeGrid(0.5, n_steps)
     field = (preset(FieldPreset, {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.3}, 1)
              if d == 1 else tilted_field())
@@ -339,9 +335,9 @@ def test_coefficient_densities_match_value_space_oracle(d, init, ridge, degree, 
         sol = linear(np.cos(hunt.x[:, -1, 0]) + rng.standard_normal(n_w), ens, gbm, lookup)
         stacks.extend(solution_stacks(sol) + (sol.c,))
     assert (ens.contexts[0].n_features == 1) == (init == "point")
-    densities = bdsde._coefficient_densities(ens, delta)
+    density = bdsde._coefficient_density(ens, delta)
     for i in range(n):
-        inc, cur = densities(i, [s[:, i] for s in new], [s[:, i] for s in old])
+        inc, cur = density(i, new[2][:, i] - old[2][:, i]), density(i, new[2][:, i])
         dy, dz = new[0][:, i] - old[0][:, i], new[1][:, i] - old[1][:, i]
         np.testing.assert_allclose(inc, delta_density(dy, dz, delta, hunt.weights),
                                    rtol=1e-12, atol=0.0)
@@ -390,7 +386,7 @@ def test_picard_zero_data_zero_solution():
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         1.0, 0.0, field, gbm.scenarios, hunt.grid)
     y, z = solution_stacks(solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
-                                               PicardConfig.from_problem(prob, max_iter=20)))
+                                               PicardConfig.from_problem(prob)))
     assert np.allclose(y, 0.0, atol=1e-12)
     assert np.allclose(z, 0.0, atol=1e-12)
 
@@ -405,7 +401,7 @@ def test_picard_source_free_matches_semigroup_oracle():
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         0.0, 0.0, field, gbm.scenarios, hunt.grid)
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis(5), field),
-                              gbm, PicardConfig.from_problem(prob, max_iter=20))
+                              gbm, PicardConfig.from_problem(prob))
     sg = SpatialGrid(1, 8.0, 801, "periodic")
     op = discretize_operator(field, sg)
     psi = np.cos(sg.points()[:, 0])
@@ -424,7 +420,7 @@ def test_picard_contraction_ratios_under_proof_bound():
     field, hunt, gbm = make_ensembles(n_steps=16, horizon=1.0, n_w=2000,
                                       a_value=1.0, scen=scen, seed=91)
     prob = representation_free_problem(field, scen, hunt.grid)
-    cfg = PicardConfig.from_problem(prob, max_iter=20, tol_rel=1e-7)
+    cfg = PicardConfig.from_problem(prob, tol_rel=1e-7)
     # Recipe: eps = (2 lam (1 - 0.1) - alpha Lam sb^2) / K, kappa = 0.9.
     assert cfg.kappa == pytest.approx(0.9)
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
@@ -443,7 +439,7 @@ def test_picard_basis_stability():
     field, hunt, gbm = make_ensembles(n_steps=12, horizon=0.5, n_w=4000,
                                       a_value=1.0, scen=scen, seed=101)
     prob = representation_free_problem(field, scen, hunt.grid)
-    cfg = PicardConfig.from_problem(prob, max_iter=20)
+    cfg = PicardConfig.from_problem(prob)
     sols = [solve_gbdsde_picard(prob, LsmcEnsemble(hunt, RegressionBasis(deg),
                                                    field), gbm, cfg)
             for deg in (3, 6)]
@@ -484,8 +480,9 @@ def test_config_for_another_problem_rejected():
         solve_gbdsde_picard(stiffer, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
 
 
-def test_each_picard_iteration_is_one_linear_solve(monkeypatch):
-    # Each sweep runs the one backward recursion, through the module global.
+def test_each_check_sweep_is_one_linear_solve(monkeypatch):
+    # The solve and each of the three check sweeps run the one backward
+    # recursion, through the module global; only the solve keeps a stack.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
     calls = []
@@ -493,12 +490,9 @@ def test_each_picard_iteration_is_one_linear_solve(monkeypatch):
                         lambda *a, **kw: calls.append(a) or solve_linear_bdsde(*a, **kw))
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
                               PicardConfig.from_problem(prob))
-    assert sol.picard_report.iterations >= 2
-    # One call per Picard sweep, each from the first slot the sweeps before
-    # left unfixed, then the explicit sweep that overwrites the last iterate
-    # from slot N - K.
-    n = hunt.grid.n_steps
-    assert [a[-1] for a in calls] == list(range(n, n - sol.picard_report.iterations - 1, -1))
+    assert sol.picard_report.iterations == 3
+    assert [a[-1] is sol.c for a in calls] == [True, False, False, False]
+    assert all(a[-1] is None for a in calls[1:])
 
 
 def test_backward_solve_reads_each_slot_contiguously(monkeypatch):
@@ -542,13 +536,12 @@ def regression_calls(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2])
 def test_picard_check_adds_no_regression_calls(monkeypatch, d):
     # The check takes its norms from the coefficients the recursion fits
-    # anyway: per recomputed slot i < N one Y fit and, below N - 1, the
-    # 1 + d fits of extract_z, plus 1 + d at the horizon when a sweep starts
-    # at N; each fit is predicted once.  Evaluating a kept slot from its
-    # coefficients predicts 1 + d times (d at the horizon, whose Y is the
-    # payoff) and fits nothing: the slot a recursion below N reads back, and
-    # the previous iterate at slots N - k + 2 .. 1 in sweep k >= 2, which
-    # read slot 0 of no iterate and the zero iterate 0 of no coefficients.
+    # anyway: per slot i < N one Y fit and, below N - 1, the 1 + d fits of
+    # extract_z, plus 1 + d at the horizon, in the solve and in each of the
+    # three check sweeps; each fit is predicted once.  Evaluating the frozen
+    # iterate at a slot predicts 1 + d times (d at the horizon, whose Y is
+    # the payoff) and fits nothing, at slots N .. 1 of each check sweep: the
+    # drivers of slot 0 are not read.
     scen = SCENARIOS[1]
     tg = TimeGrid(0.5, 6)
     field = const_field(0.5, d)
@@ -558,43 +551,53 @@ def test_picard_check_adds_no_regression_calls(monkeypatch, d):
     prob = mixed_problem(field, scen, tg)
     counts = regression_calls(monkeypatch)
     sol = solve_gbdsde_picard(prob, ens, gbm, PicardConfig.from_problem(prob))
-    n, k = tg.n_steps, sol.picard_report.iterations
-    assert 2 <= k <= n
-
-    def fits(start):
-        return ((1 + d) * (start == n)
-                + sum(1 + (1 + d) * (i < n - 1) for i in range(min(start, n - 1), -1, -1)))
-
-    def evals(*slots):
-        return sum(d + (i < n) for i in slots)
-
-    expected = sum(fits(start) for start in range(n, n - k - 1, -1))
-    # Sweeps 2 .. K start at N - 1 .. N - K + 1, the explicit sweep at N - K.
-    evaluated = (sum(evals(start + 1, *range(start + 1, 0, -1))
-                     for start in range(n - 1, n - k, -1))
-                 + evals(n - k + 1))
-    assert counts == {"fit": expected, "predict_in_sample": expected + evaluated}
+    n = tg.n_steps
+    assert sol.picard_report.iterations == 3
+    fits = 4 * ((1 + d) + sum(1 + (1 + d) * (i < n - 1) for i in range(n)))
+    evaluated = 3 * sum(d + (i < n) for i in range(n, 0, -1))
+    assert counts == {"fit": fits, "predict_in_sample": fits + evaluated}
 
 
-def test_nonconvergence_carries_report():
+def test_a_residual_is_reported_not_raised(monkeypatch):
+    # A frozen u* that is not the solve's leaves a residual: the report says
+    # so, and the run goes on to its rows.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
-    cfg = PicardConfig.from_problem(prob, max_iter=1, tol_rel=1e-14)
-    with pytest.raises(NumericalError) as err:
-        solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
-    assert err.value.report is not None
-    assert err.value.report.iterations == 1
+    slot_values = LsmcEnsemble.slot_values
+    monkeypatch.setattr(LsmcEnsemble, "slot_values",
+                        lambda self, *a: tuple(v + 1e-3 for v in slot_values(self, *a)))
+    sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
+                              PicardConfig.from_problem(prob, tol_rel=1e-6))
+    rep = sol.picard_report
+    assert not rep.converged and rep.iterations == 3
+    assert rep.increments[2] > 1e-6 * rep.final_norm
 
 
-def test_nonfinite_driver_stops_at_first_iteration():
+def test_nonfinite_driver_stops_the_solve():
+    # NaN drivers stop the explicit solve at the first slot they reach,
+    # before any check sweep.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     prob = backward_problem(lambda pts: np.cos(pts[:, 0]),
                         lambda t, x, y, v: np.full_like(y, np.nan),
                         lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
                         0.25, 0.0, field, gbm.scenarios, hunt.grid)
-    with pytest.raises(NumericalError, match="non-finite") as err:
+    with pytest.raises(NumericalError, match="non-finite Y at slot 7") as err:
         solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
-                            PicardConfig.from_problem(prob, max_iter=20))
+                            PicardConfig.from_problem(prob))
+    assert err.value.report is None
+
+
+def test_nonfinite_check_norm_stops_at_first_sweep():
+    # Drivers that are finite along the solve but not at the zero iterate
+    # stop the check at its first sweep, with the report so far.
+    field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
+    prob = backward_problem(lambda pts: np.cos(pts[:, 0]),
+                        lambda t, x, y, v: np.where(y == 0.0, np.nan, 0.5 * np.sin(y)),
+                        lambda t, x, y, v: np.zeros(np.shape(y) + (1,)),
+                        0.25, 0.0, field, gbm.scenarios, hunt.grid)
+    with pytest.raises(NumericalError, match="sweep 1 produced a non-finite") as err:
+        solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
+                            PicardConfig.from_problem(prob))
     assert err.value.report.iterations == 1
     assert not err.value.report.converged
 
@@ -634,7 +637,7 @@ def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
                          rng.standard_normal((n_b, n + 1, n_w, 1)))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    ref = stacked_linear_bdsde(xi, ens, gbm, lookup, *zero_stacks(ens, gbm), n)
+    ref = stacked_linear_bdsde(xi, ens, gbm, lookup, *zero_stacks(ens, gbm))
     c = fresh_coefficients(ens, gbm, -7.0)
     events = []
 
@@ -643,18 +646,15 @@ def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
         assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, ref, strict=True))
         return lookup(i, *new)
 
-    sol = solve_linear_bdsde(xi, ens, gbm, drivers, c, n)
+    sol = solve_linear_bdsde(xi, ens, gbm, drivers, c)
     assert sol.c is c and np.array_equal(c, ref[2])
     assert all(np.array_equal(a, b) for a, b in zip(solution_stacks(sol), ref))
     assert events == [(i, True) for i in range(n, -1, -1)]
 
 
-@pytest.mark.parametrize("start", [5, 4, 2, 0, -1])
-def test_linear_recursion_resumes_below_the_slots_it_keeps(start):
-    # From ``start`` < N the recursion keeps slots above ``start``, hands the
-    # drivers slot start + 1 evaluated from its coefficients, then recomputes
-    # start..0 into the floats of a whole sweep; at start = N - 1 the Z kept
-    # is slot N's.
+def test_linear_recursion_without_a_stack_hands_drivers_the_same_slots():
+    # With no coefficient stack the recursion writes nothing and hands the
+    # drivers the floats of the recursion that keeps one.
     field, hunt, gbm = make_ensembles(n_steps=6, n_w=400)
     n, n_w, n_b = hunt.grid.n_steps, hunt.n_paths, gbm.n_paths
     rng = np.random.default_rng(4)
@@ -662,9 +662,7 @@ def test_linear_recursion_resumes_below_the_slots_it_keeps(start):
                          rng.standard_normal((n_b, n + 1, n_w, 1)))
     xi = np.cos(hunt.x[:, -1, 0])
     ens = LsmcEnsemble(hunt, BASIS, field)
-    ref = stacked_linear_bdsde(xi, ens, gbm, lookup, *zero_stacks(ens, gbm), n)
-    c = ref[2].copy()
-    c[:, :start + 1] = -7.0
+    ref = stacked_linear_bdsde(xi, ens, gbm, lookup, *zero_stacks(ens, gbm))
     seen = []
 
     def drivers(i, *new):
@@ -672,18 +670,14 @@ def test_linear_recursion_resumes_below_the_slots_it_keeps(start):
         assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, ref, strict=True))
         return lookup(i, *new)
 
-    sol = solve_linear_bdsde(xi, ens, gbm, drivers, c, start)
-    assert np.array_equal(c, ref[2])
-    assert all(np.array_equal(a, b) for a, b in zip(solution_stacks(sol), ref))
-    assert seen == resumed_slots(start, n)
+    assert solve_linear_bdsde(xi, ens, gbm, drivers, None).c is None
+    assert seen == list(range(n, -1, -1))
 
 
 def test_recursion_never_reads_driver_slot_0(monkeypatch):
-    # Picard sweep k recomputes slots N - k + 1 .. 0 and the explicit sweep
-    # after K sweeps N - K .. 0, each asking for the drivers down to slot 0;
-    # whatever they return at slot 0 must not reach Y, Z or the report.  The
-    # Picard sweeps do not evaluate the previous iterate at slot 0, so only
-    # the explicit sweep asks _slot_drivers for it.
+    # The solve asks _slot_drivers for slots N .. 0 and each check sweep for
+    # N .. 1, as it does not evaluate its frozen iterate at slot 0; whatever
+    # they return at slot 0 must not reach Y, Z or the report.
     field, hunt, gbm = make_ensembles(n_steps=8, n_w=400)
     ens = LsmcEnsemble(hunt, BASIS, field)
     prob = representation_free_problem(field, gbm.scenarios, hunt.grid)
@@ -700,10 +694,8 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
     clean = solve_gbdsde_picard(prob, ens, gbm, cfg)
     monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
     poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg)
-    n, k = hunt.grid.n_steps, clean.picard_report.iterations
-    assert 2 <= k <= n
-    assert slots == ([i for start in range(n, n - k, -1) for i in resumed_slots(start, n) if i]
-                     + resumed_slots(n - k, n))
+    n = hunt.grid.n_steps
+    assert slots == list(range(n, -1, -1)) + 3 * list(range(n, 0, -1))
     clean_yz, poisoned_yz = solution_stacks(clean), solution_stacks(poisoned)
     assert all(np.array_equal(p, c) for p, c in zip(poisoned_yz, clean_yz))
     assert all(np.all(np.isfinite(p)) for p in poisoned_yz)
@@ -727,30 +719,34 @@ def stacked_drivers(problem, y, z, ens):
     return f_out, g_out
 
 
-def stacked_picard(problem, ens, gbm, cfg):
-    """Reference Picard loop on whole stacks: each sweep builds the driver
-    stacks first, hands them to the stack-writing recursion as a slot lookup
-    into fresh stacks and then takes the densities of the new iterate and of
-    its increment over the old one slot by slot, with the solver's
-    densities."""
+def stacked_check(problem, ens, gbm, cfg):
+    """Reference check on whole stacks: the solve writes (Y, Z) stacks; each
+    check sweep evaluates its frozen iterate at every slot, builds the driver
+    stacks, hands them to the stack-writing recursion as a slot lookup into
+    fresh stacks, and then takes the densities of the new coefficients
+    against u*'s, and of the iterate's, slot by slot with the solver's
+    density.  Returns u*'s (Y, Z, coefficient) stacks and the report."""
     hunt = ens.hunt
-    n, n_w = hunt.grid.n_steps, hunt.n_paths
-    xi = np.asarray(problem.terminal_fn(hunt.x[:, n, :]), dtype=float).reshape(n_w)
-    densities = bdsde._coefficient_densities(ens, cfg.delta)
+    n, times = hunt.grid.n_steps, hunt.grid.times
+    xi = bdsde._payoff(problem, ens, gbm)
+    y, z, c = stacked_linear_bdsde(xi, ens, gbm, partial(bdsde._explicit_drivers, problem, ens),
+                                   *zero_stacks(ens, gbm))
+    density = bdsde._coefficient_density(ens, cfg.delta)
 
     def norm(dens):
-        return math.sqrt(weighted_quadrature(np.stack(dens, axis=1), cfg.rate, hunt.grid.times))
+        return math.sqrt(weighted_quadrature(np.stack(dens, axis=1), cfg.rate, times))
 
-    def sweep(*old):
-        f_arr, g_arr = stacked_drivers(problem, old[0], old[1], ens)
+    def sweep(scale):
+        w = np.stack([c[:, i] * scale(i) for i in range(n + 1)], axis=1)
+        y_w, z_w = zip(*(ens.slot_values(i, w[:, i], scale(n) * xi) for i in range(n + 1)))
+        f_arr, g_arr = stacked_drivers(problem, np.stack(y_w, axis=1), np.stack(z_w, axis=1), ens)
         new = stacked_linear_bdsde(xi, ens, gbm, lambda i, *slot: (f_arr[:, i], g_arr[:, i]),
-                                   *zero_stacks(ens, gbm), n)
-        inc, cur = zip(*(densities(i, [s[:, i] for s in new], [s[:, i] for s in old])
-                         for i in range(n)))
-        return new, norm(inc), norm(cur)
+                                   *zero_stacks(ens, gbm))[2]
+        return (norm([density(i, new[:, i] - c[:, i]) for i in range(n)]),
+                norm([density(i, w[:, i] - c[:, i]) for i in range(n)]))
 
-    stacks, report = iterate(sweep, zero_stacks(ens, gbm), cfg)
-    return stacks, report
+    perturbation = np.random.default_rng(cfg.seed).standard_normal(c.shape[2:])
+    return (y, z, c), check_fixed_point(sweep, perturbation, times, cfg)
 
 
 def mixed_problem(field, scen, tg, k=0.2, alpha=0.3):
@@ -780,11 +776,11 @@ SCENARIOS = {1: ScenarioSet.from_list([[[1.0]], [[0.6]]]),
        seed=st.integers(0, 2**31 - 1))
 def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
                                                         scenario, seed):
-    # The Picard sweep evaluates the drivers slot by slot inside the one
-    # in-place recursion; its report and its last iterate (the coefficients
-    # and the (Y, Z) evaluated from them) must be the floats of the
-    # whole-stack form taking the same densities, and the (Y, Z) it returns
-    # is solve_gbdsde's.
+    # Each check sweep evaluates its frozen iterate and the drivers slot by
+    # slot inside the one recursion, and keeps no stack; its report must be
+    # the floats of the whole-stack form taking the same densities, and the
+    # solution it returns (the coefficients and the (Y, Z) evaluated from
+    # them) is the stacked explicit solve's.
     scen = SCENARIOS[l]
     tg = TimeGrid(0.5, n_steps)
     field = const_field(0.5, d)
@@ -793,16 +789,12 @@ def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
                     scen)
     ens = LsmcEnsemble(hunt, RegressionBasis(degree=2), field)
     prob = mixed_problem(field, scen, tg)
-    cfg = PicardConfig.from_problem(prob, max_iter=12)
-    stacks_ref, rep_ref = stacked_picard(prob, ens, gbm, cfg)
-    sol, [c_last] = with_last_picard_iterate(bdsde, "solve_linear_bdsde", solve_gbdsde_picard,
-                                             prob, ens, gbm, cfg)
-    assert sol.picard_report == rep_ref
-    last = solution_stacks(replace(sol, c=c_last)) + (c_last,)
-    assert all(np.array_equal(a, b) for a, b in zip(last, stacks_ref, strict=True))
-    explicit = solve_gbdsde(prob, ens, gbm)
+    cfg = PicardConfig.from_problem(prob, seed=seed)
+    stacks_ref, rep_ref = stacked_check(prob, ens, gbm, cfg)
+    sol = solve_gbdsde_picard(prob, ens, gbm, cfg)
+    assert sol.picard_report == rep_ref and rep_ref.increments[2] == 0.0
     assert all(np.array_equal(a, b)
-               for a, b in zip(solution_stacks(sol), solution_stacks(explicit), strict=True))
+               for a, b in zip(solution_stacks(sol) + (sol.c,), stacks_ref, strict=True))
 
 
 @settings(max_examples=25, deadline=None)
@@ -811,9 +803,9 @@ def test_slot_recursion_matches_stacked_drivers_bitwise(d, l, n_b, n_steps, n_w,
 def test_slot_values_and_picard_report_match_stacked_oracle_bitwise(d, init, n_b, n_steps, seed):
     # The solution keeps only coefficients: the (Y, Z) it evaluates at every
     # slot, N and N - 1 (whose Z copies slot N's) included, and its Picard
-    # report are the floats of the reference solver that keeps (Y, Z) stacks
-    # and reads the previous iterate from them.  The first sweep hands the drivers the
-    # zero iterate at slot N too; from the second on slot N holds the payoff.
+    # report are the floats of the reference that keeps (Y, Z) stacks.  The
+    # sweep from 0 hands the drivers the zero iterate at slot N too; the
+    # solve and the sweeps from u* + h and u* hand them the payoff there.
     tg = TimeGrid(0.5, n_steps)
     field = (preset(FieldPreset, {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.3}, 1)
              if d == 1 else tilted_field())
@@ -824,7 +816,7 @@ def test_slot_values_and_picard_report_match_stacked_oracle_bitwise(d, init, n_b
     gbm = build_gbm(sample_driver(tg, n_b, 1, seed + 1), constant_schedule(0, n_steps), scen)
     ens = LsmcEnsemble(hunt, RegressionBasis(2), field)
     prob = mixed_problem(field, scen, tg)
-    cfg = PicardConfig.from_problem(prob, max_iter=n_steps + 2)
+    cfg = PicardConfig.from_problem(prob, seed=seed)
     n, slot_drivers, at_horizon = tg.n_steps, bdsde._slot_drivers, []
 
     def record(problem, ensemble, i, y_i, *rest):
@@ -834,14 +826,14 @@ def test_slot_values_and_picard_report_match_stacked_oracle_bitwise(d, init, n_b
 
     with mock.patch.object(bdsde, "_slot_drivers", record):
         sol = solve_gbdsde_picard(prob, ens, gbm, cfg)
-    (y, z, c), report = stacked_gbdsde_picard(prob, ens, gbm, cfg)
+    (y, z, c), report = stacked_check(prob, ens, gbm, cfg)
     assert sol.picard_report == report
     assert np.array_equal(sol.c, c)
     for i in range(n + 1):
         y_i, z_i = sol.slot(i)
         assert np.array_equal(y_i, y[:, i]) and np.array_equal(z_i, z[:, i])
-    assert len(at_horizon) >= 2 and np.all(at_horizon[0] == 0.0)
-    assert all(np.array_equal(y_n, y[:, n]) for y_n in at_horizon[1:])
+    assert len(at_horizon) == 4 and np.all(at_horizon[1] == 0.0)
+    assert all(np.array_equal(at_horizon[k], y[:, n]) for k in (0, 2, 3))
 
 
 def traced_peak(fn, *args):
@@ -865,8 +857,8 @@ def backward_peak_slots(solve):
 
 
 def test_picard_peak_memory_is_slot_sized():
-    # The check keeps the coefficient stack and slot-sized temporaries, 14.4
-    # slots as measured; the bound adds a margin of 1.6.  A (Y, Z) value
+    # The check keeps the coefficient stack and slot-sized temporaries, 12.7
+    # slots as measured; the bound adds a margin of 3.3.  A (Y, Z) value
     # stack, a second iterate or whole driver stacks would each add at least
     # one stack of 9 slots.
     peak = backward_peak_slots(lambda prob, ens, gbm: solve_gbdsde_picard(

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -430,15 +431,52 @@ def test_cli_threads_flag_keeps_artifacts_identical(tmp_path):
             assert f1.read() == f2.read(), name
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_cli_numerical_failure_exit_3(tmp_path, capsys):
+    # A half width of 1e-300 validates, as its square is finite, but the grid
+    # spacing squares to 0 and the Crank-Nicolson matrix has no LU factors:
+    # exit 3 naming the factorization, not a traceback.
     cfg = tiny_config()
-    cfg["bdsde"]["max_iter"] = 1
-    cfg["bdsde"]["tol_rel"] = 1e-14
-    cfg["suite"]["checks"] = ["gbdsde"]
+    cfg["space_grid"]["half_width"] = 1e-300
+    cfg["suite"]["checks"] = ["gspde"]
     cfg_path = write_config(tmp_path, cfg)
     code = main(["run-suite", "--config", cfg_path, "--out", str(tmp_path / "n")])
     assert code == 3
-    assert "numerical" in capsys.readouterr().err
+    assert "numerical failure: semigroup factorization" in capsys.readouterr().err
+
+
+def test_picard_checks_of_a_stiff_field_without_v_dependence_exit_0(tmp_path):
+    # A constant field of 256 with noise.z_scale 0 gives gamma = 1794, and
+    # e^{gamma T} overflows; the norm weights, relative to it, do not, so both
+    # checks pass with finite rows.
+    cfg = default_config()
+    cfg["coefficient_field"] = {"preset": "constant", "value": 256.0}
+    cfg["noise"]["z_scale"] = 0.0
+    cfg["suite"]["checks"] = ["gspde", "gbdsde"]
+    exp = validate_config(cfg)
+    assert exp.gspde_cfg.rate * exp.time_grid.horizon > 709.0  # e^709 is near the float max
+    out = tmp_path / "stiff"
+    assert main(["run-suite", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = json.loads((out / "checks_report.json").read_text())["checks"]
+    assert len(rows) == 16 and all(math.isfinite(r["value"]) for r in rows)
+
+
+@pytest.mark.parametrize("x0", [9.0, -8.5])
+def test_representation_from_a_point_off_the_grid_exits_2(tmp_path, capsys, runners_fail, x0):
+    # The representation check interpolates u at X_0; from x0 = 9 on [-8, 8]
+    # every checkpoint would fail at a relative error of about 1.
+    cfg = default_config()
+    cfg["bdsde"]["init"] = {"kind": "point", "x0": [x0]}
+    cfg["suite"]["checks"] = ["representation"]
+    code = main(["run-suite", "--config", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "x0")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: bdsde.init.x0: [{x0}] lies off the grid")
+    cfg["suite"]["checks"] = ["gbdsde"]  # the backward solve alone reads no grid
+    validate_config(cfg)
+    cfg["suite"]["checks"] = ["representation"]
+    cfg["bdsde"]["init"]["x0"] = [8.0 if x0 > 0 else -8.0]  # the edge node is on the grid
+    validate_config(cfg)
 
 
 def test_cli_nonfinite_backward_solve_exit_3(tmp_path, capsys):

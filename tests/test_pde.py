@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexplab import pde
+from gexplab import experiments, pde
 from gexplab.config import default_config, validate_config
-from gexplab.errors import ConfigError, UsageError
+from gexplab.errors import ConfigError, NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, coarsen_driver, sample_driver
 from gexplab.hunt import CoefficientField
 from gexplab.pde import (
@@ -29,9 +31,9 @@ from gexplab.pde import (
     zero_noise,
 )
 from gexplab.pde import _hnorm_density
-from gexplab.picard import iterate, weighted_quadrature
+from gexplab.picard import check_fixed_point, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import homogeneous_term, whole_stack_hnorm, with_last_picard_iterate
+from oracles import homogeneous_term, whole_stack_hnorm
 
 
 def const_field(value, dim=1):
@@ -284,8 +286,9 @@ def test_hnorm_exponential_weight_exact():
     slope = sg.points()[:, 0].copy()
     vals = np.tile(slope, (1, tg.n_steps + 1, 1))
     measure = sg.n_nodes * sg.cell_volume
-    # integral of e^s over [0, 1] times |grad|^2 = 1 * measure
-    assert hnorm(vals, 1.0, 0.0, sg, tg) == pytest.approx((np.e - 1.0) * measure, rel=1e-12)
+    # integral of e^{s - T} over [0, T = 1] times |grad|^2 = 1 * measure
+    assert hnorm(vals, 1.0, 0.0, sg, tg) == pytest.approx((1.0 - np.exp(-1.0)) * measure,
+                                                          rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,12 +371,13 @@ def test_config_for_another_problem_rejected():
 def test_source_free_fixed_point_is_homogeneous_term_bitwise():
     problem = make_problem()
     gbm = make_gbm(problem)
-    cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=5)
+    cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, report = solve_gspde_picard(problem, cfg, gbm)
     hom = homogeneous_term(problem.operator, problem.terminal, problem.time_grid)
     for p in range(field.n_paths):
         assert np.array_equal(field.values[p], hom)
-    assert report.converged and report.iterations == 2
+    # Without sources every sweep gives u*: each rho and the residual are 0.
+    assert report.converged and report.ratios == (0.0, 0.0) and report.increments[2] == 0.0
     assert np.array_equal(field.values[0, -1], problem.terminal)
 
 
@@ -390,7 +394,7 @@ def test_deterministic_reaction_matches_theta_scheme_oracle():
     problem = make_problem(n_steps=tg.n_steps, horizon=tg.horizon,
                            reaction=ReactionTerm(f_fn, 0.0, 0.0))
     gbm = make_gbm(problem, n_paths=1)
-    cfg = PicardConfig.from_problem(problem, eps=1.0, max_iter=5)
+    cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
 
     # Oracle: dense theta = 1/2 stepping of du/dt = -(L u + f), backward.
@@ -426,11 +430,10 @@ def test_picard_contraction_ratios_under_kappa():
     noise = NoiseTerm(g_fn, 1, 0.25, 0.5)
     problem = make_problem(reaction=reaction, noise=noise, horizon=1.0, n_steps=32)
     gbm = make_gbm(problem, n_paths=8, seed=29)
-    cfg = PicardConfig.from_problem(problem, eps=0.4, max_iter=15, tol_rel=1e-6)
+    cfg = PicardConfig.from_problem(problem, eps=0.4, tol_rel=1e-6)
     assert cfg.kappa == pytest.approx(0.3)
     field, report = solve_gspde_picard(problem, cfg, gbm)
-    assert report.converged
-    assert report.iterations <= 15
+    assert report.converged and report.iterations == 3
     assert all(r <= cfg.kappa + 0.05 for r in report.ratios)
     assert np.array_equal(field.values[3, -1], problem.terminal)
 
@@ -456,7 +459,7 @@ def test_solver_two_dimensional_smoke():
     noise = NoiseTerm(g_fn, 1, 0.02, 0.04)
     problem = GspdeProblem(psi, reaction, noise, field, scen, tg, sg)
     gbm = make_gbm(problem, n_paths=2, seed=61)
-    cfg = PicardConfig.from_problem(problem, max_iter=20)
+    cfg = PicardConfig.from_problem(problem)
     fld, rep = solve_gspde_picard(problem, cfg, gbm)
     assert rep.converged
     assert np.array_equal(fld.values[0, -1], psi)
@@ -465,25 +468,27 @@ def test_solver_two_dimensional_smoke():
     assert np.all(np.isfinite(res))
 
 
-def stacked_grid_picard(problem, gbm, cfg):
-    """Reference Picard loop on two field stacks: each sweep evaluates the
-    sources of the old iterate over the whole stack, runs the Crank-Nicolson
+def stacked_grid_check(problem, gbm, cfg):
+    """Reference check on whole field stacks: each sweep builds its frozen
+    iterate and the sources over the whole stack, runs the Crank-Nicolson
     recursion into a fresh stack and takes both norms whole."""
     tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
     pts = sg.points()
+    u = solve_gspde(problem, gbm).values
 
-    def sources(u):
-        grad = sg.gradient(u[:, 1:])
-        f_vals = np.empty((tg.n_steps,) + u[:, 0].shape)
+    def sources(w):
+        grad = sg.gradient(w[:, 1:])
+        f_vals = np.empty((tg.n_steps,) + w[:, 0].shape)
         g_vals = np.empty(f_vals.shape + (problem.noise.n_components,))
         for j in range(1, tg.n_steps + 1):
             v = np.einsum("...nd,ndk->...nk", grad[:, j - 1], problem.operator.node_sigma)
-            f_vals[j - 1] = problem.reaction(tg.times[j], pts, u[:, j], v)
-            g_vals[j - 1] = problem.noise(tg.times[j], pts, u[:, j], v)
+            f_vals[j - 1] = problem.reaction(tg.times[j], pts, w[:, j], v)
+            g_vals[j - 1] = problem.noise(tg.times[j], pts, w[:, j], v)
         return f_vals, g_vals
 
-    def sweep(u):
-        f_vals, g_vals = sources(u)
+    def sweep(scale):
+        w = np.stack([u[:, i] * scale(i) for i in range(tg.n_steps + 1)], axis=1)
+        f_vals, g_vals = sources(w)
         new = np.empty_like(u)
         new[:, -1] = problem.terminal
         v = np.ascontiguousarray(new[:, -1].T)
@@ -492,13 +497,10 @@ def stacked_grid_picard(problem, gbm, cfg):
             src = src + np.einsum("pnl,pl->np", g_vals[i], gbm.db[:, i, :])
             v = problem.operator.cn_step(src, dt)
             new[:, i] = v.T
-        return ((new,), whole_stack_hnorm(new - u, cfg.rate, cfg.delta, sg, tg.times),
-                whole_stack_hnorm(new, cfg.rate, cfg.delta, sg, tg.times))
+        return (whole_stack_hnorm(new - u, cfg.rate, cfg.delta, sg, tg.times),
+                whole_stack_hnorm(w - u, cfg.rate, cfg.delta, sg, tg.times))
 
-    start = np.zeros((gbm.n_paths, tg.n_steps + 1, sg.n_nodes))
-    start[:, -1] = problem.terminal
-    (u,), report = iterate(sweep, (start,), cfg)
-    return u, report
+    return u, check_fixed_point(sweep, pde._smooth_field(sg, cfg.seed), tg.times, cfg)
 
 
 def mixed_grid_problem(dim, l, boundary, m, n_steps, k=0.2, alpha=0.3):
@@ -534,18 +536,68 @@ def mixed_grid_problem(dim, l, boundary, m, n_steps, k=0.2, alpha=0.3):
        seed=st.integers(0, 2**31 - 1))
 def test_slot_recursion_matches_stacked_sources_bitwise(dim, l, boundary, m, p, n_steps,
                                                         scenario, seed):
-    # The grid Picard sweep evaluates the sources slot by slot inside the one
-    # in-place recursion; its report and its last iterate must be the floats
-    # of the whole-stack form, and the field it returns is solve_gspde's.
+    # The grid check evaluates the sources slot by slot inside the one
+    # recursion and streams each slot into its densities; its report must be
+    # the floats of the whole-stack form, and the field it returns is
+    # solve_gspde's.
     problem = mixed_grid_problem(dim, l, boundary, m, n_steps)
     gbm = make_gbm(problem, n_paths=p, seed=seed, scenario=scenario)
-    cfg = PicardConfig.from_problem(problem, max_iter=12)
-    u_ref, rep_ref = stacked_grid_picard(problem, gbm, cfg)
-    (fld, rep), [last] = with_last_picard_iterate(pde, "_grid_recursion", solve_gspde_picard,
-                                                  problem, cfg, gbm)
-    assert rep == rep_ref
-    assert np.array_equal(last, u_ref)
-    assert np.array_equal(fld.values, solve_gspde(problem, gbm).values)
+    cfg = PicardConfig.from_problem(problem, seed=seed)
+    u_ref, rep_ref = stacked_grid_check(problem, gbm, cfg)
+    fld, rep = solve_gspde_picard(problem, cfg, gbm)
+    assert rep == rep_ref and rep.increments[2] == 0.0
+    assert np.array_equal(fld.values, u_ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_perturbation_field_is_seeded_smooth_and_periodic(dim):
+    # The grid check's perturbation is the same field for the same seed, of
+    # mean square about 1, and a trigonometric polynomial of degree 2 in
+    # pi x / R per axis: smooth, and periodic on [-R, R]^d.
+    sg = SpatialGrid(dim, 3.0, 61 if dim == 1 else 31, "periodic")
+    g = pde._smooth_field(sg, 5)
+    assert np.array_equal(g, pde._smooth_field(sg, 5))
+    assert not np.array_equal(g, pde._smooth_field(sg, 6))
+    assert 0.05 < np.mean(g**2) < 20.0
+    phase = sg.points() * (np.pi / sg.half_width)
+    per_axis = [np.stack([np.ones(len(phase))] + [f(j * phase[:, k]) for j in (1, 2)
+                                                  for f in (np.cos, np.sin)], axis=1)
+                for k in range(dim)]
+    basis = per_axis[0] if dim == 1 else np.einsum("na,nb->nab", *per_axis).reshape(len(g), -1)
+    fit = np.linalg.lstsq(basis, g, rcond=None)[0]
+    assert np.max(np.abs(basis @ fit - g)) <= 1e-10
+
+
+def test_grid_check_keeps_no_second_field():
+    # The check sweeps stream each slot into its densities: beside the field
+    # the solve returns, the check adds slot-sized temporaries only (1.42
+    # against 1.37 fields at the peak as measured; a second field is 1 more).
+    cfg = default_config()
+    cfg["gspde"]["n_noise_paths"] = 48
+    exp = validate_config(cfg)
+    problem, gbm = exp.gspde_problem, experiments._problem_bundles(exp)[0]
+    field_bytes = gbm.n_paths * (problem.time_grid.n_steps + 1) * problem.space_grid.n_nodes * 8
+
+    def peak(solve, *args):
+        tracemalloc.start()
+        try:
+            solve(*args)
+            return tracemalloc.get_traced_memory()[1] / field_bytes
+        finally:
+            tracemalloc.stop()
+
+    explicit = peak(solve_gspde, problem, gbm)
+    assert peak(solve_gspde_picard, problem, exp.gspde_cfg, gbm) < explicit + 0.25
+
+
+def test_singular_factorization_is_a_numerical_error():
+    # At a half width of 1e-300 the spacing squares to 0 and the CN matrix
+    # holds infinities that have no LU factors.
+    sg = SpatialGrid(1, 1e-300, 11, "periodic")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        op = discretize_operator(const_field(1.0), sg)
+    with pytest.raises(NumericalError, match="semigroup factorization at step 0.125 failed"):
+        op.cn_step(np.ones(sg.n_nodes), 0.125)
 
 
 # -- residuals -------------------------------------------------------------------
@@ -600,8 +652,8 @@ def test_weak_residual_halving_decay():
     scen = fine_problem.scenarios
     gbm_fine = build_gbm(drv_fine, constant_schedule(0, 64), scen)
     gbm_coarse = build_gbm(drv_coarse, constant_schedule(0, 32), scen)
-    cfg_f = PicardConfig.from_problem(fine_problem, tol_rel=1e-9, max_iter=30)
-    cfg_c = PicardConfig.from_problem(coarse_problem, tol_rel=1e-9, max_iter=30)
+    cfg_f = PicardConfig.from_problem(fine_problem, tol_rel=1e-9)
+    cfg_c = PicardConfig.from_problem(coarse_problem, tol_rel=1e-9)
     field_f, _ = solve_gspde_picard(fine_problem, cfg_f, gbm_fine)
     field_c, _ = solve_gspde_picard(coarse_problem, cfg_c, gbm_coarse)
     tf = bump_test_fn()
@@ -634,7 +686,7 @@ def test_energy_identity_source_free_exact():
 def test_energy_identity_phi_linear_reduces_to_weak_form():
     problem = nonlinear_problem(n_steps=24)
     gbm = make_gbm(problem, n_paths=3, seed=37)
-    cfg = PicardConfig.from_problem(problem, tol_rel=1e-10, max_iter=30)
+    cfg = PicardConfig.from_problem(problem, tol_rel=1e-10)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     unit_fn = SpaceTimeTestFunction(lambda t: 1.0, lambda pts: np.ones(pts.shape[0]))
     slots = residual_slots(field, problem, gbm)
@@ -654,7 +706,7 @@ def test_energy_identity_halving_decay():
         problem = nonlinear_problem(n_steps=n)
         drv = coarsen_driver(drv_top, top // n)
         gbm = build_gbm(drv, constant_schedule(0, n), problem.scenarios)
-        cfg = PicardConfig.from_problem(problem, tol_rel=1e-9, max_iter=30)
+        cfg = PicardConfig.from_problem(problem, tol_rel=1e-9)
         fld, _ = solve_gspde_picard(problem, cfg, gbm)
         slots = residual_slots(fld, problem, gbm)
         res[n] = float(np.sqrt(np.mean(energy_identity_residual(slots, problem, gbm) ** 2)))

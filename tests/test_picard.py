@@ -1,144 +1,146 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gexplab.bdsde import BdsdeProblem
+from gexplab import bdsde, experiments, pde
+from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, solve_gbdsde_picard
+from gexplab.config import default_config, validate_config
 from gexplab.errors import NumericalError
 from gexplab.gbm import TimeGrid
-from gexplab.hunt import CoefficientField
+from gexplab.hunt import CoefficientField, simulate_hunt
 from gexplab.pde import (
     GspdeProblem,
     NoiseTerm,
     ReactionTerm,
     SpatialGrid,
     derive_contraction_inputs,
+    solve_gspde_picard,
 )
-from gexplab.picard import PicardConfig, iterate, iterate_in_place
+from gexplab.picard import PicardConfig, check_fixed_point, weighted_quadrature
 from gexplab.scenario import ScenarioSet
-from oracles import every_slot_iterate_in_place, resumed_slots
+from gexplab._util import SEED_HUNT, child_seed
+from oracles import absolute_weighted_quadrature
 
 
-def toy_cfg(max_iter=50, tol_rel=1e-3):
-    return SimpleNamespace(max_iter=max_iter, tol_rel=tol_rel, kappa=0.5, eps=1.0,
-                           rate=0.0, delta=1.0)
+def toy_cfg(tol_rel=1e-3):
+    return SimpleNamespace(tol_rel=tol_rel, kappa=0.5, eps=1.0, rate=0.0, delta=1.0)
 
 
 class Halving:
-    """x -> x/2 + c from x = 0: increments 2^(1-k) c, iterates 2 (1 - 2^-k) c,
-    every float exact; counts the sweeps and the norms they take."""
+    """Phi(w)_i = w_{i+1} / 2 + 1/4 below slot N = 6 and Phi(w)_N = 1, whose
+    fixed point u* is 1, 3/4, 5/8, ... down from slot N, in the calling
+    convention of ``check_fixed_point``: each sweep returns the sums of
+    squares over slots 0 .. N-1 of Phi(w) - u* and of w - u*.  Records the
+    scale of each sweep; ``offset`` shifts the u* the sweeps are measured
+    against."""
 
-    def __init__(self, c=1.0, norms=None):
-        self.c = c
-        self.sweeps = 0
-        self.norm_calls = 0
-        self._norms = norms
+    def __init__(self, offset=0.0):
+        n = 6
+        self.times = np.linspace(0.0, 1.0, n + 1)
+        self.u = np.array([0.5 + 0.5 ** (n - i + 1) for i in range(n + 1)]) + offset
+        self.scales = []
 
-    def sweep(self, x):
-        self.sweeps += 1
-        new = x / 2.0 + self.c
-        return (new,), *self.norms(new, x)
+    def phi(self, w):
+        return np.append(w[1:] / 2.0 + 0.25, 1.0)
 
-    def norms(self, new, old):
-        self.norm_calls += 1
-        if self._norms is not None:
-            return self._norms(new, old)
-        return float(np.max(np.abs(new - old))), float(np.max(np.abs(new)))
-
-
-def test_iterate_halving_map_history():
-    toy = Halving()
-    (x,), rep = iterate(toy.sweep, (np.zeros(3),), toy_cfg())
-    # Stops at the first k with 2^(1-k) <= 1e-3 * 2 (1 - 2^-k), which is k = 10.
-    assert rep.converged and rep.iterations == 10
-    assert rep.increments == tuple(2.0 ** (1 - k) for k in range(1, 11))
-    assert rep.ratios == (0.5,) * 9
-    assert rep.final_norm == 2.0 * (1.0 - 2.0 ** -10)
-    assert np.array_equal(x, np.full(3, rep.final_norm))
-    assert toy.sweeps == 10 and toy.norm_calls == 10
+    def sweep(self, scale):
+        self.scales.append([scale(i) for i in range(len(self.u))])
+        w = self.u * np.array([np.broadcast_to(s, ()) for s in self.scales[-1]])
+        return (float(np.sum((self.phi(w) - self.u)[:-1] ** 2)),
+                float(np.sum((w - self.u)[:-1] ** 2)))
 
 
-def test_iterate_max_iter_carries_report():
-    toy = Halving()
-    with pytest.raises(NumericalError, match="did not converge") as err:
-        iterate(toy.sweep, (np.zeros(3),), toy_cfg(max_iter=3))
+def test_check_runs_three_sweeps_at_the_fixed_point():
+    toy, b = Halving(), 0.75
+    rep = check_fixed_point(toy.sweep, b, toy.times, toy_cfg())
+    ramp = 1.0 - toy.times
+    assert toy.scales == [[0.0] * 7, list(1.0 + ramp[:-1] * b) + [1.0], [1.0] * 7]
+    u, h = toy.u, toy.u * ramp * b
+    away = float(np.sum((0.25 - u[:-1]) ** 2))
+    assert rep.iterations == 3 and rep.converged
+    assert rep.increments == pytest.approx((away, np.sum(h[1:] ** 2) / 4.0, 0.0), rel=1e-14)
+    assert rep.increments[2] == 0.0
+    assert rep.final_norm == pytest.approx(np.sum(u[:-1] ** 2), rel=1e-14)
+    assert rep.ratios == pytest.approx((away / rep.final_norm,
+                                        np.sum(h[1:] ** 2) / 4.0 / np.sum(h[:-1] ** 2)),
+                                       rel=1e-14)
+
+
+def test_a_residual_above_tol_rel_is_reported_not_raised():
+    toy = Halving(offset=1e-3)
+    rep = check_fixed_point(toy.sweep, 0.75, toy.times, toy_cfg(tol_rel=1e-7))
+    assert not rep.converged and rep.iterations == 3
+    assert rep.increments[2] > 1e-7 * rep.final_norm
+
+
+def test_zero_norms_give_zero_ratios():
+    rep = check_fixed_point(lambda scale: (0.0, 0.0), 1.0, np.linspace(0.0, 1.0, 5), toy_cfg())
+    assert rep.ratios == (0.0, 0.0) and rep.converged and rep.final_norm == 0.0
+
+
+def test_check_nonfinite_norm_stops_at_once():
+    calls = []
+
+    def sweep(scale):
+        calls.append(scale)
+        return float("nan"), 1.0
+
+    with pytest.raises(NumericalError, match="sweep 1 produced a non-finite") as err:
+        check_fixed_point(sweep, 1.0, np.linspace(0.0, 1.0, 5), toy_cfg())
     assert not err.value.report.converged
-    assert err.value.report.iterations == 3 and toy.norm_calls == 3
+    assert err.value.report.iterations == 1 and len(calls) == 1
 
 
-def test_iterate_nonfinite_norm_stops_at_once():
-    toy = Halving(norms=lambda new, old: (float("nan"), 1.0))
-    with pytest.raises(NumericalError, match="non-finite") as err:
-        iterate(toy.sweep, (np.zeros(3),), toy_cfg())
-    assert not err.value.report.converged
-    assert err.value.report.iterations == 1
-    assert toy.sweeps == 1 and toy.norm_calls == 1
+# -- weighted quadrature ------------------------------------------------------------
+
+def test_quadrature_weights_are_relative_to_the_horizon():
+    # e^{rate T} times the relative quadrature is the quadrature of the
+    # weights e^{rate s}, to 1e-12, at the shipped config's gamma and beta.
+    exp = validate_config(default_config())
+    times = exp.time_grid.times
+    dens = np.random.default_rng(3).uniform(0.0, 2.0, (4, len(times) - 1))
+    for rate in (exp.gspde_cfg.rate, exp.bdsde_cfg.rate, 0.0):
+        assert (weighted_quadrature(dens, rate, times) * math.exp(rate * times[-1])
+                == pytest.approx(absolute_weighted_quadrature(dens, rate, times), rel=1e-12))
 
 
-class ToyRecursion:
-    """x_i = x_{i+1} / 2 + d_{i+1} / 4 back from x_N = 1 into a (1, N+1)
-    stack, in the calling convention of ``iterate_in_place``: every float
-    is dyadic, so sweeps that skip a slot and sweeps that recompute it agree
-    bitwise.  Records the slots each call computes."""
+def test_shipped_ratios_do_not_move_with_the_weight_origin(monkeypatch):
+    # The ratios of both checks on the shipped config are those of the
+    # weights e^{rate s} to 1e-12; the norms scale by e^{-rate T} (its root
+    # for the backward norm).
+    exp = validate_config(default_config())
+    gbm = experiments._problem_bundles(exp)[0]
+    sec = exp.bdsde
+    hunt = simulate_hunt(exp.field, sec.init, exp.bdsde_problem.time_grid,
+                         sec.n_diffusion_paths, child_seed(exp.seed, SEED_HUNT))
+    ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
 
-    def __init__(self, n):
-        self.n = n
-        self.x = np.zeros((1, n + 1))
-        self.computed = []
+    def reports():
+        return ((solve_gspde_picard(exp.gspde_problem, exp.gspde_cfg, gbm)[1], 1.0),
+                (solve_gbdsde_picard(exp.bdsde_problem, ensemble, gbm,
+                                     exp.bdsde_cfg).picard_report, 0.5))
 
-    def __call__(self, drivers, start):
-        n, x = self.n, self.x
-        self.computed.append([])
-        if 0 <= start < n:
-            at_next = drivers(start + 1, x[:, start + 1])
-        for i in range(start, -1, -1):
-            new = np.ones(1) if i == n else x[:, i + 1] / 2.0 + at_next / 4.0
-            at_next = drivers(i, new)
-            x[:, i] = new
-            self.computed[-1].append(i)
-        return x
-
-
-def toy_picard(engine, n, cfg):
-    toy = ToyRecursion(n)
-    report, unfixed = engine(toy, (toy.x,), lambda i, x_i: x_i + 1.0,
-                             lambda i, new, old: ((new[0] - old[0])**2, new[0]**2),
-                             lambda dens: float(np.sum(dens)), cfg)
-    return toy, report, unfixed
+    relative = reports()
+    for module in (pde, bdsde):
+        monkeypatch.setattr(module, "weighted_quadrature", absolute_weighted_quadrature)
+    for (rel, power), (ab, _) in zip(relative, reports()):
+        shift = math.exp(power * rel.rate * exp.time_grid.horizon)
+        assert rel.ratios == pytest.approx(ab.ratios, rel=1e-12)
+        assert rel.final_norm * shift == pytest.approx(ab.final_norm, rel=1e-12)
+        assert rel.increments[:2] == pytest.approx(tuple(i / shift for i in ab.increments[:2]),
+                                                   rel=1e-12)
 
 
-@pytest.mark.parametrize("tol_rel", [0.0, 1e-3])
-def test_sweep_k_recomputes_the_slots_below_the_fixed_ones(tol_rel):
-    # Sweep k recomputes slots N - k + 1 .. 0 and skips the ones above, which
-    # the sweeps before fixed; the report and the iterate are the floats of
-    # sweeps that recompute every slot.  Sweep N + 1 fixes slot 0 and sweep
-    # N + 2, which recomputes none, is the first with an increment of 0.
-    n = 6
-    cfg = toy_cfg(max_iter=n + 2, tol_rel=tol_rel)
-    toy, report, unfixed = toy_picard(iterate_in_place, n, cfg)
-    full, full_report, _ = toy_picard(every_slot_iterate_in_place, n, cfg)
-    k = report.iterations
-    assert toy.computed == [list(range(n - s, -1, -1)) for s in range(k)]
-    assert full.computed == [list(range(n, -1, -1))] * k
-    assert report == full_report and np.array_equal(toy.x, full.x)
-    # The explicit sweep after K sweeps resumes at N - K, and has nothing
-    # left to do once K >= N + 1.
-    assert unfixed == max(n - k, -1)
-    if tol_rel == 0.0:
-        assert k == n + 2 and unfixed == -1 and toy.computed[-2:] == [[0], []]
-        assert report.increments[-2] > 0.0 and report.increments[-1] == 0.0
-    else:
-        assert 2 <= k <= n
-
-
-def test_resumed_recursion_reads_back_the_slot_above():
-    # Below N the recursion first hands the drivers slot start + 1 as the
-    # stacks hold it; from -1 it hands them nothing.
-    toy, seen = ToyRecursion(4), []
-    for start in (4, 3, 1, 0, -1):
-        toy(lambda i, x_i: seen.append(i) or x_i, start)
-        assert seen == resumed_slots(start, 4)
-        seen.clear()
+def test_a_rate_whose_exponential_overflows_at_the_horizon_integrates():
+    # A constant field of 256 with no v dependence gives gamma = 1794: e^{gamma T}
+    # overflows at T = 0.5, the relative weights do not.
+    times = np.linspace(0.0, 0.5, 33)
+    dens = np.ones((2, 32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(absolute_weighted_quadrature(dens, 1794.0, times))
+    assert weighted_quadrature(dens, 1794.0, times) == pytest.approx(1.0 / 1794.0, rel=1e-12)
 
 
 # -- config ---------------------------------------------------------------------
@@ -162,12 +164,12 @@ def test_config_from_gspde_problem_matches_formulas():
         noise=NoiseTerm(lambda t, x, y, z: np.zeros(np.shape(y) + (1,)), 1, 0.2, 0.5),
         field=_field(0.8, 1.2), scenarios=SCENARIOS, time_grid=TimeGrid(0.5, 4),
         space_grid=sg)
-    cfg = PicardConfig.from_problem(problem, eps=0.5, max_iter=7, tol_rel=1e-4)
+    cfg = PicardConfig.from_problem(problem, eps=0.5, tol_rel=1e-4, seed=7)
     c_bar, z_coef = 0.36, 0.6 * 0.64
     delta = c_bar * (0.64 + 0.5) / (c_bar * 0.5 + z_coef)
     expected = (0.5, 1 / 0.5 + 2 * 0.8 * delta, delta, (c_bar * 0.5 + z_coef) / (2 * 0.8))
     assert (cfg.eps, cfg.rate, cfg.delta, cfg.kappa) == pytest.approx(expected, rel=1e-12)
-    assert (cfg.max_iter, cfg.tol_rel) == (7, 1e-4)
+    assert (cfg.tol_rel, cfg.seed) == (1e-4, 7)
     cfg.validate_against(problem)
 
 
@@ -184,6 +186,6 @@ def test_config_from_bdsde_problem_matches_formulas():
         delta = 0.25 * (0.64 + eps) / (0.25 * eps + z_coef)
         expected = (eps, 1 / eps + 2 * 0.8 * delta, delta, (0.25 * eps + z_coef) / (2 * 0.8))
         assert (cfg.eps, cfg.rate, cfg.delta, cfg.kappa) == pytest.approx(expected, rel=1e-12)
-        assert (cfg.max_iter, cfg.tol_rel) == (25, 1e-6)
+        assert (cfg.tol_rel, cfg.seed) == (1e-6, 0)
         cfg.validate_against(problem)
     assert cfg.kappa == pytest.approx(0.9, rel=1e-12)
