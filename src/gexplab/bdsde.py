@@ -424,4 +424,4 @@ def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMP
         return tuple(math.sqrt(weighted_quadrature(d, cfg.rate, times)) for d in dens)
 
     perturbation = np.random.default_rng(cfg.seed).standard_normal(c.shape[2:])
-    return replace(sol, picard_report=check_fixed_point(sweep, perturbation, times, cfg))
+    return replace(sol, picard_report=check_fixed_point(sweep, perturbation, times))

@@ -66,8 +66,6 @@ class ScenarioSpec:
 class GspdeSection:
     n_noise_paths: Count = 6
     eps: Optional[Positive] = None  # None: derived from the contraction margin
-    max_iter: Count = 25  # read by no run; kept so that configs keep their hash
-    tol_rel: NonNeg = 1e-6
     dump_paths: NonNegInt = 2
     weak_tolerance: NonNeg = 0.1
     energy_tolerance: NonNeg = 0.1
@@ -78,8 +76,6 @@ class BdsdeSection:
     n_diffusion_paths: Count = 1500
     basis: RegressionBasis = RegressionBasis()
     eps: Optional[Positive] = None
-    max_iter: Count = 20  # read by no run
-    tol_rel: NonNeg = 1e-6
     init: InitialLaw = InitialLaw("point")
     dump_paths: NonNegInt = 2
 
@@ -255,9 +251,12 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
     runs = set(c.suite.checks if checks is None else checks)
     tg, sg = c.time_grid, c.space_grid
     # The grid spacing and the weak-form test bump are fractions of the half
-    # width, and both are squared as floats.
+    # width, both squared as floats; the grid operator divides by the spacing's square.
     if not math.isfinite(sg.half_width * sg.half_width):
         raise ConfigError("space_grid.half_width", f"{sg.half_width:g} overflows when squared")
+    if not (sg.dx**2 > 0.0 and math.isfinite(1.0 / sg.dx**2)):
+        raise ConfigError("space_grid.half_width", f"{sg.half_width:g} gives a grid spacing "
+                                                   "whose inverse square overflows")
     scen = c.scenario_set.build("scenario_set")
     field_obj = c.coefficient_field(sg.dim, "coefficient_field")
     terminal_fn, decays = c.terminal()
@@ -286,9 +285,9 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
                                  gspde_problem.contraction_inputs())
     seed = child_seed(c.seed, SEED_PICARD)
     gspde_cfg = _checked("gspde.eps", PicardConfig.from_problem, gspde_problem,
-                         eps=c.gspde.eps, tol_rel=c.gspde.tol_rel, seed=seed)
+                         eps=c.gspde.eps, seed=seed)
     bdsde_cfg = _checked("bdsde.eps", PicardConfig.from_problem, bdsde_problem,
-                         eps=c.bdsde.eps, tol_rel=c.bdsde.tol_rel, seed=seed)
+                         eps=c.bdsde.eps, seed=seed)
     gbm_scenarios = (scen if c.gbm_check.scenario_set is None
                      else c.gbm_check.scenario_set.build("gbm_check.scenario_set"))
     # Counts are >= 1, so ``or`` takes the fallback only for None.

@@ -57,7 +57,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class DriverPaths:
-    """Seeded Wiener increments in the reversed time coordinate."""
+    """Seeded Wiener increments: those behind the G-noise, in the reversed
+    time coordinate, or the diffusion's Brownian steps."""
 
     grid: TimeGrid
     increments: np.ndarray  # (n_paths, n_steps, dim), variance dt each
@@ -83,13 +84,18 @@ def sample_driver(grid: TimeGrid, n_paths: int, dim: int, seed: int) -> DriverPa
     return DriverPaths(grid, dw, seed)
 
 
-def coarsen_driver(driver: DriverPaths, factor: int) -> DriverPaths:
-    """Merge consecutive increments onto a grid ``factor`` times coarser."""
-    p, n, l = driver.increments.shape
+def _merge(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Sum each run of ``factor`` steps of (n_paths, n_steps, dim) increments."""
+    p, n, l = increments.shape
     if factor < 1 or n % factor:
         raise UsageError(f"cannot coarsen {n} steps by factor {factor}")
-    merged = driver.increments.reshape(p, n // factor, factor, l).sum(axis=2)
-    return DriverPaths(TimeGrid(driver.grid.horizon, n // factor), merged, driver.seed)
+    return increments.reshape(p, n // factor, factor, l).sum(axis=2)
+
+
+def coarsen_driver(driver: DriverPaths, factor: int) -> DriverPaths:
+    """Merge consecutive increments onto a grid ``factor`` times coarser."""
+    merged = _merge(driver.increments, factor)
+    return DriverPaths(TimeGrid(driver.grid.horizon, merged.shape[1]), merged, driver.seed)
 
 
 def coarsen_gbm(paths: "GBMPaths", factor: int) -> "GBMPaths":
@@ -98,19 +104,12 @@ def coarsen_gbm(paths: "GBMPaths", factor: int) -> "GBMPaths":
     Valid because dB telescopes: the merged step is B(t_i) - B(t_{i+factor}).
     The schedule must be constant within each merged block.
     """
-    n = paths.grid.n_steps
-    if factor < 1 or n % factor:
-        raise UsageError(f"cannot coarsen {n} steps by factor {factor}")
-    if factor == 1:
-        return paths
-    blocks = paths.schedule.indices.reshape(n // factor, factor)
+    db = _merge(paths.db, factor)
+    blocks = paths.schedule.indices.reshape(db.shape[1], factor)
     if not np.all(blocks == blocks[:, :1]):
         raise UsageError("schedule is not constant within coarsening blocks")
-    p, _, l = paths.db.shape
-    db = paths.db.reshape(p, n // factor, factor, l).sum(axis=2)
-    grid = TimeGrid(paths.grid.horizon, n // factor)
-    return GBMPaths(grid, paths.scenarios, ControlSchedule(blocks[:, 0]),
-                    db, paths.driver_seed)
+    return GBMPaths(TimeGrid(paths.grid.horizon, db.shape[1]), paths.scenarios,
+                    ControlSchedule(blocks[:, 0]), db, paths.driver_seed)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._util import Scalars
 from .errors import NumericalError, UsageError
-from .gbm import TimeGrid
+from .gbm import CONFIDENCE, TimeGrid
 from .scenario import PSD_EIG_FLOOR
 
 FD_STEP = 1e-5
@@ -260,7 +260,7 @@ class ForwardIntegralReport:
 
     @property
     def sandwich_ok(self) -> bool:
-        slack = 3.0 * self.se_var
+        slack = CONFIDENCE * self.se_var
         return (self.var_mc >= self.lower_bound - slack
                 and self.var_mc <= self.upper_bound + slack)
 
@@ -332,7 +332,7 @@ def empirical_bracket(paths: HuntPaths, field_spec: CoefficientField) -> Bracket
     for a in range(d):
         for b in range(d):
             if a != b:
-                off_ok &= abs(empirical[-1, a, b] - model[-1, a, b]) <= 3.0 * final_se[a, b]
+                off_ok &= abs(empirical[-1, a, b] - model[-1, a, b]) <= CONFIDENCE * final_se[a, b]
     return BracketReport(
         times=paths.grid.times,
         empirical=empirical,

@@ -466,7 +466,7 @@ def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
         _grid_recursion(problem, gbm, sources, None)
         return tuple(weighted_quadrature(d, cfg.rate, times) for d in dens)
 
-    return fld, check_fixed_point(sweep, _smooth_field(sg, cfg.seed), times, cfg)
+    return fld, check_fixed_point(sweep, _smooth_field(sg, cfg.seed), times)
 
 
 # -- residual functionals ---------------------------------------------------

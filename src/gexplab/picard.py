@@ -22,6 +22,9 @@ from .errors import NumericalError, UsageError
 
 # Without a configured epsilon, kappa is held at or below 1 - KAPPA_MARGIN.
 KAPPA_MARGIN = 0.1
+# The check has converged when the residual |Phi(u*) - u*| is at most this
+# fraction of |u*|; at the explicit solution the residual is exactly 0.
+RESIDUAL_TOL = 1e-6
 
 
 def contraction_constants(lip: float, z_coef: float, sigma_bar_sq: float, lam: float,
@@ -67,7 +70,7 @@ def weighted_quadrature(density: np.ndarray, rate: float, times: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Constants of the fixed-point argument plus the check's controls.
+    """Constants of the fixed-point argument and the seed of the check.
 
     ``rate`` is the exponent of the norm weight: gamma for the grid
     equation, beta for the backward one.  ``problem`` is anything with
@@ -79,13 +82,11 @@ class PicardConfig:
     rate: float
     delta: float
     kappa: float
-    tol_rel: float = 1e-6
     seed: int = 0
 
     @classmethod
-    def from_problem(cls, problem, eps: Optional[float] = None, tol_rel: float = 1e-6,
-                     seed: int = 0) -> "PicardConfig":
-        return cls(*contraction_constants(*problem.contraction_inputs(), eps), tol_rel, seed)
+    def from_problem(cls, problem, eps: Optional[float] = None, seed: int = 0) -> "PicardConfig":
+        return cls(*contraction_constants(*problem.contraction_inputs(), eps), seed)
 
     def validate_against(self, problem) -> None:
         """Raise unless (eps, rate, delta, kappa) are ``problem``'s constants
@@ -99,22 +100,19 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class PicardReport:
-    """The contraction check of one solution and the constants it ran
-    under; ``rate`` is gamma for the grid equation, beta for the backward one."""
+    """What the contraction check of one solution measured."""
 
     converged: bool
-    iterations: int
     increments: tuple
     ratios: tuple
-    kappa: float
-    eps: float
-    rate: float
-    delta: float
-    tol_rel: float
     final_norm: float
 
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
 
-def check_fixed_point(sweep, perturbation, times: np.ndarray, cfg) -> PicardReport:
+
+def check_fixed_point(sweep, perturbation, times: np.ndarray) -> PicardReport:
     """The paper's contraction, tested at the explicit solution u*, the fixed
     point of the Picard map Phi, by three sweeps.
 
@@ -130,7 +128,7 @@ def check_fixed_point(sweep, perturbation, times: np.ndarray, cfg) -> PicardRepo
     |Phi(u*) - u*|, ``ratios`` are rho(-u*) = |Phi(0) - u*| / |u*| and
     rho(h) = |Phi(u* + h) - u*| / |h|, 0 where the perturbation has norm 0
     (the distance is then the residual's), ``final_norm`` is |u*|, and the
-    check has converged when the residual is at most ``tol_rel`` |u*|.
+    check has converged when the residual is at most RESIDUAL_TOL |u*|.
     Raises NumericalError carrying the report when a norm is not finite.
     """
     n, ramp = len(times) - 1, (times[-1] - times) / times[-1]
@@ -142,8 +140,7 @@ def check_fixed_point(sweep, perturbation, times: np.ndarray, cfg) -> PicardRepo
     def report(converged: bool) -> PicardReport:
         ratios = tuple(inc / size if size > 0.0 else 0.0
                        for inc, size in zip(increments[:2], sizes))
-        return PicardReport(converged, len(increments), tuple(increments), ratios,
-                            cfg.kappa, cfg.eps, cfg.rate, cfg.delta, cfg.tol_rel, sizes[0])
+        return PicardReport(converged, tuple(increments), ratios, sizes[0])
 
     for a, b in ((0.0, 0.0), (1.0, perturbation), (1.0, 0.0)):
         inc, size = sweep(scale(a, b))
@@ -153,4 +150,4 @@ def check_fixed_point(sweep, perturbation, times: np.ndarray, cfg) -> PicardRepo
             raise NumericalError(
                 f"Picard check sweep {len(increments)} produced a non-finite norm "
                 f"(distance {inc:.3e}, perturbation {size:.3e})", report=report(False))
-    return report(increments[2] <= cfg.tol_rel * max(sizes[0], 1e-300))
+    return report(increments[2] <= RESIDUAL_TOL * max(sizes[0], 1e-300))

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bdsde import BdsdeSolution
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid, coarsen_gbm
 from .hunt import CoefficientField, HuntPaths
 from .pde import (
@@ -75,7 +75,8 @@ def representation_errors(u_field: RandomField, sol: BdsdeSolution,
                           checkpoints: Sequence[float],
                           field_spec: CoefficientField) -> list[CheckpointMetrics]:
     """Relative RMS of u(t, X_t) - Y_t and grad u(t, X_t) - Z_t for one
-    scenario at the requested grid times."""
+    scenario at the requested grid times; raises NumericalError naming the
+    first time whose sums of squares are not finite."""
     _check_provenance(u_field, sol, hunt, gbm)
     sg = u_field.space_grid
     indices = checkpoint_indices(checkpoints, u_field.time_grid)
@@ -96,9 +97,12 @@ def representation_errors(u_field: RandomField, sol: BdsdeSolution,
             ref_z += float(np.mean(grad_here**2))
             err_zs += float(np.mean((dz * sig) ** 2))
             ref_zs += float(np.mean((grad_here * sig) ** 2))
+        t = float(u_field.time_grid.times[idx])
+        if not np.all(np.isfinite((err_y, ref_y, err_z, ref_z, err_zs, ref_zs))):
+            raise NumericalError(f"representation errors at t = {t:g} are not finite")
         ref_rms = np.sqrt(ref_y / u_field.n_paths)
         out.append(CheckpointMetrics(
-            t=float(u_field.time_grid.times[idx]),
+            t=t,
             rel_rms_y=float(np.sqrt(err_y / u_field.n_paths) / max(ref_rms, REL_RMS_FLOOR)),
             rel_rms_z=float(np.sqrt(err_z / max(ref_z, REL_RMS_FLOOR))),
             rel_rms_z_sigma=float(np.sqrt(err_zs / max(ref_zs, REL_RMS_FLOOR))),

@@ -325,7 +325,7 @@ def test_criterion_12_energy_identity_refinement_order():
         problem = GspdeProblem(psi, reaction, noise, field, scen, tg, sg)
         gbm = build_gbm(coarsen_driver(driver_top, top // n),
                         constant_schedule(0, n), scen)
-        cfg = PicardConfig.from_problem(problem, tol_rel=1e-9)
+        cfg = PicardConfig.from_problem(problem)
         fld, _ = solve_gspde_picard(problem, cfg, gbm)
         r = energy_identity_residual(residual_slots(fld, problem, gbm), problem, gbm)
         res[n] = float(np.sqrt(np.mean(r**2)))

@@ -31,7 +31,7 @@ from gexplab.pde import (
     derive_contraction_inputs,
     discretize_operator,
 )
-from gexplab.picard import PicardConfig, check_fixed_point, weighted_quadrature
+from gexplab.picard import RESIDUAL_TOL, PicardConfig, check_fixed_point, weighted_quadrature
 from gexplab.presets import FieldPreset
 from gexplab.scenario import ScenarioSet, constant_schedule
 from oracles import (
@@ -420,12 +420,12 @@ def test_picard_contraction_ratios_under_proof_bound():
     field, hunt, gbm = make_ensembles(n_steps=16, horizon=1.0, n_w=2000,
                                       a_value=1.0, scen=scen, seed=91)
     prob = representation_free_problem(field, scen, hunt.grid)
-    cfg = PicardConfig.from_problem(prob, tol_rel=1e-7)
+    cfg = PicardConfig.from_problem(prob)
     # Recipe: eps = (2 lam (1 - 0.1) - alpha Lam sb^2) / K, kappa = 0.9.
     assert cfg.kappa == pytest.approx(0.9)
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm, cfg)
     rep = sol.picard_report
-    assert rep.converged
+    assert rep.converged and rep.increments[2] == 0.0
     assert all(r <= cfg.kappa + 0.05 for r in rep.ratios)
     # Terminal slice is the payoff bitwise.
     xi = prob.terminal_fn(hunt.x[:, -1, :])
@@ -567,10 +567,10 @@ def test_a_residual_is_reported_not_raised(monkeypatch):
     monkeypatch.setattr(LsmcEnsemble, "slot_values",
                         lambda self, *a: tuple(v + 1e-3 for v in slot_values(self, *a)))
     sol = solve_gbdsde_picard(prob, LsmcEnsemble(hunt, BASIS, field), gbm,
-                              PicardConfig.from_problem(prob, tol_rel=1e-6))
+                              PicardConfig.from_problem(prob))
     rep = sol.picard_report
     assert not rep.converged and rep.iterations == 3
-    assert rep.increments[2] > 1e-6 * rep.final_norm
+    assert rep.increments[2] > RESIDUAL_TOL * rep.final_norm
 
 
 def test_nonfinite_driver_stops_the_solve():
@@ -690,7 +690,7 @@ def test_recursion_never_reads_driver_slot_0(monkeypatch):
             return np.full_like(y_i, np.nan), np.full(y_i.shape + (1,), np.nan)
         return slot_drivers(problem, ensemble, i, y_i, *slot)
 
-    cfg = PicardConfig.from_problem(prob, tol_rel=1e-8)
+    cfg = PicardConfig.from_problem(prob)
     clean = solve_gbdsde_picard(prob, ens, gbm, cfg)
     monkeypatch.setattr(bdsde, "_slot_drivers", poisoned_at_0)
     poisoned = solve_gbdsde_picard(prob, ens, gbm, cfg)
@@ -746,7 +746,7 @@ def stacked_check(problem, ens, gbm, cfg):
                 norm([density(i, w[:, i] - c[:, i]) for i in range(n)]))
 
     perturbation = np.random.default_rng(cfg.seed).standard_normal(c.shape[2:])
-    return (y, z, c), check_fixed_point(sweep, perturbation, times, cfg)
+    return (y, z, c), check_fixed_point(sweep, perturbation, times)
 
 
 def mixed_problem(field, scen, tg, k=0.2, alpha=0.3):

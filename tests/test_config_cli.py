@@ -67,7 +67,9 @@ def test_unknown_key_rejected():
         validate_config(cfg)
     # Keys the schema no longer has, each with a value it once accepted.
     for field, value in [("z_mode", "gradient-sigma"), ("bdsde.implicit_y", False),
-                         ("bdsde.basis.kind", "polynomial"), ("bdsde.basis.n_bins", 16)]:
+                         ("bdsde.basis.kind", "polynomial"), ("bdsde.basis.n_bins", 16),
+                         ("gspde.max_iter", 15), ("bdsde.max_iter", 20),
+                         ("gspde.tol_rel", 1e-6), ("bdsde.tol_rel", 1e-6)]:
         cfg = default_config()
         *parents, key = field.split(".")
         node = cfg
@@ -190,8 +192,6 @@ def set_path(cfg, section, key, value):
     ("suite", "checks", [], "suite.checks"),
     ("gbm_check", "n_steps", "x", "gbm_check.n_steps"),
     ("scenario_set", "matrices", [[["a"]]], "scenario_set.matrices"),
-    ("gspde", "max_iter", 0, "gspde.max_iter"),
-    ("bdsde", "max_iter", 0, "bdsde.max_iter"),
     ("gspde", "n_noise_paths", "x", "gspde.n_noise_paths"),
     ("gspde", "dump_paths", "x", "gspde.dump_paths"),
     ("gspde", "weak_tolerance", None, "gspde.weak_tolerance"),
@@ -211,7 +211,8 @@ def set_path(cfg, section, key, value):
     ("bdsde", "init.x0", "x", "bdsde.init.x0"),
     ("gspde", "eps", "x", "gspde.eps"),
     ("bdsde", "eps", "x", "bdsde.eps"),
-    ("gspde", "max_iter", True, "gspde.max_iter"),
+    # A JSON boolean is no integer.
+    ("gspde", "n_noise_paths", True, "gspde.n_noise_paths"),
     ("gbm_check", "dump_paths", -1, "gbm_check.dump_paths"),
     ("bdsde", "n_diffusion_paths", 0, "bdsde.n_diffusion_paths"),
     ("gspde", "n_noise_paths", 0, "gspde.n_noise_paths"),
@@ -220,10 +221,13 @@ def set_path(cfg, section, key, value):
     ("representation", "checkpoint_fractions", [2.0], "representation.checkpoint_fractions"),
     ("bdsde", "init.x0", [0.0, 0.0], "bdsde.init.x0"),
     ("bdsde", "basis.degree", 40, "bdsde.n_diffusion_paths"),
+    # Keys the schema no longer has.
     (None, "z_mode", "gradient", "z_mode"),
     ("bdsde", "implicit_y", True, "bdsde.implicit_y"),
     ("bdsde", "basis.kind", "indicator-bins", "bdsde.basis.kind"),
     ("bdsde", "basis.n_bins", 16, "bdsde.basis.n_bins"),
+    ("gspde", "max_iter", 0, "gspde.max_iter"),
+    ("bdsde", "max_iter", 0, "bdsde.max_iter"),
     ("space_grid", "half_width", 1e200, "space_grid.half_width"),
     ("space_grid", "half_width", 1e156, "space_grid.half_width"),  # R/4 squared overflows
     ("noise", "y_scale", 1e200, "gspde.eps"),  # an infinite constant: kappa >= 1
@@ -236,6 +240,9 @@ def set_path(cfg, section, key, value):
      ("dirichlet0", {"preset": "constant", "values": 0.3}), "noise"),
     # --out names a file that exists, so no output directory can be made.
     (None, "output_dir", None, "output_dir"),
+    # The squared grid spacing underflows to 0: the operator would divide by it.
+    ("space_grid", "half_width", 1e-160, "space_grid.half_width"),
+    ("space_grid", "half_width", 1e-300, "space_grid.half_width"),
 ])
 def test_cli_malformed_field_exit_2(tmp_path, capsys, runners_fail, section, key, value,
                                     field):
@@ -431,18 +438,23 @@ def test_cli_threads_flag_keeps_artifacts_identical(tmp_path):
             assert f1.read() == f2.read(), name
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_cli_numerical_failure_exit_3(tmp_path, capsys):
-    # A half width of 1e-300 validates, as its square is finite, but the grid
-    # spacing squares to 0 and the Crank-Nicolson matrix has no LU factors:
-    # exit 3 naming the factorization, not a traceback.
+    # A terminal of 1e305 validates, but the squared norms of the grid check
+    # overflow: exit 3 naming the Picard check sweep, not a traceback.
     cfg = tiny_config()
-    cfg["space_grid"]["half_width"] = 1e-300
+    cfg["terminal"]["amplitude"] = 1e305
     cfg["suite"]["checks"] = ["gspde"]
     cfg_path = write_config(tmp_path, cfg)
     code = main(["run-suite", "--config", cfg_path, "--out", str(tmp_path / "n")])
     assert code == 3
-    assert "numerical failure: semigroup factorization" in capsys.readouterr().err
+    assert "numerical failure: Picard check sweep 1" in capsys.readouterr().err
+
+
+def test_half_width_whose_spacing_squares_to_a_finite_inverse_validates():
+    cfg = tiny_config()
+    cfg["space_grid"]["half_width"] = 1e-150
+    validate_config(cfg)
 
 
 def test_picard_checks_of_a_stiff_field_without_v_dependence_exit_0(tmp_path):
@@ -492,6 +504,23 @@ def test_cli_nonfinite_backward_solve_exit_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert f"non-finite Z at slot {cfg['time_grid']['n_steps']}" in captured.err
+    assert "value=nan" not in captured.out and not (out / "suite_summary.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_nonfinite_representation_errors_exit_3(tmp_path, capsys):
+    # At 400 diffusion paths the backward solve of a terminal of 1e305 stays
+    # finite, but the sums of squares of the representation errors overflow:
+    # exit 3 naming the first checkpoint, not rows of NaN.
+    cfg = default_config()
+    cfg["terminal"]["amplitude"] = 1e305
+    cfg["representation"].update({"n_noise_paths": 2, "n_diffusion_paths": 400})
+    cfg["suite"]["checks"] = ["representation"]
+    out = tmp_path / "n"
+    code = main(["run-suite", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure: representation errors at t = 0 are not finite" in captured.err
     assert "value=nan" not in captured.out and not (out / "suite_summary.csv").exists()
 
 

@@ -95,21 +95,21 @@ def test_perturbation_seed_moves_only_rho_h():
 
 
 def test_solutions_do_not_read_the_picard_keys(tmp_path):
-    # eps, tol_rel and max_iter govern the Picard records and rows only: the
-    # checks and the dumped solutions read the explicit scheme.
+    # eps governs the Picard records and rows only: the checks and the dumped
+    # solutions read the explicit scheme.
     solved = ("representation_report.json", "comparison_report.json", "gspde_solution.csv",
               "bdsde_solution.csv")
 
-    def run(eps, tol_rel, max_iter):
+    def run(eps):
         cfg = default_config()
         for section in ("gspde", "bdsde"):
-            cfg[section].update(eps=eps, tol_rel=tol_rel, max_iter=max_iter)
+            cfg[section]["eps"] = eps
         cfg["suite"]["checks"] = ["gspde", "gbdsde", "representation", "comparison"]
         _, artifacts = experiments.run_suite(validate_config(cfg))
-        out = tmp_path / f"{eps}-{tol_rel}-{max_iter}"
+        out = tmp_path / f"{eps}"
         write_artifacts(str(out), artifacts, "hash")
         return {name: (out / name).read_bytes() for name in solved + ("gspde_report.json",)}
 
-    strict, loose = run(0.4, 1e-6, 15), run(0.2, 1e-3, 25)
+    strict, loose = run(0.4), run(0.2)
     assert strict.pop("gspde_report.json") != loose.pop("gspde_report.json")  # keys were read
     assert strict == loose

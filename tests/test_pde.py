@@ -430,7 +430,7 @@ def test_picard_contraction_ratios_under_kappa():
     noise = NoiseTerm(g_fn, 1, 0.25, 0.5)
     problem = make_problem(reaction=reaction, noise=noise, horizon=1.0, n_steps=32)
     gbm = make_gbm(problem, n_paths=8, seed=29)
-    cfg = PicardConfig.from_problem(problem, eps=0.4, tol_rel=1e-6)
+    cfg = PicardConfig.from_problem(problem, eps=0.4)
     assert cfg.kappa == pytest.approx(0.3)
     field, report = solve_gspde_picard(problem, cfg, gbm)
     assert report.converged and report.iterations == 3
@@ -500,7 +500,7 @@ def stacked_grid_check(problem, gbm, cfg):
         return (whole_stack_hnorm(new - u, cfg.rate, cfg.delta, sg, tg.times),
                 whole_stack_hnorm(w - u, cfg.rate, cfg.delta, sg, tg.times))
 
-    return u, check_fixed_point(sweep, pde._smooth_field(sg, cfg.seed), tg.times, cfg)
+    return u, check_fixed_point(sweep, pde._smooth_field(sg, cfg.seed), tg.times)
 
 
 def mixed_grid_problem(dim, l, boundary, m, n_steps, k=0.2, alpha=0.3):
@@ -652,8 +652,8 @@ def test_weak_residual_halving_decay():
     scen = fine_problem.scenarios
     gbm_fine = build_gbm(drv_fine, constant_schedule(0, 64), scen)
     gbm_coarse = build_gbm(drv_coarse, constant_schedule(0, 32), scen)
-    cfg_f = PicardConfig.from_problem(fine_problem, tol_rel=1e-9)
-    cfg_c = PicardConfig.from_problem(coarse_problem, tol_rel=1e-9)
+    cfg_f = PicardConfig.from_problem(fine_problem)
+    cfg_c = PicardConfig.from_problem(coarse_problem)
     field_f, _ = solve_gspde_picard(fine_problem, cfg_f, gbm_fine)
     field_c, _ = solve_gspde_picard(coarse_problem, cfg_c, gbm_coarse)
     tf = bump_test_fn()
@@ -686,7 +686,7 @@ def test_energy_identity_source_free_exact():
 def test_energy_identity_phi_linear_reduces_to_weak_form():
     problem = nonlinear_problem(n_steps=24)
     gbm = make_gbm(problem, n_paths=3, seed=37)
-    cfg = PicardConfig.from_problem(problem, tol_rel=1e-10)
+    cfg = PicardConfig.from_problem(problem)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     unit_fn = SpaceTimeTestFunction(lambda t: 1.0, lambda pts: np.ones(pts.shape[0]))
     slots = residual_slots(field, problem, gbm)
@@ -706,7 +706,7 @@ def test_energy_identity_halving_decay():
         problem = nonlinear_problem(n_steps=n)
         drv = coarsen_driver(drv_top, top // n)
         gbm = build_gbm(drv, constant_schedule(0, n), problem.scenarios)
-        cfg = PicardConfig.from_problem(problem, tol_rel=1e-9)
+        cfg = PicardConfig.from_problem(problem)
         fld, _ = solve_gspde_picard(problem, cfg, gbm)
         slots = residual_slots(fld, problem, gbm)
         res[n] = float(np.sqrt(np.mean(energy_identity_residual(slots, problem, gbm) ** 2)))

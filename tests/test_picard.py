@@ -1,5 +1,6 @@
+import inspect
 import math
-from types import SimpleNamespace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,14 +19,16 @@ from gexplab.pde import (
     derive_contraction_inputs,
     solve_gspde_picard,
 )
-from gexplab.picard import PicardConfig, check_fixed_point, weighted_quadrature
+from gexplab.picard import (
+    RESIDUAL_TOL,
+    PicardConfig,
+    PicardReport,
+    check_fixed_point,
+    weighted_quadrature,
+)
 from gexplab.scenario import ScenarioSet
 from gexplab._util import SEED_HUNT, child_seed
 from oracles import absolute_weighted_quadrature
-
-
-def toy_cfg(tol_rel=1e-3):
-    return SimpleNamespace(tol_rel=tol_rel, kappa=0.5, eps=1.0, rate=0.0, delta=1.0)
 
 
 class Halving:
@@ -54,7 +57,7 @@ class Halving:
 
 def test_check_runs_three_sweeps_at_the_fixed_point():
     toy, b = Halving(), 0.75
-    rep = check_fixed_point(toy.sweep, b, toy.times, toy_cfg())
+    rep = check_fixed_point(toy.sweep, b, toy.times)
     ramp = 1.0 - toy.times
     assert toy.scales == [[0.0] * 7, list(1.0 + ramp[:-1] * b) + [1.0], [1.0] * 7]
     u, h = toy.u, toy.u * ramp * b
@@ -68,15 +71,29 @@ def test_check_runs_three_sweeps_at_the_fixed_point():
                                        rel=1e-14)
 
 
-def test_a_residual_above_tol_rel_is_reported_not_raised():
-    toy = Halving(offset=1e-3)
-    rep = check_fixed_point(toy.sweep, 0.75, toy.times, toy_cfg(tol_rel=1e-7))
+def test_a_residual_above_the_residual_bound_is_reported_not_raised():
+    # Against u* + 1e-2, Phi(u* + 1e-2) misses it by 5e-3 at each slot below N.
+    toy = Halving(offset=1e-2)
+    rep = check_fixed_point(toy.sweep, 0.75, toy.times)
     assert not rep.converged and rep.iterations == 3
-    assert rep.increments[2] > 1e-7 * rep.final_norm
+    assert rep.increments[2] == pytest.approx(6 * 0.005**2, rel=1e-12)
+    assert rep.increments[2] > RESIDUAL_TOL * rep.final_norm
+
+
+def test_the_check_reads_no_config_and_reports_only_what_it_measured():
+    assert [f.name for f in fields(PicardConfig)] == ["eps", "rate", "delta", "kappa", "seed"]
+    assert [f.name for f in fields(PicardReport)] == ["converged", "increments", "ratios",
+                                                      "final_norm"]
+    assert list(inspect.signature(check_fixed_point).parameters) == ["sweep", "perturbation",
+                                                                      "times"]
+    rep = PicardReport(True, (1.0, 2.0, 0.0), (0.5, 0.25), 2.0)
+    assert rep.iterations == 3
+    with pytest.raises(AttributeError):
+        rep.iterations = 4
 
 
 def test_zero_norms_give_zero_ratios():
-    rep = check_fixed_point(lambda scale: (0.0, 0.0), 1.0, np.linspace(0.0, 1.0, 5), toy_cfg())
+    rep = check_fixed_point(lambda scale: (0.0, 0.0), 1.0, np.linspace(0.0, 1.0, 5))
     assert rep.ratios == (0.0, 0.0) and rep.converged and rep.final_norm == 0.0
 
 
@@ -88,7 +105,7 @@ def test_check_nonfinite_norm_stops_at_once():
         return float("nan"), 1.0
 
     with pytest.raises(NumericalError, match="sweep 1 produced a non-finite") as err:
-        check_fixed_point(sweep, 1.0, np.linspace(0.0, 1.0, 5), toy_cfg())
+        check_fixed_point(sweep, 1.0, np.linspace(0.0, 1.0, 5))
     assert not err.value.report.converged
     assert err.value.report.iterations == 1 and len(calls) == 1
 
@@ -118,15 +135,16 @@ def test_shipped_ratios_do_not_move_with_the_weight_origin(monkeypatch):
     ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
 
     def reports():
-        return ((solve_gspde_picard(exp.gspde_problem, exp.gspde_cfg, gbm)[1], 1.0),
+        return ((solve_gspde_picard(exp.gspde_problem, exp.gspde_cfg, gbm)[1],
+                 exp.gspde_cfg.rate),
                 (solve_gbdsde_picard(exp.bdsde_problem, ensemble, gbm,
-                                     exp.bdsde_cfg).picard_report, 0.5))
+                                     exp.bdsde_cfg).picard_report, 0.5 * exp.bdsde_cfg.rate))
 
     relative = reports()
     for module in (pde, bdsde):
         monkeypatch.setattr(module, "weighted_quadrature", absolute_weighted_quadrature)
-    for (rel, power), (ab, _) in zip(relative, reports()):
-        shift = math.exp(power * rel.rate * exp.time_grid.horizon)
+    for (rel, exponent), (ab, _) in zip(relative, reports()):
+        shift = math.exp(exponent * exp.time_grid.horizon)
         assert rel.ratios == pytest.approx(ab.ratios, rel=1e-12)
         assert rel.final_norm * shift == pytest.approx(ab.final_norm, rel=1e-12)
         assert rel.increments[:2] == pytest.approx(tuple(i / shift for i in ab.increments[:2]),
@@ -164,12 +182,12 @@ def test_config_from_gspde_problem_matches_formulas():
         noise=NoiseTerm(lambda t, x, y, z: np.zeros(np.shape(y) + (1,)), 1, 0.2, 0.5),
         field=_field(0.8, 1.2), scenarios=SCENARIOS, time_grid=TimeGrid(0.5, 4),
         space_grid=sg)
-    cfg = PicardConfig.from_problem(problem, eps=0.5, tol_rel=1e-4, seed=7)
+    cfg = PicardConfig.from_problem(problem, eps=0.5, seed=7)
     c_bar, z_coef = 0.36, 0.6 * 0.64
     delta = c_bar * (0.64 + 0.5) / (c_bar * 0.5 + z_coef)
     expected = (0.5, 1 / 0.5 + 2 * 0.8 * delta, delta, (c_bar * 0.5 + z_coef) / (2 * 0.8))
     assert (cfg.eps, cfg.rate, cfg.delta, cfg.kappa) == pytest.approx(expected, rel=1e-12)
-    assert (cfg.tol_rel, cfg.seed) == (1e-4, 7)
+    assert cfg.seed == 7
     cfg.validate_against(problem)
 
 
@@ -186,6 +204,6 @@ def test_config_from_bdsde_problem_matches_formulas():
         delta = 0.25 * (0.64 + eps) / (0.25 * eps + z_coef)
         expected = (eps, 1 / eps + 2 * 0.8 * delta, delta, (0.25 * eps + z_coef) / (2 * 0.8))
         assert (cfg.eps, cfg.rate, cfg.delta, cfg.kappa) == pytest.approx(expected, rel=1e-12)
-        assert (cfg.tol_rel, cfg.seed) == (1e-6, 0)
+        assert cfg.seed == 0
         cfg.validate_against(problem)
     assert cfg.kappa == pytest.approx(0.9, rel=1e-12)
