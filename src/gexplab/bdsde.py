@@ -26,7 +26,6 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._util import NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
@@ -76,6 +75,17 @@ def _monomial_powers(dim: int, degree: int) -> list[tuple]:
     return out
 
 
+def _cho_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with L L^T x = rhs for lower-triangular L and rhs (F, m): forward,
+    then back substitution, one row of F at a time."""
+    y = np.empty_like(rhs)
+    for i in range(low.shape[0]):
+        y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
+    for i in range(low.shape[0] - 1, -1, -1):
+        y[i] = (y[i] - low[i + 1:, i] @ y[i + 1:]) / low[i, i]
+    return y
+
+
 class RegressionContext:
     """Design matrix and factorized normal equations for one state sample.
 
@@ -113,7 +123,7 @@ class RegressionContext:
                 f"{eigs[-1]:.3e}); reduce the basis or add ridge"
             )
         self.phi = phi
-        self._chol = sla.cho_factor(gram)
+        self._chol = np.linalg.cholesky(gram)  # lower L with L L^T = gram
 
     @property
     def n_features(self) -> int:
@@ -138,7 +148,8 @@ class RegressionContext:
         flat = rhs.reshape(-1, self.n_features)
         # Non-finite targets pass through: the Picard check stops on a
         # non-finite norm, the explicit scheme at the first non-finite slot.
-        coefs = sla.cho_solve(self._chol, flat.T, check_finite=False).T
+        with np.errstate(invalid="ignore", over="ignore"):
+            coefs = _cho_solve(self._chol, flat.T).T
         return coefs.reshape(t.shape[:-1] + (self.n_features,))
 
     def predict_in_sample(self, coefs: np.ndarray) -> np.ndarray:

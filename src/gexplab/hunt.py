@@ -11,6 +11,7 @@ row divergence when supplied, otherwise central finite differences.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
@@ -125,6 +126,11 @@ class InitialLaw:
                 raise UsageError("initial-law box must have high > low")
 
 
+def _ndtr(x: float) -> float:
+    """The standard normal distribution function at x."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _gaussian_density(points: np.ndarray) -> np.ndarray:
     d = points.shape[1]
     return np.exp(-0.5 * np.sum(points * points, axis=1)) / (2.0 * np.pi) ** (d / 2.0)
@@ -147,8 +153,7 @@ def _sample_initial(law: InitialLaw, dim: int, n_paths: int, rng) -> tuple[np.nd
             pts[bad] = rng.standard_normal((int(bad.sum()), dim))
         else:
             raise NumericalError("rejection sampling for the initial box stalled")
-        from scipy.special import ndtr  # only this branch needs it; its import is slow
-        z_box = float(np.prod(ndtr(high) - ndtr(low)))
+        z_box = math.prod(_ndtr(hi) - _ndtr(lo) for lo, hi in zip(low, high))
     return pts, z_box / _gaussian_density(pts)
 
 

@@ -10,9 +10,12 @@ wraparound.  The operator uses the conservative flux stencil
 per axis, which is symmetric negative semidefinite, and the discrete energy
 is E_h(u, v) = -<L_h u, v> dx^d, exactly the face-sum of a * du * dv.
 
-Time stepping is Crank-Nicolson.  One CN step of size dt is *the* discrete
-semigroup generator: the mild sum composed with right-endpoint sources is
-evaluated by the backward recursion
+Time stepping is Crank-Nicolson.  On a 1-D grid the matrix is dense and one
+step is one product with the propagator (I - dt A/2)^{-1} (I + dt A/2),
+built once per step size; on a 2-D grid the matrix is sparse and the step a
+sparse LU solve, the only use of scipy.  One CN step of size dt is *the*
+discrete semigroup generator: the mild sum composed with right-endpoint
+sources is evaluated by the backward recursion
 
     u_i = CN_dt[ u_{i+1} + dt f(t_{i+1}, u*, grad u*) + g(t_{i+1}, ...) . dB_i ],
 
@@ -34,8 +37,6 @@ from functools import partial
 from typing import Annotated, Callable, Literal, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._util import Bound, Positive
 from .errors import NumericalError, UsageError
@@ -138,8 +139,14 @@ def edge_excess(values, grid: SpatialGrid, tol: float) -> Optional[tuple[float, 
 
 
 class DivergenceFormOperator:
-    """Sparse flux-form discretization of sum_i d_i(a^{ii} d_j .), with
-    sigma(x) at the nodes for the drivers' v slot."""
+    """Flux-form discretization of sum_i d_i(a^{ii} d_i .), with sigma(x) at
+    the nodes for the drivers' v slot.
+
+    In 1-D the matrix is a dense array and a CN step of size h is one
+    product with the propagator P = (I - hA/2)^{-1} (I + hA/2), cached per
+    step size at 8 n^2 bytes each.  In 2-D, where n^2 grows as the fourth
+    power of the points per axis, the matrix is a scipy CSR matrix and the
+    step a sparse LU solve, imported for that layout only."""
 
     def __init__(self, field_spec: CoefficientField, grid: SpatialGrid):
         if field_spec.dim != grid.dim:
@@ -161,7 +168,7 @@ class DivergenceFormOperator:
                 )
         return mats[:, axis_id, axis_id]
 
-    def _assemble(self) -> sp.csr_matrix:
+    def _assemble(self):
         g = self.grid
         m, dx = g.points_per_axis, g.dx
         pts = g.points()
@@ -192,44 +199,61 @@ class DivergenceFormOperator:
                     rows.append(nodes)
                     cols.append(nodes)
                     vals.append(-boundary_coefs(nodes, axis_id, shift))
-        mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(g.n_nodes, g.n_nodes))
-        return mat.tocsr()
+        index = (np.concatenate(rows), np.concatenate(cols))
+        if g.dim == 2:
+            import scipy.sparse as sp
+
+            return sp.coo_matrix((np.concatenate(vals), index),
+                                 shape=(g.n_nodes, g.n_nodes)).tocsr()
+        mat = np.zeros((g.n_nodes, g.n_nodes))
+        np.add.at(mat, index, np.concatenate(vals))  # in entry order, as the faces come
+        return mat
 
     # -- linear algebra ----------------------------------------------------
     def apply(self, values: np.ndarray) -> np.ndarray:
         vals = np.asarray(values, dtype=float)
         flat = vals.reshape(-1, vals.shape[-1])
-        return np.asarray(self.matrix.dot(flat.T)).T.reshape(vals.shape)
+        return (self.matrix @ flat.T).T.reshape(vals.shape)
 
     def energy(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """E_h(u, v) = -<L_h u, v> dx^d, batched over leading axes of u, v."""
         lu = self.apply(u)
         return -np.sum(lu * np.asarray(v), axis=-1) * self.grid.cell_volume
 
-    def _factorize(self, h: float):
-        cached = self._step_cache.get(h)
-        if cached is None:
+    def _factorize(self, h: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The CN step of size h as a callable on (n,) or (n, k) stacks,
+        built once per step size."""
+        step = self._step_cache.get(h)
+        if step is None:
             n = self.grid.n_nodes
-            eye = sp.identity(n, format="csc")
             try:
-                solve = spla.splu((eye - 0.5 * h * self.matrix).tocsc())
-            except RuntimeError as exc:
+                if self.grid.dim == 2:
+                    import scipy.sparse as sp
+                    import scipy.sparse.linalg as spla
+
+                    eye = sp.identity(n, format="csr")
+                    lu = spla.splu((eye - 0.5 * h * self.matrix).tocsc())
+                    forward = eye + 0.5 * h * self.matrix
+
+                    def step(values):
+                        return lu.solve(forward.dot(values))
+                else:
+                    eye = np.eye(n)
+                    prop = np.linalg.solve(eye - 0.5 * h * self.matrix,
+                                           eye + 0.5 * h * self.matrix)
+                    # solve does not raise on every infinite entry; some end in P.
+                    if not np.all(np.isfinite(prop)):
+                        raise np.linalg.LinAlgError("the propagator is not finite")
+                    step = partial(np.matmul, prop)
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise NumericalError(f"semigroup factorization at step {h:.6g} failed: "
                                      f"{exc}") from exc
-            forward = (sp.identity(n, format="csr") + 0.5 * h * self.matrix.tocsr())
-            cached = (solve, forward)
-            self._step_cache[h] = cached
-        return cached
+            self._step_cache[h] = step
+        return step
 
     def cn_step(self, values: np.ndarray, h: float) -> np.ndarray:
         """One Crank-Nicolson step of size h; accepts (n,) or (n, k) stacks."""
-        solve, forward = self._factorize(h)
-        rhs = forward.dot(values)
-        try:
-            out = solve.solve(rhs)
-        except RuntimeError as exc:  # pragma: no cover - singular factor
-            raise NumericalError(f"semigroup linear solve failed: {exc}") from exc
+        out = self._factorize(h)(values)
         if not np.all(np.isfinite(out)):
             raise NumericalError("semigroup step produced non-finite values")
         return out

@@ -15,14 +15,24 @@ def preset(family, spec, *dims):
     return builder(*dims, "preset") if family in (FieldPreset, NoisePreset) else builder(*dims)
 
 
-def homogeneous_term(op, terminal, time_grid):
-    """P_{T-t_i} terminal at every grid time via composed dt-steps."""
+def homogeneous_term(op, terminal, time_grid, n_paths):
+    """P_{T-t_i} terminal at every grid time via composed dt-steps, shaped
+    (n_paths, N+1, n): the terminal data tiled to n_paths columns is stepped
+    as one (n, n_paths) stack, as ``pde._grid_recursion`` steps it, so no
+    float depends on how BLAS splits a product by columns."""
     n = time_grid.n_steps
-    out = np.empty((n + 1, terminal.shape[-1]))
-    out[n] = terminal
+    out = np.empty((n_paths, n + 1, terminal.shape[-1]))
+    v = np.tile(terminal[:, None], (1, n_paths))
+    out[:, n] = v.T
     for i in range(n - 1, -1, -1):
-        out[i] = op.cn_step(out[i + 1], time_grid.dt)
+        v = op.cn_step(v, time_grid.dt)
+        out[:, i] = v.T
     return out
+
+
+def densify(matrix):
+    """A grid operator's matrix as a dense array; only the 2-D one is sparse."""
+    return matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
 
 
 def delta_density(y, z, delta: float, weights) -> np.ndarray:

@@ -276,6 +276,15 @@ def test_grid_2d_config_validates():
     assert exp.space_grid.n_nodes == 41 * 41 and exp.hunt_field is None
 
 
+def test_grid_2d_config_run_passes(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run-suite", "--config", write_config(tmp_path, grid_2d_config()),
+                 "--out", str(out)]) == 0
+    with open(out / "suite_summary.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows and all(row["pass"] == "true" for row in rows)
+
+
 @pytest.mark.parametrize("field", [
     {"preset": "constant", "value": 1.0},
     {"preset": "constant", "value": 4.0},
@@ -346,23 +355,28 @@ def test_cli_gspde_on_dirichlet_grid(tmp_path):
     assert all(row["pass"] == "true" for row in rows)
 
 
-def loaded_by_cli_import(module):
-    """Whether importing ``gexplab.cli`` in a fresh interpreter loads ``module``."""
-    code = f"import sys, gexplab.cli; print({module!r} in sys.modules)"
+def scipy_modules_after(code):
+    """The ``scipy`` modules loaded when ``code`` ends in a fresh interpreter
+    with the package on its import path."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gexplab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    return out.stdout.strip() == "True"
+    return out.stdout.strip().splitlines()[-1]
 
 
-def test_import_does_not_load_scipy_stats():
-    assert not loaded_by_cli_import("scipy.stats")
+def test_import_does_not_load_scipy():
+    assert scipy_modules_after("import gexplab.cli") == "[]"
 
 
-def test_import_does_not_load_scipy_special():
-    # Only the Gaussian-box initial law reads scipy.special (for ndtr), so the
-    # import every process pays stays out of the CLI's load.
-    assert not loaded_by_cli_import("scipy.special")
+def test_one_dimensional_run_loads_no_scipy(tmp_path):
+    # A 1-D grid steps with a dense propagator and the regression solves its
+    # own Cholesky factors: scipy is loaded for 2-D grids only.
+    cfg = tiny_config()
+    cfg["suite"]["checks"] = ["gspde", "gbdsde", "comparison"]
+    argv = ["run-suite", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")]
+    code = f"from gexplab.cli import main\nassert main({argv!r}) == 0"
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_cli_gbm_and_artifacts(tmp_path, capsys):

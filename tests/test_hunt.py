@@ -13,7 +13,7 @@ from gexplab.hunt import (
     forward_integral_diagnostics,
     simulate_hunt,
 )
-from gexplab.hunt import _sqrt_spd_batch
+from gexplab.hunt import _ndtr, _sqrt_spd_batch
 
 
 def constant_field(value, dim=1):
@@ -147,6 +147,18 @@ def test_gaussian_initial_weights_estimate_lebesgue_integral():
     assert abs(est - exact) <= 3.0 * se
     assert np.all(paths.weights > 0.0)
     assert np.all(np.abs(paths.x[:, 0, 0]) <= 2.0)
+
+
+def test_normal_cdf_matches_scipy_up_to_the_tail_conditioning():
+    # Both evaluate erfc at a rounded -x / sqrt 2, and erfc scales that
+    # rounding by about x^2 in the left tail, so two faithful evaluations
+    # differ by a few ulp times 1 + x^2.
+    from scipy.special import ndtr
+
+    x = np.linspace(-37.0, 8.0, 4501)
+    ref = ndtr(x)
+    ours = np.array([_ndtr(v) for v in x])
+    assert np.all(np.abs(ours - ref) <= 4.0 * (1.0 + x**2) * np.spacing(ref))
 
 
 def test_non_psd_coefficient_aborts_with_location():

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +32,7 @@ from gexplab.pde import (
 from gexplab.pde import _hnorm_density
 from gexplab.picard import check_fixed_point, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import homogeneous_term, whole_stack_hnorm
+from oracles import densify, homogeneous_term, whole_stack_hnorm
 
 
 def const_field(value, dim=1):
@@ -164,7 +163,7 @@ def test_operator_2d_rejects_offdiagonal():
 
 def face_loop_assembly(op):
     """Reference assembly: one Python add per face, in axis order, interior
-    faces before the boundary ones."""
+    faces before the boundary ones, summed into a dense matrix in that order."""
     g = op.grid
     m, dx = g.points_per_axis, g.dx
     pts = g.points()
@@ -193,7 +192,10 @@ def face_loop_assembly(op):
                     rows.append(p)
                     cols.append(p)
                     vals.append(-c)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes)).tocsr()
+    dense = np.zeros((g.n_nodes, g.n_nodes))
+    for p, q, c in zip(rows, cols, vals):
+        dense[p, q] += c
+    return dense
 
 
 @pytest.mark.parametrize("dim,boundary", [(1, "dirichlet0"), (1, "periodic"),
@@ -208,7 +210,7 @@ def test_operator_assembly_matches_face_loop_bitwise(dim, boundary):
 
     sg = SpatialGrid(dim, 3.0, 13, boundary)
     op = discretize_operator(CoefficientField(dim, a, 0.5, 1.3), sg)
-    assert (op.matrix != face_loop_assembly(op)).nnz == 0
+    assert np.array_equal(densify(op.matrix), face_loop_assembly(op))
 
 
 # -- semigroup ---------------------------------------------------------------
@@ -373,9 +375,9 @@ def test_source_free_fixed_point_is_homogeneous_term_bitwise():
     gbm = make_gbm(problem)
     cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, report = solve_gspde_picard(problem, cfg, gbm)
-    hom = homogeneous_term(problem.operator, problem.terminal, problem.time_grid)
-    for p in range(field.n_paths):
-        assert np.array_equal(field.values[p], hom)
+    hom = homogeneous_term(problem.operator, problem.terminal, problem.time_grid,
+                           gbm.n_paths)
+    assert np.array_equal(field.values, hom)
     # Without sources every sweep gives u*: each rho and the residual are 0.
     assert report.converged and report.ratios == (0.0, 0.0) and report.increments[2] == 0.0
     assert np.array_equal(field.values[0, -1], problem.terminal)
@@ -399,7 +401,7 @@ def test_deterministic_reaction_matches_theta_scheme_oracle():
 
     # Oracle: dense theta = 1/2 stepping of du/dt = -(L u + f), backward.
     op = discretize_operator(problem.field, sg)
-    dense = op.matrix.toarray()
+    dense = densify(op.matrix)
     refine = 4
     n_f = tg.n_steps * refine
     dt_f = tg.horizon / n_f
