@@ -75,22 +75,12 @@ def _monomial_powers(dim: int, degree: int) -> list[tuple]:
     return out
 
 
-def _cho_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with L L^T x = rhs for lower-triangular L and rhs (F, m): forward,
-    then back substitution, one row of F at a time."""
-    y = np.empty_like(rhs)
-    for i in range(low.shape[0]):
-        y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
-    for i in range(low.shape[0] - 1, -1, -1):
-        y[i] = (y[i] - low[i + 1:, i] @ y[i + 1:]) / low[i, i]
-    return y
-
-
 class RegressionContext:
-    """Design matrix and factorized normal equations for one state sample.
+    """Design matrix and normal equations for one state sample.
 
     Built once per time slot and reused for every target (Y updates, Z
-    moment regressions, all noise paths): fits are matrix products.
+    moment regressions, all noise paths): a fit is one matrix product and
+    one F x F solve.
     """
 
     def __init__(self, positions: np.ndarray, basis: RegressionBasis):
@@ -123,7 +113,7 @@ class RegressionContext:
                 f"{eigs[-1]:.3e}); reduce the basis or add ridge"
             )
         self.phi = phi
-        self._chol = np.linalg.cholesky(gram)  # lower L with L L^T = gram
+        self.gram = gram
 
     @property
     def n_features(self) -> int:
@@ -144,12 +134,11 @@ class RegressionContext:
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Coefficients for targets with shape (..., n_samples)."""
         t = np.asarray(targets, dtype=float)
-        rhs = t @ self.phi                       # (..., n_features)
-        flat = rhs.reshape(-1, self.n_features)
         # Non-finite targets pass through: the Picard check stops on a
         # non-finite norm, the explicit scheme at the first non-finite slot.
         with np.errstate(invalid="ignore", over="ignore"):
-            coefs = _cho_solve(self._chol, flat.T).T
+            rhs = (t @ self.phi).reshape(-1, self.n_features)
+            coefs = np.linalg.solve(self.gram, rhs.T).T
         return coefs.reshape(t.shape[:-1] + (self.n_features,))
 
     def predict_in_sample(self, coefs: np.ndarray) -> np.ndarray:

@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="path to the experiment JSON ('default' for the shipped one)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
         p.add_argument("--out", default=None, help="output directory")
         return p
 
@@ -69,8 +68,6 @@ def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     if args.out is not None:
         cfg["output_dir"] = args.out
     return cfg

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Annotated, Callable, Literal, Optional, Sequence, get_args
+from typing import Annotated, Literal, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -192,7 +192,6 @@ class Experiment(Config):
     config_hash: str
     scenarios: ScenarioSet
     field: CoefficientField
-    terminal_fn: Callable
     gspde_problem: GspdeProblem
     gspde_cfg: PicardConfig
     bdsde_problem: BdsdeProblem
@@ -201,8 +200,8 @@ class Experiment(Config):
     hunt_field: Optional[CoefficientField]  # built only when hunt-bracket runs
 
     def constants_report(self) -> dict:
-        """All derived structure constants; what ``validate`` prints.  Both
-        equations share ``lip`` (printed as c_bar and K) and the margin."""
+        """All derived structure constants, each once; what ``validate``
+        prints.  Both equations share ``c_bar`` and ``margin_spde``."""
         lip, z_coef, _, lam = self.gspde_problem.contraction_inputs()
         g_z = self.gspde_problem.noise.lip_z_sq
         cp, cb = self.gspde_cfg, self.bdsde_cfg
@@ -213,9 +212,7 @@ class Experiment(Config):
             "c_bar": lip,
             "alpha_bar": g_z * self.field.lam_max,
             "margin_spde": 2.0 * lam - z_coef,
-            "K": lip,
             "alpha": g_z,
-            "margin_bdsde": 2.0 * lam - z_coef,
             "spde": {"eps": cp.eps, "kappa": cp.kappa, "gamma": cp.rate,
                      "delta": cp.delta},
             "bdsde": {"eps": cb.eps, "kappa": cb.kappa, "beta": cb.rate,
@@ -333,7 +330,6 @@ def validate_config(cfg: dict, checks: Optional[Sequence[str]] = None) -> Experi
         config_hash=config_hash(cfg),
         scenarios=scen,
         field=field_obj,
-        terminal_fn=terminal_fn,
         gspde_problem=gspde_problem,
         gspde_cfg=gspde_cfg,
         bdsde_problem=bdsde_problem,

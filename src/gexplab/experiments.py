@@ -100,12 +100,7 @@ def run_gbm_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
             "isometry_bound": rep.isometry_bound,
             "sup_moment": rep.sup_moment,
             "doob_bound": rep.doob_bound,
-            "per_scenario": [
-                {"scenario_id": r.scenario_id, "mean_i0": r.mean_i0, "se_i0": r.se_i0,
-                 "second_moment": r.second_moment, "sup_moment": r.sup_moment,
-                 "xi_square": r.xi_square}
-                for r in rep.per_scenario
-            ],
+            "per_scenario": list(rep.per_scenario),
         }
         rows.append(_row("gbm-integral", -1, f"mean_zero[{name}]",
                          rep.mean_abs_max, rep.mean_band, rep.mean_zero_ok))

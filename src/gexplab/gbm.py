@@ -22,7 +22,8 @@ import numpy as np
 
 from ._util import Count, Positive
 from .errors import UsageError
-from .scenario import ControlSchedule, ScenarioSet, sigma_bar
+from .scenario import (ControlSchedule, ScenarioSet, UpperExpectation, sigma_bar,
+                       upper_expectation)
 
 # Every Monte Carlo tolerance band is this many standard errors wide.
 CONFIDENCE = 3.0
@@ -208,18 +209,6 @@ def integrand_square_integral(xi, paths: GBMPaths) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScenarioIntegralStats:
-    scenario_id: int
-    mean_i0: float
-    se_i0: float
-    second_moment: float
-    se_second: float
-    sup_moment: float
-    se_sup: float
-    xi_square: float
-
-
-@dataclass(frozen=True)
 class IntegralDiagnostics:
     """Monte Carlo report for one integrand over an enumerated control family.
 
@@ -230,7 +219,7 @@ class IntegralDiagnostics:
     """
 
     sigma_bar: float
-    per_scenario: tuple
+    per_scenario: tuple  # one record per schedule, as gbm_report.json writes it
     mean_abs_max: float
     mean_band: float
     mean_zero_ok: bool
@@ -244,60 +233,57 @@ class IntegralDiagnostics:
     doob_ok: bool
 
 
+def _widened(bound: float, moment: UpperExpectation) -> float:
+    """``bound`` widened by CONFIDENCE relative standard errors of the moment
+    it caps, taking the largest per-schedule standard error."""
+    rel_se = float(np.max(moment.std_errors)) / moment.value if moment.value > 0 else 0.0
+    return bound * (1.0 + CONFIDENCE * rel_se) + 1e-15
+
+
 def integral_diagnostics(xi, paths_family) -> IntegralDiagnostics:
     """Diagnostics for the backward integral of ``xi`` across schedules.
 
     ``paths_family`` is a sequence of GBMPaths built from a shared driver,
-    one entry per enumerated schedule.
+    one entry per enumerated schedule; every mean, standard error and
+    supremum over it is ``upper_expectation``'s.
     """
     if len(paths_family) == 0:
         raise UsageError("need at least one path bundle")
     sbar = sigma_bar(paths_family[0].scenarios)
-    rows = []
+    i0s, sup_sqs, xi_sqs = [], [], []
     for paths in paths_family:
         i_all = backward_integral(xi, paths)
-        i0 = i_all[:, 0]
-        sup_sq = np.max(i_all * i_all, axis=1)
-        q = integrand_square_integral(xi, paths)
-        p = i0.size
-
-        def _mse(x):
-            se = float(np.std(x, ddof=1) / np.sqrt(p)) if p > 1 else 0.0
-            return float(np.mean(x)), se
-
-        m0, s0 = _mse(i0)
-        m2, s2 = _mse(i0 * i0)
-        ms, ss = _mse(sup_sq)
-        rows.append(ScenarioIntegralStats(paths.scenario_id, m0, s0, m2, s2, ms, ss,
-                                          float(np.mean(q))))
+        i0s.append(i_all[:, 0])
+        sup_sqs.append(np.max(i_all * i_all, axis=1))
+        xi_sqs.append(integrand_square_integral(xi, paths))
+    first = upper_expectation(i0s)
+    second = upper_expectation([i0 * i0 for i0 in i0s])
+    sup = upper_expectation(sup_sqs)
+    xi_sq = upper_expectation(xi_sqs)
 
     # Mean-zero is a per-scenario statement; report the scenario with the
     # worst |mean| to band ratio.
-    worst = max(rows, key=lambda r: abs(r.mean_i0) / (CONFIDENCE * r.se_i0 + 1e-300))
-    mean_abs = abs(worst.mean_i0)
-    band = CONFIDENCE * worst.se_i0
-    mean_ok = all(abs(r.mean_i0) <= CONFIDENCE * r.se_i0 + 1e-15 for r in rows)
-    m2 = max(r.second_moment for r in rows)
-    m2_se = max(r.se_second for r in rows)
-    sup_m = max(r.sup_moment for r in rows)
-    sup_se = max(r.se_sup for r in rows)
-    qmax = max(r.xi_square for r in rows)
-    iso_bound = sbar**2 * qmax
-    doob_bound = 4.0 * sbar**2 * qmax
-    iso_tol = iso_bound * (1.0 + CONFIDENCE * (m2_se / m2 if m2 > 0 else 0.0)) + 1e-15
-    doob_tol = doob_bound * (1.0 + CONFIDENCE * (sup_se / sup_m if sup_m > 0 else 0.0)) + 1e-15
+    bands = CONFIDENCE * first.std_errors
+    worst = int(np.argmax(np.abs(first.means) / (bands + 1e-300)))
+    iso_bound = sbar**2 * xi_sq.value
+    doob_bound = 4.0 * sbar**2 * xi_sq.value
+    iso_tol, doob_tol = _widened(iso_bound, second), _widened(doob_bound, sup)
     return IntegralDiagnostics(
         sigma_bar=sbar,
-        per_scenario=tuple(rows),
-        mean_abs_max=mean_abs,
-        mean_band=band,
-        mean_zero_ok=mean_ok,
-        second_moment=m2,
+        per_scenario=tuple(
+            {"scenario_id": paths.scenario_id, "mean_i0": float(first.means[k]),
+             "se_i0": float(first.std_errors[k]), "second_moment": float(second.means[k]),
+             "sup_moment": float(sup.means[k]), "xi_square": float(xi_sq.means[k])}
+            for k, paths in enumerate(paths_family)),
+        mean_abs_max=float(abs(first.means[worst])),
+        mean_band=float(bands[worst]),
+        mean_zero_ok=bool(np.all(np.abs(first.means) <= bands + 1e-15)),
+        second_moment=second.value,
         isometry_bound=iso_bound,
         isometry_tolerance=iso_tol,
-        isometry_ok=bool(m2 <= iso_tol),
-        sup_moment=sup_m,
+        isometry_ok=bool(second.value <= iso_tol),
+        sup_moment=sup.value,
         doob_bound=doob_bound,
         doob_tolerance=doob_tol,
-        doob_ok=bool(sup_m <= doob_tol),
+        doob_ok=bool(sup.value <= doob_tol),
     )

@@ -20,7 +20,7 @@ import numpy as np
 from ._util import Scalars
 from .errors import NumericalError, UsageError
 from .gbm import CONFIDENCE, TimeGrid
-from .scenario import PSD_EIG_FLOOR
+from .scenario import PSD_EIG_FLOOR, standard_error
 
 FD_STEP = 1e-5
 
@@ -288,7 +288,7 @@ def forward_integral_diagnostics(phi, paths: HuntPaths,
     se_var = var_mc * np.sqrt(2.0 / max(p - 1, 1))
     return ForwardIntegralReport(
         mean_total=float(np.mean(total)),
-        se_mean=float(np.std(total, ddof=1) / np.sqrt(p)) if p > 1 else 0.0,
+        se_mean=float(standard_error(total)),
         var_mc=var_mc,
         se_var=float(se_var),
         model_variance=float(2.0 * np.mean(quad)),
@@ -331,8 +331,7 @@ def empirical_bracket(paths: HuntPaths, field_spec: CoefficientField) -> Bracket
     emp_d = empirical[1:, diag, diag]
     mod_d = model[1:, diag, diag]
     rel = np.abs(emp_d - mod_d) / np.maximum(np.abs(mod_d), 1e-300)
-    per_path_total = np.einsum("pia,pib->pab", dm, dm)
-    final_se = np.std(per_path_total, axis=0, ddof=1) / np.sqrt(p) if p > 1 else np.zeros((d, d))
+    final_se = standard_error(np.einsum("pia,pib->pab", dm, dm))
     off_ok = True
     for a in range(d):
         for b in range(d):

@@ -139,6 +139,14 @@ def enumerate_schedules(
     return out
 
 
+def standard_error(samples) -> np.ndarray:
+    """Standard error of the sample mean over the leading axis; 0 from one
+    sample."""
+    x = np.asarray(samples, dtype=float)
+    n = x.shape[0]
+    return np.std(x, axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
+
+
 @dataclass(frozen=True)
 class UpperExpectation:
     """Max-over-scenarios sample mean with per-scenario diagnostics."""
@@ -159,7 +167,7 @@ def _scenario_stats(per_scenario_samples) -> tuple[np.ndarray, np.ndarray, np.nd
         if x.size == 0:
             raise UsageError(f"scenario {k} has no samples")
         means.append(float(np.mean(x)))
-        ses.append(float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0)
+        ses.append(float(standard_error(x)))
         counts.append(x.size)
     return np.array(means), np.array(ses), np.array(counts, dtype=np.int64)
 

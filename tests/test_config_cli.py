@@ -43,7 +43,9 @@ def test_default_config_validates():
     exp = validate_config(default_config())
     report = exp.constants_report()
     assert report["margin_spde"] > 0.0
-    assert report["margin_bdsde"] > 0.0
+    # Each constant once: both equations share c_bar and margin_spde.
+    assert set(report) == {"sigma_bar", "lambda_min", "lambda_max", "c_bar", "alpha_bar",
+                           "margin_spde", "alpha", "spde", "bdsde"}
     assert report["spde"]["kappa"] == pytest.approx(0.3)
     assert report["sigma_bar"] == pytest.approx(1.0)
 
@@ -112,9 +114,9 @@ def test_margins_shrink_by_formula_when_sigma_doubles():
     # Closed form: margin = 2 lambda - alpha_bar sigma_bar^2.
     a_bar = base["alpha_bar"]
     assert doubled["margin_spde"] == pytest.approx(base["margin_spde"] - a_bar * 3.0)
-    k_alpha = base["alpha"]
-    assert doubled["margin_bdsde"] == pytest.approx(
-        base["margin_bdsde"] - k_alpha * base["lambda_max"] * 3.0)
+    # The same margin from the backward equation's constants alpha and Lambda.
+    assert doubled["margin_spde"] == pytest.approx(
+        base["margin_spde"] - base["alpha"] * base["lambda_max"] * 3.0)
 
 
 def test_config_hash_ignores_execution_keys():
@@ -131,7 +133,7 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", "--config", "default"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)
-    assert "margin_spde" in payload and "margin_bdsde" in payload
+    assert "margin_spde" in payload and "c_bar" in payload
     bad = default_config()
     bad["scenario_set"]["matrices"] = [[[2.0]]]
     code = main(["validate", "--config", write_config(tmp_path, bad)])
@@ -303,7 +305,8 @@ def test_both_equations_share_the_contraction_inputs(field, reaction):
     exp = validate_config(cfg)
     assert exp.gspde_problem.contraction_inputs() == exp.bdsde_problem.contraction_inputs()
     report = exp.constants_report()
-    assert report["K"] == report["c_bar"] and report["margin_bdsde"] == report["margin_spde"]
+    lip, z_coef, _, lam = exp.bdsde_problem.contraction_inputs()
+    assert report["c_bar"] == lip and report["margin_spde"] == 2.0 * lam - z_coef
 
 
 def test_tanh_y_sin_z_reaction_declares_each_slot_constant():
@@ -312,7 +315,7 @@ def test_tanh_y_sin_z_reaction_declares_each_slot_constant():
     cfg = default_config()
     cfg["coefficient_field"] = {"preset": "sinusoidal-1d", "base": 1.0, "amplitude": 0.5}
     cfg["reaction"] = {"preset": "tanh-y-sin-z", "y_scale": 0.4, "z_scale": 0.1}
-    assert validate_config(cfg).constants_report()["K"] == pytest.approx(0.32)
+    assert validate_config(cfg).constants_report()["c_bar"] == pytest.approx(0.32)
 
 
 def test_both_equations_share_the_contraction_inputs_in_2d():
@@ -439,17 +442,14 @@ def test_report_merge(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
-def test_cli_threads_flag_keeps_artifacts_identical(tmp_path):
-    cfg = tiny_config()
-    cfg["suite"]["checks"] = ["gspde"]
-    cfg_path = write_config(tmp_path, cfg)
-    out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t2")
-    assert main(["run-suite", "--config", cfg_path, "--out", out1]) == 0
-    assert main(["run-suite", "--config", cfg_path, "--threads", "3", "--out", out2]) == 0
-    for name in sorted(os.listdir(out1)):
-        with open(os.path.join(out1, name), "rb") as f1, \
-                open(os.path.join(out2, name), "rb") as f2:
-            assert f1.read() == f2.read(), name
+def test_cli_threads_flag_is_rejected(tmp_path, capsys):
+    # The flag changed nothing and is gone; the config's threads key stays.
+    out = str(tmp_path / "t")
+    with pytest.raises(SystemExit) as exc:
+        main(["run-suite", "--config", "default", "--threads", "3", "--out", out])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

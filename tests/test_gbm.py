@@ -12,7 +12,12 @@ from gexplab.gbm import (
     integral_diagnostics,
     sample_driver,
 )
-from gexplab.scenario import ControlSchedule, ScenarioSet, constant_schedule
+from gexplab.scenario import (
+    ControlSchedule,
+    ScenarioSet,
+    constant_schedule,
+    upper_expectation,
+)
 
 
 def make_paths(matrices, n_paths=2000, n_steps=64, horizon=1.0, seed=101, k=0):
@@ -150,6 +155,29 @@ def test_diagnostics_two_scenarios_bound_saturates():
     assert abs(rep.second_moment - 4.0 * 0.5) < 0.03 * 4.0 * 0.5
     assert rep.isometry_bound == pytest.approx(4.0 * 0.5)
     assert rep.isometry_ok and rep.doob_ok and rep.mean_zero_ok
+
+
+def test_diagnostics_are_upper_expectation_on_the_same_samples():
+    # Loading 2 scales every increment, and so every I(t), by exactly 2: the
+    # second schedule has four times the moments and the same |mean| to band
+    # ratio, a tie the first schedule wins.
+    s = ScenarioSet.from_list([[[1.0]], [[2.0]]])
+    grid = TimeGrid(0.5, 16)
+    driver = sample_driver(grid, 500, 1, seed=5)
+    fam = [build_gbm(driver, constant_schedule(k, 16), s) for k in range(2)]
+    xi = np.cos(3.0 * grid.times)[:, None]
+    rep = integral_diagnostics(xi, fam)
+    ints = [backward_integral(xi, paths) for paths in fam]
+    first = upper_expectation([i[:, 0] for i in ints])
+    second = upper_expectation([i[:, 0] * i[:, 0] for i in ints])
+    sup = upper_expectation([np.max(i * i, axis=1) for i in ints])
+    assert second.argmax == sup.argmax == 1
+    assert rep.second_moment == second.value and rep.sup_moment == sup.value
+    for k, record in enumerate(rep.per_scenario):
+        assert record["mean_i0"] == first.means[k] and record["se_i0"] == first.std_errors[k]
+    assert first.means[1] == 2.0 * first.means[0] != 0.0
+    assert rep.mean_abs_max == abs(first.means[0])
+    assert rep.mean_band == 3.0 * first.std_errors[0]
 
 
 @pytest.mark.parametrize("seed,n_paths", [(7, 4000), (11, 4)])

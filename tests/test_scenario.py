@@ -10,6 +10,7 @@ from gexplab.scenario import (
     enumerate_schedules,
     g_function,
     sigma_bar,
+    standard_error,
     upper_expectation,
 )
 
@@ -96,6 +97,22 @@ def test_upper_expectation_monotone():
         base = [rng.standard_normal(30), rng.standard_normal(17)]
         bumped = [b + rng.uniform(0.0, 1.0, size=b.shape) for b in base]
         assert upper_expectation(bumped).value >= upper_expectation(base).value
+
+
+def test_standard_error_of_one_sample_is_zero():
+    assert standard_error(np.array([3.5])) == 0.0
+    assert np.array_equal(standard_error(np.full((1, 2, 2), 7.0)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 1000])
+def test_standard_error_is_the_sd_of_the_mean_bitwise(n):
+    x = np.random.default_rng(n).standard_normal(n) * 3.0 + 1.0
+    assert standard_error(x) == np.std(x, ddof=1) / np.sqrt(n)
+    # Over the leading axis only: each entry of a (n, 2, 2) stack on its own.
+    stack = np.stack([x, -x, 2.0 * x, x + 1.0], axis=1).reshape(n, 2, 2)
+    se = standard_error(stack)
+    assert se.shape == (2, 2)
+    assert se[1, 0] == 2.0 * se[0, 0]
 
 
 def test_upper_expectation_rejects_empty():

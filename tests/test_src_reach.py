@@ -10,7 +10,7 @@ from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import gexplab
-from gexplab.config import Config
+from gexplab.config import Config, Experiment
 
 SRC = pathlib.Path(gexplab.__file__).parent
 
@@ -27,6 +27,8 @@ KEPT = {
 
 KEPT_FIELDS = {
     "schema_version": "checked on load; version 1 is the only schema",
+    "threads": "read by nothing, but perfbench/workloads.py writes it into every workload "
+               "config, so it goes only with a change to the benchmark (ROADMAP item 10)",
 }
 
 
@@ -90,3 +92,14 @@ def test_every_config_field_is_read_in_the_package_or_kept_with_a_reason():
     assert {"GspdeSection", "BdsdeSection", "RegressionBasis", "InitialLaw", "SpatialGrid",
             "ComparisonCase"} <= {cls.__name__ for cls in config_sections()}
     assert unread_config_fields() == set(KEPT_FIELDS)
+
+
+def test_every_field_experiment_adds_is_read_in_the_package():
+    # The built objects are read off the experiment by the runners and
+    # ``constants_report``; one that nothing reads is carried for nothing.
+    added = {f.name for f in fields(Experiment)} - {f.name for f in fields(Config)}
+    read = {node.attr for tree in source_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id in ("exp", "self")}
+    assert "gspde_problem" in added
+    assert added - read == set()
