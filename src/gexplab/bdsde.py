@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,20 +75,14 @@ def _monomial_powers(dim: int, degree: int) -> list[tuple]:
     return out
 
 
-class RegressionContext:
-    """Design matrix and normal equations for one state sample.
+class StandardizedBasis:
+    """The monomial basis on one state sample, standardized: each axis
+    centered and scaled by the sample's mean and spread, the degenerate axes
+    dropped.  Holds the regularized F x F Gram of the sample's design matrix,
+    made here with the sample-count and rank checks; ``design`` rebuilds the
+    design matrix itself, which is not kept."""
 
-    Built once per time slot and reused for every target (Y updates, Z
-    moment regressions, all noise paths): a fit is one matrix product and
-    one F x F solve.
-    """
-
-    def __init__(self, positions: np.ndarray, basis: RegressionBasis):
-        x = np.asarray(positions, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise UsageError("positions must be (n_samples, state_dim)")
+    def __init__(self, x: np.ndarray, basis: RegressionBasis):
         n = x.shape[0]
         self.center = x.mean(axis=0)
         spread = x.std(axis=0)
@@ -96,13 +90,20 @@ class RegressionContext:
         self.scale = np.where(self.active, spread, 1.0)
         a_dim = int(np.sum(self.active))
         self.powers = _monomial_powers(a_dim, basis.degree) if a_dim else [()]
-        phi = self._design(x)
-        n_feat = phi.shape[1]
+        # Each monomial after the intercept is an earlier one, of degree one
+        # less, times its last axis.
+        self.parents = []
+        for pw in self.powers[1:]:
+            axis = max(j for j, p in enumerate(pw) if p)
+            lower = pw[:axis] + (pw[axis] - 1,) + pw[axis + 1:]
+            self.parents.append((self.powers.index(lower), axis))
+        n_feat = self.n_features
         if n < MIN_SAMPLES_PER_FEATURE * n_feat:
             raise UsageError(
                 f"need at least {MIN_SAMPLES_PER_FEATURE} samples per basis "
                 f"function ({n} samples, {n_feat} features)"
             )
+        phi = self.design(x)
         penalty = np.full(n_feat, basis.ridge)
         penalty[0] = 0.0  # never shrink the intercept
         gram = phi.T @ phi + np.diag(penalty)
@@ -112,24 +113,48 @@ class RegressionContext:
                 f"regression design is rank deficient (eig ratio {eigs[0]:.3e}/"
                 f"{eigs[-1]:.3e}); reduce the basis or add ridge"
             )
-        self.phi = phi
         self.gram = gram
 
     @property
     def n_features(self) -> int:
-        return self.phi.shape[1]
+        return len(self.powers)
 
-    def _design(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.center) / self.scale
-        z = z[:, self.active] if z.shape[1] else z
-        cols = []
-        for pw in self.powers:
-            col = np.ones(x.shape[0])
-            for axis_id, p in enumerate(pw):
-                if p:
-                    col = col * z[:, axis_id] ** p
-            cols.append(col)
-        return np.stack(cols, axis=1)
+    def design(self, x: np.ndarray) -> np.ndarray:
+        """The (n_samples, F) design matrix of ``x``, built column by column
+        as products, one axis at a time, with no powers taken; its columns
+        are the rows of one C-ordered (F, n_samples) array, so each product
+        runs over contiguous memory."""
+        z = ((x - self.center) / self.scale).T[self.active]
+        out = np.empty((self.n_features, x.shape[0]))
+        out[0] = 1.0
+        for k, (parent, axis) in enumerate(self.parents, start=1):
+            np.multiply(out[parent], z[axis], out=out[k])
+        return out.T
+
+
+class RegressionContext:
+    """Design matrix and normal equations for one state sample.
+
+    ``basis`` is the ``RegressionBasis``, standardized and checked on
+    ``positions`` here, or the ``StandardizedBasis`` already made from them,
+    whose Gram is reused.  A context serves every target of its sample (Y
+    updates, Z moment regressions, all noise paths): a fit is one matrix
+    product and one F x F solve.
+    """
+
+    def __init__(self, positions: np.ndarray, basis):
+        x = np.asarray(positions, dtype=float)
+        if x.ndim == 1:
+            x = x[:, None]
+        if x.ndim != 2:
+            raise UsageError("positions must be (n_samples, state_dim)")
+        self.basis = (basis if isinstance(basis, StandardizedBasis)
+                      else StandardizedBasis(x, basis))
+        self.phi = self.basis.design(x)
+
+    @property
+    def n_features(self) -> int:
+        return self.phi.shape[1]
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Coefficients for targets with shape (..., n_samples)."""
@@ -138,7 +163,7 @@ class RegressionContext:
         # non-finite norm, the explicit scheme at the first non-finite slot.
         with np.errstate(invalid="ignore", over="ignore"):
             rhs = (t @ self.phi).reshape(-1, self.n_features)
-            coefs = np.linalg.solve(self.gram, rhs.T).T
+            coefs = np.linalg.solve(self.basis.gram, rhs.T).T
         return coefs.reshape(t.shape[:-1] + (self.n_features,))
 
     def predict_in_sample(self, coefs: np.ndarray) -> np.ndarray:
@@ -146,45 +171,69 @@ class RegressionContext:
 
 
 class LsmcEnsemble:
-    """Per-time-slot regression contexts, a(X)^{-1} and sigma(X) for one
-    diffusion ensemble."""
+    """The regression data of one diffusion ensemble: its paths and, per
+    time slot i < N, the ``StandardizedBasis`` of X_i, which holds the
+    slot's standardization and Gram, checked here once.
+
+    A slot's design matrix and a(X_i)^{-1} are derived from ``hunt.x[:, i]``
+    when a reader reaches the slot (``regression``) and kept until a reader
+    asks for another slot, so a sweep over the slots, N down to 0 or 0 up to
+    N, derives each once.  sigma(X_i) is derived where the drivers read it,
+    once per slot and sweep.  The slot's ``norm_gram`` is made on first use
+    and kept.
+    """
 
     def __init__(self, hunt: HuntPaths, basis: RegressionBasis,
                  field_spec: CoefficientField):
-        self.hunt = hunt
+        self.hunt, self.field = hunt, field_spec
         n = hunt.grid.n_steps
-        self.contexts = [RegressionContext(hunt.x[:, i, :], basis) for i in range(n)]
-        self.n_features = max(ctx.n_features for ctx in self.contexts)
-        a_values = np.stack([field_spec.a_at(hunt.x[:, i, :]) for i in range(n)])
-        # In 1-D the reciprocal is bitwise the inverse LAPACK gives each 1 x 1
-        # matrix, without one LAPACK call per path and slot.
-        self.a_inverse = (1.0 / a_values if hunt.dim == 1
-                          else np.linalg.inv(a_values))        # (n, n_W, d, d)
-        self.sigma = np.stack([field_spec.sigma_at(hunt.x[:, i, :])
-                               for i in range(n + 1)])         # (n+1, n_W, d, d)
+        self.bases = [StandardizedBasis(hunt.x[:, i, :], basis) for i in range(n)]
+        self.n_features = max(b.n_features for b in self.bases)
+        self._held = {}
+        self._norm_grams = [None] * n
 
-    @cached_property
-    def norm_grams(self) -> np.ndarray:
-        """Per slot i < N, the Gram matrices that give the path averages of
+    def regression(self, i: int) -> tuple[RegressionContext, np.ndarray]:
+        """Slot i's regression context and a(X_i)^{-1}, shaped (n_W, d, d),
+        for i < N."""
+        if not 0 <= i < len(self.bases):
+            raise UsageError(f"slot {i} has no regression; slots 0 .. {len(self.bases) - 1} do")
+        if i not in self._held:
+            self._held.clear()  # the last slot goes before this one is made
+            x = self.hunt.x[:, i, :]
+            a = self.field.a_at(x)
+            # In 1-D the reciprocal is bitwise the inverse LAPACK gives each
+            # 1 x 1 matrix, without one LAPACK call per path.
+            a_inverse = 1.0 / a if self.hunt.dim == 1 else np.linalg.inv(a)
+            self._held[i] = RegressionContext(x, self.bases[i]), a_inverse
+        return self._held[i]
+
+    def sigma(self, i: int) -> np.ndarray:
+        """sigma(X_i), shaped (n_W, d, d), for i <= N."""
+        return self.field.sigma_at(self.hunt.x[:, i, :])
+
+    def norm_gram(self, i: int) -> np.ndarray:
+        """For slot i < N, the Gram matrices that give the path averages of
         |Y|^2 and |Z|^2 from the slot's coefficients (``solve_linear_bdsde``),
-        shaped (N, 1 + d, F, 1 + d, F) for the F = ``n_features`` padded
+        shaped (1 + d, F, 1 + d, F) for the F = ``n_features`` padded
         features: block [0, 0] is G_y = Phi^T diag(w) Phi / n_W, block
         [1 + k, 1 + k'] is G_z[k, k'] = Phi^T diag(w (A^T A)_kk') Phi /
         (n_W (2 dt)^2) with A = a(X)^{-1} and w the importance weights, and
-        the Y-Z blocks and the padding are zero.  Built on first use and kept
+        the Y-Z blocks and the padding are zero.  Made on first use and kept
         for every sweep and scenario of the ensemble."""
-        hunt, f = self.hunt, self.n_features
-        n, n_w, d, w = hunt.grid.n_steps, hunt.n_paths, hunt.dim, hunt.weights
-        out = np.zeros((n, 1 + d, f, 1 + d, f))
-        for i, ctx in enumerate(self.contexts):
-            phi, k, a_inv = ctx.phi, ctx.n_features, self.a_inverse[i]
+        if self._norm_grams[i] is None:
+            hunt, f = self.hunt, self.n_features
+            n_w, d, w = hunt.n_paths, hunt.dim, hunt.weights
+            ctx, a_inv = self.regression(i)
+            phi, k = ctx.phi, ctx.n_features
             ata = np.einsum("wjk,wjl->wkl", a_inv, a_inv) / (2.0 * hunt.grid.dt) ** 2
-            out[i, 0, :k, 0, :k] = phi.T @ (w[:, None] * phi) / n_w
+            out = np.zeros((1 + d, f, 1 + d, f))
+            out[0, :k, 0, :k] = phi.T @ (w[:, None] * phi) / n_w
             for a in range(d):
                 for b in range(d):
-                    out[i, 1 + a, :k, 1 + b, :k] = (phi.T @ ((w * ata[:, a, b])[:, None] * phi)
-                                                    / n_w)
-        return out
+                    out[1 + a, :k, 1 + b, :k] = (phi.T @ ((w * ata[:, a, b])[:, None] * phi)
+                                                 / n_w)
+            self._norm_grams[i] = out
+        return self._norm_grams[i]
 
     def slot_values(self, i: int, c_i: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Y, Z) at slot i, shaped (n_b, n_W) and (n_b, n_W, d), from the
@@ -192,12 +241,11 @@ class LsmcEnsemble:
         writes them: Y predicted from row 0 and Z from rows 1 .. d by the
         calls ``extract_z`` makes, so the floats are the ones the recursion
         made.  At slot N, Y is the payoff ``xi`` and Z is evaluated on slot
-        N - 1's context and a(X)^{-1}, the slot whose Z it copies."""
+        N - 1's regression, the slot whose Z it copies."""
         n = self.hunt.grid.n_steps
-        regressed = min(i, n - 1)
-        ctx = self.contexts[regressed]
+        ctx, a_inv = self.regression(min(i, n - 1))
         k = ctx.n_features
-        z = _z_values(ctx, c_i[:, 1:, :k], self.a_inverse[regressed], self.hunt.grid.dt)
+        z = _z_values(ctx, c_i[:, 1:, :k], a_inv, self.hunt.grid.dt)
         y = np.tile(xi, (len(c_i), 1)) if i == n else ctx.predict_in_sample(c_i[:, 0, :k])
         return y, z
 
@@ -281,7 +329,8 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     it is written into ``c``, and returns the (n_b, n_W) f and (n_b, n_W, l)
     g at slot i, which pair with dB_{i-1}; its slot-0 value is not read.
     Each slot's ``dM`` and ``X`` are read as the contiguous (n_W, d) views
-    the ensemble stores.
+    the ensemble stores, and its design matrix and a(X)^{-1} are
+    ``LsmcEnsemble.regression``'s, made when the recursion reaches the slot.
     """
     hunt = ensemble.hunt
     if hunt.grid != gbm.grid:
@@ -294,20 +343,22 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     slot_shape = (gbm.n_paths, 1 + hunt.dim, ensemble.n_features)
     y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
     # Z at the horizon copies the last regressed slot, N - 1.
-    ctx = ensemble.contexts[n - 1]
-    z_i, c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx,
-                                                 ensemble.a_inverse[n - 1], dt)
+    ctx, a_inverse = ensemble.regression(n - 1)
+    z_i, c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx, a_inverse, dt)
     for i in range(n, -1, -1):
         if i < n:
             f_next, g_next = at_next
-            ctx = ensemble.contexts[i]
+            target = y_i + dt * f_next + np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
+            # The drivers and the last slot's arrays go before this slot's
+            # are made.
+            del at_next, f_next, g_next, ctx, a_inverse
+            ctx, a_inverse = ensemble.regression(i)
             k = ctx.n_features
-            noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
             c_new = np.zeros(slot_shape)
-            c_new[:, 0, :k] = ctx.fit(y_i + dt * f_next + noise)
+            c_new[:, 0, :k] = ctx.fit(target)
+            del target
             if i < n - 1:
-                z_i, c_new[:, 1:, :k] = extract_z(y_i, hunt.dm[:, i], ctx,
-                                                  ensemble.a_inverse[i], dt)
+                z_i, c_new[:, 1:, :k] = extract_z(y_i, hunt.dm[:, i], ctx, a_inverse, dt)
             else:  # Z_{N-1} is the Z kept at the horizon
                 c_new[:, 1:] = c_i[:, 1:]
             y_i, c_i = ctx.predict_in_sample(c_new[:, 0, :k]), c_new
@@ -321,15 +372,12 @@ def _coefficient_density(ensemble: LsmcEnsemble, delta: float) -> Callable:
     """``density(i, c_i)`` of the (beta, delta)-norm: per noise path,
     delta |Y|^2 + |Z|^2 at slot i < N averaged over the diffusion paths with
     their importance weights, as a quadratic form in the slot's coefficients
-    c_i (n_b, 1 + d, F) with the ensemble's ``norm_grams``."""
-    grams = ensemble.norm_grams.copy()
-    grams[:, 0, :, 0] *= delta
-    n, blocks, f = grams.shape[:3]
-    grams = grams.reshape(n, blocks * f, blocks * f)
-
+    c_i (n_b, 1 + d, F) with the slot's ``LsmcEnsemble.norm_gram``."""
     def density(i, c_i):
+        gram = ensemble.norm_gram(i).copy()
+        gram[0, :, 0] *= delta
         flat = c_i.reshape(len(c_i), -1)
-        return np.sum((flat @ grams[i]) * flat, axis=-1)
+        return np.sum((flat @ gram.reshape(flat.shape[1], -1)) * flat, axis=-1)
 
     return density
 
@@ -361,7 +409,7 @@ def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_
     if i == 0:
         return None
     t, x_here = problem.time_grid.times[i], ensemble.hunt.x[:, i, :]
-    v = np.einsum("bwd,wdk->bwk", z_i, ensemble.sigma[i])
+    v = np.einsum("bwd,wdk->bwk", z_i, ensemble.sigma(i))
     return (np.asarray(problem.f(t, x_here, y_i, v), dtype=float),
             np.asarray(problem.g(t, x_here, y_i, v), dtype=float))
 

@@ -155,28 +155,26 @@ class UpperExpectation:
     argmax: int
     means: np.ndarray = field(repr=False)
     std_errors: np.ndarray = field(repr=False)
-    n_samples: np.ndarray = field(repr=False)
 
 
-def _scenario_stats(per_scenario_samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scenario_stats(per_scenario_samples) -> tuple[np.ndarray, np.ndarray]:
     if len(per_scenario_samples) == 0:
         raise UsageError("need at least one scenario sample vector")
-    means, ses, counts = [], [], []
+    means, ses = [], []
     for k, raw in enumerate(per_scenario_samples):
         x = np.asarray(raw, dtype=float).ravel()
         if x.size == 0:
             raise UsageError(f"scenario {k} has no samples")
         means.append(float(np.mean(x)))
         ses.append(float(standard_error(x)))
-        counts.append(x.size)
-    return np.array(means), np.array(ses), np.array(counts, dtype=np.int64)
+    return np.array(means), np.array(ses)
 
 
 def upper_expectation(per_scenario_samples) -> UpperExpectation:
     """Sublinear expectation estimate: max over scenarios of the MC mean."""
-    means, ses, counts = _scenario_stats(per_scenario_samples)
+    means, ses = _scenario_stats(per_scenario_samples)
     k = int(np.argmax(means))
-    return UpperExpectation(float(means[k]), k, means, ses, counts)
+    return UpperExpectation(float(means[k]), k, means, ses)
 
 
 def capacity_estimate(per_scenario_indicator_samples) -> UpperExpectation:

@@ -99,13 +99,13 @@ def _grid_drivers_one_slot_stale(monkeypatch, exp):
 
 def _z_without_sigma(monkeypatch, exp):
     # The backward drivers' v slot gets Z where it needs Z sigma(X).
-    init = bdsde.LsmcEnsemble.__init__
+    sigma = bdsde.LsmcEnsemble.sigma
 
-    def unit_sigma(self, *args):
-        init(self, *args)
-        self.sigma = np.broadcast_to(np.eye(self.sigma.shape[-1]), self.sigma.shape)
+    def unit_sigma(self, i):
+        shape = sigma(self, i).shape
+        return np.broadcast_to(np.eye(shape[-1]), shape)
 
-    monkeypatch.setattr(bdsde.LsmcEnsemble, "__init__", unit_sigma)
+    monkeypatch.setattr(bdsde.LsmcEnsemble, "sigma", unit_sigma)
 
 
 MISSED = ("the representation tolerance is a flat 0.05 and Z is not gated (ROADMAP: the "

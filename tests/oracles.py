@@ -75,6 +75,23 @@ def solution_stacks(sol):
     return np.stack(y, axis=1), np.stack(z, axis=1)
 
 
+def power_design(x, basis):
+    """The design matrix of the state sample ``x`` on the
+    ``bdsde.StandardizedBasis`` ``basis``, each monomial taken as powers of
+    the standardized axes with ``**``: the reference for the design matrix
+    the package builds by products."""
+    z = (x - basis.center) / basis.scale
+    z = z[:, basis.active]
+    cols = []
+    for pw in basis.powers:
+        col = np.ones(x.shape[0])
+        for axis, p in enumerate(pw):
+            if p:
+                col = col * z[:, axis] ** p
+        cols.append(col)
+    return np.stack(cols, axis=1)
+
+
 def value_z(next_values, dm, context, a_inverse, dt):
     """``bdsde.extract_z`` with each moment predicted from the coefficients
     its fit returns, not from a stored copy of them: the Z that evaluating a
@@ -99,21 +116,19 @@ def stacked_linear_bdsde(xi, ensemble, gbm, drivers, y, z, c):
     n, dt = hunt.grid.n_steps, hunt.grid.dt
     slot_shape = c.shape[:1] + c.shape[2:]
     y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
-    ctx = ensemble.contexts[n - 1]
-    z_i, c_i[:, 1:, :ctx.n_features] = value_z(y_i, hunt.dm[:, n - 1], ctx,
-                                               ensemble.a_inverse[n - 1], dt)
+    ctx, a_inverse = ensemble.regression(n - 1)
+    z_i, c_i[:, 1:, :ctx.n_features] = value_z(y_i, hunt.dm[:, n - 1], ctx, a_inverse, dt)
     for i in range(n, -1, -1):
         if i < n:
             f_next, g_next = at_next
-            ctx = ensemble.contexts[i]
+            ctx, a_inverse = ensemble.regression(i)
             k = ctx.n_features
             noise = np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
             c_y = ctx.fit(y[:, i + 1] + dt * f_next + noise)
             y_i, c_new = ctx.predict_in_sample(c_y), np.zeros(slot_shape)
             c_new[:, 0, :k] = c_y
             if i < n - 1:
-                z_i, c_new[:, 1:, :k] = value_z(y[:, i + 1], hunt.dm[:, i], ctx,
-                                                ensemble.a_inverse[i], dt)
+                z_i, c_new[:, 1:, :k] = value_z(y[:, i + 1], hunt.dm[:, i], ctx, a_inverse, dt)
             else:
                 c_new[:, 1:] = c_i[:, 1:]
             c_i = c_new

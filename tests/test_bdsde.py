@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from functools import partial
 from unittest import mock
 
@@ -36,6 +37,7 @@ from gexplab.presets import FieldPreset
 from gexplab.scenario import ScenarioSet, constant_schedule
 from oracles import (
     delta_density,
+    power_design,
     preset,
     solution_stacks,
     stacked_linear_bdsde,
@@ -130,6 +132,32 @@ def test_degenerate_positions_fall_back_to_constant():
     assert ctx.n_features == 1
     coefs = ctx.fit(np.full(200, 1.5))
     assert np.allclose(ctx.predict_in_sample(coefs), 1.5, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), degenerate=st.booleans(), degree=st.integers(0, 4),
+       spread=st.floats(0.1, 10.0), seed=st.integers(0, 2**31 - 1))
+def test_product_design_matches_the_power_reference(d, degenerate, degree, spread, seed):
+    # The design matrix is built by products, each monomial an earlier one
+    # times one axis.  The intercept is 1.0 and the columns of degree <= 2
+    # are the powers' bitwise; the higher ones differ by rounding.  A
+    # degenerate axis drops out of the basis, and at ridge 0 a constant
+    # target still fits to rounding.
+    rng = np.random.default_rng(seed)
+    x = 0.3 + spread * rng.standard_normal((300, d))
+    if degenerate:
+        x[:, -1] = 0.7
+    ctx = RegressionContext(x, RegressionBasis(degree, 0.0))
+    ref = power_design(x, ctx.basis)
+    assert ctx.phi.shape == ref.shape
+    assert np.all(ctx.phi[:, 0] == 1.0)
+    for k, pw in enumerate(ctx.basis.powers):
+        if sum(pw) <= 2:
+            assert np.array_equal(ctx.phi[:, k], ref[:, k]), pw
+    np.testing.assert_array_max_ulp(ctx.phi, ref, maxulp=4)
+    c = rng.uniform(-5.0, 5.0)
+    np.testing.assert_allclose(ctx.predict_in_sample(ctx.fit(np.full(300, c))), c,
+                               rtol=1e-12, atol=0.0)
 
 
 # -- extract_z -------------------------------------------------------------------
@@ -334,7 +362,7 @@ def test_coefficient_densities_match_value_space_oracle(d, init, ridge, degree, 
                              rng.standard_normal((n_b, n + 1, n_w, 1)))
         sol = linear(np.cos(hunt.x[:, -1, 0]) + rng.standard_normal(n_w), ens, gbm, lookup)
         stacks.extend(solution_stacks(sol) + (sol.c,))
-    assert (ens.contexts[0].n_features == 1) == (init == "point")
+    assert (ens.bases[0].n_features == 1) == (init == "point")
     density = bdsde._coefficient_density(ens, delta)
     for i in range(n):
         inc, cur = density(i, new[2][:, i] - old[2][:, i]), density(i, new[2][:, i])
@@ -350,12 +378,14 @@ def test_coefficient_densities_match_value_space_oracle(d, init, ridge, degree, 
                          ids=["constant", "sinusoidal-1d"])
 def test_one_dimensional_a_inverse_is_lapacks_bitwise(spec):
     # In 1-D the ensemble takes the reciprocal of a(X) in place of one LAPACK
-    # inverse per 1 x 1 matrix; the floats must be LAPACK's.
+    # inverse per 1 x 1 matrix; at every slot the floats must be LAPACK's.
     field = preset(FieldPreset, spec, 1)
     tg = TimeGrid(0.5, 8)
     hunt = simulate_hunt(field, InitialLaw("gaussian"), tg, 500, seed=12)
-    a = np.stack([field.a_at(hunt.x[:, i, :]) for i in range(tg.n_steps)])
-    assert np.array_equal(LsmcEnsemble(hunt, BASIS, field).a_inverse, np.linalg.inv(a))
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    for i in range(tg.n_steps):
+        a = field.a_at(hunt.x[:, i, :])
+        assert np.array_equal(ens.regression(i)[1], np.linalg.inv(a))
 
 
 # -- outer Picard loop --------------------------------------------------------------
@@ -710,7 +740,7 @@ def stacked_drivers(problem, y, z, ens):
     g_out = None
     for i in range(1, n_slots):
         x_here = ens.hunt.x[:, i, :]
-        v = np.einsum("bwd,wdk->bwk", z[:, i], ens.sigma[i])
+        v = np.einsum("bwd,wdk->bwk", z[:, i], ens.sigma(i))
         f_out[:, i] = np.asarray(problem.f(times[i], x_here, y[:, i], v))
         g_i = np.asarray(problem.g(times[i], x_here, y[:, i], v))
         if g_out is None:
@@ -834,6 +864,81 @@ def test_slot_values_and_picard_report_match_stacked_oracle_bitwise(d, init, n_b
         assert np.array_equal(y_i, y[:, i]) and np.array_equal(z_i, z[:, i])
     assert len(at_horizon) == 4 and np.all(at_horizon[1] == 0.0)
     assert all(np.array_equal(at_horizon[k], y[:, n]) for k in (0, 2, 3))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sweeps_derive_each_slot_once(monkeypatch, d):
+    # Each slot's design matrix and a(X)^{-1} are derived when a sweep
+    # reaches the slot and kept while it stays there, and sigma(X) where the
+    # drivers read it: once per slot in the explicit solve, and once in each
+    # of the four sweeps of the Picard check (the solve and three check
+    # sweeps), whose norms and frozen iterate read the slot the sweep is at.
+    scen = SCENARIOS[1]
+    tg = TimeGrid(0.5, 6)
+    field = const_field(0.5, d)
+    hunt = simulate_hunt(field, InitialLaw("gaussian"), tg, 400, seed=8)
+    gbm = build_gbm(sample_driver(tg, 2, 1, seed=9), constant_schedule(0, 6), scen)
+    ens = LsmcEnsemble(hunt, RegressionBasis(degree=2), field)
+    prob = mixed_problem(field, scen, tg)
+    base, stride = hunt.x.__array_interface__["data"][0], hunt.x.strides[1]
+    derived, inside = Counter(), []
+
+    def counted(cls, name, kind):
+        method = getattr(cls, name)
+
+        def wrapped(self, points):
+            if not inside:  # sigma(X) takes a(X) on its way
+                offset = points.__array_interface__["data"][0] - base
+                assert np.shares_memory(points, hunt.x) and offset % stride == 0
+                derived[kind, offset // stride] += 1
+            inside.append(kind)
+            try:
+                return method(self, points)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counted(bdsde.StandardizedBasis, "design", "phi")
+    counted(CoefficientField, "a_at", "a")
+    counted(CoefficientField, "sigma_at", "sigma")
+    n = tg.n_steps
+    once = Counter({("phi", i): 1 for i in range(n)} | {("a", i): 1 for i in range(n)}
+                   | {("sigma", i): 1 for i in range(1, n + 1)})
+    solve_gbdsde(prob, ens, gbm)
+    assert derived == once
+    derived.clear()
+    assert solve_gbdsde_picard(prob, ens, gbm, PicardConfig.from_problem(prob)
+                               ).picard_report.iterations == 3
+    assert derived == Counter({key: 4 for key in once})
+
+
+def test_ensemble_keeps_no_design_stack():
+    # Built, the ensemble keeps per slot the standardization and the F x F
+    # Gram beside the paths it was given: less than one (N, n_W, F) stack of
+    # design matrices, which a slot's design matrix, a(X)^{-1} and sigma(X)
+    # kept for every slot would exceed.
+    tg = TimeGrid(0.5, 32)
+    field = const_field(0.5)
+    hunt = simulate_hunt(field, InitialLaw("gaussian"), tg, 2000, seed=3)
+    tracemalloc.start()
+    try:
+        ens = LsmcEnsemble(hunt, BASIS, field)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ens.n_features == 5
+    assert kept < tg.n_steps * hunt.n_paths * ens.n_features * 8, kept
+
+
+def test_only_slots_below_the_horizon_have_a_regression():
+    # Slots 0 .. N - 1 are regressed.  Slot -1 would pair the paths of slot
+    # N with the basis of slot N - 1, so it is refused, as is slot N.
+    field, hunt, _ = make_ensembles(n_steps=4, n_w=400)
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    for i in (-1, 4):
+        with pytest.raises(UsageError, match="no regression"):
+            ens.regression(i)
 
 
 def traced_peak(fn, *args):

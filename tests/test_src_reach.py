@@ -5,6 +5,7 @@ reads is an option that changes nothing.  The names kept anyway are listed
 with their reason."""
 
 import ast
+import importlib
 import pathlib
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
@@ -29,6 +30,14 @@ KEPT_FIELDS = {
     "schema_version": "checked on load; version 1 is the only schema",
     "threads": "read by nothing, but perfbench/workloads.py writes it into every workload "
                "config, so it goes only with a change to the benchmark (ROADMAP item 10)",
+}
+
+# Fields of the package's other dataclasses that no attribute read in the
+# package names, kept anyway.
+KEPT_REPORT_FIELDS = {
+    "empirical": "the bracket curve behind max_rel_dev_diag, which tests/test_hunt.py checks",
+    "model": "the model bracket curve behind max_rel_dev_diag, which tests/test_hunt.py checks",
+    "final_se": "the horizon SE behind offdiag_ok, which tests/test_hunt.py checks",
 }
 
 
@@ -92,6 +101,25 @@ def test_every_config_field_is_read_in_the_package_or_kept_with_a_reason():
     assert {"GspdeSection", "BdsdeSection", "RegressionBasis", "InitialLaw", "SpatialGrid",
             "ComparisonCase"} <= {cls.__name__ for cls in config_sections()}
     assert unread_config_fields() == set(KEPT_FIELDS)
+
+
+def package_dataclasses() -> set:
+    """Every dataclass that a module of the package defines."""
+    modules = [importlib.import_module(f"gexplab.{path.stem}") for path in sorted(SRC.glob("*.py"))]
+    return {obj for mod in modules for obj in vars(mod).values()
+            if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == mod.__name__}
+
+
+def test_every_dataclass_field_is_read_in_the_package_or_kept_with_a_reason():
+    # A field that no attribute read names is carried for nothing; the match
+    # is by name, whatever the object.  The config sections are among the
+    # dataclasses, with their kept fields.
+    read = {node.attr for tree in source_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = package_dataclasses()
+    assert config_sections() <= classes
+    assert ({f.name for cls in classes for f in fields(cls)} - read
+            == set(KEPT_FIELDS) | set(KEPT_REPORT_FIELDS))
 
 
 def test_every_field_experiment_adds_is_read_in_the_package():
