@@ -30,7 +30,7 @@ import numpy as np
 from ._util import NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
-from .hunt import CoefficientField, HuntPaths
+from .hunt import CoefficientField, HuntPaths, _sqrt_spd_batch
 from .picard import PicardConfig, PicardReport, check_fixed_point, weighted_quadrature
 
 MIN_SAMPLES_PER_FEATURE = 10
@@ -178,9 +178,10 @@ class LsmcEnsemble:
     A slot's design matrix and a(X_i)^{-1} are derived from ``hunt.x[:, i]``
     when a reader reaches the slot (``regression``) and kept until a reader
     asks for another slot, so a sweep over the slots, N down to 0 or 0 up to
-    N, derives each once.  sigma(X_i) is derived where the drivers read it,
-    once per slot and sweep.  The slot's ``norm_gram`` is made on first use
-    and kept.
+    N, derives each once.  sigma(X_i) for i < N is derived with them from
+    the same a(X_i), so a sweep calls a(X) once per slot; slot N's is
+    derived where the drivers read it.  The slot's ``norm_gram`` is made on
+    first use and kept.
     """
 
     def __init__(self, hunt: HuntPaths, basis: RegressionBasis,
@@ -197,6 +198,11 @@ class LsmcEnsemble:
         for i < N."""
         if not 0 <= i < len(self.bases):
             raise UsageError(f"slot {i} has no regression; slots 0 .. {len(self.bases) - 1} do")
+        return self._slot(i)[:2]
+
+    def _slot(self, i: int) -> tuple[RegressionContext, np.ndarray, np.ndarray]:
+        """The held slot i < N: its context, a(X_i)^{-1} and sigma(X_i), all
+        from one a(X_i)."""
         if i not in self._held:
             self._held.clear()  # the last slot goes before this one is made
             x = self.hunt.x[:, i, :]
@@ -204,11 +210,14 @@ class LsmcEnsemble:
             # In 1-D the reciprocal is bitwise the inverse LAPACK gives each
             # 1 x 1 matrix, without one LAPACK call per path.
             a_inverse = 1.0 / a if self.hunt.dim == 1 else np.linalg.inv(a)
-            self._held[i] = RegressionContext(x, self.bases[i]), a_inverse
+            self._held[i] = RegressionContext(x, self.bases[i]), a_inverse, _sqrt_spd_batch(a)
         return self._held[i]
 
     def sigma(self, i: int) -> np.ndarray:
-        """sigma(X_i), shaped (n_W, d, d), for i <= N."""
+        """sigma(X_i), shaped (n_W, d, d), for i <= N: the held slot's below
+        the horizon, where a sweep holds the slot it drives."""
+        if 0 <= i < len(self.bases):
+            return self._slot(i)[2]
         return self.field.sigma_at(self.hunt.x[:, i, :])
 
     def norm_gram(self, i: int) -> np.ndarray:

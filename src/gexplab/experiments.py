@@ -211,9 +211,9 @@ def _dump_nodes(sg) -> range:
 def _gspde_scenario(exp: Experiment, test_fn, fld, rep, gbm) -> tuple:
     """The gspde rows, report record and dumped slices of one solved scenario."""
     sec, problem = exp.gspde, exp.gspde_problem
-    slots = residual_slots(fld, problem, gbm)
-    wres = weak_residual(slots, test_fn, problem)
-    eres = energy_identity_residual(slots, problem, gbm)
+    slots = residual_slots(fld, problem, gbm, test_fn)
+    wres = weak_residual(slots, problem)
+    eres = energy_identity_residual(slots, problem)
     sid = gbm.scenario_id
     terminal_exact = bool(np.all(fld.values[:, -1] == problem.terminal))
     dump = fld.values[:min(sec.dump_paths, fld.n_paths), :, _dump_nodes(problem.space_grid)]

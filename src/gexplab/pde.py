@@ -117,9 +117,9 @@ class SpatialGrid:
         shaped = vals.reshape(vals.shape[:-1] + (self.points_per_axis,) * self.dim)
         out = np.empty(shaped.shape + (self.dim,))
         for axis_id in range(self.dim):
-            arr = np.moveaxis(shaped, axis_id - self.dim, -1)
+            arr = shaped.swapaxes(axis_id - self.dim, -1)
             # Write through a view of out: a temporary plus a copy is slower.
-            g = np.moveaxis(out[..., axis_id], axis_id - self.dim, -1)
+            g = out[..., axis_id].swapaxes(axis_id - self.dim, -1)
             g[..., 1:-1] = (arr[..., 2:] - arr[..., :-2]) / (2.0 * self.dx)
             if self.boundary == "periodic":
                 g[..., 0] = (arr[..., 1] - arr[..., -1]) / (2.0 * self.dx)
@@ -511,61 +511,6 @@ class SpaceTimeTestFunction:
         return np.array([float(self.psi(t)) for t in times])
 
 
-class ResidualSlots(NamedTuple):
-    """What both residuals read of one field: the field, its sources at the
-    right-endpoint slots, its midpoint slices (p, N, n) and g . dB_i."""
-
-    u: np.ndarray
-    f_vals: np.ndarray
-    g_vals: np.ndarray
-    u_mid: np.ndarray
-    gdb: np.ndarray
-
-
-def residual_slots(u_field: RandomField, problem: GspdeProblem,
-                   gbm: GBMPaths) -> ResidualSlots:
-    """The slots of ``u_field`` that both residuals read, evaluated once."""
-    if u_field.values.shape[0] != gbm.n_paths:
-        raise UsageError("field and path bundle have different path counts")
-    u, pts = u_field.values, problem.space_grid.points()
-    p, n_slots, n = u.shape
-    f_vals = np.empty((n_slots - 1, p, n))
-    g_vals = np.empty((n_slots - 1, p, n, problem.noise.n_components))
-    for j in range(1, n_slots):
-        f_vals[j - 1], g_vals[j - 1] = _slot_sources(problem, pts, j, u[:, j])
-    u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])
-    return ResidualSlots(u, f_vals, g_vals, u_mid, np.einsum("ipnl,pil->pin", g_vals, gbm.db))
-
-
-def weak_residual(slots: ResidualSlots, test_fn: SpaceTimeTestFunction,
-                  problem: GspdeProblem) -> np.ndarray:
-    """Absolute residual of the test-function formulation at t = 0, per path.
-
-    Quadrature is midpoint in both slots of every time integral, which makes
-    the residual vanish identically for the source-free discrete evolution.
-    ``slots`` are the field's ``residual_slots``.
-    """
-    tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
-    chi = test_fn.space_values(sg)
-    if sg.boundary == "dirichlet0" and edge_excess(chi, sg, 1e-10):
-        raise UsageError("test function must vanish at the domain boundary")
-    psi = test_fn.time_values(tg.times)
-    u, f_vals, g_vals, u_mid, gdb = slots
-    psi_mid = 0.5 * (psi[:-1] + psi[1:])
-    dpsi = psi[1:] - psi[:-1]
-
-    res = sg.inner(u[:, 0, :], psi[0] * chi)
-    res = res - sg.inner(problem.terminal, psi[-1] * chi)
-    res = res + np.sum(sg.inner(u_mid, chi[None, None, :]) * dpsi[None, :], axis=1)
-    energy = problem.operator.energy(u_mid, chi[None, None, :])  # (p, N)
-    res = res + dt * np.sum(energy * psi_mid[None, :], axis=1)
-    f_term = sg.inner(np.moveaxis(f_vals, 0, 1), chi[None, None, :])
-    res = res - dt * np.sum(f_term * psi_mid[None, :], axis=1)
-    g_term = sg.inner(gdb, chi[None, None, :])
-    res = res - np.sum(g_term * psi_mid[None, :], axis=1)
-    return np.abs(res)
-
-
 @dataclass(frozen=True)
 class PhiFunction:
     """Scalar composition for the energy identity; time-independent."""
@@ -582,32 +527,93 @@ PHI_IDENTITY = PhiFunction(lambda y: y, lambda y: np.ones_like(y),
                            lambda y: np.zeros_like(y), "identity")
 
 
-def energy_identity_residual(slots: ResidualSlots, problem: GspdeProblem, gbm: GBMPaths,
-                             phi: PhiFunction = PHI_SQUARE) -> np.ndarray:
-    """Absolute residual, per path, of the composition identity at t = 0.
+class ResidualSlots(NamedTuple):
+    """What both residuals read of one field, for one test function and one
+    phi: the slot-0 slice and, per path and slot interval i, the terms that
+    each residual sums over i, shaped (p, N).
 
-    The bracket of the noise is replaced by the active scenario's
-    beta beta^T dt step by step.  Slot convention: the energy integral uses
-    midpoint slices; the source and noise integrals pair the right-endpoint
-    slice t_{i+1} (the backward-adapted slot) with dB_i — with a midpoint
-    slice there the quadratic-variation correction would be double-counted.
-    ``slots`` are the field's ``residual_slots`` on ``gbm``.
-    """
-    sg, dt = problem.space_grid, problem.time_grid.dt
-    u, f_vals, g_vals, u_mid, gdb = slots
-    phi_mid = phi.deriv(u_mid)
-    phi_right = phi.deriv(u[:, 1:, :])
+    ``weak`` holds <u_mid, chi>, E_h(u_mid, chi), <f_{i+1}, chi> and
+    <g_{i+1} . dB_i, chi>; ``energy`` holds E_h(phi'(u_mid), u_mid),
+    <phi'(u_{i+1}), f_{i+1}>, <phi'(u_{i+1}), g_{i+1} . dB_i> and the bracket
+    term sum_x phi''(u_{i+1}) g beta beta^T g dx."""
 
-    lhs = np.sum(phi.value(u[:, 0, :]), axis=-1) * sg.cell_volume
-    lhs = lhs + dt * np.sum(problem.operator.energy(phi_mid, u_mid), axis=1)
+    test_fn: SpaceTimeTestFunction
+    phi: PhiFunction
+    chi: np.ndarray      # (n,)
+    u0: np.ndarray       # (p, n)
+    weak: np.ndarray     # (4, p, N)
+    energy: np.ndarray   # (4, p, N)
+
+
+def residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths,
+                   test_fn: SpaceTimeTestFunction,
+                   phi: PhiFunction = PHI_SQUARE) -> ResidualSlots:
+    """The per-slot terms of both residuals of ``u_field``, in one pass over
+    the slot intervals.  Interval i evaluates the sources at slot i + 1 once
+    and forms its midpoint slice, g . dB_i and the phi terms for itself
+    only, so no (p, N, n) array is made.
+
+    Quadrature is midpoint in both slots of every time integral of the weak
+    form, which makes its residual vanish identically for the source-free
+    discrete evolution.  The energy integral of the composition identity
+    uses midpoint slices; its source and noise integrals pair the
+    right-endpoint slice t_{i+1} (the backward-adapted slot) with dB_i, where
+    a midpoint slice would count the quadratic-variation correction twice.
+    The bracket of the noise is the active scenario's beta beta^T dt."""
+    if u_field.values.shape[0] != gbm.n_paths:
+        raise UsageError("field and path bundle have different path counts")
+    sg, op = problem.space_grid, problem.operator
+    chi = test_fn.space_values(sg)
+    if sg.boundary == "dirichlet0" and edge_excess(chi, sg, 1e-10):
+        raise UsageError("test function must vanish at the domain boundary")
+    u, pts = u_field.values, sg.points()
+    p, n_slots, _ = u.shape
+    cov = gbm.scenarios.covariances()[gbm.schedule.indices]   # (N, l, l)
+    weak, energy = np.empty((2, 4, p, n_slots - 1))
+    for i in range(n_slots - 1):
+        right = u[:, i + 1]
+        f, g = _slot_sources(problem, pts, i + 1, right)
+        u_mid = 0.5 * (u[:, i] + right)
+        gdb = np.einsum("pnl,pl->pn", g, gbm.db[:, i])
+        weak[:, :, i] = (sg.inner(u_mid, chi), op.energy(u_mid, chi), sg.inner(f, chi),
+                         sg.inner(gdb, chi))
+        phi_right = phi.deriv(right)
+        quad = np.einsum("pna,pnb,ab->pn", g, g, cov[i])
+        energy[:, :, i] = (op.energy(phi.deriv(u_mid), u_mid), sg.inner(phi_right, f),
+                           sg.inner(phi_right, gdb),
+                           np.sum(phi.second(right) * quad, axis=-1) * sg.cell_volume)
+    return ResidualSlots(test_fn, phi, chi, u[:, 0], weak, energy)
+
+
+def weak_residual(slots: ResidualSlots, problem: GspdeProblem) -> np.ndarray:
+    """Absolute residual of the test-function formulation at t = 0, per path,
+    from the field's ``residual_slots``."""
+    tg, sg, dt = problem.time_grid, problem.space_grid, problem.time_grid.dt
+    psi, chi = slots.test_fn.time_values(tg.times), slots.chi
+    psi_mid = 0.5 * (psi[:-1] + psi[1:])
+    dpsi = psi[1:] - psi[:-1]
+    mass, energy, source, noise = slots.weak
+
+    res = sg.inner(slots.u0, psi[0] * chi)
+    res = res - sg.inner(problem.terminal, psi[-1] * chi)
+    res = res + np.sum(mass * dpsi[None, :], axis=1)
+    res = res + dt * np.sum(energy * psi_mid[None, :], axis=1)
+    res = res - dt * np.sum(source * psi_mid[None, :], axis=1)
+    res = res - np.sum(noise * psi_mid[None, :], axis=1)
+    return np.abs(res)
+
+
+def energy_identity_residual(slots: ResidualSlots, problem: GspdeProblem) -> np.ndarray:
+    """Absolute residual, per path, of the composition identity at t = 0,
+    from the field's ``residual_slots``."""
+    sg, dt, phi = problem.space_grid, problem.time_grid.dt, slots.phi
+    energy, source, noise, bracket = slots.energy
+
+    lhs = np.sum(phi.value(slots.u0), axis=-1) * sg.cell_volume
+    lhs = lhs + dt * np.sum(energy, axis=1)
 
     rhs = np.sum(phi.value(problem.terminal)) * sg.cell_volume
-    f_term = sg.inner(phi_right, np.moveaxis(f_vals, 0, 1))
-    rhs = rhs + dt * np.sum(f_term, axis=1)
-    rhs = rhs + np.sum(sg.inner(phi_right, gdb), axis=1)
-
-    cov = gbm.scenarios.covariances()[gbm.schedule.indices]   # (N, l, l)
-    second = phi.second(u[:, 1:, :])                          # (p, N, n)
-    quad = np.einsum("ipna,ipnb,iab->pin", g_vals, g_vals, cov)
-    rhs = rhs + 0.5 * dt * np.sum(np.sum(second * quad, axis=-1) * sg.cell_volume, axis=1)
+    rhs = rhs + dt * np.sum(source, axis=1)
+    rhs = rhs + np.sum(noise, axis=1)
+    rhs = rhs + 0.5 * dt * np.sum(bracket, axis=1)
     return np.abs(lhs - rhs)

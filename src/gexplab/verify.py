@@ -166,22 +166,28 @@ def _case_gaps(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem], fa: 
                gbm: GBMPaths, mask: np.ndarray) -> list[tuple[float, float]]:
     """Per case, the worst gap min(u_b - u_a) on ``mask`` over one scenario
     bundle and the step-doubling probe max|gap - coarse gap| (0 when the step
-    count is odd)."""
-    halve = gbm.grid.n_steps % 2 == 0
+    count is odd), both taken slot by slot.  A case's fields go before the
+    next case is solved."""
+    n = gbm.grid.n_steps
+    halve = n % 2 == 0
     if halve:
         coarse = coarsen_gbm(gbm, 2)
         fac = solve_gspde(replace(problem_a, time_grid=coarse.grid), coarse)
-    out = []
-    for problem_b in problems_b:
+
+    def case(problem_b):
         fb = solve_gspde(problem_b, gbm)
-        gap = (fb.values - fa.values)[:, :, mask]
-        probe = 0.0
         if halve:
             fbc = solve_gspde(replace(problem_b, time_grid=coarse.grid), coarse)
-            gap_c = (fbc.values - fac.values)[:, :, mask]
-            probe = float(np.max(np.abs(gap[:, ::2] - gap_c)))
-        out.append((float(np.min(gap)), probe))
-    return out
+        lows, probes = np.empty(n + 1), np.zeros(n // 2 + 1)
+        for i in range(n + 1):
+            gap = (fb.values[:, i] - fa.values[:, i])[:, mask]
+            lows[i] = np.min(gap)
+            if halve and i % 2 == 0:
+                gap_c = (fbc.values[:, i // 2] - fac.values[:, i // 2])[:, mask]
+                probes[i // 2] = np.max(np.abs(gap - gap_c))
+        return float(np.min(lows)), float(np.max(probes))
+
+    return [case(problem_b) for problem_b in problems_b]
 
 
 def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem],

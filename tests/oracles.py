@@ -1,9 +1,13 @@
 """Reference computations the tests compare the package against; no
 command of the package runs them."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from gexplab._util import read
+from gexplab.gbm import coarsen_gbm
+from gexplab.pde import _slot_sources, solve_gspde
 from gexplab.picard import weighted_quadrature
 from gexplab.presets import FieldPreset, NoisePreset
 
@@ -145,3 +149,60 @@ def zero_stacks(ensemble, gbm):
     shape = (gbm.n_paths, hunt.grid.n_steps + 1)
     return (np.zeros(shape + (hunt.n_paths,)), np.zeros(shape + (hunt.n_paths, hunt.dim)),
             np.zeros(shape + (1 + hunt.dim, ensemble.n_features)))
+
+
+def stacked_residuals(u_field, problem, gbm, test_fn, phi):
+    """The weak and energy-identity residuals per path from whole (p, N, n)
+    stacks of the midpoint slices, the sources at the right-endpoint slots
+    and g . dB_i, each residual formed over the whole stack."""
+    tg, sg, dt, op = problem.time_grid, problem.space_grid, problem.time_grid.dt, \
+        problem.operator
+    u, pts = u_field.values, sg.points()
+    p, n_slots, n = u.shape
+    f_vals = np.empty((n_slots - 1, p, n))
+    g_vals = np.empty((n_slots - 1, p, n, problem.noise.n_components))
+    for j in range(1, n_slots):
+        f_vals[j - 1], g_vals[j - 1] = _slot_sources(problem, pts, j, u[:, j])
+    u_mid = 0.5 * (u[:, :-1, :] + u[:, 1:, :])
+    gdb = np.einsum("ipnl,pil->pin", g_vals, gbm.db)
+
+    chi, psi = test_fn.space_values(sg), test_fn.time_values(tg.times)
+    psi_mid = 0.5 * (psi[:-1] + psi[1:])
+    dpsi = psi[1:] - psi[:-1]
+    weak = sg.inner(u[:, 0, :], psi[0] * chi)
+    weak = weak - sg.inner(problem.terminal, psi[-1] * chi)
+    weak = weak + np.sum(sg.inner(u_mid, chi[None, None, :]) * dpsi[None, :], axis=1)
+    energy = op.energy(u_mid, chi[None, None, :])
+    weak = weak + dt * np.sum(energy * psi_mid[None, :], axis=1)
+    f_term = sg.inner(np.moveaxis(f_vals, 0, 1), chi[None, None, :])
+    weak = weak - dt * np.sum(f_term * psi_mid[None, :], axis=1)
+    weak = weak - np.sum(sg.inner(gdb, chi[None, None, :]) * psi_mid[None, :], axis=1)
+
+    phi_mid, phi_right = phi.deriv(u_mid), phi.deriv(u[:, 1:, :])
+    lhs = np.sum(phi.value(u[:, 0, :]), axis=-1) * sg.cell_volume
+    lhs = lhs + dt * np.sum(op.energy(phi_mid, u_mid), axis=1)
+    rhs = np.sum(phi.value(problem.terminal)) * sg.cell_volume
+    rhs = rhs + dt * np.sum(sg.inner(phi_right, np.moveaxis(f_vals, 0, 1)), axis=1)
+    rhs = rhs + np.sum(sg.inner(phi_right, gdb), axis=1)
+    cov = gbm.scenarios.covariances()[gbm.schedule.indices]
+    quad = np.einsum("ipna,ipnb,iab->pin", g_vals, g_vals, cov)
+    rhs = rhs + 0.5 * dt * np.sum(np.sum(phi.second(u[:, 1:, :]) * quad, axis=-1)
+                                  * sg.cell_volume, axis=1)
+    return np.abs(weak), np.abs(lhs - rhs)
+
+
+def stacked_case_gaps(problem_a, problems_b, fa, gbm, mask):
+    """``verify._case_gaps`` from whole gap stacks (u_b - u_a)[:, :, mask]."""
+    halve = gbm.grid.n_steps % 2 == 0
+    if halve:
+        coarse = coarsen_gbm(gbm, 2)
+        fac = solve_gspde(replace(problem_a, time_grid=coarse.grid), coarse)
+    out = []
+    for problem_b in problems_b:
+        gap = (solve_gspde(problem_b, gbm).values - fa.values)[:, :, mask]
+        probe = 0.0
+        if halve:
+            fbc = solve_gspde(replace(problem_b, time_grid=coarse.grid), coarse)
+            probe = float(np.max(np.abs(gap[:, ::2] - (fbc.values - fac.values)[:, :, mask])))
+        out.append((float(np.min(gap)), probe))
+    return out

@@ -29,6 +29,7 @@ from gexplab.pde import (
     NoiseTerm,
     PicardConfig,
     ReactionTerm,
+    SpaceTimeTestFunction,
     SpatialGrid,
     apply_semigroup,
     discretize_operator,
@@ -315,6 +316,9 @@ def test_criterion_12_energy_identity_refinement_order():
         return ((0.25 * np.tanh(y) + 0.3 * np.sin(z[..., 0])) * prof)[..., None]
 
     noise = NoiseTerm(g_fn, 1, 0.125, 0.18)
+    # The pass also takes a weak-form test function; only the energy
+    # identity is read here.
+    bump_fn = SpaceTimeTestFunction(lambda t: 1.0, lambda pts: np.exp(-0.5 * pts[:, 0] ** 2))
     levels = (16, 32, 64, 128)
     top = levels[-1]
     driver_top = sample_driver(TimeGrid(0.5, top), 128, 1, seed=41)
@@ -326,7 +330,7 @@ def test_criterion_12_energy_identity_refinement_order():
                         constant_schedule(0, n), scen)
         cfg = PicardConfig.from_problem(problem)
         fld, _ = solve_gspde_picard(problem, cfg, gbm)
-        r = energy_identity_residual(residual_slots(fld, problem, gbm), problem, gbm)
+        r = energy_identity_residual(residual_slots(fld, problem, gbm, bump_fn), problem)
         res[n] = float(np.sqrt(np.mean(r**2)))
     lv = np.log2(np.array(levels, float))
     vals = np.log2([res[k] for k in levels])

@@ -32,7 +32,7 @@ from gexplab.pde import (
 from gexplab.pde import _hnorm_density
 from gexplab.picard import check_fixed_point, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import densify, homogeneous_term, whole_stack_hnorm
+from oracles import densify, homogeneous_term, stacked_residuals, whole_stack_hnorm
 
 
 def const_field(value, dim=1):
@@ -466,7 +466,7 @@ def test_solver_two_dimensional_smoke():
     assert rep.converged
     assert np.array_equal(fld.values[0, -1], psi)
     assert np.all(np.isfinite(fld.values))
-    res = energy_identity_residual(residual_slots(fld, problem, gbm), problem, gbm)
+    res = energy_identity_residual(residual_slots(fld, problem, gbm, bump_test_fn()), problem)
     assert np.all(np.isfinite(res))
 
 
@@ -617,9 +617,8 @@ def test_weak_residual_zero_testfn_and_homogeneous_exactness():
     cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     zero_fn = SpaceTimeTestFunction(lambda t: 0.0, lambda pts: np.zeros(pts.shape[0]))
-    slots = residual_slots(field, problem, gbm)
-    assert np.all(weak_residual(slots, zero_fn, problem) == 0.0)
-    res = weak_residual(slots, bump_test_fn(), problem)
+    assert np.all(weak_residual(residual_slots(field, problem, gbm, zero_fn), problem) == 0.0)
+    res = weak_residual(residual_slots(field, problem, gbm, bump_test_fn()), problem)
     assert np.max(res) <= 1e-10
 
 
@@ -631,7 +630,7 @@ def test_weak_residual_support_violation():
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     wide = SpaceTimeTestFunction(lambda t: 1.0, lambda pts: np.ones(pts.shape[0]))
     with pytest.raises(UsageError, match="vanish"):
-        weak_residual(residual_slots(field, problem, gbm), wide, problem)
+        residual_slots(field, problem, gbm, wide)
 
 
 def nonlinear_problem(n_steps, seed_terminal_width=1.0, horizon=0.5):
@@ -659,10 +658,10 @@ def test_weak_residual_halving_decay():
     field_f, _ = solve_gspde_picard(fine_problem, cfg_f, gbm_fine)
     field_c, _ = solve_gspde_picard(coarse_problem, cfg_c, gbm_coarse)
     tf = bump_test_fn()
-    slots_f = residual_slots(field_f, fine_problem, gbm_fine)
-    slots_c = residual_slots(field_c, coarse_problem, gbm_coarse)
-    res_f = float(np.sqrt(np.mean(weak_residual(slots_f, tf, fine_problem) ** 2)))
-    res_c = float(np.sqrt(np.mean(weak_residual(slots_c, tf, coarse_problem) ** 2)))
+    slots_f = residual_slots(field_f, fine_problem, gbm_fine, tf)
+    slots_c = residual_slots(field_c, coarse_problem, gbm_coarse, tf)
+    res_f = float(np.sqrt(np.mean(weak_residual(slots_f, fine_problem) ** 2)))
+    res_c = float(np.sqrt(np.mean(weak_residual(slots_c, coarse_problem) ** 2)))
     assert res_c > 1e-10
     assert res_f <= 0.8 * res_c
 
@@ -672,8 +671,8 @@ def test_energy_identity_zero_data():
     gbm = make_gbm(problem, n_paths=2)
     cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
-    slots = residual_slots(field, problem, gbm)
-    assert np.all(energy_identity_residual(slots, problem, gbm) == 0.0)
+    slots = residual_slots(field, problem, gbm, bump_test_fn())
+    assert np.all(energy_identity_residual(slots, problem) == 0.0)
 
 
 def test_energy_identity_source_free_exact():
@@ -681,8 +680,8 @@ def test_energy_identity_source_free_exact():
     gbm = make_gbm(problem, n_paths=2)
     cfg = PicardConfig.from_problem(problem, eps=1.0)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
-    slots = residual_slots(field, problem, gbm)
-    assert np.max(energy_identity_residual(slots, problem, gbm, PHI_SQUARE)) <= 1e-10
+    slots = residual_slots(field, problem, gbm, bump_test_fn(), PHI_SQUARE)
+    assert np.max(energy_identity_residual(slots, problem)) <= 1e-10
 
 
 def test_energy_identity_phi_linear_reduces_to_weak_form():
@@ -691,9 +690,9 @@ def test_energy_identity_phi_linear_reduces_to_weak_form():
     cfg = PicardConfig.from_problem(problem)
     field, _ = solve_gspde_picard(problem, cfg, gbm)
     unit_fn = SpaceTimeTestFunction(lambda t: 1.0, lambda pts: np.ones(pts.shape[0]))
-    slots = residual_slots(field, problem, gbm)
-    weak = weak_residual(slots, unit_fn, problem)
-    energy = energy_identity_residual(slots, problem, gbm, PHI_IDENTITY)
+    slots = residual_slots(field, problem, gbm, unit_fn, PHI_IDENTITY)
+    weak = weak_residual(slots, problem)
+    energy = energy_identity_residual(slots, problem)
     assert np.allclose(weak, energy, atol=1e-10)
 
 
@@ -710,7 +709,58 @@ def test_energy_identity_halving_decay():
         gbm = build_gbm(drv, constant_schedule(0, n), problem.scenarios)
         cfg = PicardConfig.from_problem(problem)
         fld, _ = solve_gspde_picard(problem, cfg, gbm)
-        slots = residual_slots(fld, problem, gbm)
-        res[n] = float(np.sqrt(np.mean(energy_identity_residual(slots, problem, gbm) ** 2)))
+        slots = residual_slots(fld, problem, gbm, bump_test_fn())
+        res[n] = float(np.sqrt(np.mean(energy_identity_residual(slots, problem) ** 2)))
     order = np.log2(res[16] / res[64]) / 2.0
     assert order >= 0.4
+
+
+def shipped_grid_exp(n_paths=None):
+    """The shipped config; with ``n_paths`` noise paths, gspde-family's shape."""
+    cfg = default_config()
+    if n_paths is not None:
+        cfg["gspde"]["n_noise_paths"] = n_paths
+    return validate_config(cfg)
+
+
+@pytest.mark.parametrize("n_paths", [None, 48])
+def test_residual_pass_matches_the_stacked_oracle(n_paths):
+    # The pass forms each slot interval's terms on its own; the oracle forms
+    # them over whole (p, N, n) stacks.  Only the operator products are split
+    # differently, which moves a residual by rounding: the rms that the gspde
+    # rows report by at most 2.1e-13 relative, a path's residual by about
+    # 1e-16, the rounding of the terms it is the difference of, so a path
+    # is held to the scenario's largest residual.
+    exp = shipped_grid_exp(n_paths)
+    problem, test_fn = exp.gspde_problem, experiments._default_test_fn(exp)
+    for gbm in experiments._problem_bundles(exp):
+        fld = solve_gspde(problem, gbm)
+        for phi in (PHI_SQUARE, PHI_IDENTITY):
+            slots = residual_slots(fld, problem, gbm, test_fn, phi)
+            refs = stacked_residuals(fld, problem, gbm, test_fn, phi)
+            for res, ref in zip((weak_residual(slots, problem),
+                                 energy_identity_residual(slots, problem)), refs):
+                assert np.sqrt(np.mean(res**2)) == pytest.approx(np.sqrt(np.mean(ref**2)),
+                                                                 rel=1e-12, abs=0)
+                np.testing.assert_allclose(res, ref, rtol=0, atol=1e-12 * np.max(ref))
+
+
+def test_residual_pass_keeps_no_stack():
+    # At gspde-family's shape (48 paths, 32 steps, 161 nodes) the pass holds,
+    # beside its field, slot-sized temporaries and its (p, N) terms.  A whole
+    # (p, N, n) stack of midpoint slices, sources or g . dB is more than all
+    # of those together.
+    exp = shipped_grid_exp(48)
+    problem, gbm = exp.gspde_problem, experiments._problem_bundles(exp)[0]
+    fld = solve_gspde(problem, gbm)
+    p, n_slots, n = fld.values.shape
+    assert (p, n_slots, n) == (48, 33, 161)
+    tracemalloc.start()
+    try:
+        slots = residual_slots(fld, problem, gbm, experiments._default_test_fn(exp))
+        weak_residual(slots, problem)
+        energy_identity_residual(slots, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * (n_slots - 1) * n * 8

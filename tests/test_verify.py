@@ -1,4 +1,6 @@
+import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from gexplab.pde import (
     solve_gspde_picard,
     zero_noise,
 )
+from gexplab.presets import shifted_reaction
 from gexplab.scenario import ScenarioSet, constant_schedule
 from gexplab.verify import (
     check_comparison,
@@ -30,6 +33,7 @@ from gexplab.verify import (
     check_representation,
     representation_errors,
 )
+from oracles import stacked_case_gaps
 
 
 def const_field(value):
@@ -373,6 +377,45 @@ def test_comparison_cases_share_the_unshifted_solves(monkeypatch):
         assert both.per_scenario == one.per_scenario
     assert gbms[0].grid.n_steps % 2 == 0
     assert len(calls) == len(gbms) * (2 + 2 * len(cases))
+
+
+
+@pytest.mark.parametrize("n_steps", [16, 15])  # with the step-doubling probe, without
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet0"])
+def test_case_gaps_match_the_stacked_oracle_bitwise(n_steps, boundary):
+    problem, gbms = comparison_setup(n_steps=n_steps)
+    problem = replace(problem, space_grid=SpatialGrid(1, 8.0, 161, boundary))
+    cases = [shifted(problem, terminal_shift=1.0), shifted(problem, reaction_shift=0.1)]
+    mask = problem.space_grid.interior_mask(0.05)
+    for gbm in gbms:
+        fa = solve_gspde(problem, gbm)
+        assert verify._case_gaps(problem, cases, fa, gbm, mask) == \
+            stacked_case_gaps(problem, cases, fa, gbm, mask)
+
+
+def test_case_gaps_keep_one_case_at_a_time():
+    # At gspde-family's shape (48 paths, 32 steps, 161 nodes) a case holds
+    # its fine field and its coarse one beside the coarse base field: two
+    # field stacks.  Whole gap stacks, or a case's fields kept while the
+    # next is solved, take more than three.
+    cfg = default_config()
+    cfg["gspde"]["n_noise_paths"] = 48
+    exp = validate_config(cfg)
+    problem_a, gbm = exp.gspde_problem, experiments._problem_bundles(exp)[0]
+    cases = [replace(problem_a, terminal=problem_a.terminal + case.terminal_shift,
+                     reaction=shifted_reaction(problem_a.reaction, case.reaction_shift))
+             for case in exp.comparison.cases]
+    assert len(cases) == 2
+    fa = solve_gspde(problem_a, gbm)
+    mask = problem_a.space_grid.interior_mask(exp.comparison.collar_frac)
+    assert fa.values.shape == (48, 33, 161)
+    tracemalloc.start()
+    try:
+        verify._case_gaps(problem_a, cases, fa, gbm, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * fa.values.nbytes
 
 
 # -- transport --------------------------------------------------------------------
