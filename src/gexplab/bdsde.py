@@ -31,7 +31,7 @@ from ._util import NonNeg, NonNegInt
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField, HuntPaths, _sqrt_spd_batch
-from .picard import PicardConfig, PicardReport, check_fixed_point, weighted_quadrature
+from .picard import PicardConfig, PicardReport, check_fixed_point, frozen_sweep
 
 MIN_SAMPLES_PER_FEATURE = 10
 DEGENERATE_STD = 1e-12
@@ -135,22 +135,15 @@ class StandardizedBasis:
 class RegressionContext:
     """Design matrix and normal equations for one state sample.
 
-    ``basis`` is the ``RegressionBasis``, standardized and checked on
-    ``positions`` here, or the ``StandardizedBasis`` already made from them,
-    whose Gram is reused.  A context serves every target of its sample (Y
-    updates, Z moment regressions, all noise paths): a fit is one matrix
-    product and one F x F solve.
+    ``positions`` are the (n_samples, state_dim) sample and ``basis`` the
+    ``StandardizedBasis`` made from it, whose Gram is reused.  A context
+    serves every target of its sample (Y updates, Z moment regressions, all
+    noise paths): a fit is one matrix product and one F x F solve.
     """
 
-    def __init__(self, positions: np.ndarray, basis):
-        x = np.asarray(positions, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise UsageError("positions must be (n_samples, state_dim)")
-        self.basis = (basis if isinstance(basis, StandardizedBasis)
-                      else StandardizedBasis(x, basis))
-        self.phi = self.basis.design(x)
+    def __init__(self, positions: np.ndarray, basis: StandardizedBasis):
+        self.basis = basis
+        self.phi = basis.design(positions)
 
     @property
     def n_features(self) -> int:
@@ -456,29 +449,24 @@ def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMP
                         cfg: PicardConfig) -> BdsdeSolution:
     """``solve_gbdsde``'s solution u* with ``picard.check_fixed_point`` at it,
     the perturbation a seeded standard normal multiplier of each coefficient.
-    Each check sweep reads the drivers at its frozen iterate, evaluated slot
-    by slot from the scaled coefficients of u*, and takes each new slot's
-    distance to u*, and the iterate's, in the (beta, delta)-norm from the
-    coefficients; it keeps no coefficient stack."""
+    Each check sweep is a ``picard.frozen_sweep`` of the linear recursion on
+    u*'s coefficient stack, whose drivers are read at the (Y, Z) of the
+    frozen iterate's coefficients and whose density is the (beta, delta) one
+    of ``_coefficient_density``; the sweep's functionals are taken in the
+    root, the power in which the map contracts."""
     cfg.validate_against(problem)
     sol = solve_gbdsde(problem, ensemble, gbm)
-    c, times, n = sol.c, problem.time_grid.times, problem.time_grid.n_steps
-    density = _coefficient_density(ensemble, cfg.delta)
+    times, n = problem.time_grid.times, problem.time_grid.n_steps
 
-    def sweep(scale):
-        dens, payoff = np.empty((2, gbm.n_paths, n)), scale(n) * sol.xi
+    def recursion(sources):
+        solve_linear_bdsde(sol.xi, ensemble, gbm, lambda i, y, z, c_i: sources(i, c_i), None)
 
-        def drivers(i, y_i, z_i, c_i):
-            w = c[:, i] * scale(i)
-            if i < n:
-                dens[0, :, i] = density(i, c_i - c[:, i])
-                dens[1, :, i] = density(i, w - c[:, i])
-            if i:  # the drivers of slot 0 are not read
-                return _slot_drivers(problem, ensemble, i, *ensemble.slot_values(i, w, payoff))
-            return None
+    def drivers(i, w, s):
+        payoff = s * sol.xi if i == n else sol.xi  # below N, s is a coefficient slot
+        return _slot_drivers(problem, ensemble, i, *ensemble.slot_values(i, w, payoff))
 
-        solve_linear_bdsde(sol.xi, ensemble, gbm, drivers, None)
-        return tuple(math.sqrt(weighted_quadrature(d, cfg.rate, times)) for d in dens)
-
-    perturbation = np.random.default_rng(cfg.seed).standard_normal(c.shape[2:])
-    return replace(sol, picard_report=check_fixed_point(sweep, perturbation, times))
+    squared = frozen_sweep(recursion, sol.c, _coefficient_density(ensemble, cfg.delta),
+                           drivers, cfg.rate, times)
+    perturbation = np.random.default_rng(cfg.seed).standard_normal(sol.c.shape[2:])
+    return replace(sol, picard_report=check_fixed_point(
+        lambda scale: tuple(map(math.sqrt, squared(scale))), perturbation, times))

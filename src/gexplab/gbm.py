@@ -167,45 +167,53 @@ def build_gbm(driver: DriverPaths, schedule: ControlSchedule,
     return GBMPaths(driver.grid, scenarios, schedule, db, driver.seed)
 
 
-def _integrand_steps(xi: np.ndarray, paths: GBMPaths) -> np.ndarray:
-    """Right-endpoint integrand slots aligned with dB, shape (..., n_steps, l)."""
-    arr = np.asarray(xi, dtype=float)
-    n, l = paths.grid.n_steps, paths.dim
-    if arr.ndim < 2 or arr.shape[-1] != l:
-        raise UsageError(f"integrand must have {l} columns, got shape {arr.shape}")
+def slot_integrand(phi, paths, first: int) -> np.ndarray:
+    """The integrand slots paired with the n_steps increments of ``paths``
+    (a GBMPaths or a diffusion ensemble), shaped (..., n_steps, dim).
+
+    ``phi`` is deterministic ``(n_steps[+1], dim)`` or per path ``(1 or
+    n_paths, n_steps[+1], dim)``.  Of n_steps + 1 slots, the n_steps from
+    slot ``first`` are taken: 1 for the backward integral, whose slot
+    t_{i+1} pairs with dB_i, and 0 for the forward one, whose t_i pairs with
+    dM_i."""
+    arr = np.asarray(phi, dtype=float)
+    n, dim = paths.grid.n_steps, paths.dim
+    if arr.ndim < 2 or arr.shape[-1] != dim:
+        raise UsageError(f"integrand must have {dim} columns, got shape {arr.shape}")
     if arr.shape[-2] == n + 1:
-        arr = arr[..., 1:, :]
+        arr = arr[..., first:first + n, :]
     elif arr.shape[-2] != n:
-        raise UsageError(
-            f"integrand must have {n} or {n + 1} time slots, got {arr.shape[-2]}"
-        )
+        raise UsageError(f"integrand must have {n} or {n + 1} time slots, got {arr.shape[-2]}")
     if arr.ndim == 3 and arr.shape[0] not in (1, paths.n_paths):
         raise UsageError("per-path integrand does not match the path count")
     return arr
 
 
-def backward_integral(xi, paths: GBMPaths) -> np.ndarray:
-    """I(t_n) = sum_{i>=n} xi(t_{i+1}) . dB_i per path; I(horizon) = 0.
-
-    ``xi`` is deterministic ``(n_steps[+1], l)`` or per-path
-    ``(n_paths, n_steps[+1], l)``; when ``n_steps+1`` slots are supplied the
-    slot at t_0 is unused (the pairing starts at t_1).
-    """
-    steps = _integrand_steps(xi, paths)
-    contrib = np.sum(steps * paths.db, axis=-1)      # broadcasts to (p, n)
-    if contrib.shape[0] != paths.n_paths:
-        contrib = np.broadcast_to(contrib, (paths.n_paths, contrib.shape[-1])).copy()
+def stochastic_sums(steps: np.ndarray, increments: np.ndarray, backward: bool) -> np.ndarray:
+    """The integral of ``slot_integrand`` slots against (p, n, dim) increments
+    at every grid time, shaped (p, n + 1): summed from the horizon, where it
+    is 0, when ``backward``, else from t_0, where it is 0."""
+    contrib = np.sum(steps * increments, axis=-1)      # broadcasts to (p, n)
     p, n = contrib.shape
     out = np.zeros((p, n + 1))
-    out[:, :n] = np.flip(np.cumsum(np.flip(contrib, axis=1), axis=1), axis=1)
+    if backward:
+        out[:, :n] = np.flip(np.cumsum(np.flip(contrib, axis=1), axis=1), axis=1)
+    else:
+        out[:, 1:] = np.cumsum(contrib, axis=1)
     return out
+
+
+def backward_integral(xi, paths: GBMPaths) -> np.ndarray:
+    """I(t_n) = sum_{i>=n} xi(t_{i+1}) . dB_i per path, I(horizon) = 0, of an
+    ``xi`` as ``slot_integrand`` takes it; of n_steps + 1 slots, t_0's is unused."""
+    return stochastic_sums(slot_integrand(xi, paths, 1), paths.db, backward=True)
 
 
 def integrand_square_integral(xi, paths: GBMPaths) -> np.ndarray:
     """Per-path integral of |xi|^2 dt with the same slot convention."""
-    steps = _integrand_steps(xi, paths)
+    steps = slot_integrand(xi, paths, 1)
     q = np.sum(steps * steps, axis=(-2, -1)) * paths.grid.dt
-    return np.broadcast_to(q, (paths.n_paths,)) if q.ndim == 0 else q
+    return np.broadcast_to(q, (paths.n_paths,))
 
 
 @dataclass(frozen=True)

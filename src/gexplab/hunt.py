@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import Scalars
 from .errors import NumericalError, UsageError
-from .gbm import CONFIDENCE, TimeGrid
+from .gbm import CONFIDENCE, TimeGrid, slot_integrand, stochastic_sums
 from .scenario import PSD_EIG_FLOOR, standard_error
 
 FD_STEP = 1e-5
@@ -223,34 +223,12 @@ def simulate_hunt(field_spec: CoefficientField, init: InitialLaw, grid: TimeGrid
                      init.kind, digest.hexdigest())
 
 
-def _phi_steps(phi: np.ndarray, paths: HuntPaths) -> np.ndarray:
-    """Left-endpoint integrand slots aligned with dM, shape (..., n_steps, d)."""
-    arr = np.asarray(phi, dtype=float)
-    n, d = paths.grid.n_steps, paths.dim
-    if arr.ndim < 2 or arr.shape[-1] != d:
-        raise UsageError(f"integrand must have {d} columns, got shape {arr.shape}")
-    if arr.shape[-2] == n + 1:
-        arr = arr[..., :n, :]
-    elif arr.shape[-2] != n:
-        raise UsageError(
-            f"integrand must have {n} or {n + 1} time slots, got {arr.shape[-2]}"
-        )
-    return arr
-
-
 def forward_integral(phi, paths: HuntPaths) -> np.ndarray:
-    """Cumulative sums I(t_m) = sum_{i<m} phi(t_i) . dM_i, shape (p, n+1).
-
-    The slot paired with dM_i is the left endpoint t_i (forward adaptedness);
-    a trailing slot at the horizon, if present, is ignored.
-    """
-    steps = _phi_steps(phi, paths)
-    contrib = np.sum(steps * paths.dm, axis=-1)
-    if contrib.shape[0] != paths.n_paths:
-        contrib = np.broadcast_to(contrib, (paths.n_paths, contrib.shape[-1])).copy()
-    out = np.zeros((paths.n_paths, contrib.shape[1] + 1))
-    out[:, 1:] = np.cumsum(contrib, axis=1)
-    return out
+    """Cumulative sums I(t_m) = sum_{i<m} phi(t_i) . dM_i, shape (p, n+1), of
+    a ``phi`` as ``gbm.slot_integrand`` takes it.  The slot paired with dM_i
+    is the left endpoint t_i (forward adaptedness); of n_steps + 1 slots, the
+    horizon's is unused."""
+    return stochastic_sums(slot_integrand(phi, paths, 0), paths.dm, backward=False)
 
 
 @dataclass(frozen=True)
@@ -275,9 +253,7 @@ def forward_integral_diagnostics(phi, paths: HuntPaths,
     """Variance of the terminal integral against the ellipticity sandwich."""
     total = forward_integral(phi, paths)[:, -1]
     p = total.size
-    steps = _phi_steps(phi, paths)
-    if steps.ndim == 2:
-        steps = np.broadcast_to(steps, (p,) + steps.shape)
+    steps = np.broadcast_to(slot_integrand(phi, paths, 0), (p, paths.grid.n_steps, paths.dim))
     quad = np.zeros(p)
     norm_sq = np.zeros(p)
     for i in range(paths.grid.n_steps):
@@ -301,47 +277,30 @@ def forward_integral_diagnostics(phi, paths: HuntPaths,
 class BracketReport:
     """Path-averaged empirical bracket against 2 int a(X) ds on shared paths."""
 
-    times: np.ndarray = field(repr=False)
-    empirical: np.ndarray = field(repr=False)   # (n+1, d, d) cumulative means
-    model: np.ndarray = field(repr=False)       # (n+1, d, d)
     max_rel_dev_diag: float
-    final_se: np.ndarray = field(repr=False)    # (d, d) SE of empirical at horizon
     offdiag_ok: bool
 
 
 def empirical_bracket(paths: HuntPaths, field_spec: CoefficientField) -> BracketReport:
     """Compare cumulative dM_i dM_j sums with the left-endpoint quadrature of
     2 a^{ij}(X) along the same paths; relative deviation is over the diagonal
-    entries at every positive grid time."""
+    entries at every positive grid time, and each off-diagonal entry at the
+    horizon is tested against CONFIDENCE standard errors of its path mean."""
     # einsum's order of summation follows the memory layout: summing over a
     # path-major copy keeps the bracket's floats independent of the slot-major
     # storage of the ensemble.
     dm = np.ascontiguousarray(paths.dm)
     p, n, d = dm.shape
-    emp_steps = np.einsum("pia,pib->iab", dm, dm) / p
     model_steps = np.zeros((n, d, d))
     for i in range(n):
         model_steps[i] = np.mean(field_spec.a_at(paths.x[:, i]), axis=0) * (2.0 * paths.grid.dt)
-    empirical = np.zeros((n + 1, d, d))
-    model = np.zeros((n + 1, d, d))
-    empirical[1:] = np.cumsum(emp_steps, axis=0)
-    model[1:] = np.cumsum(model_steps, axis=0)
+    empirical = np.cumsum(np.einsum("pia,pib->iab", dm, dm) / p, axis=0)
+    model = np.cumsum(model_steps, axis=0)
 
     diag = np.arange(d)
-    emp_d = empirical[1:, diag, diag]
-    mod_d = model[1:, diag, diag]
+    emp_d, mod_d = empirical[:, diag, diag], model[:, diag, diag]
     rel = np.abs(emp_d - mod_d) / np.maximum(np.abs(mod_d), 1e-300)
     final_se = standard_error(np.einsum("pia,pib->pab", dm, dm))
-    off_ok = True
-    for a in range(d):
-        for b in range(d):
-            if a != b:
-                off_ok &= abs(empirical[-1, a, b] - model[-1, a, b]) <= CONFIDENCE * final_se[a, b]
-    return BracketReport(
-        times=paths.grid.times,
-        empirical=empirical,
-        model=model,
-        max_rel_dev_diag=float(np.max(rel)),
-        final_se=final_se,
-        offdiag_ok=bool(off_ok),
-    )
+    off_ok = all(abs(empirical[-1, a, b] - model[-1, a, b]) <= CONFIDENCE * final_se[a, b]
+                 for a in range(d) for b in range(d) if a != b)
+    return BracketReport(float(np.max(rel)), bool(off_ok))

@@ -42,7 +42,7 @@ from ._util import Bound, Positive
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid
 from .hunt import CoefficientField
-from .picard import PicardConfig, PicardReport, check_fixed_point, weighted_quadrature
+from .picard import PicardConfig, PicardReport, check_fixed_point, frozen_sweep
 from .scenario import ScenarioSet, sigma_bar
 
 DEFAULT_DT_MAX = 1.0 / 32.0
@@ -468,28 +468,15 @@ def _smooth_field(sg: SpatialGrid, seed: int) -> np.ndarray:
 def solve_gspde_picard(problem: GspdeProblem, cfg: PicardConfig,
                        gbm: GBMPaths) -> tuple[RandomField, PicardReport]:
     """``solve_gspde``'s field u* and ``picard.check_fixed_point`` at it, the
-    perturbation a ``_smooth_field`` on the nodes.  Each check sweep reads
-    the sources at its frozen iterate and streams each new slot's distance
-    to u*, and the iterate's, into its (gamma, delta) density; no second
-    field is kept."""
+    perturbation a ``_smooth_field`` on the nodes.  Each check sweep is a
+    ``picard.frozen_sweep`` of the grid recursion, whose sources are read at
+    the frozen iterate and whose density is the (gamma, delta) one."""
     cfg.validate_against(problem)
-    sg, times, n = problem.space_grid, problem.time_grid.times, problem.time_grid.n_steps
-    pts, fld = sg.points(), solve_gspde(problem, gbm)
-    u = fld.values
-
-    def sweep(scale):
-        dens = np.empty((2, gbm.n_paths, n))
-
-        def sources(i, new):
-            w = u[:, i] * scale(i)
-            if i < n:
-                dens[0, :, i] = _hnorm_density(new - u[:, i], sg, cfg.delta)
-                dens[1, :, i] = _hnorm_density(w - u[:, i], sg, cfg.delta)
-            return _slot_sources(problem, pts, i, w)
-
-        _grid_recursion(problem, gbm, sources, None)
-        return tuple(weighted_quadrature(d, cfg.rate, times) for d in dens)
-
+    sg, times, pts = problem.space_grid, problem.time_grid.times, problem.space_grid.points()
+    fld = solve_gspde(problem, gbm)
+    sweep = frozen_sweep(lambda sources: _grid_recursion(problem, gbm, sources, None),
+                         fld.values, lambda i, e: _hnorm_density(e, sg, cfg.delta),
+                         lambda i, w, s: _slot_sources(problem, pts, i, w), cfg.rate, times)
     return fld, check_fixed_point(sweep, _smooth_field(sg, cfg.seed), times)
 
 
@@ -551,7 +538,8 @@ def residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths,
     """The per-slot terms of both residuals of ``u_field``, in one pass over
     the slot intervals.  Interval i evaluates the sources at slot i + 1 once
     and forms its midpoint slice, g . dB_i and the phi terms for itself
-    only, so no (p, N, n) array is made.
+    only and drops them before the next interval's, so no (p, N, n) array
+    is made.
 
     Quadrature is midpoint in both slots of every time integral of the weak
     form, which makes its residual vanish identically for the source-free
@@ -582,6 +570,7 @@ def residual_slots(u_field: RandomField, problem: GspdeProblem, gbm: GBMPaths,
         energy[:, :, i] = (op.energy(phi.deriv(u_mid), u_mid), sg.inner(phi_right, f),
                            sg.inner(phi_right, gdb),
                            np.sum(phi.second(right) * quad, axis=-1) * sg.cell_volume)
+        del f, g, u_mid, gdb, phi_right, quad  # before the next interval's are made
     return ResidualSlots(test_fn, phi, chi, u[:, 0], weak, energy)
 
 

@@ -6,8 +6,9 @@ constant kappa < 1 in an exponentially weighted space-time norm.  This
 module holds that argument once: the contraction constants and the config
 built from them, the weighted left-endpoint quadrature the norms are built
 on, and the check of the contraction at the fixed point with its report.
-A solver supplies its four contraction inputs and a Picard sweep: its
-backward recursion with the drivers frozen at a given iterate.
+A solver supplies its four contraction inputs and the parts of its Picard
+sweep to ``frozen_sweep``: its backward recursion, the slot density of its
+norm and its drivers at a slot, which the sweep freezes at a given iterate.
 """
 
 from __future__ import annotations
@@ -151,3 +152,34 @@ def check_fixed_point(sweep, perturbation, times: np.ndarray) -> PicardReport:
                 f"Picard check sweep {len(increments)} produced a non-finite norm "
                 f"(distance {inc:.3e}, perturbation {size:.3e})", report=report(False))
     return report(increments[2] <= RESIDUAL_TOL * max(sizes[0], 1e-300))
+
+
+def frozen_sweep(recursion, u, density, drivers, rate: float, times: np.ndarray):
+    """The ``sweep(scale)`` of ``check_fixed_point`` for a solver whose
+    recursion runs from slot N down to slot 0 on drivers frozen at an iterate.
+
+    ``recursion(sources)`` runs the solver's recursion once, keeping no
+    stack, and calls ``sources(i, new)`` with each new slot i; the slot-0
+    value it returns is not read.  ``u`` is u*'s slot stack (paths, N+1,
+    ...).  Per slot the sweep forms the iterate slot w_i = s_i u[:, i] with
+    s_i = ``scale(i)``, streams ``density(i, new - u_i)`` and ``density(i,
+    w_i - u_i)`` into the two densities of slots 0 .. N-1, and returns
+    ``drivers(i, w_i, s_i)`` for i > 0.  It returns the ``weighted_quadrature``
+    of both densities; no second stack is kept."""
+    n = len(times) - 1
+
+    def sweep(scale):
+        dens = np.empty((2, len(u), n))
+
+        def sources(i, new):
+            s = scale(i)
+            w = u[:, i] * s
+            if i < n:
+                dens[0, :, i] = density(i, new - u[:, i])
+                dens[1, :, i] = density(i, w - u[:, i])
+            return drivers(i, w, s) if i else None
+
+        recursion(sources)
+        return tuple(weighted_quadrature(d, rate, times) for d in dens)
+
+    return sweep

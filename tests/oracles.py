@@ -72,6 +72,22 @@ def absolute_weighted_quadrature(density, rate, times):
     return float(np.mean(np.sum(density * w, axis=1)))
 
 
+def bracket_curves(paths, field):
+    """The empirical bracket, the path mean of sum_{i<m} dM_i dM_i^T, and
+    the model bracket 2 sum_{i<m} a(X_i) dt averaged over the paths, at
+    every positive grid time t_m, each shaped (n_steps, d, d), summed one
+    slot at a time."""
+    n, d, dt = paths.grid.n_steps, paths.dim, paths.grid.dt
+    empirical, model = np.zeros((2, n, d, d))
+    emp, mod = np.zeros((2, d, d))
+    for i in range(n):
+        dm = paths.dm[:, i]
+        emp = emp + dm.T @ dm / paths.n_paths
+        mod = mod + 2.0 * dt * np.mean(field.a_at(paths.x[:, i]), axis=0)
+        empirical[i], model[i] = emp, mod
+    return empirical, model
+
+
 def solution_stacks(sol):
     """The (Y, Z) stacks, (n_b, N+1, n_W) and (n_b, N+1, n_W, d), of a
     ``bdsde.BdsdeSolution``, evaluated slot by slot."""

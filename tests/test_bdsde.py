@@ -15,6 +15,7 @@ from gexplab.bdsde import (
     LsmcEnsemble,
     RegressionBasis,
     RegressionContext,
+    StandardizedBasis,
     extract_z,
     solve_gbdsde,
     solve_gbdsde_picard,
@@ -93,8 +94,15 @@ def linear_stacks(xi, ens, gbm, drivers):
 
 # -- regression ----------------------------------------------------------------
 
+def context(x, basis):
+    """The RegressionContext of an (n,) or (n, d) sample, on the
+    StandardizedBasis of ``basis`` made from it."""
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    return RegressionContext(x, StandardizedBasis(x, basis))
+
+
 def fitted(targets, x, basis):
-    ctx = RegressionContext(x, basis)
+    ctx = context(x, basis)
     return ctx.predict_in_sample(ctx.fit(targets))
 
 
@@ -124,11 +132,11 @@ def test_regress_quadratic_coefficient_consistency():
 def test_regress_too_few_samples_rejected():
     x = np.random.default_rng(4).standard_normal(800)
     with pytest.raises(UsageError, match="samples per basis"):
-        RegressionContext(x[:20], RegressionBasis(6))
+        StandardizedBasis(x[:20, None], RegressionBasis(6))
 
 
 def test_degenerate_positions_fall_back_to_constant():
-    ctx = RegressionContext(np.zeros((200, 1)), BASIS)
+    ctx = context(np.zeros((200, 1)), BASIS)
     assert ctx.n_features == 1
     coefs = ctx.fit(np.full(200, 1.5))
     assert np.allclose(ctx.predict_in_sample(coefs), 1.5, atol=1e-12)
@@ -147,7 +155,7 @@ def test_product_design_matches_the_power_reference(d, degenerate, degree, sprea
     x = 0.3 + spread * rng.standard_normal((300, d))
     if degenerate:
         x[:, -1] = 0.7
-    ctx = RegressionContext(x, RegressionBasis(degree, 0.0))
+    ctx = context(x, RegressionBasis(degree, 0.0))
     ref = power_design(x, ctx.basis)
     assert ctx.phi.shape == ref.shape
     assert np.all(ctx.phi[:, 0] == 1.0)
@@ -163,7 +171,7 @@ def test_product_design_matches_the_power_reference(d, degenerate, degree, sprea
 # -- extract_z -------------------------------------------------------------------
 
 def slot_z(next_values, hunt, field, i, dt):
-    return extract_z(next_values, hunt.dm[:, i], RegressionContext(hunt.x[:, i], BASIS),
+    return extract_z(next_values, hunt.dm[:, i], context(hunt.x[:, i], BASIS),
                      np.linalg.inv(field.a_at(hunt.x[:, i])), dt)[0]
 
 

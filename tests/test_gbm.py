@@ -11,6 +11,8 @@ from gexplab.gbm import (
     coarsen_driver,
     integral_diagnostics,
     sample_driver,
+    slot_integrand,
+    stochastic_sums,
 )
 from gexplab.scenario import (
     ControlSchedule,
@@ -116,6 +118,44 @@ def test_backward_integral_linearity_per_path():
     lhs = backward_integral(alpha * xi1 + xi2, paths)
     rhs = alpha * backward_integral(xi1, paths) + backward_integral(xi2, paths)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 2), (1, 8, 2), (5, 8, 2), (9, 3), (5, 9, 1)],
+                         ids=["deterministic", "one-path", "per-path", "n+1-l3", "n+1-l1"])
+def test_stochastic_sums_are_the_defining_loops_bitwise(shape):
+    # Backward: I_N = 0 and I_m = I_{m+1} + xi_{m+1} . dB_m; forward: I_0 = 0
+    # and I_{m+1} = I_m + phi_m . dM_m; each product summed over the
+    # components in order.
+    rng = np.random.default_rng(sum(shape))
+    p, n, l = 5, 8, shape[-1]
+    increments = rng.standard_normal((p, n, l))
+    paths = make_paths([np.eye(l)], n_paths=p, n_steps=n)
+    for backward, first in ((True, 1), (False, 0)):
+        phi = rng.standard_normal(shape)
+        steps = np.broadcast_to(slot_integrand(phi, paths, first), (p, n, l))
+        out = np.zeros((p, n + 1))
+        order = range(n - 1, -1, -1) if backward else range(n)
+        acc = None
+        for m in order:
+            term = steps[:, m, 0] * increments[:, m, 0]
+            for k in range(1, l):
+                term = term + steps[:, m, k] * increments[:, m, k]
+            acc = term if acc is None else acc + term
+            out[:, m if backward else m + 1] = acc
+        sums = stochastic_sums(slot_integrand(phi, paths, first), increments, backward)
+        assert np.array_equal(sums, out), backward
+
+
+def test_slot_integrand_takes_the_slots_from_first():
+    paths = make_paths([[[1.0]]], n_paths=3, n_steps=4)
+    phi = np.arange(5.0)[:, None]
+    assert np.array_equal(slot_integrand(phi, paths, 1)[:, 0], [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(slot_integrand(phi, paths, 0)[:, 0], [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(slot_integrand(phi[1:], paths, 0), phi[1:])
+    with pytest.raises(UsageError, match="4 or 5 time slots"):
+        slot_integrand(np.ones((3, 1)), paths, 0)
+    with pytest.raises(UsageError, match="path count"):
+        slot_integrand(np.ones((2, 4, 1)), paths, 1)
 
 
 def test_backward_integral_column_mismatch():

@@ -14,6 +14,7 @@ from gexplab.hunt import (
     simulate_hunt,
 )
 from gexplab.hunt import _ndtr, _sqrt_spd_batch
+from oracles import bracket_curves
 
 
 def constant_field(value, dim=1):
@@ -102,6 +103,20 @@ def test_forward_integral_basics():
         forward_integral(np.ones((8, 2)), paths)
 
 
+def test_forward_integral_checks_the_per_path_count():
+    # A per-path integrand for 3 paths on an ensemble of 5 is a usage error,
+    # not a failed broadcast; one row stands for every path.
+    grid = TimeGrid(1.0, 8)
+    field = constant_field(0.5)
+    paths = simulate_hunt(field, InitialLaw("point", [0.0]), grid, 5, seed=9)
+    for integrate in (forward_integral,
+                      lambda phi, paths: forward_integral_diagnostics(phi, paths, field)):
+        with pytest.raises(UsageError, match="does not match the path count"):
+            integrate(np.ones((3, 8, 1)), paths)
+    assert np.array_equal(forward_integral(np.ones((1, 9, 1)), paths),
+                          forward_integral(np.ones((8, 1)), paths))
+
+
 def test_forward_integral_variance_sandwich():
     # phi = e1, a = c I: Var(int phi . dM) = 2 c T.
     c, t_hor = 0.7, 1.0
@@ -120,8 +135,12 @@ def test_bracket_constant_diagonal_and_offdiagonal():
     grid = TimeGrid(1.0, 64)
     paths = simulate_hunt(field, InitialLaw("point", [0.0, 0.0]), grid, 8000, seed=17)
     rep = empirical_bracket(paths, field)
+    empirical, model = bracket_curves(paths, field)
     # Diagonal: <M^11>_T = 2 * 0.5 * T = T.
-    assert abs(rep.empirical[-1, 0, 0] - 1.0) < 0.05
+    assert abs(empirical[-1, 0, 0] - 1.0) < 0.05
+    emp_d, mod_d = (np.diagonal(curve, axis1=1, axis2=2) for curve in (empirical, model))
+    assert rep.max_rel_dev_diag == pytest.approx(np.max(np.abs(emp_d - mod_d) / mod_d),
+                                                 rel=1e-9)
     assert rep.max_rel_dev_diag < 0.05
     assert rep.offdiag_ok
 
@@ -181,11 +200,7 @@ def test_paths_are_stored_slot_by_slot(field):
     assert all(paths.dm[:, i].flags.c_contiguous for i in range(grid.n_steps))
     copy = replace(paths, x=np.ascontiguousarray(paths.x), dm=np.ascontiguousarray(paths.dm))
     assert copy.x.flags.c_contiguous and copy.dm.flags.c_contiguous
-    bracket, bracket_copy = empirical_bracket(paths, field), empirical_bracket(copy, field)
-    for name in ("times", "empirical", "model", "final_se"):
-        assert np.array_equal(getattr(bracket, name), getattr(bracket_copy, name)), name
-    assert bracket.max_rel_dev_diag == bracket_copy.max_rel_dev_diag
-    assert bracket.offdiag_ok == bracket_copy.offdiag_ok
+    assert empirical_bracket(paths, field) == empirical_bracket(copy, field)
     phi = np.cos(np.arange(grid.n_steps * field.dim)).reshape(grid.n_steps, field.dim)
     assert (forward_integral_diagnostics(phi, paths, field)
             == forward_integral_diagnostics(phi, copy, field))

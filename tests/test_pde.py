@@ -592,6 +592,28 @@ def test_grid_check_keeps_no_second_field():
     assert peak(solve_gspde_picard, problem, exp.gspde_cfg, gbm) < explicit + 0.25
 
 
+def test_residual_pass_drops_each_interval_before_the_next():
+    # At the shape of one gspde-family scenario (48 paths, 32 steps, 161
+    # nodes, l = 1) an interval's terms are six (p, n) slot arrays.  Dropped
+    # at the interval's end, the pass peaks at 10.1 slots beyond its two
+    # output arrays as measured; held while the next interval's sources are
+    # made, at 14.2.
+    cfg = default_config()
+    cfg["gspde"]["n_noise_paths"] = 48
+    exp = validate_config(cfg)
+    problem, gbm = exp.gspde_problem, experiments._problem_bundles(exp)[0]
+    fld = solve_gspde(problem, gbm)
+    assert fld.values.shape == (48, 33, 161) and gbm.dim == 1
+    tracemalloc.start()
+    try:
+        slots = residual_slots(fld, problem, gbm, experiments._default_test_fn(exp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slot_bytes = gbm.n_paths * problem.space_grid.n_nodes * 8
+    assert peak - slots.weak.nbytes - slots.energy.nbytes < 12 * slot_bytes
+
+
 def test_singular_factorization_is_a_numerical_error():
     # At a half width of 1e-300 the spacing squares to 0 and the CN matrix
     # holds infinities that have no LU factors.

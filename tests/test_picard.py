@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gexplab import bdsde, experiments, pde
+from gexplab import bdsde, experiments, pde, picard
 from gexplab.bdsde import BdsdeProblem, LsmcEnsemble, solve_gbdsde_picard
 from gexplab.config import default_config, validate_config
 from gexplab.errors import NumericalError
@@ -24,6 +24,7 @@ from gexplab.picard import (
     PicardConfig,
     PicardReport,
     check_fixed_point,
+    frozen_sweep,
     weighted_quadrature,
 )
 from gexplab.scenario import ScenarioSet
@@ -110,6 +111,76 @@ def test_check_nonfinite_norm_stops_at_once():
     assert err.value.report.iterations == 1 and len(calls) == 1
 
 
+def halving_recursion(sources):
+    """The Halving map as a recursion for ``frozen_sweep``: slot N holds 1
+    and slot i < N is the drivers sources(i + 1, .) returned, halved, plus
+    1/4; slots are single-path stacks shaped (1,)."""
+    n = 6
+    new = np.ones(1)
+    for i in range(n, -1, -1):
+        if i < n:
+            new = at_next / 2.0 + 0.25
+        at_next = sources(i, new)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-2])
+def test_frozen_sweep_of_the_halving_recursion_is_the_toy_sweep(offset):
+    # With unit time steps and rate 0 the quadrature is the plain sum over
+    # slots 0 .. N-1, and the drivers at slot i are the iterate's slot; the
+    # drivers of slot 0 are never asked for.
+    toy, asked = Halving(offset), []
+
+    def drivers(i, w, s):
+        asked.append(i)
+        return w
+
+    sweep = frozen_sweep(halving_recursion, toy.u[None, :], lambda i, e: e * e, drivers, 0.0,
+                         np.arange(7.0))
+    assert check_fixed_point(sweep, 0.75, toy.times) == check_fixed_point(toy.sweep, 0.75,
+                                                                           toy.times)
+    assert asked == [6, 5, 4, 3, 2, 1] * 3
+
+
+def shipped_inputs():
+    """The shipped experiment, its first noise bundle and its backward
+    ensemble, as the runners build them."""
+    exp = validate_config(default_config())
+    gbm = experiments._problem_bundles(exp)[0]
+    sec = exp.bdsde
+    hunt = simulate_hunt(exp.field, sec.init, exp.bdsde_problem.time_grid,
+                         sec.n_diffusion_paths, child_seed(exp.seed, SEED_HUNT))
+    return exp, gbm, LsmcEnsemble(hunt, sec.basis, exp.field)
+
+
+def test_each_picard_solve_is_one_frozen_sweep(monkeypatch):
+    # Both solvers build their check from one frozen_sweep, and each of its
+    # three sweeps runs the solver's own recursion once.
+    exp, gbm, ensemble = shipped_inputs()
+    solves = ((pde, "_grid_recursion",
+               lambda: solve_gspde_picard(exp.gspde_problem, exp.gspde_cfg, gbm)),
+              (bdsde, "solve_linear_bdsde",
+               lambda: solve_gbdsde_picard(exp.bdsde_problem, ensemble, gbm, exp.bdsde_cfg)))
+    for module, name, solve in solves:
+        built, inner = [], []
+        own = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, own=own: inner.append(1) or own(*a))
+
+        def counted(recursion, *args):
+            runs = []
+            built.append(runs)
+
+            def run(sources):
+                before = len(inner)
+                recursion(sources)
+                runs.append(len(inner) - before)
+
+            return frozen_sweep(run, *args)
+
+        monkeypatch.setattr(module, "frozen_sweep", counted)
+        solve()
+        assert built == [[1, 1, 1]] and len(inner) == 4, module.__name__
+
+
 # -- weighted quadrature ------------------------------------------------------------
 
 def test_quadrature_weights_are_relative_to_the_horizon():
@@ -127,12 +198,7 @@ def test_shipped_ratios_do_not_move_with_the_weight_origin(monkeypatch):
     # The ratios of both checks on the shipped config are those of the
     # weights e^{rate s} to 1e-12; the norms scale by e^{-rate T} (its root
     # for the backward norm).
-    exp = validate_config(default_config())
-    gbm = experiments._problem_bundles(exp)[0]
-    sec = exp.bdsde
-    hunt = simulate_hunt(exp.field, sec.init, exp.bdsde_problem.time_grid,
-                         sec.n_diffusion_paths, child_seed(exp.seed, SEED_HUNT))
-    ensemble = LsmcEnsemble(hunt, sec.basis, exp.field)
+    exp, gbm, ensemble = shipped_inputs()
 
     def reports():
         return ((solve_gspde_picard(exp.gspde_problem, exp.gspde_cfg, gbm)[1],
@@ -141,8 +207,7 @@ def test_shipped_ratios_do_not_move_with_the_weight_origin(monkeypatch):
                                      exp.bdsde_cfg).picard_report, 0.5 * exp.bdsde_cfg.rate))
 
     relative = reports()
-    for module in (pde, bdsde):
-        monkeypatch.setattr(module, "weighted_quadrature", absolute_weighted_quadrature)
+    monkeypatch.setattr(picard, "weighted_quadrature", absolute_weighted_quadrature)
     for (rel, exponent), (ab, _) in zip(relative, reports()):
         shift = math.exp(exponent * exp.time_grid.horizon)
         assert rel.ratios == pytest.approx(ab.ratios, rel=1e-12)

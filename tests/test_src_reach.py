@@ -34,11 +34,7 @@ KEPT_FIELDS = {
 
 # Fields of the package's other dataclasses that no attribute read in the
 # package names, kept anyway.
-KEPT_REPORT_FIELDS = {
-    "empirical": "the bracket curve behind max_rel_dev_diag, which tests/test_hunt.py checks",
-    "model": "the model bracket curve behind max_rel_dev_diag, which tests/test_hunt.py checks",
-    "final_se": "the horizon SE behind offdiag_ok, which tests/test_hunt.py checks",
-}
+KEPT_REPORT_FIELDS = {}
 
 
 def source_trees() -> list:
