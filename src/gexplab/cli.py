@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .artifacts import merge_summaries, rows_to_json, write_artifacts, write_summary
 from .config import load_config, validate_config
@@ -64,6 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(field: str):
+    """Turn an ``OSError`` of the writes inside into a usage error naming
+    ``field``, the option that chose where they go."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
     if args.seed is not None:
@@ -83,10 +94,8 @@ def _run_command(args) -> int:
         return EXIT_OK
 
     out_dir = exp.output_dir or "gexplab-out"
-    try:
+    with _writing("output_dir"):
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("output_dir", str(exc)) from exc
     if args.command == "run-suite":
         rows, artifacts = run_suite(exp)
     else:
@@ -94,8 +103,9 @@ def _run_command(args) -> int:
 
     artifacts = dict(artifacts)
     artifacts["checks_report.json"] = {"checks": rows_to_json(rows), "seed": exp.seed}
-    write_artifacts(out_dir, artifacts, exp.config_hash)
-    write_summary(out_dir, rows, exp.config_hash, exp.seed)
+    with _writing("output_dir"):
+        write_artifacts(out_dir, artifacts, exp.config_hash)
+        write_summary(out_dir, rows, exp.config_hash, exp.seed)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.check} scenario={r.scenario_id} {r.metric}: "
@@ -109,7 +119,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report-merge":
-            count = merge_summaries(args.run_dirs, args.out)
+            # An unreadable input is a UsageError already; what is left is the write.
+            with _writing("--out"):
+                count = merge_summaries(args.run_dirs, args.out)
             print(f"merged {count} rows into {args.out}")
             return EXIT_OK
         return _run_command(args)

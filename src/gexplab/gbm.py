@@ -137,13 +137,6 @@ class GBMPaths:
         k = self.schedule.constant_index()
         return -1 if k is None else k
 
-    def levels(self) -> np.ndarray:
-        """B anchored at B(horizon) = 0, shape (n_paths, n_steps+1, dim)."""
-        p, n, l = self.db.shape
-        out = np.zeros((p, n + 1, l))
-        out[:, :n] = np.flip(np.cumsum(np.flip(self.db, axis=1), axis=1), axis=1)
-        return out
-
     def fingerprint(self) -> tuple:
         return (self.driver_seed, self.n_paths, self.grid.n_steps,
                 self.dim, tuple(self.schedule.indices.tolist()))

@@ -4,8 +4,8 @@ The process solves dX = sqrt(2) sigma(X) dW + div_row a(X) dt with
 sigma = a^{1/2}, stepped by explicit Euler-Maruyama.  The martingale
 increments dM = sqrt(2) sigma(X) dW are recorded exactly as used, so the
 bracket identity <M^i, M^j> = 2 int a^{ij}(X) ds can be checked against the
-same paths.  Simulation needs C^1 coefficients: the drift uses the analytic
-row divergence when supplied, otherwise central finite differences.
+same paths.  Simulation needs C^1 coefficients: the drift is the analytic
+row divergence that the field supplies.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from ._util import Scalars
 from .errors import NumericalError, UsageError
 from .gbm import CONFIDENCE, TimeGrid, slot_integrand, stochastic_sums
 from .scenario import PSD_EIG_FLOOR, standard_error
-
-FD_STEP = 1e-5
 
 
 def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
@@ -42,18 +40,17 @@ def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Diffusion matrix a(x) with ellipticity bounds and optional drift.
+    """Diffusion matrix a(x) with ellipticity bounds and its drift.
 
-    ``a`` maps points (n, dim) to matrices (n, dim, dim); ``drift``, when
-    given, maps points to the row divergence sum_j d_j a^{ij}.  Without it
-    the drift falls back to central differences with step ``FD_STEP``.
+    ``a`` maps points (n, dim) to matrices (n, dim, dim) and ``drift`` maps
+    points to the row divergence sum_j d_j a^{ij}.
     """
 
     dim: int
     a: Callable[[np.ndarray], np.ndarray]
     lam_min: float
     lam_max: float
-    drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    drift: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
 
     def __post_init__(self):
@@ -75,18 +72,9 @@ class CoefficientField:
 
     def drift_at(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.drift is not None:
-            out = np.asarray(self.drift(pts), dtype=float)
-            if out.shape != pts.shape:
-                raise UsageError(f"drift returned shape {out.shape}, expected {pts.shape}")
-            return out
-        h = FD_STEP
-        out = np.zeros_like(pts)
-        for j in range(self.dim):
-            shift = np.zeros(self.dim)
-            shift[j] = h
-            diff = (self.a_at(pts + shift) - self.a_at(pts - shift)) / (2.0 * h)
-            out += diff[:, :, j]
+        out = np.asarray(self.drift(pts), dtype=float)
+        if out.shape != pts.shape:
+            raise UsageError(f"drift returned shape {out.shape}, expected {pts.shape}")
         return out
 
 

@@ -45,7 +45,6 @@ from .hunt import CoefficientField
 from .picard import PicardConfig, PicardReport, check_fixed_point, frozen_sweep
 from .scenario import ScenarioSet, sigma_bar
 
-DEFAULT_DT_MAX = 1.0 / 32.0
 PERTURBATION_MODES = 4
 
 
@@ -261,26 +260,6 @@ class DivergenceFormOperator:
 
 def discretize_operator(field_spec: CoefficientField, grid: SpatialGrid) -> DivergenceFormOperator:
     return DivergenceFormOperator(field_spec, grid)
-
-
-def apply_semigroup(op: DivergenceFormOperator, values: np.ndarray, tau: float,
-                    dt_max: float = DEFAULT_DT_MAX) -> np.ndarray:
-    """Apply the discrete semigroup over a duration tau.
-
-    Crank-Nicolson sub-steps of equal size <= dt_max; tau = 0 returns the
-    input unchanged.
-    """
-    if tau < 0.0:
-        raise UsageError("semigroup duration must be nonnegative")
-    vals = np.asarray(values, dtype=float)
-    if tau == 0.0:
-        return vals.copy()
-    n_sub = max(1, int(math.ceil(tau / dt_max - 1e-12)))
-    h = tau / n_sub
-    out = vals
-    for _ in range(n_sub):
-        out = op.cn_step(out, h)
-    return out
 
 
 # -- problem data ----------------------------------------------------------
@@ -510,8 +489,6 @@ class PhiFunction:
 
 PHI_SQUARE = PhiFunction(lambda y: y * y, lambda y: 2.0 * y,
                          lambda y: np.full_like(y, 2.0), "square")
-PHI_IDENTITY = PhiFunction(lambda y: y, lambda y: np.ones_like(y),
-                           lambda y: np.zeros_like(y), "identity")
 
 
 class ResidualSlots(NamedTuple):

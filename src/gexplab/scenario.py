@@ -1,10 +1,10 @@
 """Finite scenario families for sublinear expectations.
 
 The uncertainty set is a finite list of l-by-l volatility loadings
-``beta_k``.  Every sublinear quantity — the generating function ``G``, upper
-expectations, capacities — is a maximum over the scenarios, so refining the
-family is a configuration change, not a code change.  All operations are
-pure functions of immutable inputs.
+``beta_k``.  Every sublinear quantity — the bound ``sigma_bar``, upper
+expectations — is a maximum over the scenarios, so refining the family is a
+configuration change, not a code change.  All operations are pure functions
+of immutable inputs.
 """
 
 from __future__ import annotations
@@ -56,22 +56,6 @@ class ScenarioSet:
     def covariances(self) -> np.ndarray:
         """Per-scenario beta beta^T, shape (k, l, l)."""
         return np.einsum("kab,kcb->kac", self.matrices, self.matrices)
-
-
-def g_function(a_matrix: np.ndarray, scenarios: ScenarioSet) -> float:
-    """Generating function G(A) = max_k (1/2) tr(beta_k beta_k^T A).
-
-    ``a_matrix`` must be symmetric and match the driver dimension.
-    """
-    a = np.asarray(a_matrix, dtype=float)
-    l = scenarios.dim
-    if a.shape != (l, l):
-        raise UsageError(f"matrix shape {a.shape} does not match driver dimension {l}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if not np.allclose(a, a.T, atol=1e-10 * scale):
-        raise UsageError("G is defined on symmetric matrices only")
-    traces = np.einsum("kab,ba->k", scenarios.covariances(), a)
-    return float(0.5 * np.max(traces))
 
 
 def sigma_bar(scenarios: ScenarioSet) -> float:
@@ -176,11 +160,3 @@ def upper_expectation(per_scenario_samples) -> UpperExpectation:
     k = int(np.argmax(means))
     return UpperExpectation(float(means[k]), k, means, ses)
 
-
-def capacity_estimate(per_scenario_indicator_samples) -> UpperExpectation:
-    """Capacity estimate: max over scenarios of the empirical frequency."""
-    for k, raw in enumerate(per_scenario_indicator_samples):
-        x = np.asarray(raw, dtype=float).ravel()
-        if x.size and not np.all((x == 0.0) | (x == 1.0)):
-            raise UsageError(f"scenario {k}: indicator samples must be 0/1")
-    return upper_expectation(per_scenario_indicator_samples)

@@ -1,6 +1,5 @@
 """Cross-module verification: the pathwise representation of the grid
-solution, ordering of solutions under ordered data, and the transport
-identity for purely noise-driven fields.
+solution and the ordering of solutions under ordered data.
 
 Every check runs per scenario and reports the worst case; every check takes
 the shared path bundles explicitly and refuses mismatched randomness, so a
@@ -18,15 +17,7 @@ from .bdsde import BdsdeSolution
 from .errors import NumericalError, UsageError
 from .gbm import GBMPaths, TimeGrid, coarsen_gbm
 from .hunt import CoefficientField, HuntPaths
-from .pde import (
-    GspdeProblem,
-    NoiseTerm,
-    RandomField,
-    SpatialGrid,
-    ZERO_REACTION,
-    solve_gspde,
-)
-from .scenario import ScenarioSet
+from .pde import GspdeProblem, RandomField, SpatialGrid, solve_gspde
 
 REL_RMS_FLOOR = 1e-12
 # The y and v values at which the comparison check samples the reaction gap.
@@ -233,66 +224,4 @@ def check_comparison(problem_a: GspdeProblem, problems_b: Sequence[GspdeProblem]
             c_constant=eps_grid / scale,
             per_scenario=tuple((sid, gap) for sid, gap, _ in rows)))
     return reports
-
-
-# -- linear transport ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransportReport:
-    checkpoints: tuple       # (t, rel_rms) pairs, worst over scenarios
-
-    @property
-    def worst_rel_rms(self) -> float:
-        return max(v for _, v in self.checkpoints)
-
-
-def check_linear_transport(noise: NoiseTerm, field_spec: CoefficientField,
-                           time_grid: TimeGrid, space_grid: SpatialGrid,
-                           hunt: HuntPaths, gbms: Sequence[GBMPaths], scenarios: ScenarioSet,
-                           checkpoints: Sequence[float] = (0.0,)) -> TransportReport:
-    """Both sides of the pathwise identity for u = sum P g . dB: the field
-    evaluated along the diffusion equals the backward noise sum minus the
-    forward gradient integral.  The noise term must be deterministic in
-    (y, z)."""
-    if noise.lip_y_sq != 0.0 or noise.lip_z_sq != 0.0:
-        raise UsageError("transport check needs a (y, z)-independent noise term")
-    if hunt.grid != time_grid:
-        raise UsageError("diffusion ensemble and time grid do not match")
-    sg = space_grid
-    zero_terminal = np.zeros(sg.n_nodes)
-    indices = checkpoint_indices(checkpoints, time_grid)
-    n = time_grid.n_steps
-    times = time_grid.times
-    n_w = hunt.n_paths
-    zero_y = np.zeros(n_w)
-    zero_z = np.zeros((n_w, hunt.dim))
-    # Noise samples along the diffusion, g(t_{i+1}, X_{t_i}), shape (n, n_w, l).
-    g_on_paths = np.stack([
-        np.asarray(noise(times[i + 1], hunt.x[:, i, :], zero_y, zero_z))
-        for i in range(n)
-    ])
-    problem = GspdeProblem(zero_terminal, ZERO_REACTION, noise, field_spec,
-                           scenarios, time_grid, sg)
-    worst = {idx: 0.0 for idx in indices}
-    for gbm in gbms:
-        u_field = solve_gspde(problem, gbm)
-        grads = sg.gradient(u_field.values)[:, :, :, 0]        # (b, n+1, nodes)
-        res_sq = dict.fromkeys(indices, 0.0)
-        ref_sq = dict.fromkeys(indices, 0.0)
-        for b in range(gbm.n_paths):
-            # Per slot i: g . dB_i minus grad u(t_i, X_{t_i}) dM_i.  The
-            # reversed cumulative sum gives both sums from every t_idx on.
-            slots = np.einsum("iwl,il->iw", g_on_paths, gbm.db[b]) - np.stack(
-                [_interp_paths(grads[b, i], sg, hunt.x[:, i, 0]) for i in range(n)]
-            ) * hunt.dm[:, :, 0].T
-            tails = np.zeros((n + 1, n_w))
-            tails[:n] = np.cumsum(slots[::-1], axis=0)[::-1]
-            for idx in indices:
-                lhs = _interp_paths(u_field.values[b, idx], sg, hunt.x[:, idx, 0])
-                res_sq[idx] += float(np.mean((lhs - tails[idx])**2))
-                ref_sq[idx] += float(np.mean(lhs**2))
-        for idx in indices:
-            worst[idx] = max(worst[idx],
-                             float(np.sqrt(res_sq[idx] / max(ref_sq[idx], REL_RMS_FLOOR))))
-    return TransportReport(tuple((float(times[i]), worst[i]) for i in indices))
 

@@ -1,15 +1,19 @@
 """Reference computations the tests compare the package against; no
 command of the package runs them."""
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from gexplab._util import read
+from gexplab.errors import UsageError
 from gexplab.gbm import coarsen_gbm
-from gexplab.pde import _slot_sources, solve_gspde
+from gexplab.pde import ZERO_REACTION, GspdeProblem, PhiFunction, _slot_sources, solve_gspde
 from gexplab.picard import weighted_quadrature
 from gexplab.presets import FieldPreset, NoisePreset
+from gexplab.scenario import upper_expectation
+from gexplab.verify import REL_RMS_FLOOR, _interp_paths, checkpoint_indices
 
 
 def preset(family, spec, *dims):
@@ -222,3 +226,126 @@ def stacked_case_gaps(problem_a, problems_b, fa, gbm, mask):
             probe = float(np.max(np.abs(gap[:, ::2] - (fbc.values - fac.values)[:, :, mask])))
         out.append((float(np.min(gap)), probe))
     return out
+
+
+FD_STEP = 1e-5
+
+
+def fd_drift(a, dim):
+    """The row divergence sum_j d_j a^{ij} of the coefficient callable ``a``
+    by central differences of step ``FD_STEP``, as a field's ``drift``."""
+    def drift(pts):
+        out = np.zeros_like(pts)
+        for j in range(dim):
+            shift = np.zeros(dim)
+            shift[j] = FD_STEP
+            diff = (np.asarray(a(pts + shift), dtype=float)
+                    - np.asarray(a(pts - shift), dtype=float)) / (2.0 * FD_STEP)
+            out += diff[:, :, j]
+        return out
+
+    return drift
+
+
+DEFAULT_DT_MAX = 1.0 / 32.0
+
+
+def apply_semigroup(op, values, tau, dt_max=DEFAULT_DT_MAX):
+    """The discrete semigroup over a duration tau: Crank-Nicolson sub-steps
+    of equal size <= dt_max; tau = 0 returns the input unchanged."""
+    if tau < 0.0:
+        raise UsageError("semigroup duration must be nonnegative")
+    vals = np.asarray(values, dtype=float)
+    if tau == 0.0:
+        return vals.copy()
+    n_sub = max(1, int(math.ceil(tau / dt_max - 1e-12)))
+    h = tau / n_sub
+    out = vals
+    for _ in range(n_sub):
+        out = op.cn_step(out, h)
+    return out
+
+
+# The composition under which the energy identity reduces to the weak form.
+PHI_IDENTITY = PhiFunction(lambda y: y, lambda y: np.ones_like(y),
+                           lambda y: np.zeros_like(y), "identity")
+
+
+def g_function(a_matrix, scenarios):
+    """Generating function G(A) = max_k (1/2) tr(beta_k beta_k^T A) of a
+    symmetric A of the driver dimension."""
+    a = np.asarray(a_matrix, dtype=float)
+    l = scenarios.dim
+    if a.shape != (l, l):
+        raise UsageError(f"matrix shape {a.shape} does not match driver dimension {l}")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if not np.allclose(a, a.T, atol=1e-10 * scale):
+        raise UsageError("G is defined on symmetric matrices only")
+    traces = np.einsum("kab,ba->k", scenarios.covariances(), a)
+    return float(0.5 * np.max(traces))
+
+
+def capacity_estimate(per_scenario_indicator_samples):
+    """Capacity estimate: max over scenarios of the empirical frequency."""
+    for k, raw in enumerate(per_scenario_indicator_samples):
+        x = np.asarray(raw, dtype=float).ravel()
+        if x.size and not np.all((x == 0.0) | (x == 1.0)):
+            raise UsageError(f"scenario {k}: indicator samples must be 0/1")
+    return upper_expectation(per_scenario_indicator_samples)
+
+
+@dataclass(frozen=True)
+class TransportReport:
+    checkpoints: tuple       # (t, rel_rms) pairs, worst over scenarios
+
+    @property
+    def worst_rel_rms(self) -> float:
+        return max(v for _, v in self.checkpoints)
+
+
+def check_linear_transport(noise, field_spec, time_grid, space_grid, hunt, gbms, scenarios,
+                           checkpoints=(0.0,)):
+    """Both sides of the pathwise identity for u = sum P g . dB: the field
+    evaluated along the diffusion equals the backward noise sum minus the
+    forward gradient integral.  The noise term must be deterministic in
+    (y, z)."""
+    if noise.lip_y_sq != 0.0 or noise.lip_z_sq != 0.0:
+        raise UsageError("transport check needs a (y, z)-independent noise term")
+    if hunt.grid != time_grid:
+        raise UsageError("diffusion ensemble and time grid do not match")
+    sg = space_grid
+    indices = checkpoint_indices(checkpoints, time_grid)
+    n = time_grid.n_steps
+    times = time_grid.times
+    n_w = hunt.n_paths
+    zero_y = np.zeros(n_w)
+    zero_z = np.zeros((n_w, hunt.dim))
+    # Noise samples along the diffusion, g(t_{i+1}, X_{t_i}), shape (n, n_w, l).
+    g_on_paths = np.stack([
+        np.asarray(noise(times[i + 1], hunt.x[:, i, :], zero_y, zero_z))
+        for i in range(n)
+    ])
+    problem = GspdeProblem(np.zeros(sg.n_nodes), ZERO_REACTION, noise, field_spec,
+                           scenarios, time_grid, sg)
+    worst = {idx: 0.0 for idx in indices}
+    for gbm in gbms:
+        u_field = solve_gspde(problem, gbm)
+        grads = sg.gradient(u_field.values)[:, :, :, 0]        # (b, n+1, nodes)
+        res_sq = dict.fromkeys(indices, 0.0)
+        ref_sq = dict.fromkeys(indices, 0.0)
+        for b in range(gbm.n_paths):
+            # Per slot i: g . dB_i minus grad u(t_i, X_{t_i}) dM_i.  The
+            # reversed cumulative sum gives both sums from every t_idx on.
+            slots = np.einsum("iwl,il->iw", g_on_paths, gbm.db[b]) - np.stack(
+                [_interp_paths(grads[b, i], sg, hunt.x[:, i, 0]) for i in range(n)]
+            ) * hunt.dm[:, :, 0].T
+            tails = np.zeros((n + 1, n_w))
+            tails[:n] = np.cumsum(slots[::-1], axis=0)[::-1]
+            for idx in indices:
+                lhs = _interp_paths(u_field.values[b, idx], sg, hunt.x[:, idx, 0])
+                res_sq[idx] += float(np.mean((lhs - tails[idx])**2))
+                ref_sq[idx] += float(np.mean(lhs**2))
+        for idx in indices:
+            worst[idx] = max(worst[idx],
+                             float(np.sqrt(res_sq[idx] / max(ref_sq[idx], REL_RMS_FLOOR))))
+    return TransportReport(tuple((float(times[i]), worst[i]) for i in indices))

@@ -23,13 +23,12 @@ from gexplab.bdsde import (
 )
 from gexplab.config import default_config, validate_config
 from gexplab.errors import NumericalError, UsageError
-from gexplab.gbm import TimeGrid, build_gbm, sample_driver
+from gexplab.gbm import TimeGrid, backward_integral, build_gbm, sample_driver
 from gexplab.hunt import CoefficientField, InitialLaw, simulate_hunt
 from gexplab.pde import (
     NoiseTerm,
     ReactionTerm,
     SpatialGrid,
-    apply_semigroup,
     derive_contraction_inputs,
     discretize_operator,
 )
@@ -37,7 +36,9 @@ from gexplab.picard import RESIDUAL_TOL, PicardConfig, check_fixed_point, weight
 from gexplab.presets import FieldPreset
 from gexplab.scenario import ScenarioSet, constant_schedule
 from oracles import (
+    apply_semigroup,
     delta_density,
+    fd_drift,
     power_design,
     preset,
     solution_stacks,
@@ -234,10 +235,10 @@ def test_linear_unit_noise_telescopes_to_b_level():
     g_vals = np.ones((n + 1, n_w, 1))
     y, _ = linear_stacks(np.zeros(n_w), LsmcEnsemble(hunt, BASIS, field), gbm,
                          slot_lookup(hunt, gbm, g=g_vals))
-    levels = gbm.levels()  # B anchored at horizon
+    levels = backward_integral(np.ones((n + 1, 1)), gbm)  # B anchored at horizon
     for b in range(gbm.n_paths):
         for i in range(n + 1):
-            assert np.allclose(y[b, i], levels[b, i, 0], atol=1e-10)
+            assert np.allclose(y[b, i], levels[b, i], atol=1e-10)
 
 
 def test_linear_martingale_property_in_sample():
@@ -338,7 +339,7 @@ def tilted_field():
         out[:, 0, 1] = out[:, 1, 0] = 0.2 * np.cos(pts[:, 0] + pts[:, 1])
         return out
 
-    return CoefficientField(2, a, 0.3, 1.5, name="tilted")
+    return CoefficientField(2, a, 0.3, 1.5, fd_drift(a, 2), name="tilted")
 
 
 @settings(max_examples=40, deadline=None)

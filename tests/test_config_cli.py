@@ -442,6 +442,24 @@ def test_report_merge(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_report_merge_onto_a_directory_exits_2_naming_out(tmp_path, capsys):
+    run = str(tmp_path / "run")
+    main(["simulate-gbm", "--config", write_config(tmp_path, tiny_config()), "--out", run])
+    capsys.readouterr()
+    assert main(["report-merge", run, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+
+
+def test_artifact_write_failure_exits_2_naming_output_dir(tmp_path, capsys):
+    # The directory exists, but its summary path is taken by a directory.
+    out = tmp_path / "run"
+    (out / "suite_summary.csv").mkdir(parents=True)
+    code = main(["solve-gspde", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: output_dir: ")
+
+
 def test_cli_threads_flag_is_rejected(tmp_path, capsys):
     # The flag changed nothing and is gone; the config's threads key stays.
     out = str(tmp_path / "t")

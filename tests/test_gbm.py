@@ -74,7 +74,7 @@ def test_constructional_identity_mixed_schedule():
 def test_gbm_variance_scaling():
     # Var(B_0 - B_T) = 4 T for the single scenario beta = [2].
     paths = make_paths([[[2.0]]], n_paths=10_000, n_steps=1, horizon=0.7, seed=3)
-    var = float(np.var(paths.levels()[:, 0, 0], ddof=1))
+    var = float(np.var(backward_integral(np.ones((2, 1)), paths)[:, 0], ddof=1))
     assert abs(var - 4.0 * 0.7) < 0.05 * 4.0 * 0.7
 
 
@@ -91,10 +91,26 @@ def test_backward_integral_zero_and_constant():
     zero = backward_integral(np.zeros((n + 1, 1)), paths)
     assert np.all(zero == 0.0)
     const = backward_integral(np.full((n + 1, 1), 2.5), paths)
-    levels = paths.levels()
+    levels = backward_integral(np.ones((n + 1, 1)), paths)
     # Telescoping: I_t = c (B_t - B_T).
-    assert np.allclose(const, 2.5 * levels[:, :, 0], atol=1e-12)
+    assert np.allclose(const, 2.5 * levels, atol=1e-12)
     assert np.all(const[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("matrices", [[[[2.0]], [[0.5]]],
+                                      [[[1.0, 0.3], [-0.2, 0.8]], [[0.5, 0.0], [0.4, 1.2]]]])
+def test_unit_integrand_integral_is_the_level_from_the_horizon_bitwise(matrices):
+    # Of the unit integrand e_k, the backward integral is B^k anchored at
+    # B(horizon) = 0: the tail sums of dB^k, taken from the horizon.
+    for k in range(len(matrices)):
+        paths = make_paths(matrices, n_paths=50, n_steps=64, k=k)
+        n, l = paths.grid.n_steps, paths.dim
+        for c in range(l):
+            unit = np.zeros((n + 1, l))
+            unit[:, c] = 1.0
+            level = np.zeros((paths.n_paths, n + 1))
+            level[:, :n] = np.flip(np.cumsum(np.flip(paths.db[:, :, c], axis=1), axis=1), axis=1)
+            assert np.array_equal(backward_integral(unit, paths), level)
 
 
 def test_backward_integral_two_step_defining_sum():

@@ -14,7 +14,7 @@ from gexplab.hunt import (
     simulate_hunt,
 )
 from gexplab.hunt import _ndtr, _sqrt_spd_batch
-from oracles import bracket_curves
+from oracles import bracket_curves, fd_drift
 
 
 def constant_field(value, dim=1):
@@ -71,9 +71,8 @@ def test_constant_half_variance():
 
 def test_finite_difference_drift_matches_analytic():
     field = sin_field()
-    fd = CoefficientField(1, field.a, field.lam_min, field.lam_max, drift=None)
     pts = np.linspace(-2.0, 2.0, 41)[:, None]
-    assert np.allclose(fd.drift_at(pts), field.drift_at(pts), atol=1e-8)
+    assert np.allclose(fd_drift(field.a, 1)(pts), field.drift_at(pts), atol=1e-8)
 
 
 def test_dm_constructional_identity():

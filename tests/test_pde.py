@@ -11,7 +11,6 @@ from gexplab.errors import ConfigError, NumericalError, UsageError
 from gexplab.gbm import TimeGrid, build_gbm, coarsen_driver, sample_driver
 from gexplab.hunt import CoefficientField
 from gexplab.pde import (
-    PHI_IDENTITY,
     PHI_SQUARE,
     GspdeProblem,
     PicardConfig,
@@ -20,7 +19,6 @@ from gexplab.pde import (
     SpaceTimeTestFunction,
     SpatialGrid,
     ZERO_REACTION,
-    apply_semigroup,
     discretize_operator,
     energy_identity_residual,
     solve_gspde_picard,
@@ -32,7 +30,15 @@ from gexplab.pde import (
 from gexplab.pde import _hnorm_density
 from gexplab.picard import check_fixed_point, weighted_quadrature
 from gexplab.scenario import ScenarioSet, constant_schedule
-from oracles import densify, homogeneous_term, stacked_residuals, whole_stack_hnorm
+from oracles import (
+    PHI_IDENTITY,
+    apply_semigroup,
+    densify,
+    fd_drift,
+    homogeneous_term,
+    stacked_residuals,
+    whole_stack_hnorm,
+)
 
 
 def const_field(value, dim=1):
@@ -103,7 +109,7 @@ def test_operator_symmetry_and_nsd():
         def a(pts):
             return (1.0 + 0.5 * np.sin(pts[:, 0]))[:, None, None]
 
-        op = discretize_operator(CoefficientField(1, a, 0.5, 1.5), sg)
+        op = discretize_operator(CoefficientField(1, a, 0.5, 1.5, fd_drift(a, 1)), sg)
         for _ in range(5):
             u = rng.standard_normal(sg.n_nodes)
             v = rng.standard_normal(sg.n_nodes)
@@ -117,7 +123,7 @@ def test_operator_energy_matches_face_sum():
     def a(pts):
         return (1.0 + 0.25 * np.cos(pts[:, 0]))[:, None, None]
 
-    field = CoefficientField(1, a, 0.75, 1.25)
+    field = CoefficientField(1, a, 0.75, 1.25, fd_drift(a, 1))
     op = discretize_operator(field, sg)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(sg.n_nodes)
@@ -142,7 +148,7 @@ def test_operator_2d_diagonal_and_symmetry():
         out[:, 1, 1] = 0.8
         return out
 
-    op = discretize_operator(CoefficientField(2, a, 0.5, 1.3), sg)
+    op = discretize_operator(CoefficientField(2, a, 0.5, 1.3, fd_drift(a, 2)), sg)
     rng = np.random.default_rng(11)
     u = rng.standard_normal(sg.n_nodes)
     v = rng.standard_normal(sg.n_nodes)
@@ -158,7 +164,7 @@ def test_operator_2d_rejects_offdiagonal():
                                (pts.shape[0], 2, 2)).copy()
 
     with pytest.raises(UsageError):
-        discretize_operator(CoefficientField(2, a, 0.8, 1.2), sg)
+        discretize_operator(CoefficientField(2, a, 0.8, 1.2, fd_drift(a, 2)), sg)
 
 
 def face_loop_assembly(op):
@@ -209,7 +215,7 @@ def test_operator_assembly_matches_face_loop_bitwise(dim, boundary):
         return out
 
     sg = SpatialGrid(dim, 3.0, 13, boundary)
-    op = discretize_operator(CoefficientField(dim, a, 0.5, 1.3), sg)
+    op = discretize_operator(CoefficientField(dim, a, 0.5, 1.3, fd_drift(a, dim)), sg)
     assert np.array_equal(densify(op.matrix), face_loop_assembly(op))
 
 
@@ -240,7 +246,7 @@ def test_semigroup_mass_conservation_periodic():
     def a(pts):
         return (0.7 + 0.2 * np.sin(pts[:, 0]))[:, None, None]
 
-    op = discretize_operator(CoefficientField(1, a, 0.5, 0.9), sg)
+    op = discretize_operator(CoefficientField(1, a, 0.5, 0.9, fd_drift(a, 1)), sg)
     v = bump(sg.points())
     out = apply_semigroup(op, v, 0.75)
     assert np.sum(out) * sg.dx == pytest.approx(np.sum(v) * sg.dx, rel=1e-12)
@@ -451,7 +457,7 @@ def test_solver_two_dimensional_smoke():
         out[:, 1, 1] = 0.8
         return out
 
-    field = CoefficientField(2, a, 0.7, 1.3)
+    field = CoefficientField(2, a, 0.7, 1.3, fd_drift(a, 2))
     psi = np.exp(-0.5 * np.sum(sg.points() ** 2, axis=1))
     reaction = ReactionTerm(lambda t, p, y, z: 0.2 * np.tanh(y), 0.04, 0.0)
 
@@ -527,7 +533,8 @@ def mixed_grid_problem(dim, l, boundary, m, n_steps, k=0.2, alpha=0.3):
                                  [[[1.0, 0.0], [0.0, 1.0]], [[0.8, 0.1], [0.0, 0.6]]])
     sg = SpatialGrid(dim, 3.0, m, boundary)
     return GspdeProblem(bump(sg.points()), ReactionTerm(f, 0.18, 0.08 * dim),
-                        NoiseTerm(g, l, k, alpha), CoefficientField(dim, a, 0.7, 1.3), scen,
+                        NoiseTerm(g, l, k, alpha),
+                        CoefficientField(dim, a, 0.7, 1.3, fd_drift(a, dim)), scen,
                         TimeGrid(0.5, n_steps), sg)
 
 

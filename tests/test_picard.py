@@ -229,7 +229,8 @@ def test_a_rate_whose_exponential_overflows_at_the_horizon_integrates():
 # -- config ---------------------------------------------------------------------
 
 def _field(lam_min, lam_max):
-    return CoefficientField(1, lambda pts: np.ones((pts.shape[0], 1, 1)), lam_min, lam_max)
+    return CoefficientField(1, lambda pts: np.ones((pts.shape[0], 1, 1)), lam_min, lam_max,
+                            lambda p: np.zeros_like(p))
 
 
 SCENARIOS = ScenarioSet.from_list([[[0.8]], [[0.5]]])  # sigma_bar = 0.8

@@ -3,7 +3,6 @@ import pytest
 
 from gexplab.errors import ConfigError
 from gexplab.gbm import TimeGrid
-from gexplab.hunt import CoefficientField
 from gexplab.pde import (
     ZERO_REACTION,
     GspdeProblem,
@@ -19,7 +18,7 @@ from gexplab.presets import (
     integrand_values,
 )
 from gexplab.scenario import ScenarioSet
-from oracles import preset
+from oracles import fd_drift, preset
 
 
 def test_constant_and_sinusoidal_fields():
@@ -31,8 +30,7 @@ def test_constant_and_sinusoidal_fields():
     sin_field = preset(FieldPreset, {"preset": "sinusoidal-1d", "base": 0.75,
                              "amplitude": 0.25, "frequency": 2.0}, 1)
     x = np.linspace(-3, 3, 25)[:, None]
-    fd = CoefficientField(1, sin_field.a, sin_field.lam_min, sin_field.lam_max)
-    assert np.allclose(sin_field.drift_at(x), fd.drift_at(x), atol=1e-7)
+    assert np.allclose(sin_field.drift_at(x), fd_drift(sin_field.a, 1)(x), atol=1e-7)
     vals = sin_field.a_at(x)[:, 0, 0]
     assert sin_field.lam_min - 1e-12 <= vals.min() and vals.max() <= sin_field.lam_max + 1e-12
 
@@ -44,8 +42,7 @@ def test_diagonal_2d_field():
     pts = rng.uniform(-3, 3, size=(40, 2))
     mats = field.a_at(pts)
     assert np.allclose(mats[:, 0, 1], 0.0)
-    fd = CoefficientField(2, field.a, field.lam_min, field.lam_max)
-    assert np.allclose(field.drift_at(pts), fd.drift_at(pts), atol=1e-7)
+    assert np.allclose(field.drift_at(pts), fd_drift(field.a, 2)(pts), atol=1e-7)
     with pytest.raises(ConfigError):
         preset(FieldPreset, {"preset": "diagonal-2d", "base": [1.0, 0.8],
                      "amplitude": [0.2, 0.1]}, 1)

@@ -5,14 +5,13 @@ from gexplab.errors import UsageError
 from gexplab.scenario import (
     ControlSchedule,
     ScenarioSet,
-    capacity_estimate,
     constant_schedule,
     enumerate_schedules,
-    g_function,
     sigma_bar,
     standard_error,
     upper_expectation,
 )
+from oracles import capacity_estimate, g_function
 
 
 def test_g_zero_matrix_is_zero():

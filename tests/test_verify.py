@@ -18,7 +18,6 @@ from gexplab.pde import (
     ReactionTerm,
     SpatialGrid,
     ZERO_REACTION,
-    apply_semigroup,
     derive_contraction_inputs,
     discretize_operator,
     solve_gspde,
@@ -29,11 +28,10 @@ from gexplab.presets import shifted_reaction
 from gexplab.scenario import ScenarioSet, constant_schedule
 from gexplab.verify import (
     check_comparison,
-    check_linear_transport,
     check_representation,
     representation_errors,
 )
-from oracles import stacked_case_gaps
+from oracles import check_linear_transport, stacked_case_gaps
 
 
 def const_field(value):
