@@ -9,23 +9,69 @@ import csv
 import json
 import os
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
+# Rows of a CSV table formatted and written at a time: the cells of one chunk,
+# not of the whole table, are alive at once.
+CHUNK_ROWS = 1024
 
 
-def write_csv(path: str, header: list, rows, config_hash: str) -> None:
+def _table_length(name: str, header: list, columns) -> int:
+    """The row count of the column table ``columns`` under ``header``; a
+    UsageError naming the artifact ``name`` unless the columns are 1-D int
+    or float arrays, one per header name, all of one length."""
+    if len(columns) != len(header):
+        raise UsageError(f"artifact {name}: {len(columns)} columns for "
+                         f"{len(header)} header names")
+    for label, col in zip(header, columns):
+        if getattr(col, "ndim", None) != 1 or col.dtype.kind not in "iuf":
+            raise UsageError(f"artifact {name}: column {label} is not a 1-D int or "
+                             f"float array")
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) > 1:
+        raise UsageError(f"artifact {name}: columns differ in length {lengths}")
+    return lengths[0] if lengths else 0
+
+
+def _column_cells(col):
+    """``cells(start, stop)``, the CSV cells of rows start .. stop of the 1-D
+    column ``col``: ``repr`` of each float, ``str`` of each int.  A column of
+    at most half as many distinct values as rows, and at most ``CHUNK_ROWS``
+    of them, formats each distinct value once; values are told apart by bit
+    pattern, so -0.0 and 0.0 stay two values, as do NaNs of two payloads."""
+    if col.dtype.kind == "f":
+        col = col.astype("f8", copy=False)
+        fmt, keys = repr, col.view("u8")
+    else:
+        fmt, keys = str, col
+    ordered = keys.copy()
+    ordered.sort()
+    fresh = ordered[1:] != ordered[:-1]  # where a distinct key after the least starts
+    n_distinct = int(fresh.sum()) + 1
+    if 2 * n_distinct > len(col) or n_distinct > CHUNK_ROWS:
+        return lambda start, stop: list(map(fmt, col[start:stop].tolist()))
+    rest = ordered[1:][fresh]
+    distinct = ordered[:1].view(col.dtype).tolist() + rest.view(col.dtype).tolist()
+    cells = list(map(fmt, distinct))
+    # A key's position in ``cells`` is the count of ``rest`` keys at or below it.
+    return lambda start, stop: list(map(cells.__getitem__,
+                                        rest.searchsorted(keys[start:stop], "right").tolist()))
+
+
+def write_csv(path: str, header: list, columns, config_hash: str) -> None:
+    """The table of ``columns`` under ``header``, with a ``config_hash``
+    column, as ``csv.writer`` writes it: comma-separated, CRLF line ends, no
+    quoting (neither a numeric cell nor the hex hash needs it), written
+    ``CHUNK_ROWS`` rows at a time."""
+    n_rows = _table_length(os.path.basename(path), header, columns)
+    cells = [_column_cells(col) for col in columns]
+    end = f",{config_hash}\r\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(header) + ["config_hash"])
-        for row in rows:
-            writer.writerow([_cell(v) for v in row] + [config_hash])
+        csv.writer(handle).writerow(list(header) + ["config_hash"])
+        for start in range(0, n_rows, CHUNK_ROWS):
+            rows = zip(*(c(start, start + CHUNK_ROWS) for c in cells))
+            handle.write(end.join(map(",".join, rows)) + end)
 
 
 def write_json(path: str, payload: dict, config_hash: str) -> None:
@@ -45,8 +91,8 @@ def write_artifacts(out_dir: str, artifacts: dict, config_hash: str) -> list:
         if name.endswith(".json"):
             write_json(path, payload, config_hash)
         elif name.endswith(".csv"):
-            header, rows = payload
-            write_csv(path, header, rows, config_hash)
+            header, columns = payload
+            write_csv(path, header, columns, config_hash)
         else:
             raise UsageError(f"unknown artifact kind for {name}")
         written.append(path)
@@ -64,8 +110,9 @@ def write_summary(out_dir: str, rows, config_hash: str, seed: int) -> str:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_HEADER)
         for r in rows:
-            writer.writerow([r.check, r.scenario_id, r.metric, _cell(r.value),
-                             _cell(r.tolerance), _cell(r.passed), config_hash, seed])
+            writer.writerow([r.check, r.scenario_id, r.metric, repr(float(r.value)),
+                             repr(float(r.tolerance)), "true" if r.passed else "false",
+                             config_hash, seed])
     return path
 
 
@@ -77,17 +124,29 @@ def rows_to_json(rows) -> list:
     ]
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a file that does not exist is no input's
+        return False
+
+
 def merge_summaries(run_dirs: list, out_path: str) -> int:
     """Concatenate suite summaries; inputs are never modified.
 
     Returns the number of merged rows.  A directory without a readable,
-    well-formed summary raises a named error.
+    well-formed summary raises a named error, and so does an ``out_path``
+    that is one of the input summaries.
     """
     if not run_dirs:
         raise UsageError("need at least one run directory")
+    paths = [os.path.join(run_dir, "suite_summary.csv") for run_dir in run_dirs]
+    for path in paths:
+        if _same_file(path, out_path):
+            raise ConfigError("--out", f"{out_path} is the input {path}, which the merge "
+                                       f"would overwrite")
     merged = []
-    for run_dir in run_dirs:
-        path = os.path.join(run_dir, "suite_summary.csv")
+    for path in paths:
         try:
             with open(path, "r", encoding="utf-8", newline="") as handle:
                 reader = csv.reader(handle)

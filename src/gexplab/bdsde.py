@@ -237,49 +237,44 @@ class LsmcEnsemble:
             self._norm_grams[i] = out
         return self._norm_grams[i]
 
+    def z_values(self, i: int, moments: np.ndarray) -> np.ndarray:
+        """Z at slot i <= N, shaped (..., n_W, d), from the coefficients
+        ``moments`` (..., d, F) of the d moment regressions ``extract_z``
+        fits: Z = (2 dt)^{-1} a(X)^{-1} times the predicted moments.  At
+        slot N, Z is evaluated on slot N - 1's regression, the slot whose Z
+        it copies."""
+        ctx, a_inv = self.regression(min(i, self.hunt.grid.n_steps - 1))
+        d, k = moments.shape[-2], ctx.n_features
+        predicted = np.empty(moments.shape[:-2] + (ctx.phi.shape[0], d))
+        for j in range(d):
+            predicted[..., j] = ctx.predict_in_sample(moments[..., j, :k])
+        return np.einsum("njk,...nk->...nj", a_inv, predicted) / (2.0 * self.hunt.grid.dt)
+
     def slot_values(self, i: int, c_i: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Y, Z) at slot i, shaped (n_b, n_W) and (n_b, n_W, d), from the
         slot's coefficients ``c_i`` (n_b, 1 + d, F) as ``solve_linear_bdsde``
-        writes them: Y predicted from row 0 and Z from rows 1 .. d by the
-        calls ``extract_z`` makes, so the floats are the ones the recursion
-        made.  At slot N, Y is the payoff ``xi`` and Z is evaluated on slot
-        N - 1's regression, the slot whose Z it copies."""
-        n = self.hunt.grid.n_steps
-        ctx, a_inv = self.regression(min(i, n - 1))
-        k = ctx.n_features
-        z = _z_values(ctx, c_i[:, 1:, :k], a_inv, self.hunt.grid.dt)
-        y = np.tile(xi, (len(c_i), 1)) if i == n else ctx.predict_in_sample(c_i[:, 0, :k])
-        return y, z
+        writes them: Y predicted from row 0 and Z from rows 1 .. d by
+        ``z_values``.  At slot N, Y is the payoff ``xi``."""
+        if i == self.hunt.grid.n_steps:
+            y = np.tile(xi, (len(c_i), 1))
+        else:
+            ctx = self.regression(i)[0]
+            y = ctx.predict_in_sample(c_i[:, 0, :ctx.n_features])
+        return y, self.z_values(i, c_i[:, 1:])
 
 
-def _z_values(context: RegressionContext, coefs: np.ndarray, a_inverse: np.ndarray,
-              dt: float) -> np.ndarray:
-    """Z = (2 dt)^{-1} a(X)^{-1} times the moments predicted from the d moment
-    regressions' coefficients ``coefs`` (..., d, n_features) on ``context``."""
-    d = coefs.shape[-2]
-    moments = np.empty(coefs.shape[:-2] + (context.phi.shape[0], d))
-    for j in range(d):
-        moments[..., j] = context.predict_in_sample(coefs[..., j, :])
-    return np.einsum("njk,...nk->...nj", a_inverse, moments) / (2.0 * dt)
-
-
-def extract_z(next_values, dm, context: RegressionContext, a_inverse: np.ndarray,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Martingale-representation estimate of Z at one time slot.
-
-    Z(x) = (2 dt)^{-1} a(x)^{-1} E[next dM | X = x], one regression per
-    martingale coordinate on ``context``; ``a_inverse`` holds a(X)^{-1} per
-    sample.  Returns the samples, shaped like next_values + (d,), and the
-    coefficients of the d moment regressions, shaped like next_values[:-1]
-    + (d, n_features).
+def extract_z(next_values, dm, context: RegressionContext) -> np.ndarray:
+    """The moment regressions behind the martingale-representation estimate
+    of Z at one time slot, Z(x) = (2 dt)^{-1} a(x)^{-1} E[next dM | X = x]:
+    the coefficients of E[next dM_j | X] on ``context``, one regression per
+    martingale coordinate j, shaped like next_values[:-1] + (d, n_features).
+    ``LsmcEnsemble.z_values`` makes the Z samples from them.
 
     The fitted conditional mean of ``next`` is subtracted before multiplying
     by dM.  The subtracted part is X-measurable, so the estimated conditional
     expectation is unchanged, but the Monte Carlo variance drops from the
     value scale to the increment scale.
     """
-    if dt <= 0.0:
-        raise UsageError("dt must be positive")
     nxt = np.asarray(next_values, dtype=float)
     dm = np.asarray(dm, dtype=float)
     d = dm.shape[1]
@@ -287,7 +282,7 @@ def extract_z(next_values, dm, context: RegressionContext, a_inverse: np.ndarray
     coefs = np.empty(nxt.shape[:-1] + (d, context.n_features))
     for j in range(d):
         coefs[..., j, :] = context.fit(nxt * dm[:, j])
-    return _z_values(context, coefs, a_inverse, dt), coefs
+    return coefs
 
 
 @dataclass(frozen=True)
@@ -326,12 +321,12 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     those of the d moment regressions behind Z.  Slot N holds no Y row (the
     payoff is not a regression) and the Z rows of slot N - 1, which its Z
     copies.  The (Y, Z) of a slot is ``LsmcEnsemble.slot_values`` of its
-    coefficients; the recursion keeps only the slot it just made.
-    ``drivers(i, y_i, z_i, c_i)`` sees each new slot i, N down to 0, before
-    it is written into ``c``, and returns the (n_b, n_W) f and (n_b, n_W, l)
-    g at slot i, which pair with dB_{i-1}; its slot-0 value is not read.
-    Each slot's ``dM`` and ``X`` are read as the contiguous (n_W, d) views
-    the ensemble stores, and its design matrix and a(X)^{-1} are
+    coefficients; the recursion keeps only the slot it just made, and makes
+    no Z samples.  ``drivers(i, y_i, c_i)`` sees each new slot i, N down to
+    0, before it is written into ``c``, and returns the (n_b, n_W) f and
+    (n_b, n_W, l) g at slot i, which pair with dB_{i-1}; its slot-0 value is
+    not read.  Each slot's ``dM`` and ``X`` are read as the contiguous
+    (n_W, d) views the ensemble stores, and its design matrix is
     ``LsmcEnsemble.regression``'s, made when the recursion reaches the slot.
     """
     hunt = ensemble.hunt
@@ -345,26 +340,26 @@ def solve_linear_bdsde(xi: np.ndarray, ensemble: LsmcEnsemble, gbm: GBMPaths,
     slot_shape = (gbm.n_paths, 1 + hunt.dim, ensemble.n_features)
     y_i, c_i = np.tile(xi, (gbm.n_paths, 1)), np.zeros(slot_shape)
     # Z at the horizon copies the last regressed slot, N - 1.
-    ctx, a_inverse = ensemble.regression(n - 1)
-    z_i, c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx, a_inverse, dt)
+    ctx = ensemble.regression(n - 1)[0]
+    c_i[:, 1:, :ctx.n_features] = extract_z(y_i, hunt.dm[:, n - 1], ctx)
     for i in range(n, -1, -1):
         if i < n:
             f_next, g_next = at_next
             target = y_i + dt * f_next + np.einsum("bwl,bl->bw", g_next, gbm.db[:, i, :])
             # The drivers and the last slot's arrays go before this slot's
             # are made.
-            del at_next, f_next, g_next, ctx, a_inverse
-            ctx, a_inverse = ensemble.regression(i)
+            del at_next, f_next, g_next, ctx
+            ctx = ensemble.regression(i)[0]
             k = ctx.n_features
             c_new = np.zeros(slot_shape)
             c_new[:, 0, :k] = ctx.fit(target)
             del target
             if i < n - 1:
-                z_i, c_new[:, 1:, :k] = extract_z(y_i, hunt.dm[:, i], ctx, a_inverse, dt)
+                c_new[:, 1:, :k] = extract_z(y_i, hunt.dm[:, i], ctx)
             else:  # Z_{N-1} is the Z kept at the horizon
                 c_new[:, 1:] = c_i[:, 1:]
             y_i, c_i = ctx.predict_in_sample(c_new[:, 0, :k]), c_new
-        at_next = drivers(i, y_i, z_i, c_i)
+        at_next = drivers(i, y_i, c_i)
         if c is not None:
             c[:, i] = c_i
     return BdsdeSolution(c, xi, ensemble, gbm.fingerprint())
@@ -416,11 +411,11 @@ def _slot_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_
             np.asarray(problem.g(t, x_here, y_i, v), dtype=float))
 
 
-def _explicit_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, z_i, *_):
-    """``_slot_drivers`` read at the new slot, the explicit scheme's, which
-    stops at the first slot whose Y or Z is not finite.  The slot's
-    coefficients, the last of the slot data the recursion hands its drivers,
-    are not read."""
+def _explicit_drivers(problem: BdsdeProblem, ensemble: LsmcEnsemble, i: int, y_i, c_i):
+    """``_slot_drivers`` read at the new slot, the explicit scheme's, whose Z
+    is made from the slot's moment coefficients; it stops at the first slot
+    whose Y or Z is not finite."""
+    z_i = ensemble.z_values(i, c_i[:, 1:])
     bad = [name for name, vals in (("Y", y_i), ("Z", z_i)) if not np.all(np.isfinite(vals))]
     if bad:
         raise NumericalError(f"backward solve produced non-finite {' and '.join(bad)} "
@@ -459,7 +454,7 @@ def solve_gbdsde_picard(problem: BdsdeProblem, ensemble: LsmcEnsemble, gbm: GBMP
     times, n = problem.time_grid.times, problem.time_grid.n_steps
 
     def recursion(sources):
-        solve_linear_bdsde(sol.xi, ensemble, gbm, lambda i, y, z, c_i: sources(i, c_i), None)
+        solve_linear_bdsde(sol.xi, ensemble, gbm, lambda i, y, c_i: sources(i, c_i), None)
 
     def drivers(i, w, s):
         payoff = s * sol.xi if i == n else sol.xi  # below N, s is a coefficient slot

@@ -61,6 +61,12 @@ def _bool_row(check, scenario_id, metric, ok) -> CheckRow:
     return _row(check, scenario_id, metric, 1.0 if ok else 0.0, 1.0, ok)
 
 
+def _index_columns(*shape) -> np.ndarray:
+    """The C-order indices of an array of ``shape``, one row per axis: the
+    index columns of a table whose rows run over the array's elements."""
+    return np.indices(shape).reshape(len(shape), -1)
+
+
 def _picard_checks(check, sid, rep, kappa, terminal_exact, rows) -> dict:
     """Append the converged, contraction-ratio and terminal-slice rows of one
     Picard check to ``rows``: the ratio row gates the larger of rho(-u*) and
@@ -109,19 +115,15 @@ def run_gbm_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
         rows.append(_row("gbm-integral", -1, f"doob[{name}]",
                          rep.sup_moment, rep.doob_tolerance, rep.doob_ok))
 
-    dump_n = min(sec.dump_paths, n_paths)
-    dump_rows = []
-    for paths in family[: scen.n_scenarios]:
-        for p in range(dump_n):
-            for i in range(n_steps):
-                for j in range(scen.dim):
-                    dump_rows.append((p, paths.scenario_id, i, j,
-                                      float(paths.db[p, i, j])))
+    dumped = family[: scen.n_scenarios]
+    db = np.stack([paths.db[: min(sec.dump_paths, n_paths)] for paths in dumped])
+    s, p, i, j = _index_columns(*db.shape)
+    sids = np.array([paths.scenario_id for paths in dumped])
     artifacts = {
         "gbm_report.json": {"checks": reports, "n_paths": n_paths,
                             "n_steps": n_steps, "n_schedules": len(family)},
         "gbm_paths.csv": (["path_id", "scenario_id", "step", "coord", "dB_backward"],
-                          dump_rows),
+                          [p, sids[s], i, j, db.ravel()]),
     }
     return rows, artifacts
 
@@ -149,13 +151,9 @@ def run_hunt_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
              abs(forward.mean_total) <= band),
     ]
     dump_n = min(sec.dump_paths, n_paths)
-    dump_rows = []
-    for p in range(dump_n):
-        for i in range(n_steps):
-            dump_rows.append((p, i)
-                             + tuple(float(v) for v in paths.x[p, i])
-                             + tuple(float(v) for v in paths.dm[p, i])
-                             + (float(paths.weights[p]),))
+    p, i = _index_columns(dump_n, n_steps)
+    states = [v[:dump_n, :n_steps, k].ravel() for v in (paths.x, paths.dm)
+              for k in range(field.dim)]
     header = (["path_id", "step"]
               + [f"x_{k + 1}" for k in range(field.dim)]
               + [f"dM_{k + 1}" for k in range(field.dim)]
@@ -170,7 +168,7 @@ def run_hunt_check(exp: Experiment) -> tuple[list[CheckRow], dict]:
             "n_paths": n_paths,
             "n_steps": n_steps,
         },
-        "hunt_paths.csv": (header, dump_rows),
+        "hunt_paths.csv": (header, [p, i] + states + [paths.weights[p]]),
     }
     return rows, artifacts
 
@@ -232,17 +230,13 @@ def _gspde_result(exp: Experiment, scenarios) -> tuple[list[CheckRow], dict]:
     """Rows and artifacts from the ``_gspde_scenario`` records, in scenario order."""
     problem, cfg = exp.gspde_problem, exp.gspde_cfg
     sg, times = problem.space_grid, problem.time_grid.times
+    rows = [row for scen_rows, _, _ in scenarios for row in scen_rows]
+    dumps = np.stack([dump for _, _, dump in scenarios])
+    s, p, i, k = _index_columns(*dumps.shape)
+    sids = np.array([record["scenario_id"] for _, record, _ in scenarios])
+    nodes = np.asarray(_dump_nodes(sg))[k]
     m = sg.points_per_axis
-    rows: list[CheckRow] = []
-    dump_rows = []
-    for scen_rows, record, dump in scenarios:
-        rows.extend(scen_rows)
-        sid = record["scenario_id"]
-        for p in range(dump.shape[0]):
-            for i, t in enumerate(times):
-                for k, node in enumerate(_dump_nodes(sg)):
-                    axes = (node,) if sg.dim == 1 else (node // m, node % m)
-                    dump_rows.append((p, sid, float(t)) + axes + (float(dump[p, i, k]),))
+    axes = [nodes] if sg.dim == 1 else [nodes // m, nodes % m]
     index_cols = ["x_index"] if sg.dim == 1 else ["x_index_1", "x_index_2"]
     artifacts = {
         "gspde_report.json": {
@@ -250,7 +244,7 @@ def _gspde_result(exp: Experiment, scenarios) -> tuple[list[CheckRow], dict]:
             "delta": cfg.delta, "per_scenario": [record for _, record, _ in scenarios],
         },
         "gspde_solution.csv": (["path_id", "scenario_id", "t"] + index_cols + ["u"],
-                               dump_rows),
+                               [p, sids[s], times[i]] + axes + [dumps.ravel()]),
     }
     return rows, artifacts
 
@@ -268,25 +262,23 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
     dump_w = min(8, n_w)
     n = problem.time_grid.n_steps
 
+    bundles = _problem_bundles(exp)
+    ys = np.empty((len(bundles), dump_b, dump_w, n + 1))
+    zs = np.empty(ys.shape + (hunt.dim,))
     rows: list[CheckRow] = []
     scen_reports = []
-    dump_rows = []
-    for gbm in _problem_bundles(exp):
+    for s, gbm in enumerate(bundles):
         sol = solve_gbdsde_picard(problem, ensemble, gbm, cfg)
         xi = np.asarray(problem.terminal_fn(hunt.x[:, -1, :]))
         terminal_exact = bool(np.all(sol.slot(n)[0] == xi))
-        sid = gbm.scenario_id
-        scen_reports.append(_picard_checks("gbdsde", sid, sol.picard_report, cfg.kappa,
-                                           terminal_exact, rows))
-        # One slot is evaluated at a time, on every path, and only copies of
-        # the dumped paths are kept, not views that hold the whole slot.
-        dumped = [tuple(v[:dump_b, :dump_w].copy() for v in sol.slot(i))
-                  for i in range(n + 1)] if dump_b else []
-        for b in range(dump_b):
-            for w in range(dump_w):
-                for (y, z), t in zip(dumped, problem.time_grid.times):
-                    dump_rows.append((sid, b, w, float(t), float(y[b, w]))
-                                     + tuple(float(v) for v in z[b, w]))
+        scen_reports.append(_picard_checks("gbdsde", gbm.scenario_id, sol.picard_report,
+                                           cfg.kappa, terminal_exact, rows))
+        # One slot is evaluated at a time, on every path, and only its dumped
+        # paths are copied out before the next is made.
+        for i in range(n + 1 if dump_b else 0):
+            ys[s, ..., i], zs[s, :, :, i] = (v[:dump_b, :dump_w] for v in sol.slot(i))
+    s, b, w, i = _index_columns(*ys.shape)
+    sids = np.array([gbm.scenario_id for gbm in bundles])
     header = (["scenario_id", "b_path_id", "x_path_id", "t", "Y"]
               + [f"Z_{k + 1}" for k in range(hunt.dim)])
     artifacts = {
@@ -294,7 +286,8 @@ def run_gbdsde(exp: Experiment) -> tuple[list[CheckRow], dict]:
             "kappa": cfg.kappa, "eps": cfg.eps, "beta": cfg.rate,
             "delta": cfg.delta, "per_scenario": scen_reports,
         },
-        "bdsde_solution.csv": (header, dump_rows),
+        "bdsde_solution.csv": (header, [sids[s], b, w, problem.time_grid.times[i], ys.ravel()]
+                               + [zs[..., k].ravel() for k in range(hunt.dim)]),
     }
     return rows, artifacts
 

@@ -1,6 +1,7 @@
 """Reference computations the tests compare the package against; no
 command of the package runs them."""
 
+import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -21,6 +22,25 @@ def preset(family, spec, *dims):
     on), read and built on ``dims`` as ``validate_config`` builds it."""
     builder = read(family, spec, "preset")
     return builder(*dims, "preset") if family in (FieldPreset, NoisePreset) else builder(*dims)
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))  # plain-float repr even for numpy scalars
+    return str(value)
+
+
+def row_csv(path, header, rows, config_hash):
+    """The row-wise CSV writer: ``csv.writer`` over row tuples, each cell
+    through ``_cell``, with a ``config_hash`` column: the bytes
+    ``artifacts.write_csv`` must write for the columns of those rows."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(list(header) + ["config_hash"])
+        for row in rows:
+            writer.writerow([_cell(v) for v in row] + [config_hash])
 
 
 def homogeneous_term(op, terminal, time_grid, n_paths):
@@ -156,7 +176,7 @@ def stacked_linear_bdsde(xi, ensemble, gbm, drivers, y, z, c):
             else:
                 c_new[:, 1:] = c_i[:, 1:]
             c_i = c_new
-        at_next = drivers(i, y_i, z_i, c_i)
+        at_next = drivers(i, y_i, c_i)
         y[:, i] = y_i
         z[:, i] = z_i
         c[:, i] = c_i

@@ -171,16 +171,18 @@ def test_product_design_matches_the_power_reference(d, degenerate, degree, sprea
 
 # -- extract_z -------------------------------------------------------------------
 
-def slot_z(next_values, hunt, field, i, dt):
-    return extract_z(next_values, hunt.dm[:, i], context(hunt.x[:, i], BASIS),
-                     np.linalg.inv(field.a_at(hunt.x[:, i])), dt)[0]
+def slot_z(next_values, hunt, field, i):
+    """The Z samples of slot i from the moment coefficients extract_z fits."""
+    ens = LsmcEnsemble(hunt, BASIS, field)
+    moments = extract_z(next_values, hunt.dm[:, i], ens.regression(i)[0])
+    return ens.z_values(i, moments)
 
 
 def test_extract_z_constant_next_value_is_noise_level():
     field, hunt, _ = make_ensembles(n_w=4000)
     i, c = 3, 2.0
     dt = hunt.grid.dt
-    z = slot_z(np.full(hunt.n_paths, c), hunt, field, i, dt)
+    z = slot_z(np.full(hunt.n_paths, c), hunt, field, i)
     # The Z estimator divides the regressed moment by 2 a dt, so its mean
     # carries standard error ~ c std(dM) / (2 a dt sqrt(n)).
     se = c * np.std(hunt.dm[:, i, 0]) / (2.0 * 0.5 * dt) / np.sqrt(hunt.n_paths)
@@ -192,14 +194,8 @@ def test_extract_z_martingale_level_recovers_unity():
     field, hunt, _ = make_ensembles(n_w=20_000, n_steps=8)
     i = 5
     m_next = hunt.dm[:, : i + 1, 0].sum(axis=1)
-    z = slot_z(m_next, hunt, field, i, hunt.grid.dt)
+    z = slot_z(m_next, hunt, field, i)
     assert abs(float(np.mean(z)) - 1.0) <= 0.05
-
-
-def test_extract_z_rejects_bad_dt():
-    field, hunt, _ = make_ensembles(n_w=200)
-    with pytest.raises(UsageError):
-        slot_z(np.zeros(200), hunt, field, 0, 0.0)
 
 
 # -- linear solver ---------------------------------------------------------------
@@ -577,10 +573,12 @@ def test_picard_check_adds_no_regression_calls(monkeypatch, d):
     # The check takes its norms from the coefficients the recursion fits
     # anyway: per slot i < N one Y fit and, below N - 1, the 1 + d fits of
     # extract_z, plus 1 + d at the horizon, in the solve and in each of the
-    # three check sweeps; each fit is predicted once.  Evaluating the frozen
-    # iterate at a slot predicts 1 + d times (d at the horizon, whose Y is
-    # the payoff) and fits nothing, at slots N .. 1 of each check sweep: the
-    # drivers of slot 0 are not read.
+    # three check sweeps.  Each Y fit and each extract_z fit of the mean is
+    # predicted once; the d moment fits of the n extract_z calls are not:
+    # only the solve's drivers make Z samples, d predictions at each slot
+    # N .. 0.  Evaluating the frozen iterate at a slot predicts 1 + d times
+    # (d at the horizon, whose Y is the payoff) and fits nothing, at slots
+    # N .. 1 of each check sweep: the drivers of slot 0 are not read.
     scen = SCENARIOS[1]
     tg = TimeGrid(0.5, 6)
     field = const_field(0.5, d)
@@ -592,9 +590,11 @@ def test_picard_check_adds_no_regression_calls(monkeypatch, d):
     sol = solve_gbdsde_picard(prob, ens, gbm, PicardConfig.from_problem(prob))
     n = tg.n_steps
     assert sol.picard_report.iterations == 3
-    fits = 4 * ((1 + d) + sum(1 + (1 + d) * (i < n - 1) for i in range(n)))
+    fits = (1 + d) + sum(1 + (1 + d) * (i < n - 1) for i in range(n))  # per recursion
+    z_made = d * (n + 1)
     evaluated = 3 * sum(d + (i < n) for i in range(n, 0, -1))
-    assert counts == {"fit": fits, "predict_in_sample": fits + evaluated}
+    assert counts == {"fit": 4 * fits,
+                      "predict_in_sample": 4 * (fits - d * n) + z_made + evaluated}
 
 
 def test_a_residual_is_reported_not_raised(monkeypatch):
@@ -664,6 +664,15 @@ def test_linear_recursion_never_reads_driver_slot_0():
     assert all(np.all(np.isfinite(p)) for p in poisoned)
 
 
+def assert_reference_slot(ens, i, y_i, c_i, ref):
+    """The slot i that the recursion hands its drivers, (Y, coefficients),
+    and the Z its moment coefficients give are bitwise the reference
+    recursion's (Y, Z, coefficient) stacks ``ref`` at slot i."""
+    y, z, c = ref
+    assert np.array_equal(y_i, y[:, i]) and np.array_equal(c_i, c[:, i])
+    assert np.array_equal(ens.z_values(i, c_i[:, 1:]), z[:, i])
+
+
 def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
     # The recursion writes the coefficient stack the drivers may read:
     # drivers sees each new slot i, N down to 0, while slot i of the stack
@@ -680,10 +689,10 @@ def test_linear_recursion_hands_each_new_slot_to_drivers_before_writing_it():
     c = fresh_coefficients(ens, gbm, -7.0)
     events = []
 
-    def drivers(i, *new):
+    def drivers(i, y_i, c_i):
         events.append((i, bool(np.all(c[:, i] == -7.0))))
-        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, ref, strict=True))
-        return lookup(i, *new)
+        assert_reference_slot(ens, i, y_i, c_i, ref)
+        return lookup(i, y_i, c_i)
 
     sol = solve_linear_bdsde(xi, ens, gbm, drivers, c)
     assert sol.c is c and np.array_equal(c, ref[2])
@@ -704,10 +713,10 @@ def test_linear_recursion_without_a_stack_hands_drivers_the_same_slots():
     ref = stacked_linear_bdsde(xi, ens, gbm, lookup, *zero_stacks(ens, gbm))
     seen = []
 
-    def drivers(i, *new):
+    def drivers(i, y_i, c_i):
         seen.append(i)
-        assert all(np.array_equal(a, b[:, i]) for a, b in zip(new, ref, strict=True))
-        return lookup(i, *new)
+        assert_reference_slot(ens, i, y_i, c_i, ref)
+        return lookup(i, y_i, c_i)
 
     assert solve_linear_bdsde(xi, ens, gbm, drivers, None).c is None
     assert seen == list(range(n, -1, -1))

@@ -450,6 +450,23 @@ def test_report_merge_onto_a_directory_exits_2_naming_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --out: ")
 
 
+def test_report_merge_onto_one_of_its_inputs_exits_2_and_leaves_it(tmp_path, capsys,
+                                                                   monkeypatch):
+    # gexplab report-merge r1 r1 --out r1/suite_summary.csv, from the
+    # directory that holds r1, would double the summary it reads.
+    monkeypatch.chdir(tmp_path)
+    main(["simulate-gbm", "--config", write_config(tmp_path, tiny_config()), "--out", "r1"])
+    before = (tmp_path / "r1" / "suite_summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report-merge", "r1", "r1", "--out", "r1/suite_summary.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert (tmp_path / "r1" / "suite_summary.csv").read_bytes() == before
+    # The same file under another name is refused too.
+    assert main(["report-merge", "r1", "--out", str(tmp_path / "r1" / ".." / "r1" /
+                                                    "suite_summary.csv")]) == 2
+    assert (tmp_path / "r1" / "suite_summary.csv").read_bytes() == before
+
+
 def test_artifact_write_failure_exits_2_naming_output_dir(tmp_path, capsys):
     # The directory exists, but its summary path is taken by a directory.
     out = tmp_path / "run"

@@ -280,6 +280,14 @@ def test_time_grid_times_are_computed_once_and_read_only():
     assert grid == TimeGrid(0.7, 24)
 
 
+def test_time_grid_rejects_a_step_that_is_not_positive():
+    # Every dt the solvers divide by, the Z scaling (2 dt)^-1 among them,
+    # is a grid's horizon / n_steps, so no grid may have dt <= 0.
+    for horizon, n_steps in ((0.0, 8), (-0.5, 8), (float("nan"), 8), (0.5, 0)):
+        with pytest.raises(UsageError):
+            TimeGrid(horizon, n_steps)
+
+
 def test_quadratic_variation_bounded_by_sigma_bar():
     rng = np.random.default_rng(14)
     s = ScenarioSet.from_list([rng.standard_normal((2, 2)) for _ in range(3)])
