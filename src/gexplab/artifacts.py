@@ -34,43 +34,20 @@ def _table_length(name: str, header: list, columns) -> int:
     return lengths[0] if lengths else 0
 
 
-def _column_cells(col):
-    """``cells(start, stop)``, the CSV cells of rows start .. stop of the 1-D
-    column ``col``: ``repr`` of each float, ``str`` of each int.  A column of
-    at most half as many distinct values as rows, and at most ``CHUNK_ROWS``
-    of them, formats each distinct value once; values are told apart by bit
-    pattern, so -0.0 and 0.0 stay two values, as do NaNs of two payloads."""
-    if col.dtype.kind == "f":
-        col = col.astype("f8", copy=False)
-        fmt, keys = repr, col.view("u8")
-    else:
-        fmt, keys = str, col
-    ordered = keys.copy()
-    ordered.sort()
-    fresh = ordered[1:] != ordered[:-1]  # where a distinct key after the least starts
-    n_distinct = int(fresh.sum()) + 1
-    if 2 * n_distinct > len(col) or n_distinct > CHUNK_ROWS:
-        return lambda start, stop: list(map(fmt, col[start:stop].tolist()))
-    rest = ordered[1:][fresh]
-    distinct = ordered[:1].view(col.dtype).tolist() + rest.view(col.dtype).tolist()
-    cells = list(map(fmt, distinct))
-    # A key's position in ``cells`` is the count of ``rest`` keys at or below it.
-    return lambda start, stop: list(map(cells.__getitem__,
-                                        rest.searchsorted(keys[start:stop], "right").tolist()))
-
-
 def write_csv(path: str, header: list, columns, config_hash: str) -> None:
     """The table of ``columns`` under ``header``, with a ``config_hash``
     column, as ``csv.writer`` writes it: comma-separated, CRLF line ends, no
-    quoting (neither a numeric cell nor the hex hash needs it), written
-    ``CHUNK_ROWS`` rows at a time."""
+    quoting (neither a numeric cell nor the hex hash needs it), ``repr`` of
+    each float and ``str`` of each int, written ``CHUNK_ROWS`` rows at a
+    time."""
     n_rows = _table_length(os.path.basename(path), header, columns)
-    cells = [_column_cells(col) for col in columns]
+    formats = [repr if col.dtype.kind == "f" else str for col in columns]
     end = f",{config_hash}\r\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerow(list(header) + ["config_hash"])
         for start in range(0, n_rows, CHUNK_ROWS):
-            rows = zip(*(c(start, start + CHUNK_ROWS) for c in cells))
+            rows = zip(*(map(fmt, col[start:start + CHUNK_ROWS].tolist())
+                         for fmt, col in zip(formats, columns)))
             handle.write(end.join(map(",".join, rows)) + end)
 
 
